@@ -11,21 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import ComplementError
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     adjoint,
-    as_matrix,
+    as_pair,
     fro,
-    numerical_rank,
+    range_contains,
 )
 from .subspaces import (
+    Factored,
     Projection,
     intersect,
-    null_basis,
     oblique_projection,
     range_basis,
     subspace_equal,
@@ -41,23 +39,14 @@ __all__ = [
 ]
 
 
-def _pair(A, B):
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ValueError("shape mismatch")
-    return A, B
-
-
 def is_range_additive(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether R(A + B) = R(A) + R(B).
 
     Equivalent to R(A) being contained in R(A + B), which is what is
     tested: rank([A + B | A]) == rank(A + B).
     """
-    A, B = _pair(A, B)
-    s = A + B
-    return numerical_rank(np.hstack([s, A]), tol) == numerical_rank(s, tol)
+    A, B = as_pair(A, B)
+    return range_contains(A + B, A, tol)
 
 
 @dataclass(frozen=True)
@@ -74,13 +63,12 @@ class DisjointRangeAdditivity:
 
 
 def disjoint_range_additivity(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> DisjointRangeAdditivity:
-    A, B = _pair(A, B)
-    ra = range_basis(A, tol)
-    rb = range_basis(B, tol)
-    disjoint = intersect(ra, rb, tol).dim == 0
-    joined = subspace_sum(ra, rb, tol)
+    A, B = as_pair(A, B)
+    fa, fb = Factored.of(A, tol), Factored.of(B, tol)
+    disjoint = intersect(fa.range, fb.range, tol).dim == 0
+    joined = subspace_sum(fa.range, fb.range, tol)
     additive = disjoint and subspace_equal(range_basis(A + B, tol), joined, tol)
-    spans = subspace_sum(null_basis(A, tol), null_basis(B, tol), tol).dim == A.shape[1]
+    spans = subspace_sum(fa.null, fb.null, tol).dim == A.shape[1]
     return DisjointRangeAdditivity(ranges_disjoint=disjoint, additive=additive, kernels_span=spans)
 
 
@@ -102,9 +90,9 @@ class KernelCharacterization:
 
 
 def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> KernelCharacterization:
-    A, B = _pair(A, B)
-    ras = range_basis(adjoint(A), tol)
-    rbs = range_basis(adjoint(B), tol)
+    A, B = as_pair(A, B)
+    fa, fb = Factored.of(A, tol), Factored.of(B, tol)
+    ras, rbs = fa.corange, fb.corange
     direct = intersect(ras, rbs, tol).dim == 0
 
     witness = None
@@ -122,7 +110,7 @@ def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> K
             if fro(lhs - rhs) <= tol.residual_atol * scale:
                 witness = candidate
 
-    spans = subspace_sum(null_basis(A, tol), null_basis(B, tol), tol).dim == A.shape[1]
+    spans = subspace_sum(fa.null, fb.null, tol).dim == A.shape[1]
     additive = is_range_additive(A, B, tol)
     return KernelCharacterization(
         adjoint_ranges_direct_closed=direct,

@@ -72,52 +72,57 @@ def _embed(values, m, n, offset):
     return out
 
 
+def _redraw(seed, m, n, ranks, draw, what="pair"):
+    """Call ``draw(rng)`` until it returns ``(total, result)`` with ``total``
+    within the condition cap, at most ``_MAX_DRAWS`` times, and return that
+    result.  ``draw`` returns ``None`` to reject a degenerate draw."""
+    rng = as_rng(seed)
+    _check_ranks(m, n, ranks)
+    for _ in range(_MAX_DRAWS):
+        drawn = draw(rng)
+        if drawn is not None and effective_condition(drawn[0], DEFAULT_TOLERANCE) <= MAX_CONDITION:
+            return drawn[1]
+    raise RuntimeError(f"failed to draw a well-conditioned {what}")
+
+
+def _equivalent_pair(seed, m, n, r1, r2, factor):
+    """Disjoint diagonal blocks under a common equivalence (S, T), each
+    factor drawn by ``factor(rng, size)``."""
+    def draw(rng):
+        s, t = factor(rng, m), factor(rng, n)
+        a = s @ _embed(_block_values(rng, r1), m, n, 0) @ t
+        b = s @ _embed(_block_values(rng, r2), m, n, r1) @ t
+        return a + b, (a, b)
+
+    return _redraw(seed, m, n, (r1, r2), draw)
+
+
 def minus_pair(seed, m, n, r1, r2):
     """A pair with A minus-below A + B: disjoint diagonal blocks conjugated
     by a common invertible pair (S, T)."""
-    rng = as_rng(seed)
-    _check_ranks(m, n, (r1, r2))
-    for _ in range(_MAX_DRAWS):
-        s = _complex_gaussian(rng, m, m)
-        t = _complex_gaussian(rng, n, n)
-        a = s @ _embed(_block_values(rng, r1), m, n, 0) @ t
-        b = s @ _embed(_block_values(rng, r2), m, n, r1) @ t
-        if effective_condition(a + b, DEFAULT_TOLERANCE) <= MAX_CONDITION:
-            return a, b
-    raise RuntimeError("failed to draw a well-conditioned pair")
+    return _equivalent_pair(seed, m, n, r1, r2, lambda rng, k: _complex_gaussian(rng, k, k))
 
 
 def star_pair(seed, m, n, r1, r2):
     """A pair with A star-below A + B: the same construction with unitary
     factors, which makes the range splits orthogonal on both sides."""
-    rng = as_rng(seed)
-    _check_ranks(m, n, (r1, r2))
-    for _ in range(_MAX_DRAWS):
-        s = _random_unitary(rng, m)
-        t = _random_unitary(rng, n)
-        a = s @ _embed(_block_values(rng, r1), m, n, 0) @ t
-        b = s @ _embed(_block_values(rng, r2), m, n, r1) @ t
-        if effective_condition(a + b, DEFAULT_TOLERANCE) <= MAX_CONDITION:
-            return a, b
-    raise RuntimeError("failed to draw a well-conditioned pair")
+    return _equivalent_pair(seed, m, n, r1, r2, _random_unitary)
 
 
 def sharp_pair(seed, n, r1, r2):
     """A pair with A sharp-below A + B: disjoint diagonal blocks under a
     common similarity, so the summands annihilate each other."""
-    rng = as_rng(seed)
-    _check_ranks(n, n, (r1, r2))
-    for _ in range(_MAX_DRAWS):
+    def draw(rng):
         s = _complex_gaussian(rng, n, n)
         try:
             s_inv = np.linalg.inv(s)
         except np.linalg.LinAlgError:
-            continue
+            return None
         a = s @ _embed(_block_values(rng, r1), n, n, 0) @ s_inv
         b = s @ _embed(_block_values(rng, r2), n, n, r1) @ s_inv
-        if effective_condition(a + b, DEFAULT_TOLERANCE) <= MAX_CONDITION:
-            return a, b
-    raise RuntimeError("failed to draw a well-conditioned pair")
+        return a + b, (a, b)
+
+    return _redraw(seed, n, n, (r1, r2), draw)
 
 
 def core_pair(seed, n, r1, r2):
@@ -128,9 +133,7 @@ def core_pair(seed, n, r1, r2):
     being normal.  The adjoint-side conditions hold too (the pair is also
     star ordered), which is what core inverse additivity requires.
     """
-    rng = as_rng(seed)
-    _check_ranks(n, n, (r1, r2))
-    for _ in range(_MAX_DRAWS):
+    def draw(rng):
         u = _random_unitary(rng, n)
         u1, u2, u3 = u[:, :r1], u[:, r1:r1 + r2], u[:, r1 + r2:]
         a = (u1 * _block_values(rng, r1)) @ adjoint(u1)
@@ -140,33 +143,27 @@ def core_pair(seed, n, r1, r2):
         d[d == 0] = 1.0
         v2 = q * (d / np.abs(d))
         b = (u2 * _block_values(rng, r2)) @ adjoint(v2)
-        total = a + b
-        if effective_condition(total, DEFAULT_TOLERANCE) > MAX_CONDITION:
-            continue
         # B must stay group invertible: the rotated frame may not fold
         # back degenerately onto the original slot.
         if r2 and np.linalg.svd(adjoint(v2) @ u2, compute_uv=False)[-1] < 1e-2:
-            continue
-        return a, b
-    raise RuntimeError("failed to draw a well-conditioned pair")
+            return None
+        return a + b, (a, b)
+
+    return _redraw(seed, n, n, (r1, r2), draw)
 
 
 def minus_chain(seed, m, n, r1, r2, r3):
     """A chain A minus-below B minus-below C via nested diagonal blocks."""
-    rng = as_rng(seed)
-    _check_ranks(m, n, (r1, r2, r3))
-    for _ in range(_MAX_DRAWS):
+    def draw(rng):
         s = _complex_gaussian(rng, m, m)
         t = _complex_gaussian(rng, n, n)
         d1 = _embed(_block_values(rng, r1), m, n, 0)
         d2 = _embed(_block_values(rng, r2), m, n, r1)
         d3 = _embed(_block_values(rng, r3), m, n, r1 + r2)
-        a = s @ d1 @ t
-        b = s @ (d1 + d2) @ t
         c = s @ (d1 + d2 + d3) @ t
-        if effective_condition(c, DEFAULT_TOLERANCE) <= MAX_CONDITION:
-            return a, b, c
-    raise RuntimeError("failed to draw a well-conditioned chain")
+        return c, (s @ d1 @ t, s @ (d1 + d2) @ t, c)
+
+    return _redraw(seed, m, n, (r1, r2, r3), draw, "chain")
 
 
 def pair_generator(kind: str):

@@ -15,11 +15,10 @@ from .exceptions import ComplementError, GroupInvertibilityError
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
-    adjoint,
     as_matrix,
     numerical_rank,
 )
-from .subspaces import Subspace, is_direct_sum, null_basis, range_basis
+from .subspaces import Factored, Subspace, is_direct_sum
 
 __all__ = [
     "pinv",
@@ -32,15 +31,7 @@ __all__ = [
 
 def pinv(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the shared rank cutoff."""
-    A = as_matrix(A)
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
-    cutoff = tol.effective_rank_rtol(A.shape) * s[0]
-    rank = int(np.count_nonzero(s > cutoff))
-    inv = np.zeros_like(s)
-    inv[:rank] = 1.0 / s[:rank]
-    return (vh.conj().T * inv) @ u.conj().T
+    return Factored.of(A, tol).pinv()
 
 
 def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
@@ -67,8 +58,8 @@ def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
     m, n = A.shape
     if range_space.ambient_dim != n or nullspace.ambient_dim != m:
         raise ValueError("ambient mismatch")
-    ra = range_basis(A, tol)
-    ker = null_basis(A, tol)
+    factored = Factored.of(A, tol)
+    ra, ker = factored.range, factored.null
     if (ra.dim + nullspace.dim != m) or not is_direct_sum(ra, nullspace, tol):
         raise ComplementError("complement condition violated: R(A) and the "
                               "prescribed null space do not split the codomain")
@@ -97,7 +88,8 @@ def group_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     A = as_matrix(A, "A")
     if not is_group_invertible(A, tol):
         raise GroupInvertibilityError("not group invertible")
-    return reflexive_inverse(A, range_basis(A, tol), null_basis(A, tol), tol)
+    factored = Factored.of(A, tol)
+    return reflexive_inverse(A, factored.range, factored.null, tol)
 
 
 def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -109,4 +101,5 @@ def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     A = as_matrix(A, "A")
     if not is_group_invertible(A, tol):
         raise GroupInvertibilityError("not group invertible")
-    return reflexive_inverse(A, range_basis(A, tol), null_basis(adjoint(A), tol), tol)
+    factored = Factored.of(A, tol)
+    return reflexive_inverse(A, factored.range, factored.conull, tol)

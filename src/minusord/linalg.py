@@ -1,4 +1,4 @@
-"""Shared numerical primitives: tolerances, SVD, numerical rank.
+"""Shared numerical primitives: tolerances, the rank cutoff, numerical rank.
 
 Everything in the package operates on dense complex numpy arrays.  Real
 input is accepted at every entry point and widened to complex128; NaN or
@@ -19,8 +19,9 @@ __all__ = [
     "as_vector",
     "adjoint",
     "fro",
-    "svd",
+    "as_pair",
     "singular_values",
+    "rank_cut",
     "numerical_rank",
     "rank_info",
     "range_contains",
@@ -120,19 +121,16 @@ def fro(A) -> float:
     return float(np.linalg.norm(np.asarray(A)))
 
 
-def svd(A, tol: ToleranceConfig = DEFAULT_TOLERANCE):
-    """Economy singular value decomposition.
-
-    Returns
-    -------
-    (U, S, V) : tuple of ndarray
-        ``A = U @ np.diag(S) @ V.conj().T`` with U, V having orthonormal
-        columns and S sorted in descending order.  Non-convergence raises
-        ``numpy.linalg.LinAlgError``.
-    """
-    A = as_matrix(A)
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    return u, s, vh.conj().T
+def as_pair(A, B, square: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce two operands that must share one shape (and be square when
+    ``square`` is set)."""
+    A = as_matrix(A, "A")
+    B = as_matrix(B, "B")
+    if A.shape != B.shape:
+        raise ValueError("shape mismatch")
+    if square and A.shape[0] != A.shape[1]:
+        raise ValueError("square matrices required")
+    return A, B
 
 
 def singular_values(A) -> np.ndarray:
@@ -142,27 +140,31 @@ def singular_values(A) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)
 
 
-def rank_info(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
-    """Numerical rank together with a near-boundary flag.
+def rank_cut(s, shape: tuple[int, ...], tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
+    """The one rank decision of the package, made on descending singular
+    values ``s`` of a matrix of the given shape.
 
-    The flag is set when any singular value falls within a factor of ten
-    of the cutoff, i.e. when the rank decision is not clearly resolved.
+    Returns the number of singular values above the relative cutoff and a
+    near-boundary flag, set when any singular value falls within a factor
+    of ten of the cutoff, i.e. when the decision is not clearly resolved.
+    Zero matrices have rank zero by convention (the cutoff degenerates).
     """
-    A = as_matrix(A)
-    s = singular_values(A)
     if s.size == 0 or s[0] == 0.0:
         return 0, False
-    cutoff = tol.effective_rank_rtol(A.shape) * s[0]
+    cutoff = tol.effective_rank_rtol(shape) * s[0]
     rank = int(np.count_nonzero(s > cutoff))
     near = bool(np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)))
     return rank, near
 
 
-def numerical_rank(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
-    """Number of singular values above the relative cutoff.
+def rank_info(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
+    """Numerical rank together with the near-boundary flag of :func:`rank_cut`."""
+    A = as_matrix(A)
+    return rank_cut(singular_values(A), A.shape, tol)
 
-    Zero matrices have rank zero by convention (the cutoff degenerates).
-    """
+
+def numerical_rank(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
+    """Number of singular values above the relative cutoff."""
     return rank_info(A, tol)[0]
 
 
@@ -182,8 +184,5 @@ def effective_condition(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> float:
     """Ratio of the largest singular value to the smallest one above the
     rank cutoff.  Returns 0.0 for the zero matrix."""
     s = singular_values(A)
-    if s.size == 0 or s[0] == 0.0:
-        return 0.0
-    cutoff = tol.effective_rank_rtol(np.shape(A)) * s[0]
-    kept = s[s > cutoff]
-    return float(s[0] / kept[-1])
+    rank, _ = rank_cut(s, np.shape(A), tol)
+    return float(s[0] / s[rank - 1]) if rank else 0.0

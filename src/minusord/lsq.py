@@ -15,20 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MembershipError, OrderConditionError, VerificationError
+from .exceptions import MembershipError, VerificationError
 from .geninv import pinv
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     adjoint,
     as_matrix,
+    as_pair,
     as_vector,
     fro,
-    numerical_rank,
+    range_contains,
 )
-from .orders import left_minus_order
+from .orders import _left_minus, _require
 from .subspaces import Projection
-from .sums import build_split
+from .sums import _checked_split
 
 __all__ = [
     "Weight",
@@ -89,21 +90,17 @@ def solve_system(A, B, a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     minimum-norm solution of the summed system solves both equations,
     which is verified before returning.
     """
-    A, B = as_matrix(A, "A"), as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ValueError("shape mismatch")
+    A, B = as_pair(A, B)
     a = as_vector(a, "a")
     b = as_vector(b, "b")
     if a.shape[0] != A.shape[0] or b.shape[0] != B.shape[0]:
         raise ValueError("right-hand side length mismatch")
     for mat, vec, label in ((A, a, "a"), (B, b, "b")):
-        if numerical_rank(np.hstack([mat, vec[:, None]]), tol) != numerical_rank(mat, tol):
+        if not range_contains(mat, vec[:, None], tol):
             raise MembershipError(f"membership fails: {label} is outside the column space")
-    total = A + B
-    report = left_minus_order(A, total, tol)
-    if not report.holds:
-        raise OrderConditionError("order fails: A is not left-minus-below A + B", report)
-    x = pinv(total, tol) @ (a + b)
+    report, _, f_total, _ = _left_minus(A, A + B, tol)
+    _require(report, "order fails: A is not left-minus-below A + B")
+    x = f_total.pinv() @ (a + b)
     scale = 1.0 + fro(A) + fro(B) + float(np.linalg.norm(a) + np.linalg.norm(b))
     if (np.linalg.norm(A @ x - a) > tol.residual_atol * scale
             or np.linalg.norm(B @ x - b) > tol.residual_atol * scale):
@@ -148,23 +145,17 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     identity whenever that projection is orthogonal (in particular under
     the left-star relation).
     """
-    A, B = as_matrix(A, "A"), as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ValueError("shape mismatch")
+    A, B = as_pair(A, B)
     c = as_vector(c, "c")
     if c.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length mismatch")
+    context, witness = _checked_split(A, B, tol)
     total = A + B
-    report = left_minus_order(A, total, tol)
-    if not report.holds:
-        raise OrderConditionError("order fails: A is not left-minus-below A + B", report)
-
-    witness = build_split(A, B, tol)
     weight = Weight.from_projection(witness.p)
     weight.validate(tol)
     w = weight.matrix
 
-    x_joint = pinv(total, tol) @ c
+    x_joint = context.fb.pinv() @ c
     stacked = np.vstack([adjoint(A) @ w @ A, adjoint(B) @ w @ B])
     rhs = np.concatenate([adjoint(A) @ w @ c, adjoint(B) @ w @ c])
     x_system = pinv(stacked, tol) @ rhs

@@ -17,26 +17,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError, VerificationError
+from .geninv import is_group_invertible
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     adjoint,
-    as_matrix,
+    as_pair,
     fro,
     range_contains,
-    rank_info,
 )
 from .subspaces import (
+    Factored,
     Projection,
     Subspace,
     intersect,
-    is_direct_sum,
     minimal_angle_cos,
-    null_basis,
     oblique_projection,
     ominus,
     orthogonal_projection,
-    range_basis,
     subspace_equal,
     subspace_sum,
 )
@@ -89,24 +87,19 @@ class OrderReport:
     boundary_flags: tuple[str, ...] = field(default=())
 
 
-def _pair(A, B, square: bool = False):
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ValueError("shape mismatch")
-    if square and A.shape[0] != A.shape[1]:
-        raise ValueError("square matrices required")
-    return A, B
+def _require(report: OrderReport, message: str) -> None:
+    """Raise :class:`OrderConditionError` carrying ``report`` unless it holds."""
+    if not report.holds:
+        raise OrderConditionError(message, report)
 
 
-def _rank_triple(A, B, diff, tol, flags):
-    out = []
-    for mat, label in ((A, "A"), (B, "B"), (diff, "B-A")):
-        rank, near = rank_info(mat, tol)
-        if near:
-            flags.append(f"rank({label}) within 10x of cutoff")
-        out.append(rank)
-    return RankData(*out)
+def _factor_triple(A, B, tol):
+    """One factorization each of A, B and B - A, their rank bookkeeping,
+    and the boundary flags of those three rank decisions."""
+    factors = tuple(Factored.of(X, tol) for X in (A, B, B - A))
+    flags = [f"rank({label}) within 10x of cutoff"
+             for f, label in zip(factors, ("A", "B", "B-A")) if f.near]
+    return factors, RankData(*(f.rank for f in factors)), flags
 
 
 def _identity_close(lhs, rhs, tol, scale):
@@ -135,45 +128,53 @@ def _left_witness(ra: Subspace, complement: Subspace, tol) -> Projection | None:
         return None
 
 
-def _kernels_span(X, Y, tol) -> bool:
-    n = X.shape[1]
-    return subspace_sum(null_basis(X, tol), null_basis(Y, tol), tol).dim == n
+def _projection_ok(A, B, witness_p, tol) -> bool:
+    return (witness_p is not None
+            and _identity_close(A, witness_p.matrix @ B, tol, fro(B))
+            and range_contains(B, A, tol))
 
 
-def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
-    """Minus order A <=- B: R(B) splits as R(A) plus R(B - A) on both sides.
+@dataclass(frozen=True, eq=False)
+class _MinusContext:
+    """The minus-order check of A against B together with what it factored,
+    for the constructions that need the order and then the same subspaces:
+    the factors of A, B and B - A, the sums R(A) + R(B - A) (``down``) and
+    R(A*) + R(B* - A*) (``down_s``), and the left-side verdict."""
 
-    The primary verdict works at the subspace level; the rank, angle,
-    kernel and projection characterizations are recorded independently.
-    """
-    A, B = _pair(A, B)
-    diff = B - A
-    flags: list[str] = []
-    ranks = _rank_triple(A, B, diff, tol, flags)
+    report: OrderReport
+    fa: Factored
+    fb: Factored
+    fd: Factored
+    down: Subspace
+    down_s: Subspace
+    left_holds: bool
 
-    ra, rd, rb = (range_basis(X, tol) for X in (A, diff, B))
-    ras, rds, rbs = (range_basis(adjoint(X), tol) for X in (A, diff, B))
 
-    holds = _split_holds(ra, rd, rb, tol) and _split_holds(ras, rds, rbs, tol)
+def _minus_context(A, B, tol) -> _MinusContext:
+    (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
+    ra, rd, rb = fa.range, fd.range, fb.range
+    ras, rds, rbs = fa.corange, fd.corange, fb.corange
+
+    down = subspace_sum(ra, rd, tol)
+    down_s = subspace_sum(ras, rds, tol)
+    spans_left = subspace_equal(down, rb, tol)
+    spans_right = subspace_equal(down_s, rbs, tol)
+    left_holds = spans_left and intersect(ra, rd, tol).dim == 0
+    holds = left_holds and spans_right and intersect(ras, rds, tol).dim == 0
 
     # The angle route restates disjointness as a minimal-angle margin; the
     # span part of the condition is still required.
-    down = subspace_sum(ra, rd, tol)
-    down_s = subspace_sum(ras, rds, tol)
-    spans = subspace_equal(down, rb, tol) and subspace_equal(down_s, rbs, tol)
-    angle_ok = (spans
+    angle_ok = (spans_left and spans_right
                 and _angle_margin_ok(ra, rd, tol, flags)
                 and _angle_margin_ok(ras, rds, tol, flags))
-    kernels_ok = _kernels_span(A, diff, tol) and _kernels_span(adjoint(A), adjoint(diff), tol)
+    m, n = A.shape
+    kernels_ok = (subspace_sum(fa.null, fd.null, tol).dim == n
+                  and subspace_sum(fa.conull, fd.conull, tol).dim == m)
 
     # Canonical left witness: project onto R(A) along R(B-A) + the
     # orthogonal leftover of R(A) + R(B-A).
     witness_p = _left_witness(ra, subspace_sum(rd, down.perp(), tol), tol)
-    projection_ok = (
-        witness_p is not None
-        and _identity_close(A, witness_p.matrix @ B, tol, fro(B))
-        and range_contains(B, A, tol)
-    )
+    projection_ok = _projection_ok(A, B, witness_p, tol)
 
     witness_q = None
     if holds:
@@ -186,8 +187,32 @@ def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
         "kernels": kernels_ok,
         "projection": projection_ok,
     }
-    return OrderReport("minus", holds, verdicts, witness_p if holds else None,
-                       witness_q, ranks, tuple(flags))
+    report = OrderReport("minus", holds, verdicts, witness_p if holds else None,
+                         witness_q, ranks, tuple(flags))
+    return _MinusContext(report, fa, fb, fd, down, down_s, left_holds)
+
+
+def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
+    """Minus order A <=- B: R(B) splits as R(A) plus R(B - A) on both sides.
+
+    The primary verdict works at the subspace level; the rank, angle,
+    kernel and projection characterizations are recorded independently.
+    """
+    A, B = as_pair(A, B)
+    return _minus_context(A, B, tol).report
+
+
+def _left_minus(A, B, tol):
+    """The left-minus report of A against B with the factors of A, B, B - A."""
+    (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
+    ra, rd, rb = fa.range, fd.range, fb.range
+    holds = _split_holds(ra, rd, rb, tol)
+
+    witness_p = _left_witness(ra, subspace_sum(rd, fb.conull, tol), tol)
+    verdicts = {"ranges": holds, "projection": _projection_ok(A, B, witness_p, tol)}
+    report = OrderReport("left_minus", holds, verdicts, witness_p if holds else None,
+                         None, ranks, tuple(flags))
+    return report, fa, fb, fd
 
 
 def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -195,31 +220,22 @@ def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
 
     The witness projects onto R(A) along R(B - A) + N(B*).
     """
-    A, B = _pair(A, B)
-    diff = B - A
-    flags: list[str] = []
-    ranks = _rank_triple(A, B, diff, tol, flags)
+    A, B = as_pair(A, B)
+    return _left_minus(A, B, tol)[0]
 
-    ra, rd, rb = (range_basis(X, tol) for X in (A, diff, B))
-    holds = _split_holds(ra, rd, rb, tol)
 
-    witness_p = _left_witness(ra, subspace_sum(rd, rb.perp(), tol), tol)
-    projection_ok = (
-        witness_p is not None
-        and _identity_close(A, witness_p.matrix @ B, tol, fro(B))
-        and range_contains(B, A, tol)
-    )
-    verdicts = {"ranges": holds, "projection": projection_ok}
-    return OrderReport("left_minus", holds, verdicts, witness_p if holds else None,
-                       None, ranks, tuple(flags))
+def _mirrored(name, left_order, A, B, tol) -> OrderReport:
+    """The one-sided ``left_order`` applied to the adjoints, reported as the
+    right-sided order ``name``: its left witness becomes the right one."""
+    A, B = as_pair(A, B)
+    mirrored = left_order(adjoint(A), adjoint(B), tol)
+    return OrderReport(name, mirrored.holds, mirrored.characterization_verdicts,
+                       None, mirrored.witness_p, mirrored.rank_data, mirrored.boundary_flags)
 
 
 def right_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Right minus order: the left condition applied to the adjoints."""
-    A, B = _pair(A, B)
-    mirrored = left_minus_order(adjoint(A), adjoint(B), tol)
-    return OrderReport("right_minus", mirrored.holds, mirrored.characterization_verdicts,
-                       None, mirrored.witness_p, mirrored.rank_data, mirrored.boundary_flags)
+    return _mirrored("right_minus", left_minus_order, A, B, tol)
 
 
 def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -228,30 +244,27 @@ def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     Cross-check: R(B) splits orthogonally as R(A) + R(B - A) on both
     sides.  Witnesses are the orthogonal projections onto R(A), R(A*).
     """
-    A, B = _pair(A, B)
-    diff = B - A
-    flags: list[str] = []
-    ranks = _rank_triple(A, B, diff, tol, flags)
+    A, B = as_pair(A, B)
+    (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
 
     scale = fro(A) * (fro(A) + fro(B))
     gram_left = _identity_close(adjoint(A) @ A, adjoint(A) @ B, tol, scale)
     gram_right = _identity_close(A @ adjoint(A), B @ adjoint(A), tol, scale)
     holds = gram_left and gram_right
 
-    ortho = _orthogonal_split(A, B, diff, tol) and _orthogonal_split(adjoint(A), adjoint(B), adjoint(diff), tol)
+    ortho = (_orthogonal_split(fa.range, fd.range, fb.range, tol)
+             and _orthogonal_split(fa.corange, fd.corange, fb.corange, tol))
 
     witness_p = witness_q = None
     if holds:
-        witness_p = orthogonal_projection(range_basis(A, tol))
-        witness_q = orthogonal_projection(range_basis(adjoint(A), tol))
+        witness_p = orthogonal_projection(fa.range)
+        witness_q = orthogonal_projection(fa.corange)
     verdicts = {"gram_left": gram_left, "gram_right": gram_right, "orthogonal_ranges": ortho}
     return OrderReport("star", holds, verdicts, witness_p, witness_q, ranks, tuple(flags))
 
 
-def _orthogonal_split(A, B, diff, tol) -> bool:
-    ra = range_basis(A, tol)
-    rd = range_basis(diff, tol)
-    if not _split_holds(ra, rd, range_basis(B, tol), tol):
+def _orthogonal_split(ra: Subspace, rd: Subspace, rb: Subspace, tol) -> bool:
+    if not _split_holds(ra, rd, rb, tol):
         return False
     return minimal_angle_cos(ra, rd) <= tol.subspace_atol(ra.ambient_dim)
 
@@ -262,38 +275,31 @@ def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRepo
     Equivalent to R(B) = R(A) + R(B - A) with the summands orthogonal;
     that reformulation is recorded as the cross-check verdict.
     """
-    A, B = _pair(A, B)
-    diff = B - A
-    flags: list[str] = []
-    ranks = _rank_triple(A, B, diff, tol, flags)
+    A, B = as_pair(A, B)
+    (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
 
     gram = _identity_close(adjoint(A) @ A, adjoint(A) @ B, tol, fro(A) * (fro(A) + fro(B)))
     inclusion = range_contains(B, A, tol)
     holds = gram and inclusion
-    ortho = _orthogonal_split(A, B, diff, tol)
+    ortho = _orthogonal_split(fa.range, fd.range, fb.range, tol)
 
-    witness_p = orthogonal_projection(range_basis(A, tol)) if holds else None
+    witness_p = orthogonal_projection(fa.range) if holds else None
     verdicts = {"gram_left": gram, "range_inclusion": inclusion, "orthogonal_split": ortho}
     return OrderReport("left_star", holds, verdicts, witness_p, None, ranks, tuple(flags))
 
 
 def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Right star order: the left-star condition applied to the adjoints."""
-    A, B = _pair(A, B)
-    mirrored = left_star_order(adjoint(A), adjoint(B), tol)
-    return OrderReport("right_star", mirrored.holds, mirrored.characterization_verdicts,
-                       None, mirrored.witness_p, mirrored.rank_data, mirrored.boundary_flags)
+    return _mirrored("right_star", left_star_order, A, B, tol)
 
 
 def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Sharp order on group-invertible matrices: A^2 = BA = AB."""
-    A, B = _pair(A, B, square=True)
+    A, B = as_pair(A, B, square=True)
     for mat, label in ((A, "A"), (B, "B")):
-        if not _group_ok(mat, tol):
+        if not is_group_invertible(mat, tol):
             raise GroupInvertibilityError(f"{label} is not group invertible")
-    diff = B - A
-    flags: list[str] = []
-    ranks = _rank_triple(A, B, diff, tol, flags)
+    (fa, _, _), ranks, flags = _factor_triple(A, B, tol)
 
     square = A @ A
     scale = fro(A) * (fro(A) + fro(B))
@@ -303,24 +309,18 @@ def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 
     witness_p = witness_q = None
     if holds:
-        witness_p = _left_witness(range_basis(A, tol), null_basis(A, tol), tol)
-        witness_q = _left_witness(range_basis(adjoint(A), tol), null_basis(adjoint(A), tol), tol)
+        witness_p = _left_witness(fa.range, fa.null, tol)
+        witness_q = _left_witness(fa.corange, fa.conull, tol)
     verdicts = {"square_equals_ba": left_id, "square_equals_ab": right_id}
     return OrderReport("sharp", holds, verdicts, witness_p, witness_q, ranks, tuple(flags))
 
 
-def _group_ok(A, tol) -> bool:
-    return rank_info(A @ A, tol)[0] == rank_info(A, tol)[0]
-
-
 def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Core order on group-invertible A: A*A = A*B and A^2 = BA."""
-    A, B = _pair(A, B, square=True)
-    if not _group_ok(A, tol):
+    A, B = as_pair(A, B, square=True)
+    if not is_group_invertible(A, tol):
         raise GroupInvertibilityError("A is not group invertible")
-    diff = B - A
-    flags: list[str] = []
-    ranks = _rank_triple(A, B, diff, tol, flags)
+    (fa, _, _), ranks, flags = _factor_triple(A, B, tol)
 
     scale = fro(A) * (fro(A) + fro(B))
     gram = _identity_close(adjoint(A) @ A, adjoint(A) @ B, tol, scale)
@@ -329,8 +329,8 @@ def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 
     witness_p = witness_q = None
     if holds:
-        witness_p = orthogonal_projection(range_basis(A, tol))
-        witness_q = _left_witness(range_basis(adjoint(A), tol), null_basis(adjoint(A), tol), tol)
+        witness_p = orthogonal_projection(fa.range)
+        witness_q = _left_witness(fa.corange, fa.conull, tol)
     verdicts = {"gram_left": gram, "square_equals_ba": square}
     return OrderReport("core", holds, verdicts, witness_p, witness_q, ranks, tuple(flags))
 
@@ -343,13 +343,11 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
     still evaluates only the intersection conditions so the coincidence
     remains a checkable theorem rather than an implementation artifact.
     """
-    A, B = _pair(A, B)
-    diff = B - A
-    flags: list[str] = []
-    ranks = _rank_triple(A, B, diff, tol, flags)
+    A, B = as_pair(A, B)
+    (fa, _, fd), ranks, flags = _factor_triple(A, B, tol)
 
-    ra, rd = range_basis(A, tol), range_basis(diff, tol)
-    ras, rds = range_basis(adjoint(A), tol), range_basis(adjoint(diff), tol)
+    ra, rd = fa.range, fd.range
+    ras, rds = fa.corange, fd.corange
     left_trivial = intersect(ra, rd, tol).dim == 0
     right_trivial = intersect(ras, rds, tol).dim == 0
     holds = left_trivial and right_trivial
@@ -393,16 +391,12 @@ def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.
     which forces X A = X B and (A - B) X = 0.  Raises
     :class:`OrderConditionError` when the left minus order fails.
     """
-    A, B = _pair(A, B)
-    report = left_minus_order(A, B, tol)
-    if not report.holds:
-        raise OrderConditionError("order does not hold", report)
-    diff = B - A
+    A, B = as_pair(A, B)
+    report, fa, fb, fd = _left_minus(A, B, tol)
+    _require(report, "order does not hold")
     m, n = A.shape
-    m_slice = ominus(null_basis(diff, tol), null_basis(A, tol), tol)
-    rd = range_basis(diff, tol)
-    rest = range_basis(B, tol).perp()
-    joined = np.hstack([A @ m_slice.basis, rd.basis, rest.basis])
+    m_slice = ominus(fd.null, fa.null, tol)
+    joined = np.hstack([A @ m_slice.basis, fd.range.basis, fb.conull.basis])
     if joined.shape[1] != m:
         raise ComplementError("complement condition violated")
     target = np.hstack([m_slice.basis, np.zeros((n, m - m_slice.dim), dtype=np.complex128)])

@@ -4,7 +4,9 @@ A subspace of C^n is represented by an orthonormal basis stored as the
 columns of an (n, k) array; the zero subspace keeps its ambient dimension
 and carries an empty basis.  All set operations (sum, intersection,
 relative complement) go through rank-revealing SVD factorizations with the
-shared rank cutoff from :class:`~minusord.linalg.ToleranceConfig`.
+shared rank cutoff of :func:`~minusord.linalg.rank_cut`.  A matrix whose
+fundamental subspaces are all needed is factored once into a
+:class:`Factored`, which reads them off one SVD.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from .linalg import (
     adjoint,
     as_matrix,
     fro,
-    numerical_rank,
+    rank_cut,
 )
 
 __all__ = [
     "Subspace",
+    "Factored",
     "Projection",
     "AngleEquivalences",
     "range_basis",
@@ -87,12 +90,9 @@ class Subspace:
         arr = as_matrix(vectors, "vectors")
         if arr.shape[1] == 0:
             return cls.zero(arr.shape[0])
+        # economy factors: only the leading left singular vectors are kept
         u, s, _ = np.linalg.svd(arr, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return cls.zero(arr.shape[0])
-        cutoff = tol.effective_rank_rtol(arr.shape) * s[0]
-        rank = int(np.count_nonzero(s > cutoff))
-        return cls(u[:, :rank])
+        return cls(u[:, :rank_cut(s, arr.shape, tol)[0]])
 
     def perp(self) -> "Subspace":
         """Orthogonal complement."""
@@ -114,6 +114,56 @@ class Subspace:
             return True
         resid = v - self.projector() @ v
         return float(np.linalg.norm(resid)) <= tol.subspace_atol(self.ambient_dim) * nv
+
+
+@dataclass(frozen=True, eq=False)
+class Factored:
+    """One full SVD A = U diag(s) V* with the shared rank decision applied.
+
+    The four fundamental subspaces, the Moore-Penrose inverse and the
+    effective condition number are all read off these factors:
+    R(A) = U[:, :r], R(A*) = V[:, :r], N(A) = V[:, r:], N(A*) = U[:, r:].
+    ``near`` is the near-boundary flag of :func:`~minusord.linalg.rank_cut`.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    rank: int
+    near: bool
+
+    @classmethod
+    def of(cls, A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> "Factored":
+        A = as_matrix(A)
+        u, s, vh = np.linalg.svd(A, full_matrices=True)
+        return cls(u, s, adjoint(vh), *rank_cut(s, A.shape, tol))
+
+    @property
+    def range(self) -> Subspace:
+        return Subspace(self.u[:, :self.rank])
+
+    @property
+    def corange(self) -> Subspace:
+        """R(A*), the orthogonal complement of the null space."""
+        return Subspace(self.v[:, :self.rank])
+
+    @property
+    def null(self) -> Subspace:
+        return Subspace(self.v[:, self.rank:])
+
+    @property
+    def conull(self) -> Subspace:
+        """N(A*), the orthogonal complement of the range."""
+        return Subspace(self.u[:, self.rank:])
+
+    @property
+    def condition(self) -> float:
+        """Largest singular value over the smallest one kept; 0.0 at rank zero."""
+        return float(self.s[0] / self.s[self.rank - 1]) if self.rank else 0.0
+
+    def pinv(self) -> np.ndarray:
+        r = self.rank
+        return (self.v[:, :r] / self.s[:r]) @ adjoint(self.u[:, :r])
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,14 +217,7 @@ def null_basis(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
     A = as_matrix(A)
     if A.shape[1] == 0:
         raise ValueError("matrix must have at least one column")
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        cutoff = tol.effective_rank_rtol(A.shape) * s[0]
-        rank = int(np.count_nonzero(s > cutoff))
-    v = vh.conj().T
-    return Subspace(v[:, rank:])
+    return Factored.of(A, tol).null
 
 
 def subspace_sum(m_space: Subspace, n_space: Subspace,
@@ -196,11 +239,7 @@ def intersect(m_space: Subspace, n_space: Subspace,
     _check_ambient(m_space, n_space)
     if m_space.dim == 0 or n_space.dim == 0:
         return Subspace.zero(m_space.ambient_dim)
-    joined = np.hstack([m_space.basis, n_space.basis])
-    _, s, vh = np.linalg.svd(joined, full_matrices=True)
-    cutoff = tol.effective_rank_rtol(joined.shape) * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
-    coeff = vh.conj().T[:, rank:]
+    coeff = Factored.of(np.hstack([m_space.basis, n_space.basis]), tol).null.basis
     if coeff.shape[1] == 0:
         return Subspace.zero(m_space.ambient_dim)
     return Subspace.from_span(m_space.basis @ coeff[: m_space.dim, :], tol)

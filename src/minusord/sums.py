@@ -21,17 +21,16 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     adjoint,
-    as_matrix,
-    effective_condition,
+    as_pair,
     fro,
 )
-from .orders import core_order, left_minus_order, minus_order, sharp_order, star_order
+from .orders import (_minus_context, _MinusContext, _require, core_order, left_minus_order,
+                     sharp_order, star_order)
 from .subspaces import (
     Projection,
     Subspace,
     intersect,
     is_direct_sum,
-    null_basis,
     oblique_projection,
     range_basis,
     subspace_equal,
@@ -58,19 +57,25 @@ INVERSE_KINDS = ("moore_penrose", "group", "core")
 FF_VERIFY_RTOL = 1e-8
 
 
-def _pair(A, B):
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ValueError("shape mismatch")
-    return A, B
+def _require_minus(A, total, tol, message) -> _MinusContext:
+    """The minus-order context of A against A + B; raises with its report
+    when the order fails."""
+    context = _minus_context(A, total, tol)
+    _require(context.report, message)
+    return context
 
 
-def _require_minus(A, total, tol, message):
-    report = minus_order(A, total, tol)
-    if not report.holds:
-        raise OrderConditionError(message, report)
-    return report
+def _checked_split(A, B, tol) -> tuple[_MinusContext, "SplitWitness"]:
+    """The optimal split of A + B behind the pseudoinverse and least-squares
+    constructions, after their checks: left minus order first (its report
+    is built only when it fails), then the full minus order."""
+    total = A + B
+    context = _minus_context(A, total, tol)
+    if not context.left_holds:
+        raise OrderConditionError("order fails: A is not left-minus-below A + B",
+                                  left_minus_order(A, total, tol))
+    _require(context.report, "A is not minus-below A + B")
+    return context, _split(context, A, total, tol, None, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,19 +104,23 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     codomain.  Q is built the same way on the adjoint side and transposed
     back, so A = (A + B) Q.
     """
-    A, B = _pair(A, B)
+    A, B = as_pair(A, B)
     total = A + B
-    _require_minus(A, total, tol, "A is not minus-below A + B")
+    context = _require_minus(A, total, tol, "A is not minus-below A + B")
+    return _split(context, A, total, tol, m1, n1)
 
-    ra, rb = range_basis(A, tol), range_basis(B, tol)
+
+def _split(context: _MinusContext, A, total, tol, m1, n1) -> SplitWitness:
+    # B = (A + B) - A, so its ranges are those of the context's difference
+    ra, rb = context.fa.range, context.fd.range
     if m1 is None:
-        m1 = subspace_sum(ra, rb, tol).perp()
+        m1 = context.down.perp()
     if n1 is None:
         n1 = Subspace.zero(A.shape[0])
     p = oblique_projection(subspace_sum(ra, m1, tol), subspace_sum(rb, n1, tol), tol)
 
-    ras, rbs = range_basis(adjoint(A), tol), range_basis(adjoint(B), tol)
-    leftover = subspace_sum(ras, rbs, tol).perp()
+    ras, rbs = context.fa.corange, context.fd.corange
+    leftover = context.down_s.perp()
     q = oblique_projection(subspace_sum(ras, leftover, tol), rbs, tol).adjoint()
 
     eye = np.eye(A.shape[0], dtype=np.complex128)
@@ -124,7 +133,7 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
         raise VerificationError("split witness failed A = (A + B) Q")
     if fro(e @ e - e) > tol.residual_atol * (1.0 + fro(e) ** 2):
         raise VerificationError("projection sum E is not idempotent")
-    if not subspace_equal(range_basis(e, tol), range_basis(total, tol), tol):
+    if not subspace_equal(range_basis(e, tol), context.fb.range, tol):
         raise VerificationError("projection sum E has the wrong range")
 
     optimal = fro(e - adjoint(e)) <= tol.residual_atol * (1.0 + fro(e))
@@ -137,19 +146,15 @@ def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     Computes Q A+ P + (I - Q) B+ (I - P) with the optimal split and
     cross-checks it against the direct SVD route before returning.
     """
-    A, B = _pair(A, B)
-    total = A + B
-    report = left_minus_order(A, total, tol)
-    if not report.holds:
-        raise OrderConditionError("order fails: A is not left-minus-below A + B", report)
-    witness = build_split(A, B, tol)
+    A, B = as_pair(A, B)
+    context, witness = _checked_split(A, B, tol)
     m, n = A.shape
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)
-    assembled = (witness.q.matrix @ pinv(A, tol) @ witness.p.matrix
-                 + (eye_n - witness.q.matrix) @ pinv(B, tol) @ (eye_m - witness.p.matrix))
-    oracle = pinv(total, tol)
-    bound = max(tol.residual_atol, FF_VERIFY_RTOL) * (1.0 + effective_condition(total, tol))
+    assembled = (witness.q.matrix @ context.fa.pinv() @ witness.p.matrix
+                 + (eye_n - witness.q.matrix) @ context.fd.pinv() @ (eye_m - witness.p.matrix))
+    oracle = context.fb.pinv()
+    bound = max(tol.residual_atol, FF_VERIFY_RTOL) * (1.0 + context.fb.condition)
     if fro(assembled - oracle) > bound:
         raise VerificationError("assembled pseudoinverse disagrees with the SVD route")
     return assembled
@@ -163,16 +168,11 @@ def st_projections(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[np.n
     split: I - S equals Q and I - T equals P.  Both are verified
     idempotent before returning.
     """
-    A, B = _pair(A, B)
-    _require_minus(A, A + B, tol, "precondition failure: ranges do not split the sum")
-
-    pn_a = null_basis(A, tol).projector()
-    pn_b_perp = null_basis(B, tol).perp().projector()
-    s = pinv(pn_b_perp @ pn_a, tol)
-
-    pn_a_star = null_basis(adjoint(A), tol).projector()
-    pn_b_star_perp = null_basis(adjoint(B), tol).perp().projector()
-    t = pinv(pn_a_star @ pn_b_star_perp, tol)
+    A, B = as_pair(A, B)
+    context = _require_minus(A, A + B, tol, "precondition failure: ranges do not split the sum")
+    # N(B)^perp = R(B*) and N(B*)^perp = R(B), with B = (A + B) - A
+    s = pinv(context.fd.corange.projector() @ context.fa.null.projector(), tol)
+    t = pinv(context.fa.conull.projector() @ context.fd.range.projector(), tol)
 
     for mat, label in ((s, "S"), (t, "T")):
         if fro(mat @ mat - mat) > tol.residual_atol * (1.0 + fro(mat) ** 2):
@@ -208,15 +208,20 @@ def agreeing_split(A, B, range_complement: Subspace, kernel_complement: Subspace
     and N1* = N(B) cap N, N2* = N(A) cap N on the domain side.  The
     defining projection identities are verified before returning.
     """
-    A, B = _pair(A, B)
-    total = A + B
-    _require_minus(A, total, tol, "A is not minus-below A + B")
+    A, B = as_pair(A, B)
+    context = _require_minus(A, A + B, tol, "A is not minus-below A + B")
+    return _agreeing_split(context, A, range_complement, kernel_complement, tol)
+
+
+def _agreeing_split(context: _MinusContext, A, range_complement, kernel_complement,
+                    tol) -> AgreeingSplit:
+    # the order ran on (A, A + B): its B is the sum and its B - A is B
+    fa, ft, fb = context.fa, context.fb, context.fd
     m, n = A.shape
     if range_complement.ambient_dim != m or kernel_complement.ambient_dim != n:
         raise ValueError("ambient mismatch")
 
-    r_total = range_basis(total, tol)
-    n_total = null_basis(total, tol)
+    r_total, n_total = ft.range, ft.null
     if (r_total.dim + range_complement.dim != m
             or not is_direct_sum(r_total, range_complement, tol)):
         raise ComplementError("complement condition violated: M does not complement R(A + B)")
@@ -224,40 +229,39 @@ def agreeing_split(A, B, range_complement: Subspace, kernel_complement: Subspace
             or not is_direct_sum(n_total, kernel_complement, tol)):
         raise ComplementError("complement condition violated: N does not complement N(A + B)")
 
-    ra, rb = range_basis(A, tol), range_basis(B, tol)
+    ra, rb = fa.range, fb.range
     n1 = subspace_sum(rb, range_complement, tol)
     n2 = subspace_sum(ra, range_complement, tol)
     p = oblique_projection(ra, n1, tol)
 
-    ras, rbs = range_basis(adjoint(A), tol), range_basis(adjoint(B), tol)
-    n1s = intersect(null_basis(B, tol), kernel_complement, tol)
-    n2s = intersect(null_basis(A, tol), kernel_complement, tol)
-    q = oblique_projection(ras, subspace_sum(rbs, kernel_complement.perp(), tol), tol).adjoint()
+    n1s = intersect(fb.null, kernel_complement, tol)
+    n2s = intersect(fa.null, kernel_complement, tol)
+    q = oblique_projection(fa.corange, subspace_sum(fb.corange, kernel_complement.perp(), tol),
+                           tol).adjoint()
 
-    _verify_split_identities(A, B, p, q, n1, n2, n1s, n2s,
+    _verify_split_identities(context, p, q, n1, n2, n1s, n2s,
                              range_complement, kernel_complement, tol)
     return AgreeingSplit(p=p, q=q, n1=n1, n2=n2, n1s=n1s, n2s=n2s)
 
 
-def _verify_split_identities(A, B, p, q, n1, n2, n1s, n2s,
+def _verify_split_identities(context: _MinusContext, p, q, n1, n2, n1s, n2s,
                              range_complement, kernel_complement, tol):
     """Check the two projection-sum identities tying the complements to
     the prescribed (M, N) pair."""
-    total = A + B
-    ra, rb = range_basis(A, tol), range_basis(B, tol)
-    eye_m = np.eye(A.shape[0], dtype=np.complex128)
-    eye_n = np.eye(A.shape[1], dtype=np.complex128)
+    fa, ft, fb = context.fa, context.fb, context.fd
+    eye_m = np.eye(p.matrix.shape[0], dtype=np.complex128)
+    eye_n = np.eye(q.matrix.shape[0], dtype=np.complex128)
 
-    lhs = (oblique_projection(ra, n1, tol).matrix @ p.matrix
-           + oblique_projection(rb, n2, tol).matrix @ (eye_m - p.matrix))
-    rhs = oblique_projection(range_basis(total, tol), range_complement, tol).matrix
+    lhs = (oblique_projection(fa.range, n1, tol).matrix @ p.matrix
+           + oblique_projection(fb.range, n2, tol).matrix @ (eye_m - p.matrix))
+    rhs = oblique_projection(ft.range, range_complement, tol).matrix
     scale = 1.0 + fro(lhs) + fro(rhs)
     if fro(lhs - rhs) > tol.residual_atol * scale:
         raise VerificationError("codomain projection identity failed for the given complements")
 
-    lhs = (q.matrix @ oblique_projection(n1s, null_basis(A, tol), tol).matrix
-           + (eye_n - q.matrix) @ oblique_projection(n2s, null_basis(B, tol), tol).matrix)
-    rhs = oblique_projection(kernel_complement, null_basis(total, tol), tol).matrix
+    lhs = (q.matrix @ oblique_projection(n1s, fa.null, tol).matrix
+           + (eye_n - q.matrix) @ oblique_projection(n2s, fb.null, tol).matrix)
+    rhs = oblique_projection(kernel_complement, ft.null, tol).matrix
     scale = 1.0 + fro(lhs) + fro(rhs)
     if fro(lhs - rhs) > tol.residual_atol * scale:
         raise VerificationError("domain projection identity failed for the given complements")
@@ -276,8 +280,9 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
     are re-verified, and the assembled output is provably independent of
     the choice.
     """
-    A, B = _pair(A, B)
-    split = agreeing_split(A, B, range_complement, kernel_complement, tol)
+    A, B = as_pair(A, B)
+    context = _require_minus(A, A + B, tol, "A is not minus-below A + B")
+    split = _agreeing_split(context, A, range_complement, kernel_complement, tol)
     chosen = (
         split.n1 if n1 is None else n1,
         split.n2 if n2 is None else n2,
@@ -285,7 +290,7 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
         split.n2s if n2s is None else n2s,
     )
     if any(x is not None for x in (n1, n2, n1s, n2s)):
-        _verify_split_identities(A, B, split.p, split.q, *chosen,
+        _verify_split_identities(context, split.p, split.q, *chosen,
                                  range_complement, kernel_complement, tol)
     c1, c2, c1s, c2s = chosen
     xa = reflexive_inverse(A, c1s, c1, tol)
@@ -306,7 +311,7 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     compressed form Q X_A P of the first summand is checked against X_A
     before returning.
     """
-    A, B = _pair(A, B)
+    A, B = as_pair(A, B)
     split = agreeing_split(A, B, range_complement, kernel_complement, tol)
     xa = reflexive_inverse(A, split.n1s, split.n1, tol)
     xb = reflexive_inverse(B, split.n2s, split.n2, tol)
@@ -327,28 +332,20 @@ def ordered_inverse_additivity(A, B, kind: str,
     the sum of core inverses.  The sum is verified against the directly
     computed inverse of A + B.
     """
-    A, B = _pair(A, B)
+    A, B = as_pair(A, B)
     total = A + B
     if kind == "moore_penrose":
-        report = star_order(A, total, tol)
-        if not report.holds:
-            raise OrderConditionError("required order fails: A is not star-below A + B", report)
+        _require(star_order(A, total, tol), "required order fails: A is not star-below A + B")
         result = pinv(A, tol) + pinv(B, tol)
         oracle = pinv(total, tol)
     elif kind == "group":
-        report = sharp_order(A, total, tol)
-        if not report.holds:
-            raise OrderConditionError("required order fails: A is not sharp-below A + B", report)
+        _require(sharp_order(A, total, tol), "required order fails: A is not sharp-below A + B")
         result = group_inverse(A, tol) + group_inverse(B, tol)
         oracle = group_inverse(total, tol)
     elif kind == "core":
-        report = core_order(A, total, tol)
-        if not report.holds:
-            raise OrderConditionError("required order fails: A is not core-below A + B", report)
-        mirrored = core_order(adjoint(A), adjoint(total), tol)
-        if not mirrored.holds:
-            raise OrderConditionError("required order fails: A* is not core-below (A + B)*",
-                                      mirrored)
+        _require(core_order(A, total, tol), "required order fails: A is not core-below A + B")
+        _require(core_order(adjoint(A), adjoint(total), tol),
+                 "required order fails: A* is not core-below (A + B)*")
         result = core_inverse(A, tol) + core_inverse(B, tol)
         oracle = core_inverse(total, tol)
     else:

@@ -12,8 +12,9 @@ from minusord.linalg import (
     range_contains,
     rank_info,
     singular_values,
-    svd,
 )
+from minusord.geninv import pinv
+from minusord.subspaces import Factored, null_basis, range_basis
 
 from conftest import cgauss
 
@@ -68,10 +69,10 @@ def test_singular_values_known():
 
 def test_svd_reconstructs(rng):
     a = cgauss(rng, 5, 3)
-    u, s, v = svd(a)
-    assert np.allclose((u * s) @ adjoint(v), a)
-    assert np.allclose(adjoint(u) @ u, np.eye(3))
-    assert np.allclose(adjoint(v) @ v, np.eye(3))
+    f = Factored.of(a)
+    assert np.allclose((f.u[:, :3] * f.s) @ adjoint(f.v), a)
+    assert np.allclose(adjoint(f.u) @ f.u, np.eye(5))
+    assert np.allclose(adjoint(f.v) @ f.v, np.eye(3))
 
 
 def test_numerical_rank_products(rng):
@@ -112,3 +113,35 @@ def test_effective_condition(rng):
     # singular directions are excluded from the ratio
     assert effective_condition(np.diag([4.0, 2.0, 0.0])) == pytest.approx(2.0)
     assert effective_condition(np.zeros((2, 2))) == 0.0
+
+
+def _placed(rng, shape, position):
+    """A matrix of the given shape whose smallest nonzero singular value
+    sits at ``position`` times the default rank cutoff (largest value 1);
+    ``position`` None gives the zero matrix."""
+    m, n = shape
+    if position is None:
+        return np.zeros(shape, dtype=complex)
+    k = min(m, n)
+    values = np.linspace(1.0, 0.5, k - 1).tolist()
+    values.append(position * DEFAULT_TOLERANCE.effective_rank_rtol(shape))
+    u, _ = np.linalg.qr(cgauss(rng, m, m))
+    v, _ = np.linalg.qr(cgauss(rng, n, n))
+    return (u[:, :k] * np.array(values)) @ adjoint(v[:, :k])
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)], ids=["tall", "wide", "square"])
+@pytest.mark.parametrize("position", [0.5, 2.0, None], ids=["below", "above", "zero"])
+def test_one_cutoff_everywhere(rng, shape, position):
+    a = _placed(rng, shape, position)
+    expected = 0 if position is None else min(shape) - (position < 1.0)
+    rank, near = rank_info(a)
+    f = Factored.of(a)
+    assert rank == expected
+    assert numerical_rank(a) == rank
+    assert f.rank == rank
+    assert range_basis(a).dim == rank
+    assert a.shape[1] - null_basis(a).dim == rank
+    assert numerical_rank(pinv(a)) == rank
+    assert f.near == near
+    assert near == (position is not None)
