@@ -23,9 +23,9 @@ from .linalg import (
 from .subspaces import (
     Factored,
     Projection,
-    intersect,
     oblique_projection,
     range_basis,
+    span_dim,
     subspace_equal,
     subspace_sum,
 )
@@ -65,10 +65,10 @@ class DisjointRangeAdditivity:
 def disjoint_range_additivity(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> DisjointRangeAdditivity:
     A, B = as_pair(A, B)
     fa, fb = Factored.of(A, tol), Factored.of(B, tol)
-    disjoint = intersect(fa.range, fb.range, tol).dim == 0
     joined = subspace_sum(fa.range, fb.range, tol)
+    disjoint = joined.dim == fa.rank + fb.rank
     additive = disjoint and subspace_equal(range_basis(A + B, tol), joined, tol)
-    spans = subspace_sum(fa.null, fb.null, tol).dim == A.shape[1]
+    spans = span_dim(fa.null, fb.null, tol) == A.shape[1]
     return DisjointRangeAdditivity(ranges_disjoint=disjoint, additive=additive, kernels_span=spans)
 
 
@@ -93,11 +93,12 @@ def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> K
     A, B = as_pair(A, B)
     fa, fb = Factored.of(A, tol), Factored.of(B, tol)
     ras, rbs = fa.corange, fb.corange
-    direct = intersect(ras, rbs, tol).dim == 0
+    joined = subspace_sum(ras, rbs, tol)
+    direct = joined.dim == ras.dim + rbs.dim
 
     witness = None
     if direct:
-        rest = subspace_sum(ras, rbs, tol).perp()
+        rest = joined.perp()
         complement = subspace_sum(rbs, rest, tol)
         try:
             candidate = oblique_projection(ras, complement, tol)
@@ -110,7 +111,7 @@ def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> K
             if fro(lhs - rhs) <= tol.residual_atol * scale:
                 witness = candidate
 
-    spans = subspace_sum(fa.null, fb.null, tol).dim == A.shape[1]
+    spans = span_dim(fa.null, fb.null, tol) == A.shape[1]
     additive = is_range_additive(A, B, tol)
     return KernelCharacterization(
         adjoint_ranges_direct_closed=direct,

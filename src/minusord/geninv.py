@@ -55,17 +55,33 @@ def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
         composed with the projection onto R(A) along ``nullspace``.
     """
     A = as_matrix(A, "A")
+    return _reflexive_inverse(A, Factored.of(A, tol), range_space, nullspace, tol)
+
+
+def _reflexive_inverse(A, factored: Factored, range_space: Subspace, nullspace: Subspace,
+                       tol) -> np.ndarray:
+    """:func:`reflexive_inverse` of A read off its factor."""
     m, n = A.shape
     if range_space.ambient_dim != n or nullspace.ambient_dim != m:
         raise ValueError("ambient mismatch")
-    factored = Factored.of(A, tol)
-    ra, ker = factored.range, factored.null
-    if (ra.dim + nullspace.dim != m) or not is_direct_sum(ra, nullspace, tol):
-        raise ComplementError("complement condition violated: R(A) and the "
-                              "prescribed null space do not split the codomain")
+    _require_codomain_split(factored.range, nullspace, tol)
+    ker = factored.null
     if (range_space.dim + ker.dim != n) or not is_direct_sum(range_space, ker, tol):
         raise ComplementError("complement condition violated: the prescribed "
                               "range and N(A) do not split the domain")
+    return _solve_reflexive(A, range_space, nullspace)
+
+
+def _require_codomain_split(ra: Subspace, nullspace: Subspace, tol) -> None:
+    if (ra.dim + nullspace.dim != ra.ambient_dim) or not is_direct_sum(ra, nullspace, tol):
+        raise ComplementError("complement condition violated: R(A) and the "
+                              "prescribed null space do not split the codomain")
+
+
+def _solve_reflexive(A, range_space: Subspace, nullspace: Subspace) -> np.ndarray:
+    """X with X A b = b on ``range_space`` and X = 0 on ``nullspace``, for
+    spaces already checked to be complements."""
+    n = A.shape[1]
     bn = range_space.basis
     joined = np.hstack([A @ bn, nullspace.basis])
     target = np.hstack([bn, np.zeros((n, nullspace.dim), dtype=np.complex128)])
@@ -75,21 +91,39 @@ def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
         raise ComplementError("complement condition violated") from exc
 
 
-def is_group_invertible(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
-    """Whether rank(A @ A) == rank(A), i.e. R(A) and N(A) split the space."""
+def _square(A) -> np.ndarray:
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")
+    return A
+
+
+def is_group_invertible(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
+    """Whether rank(A @ A) == rank(A), i.e. R(A) and N(A) split the space."""
+    A = _square(A)
     return numerical_rank(A @ A, tol) == numerical_rank(A, tol)
+
+
+def _group_invertible(A, factored: Factored, tol) -> bool:
+    """:func:`is_group_invertible` with rank(A) read off A's factor."""
+    return numerical_rank(A @ A, tol) == factored.rank
 
 
 def group_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     """Group inverse: the reflexive inverse with range R(A), null space N(A)."""
-    A = as_matrix(A, "A")
-    if not is_group_invertible(A, tol):
+    A = _square(A)
+    return _group_inverse(A, Factored.of(A, tol), tol)
+
+
+def _group_inverse(A, factored: Factored, tol, checked: bool = False) -> np.ndarray:
+    """:func:`group_inverse` of square A read off its factor; ``checked``
+    skips the group-invertibility test a caller has already made."""
+    if not checked and not _group_invertible(A, factored, tol):
         raise GroupInvertibilityError("not group invertible")
-    factored = Factored.of(A, tol)
-    return reflexive_inverse(A, factored.range, factored.null, tol)
+    ra, ker = factored.range, factored.null
+    # R(A) + N(A) direct is both complement conditions of this inverse
+    _require_codomain_split(ra, ker, tol)
+    return _solve_reflexive(A, ra, ker)
 
 
 def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -98,8 +132,13 @@ def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     Defined for group-invertible A; coincides with A# A A+ (checked in the
     test suite as an independent route).
     """
-    A = as_matrix(A, "A")
-    if not is_group_invertible(A, tol):
+    A = _square(A)
+    return _core_inverse(A, Factored.of(A, tol), tol)
+
+
+def _core_inverse(A, factored: Factored, tol, checked: bool = False) -> np.ndarray:
+    """:func:`core_inverse` of square A read off its factor; ``checked``
+    skips the group-invertibility test a caller has already made."""
+    if not checked and not _group_invertible(A, factored, tol):
         raise GroupInvertibilityError("not group invertible")
-    factored = Factored.of(A, tol)
-    return reflexive_inverse(A, factored.range, factored.conull, tol)
+    return _reflexive_inverse(A, factored, factored.range, factored.conull, tol)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError, VerificationError
-from .geninv import is_group_invertible
+from .geninv import _group_invertible
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -30,11 +30,11 @@ from .subspaces import (
     Factored,
     Projection,
     Subspace,
-    intersect,
     minimal_angle_cos,
     oblique_projection,
     ominus,
     orthogonal_projection,
+    span_dim,
     subspace_equal,
     subspace_sum,
 )
@@ -93,10 +93,12 @@ def _require(report: OrderReport, message: str) -> None:
         raise OrderConditionError(message, report)
 
 
-def _factor_triple(A, B, tol):
-    """One factorization each of A, B and B - A, their rank bookkeeping,
-    and the boundary flags of those three rank decisions."""
-    factors = tuple(Factored.of(X, tol) for X in (A, B, B - A))
+def _factor_triple(A, B, tol, factors=None):
+    """One factorization each of A, B and B - A (unless ``factors`` already
+    holds them), their rank bookkeeping, and the boundary flags of those
+    three rank decisions."""
+    if factors is None:
+        factors = tuple(Factored.of(X, tol) for X in (A, B, B - A))
     flags = [f"rank({label}) within 10x of cutoff"
              for f, label in zip(factors, ("A", "B", "B-A")) if f.near]
     return factors, RankData(*(f.rank for f in factors)), flags
@@ -108,9 +110,8 @@ def _identity_close(lhs, rhs, tol, scale):
 
 def _split_holds(part: Subspace, rest: Subspace, whole: Subspace, tol) -> bool:
     """Whether ``whole`` is the direct sum of ``part`` and ``rest``."""
-    if intersect(part, rest, tol).dim != 0:
-        return False
-    return subspace_equal(subspace_sum(part, rest, tol), whole, tol)
+    joined = subspace_sum(part, rest, tol)
+    return joined.dim == part.dim + rest.dim and subspace_equal(joined, whole, tol)
 
 
 def _angle_margin_ok(ra: Subspace, rd: Subspace, tol, flags) -> bool:
@@ -138,15 +139,16 @@ def _projection_ok(A, B, witness_p, tol) -> bool:
 class _MinusContext:
     """The minus-order check of A against B together with what it factored,
     for the constructions that need the order and then the same subspaces:
-    the factors of A, B and B - A, the sums R(A) + R(B - A) (``down``) and
-    R(A*) + R(B* - A*) (``down_s``), and the left-side verdict."""
+    the factors of A, B and B - A, the orthogonal complements of
+    R(A) + R(B - A) (``leftover``) and, when the order holds, of
+    R(A*) + R(B* - A*) (``leftover_s``), and the left-side verdict."""
 
     report: OrderReport
     fa: Factored
     fb: Factored
     fd: Factored
-    down: Subspace
-    down_s: Subspace
+    leftover: Subspace
+    leftover_s: Subspace | None
     left_holds: bool
 
 
@@ -159,8 +161,8 @@ def _minus_context(A, B, tol) -> _MinusContext:
     down_s = subspace_sum(ras, rds, tol)
     spans_left = subspace_equal(down, rb, tol)
     spans_right = subspace_equal(down_s, rbs, tol)
-    left_holds = spans_left and intersect(ra, rd, tol).dim == 0
-    holds = left_holds and spans_right and intersect(ras, rds, tol).dim == 0
+    left_holds = spans_left and down.dim == ra.dim + rd.dim
+    holds = left_holds and spans_right and down_s.dim == ras.dim + rds.dim
 
     # The angle route restates disjointness as a minimal-angle margin; the
     # span part of the condition is still required.
@@ -168,17 +170,19 @@ def _minus_context(A, B, tol) -> _MinusContext:
                 and _angle_margin_ok(ra, rd, tol, flags)
                 and _angle_margin_ok(ras, rds, tol, flags))
     m, n = A.shape
-    kernels_ok = (subspace_sum(fa.null, fd.null, tol).dim == n
-                  and subspace_sum(fa.conull, fd.conull, tol).dim == m)
+    kernels_ok = (span_dim(fa.null, fd.null, tol) == n
+                  and span_dim(fa.conull, fd.conull, tol) == m)
 
     # Canonical left witness: project onto R(A) along R(B-A) + the
     # orthogonal leftover of R(A) + R(B-A).
-    witness_p = _left_witness(ra, subspace_sum(rd, down.perp(), tol), tol)
+    leftover = down.perp()
+    witness_p = _left_witness(ra, subspace_sum(rd, leftover, tol), tol)
     projection_ok = _projection_ok(A, B, witness_p, tol)
 
-    witness_q = None
+    witness_q = leftover_s = None
     if holds:
-        witness_q = _left_witness(ras, subspace_sum(rds, down_s.perp(), tol), tol)
+        leftover_s = down_s.perp()
+        witness_q = _left_witness(ras, subspace_sum(rds, leftover_s, tol), tol)
 
     verdicts = {
         "ranges": holds,
@@ -189,7 +193,7 @@ def _minus_context(A, B, tol) -> _MinusContext:
     }
     report = OrderReport("minus", holds, verdicts, witness_p if holds else None,
                          witness_q, ranks, tuple(flags))
-    return _MinusContext(report, fa, fb, fd, down, down_s, left_holds)
+    return _MinusContext(report, fa, fb, fd, leftover, leftover_s, left_holds)
 
 
 def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -245,7 +249,13 @@ def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     sides.  Witnesses are the orthogonal projections onto R(A), R(A*).
     """
     A, B = as_pair(A, B)
-    (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
+    return _star(A, B, tol)[0]
+
+
+def _star(A, B, tol):
+    """The star-order report of A against B with the factors of A, B, B - A."""
+    factors, ranks, flags = _factor_triple(A, B, tol)
+    fa, fb, fd = factors
 
     scale = fro(A) * (fro(A) + fro(B))
     gram_left = _identity_close(adjoint(A) @ A, adjoint(A) @ B, tol, scale)
@@ -260,7 +270,8 @@ def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
         witness_p = orthogonal_projection(fa.range)
         witness_q = orthogonal_projection(fa.corange)
     verdicts = {"gram_left": gram_left, "gram_right": gram_right, "orthogonal_ranges": ortho}
-    return OrderReport("star", holds, verdicts, witness_p, witness_q, ranks, tuple(flags))
+    return (OrderReport("star", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
+            *factors)
 
 
 def _orthogonal_split(ra: Subspace, rd: Subspace, rb: Subspace, tol) -> bool:
@@ -296,10 +307,16 @@ def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
 def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Sharp order on group-invertible matrices: A^2 = BA = AB."""
     A, B = as_pair(A, B, square=True)
-    for mat, label in ((A, "A"), (B, "B")):
-        if not is_group_invertible(mat, tol):
+    return _sharp(A, B, tol)[0]
+
+
+def _sharp(A, B, tol):
+    """The sharp-order report of A against B with the factors of A, B, B - A."""
+    factors, ranks, flags = _factor_triple(A, B, tol)
+    fa, fb, _ = factors
+    for mat, f, label in ((A, fa, "A"), (B, fb, "B")):
+        if not _group_invertible(mat, f, tol):
             raise GroupInvertibilityError(f"{label} is not group invertible")
-    (fa, _, _), ranks, flags = _factor_triple(A, B, tol)
 
     square = A @ A
     scale = fro(A) * (fro(A) + fro(B))
@@ -312,15 +329,23 @@ def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
         witness_p = _left_witness(fa.range, fa.null, tol)
         witness_q = _left_witness(fa.corange, fa.conull, tol)
     verdicts = {"square_equals_ba": left_id, "square_equals_ab": right_id}
-    return OrderReport("sharp", holds, verdicts, witness_p, witness_q, ranks, tuple(flags))
+    return (OrderReport("sharp", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
+            *factors)
 
 
 def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Core order on group-invertible A: A*A = A*B and A^2 = BA."""
     A, B = as_pair(A, B, square=True)
-    if not is_group_invertible(A, tol):
+    return _core(A, B, tol)[0]
+
+
+def _core(A, B, tol, factors=None):
+    """The core-order report of A against B with the factors of A, B, B - A
+    (computed unless ``factors`` holds them)."""
+    factors, ranks, flags = _factor_triple(A, B, tol, factors)
+    fa = factors[0]
+    if not _group_invertible(A, fa, tol):
         raise GroupInvertibilityError("A is not group invertible")
-    (fa, _, _), ranks, flags = _factor_triple(A, B, tol)
 
     scale = fro(A) * (fro(A) + fro(B))
     gram = _identity_close(adjoint(A) @ A, adjoint(A) @ B, tol, scale)
@@ -332,7 +357,8 @@ def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
         witness_p = orthogonal_projection(fa.range)
         witness_q = _left_witness(fa.corange, fa.conull, tol)
     verdicts = {"gram_left": gram, "square_equals_ba": square}
-    return OrderReport("core", holds, verdicts, witness_p, witness_q, ranks, tuple(flags))
+    return (OrderReport("core", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
+            *factors)
 
 
 def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -348,14 +374,15 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
 
     ra, rd = fa.range, fd.range
     ras, rds = fa.corange, fd.corange
-    left_trivial = intersect(ra, rd, tol).dim == 0
-    right_trivial = intersect(ras, rds, tol).dim == 0
+    down, down_s = subspace_sum(ra, rd, tol), subspace_sum(ras, rds, tol)
+    left_trivial = down.dim == ra.dim + rd.dim
+    right_trivial = down_s.dim == ras.dim + rds.dim
     holds = left_trivial and right_trivial
 
     witness_p = witness_q = None
     if holds:
-        witness_p = _left_witness(ra, subspace_sum(rd, subspace_sum(ra, rd, tol).perp(), tol), tol)
-        witness_q = _left_witness(ras, subspace_sum(rds, subspace_sum(ras, rds, tol).perp(), tol), tol)
+        witness_p = _left_witness(ra, subspace_sum(rd, down.perp(), tol), tol)
+        witness_q = _left_witness(ras, subspace_sum(rds, down_s.perp(), tol), tol)
     verdicts = {"left_intersection_trivial": left_trivial,
                 "right_intersection_trivial": right_trivial}
     return OrderReport("weak_minus", holds, verdicts, witness_p, witness_q, ranks, tuple(flags))

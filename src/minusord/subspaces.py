@@ -4,9 +4,10 @@ A subspace of C^n is represented by an orthonormal basis stored as the
 columns of an (n, k) array; the zero subspace keeps its ambient dimension
 and carries an empty basis.  All set operations (sum, intersection,
 relative complement) go through rank-revealing SVD factorizations with the
-shared rank cutoff of :func:`~minusord.linalg.rank_cut`.  A matrix whose
-fundamental subspaces are all needed is factored once into a
-:class:`Factored`, which reads them off one SVD.
+shared rank cutoff of :func:`~minusord.linalg.rank_cut`; a test that needs
+only a dimension (:func:`span_dim`, :func:`is_direct_sum`) takes singular
+values alone.  A matrix whose fundamental subspaces are all needed is
+factored once into a :class:`Factored`, which reads them off one SVD.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .linalg import (
     adjoint,
     as_matrix,
     fro,
+    numerical_rank,
     rank_cut,
 )
 
@@ -33,6 +35,7 @@ __all__ = [
     "range_basis",
     "null_basis",
     "subspace_sum",
+    "span_dim",
     "intersect",
     "ominus",
     "is_direct_sum",
@@ -161,6 +164,10 @@ class Factored:
         """Largest singular value over the smallest one kept; 0.0 at rank zero."""
         return float(self.s[0] / self.s[self.rank - 1]) if self.rank else 0.0
 
+    def adjoint(self) -> "Factored":
+        """The factor of A*, A* = V diag(s) U*, with no further SVD."""
+        return Factored(self.v, self.s, self.u, self.rank, self.near)
+
     def pinv(self) -> np.ndarray:
         r = self.rank
         return (self.v[:, :r] / self.s[:r]) @ adjoint(self.u[:, :r])
@@ -227,6 +234,15 @@ def subspace_sum(m_space: Subspace, n_space: Subspace,
     return Subspace.from_span(np.hstack([m_space.basis, n_space.basis]), tol)
 
 
+def span_dim(m_space: Subspace, n_space: Subspace,
+             tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
+    """dim(M + N): the numerical rank of the joined bases, from singular
+    values alone.  The same cutoff on the same matrix as
+    :func:`subspace_sum`, so it equals ``subspace_sum(M, N).dim``."""
+    _check_ambient(m_space, n_space)
+    return numerical_rank(np.hstack([m_space.basis, n_space.basis]), tol)
+
+
 def intersect(m_space: Subspace, n_space: Subspace,
               tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
     """The subspace M intersect N.
@@ -263,8 +279,7 @@ def ominus(m_space: Subspace, n_space: Subspace,
 def is_direct_sum(m_space: Subspace, n_space: Subspace,
                   tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether M + N is direct, i.e. dim(M) + dim(N) == dim(M + N)."""
-    _check_ambient(m_space, n_space)
-    return subspace_sum(m_space, n_space, tol).dim == m_space.dim + n_space.dim
+    return span_dim(m_space, n_space, tol) == m_space.dim + n_space.dim
 
 
 def subspace_equal(m_space: Subspace, n_space: Subspace,
@@ -317,8 +332,8 @@ def angle_equivalences(m_space: Subspace, n_space: Subspace,
                        tol: ToleranceConfig = DEFAULT_TOLERANCE) -> AngleEquivalences:
     _check_ambient(m_space, n_space)
     c0 = minimal_angle_cos(m_space, n_space)
-    trivial = intersect(m_space, n_space, tol).dim == 0
-    spans = subspace_sum(m_space.perp(), n_space.perp(), tol).dim == m_space.ambient_dim
+    trivial = is_direct_sum(m_space, n_space, tol)
+    spans = span_dim(m_space.perp(), n_space.perp(), tol) == m_space.ambient_dim
     return AngleEquivalences(
         c0=c0,
         c0_lt_1=c0 < 1.0 - tol.angle_gap,

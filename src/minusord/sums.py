@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ComplementError, OrderConditionError, VerificationError
-from .geninv import core_inverse, group_inverse, pinv, reflexive_inverse
+from .geninv import _core_inverse, _group_inverse, _reflexive_inverse, pinv
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -24,8 +24,8 @@ from .linalg import (
     as_pair,
     fro,
 )
-from .orders import (_minus_context, _MinusContext, _require, core_order, left_minus_order,
-                     sharp_order, star_order)
+from .orders import (_core, _minus_context, _MinusContext, _require, _sharp, _star,
+                     left_minus_order)
 from .subspaces import (
     Projection,
     Subspace,
@@ -114,14 +114,13 @@ def _split(context: _MinusContext, A, total, tol, m1, n1) -> SplitWitness:
     # B = (A + B) - A, so its ranges are those of the context's difference
     ra, rb = context.fa.range, context.fd.range
     if m1 is None:
-        m1 = context.down.perp()
+        m1 = context.leftover
     if n1 is None:
         n1 = Subspace.zero(A.shape[0])
     p = oblique_projection(subspace_sum(ra, m1, tol), subspace_sum(rb, n1, tol), tol)
 
     ras, rbs = context.fa.corange, context.fd.corange
-    leftover = context.down_s.perp()
-    q = oblique_projection(subspace_sum(ras, leftover, tol), rbs, tol).adjoint()
+    q = oblique_projection(subspace_sum(ras, context.leftover_s, tol), rbs, tol).adjoint()
 
     eye = np.eye(A.shape[0], dtype=np.complex128)
     e = ra.projector() @ p.matrix + rb.projector() @ (eye - p.matrix)
@@ -252,7 +251,9 @@ def _verify_split_identities(context: _MinusContext, p, q, n1, n2, n1s, n2s,
     eye_m = np.eye(p.matrix.shape[0], dtype=np.complex128)
     eye_n = np.eye(q.matrix.shape[0], dtype=np.complex128)
 
-    lhs = (oblique_projection(fa.range, n1, tol).matrix @ p.matrix
+    # p projects onto R(A) along the split's own N1
+    pa = p if n1 is p.nullspace else oblique_projection(fa.range, n1, tol)
+    lhs = (pa.matrix @ p.matrix
            + oblique_projection(fb.range, n2, tol).matrix @ (eye_m - p.matrix))
     rhs = oblique_projection(ft.range, range_complement, tol).matrix
     scale = 1.0 + fro(lhs) + fro(rhs)
@@ -293,8 +294,9 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
         _verify_split_identities(context, split.p, split.q, *chosen,
                                  range_complement, kernel_complement, tol)
     c1, c2, c1s, c2s = chosen
-    xa = reflexive_inverse(A, c1s, c1, tol)
-    xb = reflexive_inverse(B, c2s, c2, tol)
+    # the summands' factors are the context's: B's is that of (A + B) - A
+    xa = _reflexive_inverse(A, context.fa, c1s, c1, tol)
+    xb = _reflexive_inverse(B, context.fd, c2s, c2, tol)
     eye_m = np.eye(A.shape[0], dtype=np.complex128)
     eye_n = np.eye(A.shape[1], dtype=np.complex128)
     return (split.q.matrix @ xa @ split.p.matrix
@@ -312,9 +314,10 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     before returning.
     """
     A, B = as_pair(A, B)
-    split = agreeing_split(A, B, range_complement, kernel_complement, tol)
-    xa = reflexive_inverse(A, split.n1s, split.n1, tol)
-    xb = reflexive_inverse(B, split.n2s, split.n2, tol)
+    context = _require_minus(A, A + B, tol, "A is not minus-below A + B")
+    split = _agreeing_split(context, A, range_complement, kernel_complement, tol)
+    xa = _reflexive_inverse(A, context.fa, split.n1s, split.n1, tol)
+    xb = _reflexive_inverse(B, context.fd, split.n2s, split.n2, tol)
 
     compressed = split.q.matrix @ xa @ split.p.matrix
     if fro(compressed - xa) > tol.residual_atol * (1.0 + fro(xa)):
@@ -330,24 +333,32 @@ def ordered_inverse_additivity(A, B, kind: str,
     A+ + B+; "group" needs the sharp order and returns A# + B#; "core"
     needs the core order on the pair and on the adjoint pair and returns
     the sum of core inverses.  The sum is verified against the directly
-    computed inverse of A + B.
+    computed inverse of A + B.  Every inverse is read off the factors of
+    the order check: the order ran on (A, A + B), so B's factor is that of
+    (A + B) - A.
     """
     A, B = as_pair(A, B)
     total = A + B
     if kind == "moore_penrose":
-        _require(star_order(A, total, tol), "required order fails: A is not star-below A + B")
-        result = pinv(A, tol) + pinv(B, tol)
-        oracle = pinv(total, tol)
+        report, fa, ft, fb = _star(A, total, tol)
+        _require(report, "required order fails: A is not star-below A + B")
+        result = fa.pinv() + fb.pinv()
+        oracle = ft.pinv()
     elif kind == "group":
-        _require(sharp_order(A, total, tol), "required order fails: A is not sharp-below A + B")
-        result = group_inverse(A, tol) + group_inverse(B, tol)
-        oracle = group_inverse(total, tol)
+        # the sharp check has found A and A + B group invertible, not B
+        report, fa, ft, fb = _sharp(A, total, tol)
+        _require(report, "required order fails: A is not sharp-below A + B")
+        result = _group_inverse(A, fa, tol, checked=True) + _group_inverse(B, fb, tol)
+        oracle = _group_inverse(total, ft, tol, checked=True)
     elif kind == "core":
-        _require(core_order(A, total, tol), "required order fails: A is not core-below A + B")
-        _require(core_order(adjoint(A), adjoint(total), tol),
+        # the core check has found A group invertible, not B or A + B
+        report, fa, ft, fb = _core(A, total, tol)
+        _require(report, "required order fails: A is not core-below A + B")
+        mirrored = (fa.adjoint(), ft.adjoint(), fb.adjoint())
+        _require(_core(adjoint(A), adjoint(total), tol, mirrored)[0],
                  "required order fails: A* is not core-below (A + B)*")
-        result = core_inverse(A, tol) + core_inverse(B, tol)
-        oracle = core_inverse(total, tol)
+        result = _core_inverse(A, fa, tol, checked=True) + _core_inverse(B, fb, tol)
+        oracle = _core_inverse(total, ft, tol)
     else:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(INVERSE_KINDS)}")
 

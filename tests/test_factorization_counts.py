@@ -1,41 +1,59 @@
 """SVD counts of the public calls, which are deterministic for fixed inputs.
 
-Each matrix that enters a call is factored once; these bounds catch a
-change that factors an operand again or re-runs an order check inside a
-construction.
+Each matrix that enters a call is factored once, and a test that needs
+only a dimension asks for singular values alone; these bounds catch a
+change that factors an operand again, re-runs an order check inside a
+construction, or computes singular vectors that nothing reads.  Each call
+has two bounds: on all SVDs, and on those that compute singular vectors.
 """
 
 import numpy as np
 import pytest
 
-from minusord.generate import minus_pair, star_pair
+from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
 from minusord.lsq import decoupled_lss
 from minusord.orders import minus_order, star_order
-from minusord.sums import build_split, fill_fishkind_pinv
+from minusord.subspaces import Subspace
+from minusord.sums import (build_split, fill_fishkind_pinv, ordered_inverse_additivity,
+                           sum_reflexive_inverse, werner_decomposition)
 
 A, B = minus_pair(3, 9, 9, 3, 3)
 SA, SB = star_pair(3, 9, 9, 3, 3)
-C = np.random.default_rng(5).standard_normal(9) + 0j
+HA, HB = sharp_pair(3, 9, 3, 3)
+CA, CB = core_pair(3, 9, 3, 3)
+_rng = np.random.default_rng(5)
+C = _rng.standard_normal(9) + 0j
+# complements of R(A + B) and N(A + B), which have dimensions 6 and 3
+M = Subspace.from_span(_rng.standard_normal((9, 3)) + 1j * _rng.standard_normal((9, 3)))
+N = Subspace.from_span(_rng.standard_normal((9, 6)) + 1j * _rng.standard_normal((9, 6)))
 
+# name: (call, bound on all SVDs, bound on SVDs with singular vectors)
 CALLS = {
-    "minus_order": (lambda: minus_order(A, A + B), 24),
-    "star_order": (lambda: star_order(SA, SA + SB), 16),
-    "build_split": (lambda: build_split(A, B), 36),
-    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 36),
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 37),
+    "minus_order": (lambda: minus_order(A, A + B), 22, 12),
+    "star_order": (lambda: star_order(SA, SA + SB), 14, 10),
+    "build_split": (lambda: build_split(A, B), 32, 19),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 32, 19),
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 33, 20),
+    "additivity_moore_penrose":
+        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 14, 10),
+    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 12, 4),
+    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 18, 6),
+    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 45, 22),
+    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 45, 22),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_svd_count_bound(monkeypatch, name):
-    call, bound = CALLS[name]
+    call, bound, vectors_bound = CALLS[name]
     real = np.linalg.svd
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("compute_uv", True))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     call()
     assert 0 < len(calls) <= bound
+    assert sum(calls) <= vectors_bound

@@ -15,6 +15,7 @@ from minusord.subspaces import (
     ominus,
     orthogonal_projection,
     range_basis,
+    span_dim,
     subspace_equal,
     subspace_sum,
 )
@@ -111,6 +112,70 @@ def test_direct_sum_predicate():
     assert is_direct_sum(line(1, 0), line(1, 1))
     assert not is_direct_sum(line(1, 0), line(1, 0))
     assert is_direct_sum(Subspace.zero(2), line(1, 0))
+
+
+def _pair(kind, seed):
+    """Two subspaces of C^7: random, identical, nested or zero."""
+    rng = np.random.default_rng(seed)
+    m = Subspace.from_span(cgauss(rng, 7, 3))
+    if kind == "random":
+        return m, Subspace.from_span(cgauss(rng, 7, 2 + seed % 4))
+    if kind == "identical":
+        return m, m
+    if kind == "nested":
+        return m, Subspace.from_span(m.basis @ cgauss(rng, 3, 2))
+    if kind == "zero":
+        return m, Subspace.zero(7)
+    return Subspace.zero(7), Subspace.zero(7)
+
+
+def _near_cutoff_pair(factor, seed):
+    """M = span(q0, q1), N = span(q0 + t q2, q3) for a random unitary Q,
+    with t chosen so that the smallest singular value of the joined bases
+    sits at ``factor`` times the rank cutoff of that 7 x 4 matrix."""
+    q, _ = np.linalg.qr(cgauss(np.random.default_rng(seed), 7, 7))
+    # singular values of the joined bases: 1, 1, ~sqrt(2) and ~t / sqrt(2)
+    t = 2.0 * factor * ToleranceConfig().effective_rank_rtol((7, 4))
+    tilted = (q[:, 0] + t * q[:, 2]) / np.sqrt(1.0 + t * t)
+    m, n = Subspace(q[:, :2]), Subspace(np.column_stack([tilted, q[:, 3]]))
+    s = np.linalg.svd(np.hstack([m.basis, n.basis]), compute_uv=False)
+    cutoff = ToleranceConfig().effective_rank_rtol((7, 4)) * s[0]
+    assert s[-1] / cutoff == pytest.approx(factor, rel=0.1)
+    return m, n
+
+
+def _assert_routes_agree(m, n):
+    # values-only dimension counts against the bases they replace
+    assert span_dim(m, n) == subspace_sum(m, n).dim
+    assert is_direct_sum(m, n) == (intersect(m, n).dim == 0)
+
+
+@pytest.mark.parametrize("kind,seed", [("random", seed) for seed in range(8)]
+                         + [(kind, 0) for kind in ("identical", "nested", "zero", "both_zero")])
+def test_rank_route_agrees_with_basis_route(kind, seed):
+    _assert_routes_agree(*_pair(kind, seed))
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rank_route_agrees_near_cutoff(factor, seed):
+    m, n = _near_cutoff_pair(factor, seed)
+    assert span_dim(m, n) == (3 if factor < 1.0 else 4)
+    _assert_routes_agree(m, n)
+
+
+def test_direct_sum_reads_singular_values_only(monkeypatch, rng):
+    m, n = Subspace.from_span(cgauss(rng, 6, 2)), Subspace.from_span(cgauss(rng, 6, 3))
+    real = np.linalg.svd
+    vectors = []
+
+    def spy(*args, **kwargs):
+        vectors.append(kwargs.get("compute_uv", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert is_direct_sum(m, n)
+    assert vectors == [False]
 
 
 def test_subspace_equal_tolerates_rotated_bases(rng):

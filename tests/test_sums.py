@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from minusord.exceptions import ComplementError, OrderConditionError
+from minusord.exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
+from minusord.orders import core_order, sharp_order, star_order
 from minusord.geninv import core_inverse, group_inverse, pinv, reflexive_inverse
 from minusord.linalg import adjoint, fro
 from minusord.subspaces import Subspace, intersect, null_basis, range_basis, subspace_sum
@@ -196,6 +197,78 @@ def test_additivity_core(rng):
         out = ordered_inverse_additivity(a, b, "core")
         assert np.allclose(out, core_inverse(a) + core_inverse(b), atol=1e-9)
         assert np.allclose(out, core_inverse(a + b), atol=1e-8 * (1 + fro(out)))
+
+
+PUBLIC_ROUTES = {
+    "moore_penrose": (star_pair, pinv),
+    "group": (sharp_pair, group_inverse),
+    "core": (core_pair, core_inverse),
+}
+
+
+@pytest.mark.parametrize("kind", INVERSE_KINDS)
+def test_additivity_matches_public_route(kind):
+    # the sum read off the order check's factors equals the sum of the
+    # public inverses, each of which factors its operand afresh
+    draw, inverse = PUBLIC_ROUTES[kind]
+    rng = np.random.default_rng(11)
+    for k in range(10):
+        a, b = draw(rng, 7, 7, 2, 3) if kind == "moore_penrose" else draw(rng, 7, 2, 3)
+        out = ordered_inverse_additivity(a, b, kind)
+        expected = inverse(a) + inverse(b)
+        assert fro(out - expected) <= 1e-12 * fro(expected)
+
+
+def _raised(call):
+    with pytest.raises(Exception) as err:
+        call()
+    return err.value
+
+
+def _same_report(report, public):
+    assert (report.order_name, report.holds) == (public.order_name, public.holds)
+    assert report.characterization_verdicts == public.characterization_verdicts
+    assert report.rank_data == public.rank_data
+    assert report.boundary_flags == public.boundary_flags
+
+
+def test_additivity_failures_keep_type_message_and_report(rng):
+    a, b = minus_pair(rng, 5, 5, 2, 2)
+    err = _raised(lambda: ordered_inverse_additivity(a, b, "moore_penrose"))
+    assert type(err) is OrderConditionError
+    assert str(err) == "required order fails: A is not star-below A + B"
+    _same_report(err.report, star_order(a, a + b))
+
+    s, t = sharp_pair(rng, 5, 2, 2)
+    other = cgauss(rng, 5, 5)
+    err = _raised(lambda: ordered_inverse_additivity(s, other, "group"))
+    assert type(err) is OrderConditionError
+    assert str(err) == "required order fails: A is not sharp-below A + B"
+    _same_report(err.report, sharp_order(s, s + other))
+
+    err = _raised(lambda: ordered_inverse_additivity(s, other, "core"))
+    assert type(err) is OrderConditionError
+    assert str(err) == "required order fails: A is not core-below A + B"
+    _same_report(err.report, core_order(s, s + other))
+
+    # sharp needs A and then A + B group invertible, before any identity
+    nilpotent = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    err = _raised(lambda: ordered_inverse_additivity(nilpotent, np.eye(3), "group"))
+    assert type(err) is GroupInvertibilityError
+    assert str(err) == "A is not group invertible"
+    err = _raised(lambda: ordered_inverse_additivity(np.zeros((3, 3)), nilpotent, "group"))
+    assert type(err) is GroupInvertibilityError
+    assert str(err) == "B is not group invertible"
+
+    # A = [[1, 1], [0, 0]] is core-below A + B = [[1, 1], [0, 1]], but A* is
+    # not core-below (A + B)*: only the adjoint-side check fails
+    a = np.array([[1.0, 1.0], [0.0, 0.0]])
+    b = np.array([[0.0, 0.0], [0.0, 1.0]])
+    assert core_order(a, a + b).holds
+    err = _raised(lambda: ordered_inverse_additivity(a, b, "core"))
+    assert type(err) is OrderConditionError
+    assert str(err) == "required order fails: A* is not core-below (A + B)*"
+    _same_report(err.report, core_order(adjoint(a), adjoint(a + b)))
 
 
 def test_additivity_rejects_wrong_order(rng):
