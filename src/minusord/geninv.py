@@ -64,24 +64,13 @@ def _reflexive_inverse(A, factored: Factored, range_space: Subspace, nullspace: 
     m, n = A.shape
     if range_space.ambient_dim != n or nullspace.ambient_dim != m:
         raise ValueError("ambient mismatch")
-    _require_codomain_split(factored.range, nullspace, tol)
-    ker = factored.null
+    ra, ker = factored.range, factored.null
+    if (ra.dim + nullspace.dim != m) or not is_direct_sum(ra, nullspace, tol):
+        raise ComplementError("complement condition violated: R(A) and the "
+                              "prescribed null space do not split the codomain")
     if (range_space.dim + ker.dim != n) or not is_direct_sum(range_space, ker, tol):
         raise ComplementError("complement condition violated: the prescribed "
                               "range and N(A) do not split the domain")
-    return _solve_reflexive(A, range_space, nullspace)
-
-
-def _require_codomain_split(ra: Subspace, nullspace: Subspace, tol) -> None:
-    if (ra.dim + nullspace.dim != ra.ambient_dim) or not is_direct_sum(ra, nullspace, tol):
-        raise ComplementError("complement condition violated: R(A) and the "
-                              "prescribed null space do not split the codomain")
-
-
-def _solve_reflexive(A, range_space: Subspace, nullspace: Subspace) -> np.ndarray:
-    """X with X A b = b on ``range_space`` and X = 0 on ``nullspace``, for
-    spaces already checked to be complements."""
-    n = A.shape[1]
     bn = range_space.basis
     joined = np.hstack([A @ bn, nullspace.basis])
     target = np.hstack([bn, np.zeros((n, nullspace.dim), dtype=np.complex128)])
@@ -112,18 +101,15 @@ def _group_invertible(A, factored: Factored, tol) -> bool:
 def group_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     """Group inverse: the reflexive inverse with range R(A), null space N(A)."""
     A = _square(A)
-    return _group_inverse(A, Factored.of(A, tol), tol)
-
-
-def _group_inverse(A, factored: Factored, tol, checked: bool = False) -> np.ndarray:
-    """:func:`group_inverse` of square A read off its factor; ``checked``
-    skips the group-invertibility test a caller has already made."""
-    if not checked and not _group_invertible(A, factored, tol):
+    factored = Factored.of(A, tol)
+    if not _group_invertible(A, factored, tol):
         raise GroupInvertibilityError("not group invertible")
-    ra, ker = factored.range, factored.null
-    # R(A) + N(A) direct is both complement conditions of this inverse
-    _require_codomain_split(ra, ker, tol)
-    return _solve_reflexive(A, ra, ker)
+    return _group_inverse(A, factored, tol)
+
+
+def _group_inverse(A, factored: Factored, tol) -> np.ndarray:
+    """:func:`group_inverse` of a group-invertible square A read off its factor."""
+    return _reflexive_inverse(A, factored, factored.range, factored.null, tol)
 
 
 def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -133,12 +119,12 @@ def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     test suite as an independent route).
     """
     A = _square(A)
-    return _core_inverse(A, Factored.of(A, tol), tol)
-
-
-def _core_inverse(A, factored: Factored, tol, checked: bool = False) -> np.ndarray:
-    """:func:`core_inverse` of square A read off its factor; ``checked``
-    skips the group-invertibility test a caller has already made."""
-    if not checked and not _group_invertible(A, factored, tol):
+    factored = Factored.of(A, tol)
+    if not _group_invertible(A, factored, tol):
         raise GroupInvertibilityError("not group invertible")
+    return _core_inverse(A, factored, tol)
+
+
+def _core_inverse(A, factored: Factored, tol) -> np.ndarray:
+    """:func:`core_inverse` of a group-invertible square A read off its factor."""
     return _reflexive_inverse(A, factored, factored.range, factored.conull, tol)

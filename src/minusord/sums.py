@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ComplementError, OrderConditionError, VerificationError
-from .geninv import _core_inverse, _group_inverse, _reflexive_inverse, pinv
+from .exceptions import (ComplementError, GroupInvertibilityError, OrderConditionError,
+                         VerificationError)
+from .geninv import _core_inverse, _group_inverse, _group_invertible, _reflexive_inverse, pinv
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -27,6 +28,7 @@ from .linalg import (
 from .orders import (_core, _minus_context, _MinusContext, _require, _sharp, _star,
                      left_minus_order)
 from .subspaces import (
+    Factored,
     Projection,
     Subspace,
     intersect,
@@ -238,21 +240,19 @@ def _agreeing_split(context: _MinusContext, A, range_complement, kernel_compleme
     q = oblique_projection(fa.corange, subspace_sum(fb.corange, kernel_complement.perp(), tol),
                            tol).adjoint()
 
-    _verify_split_identities(context, p, q, n1, n2, n1s, n2s,
+    _verify_split_identities(context, p, q, p, n2, n1s, n2s,
                              range_complement, kernel_complement, tol)
     return AgreeingSplit(p=p, q=q, n1=n1, n2=n2, n1s=n1s, n2s=n2s)
 
 
-def _verify_split_identities(context: _MinusContext, p, q, n1, n2, n1s, n2s,
+def _verify_split_identities(context: _MinusContext, p, q, pa, n2, n1s, n2s,
                              range_complement, kernel_complement, tol):
     """Check the two projection-sum identities tying the complements to
-    the prescribed (M, N) pair."""
+    the prescribed (M, N) pair; ``pa`` projects onto R(A) along N1."""
     fa, ft, fb = context.fa, context.fb, context.fd
     eye_m = np.eye(p.matrix.shape[0], dtype=np.complex128)
     eye_n = np.eye(q.matrix.shape[0], dtype=np.complex128)
 
-    # p projects onto R(A) along the split's own N1
-    pa = p if n1 is p.nullspace else oblique_projection(fa.range, n1, tol)
     lhs = (pa.matrix @ p.matrix
            + oblique_projection(fb.range, n2, tol).matrix @ (eye_m - p.matrix))
     rhs = oblique_projection(ft.range, range_complement, tol).matrix
@@ -291,7 +291,9 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
         split.n2s if n2s is None else n2s,
     )
     if any(x is not None for x in (n1, n2, n1s, n2s)):
-        _verify_split_identities(context, split.p, split.q, *chosen,
+        # the split's p projects onto R(A) along its own N1
+        pa = split.p if n1 is None else oblique_projection(context.fa.range, n1, tol)
+        _verify_split_identities(context, split.p, split.q, pa, *chosen[1:],
                                  range_complement, kernel_complement, tol)
     c1, c2, c1s, c2s = chosen
     # the summands' factors are the context's: B's is that of (A + B) - A
@@ -333,31 +335,40 @@ def ordered_inverse_additivity(A, B, kind: str,
     A+ + B+; "group" needs the sharp order and returns A# + B#; "core"
     needs the core order on the pair and on the adjoint pair and returns
     the sum of core inverses.  The sum is verified against the directly
-    computed inverse of A + B.  Every inverse is read off the factors of
-    the order check: the order ran on (A, A + B), so B's factor is that of
-    (A + B) - A.
+    computed inverse of A + B.  The inverses of A and A + B are read off
+    the factors of the order check; B is factored on its own, since the
+    check's factor of (A + B) - A carries the rounding of A + B, which
+    can exceed B's rank cutoff when B is small beside A.
     """
     A, B = as_pair(A, B)
     total = A + B
     if kind == "moore_penrose":
-        report, fa, ft, fb = _star(A, total, tol)
+        report, fa, ft, _ = _star(A, total, tol)
         _require(report, "required order fails: A is not star-below A + B")
-        result = fa.pinv() + fb.pinv()
+        result = fa.pinv() + pinv(B, tol)
         oracle = ft.pinv()
     elif kind == "group":
         # the sharp check has found A and A + B group invertible, not B
-        report, fa, ft, fb = _sharp(A, total, tol)
+        report, fa, ft, _ = _sharp(A, total, tol)
         _require(report, "required order fails: A is not sharp-below A + B")
-        result = _group_inverse(A, fa, tol, checked=True) + _group_inverse(B, fb, tol)
-        oracle = _group_inverse(total, ft, tol, checked=True)
+        fb = Factored.of(B, tol)
+        if not _group_invertible(B, fb, tol):
+            raise GroupInvertibilityError("not group invertible")
+        result = _group_inverse(A, fa, tol) + _group_inverse(B, fb, tol)
+        oracle = _group_inverse(total, ft, tol)
     elif kind == "core":
         # the core check has found A group invertible, not B or A + B
-        report, fa, ft, fb = _core(A, total, tol)
+        report, fa, ft, fd = _core(A, total, tol)
         _require(report, "required order fails: A is not core-below A + B")
-        mirrored = (fa.adjoint(), ft.adjoint(), fb.adjoint())
+        mirrored = (fa.adjoint(), ft.adjoint(), fd.adjoint())
         _require(_core(adjoint(A), adjoint(total), tol, mirrored)[0],
                  "required order fails: A* is not core-below (A + B)*")
-        result = _core_inverse(A, fa, tol, checked=True) + _core_inverse(B, fb, tol)
+        fb = Factored.of(B, tol)
+        if not _group_invertible(B, fb, tol):
+            raise GroupInvertibilityError("not group invertible")
+        result = _core_inverse(A, fa, tol) + _core_inverse(B, fb, tol)
+        if not _group_invertible(total, ft, tol):
+            raise GroupInvertibilityError("not group invertible")
         oracle = _core_inverse(total, ft, tol)
     else:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(INVERSE_KINDS)}")

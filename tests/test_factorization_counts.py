@@ -35,9 +35,9 @@ CALLS = {
     "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 32, 19),
     "decoupled_lss": (lambda: decoupled_lss(A, B, C), 33, 20),
     "additivity_moore_penrose":
-        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 14, 10),
-    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 12, 4),
-    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 18, 6),
+        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 15, 11),
+    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 16, 5),
+    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 19, 7),
     "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 45, 22),
     "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 45, 22),
 }

@@ -206,14 +206,20 @@ PUBLIC_ROUTES = {
 }
 
 
+@pytest.mark.parametrize("ratio", [None, 1e4])
 @pytest.mark.parametrize("kind", INVERSE_KINDS)
-def test_additivity_matches_public_route(kind):
+def test_additivity_matches_public_route(kind, ratio):
     # the sum read off the order check's factors equals the sum of the
     # public inverses, each of which factors its operand afresh
     draw, inverse = PUBLIC_ROUTES[kind]
     rng = np.random.default_rng(11)
     for k in range(10):
         a, b = draw(rng, 7, 7, 2, 3) if kind == "moore_penrose" else draw(rng, 7, 2, 3)
+        if ratio is not None:
+            # scaling A keeps every order of the pair; at ||A|| / ||B|| = 1e4
+            # the rounding of A + B left in (A + B) - A lies above B's rank
+            # cutoff, so B's inverse must not be read off that difference
+            a = a * (ratio * fro(b) / fro(a))
         out = ordered_inverse_additivity(a, b, kind)
         expected = inverse(a) + inverse(b)
         assert fro(out - expected) <= 1e-12 * fro(expected)
