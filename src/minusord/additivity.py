@@ -105,10 +105,8 @@ def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> K
         except ComplementError:
             candidate = None
         if candidate is not None:
-            lhs = adjoint(A)
-            rhs = candidate.matrix @ (adjoint(A) + adjoint(B))
-            scale = 1.0 + fro(A) + fro(B)
-            if fro(lhs - rhs) <= tol.residual_atol * scale:
+            residual = fro(adjoint(A) - candidate.matrix @ (adjoint(A) + adjoint(B)))
+            if tol.within(residual, 1.0 + fro(A) + fro(B)):
                 witness = candidate
 
     spans = span_dim(fa.null, fb.null, tol) == A.shape[1]

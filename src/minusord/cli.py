@@ -143,9 +143,7 @@ def cmd_pinv_sum(args) -> int:
         "result": {"pinv_sum": matrix_payload(result)},
         "boundary_flags": [],
     }
-    lines = [] if args.out else [format_matrix(result).rstrip("\n")]
-    if args.out:
-        lines = [f"wrote {args.out}"]
+    lines = [f"wrote {args.out}"] if args.out else [format_matrix(result).rstrip("\n")]
     _emit(args, payload, lines)
     return 0
 

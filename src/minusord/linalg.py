@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import VerificationError
+
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOLERANCE",
@@ -52,9 +54,10 @@ class ToleranceConfig:
         ``None`` (the default) each matrix uses ``16 * eps * max(m, n)``,
         the usual dense-rank heuristic.
     residual_atol : float
-        Cutoff for formula residuals.  Residuals are always compared
-        against ``residual_atol`` times a problem-size scale documented at
-        each operation.
+        Cutoff for formula residuals.  Every residual check goes through
+        :meth:`within` or :meth:`verify`, which compare the residual with
+        ``residual_atol`` (or a larger floor) times a problem-size scale
+        documented at each operation.
     angle_gap : float
         Margin below one for minimal-angle tests: ``c0 < 1 - angle_gap``
         counts as "strictly less than one".
@@ -81,6 +84,15 @@ class ToleranceConfig:
     def subspace_atol(self, ambient_dim: int) -> float:
         """Threshold on principal-angle sines for subspace equality tests."""
         return SUBSPACE_EQ_FACTOR * self.effective_rank_rtol((ambient_dim, ambient_dim))
+
+    def within(self, residual: float, scale: float, floor: float = 0.0) -> bool:
+        """The one residual rule: ``residual <= max(residual_atol, floor) * scale``."""
+        return residual <= max(self.residual_atol, floor) * scale
+
+    def verify(self, name: str, residual: float, scale: float, floor: float = 0.0) -> None:
+        """Raise :class:`VerificationError` ``name`` unless :meth:`within` passes."""
+        if not self.within(residual, scale, floor):
+            raise VerificationError(name)
 
 
 DEFAULT_TOLERANCE = ToleranceConfig()

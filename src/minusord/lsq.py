@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MembershipError, VerificationError
+from .exceptions import MembershipError
 from .geninv import pinv
 from .linalg import (
     DEFAULT_TOLERANCE,
@@ -69,10 +69,10 @@ class Weight:
         if w.shape[0] != w.shape[1]:
             raise ValueError("weight must be square")
         scale = 1.0 + fro(w)
-        if fro(w - adjoint(w)) > tol.residual_atol * scale:
+        if not tol.within(fro(w - adjoint(w)), scale):
             raise ValueError("weight is not Hermitian")
         smallest = float(np.linalg.eigvalsh((w + adjoint(w)) / 2.0)[0])
-        if smallest < -tol.residual_atol * scale:
+        if not tol.within(-smallest, scale):
             raise ValueError("weight is not positive semidefinite")
 
 
@@ -102,9 +102,8 @@ def solve_system(A, B, a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     _require(report, "order fails: A is not left-minus-below A + B")
     x = f_total.pinv() @ (a + b)
     scale = 1.0 + fro(A) + fro(B) + float(np.linalg.norm(a) + np.linalg.norm(b))
-    if (np.linalg.norm(A @ x - a) > tol.residual_atol * scale
-            or np.linalg.norm(B @ x - b) > tol.residual_atol * scale):
-        raise VerificationError("summed solution failed to solve the pieces")
+    for residual in (A @ x - a, B @ x - b):
+        tol.verify("summed solution failed to solve the pieces", np.linalg.norm(residual), scale)
     return x
 
 
@@ -176,7 +175,6 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     }
     scale = (1.0 + fro(A) + fro(B)) * (1.0 + float(np.linalg.norm(c)))
     for key, value in residuals.items():
-        if value > tol.residual_atol * scale * 100.0:
-            raise VerificationError(f"cross-residual {key} exceeded tolerance")
+        tol.verify(f"cross-residual {key} exceeded tolerance", value, scale * 100.0)
     return DecoupledLeastSquares(x_joint=x_joint, x_system=x_system,
                                  weight=weight, residuals=residuals)

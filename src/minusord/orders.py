@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError, VerificationError
+from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
 from .geninv import _group_invertible
 from .linalg import (
     DEFAULT_TOLERANCE,
@@ -24,7 +24,7 @@ from .linalg import (
     adjoint,
     as_pair,
     fro,
-    range_contains,
+    numerical_rank,
 )
 from .subspaces import (
     Factored,
@@ -104,10 +104,6 @@ def _factor_triple(A, B, tol, factors=None):
     return factors, RankData(*(f.rank for f in factors)), flags
 
 
-def _identity_close(lhs, rhs, tol, scale):
-    return fro(lhs - rhs) <= tol.residual_atol * (1.0 + scale)
-
-
 def _split_holds(part: Subspace, rest: Subspace, whole: Subspace, tol) -> bool:
     """Whether ``whole`` is the direct sum of ``part`` and ``rest``."""
     joined = subspace_sum(part, rest, tol)
@@ -129,10 +125,11 @@ def _left_witness(ra: Subspace, complement: Subspace, tol) -> Projection | None:
         return None
 
 
-def _projection_ok(A, B, witness_p, tol) -> bool:
+def _projection_ok(A, B, witness_p, fb: Factored, tol) -> bool:
+    """Whether A = P B with R(A) inside R(B), rank(B) read off its factor."""
     return (witness_p is not None
-            and _identity_close(A, witness_p.matrix @ B, tol, fro(B))
-            and range_contains(B, A, tol))
+            and tol.within(fro(A - witness_p.matrix @ B), 1.0 + fro(B))
+            and numerical_rank(np.hstack([B, A]), tol) == fb.rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +174,7 @@ def _minus_context(A, B, tol) -> _MinusContext:
     # orthogonal leftover of R(A) + R(B-A).
     leftover = down.perp()
     witness_p = _left_witness(ra, subspace_sum(rd, leftover, tol), tol)
-    projection_ok = _projection_ok(A, B, witness_p, tol)
+    projection_ok = _projection_ok(A, B, witness_p, fb, tol)
 
     witness_q = leftover_s = None
     if holds:
@@ -213,7 +210,7 @@ def _left_minus(A, B, tol):
     holds = _split_holds(ra, rd, rb, tol)
 
     witness_p = _left_witness(ra, subspace_sum(rd, fb.conull, tol), tol)
-    verdicts = {"ranges": holds, "projection": _projection_ok(A, B, witness_p, tol)}
+    verdicts = {"ranges": holds, "projection": _projection_ok(A, B, witness_p, fb, tol)}
     report = OrderReport("left_minus", holds, verdicts, witness_p if holds else None,
                          None, ranks, tuple(flags))
     return report, fa, fb, fd
@@ -257,9 +254,9 @@ def _star(A, B, tol):
     factors, ranks, flags = _factor_triple(A, B, tol)
     fa, fb, fd = factors
 
-    scale = fro(A) * (fro(A) + fro(B))
-    gram_left = _identity_close(adjoint(A) @ A, adjoint(A) @ B, tol, scale)
-    gram_right = _identity_close(A @ adjoint(A), B @ adjoint(A), tol, scale)
+    scale = 1.0 + fro(A) * (fro(A) + fro(B))
+    gram_left = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), scale)
+    gram_right = tol.within(fro(A @ adjoint(A) - B @ adjoint(A)), scale)
     holds = gram_left and gram_right
 
     ortho = (_orthogonal_split(fa.range, fd.range, fb.range, tol)
@@ -289,8 +286,8 @@ def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRepo
     A, B = as_pair(A, B)
     (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
 
-    gram = _identity_close(adjoint(A) @ A, adjoint(A) @ B, tol, fro(A) * (fro(A) + fro(B)))
-    inclusion = range_contains(B, A, tol)
+    gram = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), 1.0 + fro(A) * (fro(A) + fro(B)))
+    inclusion = numerical_rank(np.hstack([B, A]), tol) == fb.rank
     holds = gram and inclusion
     ortho = _orthogonal_split(fa.range, fd.range, fb.range, tol)
 
@@ -319,9 +316,9 @@ def _sharp(A, B, tol):
             raise GroupInvertibilityError(f"{label} is not group invertible")
 
     square = A @ A
-    scale = fro(A) * (fro(A) + fro(B))
-    left_id = _identity_close(square, B @ A, tol, scale)
-    right_id = _identity_close(square, A @ B, tol, scale)
+    scale = 1.0 + fro(A) * (fro(A) + fro(B))
+    left_id = tol.within(fro(square - B @ A), scale)
+    right_id = tol.within(fro(square - A @ B), scale)
     holds = left_id and right_id
 
     witness_p = witness_q = None
@@ -347,9 +344,9 @@ def _core(A, B, tol, factors=None):
     if not _group_invertible(A, fa, tol):
         raise GroupInvertibilityError("A is not group invertible")
 
-    scale = fro(A) * (fro(A) + fro(B))
-    gram = _identity_close(adjoint(A) @ A, adjoint(A) @ B, tol, scale)
-    square = _identity_close(A @ A, B @ A, tol, scale)
+    scale = 1.0 + fro(A) * (fro(A) + fro(B))
+    gram = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), scale)
+    square = tol.within(fro(A @ A - B @ A), scale)
     holds = gram and square
 
     witness_p = witness_q = None
@@ -433,10 +430,7 @@ def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.
         raise ComplementError("complement condition violated") from exc
 
     scale = (1.0 + fro(A)) * (1.0 + fro(witness))
-    if fro(A @ witness @ A - A) > tol.residual_atol * scale:
-        raise VerificationError("inner inverse failed A X A = A")
-    if fro(witness @ A - witness @ B) > tol.residual_atol * scale:
-        raise VerificationError("inner inverse failed X A = X B")
-    if fro((A - B) @ witness) > tol.residual_atol * scale:
-        raise VerificationError("inner inverse failed (A - B) X = 0")
+    tol.verify("inner inverse failed A X A = A", fro(A @ witness @ A - A), scale)
+    tol.verify("inner inverse failed X A = X B", fro(witness @ A - witness @ B), scale)
+    tol.verify("inner inverse failed (A - B) X = 0", fro((A - B) @ witness), scale)
     return witness

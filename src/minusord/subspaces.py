@@ -5,9 +5,10 @@ columns of an (n, k) array; the zero subspace keeps its ambient dimension
 and carries an empty basis.  All set operations (sum, intersection,
 relative complement) go through rank-revealing SVD factorizations with the
 shared rank cutoff of :func:`~minusord.linalg.rank_cut`; a test that needs
-only a dimension (:func:`span_dim`, :func:`is_direct_sum`) takes singular
-values alone.  A matrix whose fundamental subspaces are all needed is
-factored once into a :class:`Factored`, which reads them off one SVD.
+only a dimension (:func:`span_dim`, :func:`is_direct_sum`) or an angle
+(:func:`subspace_equal`, :func:`minimal_angle_cos`) takes singular values
+alone.  A matrix whose fundamental subspaces are all needed is factored
+once into a :class:`Factored`, which reads them off one SVD.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ class Projection:
         return Projection(adjoint(self.matrix), self.nullspace.perp(), self.range.perp())
 
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
-        return fro(self.matrix - adjoint(self.matrix)) <= tol.residual_atol * (1.0 + fro(self.matrix))
+        return tol.within(fro(self.matrix - adjoint(self.matrix)), 1.0 + fro(self.matrix))
 
 
 def _check_ambient(m_space: Subspace, n_space: Subspace):
@@ -286,17 +287,19 @@ def subspace_equal(m_space: Subspace, n_space: Subspace,
                    tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether two subspaces coincide.
 
-    Dimensions must match and the largest principal-angle sine between
-    them, measured as c0(M, N^perp), must fall below the equality
-    threshold derived from the rank cutoff.
+    Dimensions must match and the largest principal-angle sine, the top
+    singular value of B_M - B_N (B_N* B_M) clipped into [0, 1] (Bjorck &
+    Golub 1973; it equals c0(M, N^perp) without a basis of N^perp), must
+    fall below the equality threshold derived from the rank cutoff.
     """
     _check_ambient(m_space, n_space)
     if m_space.dim != n_space.dim:
         return False
     if m_space.dim == 0:
         return True
-    gap = minimal_angle_cos(m_space, n_space.perp())
-    return gap <= tol.subspace_atol(m_space.ambient_dim)
+    outside = m_space.basis - n_space.basis @ (adjoint(n_space.basis) @ m_space.basis)
+    sine = np.clip(np.linalg.svd(outside, compute_uv=False)[0], 0.0, 1.0)
+    return float(sine) <= tol.subspace_atol(m_space.ambient_dim)
 
 
 def minimal_angle_cos(m_space: Subspace, n_space: Subspace) -> float:

@@ -58,6 +58,10 @@ INVERSE_KINDS = ("moore_penrose", "group", "core")
 #: one plus the effective condition number of A + B.
 FF_VERIFY_RTOL = 1e-8
 
+#: Relative tolerance for the inverse-additivity cross-check, scaled by one
+#: plus the norm of the directly computed inverse of A + B.
+ADDITIVITY_VERIFY_RTOL = 1e-9
+
 
 def _require_minus(A, total, tol, message) -> _MinusContext:
     """The minus-order context of A against A + B; raises with its report
@@ -128,16 +132,13 @@ def _split(context: _MinusContext, A, total, tol, m1, n1) -> SplitWitness:
     e = ra.projector() @ p.matrix + rb.projector() @ (eye - p.matrix)
 
     scale = 1.0 + fro(total)
-    if fro(A - p.matrix @ total) > tol.residual_atol * scale:
-        raise VerificationError("split witness failed A = P (A + B)")
-    if fro(A - total @ q.matrix) > tol.residual_atol * scale:
-        raise VerificationError("split witness failed A = (A + B) Q")
-    if fro(e @ e - e) > tol.residual_atol * (1.0 + fro(e) ** 2):
-        raise VerificationError("projection sum E is not idempotent")
+    tol.verify("split witness failed A = P (A + B)", fro(A - p.matrix @ total), scale)
+    tol.verify("split witness failed A = (A + B) Q", fro(A - total @ q.matrix), scale)
+    tol.verify("projection sum E is not idempotent", fro(e @ e - e), 1.0 + fro(e) ** 2)
     if not subspace_equal(range_basis(e, tol), context.fb.range, tol):
         raise VerificationError("projection sum E has the wrong range")
 
-    optimal = fro(e - adjoint(e)) <= tol.residual_atol * (1.0 + fro(e))
+    optimal = tol.within(fro(e - adjoint(e)), 1.0 + fro(e))
     return SplitWitness(p=p, q=q, e=e, optimal=optimal)
 
 
@@ -155,9 +156,8 @@ def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     assembled = (witness.q.matrix @ context.fa.pinv() @ witness.p.matrix
                  + (eye_n - witness.q.matrix) @ context.fd.pinv() @ (eye_m - witness.p.matrix))
     oracle = context.fb.pinv()
-    bound = max(tol.residual_atol, FF_VERIFY_RTOL) * (1.0 + context.fb.condition)
-    if fro(assembled - oracle) > bound:
-        raise VerificationError("assembled pseudoinverse disagrees with the SVD route")
+    tol.verify("assembled pseudoinverse disagrees with the SVD route",
+               fro(assembled - oracle), 1.0 + context.fb.condition, FF_VERIFY_RTOL)
     return assembled
 
 
@@ -176,8 +176,7 @@ def st_projections(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[np.n
     t = pinv(context.fa.conull.projector() @ context.fd.range.projector(), tol)
 
     for mat, label in ((s, "S"), (t, "T")):
-        if fro(mat @ mat - mat) > tol.residual_atol * (1.0 + fro(mat) ** 2):
-            raise VerificationError(f"{label} is not idempotent")
+        tol.verify(f"{label} is not idempotent", fro(mat @ mat - mat), 1.0 + fro(mat) ** 2)
     return s, t
 
 
@@ -256,16 +255,14 @@ def _verify_split_identities(context: _MinusContext, p, q, pa, n2, n1s, n2s,
     lhs = (pa.matrix @ p.matrix
            + oblique_projection(fb.range, n2, tol).matrix @ (eye_m - p.matrix))
     rhs = oblique_projection(ft.range, range_complement, tol).matrix
-    scale = 1.0 + fro(lhs) + fro(rhs)
-    if fro(lhs - rhs) > tol.residual_atol * scale:
-        raise VerificationError("codomain projection identity failed for the given complements")
+    tol.verify("codomain projection identity failed for the given complements",
+               fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
 
     lhs = (q.matrix @ oblique_projection(n1s, fa.null, tol).matrix
            + (eye_n - q.matrix) @ oblique_projection(n2s, fb.null, tol).matrix)
     rhs = oblique_projection(kernel_complement, ft.null, tol).matrix
-    scale = 1.0 + fro(lhs) + fro(rhs)
-    if fro(lhs - rhs) > tol.residual_atol * scale:
-        raise VerificationError("domain projection identity failed for the given complements")
+    tol.verify("domain projection identity failed for the given complements",
+               fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
 
 
 def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: Subspace,
@@ -322,8 +319,8 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     xb = _reflexive_inverse(B, context.fd, split.n2s, split.n2, tol)
 
     compressed = split.q.matrix @ xa @ split.p.matrix
-    if fro(compressed - xa) > tol.residual_atol * (1.0 + fro(xa)):
-        raise VerificationError("compressed first summand disagrees with the direct route")
+    tol.verify("compressed first summand disagrees with the direct route",
+               fro(compressed - xa), 1.0 + fro(xa))
     return xa, xb
 
 
@@ -373,7 +370,6 @@ def ordered_inverse_additivity(A, B, kind: str,
     else:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(INVERSE_KINDS)}")
 
-    bound = max(tol.residual_atol, 1e-9) * (1.0 + fro(oracle))
-    if fro(result - oracle) > bound:
-        raise VerificationError("inverse additivity failed the direct-route check")
+    tol.verify("inverse additivity failed the direct-route check",
+               fro(result - oracle), 1.0 + fro(oracle), ADDITIVITY_VERIFY_RTOL)
     return result

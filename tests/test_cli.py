@@ -97,6 +97,18 @@ def test_pinv_sum_order_failure_exit_one(tmp_path, capsys):
     assert "minus" in err
 
 
+def test_pinv_sum_linalg_error_exit_two(pair_files, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("minusord.cli.fill_fishkind_pinv", failing)
+    fa, fb, _ = pair_files
+    assert main(["pinv-sum", fa, fb]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: SVD did not converge\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_lsq_runs(pair_files, tmp_path, capsys):
     fa, fb, fs = pair_files
     rng = np.random.default_rng(0)

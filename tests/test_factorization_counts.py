@@ -29,17 +29,17 @@ N = Subspace.from_span(_rng.standard_normal((9, 6)) + 1j * _rng.standard_normal(
 
 # name: (call, bound on all SVDs, bound on SVDs with singular vectors)
 CALLS = {
-    "minus_order": (lambda: minus_order(A, A + B), 22, 12),
-    "star_order": (lambda: star_order(SA, SA + SB), 14, 10),
-    "build_split": (lambda: build_split(A, B), 32, 19),
-    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 32, 19),
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 33, 20),
+    "minus_order": (lambda: minus_order(A, A + B), 19, 10),
+    "star_order": (lambda: star_order(SA, SA + SB), 12, 8),
+    "build_split": (lambda: build_split(A, B), 28, 16),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 28, 16),
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 29, 17),
     "additivity_moore_penrose":
-        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 15, 11),
+        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 13, 9),
     "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 16, 5),
     "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 19, 7),
-    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 45, 22),
-    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 45, 22),
+    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 42, 20),
+    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 42, 20),
 }
 
 

@@ -178,6 +178,37 @@ def test_direct_sum_reads_singular_values_only(monkeypatch, rng):
     assert vectors == [False]
 
 
+def test_subspace_equal_reads_singular_values_only(monkeypatch, rng):
+    m = Subspace.from_span(cgauss(rng, 6, 3))
+    n = Subspace.from_span(m.basis @ cgauss(rng, 3, 3))
+    real = np.linalg.svd
+    vectors = []
+
+    def spy(*args, **kwargs):
+        vectors.append(kwargs.get("compute_uv", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert subspace_equal(m, n)
+    assert vectors == [False]
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_subspace_equal_agrees_with_complement_route(factor, seed):
+    # M = span(q0, q1, q2), N = span(q0, cos t q1 + sin t q3, q2): the
+    # largest principal-angle sine is sin t = factor * subspace_atol
+    q, _ = np.linalg.qr(cgauss(np.random.default_rng(seed), 7, 7))
+    atol = ToleranceConfig().subspace_atol(7)
+    sine = factor * atol
+    tilted = np.sqrt(1.0 - sine * sine) * q[:, 1] + sine * q[:, 3]
+    m, n = Subspace(q[:, :3]), Subspace(np.column_stack([q[:, 0], tilted, q[:, 2]]))
+    complement_route = minimal_angle_cos(m, n.perp())
+    assert complement_route == pytest.approx(sine, rel=1e-3)
+    assert subspace_equal(m, n) == (complement_route <= atol) == (factor < 1.0)
+    assert subspace_equal(n, m) == (factor < 1.0)
+
+
 def test_subspace_equal_tolerates_rotated_bases(rng):
     cols = cgauss(rng, 5, 3)
     mix = cols @ (np.eye(3) + 0.3 * cgauss(rng, 3, 3))
