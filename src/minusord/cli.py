@@ -20,7 +20,7 @@ from .exceptions import MinusordError, OrderConditionError
 from .generate import as_rng, pair_generator
 from .linalg import ToleranceConfig
 from .lsq import decoupled_lss
-from .mmio import format_matrix, read_matrix, read_vector, write_matrix
+from .mmio import _format_pairs, format_matrix, read_matrix, read_vector, write_matrix
 from .orders import order_predicate
 from .reporting import (
     canonical_json,
@@ -170,10 +170,8 @@ def cmd_lsq(args) -> int:
         },
         "boundary_flags": [],
     }
-    lines = ["x_joint:"]
-    lines += [f"  {z.real!r} {z.imag!r}" for z in map(complex, result.x_joint)]
-    lines.append("x_system:")
-    lines += [f"  {z.real!r} {z.imag!r}" for z in map(complex, result.x_system)]
+    lines = ["x_joint:", _format_pairs(result.x_joint, "  ").rstrip("\n"),
+             "x_system:", _format_pairs(result.x_system, "  ").rstrip("\n")]
     lines += [f"residual {k}: {v:.3e}" for k, v in sorted(result.residuals.items())]
     _emit(args, payload, lines)
     return 0

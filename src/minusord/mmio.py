@@ -9,6 +9,8 @@ and integer files are accepted on input and widened to complex.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .linalg import as_matrix
@@ -25,26 +27,29 @@ __all__ = [
 _HEADER = "%%MatrixMarket matrix array complex general"
 
 
+def _format_pairs(values, prefix: str = "") -> str:
+    """One ``prefix + "re im"`` line per entry of ``values`` in flat order.
+
+    Each part is ``repr`` of a Python float, the shortest decimal string
+    that reads back to the same double.
+    """
+    flat = np.asarray(values, dtype=np.complex128).ravel().view(np.float64).tolist()
+    return ((prefix + "%r %r\n") * (len(flat) // 2)) % tuple(flat)
+
+
 def format_matrix(A) -> str:
     """Render a matrix in the canonical Matrix Market array form."""
     A = as_matrix(A)
     m, n = A.shape
-    lines = [_HEADER, f"{m} {n}"]
-    for j in range(n):
-        for i in range(m):
-            z = complex(A[i, j])
-            lines.append(f"{z.real!r} {z.imag!r}")
-    return "\n".join(lines) + "\n"
+    return f"{_HEADER}\n{m} {n}\n" + _format_pairs(A.T)
 
 
 def parse_matrix(text: str) -> np.ndarray:
     """Parse Matrix Market array-format text into a complex matrix."""
-    lines = iter(text.splitlines())
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise ValueError("empty Matrix Market input") from None
-    tokens = header.split()
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError("empty Matrix Market input")
+    tokens = lines[0].split()
     if len(tokens) != 5 or tokens[0] != "%%MatrixMarket":
         raise ValueError("malformed Matrix Market header")
     _, obj, fmt, field, symmetry = (t.lower() for t in tokens)
@@ -55,35 +60,53 @@ def parse_matrix(text: str) -> np.ndarray:
     if symmetry != "general":
         raise ValueError(f"unsupported symmetry {symmetry!r}")
 
-    body = (line for line in lines if line.strip() and not line.lstrip().startswith("%"))
-    try:
-        size_tokens = next(body).split()
-    except StopIteration:
-        raise ValueError("missing size line") from None
+    # the lines that are neither blank nor comments
+    body = [line for line in lines[1:] if line.lstrip()[:1] not in ("", "%")]
+    if not body:
+        raise ValueError("missing size line")
+    size_tokens = body[0].split()
     if len(size_tokens) != 2:
         raise ValueError("malformed size line")
     m, n = (int(t) for t in size_tokens)
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
 
-    values = np.zeros(m * n, dtype=np.complex128)
-    count = 0
-    for line in body:
-        if count >= m * n:
-            raise ValueError("too many entries")
-        parts = line.split()
-        if field == "complex":
-            if len(parts) != 2:
-                raise ValueError(f"expected 're im' on line: {line!r}")
-            values[count] = complex(float(parts[0]), float(parts[1]))
-        else:
-            if len(parts) != 1:
-                raise ValueError(f"expected one value on line: {line!r}")
-            values[count] = float(parts[0])
-        count += 1
-    if count != m * n:
-        raise ValueError(f"expected {m * n} entries, found {count}")
+    total = m * n
+    entries = body[1:]
+    width = 2 if field == "complex" else 1
+    flat = _read_values(entries[:total], width)
+    if len(entries) > total:
+        raise ValueError("too many entries")
+    if len(flat) != width * total:
+        raise ValueError(f"expected {total} entries, found {len(flat) // width}")
+    values = flat.view(np.complex128) if width == 2 else flat.astype(np.complex128)
     return values.reshape((n, m)).T.copy()
+
+
+def _read_values(lines: list[str], width: int) -> np.ndarray:
+    """The ``width`` values on each of ``lines``, in order, as float64.
+
+    numpy's C reader converts each token as ``float`` does.  When it
+    refuses the lines, they are read again one token at a time, which
+    raises the error of the first bad line, or reads the forms that only
+    ``float`` accepts (such as ``1_000``).
+    """
+    if not lines:  # loadtxt warns on empty input
+        return np.empty(0)
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if values.shape[1] == width:
+            return values.ravel()
+    rows = list(map(str.split, lines))
+    good = next((k for k, row in enumerate(rows) if len(row) != width), len(rows))
+    values = np.array(list(map(float, chain.from_iterable(rows[:good]))), dtype=np.float64)
+    if good < len(rows):
+        expected = "'re im'" if width == 2 else "one value"
+        raise ValueError(f"expected {expected} on line: {lines[good]!r}")
+    return values
 
 
 def write_matrix(path, A) -> None:

@@ -9,7 +9,7 @@ arrays.
 from __future__ import annotations
 
 import json
-import math
+from itertools import chain
 
 import numpy as np
 
@@ -25,10 +25,30 @@ __all__ = [
 ]
 
 
-def _float_repr(x: float) -> str:
-    if not math.isfinite(x):
+def _floats(template: str, values: tuple) -> str:
+    text = template % values
+    if "n" in text:  # %e renders only inf and nan with an "n"
         raise ValueError("non-finite value in report payload")
-    return format(float(x), ".16e")
+    return text
+
+
+def _float_block(obj: list) -> str | None:
+    """Render a regular nested list of Python floats with one ``%.16e``
+    template, or return None when ``obj`` is anything else."""
+    shape = []
+    level = [obj]
+    while set(map(type, level)) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) != {float}:
+        return None
+    template = "%.16e"
+    for size in reversed(shape):
+        template = "[" + ",".join([template] * size) + "]"
+    return _floats(template, tuple(level))
 
 
 def _render(obj) -> str:
@@ -39,9 +59,9 @@ def _render(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _float_repr(float(obj))
+        return _floats("%.16e", (float(obj),))
     if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_float_repr(obj.real)},{_float_repr(obj.imag)}]"
+        return _floats("[%.16e,%.16e]", (float(obj.real), float(obj.imag)))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -49,6 +69,10 @@ def _render(obj) -> str:
         if any(not isinstance(k, str) for k, _ in items):
             raise TypeError("report keys must be strings")
         return "{" + ",".join(f"{json.dumps(k)}:{_render(v)}" for k, v in items) + "}"
+    if isinstance(obj, list):
+        block = _float_block(obj)
+        if block is not None:
+            return block
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_render(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
@@ -59,14 +83,16 @@ def canonical_json(obj) -> str:
     return _render(obj) + "\n"
 
 
+def _pairs(arr: np.ndarray) -> list:
+    return np.stack([arr.real, arr.imag], -1).tolist()
+
+
 def matrix_payload(A):
-    arr = np.asarray(A, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return _pairs(np.asarray(A, dtype=np.complex128))
 
 
 def vector_payload(v):
-    arr = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in arr]
+    return _pairs(np.asarray(v, dtype=np.complex128).reshape(-1))
 
 
 def tolerance_payload(tol):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,18 +68,62 @@ def test_parse_skips_comments():
     assert np.array_equal(parse_matrix(text), np.array([[1.0], [2.0]]))
 
 
-@pytest.mark.parametrize("bad", [
-    "",
-    "%%MatrixMarket matrix coordinate real general\n1 1\n1 1 1\n",
-    "%%MatrixMarket matrix array real symmetric\n1 1\n1\n",
-    "%%MatrixMarket matrix array real general\n2 1\n1\n",        # missing entry
-    "%%MatrixMarket matrix array real general\n1 1\n1\n2\n",     # extra entry
-    "%%MatrixMarket matrix array complex general\n1 1\n1\n",     # lone component
-    "%%MatrixMarket tensor array real general\n1 1\n1\n",
-])
+_REAL = "%%MatrixMarket matrix array real general\n"
+_COMPLEX = "%%MatrixMarket matrix array complex general\n"
+
+
+# malformed input and the exact message it raises
+_MALFORMED = {
+    "": "empty Matrix Market input",
+    "%%MatrixMarket matrix coordinate real general\n1 1\n1 1 1\n":
+        "only dense matrix array files are supported",
+    "%%MatrixMarket matrix array real symmetric\n1 1\n1\n": "unsupported symmetry 'symmetric'",
+    _REAL + "2 1\n1\n": "expected 2 entries, found 1",                     # missing entry
+    _REAL + "1 1\n1\n2\n": "too many entries",                             # extra entry
+    _COMPLEX + "1 1\n1\n": "expected 're im' on line: '1'",                  # lone component
+    "%%MatrixMarket tensor array real general\n1 1\n1\n":
+        "only dense matrix array files are supported",
+    _REAL + "1 1\n1\nnot a number\n": "too many entries",                  # extra, malformed
+    # the token total balances, but each line must hold one pair
+    _COMPLEX + "2 1\n1\n2 3 4\n": "expected 're im' on line: '1'",
+    _COMPLEX + "2 1\n2 3 4\n1\n": "expected 're im' on line: '2 3 4'",
+    _REAL + "2 1\n1 2\n": "expected one value on line: '1 2'",
+    _REAL + "2 1\n1\nabc\n": "could not convert string to float: 'abc'",
+    # a bad value is reported before a malformed line after it
+    _COMPLEX + "2 1\n1 x\n1\n": "could not convert string to float: 'x'",
+    _COMPLEX + "2 1\n1\n1 x\n": "expected 're im' on line: '1'",
+    # comments take whole lines only
+    _REAL + "1 1\n1.5 % note\n": "expected one value on line: '1.5 % note'",
+    _COMPLEX + "1 1\n 1 2\t% note\n": "expected 're im' on line: ' 1 2\\t% note'",
+}
+
+
+@pytest.mark.parametrize("bad", list(_MALFORMED))
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(_MALFORMED[bad])}$"):
         parse_matrix(bad)
+
+
+def test_parse_skips_blank_and_comment_lines_between_entries():
+    text = (_COMPLEX + "2 2\n"
+            "1 -0.0\n"
+            "\n"
+            "% a comment\n"
+            "   \t\n"
+            "\t2  3\n"
+            "  %indented comment\n"
+            "4 5\n"
+            "6 7   \n")
+    a = parse_matrix(text)
+    assert np.array_equal(a, np.array([[1, 4 + 5j], [2 + 3j, 6 + 7j]]))
+    assert np.signbit(a[0, 0].imag)
+
+
+def test_parse_reads_every_form_float_reads():
+    a = parse_matrix(_COMPLEX + "2 1\n1_000 -nan\n\u0661 -0.0\n")
+    assert a[0, 0].real == 1000.0 and np.isnan(a[0, 0].imag)
+    assert a[1, 0] == 1.0
+    assert np.signbit(a[0, 0].imag) and np.signbit(a[1, 0].imag)
 
 
 def test_file_roundtrip(tmp_path, rng):
