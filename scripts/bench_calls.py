@@ -1,0 +1,118 @@
+"""Per-call cost of the public calls: SVD counts on the 9x9 gate pairs of
+``tests/test_factorization_counts.py`` and median wall time at n = 6, 50
+and 200 (square n x n, ranks n/3 + n/3), next to their numpy floors.
+
+Run from the root of a checkout; ``--src`` points at another checkout's
+``src`` to measure it with the same inputs:
+
+    python3 scripts/bench_calls.py --repeats 7
+    python3 scripts/bench_calls.py --src /path/to/other/src --repeats 7
+
+BLAS is pinned to one thread before numpy loads.  The last line of
+standard output is one JSON object: ``{call: {"svds": [all, with vectors],
+"ms": {n: median}}}``.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (6, 50, 200)
+
+
+def calls(n):
+    """The timed calls on one seeded square n x n pair of ranks n/3 + n/3."""
+    import numpy as np
+    from minusord import lsq, orders, sums
+    from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
+    from minusord.subspaces import Subspace
+
+    r = max(n // 3, 1)
+    a, b = minus_pair(3, n, n, r, r)
+    sa, sb = star_pair(3, n, n, r, r)
+    ha, hb = sharp_pair(3, n, r, r)
+    ca, cb = core_pair(3, n, r, r)
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(n) + 0j
+    m_comp = Subspace.from_span(rng.standard_normal((n, n - 2 * r)) + 0j)
+    n_comp = Subspace.from_span(rng.standard_normal((n, 2 * r)) + 0j)
+    return {
+        "floor: 3x np.linalg.matrix_rank":
+            lambda: [np.linalg.matrix_rank(x) for x in (a, a + b, b)],
+        "minus_order": lambda: orders.minus_order(a, a + b),
+        "star_order": lambda: orders.star_order(sa, sa + sb),
+        "floor: np.linalg.pinv(A+B)": lambda: np.linalg.pinv(a + b),
+        "fill_fishkind_pinv": lambda: sums.fill_fishkind_pinv(a, b),
+        "decoupled_lss": lambda: lsq.decoupled_lss(a, b, c),
+        "sum_reflexive_inverse": lambda: sums.sum_reflexive_inverse(a, b, m_comp, n_comp),
+        "additivity moore_penrose":
+            lambda: sums.ordered_inverse_additivity(sa, sb, "moore_penrose"),
+        "additivity group": lambda: sums.ordered_inverse_additivity(ha, hb, "group"),
+        "additivity core": lambda: sums.ordered_inverse_additivity(ca, cb, "core"),
+    }
+
+
+def svd_counts(call):
+    """(all SVDs, SVDs with singular vectors) made by one call."""
+    import numpy as np
+    real = np.linalg.svd
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(kwargs.get("compute_uv", True))
+        return real(*args, **kwargs)
+
+    np.linalg.svd = counting
+    try:
+        call()
+    finally:
+        np.linalg.svd = real
+    return [len(seen), sum(seen)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args(argv)
+    sys.path[:0] = [args.src, str(ROOT / "tests")]
+    import test_factorization_counts as gate
+
+    gate_calls = {"minus_order": "minus_order", "star_order": "star_order",
+                  "fill_fishkind_pinv": "fill_fishkind_pinv", "decoupled_lss": "decoupled_lss",
+                  "sum_reflexive_inverse": "sum_reflexive_inverse",
+                  "additivity moore_penrose": "additivity_moore_penrose",
+                  "additivity group": "additivity_group", "additivity core": "additivity_core"}
+    table = {}
+    for name in calls(6):
+        table[name] = {"svds": svd_counts(gate.CALLS[gate_calls[name]][0])
+                       if name in gate_calls else None, "ms": {}}
+    for n in SIZES:
+        for name, call in calls(n).items():
+            call()
+            times = []
+            for _ in range(args.repeats):
+                start = perf_counter()
+                call()
+                times.append(1e3 * (perf_counter() - start))
+            table[name]["ms"][n] = round(statistics.median(times), 3)
+    for name, row in table.items():
+        svds = "-" if row["svds"] is None else "%d / %d" % tuple(row["svds"])
+        print(f"{name:34s} {svds:>8s} " + " ".join(f"{row['ms'][n]:9.2f}" for n in SIZES))
+    print(json.dumps(table))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

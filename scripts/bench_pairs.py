@@ -1,0 +1,102 @@
+"""Alternating parent/change pairs of ``perfbench/run.py`` on one workload.
+
+Each pair runs the benchmark once in each checkout with the same seed and
+``--seconds``; the side that runs first alternates from pair to pair.  The
+end-to-end metrics of every run, their medians, the parent's quartiles and
+the wins of the change (ties count for neither side) are merged under the
+workload's name into the JSON file given by ``--out``:
+
+    python3 scripts/bench_pairs.py --parent /path/to/parent --change . \\
+        --workload construct-large --seeds 61-70 --seconds 30 --out BENCH_x.json
+
+A gain on a metric is claimed only when the change wins at least nine
+tenths of the pairs and the medians differ by more than the parent's
+interquartile range.  Both checkouts must hold ``perfbench/run.py`` and
+``BENCHMARK.json``; the metric directions come from the change's file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run: its failure count and end-to-end metric values."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, check=True, capture_output=True, text=True).stdout.splitlines()
+    detail, result = json.loads(out[-2]), json.loads(out[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "failures": detail.get("failures"),
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def quartiles(values):
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(pairs, directions) -> dict:
+    summary = {}
+    for name, better in directions.items():
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        sign = 1.0 if better == "lower" else -1.0
+        wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
+        q1, q3 = quartiles(parent)
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        summary[name] = {
+            "better": better, "parent_median": p_med, "change_median": c_med,
+            "relative_change": (c_med - p_med) / p_med if p_med else None,
+            "parent_q1": q1, "parent_q3": q3, "parent_iqr": q3 - q1,
+            "change_quartiles": list(quartiles(change)),
+            "wins": wins, "pairs": len(pairs),
+            "gain": wins >= 0.9 * len(pairs) and abs(c_med - p_med) > q3 - q1,
+        }
+    return summary
+
+
+def seeds(spec: str) -> list[int]:
+    first, _, last = spec.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="first-last, e.g. 61-70")
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    pairs = []
+    for i, seed in enumerate(seeds(args.seeds)):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run(getattr(args, side), args.workload, seed, args.seconds)
+        pairs.append(pair)
+        p, c = pair["parent"]["metrics"], pair["change"]["metrics"]
+        print(f"seed {seed}: p50 {p['latency_p50_ms']:.3f} -> {c['latency_p50_ms']:.3f} ms, "
+              f"failed {pair['parent']['failed']} / {pair['change']['failed']}", flush=True)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record.setdefault("workloads", {})[args.workload] = {
+        "seconds": args.seconds, "seeds": args.seeds,
+        "summary": summarize(pairs, directions), "pairs": pairs}
+    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,10 +15,12 @@ from .exceptions import ComplementError, GroupInvertibilityError
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    adjoint,
     as_matrix,
     numerical_rank,
+    rank_cut,
 )
-from .subspaces import Factored, Subspace, is_direct_sum
+from .subspaces import Factored, Subspace, _complements
 
 __all__ = [
     "pinv",
@@ -30,8 +32,12 @@ __all__ = [
 
 
 def pinv(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with the shared rank cutoff."""
-    return Factored.of(A, tol).pinv()
+    """Moore-Penrose inverse via SVD with the shared rank cutoff; only the
+    leading singular vectors enter, so the economy factors suffice."""
+    A = as_matrix(A)
+    u, s, vh = np.linalg.svd(A, full_matrices=False)
+    r = rank_cut(s, A.shape, tol)[0]
+    return (adjoint(vh[:r]) / s[:r]) @ adjoint(u[:, :r])
 
 
 def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
@@ -64,16 +70,23 @@ def _reflexive_inverse(A, factored: Factored, range_space: Subspace, nullspace: 
     m, n = A.shape
     if range_space.ambient_dim != n or nullspace.ambient_dim != m:
         raise ValueError("ambient mismatch")
-    ra, ker = factored.range, factored.null
-    if (ra.dim + nullspace.dim != m) or not is_direct_sum(ra, nullspace, tol):
+    # M complements R(A) iff N(A*)* B_M is nonsingular, and N complements
+    # N(A) iff R(A*)* B_N is
+    if not _complements(nullspace, factored.conull, tol):
         raise ComplementError("complement condition violated: R(A) and the "
                               "prescribed null space do not split the codomain")
-    if (range_space.dim + ker.dim != n) or not is_direct_sum(range_space, ker, tol):
+    if not _complements(range_space, factored.corange, tol):
         raise ComplementError("complement condition violated: the prescribed "
                               "range and N(A) do not split the domain")
+    return _reflexive_solve(A, range_space, nullspace)
+
+
+def _reflexive_solve(A, range_space: Subspace, nullspace: Subspace) -> np.ndarray:
+    """The solve behind :func:`reflexive_inverse`, for complements that have
+    already been tested: X [A B_N | B_M] = [B_N | 0]."""
     bn = range_space.basis
     joined = np.hstack([A @ bn, nullspace.basis])
-    target = np.hstack([bn, np.zeros((n, nullspace.dim), dtype=np.complex128)])
+    target = np.hstack([bn, np.zeros((A.shape[1], nullspace.dim), dtype=np.complex128)])
     try:
         return np.linalg.solve(joined.T, target.T).T
     except np.linalg.LinAlgError as exc:

@@ -24,6 +24,7 @@ __all__ = [
     "as_pair",
     "singular_values",
     "rank_cut",
+    "sine_cut",
     "numerical_rank",
     "rank_info",
     "range_contains",
@@ -167,6 +168,24 @@ def rank_cut(s, shape: tuple[int, ...], tol: ToleranceConfig = DEFAULT_TOLERANCE
     rank = int(np.count_nonzero(s > cutoff))
     near = bool(np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)))
     return rank, near
+
+
+def sine_cut(s, ambient_dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
+    """The rank decisions on principal-angle sines, made on the descending
+    singular values ``s`` of X* B_M, where X is an orthonormal basis of the
+    orthogonal complement of a subspace S of C^ambient_dim and B_M an
+    orthonormal basis of a subspace M.
+
+    Returns the number of sines above the rank cutoff, which is
+    dim M - dim(M cap S), and whether every sine lies within the
+    subspace-equality threshold, i.e. whether M lies in S.  Sines are
+    measured against orthonormal bases, so both cutoffs are absolute: the
+    rank cutoff of a square ambient matrix and
+    :meth:`ToleranceConfig.subspace_atol`.  Sines resolve an angle to about
+    eps, where 1 - cos resolves it only to about sqrt(eps).
+    """
+    rank = int(np.count_nonzero(s > tol.effective_rank_rtol((ambient_dim, ambient_dim))))
+    return rank, bool(s.size == 0 or s[0] <= tol.subspace_atol(ambient_dim))
 
 
 def rank_info(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:

@@ -13,6 +13,7 @@ satisfies A* = Q B*, both to the residual tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,18 +26,19 @@ from .linalg import (
     as_pair,
     fro,
     numerical_rank,
+    rank_cut,
+    sine_cut,
+    singular_values,
 )
 from .subspaces import (
     Factored,
     Projection,
     Subspace,
+    _complementary,
+    _oblique,
+    _sum_and_meet,
     minimal_angle_cos,
-    oblique_projection,
     ominus,
-    orthogonal_projection,
-    span_dim,
-    subspace_equal,
-    subspace_sum,
 )
 
 __all__ = [
@@ -104,10 +106,56 @@ def _factor_triple(A, B, tol, factors=None):
     return factors, RankData(*(f.rank for f in factors)), flags
 
 
-def _split_holds(part: Subspace, rest: Subspace, whole: Subspace, tol) -> bool:
-    """Whether ``whole`` is the direct sum of ``part`` and ``rest``."""
-    joined = subspace_sum(part, rest, tol)
-    return joined.dim == part.dim + rest.dim and subspace_equal(joined, whole, tol)
+class _Join(NamedTuple):
+    """How R(A) and R(B - A) sit in R(B) on one side, read off the factors."""
+
+    spans: bool   # R(A) + R(B - A) = R(B)
+    covers: bool  # [U_A | U_D | U_B^perp] spans the space
+    direct: bool  # R(A) cap R(B - A) = 0
+
+
+def _join(fa: Factored, fd: Factored, fb: Factored, tol) -> _Join:
+    """The codomain-side :class:`_Join` of A, B - A and B; the factors of the
+    adjoints give the domain side.
+
+    K = U_B* [U_A | U_D] carries both range facts: its rows past rank(B)
+    are the sines of R(A) and R(B - A) beyond R(B), which vanish when both
+    lie in R(B), and its first rank(B) rows have rank rank(B) exactly when
+    [U_A | U_D | U_B^perp] spans the space.  The sines U_A^perp* U_D of
+    R(B - A) against R(A) decide the direct sum.
+    """
+    m = fb.u.shape[0]
+    ud = fd.u[:, :fd.rank]
+    k = adjoint(fb.u) @ np.hstack([fa.u[:, :fa.rank], ud])
+    inside = sine_cut(singular_values(k[fb.rank:]), m, tol)[1]
+    covers = rank_cut(singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), tol)[0] == fb.rank
+    sines = singular_values(adjoint(fa.u[:, fa.rank:]) @ ud)
+    return _Join(inside and covers, covers, sine_cut(sines, m, tol)[0] == fd.rank)
+
+
+def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection | None:
+    """The projection onto R(A) along R(B - A) + ``leftover``, for R(A) and
+    R(B - A) already found disjoint: one solve against [U_A | U_D | leftover]."""
+    if fa.rank + fd.rank + leftover.dim != fa.u.shape[0]:
+        return None
+    try:
+        return _oblique(fa.range, Subspace(np.hstack([fd.range.basis, leftover.basis])), True)
+    except ComplementError:
+        return None
+
+
+def _orthogonal_witness(f: Factored) -> Projection:
+    """The orthogonal projection onto R(X), along N(X*) read off the factor."""
+    return Projection(f.range.projector(), f.range, f.conull)
+
+
+def _group_witness(f: Factored, tol) -> Projection | None:
+    """The projection onto R(X) along N(X) for square X, when they split the
+    space; both their orthogonal complements are read off the factor."""
+    try:
+        return _oblique(f.range, f.null, _complementary(f.range, f.conull, f.null, f.corange, tol))
+    except ComplementError:
+        return None
 
 
 def _angle_margin_ok(ra: Subspace, rd: Subspace, tol, flags) -> bool:
@@ -116,13 +164,6 @@ def _angle_margin_ok(ra: Subspace, rd: Subspace, tol, flags) -> bool:
     if tol.angle_gap / 10.0 < margin < tol.angle_gap * 10.0:
         flags.append("minimal angle within 10x of the gap")
     return margin > tol.angle_gap
-
-
-def _left_witness(ra: Subspace, complement: Subspace, tol) -> Projection | None:
-    try:
-        return oblique_projection(ra, complement, tol)
-    except ComplementError:
-        return None
 
 
 def _projection_ok(A, B, witness_p, fb: Factored, tol) -> bool:
@@ -136,61 +177,56 @@ def _projection_ok(A, B, witness_p, fb: Factored, tol) -> bool:
 class _MinusContext:
     """The minus-order check of A against B together with what it factored,
     for the constructions that need the order and then the same subspaces:
-    the factors of A, B and B - A, the orthogonal complements of
-    R(A) + R(B - A) (``leftover``) and, when the order holds, of
-    R(A*) + R(B* - A*) (``leftover_s``), and the left-side verdict."""
+    the factors of A, B and B - A, from which every subspace relation of
+    the order is read, and the left-side verdict.  When the order holds,
+    the orthogonal complements of R(A) + R(B - A) and R(A*) + R(B* - A*)
+    are N(B*) and N(B), i.e. ``fb.conull`` and ``fb.null``."""
 
     report: OrderReport
     fa: Factored
     fb: Factored
     fd: Factored
-    leftover: Subspace
-    leftover_s: Subspace | None
     left_holds: bool
 
 
 def _minus_context(A, B, tol) -> _MinusContext:
     (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
-    ra, rd, rb = fa.range, fd.range, fb.range
-    ras, rds, rbs = fa.corange, fd.corange, fb.corange
-
-    down = subspace_sum(ra, rd, tol)
-    down_s = subspace_sum(ras, rds, tol)
-    spans_left = subspace_equal(down, rb, tol)
-    spans_right = subspace_equal(down_s, rbs, tol)
-    left_holds = spans_left and down.dim == ra.dim + rd.dim
-    holds = left_holds and spans_right and down_s.dim == ras.dim + rds.dim
+    adjoints = fa.adjoint(), fd.adjoint(), fb.adjoint()
+    left, right = _join(fa, fd, fb, tol), _join(*adjoints, tol)
+    additive = ranks.rank_a + ranks.rank_diff == ranks.rank_b
+    left_holds = left.spans and additive
+    holds = left_holds and right.spans
 
     # The angle route restates disjointness as a minimal-angle margin; the
     # span part of the condition is still required.
-    angle_ok = (spans_left and spans_right
-                and _angle_margin_ok(ra, rd, tol, flags)
-                and _angle_margin_ok(ras, rds, tol, flags))
-    m, n = A.shape
-    kernels_ok = (span_dim(fa.null, fd.null, tol) == n
-                  and span_dim(fa.conull, fd.conull, tol) == m)
+    angle_ok = (left.spans and right.spans
+                and _angle_margin_ok(fa.range, fd.range, tol, flags)
+                and _angle_margin_ok(fa.corange, fd.corange, tol, flags))
+    # N(A) + N(B - A) is the whole domain iff R(A*) cap R(B* - A*) = 0,
+    # and likewise on the codomain side
+    kernels_ok = left.direct and right.direct
 
-    # Canonical left witness: project onto R(A) along R(B-A) + the
-    # orthogonal leftover of R(A) + R(B-A).
-    leftover = down.perp()
-    witness_p = _left_witness(ra, subspace_sum(rd, leftover, tol), tol)
+    # Canonical left witness: project onto R(A) along R(B - A) plus the
+    # orthogonal complement of R(A) + R(B - A).  That complement is N(B*)
+    # when the left side splits R(B); otherwise U_A^perp* U_D yields it.
+    witness_p = None
+    if left_holds:
+        witness_p = _split_witness(fa, fd, fb.conull)
+    elif left.direct:
+        witness_p = _split_witness(fa, fd, _sum_and_meet(fa.range, fa.conull, fd.range, tol)[1])
     projection_ok = _projection_ok(A, B, witness_p, fb, tol)
-
-    witness_q = leftover_s = None
-    if holds:
-        leftover_s = down_s.perp()
-        witness_q = _left_witness(ras, subspace_sum(rds, leftover_s, tol), tol)
+    witness_q = _split_witness(*adjoints[:2], fb.null) if holds else None
 
     verdicts = {
         "ranges": holds,
-        "ranks": ranks.rank_a + ranks.rank_diff == ranks.rank_b,
+        "ranks": additive,
         "angles": angle_ok,
         "kernels": kernels_ok,
         "projection": projection_ok,
     }
     report = OrderReport("minus", holds, verdicts, witness_p if holds else None,
                          witness_q, ranks, tuple(flags))
-    return _MinusContext(report, fa, fb, fd, leftover, leftover_s, left_holds)
+    return _MinusContext(report, fa, fb, fd, left_holds)
 
 
 def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -206,10 +242,12 @@ def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 def _left_minus(A, B, tol):
     """The left-minus report of A against B with the factors of A, B, B - A."""
     (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
-    ra, rd, rb = fa.range, fd.range, fb.range
-    holds = _split_holds(ra, rd, rb, tol)
+    left = _join(fa, fd, fb, tol)
+    holds = left.spans and ranks.rank_a + ranks.rank_diff == ranks.rank_b
 
-    witness_p = _left_witness(ra, subspace_sum(rd, fb.conull, tol), tol)
+    # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff the
+    # ranks add and the join covers R(B)
+    witness_p = _split_witness(fa, fd, fb.conull) if left.covers else None
     verdicts = {"ranges": holds, "projection": _projection_ok(A, B, witness_p, fb, tol)}
     report = OrderReport("left_minus", holds, verdicts, witness_p if holds else None,
                          None, ranks, tuple(flags))
@@ -259,22 +297,28 @@ def _star(A, B, tol):
     gram_right = tol.within(fro(A @ adjoint(A) - B @ adjoint(A)), scale)
     holds = gram_left and gram_right
 
-    ortho = (_orthogonal_split(fa.range, fd.range, fb.range, tol)
-             and _orthogonal_split(fa.corange, fd.corange, fb.corange, tol))
+    ortho = (_orthogonal_join(fa, fd, fb, tol)
+             and _orthogonal_join(fa.adjoint(), fd.adjoint(), fb.adjoint(), tol))
 
     witness_p = witness_q = None
     if holds:
-        witness_p = orthogonal_projection(fa.range)
-        witness_q = orthogonal_projection(fa.corange)
+        witness_p = _orthogonal_witness(fa)
+        witness_q = _orthogonal_witness(fa.adjoint())
     verdicts = {"gram_left": gram_left, "gram_right": gram_right, "orthogonal_ranges": ortho}
     return (OrderReport("star", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
             *factors)
 
 
-def _orthogonal_split(ra: Subspace, rd: Subspace, rb: Subspace, tol) -> bool:
-    if not _split_holds(ra, rd, rb, tol):
-        return False
-    return minimal_angle_cos(ra, rd) <= tol.subspace_atol(ra.ambient_dim)
+def _orthogonal_join(fa: Factored, fd: Factored, fb: Factored, tol) -> bool:
+    """Whether R(B) = R(A) + R(B - A) with orthogonal summands: the ranks
+    add, both ranges lie in R(B) and R(B - A) lies in N(A*).  The sines of
+    the last inclusion are the cosines U_A* U_D."""
+    m = fb.u.shape[0]
+    ud = fd.range.basis
+    beyond = adjoint(fb.conull.basis) @ np.hstack([fa.range.basis, ud])
+    return (fa.rank + fd.rank == fb.rank
+            and sine_cut(singular_values(beyond), m, tol)[1]
+            and sine_cut(singular_values(adjoint(fa.range.basis) @ ud), m, tol)[1])
 
 
 def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -289,9 +333,9 @@ def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRepo
     gram = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), 1.0 + fro(A) * (fro(A) + fro(B)))
     inclusion = numerical_rank(np.hstack([B, A]), tol) == fb.rank
     holds = gram and inclusion
-    ortho = _orthogonal_split(fa.range, fd.range, fb.range, tol)
+    ortho = _orthogonal_join(fa, fd, fb, tol)
 
-    witness_p = orthogonal_projection(fa.range) if holds else None
+    witness_p = _orthogonal_witness(fa) if holds else None
     verdicts = {"gram_left": gram, "range_inclusion": inclusion, "orthogonal_split": ortho}
     return OrderReport("left_star", holds, verdicts, witness_p, None, ranks, tuple(flags))
 
@@ -323,8 +367,8 @@ def _sharp(A, B, tol):
 
     witness_p = witness_q = None
     if holds:
-        witness_p = _left_witness(fa.range, fa.null, tol)
-        witness_q = _left_witness(fa.corange, fa.conull, tol)
+        witness_p = _group_witness(fa, tol)
+        witness_q = _group_witness(fa.adjoint(), tol)
     verdicts = {"square_equals_ba": left_id, "square_equals_ab": right_id}
     return (OrderReport("sharp", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
             *factors)
@@ -351,8 +395,8 @@ def _core(A, B, tol, factors=None):
 
     witness_p = witness_q = None
     if holds:
-        witness_p = orthogonal_projection(fa.range)
-        witness_q = _left_witness(fa.corange, fa.conull, tol)
+        witness_p = _orthogonal_witness(fa)
+        witness_q = _group_witness(fa.adjoint(), tol)
     verdicts = {"gram_left": gram, "square_equals_ba": square}
     return (OrderReport("core", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
             *factors)
@@ -369,17 +413,17 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
     A, B = as_pair(A, B)
     (fa, _, fd), ranks, flags = _factor_triple(A, B, tol)
 
-    ra, rd = fa.range, fd.range
-    ras, rds = fa.corange, fd.corange
-    down, down_s = subspace_sum(ra, rd, tol), subspace_sum(ras, rds, tol)
-    left_trivial = down.dim == ra.dim + rd.dim
-    right_trivial = down_s.dim == ras.dim + rds.dim
+    # R(A) + R(B - A) and its orthogonal complement, on both sides
+    down, leftover = _sum_and_meet(fa.range, fa.conull, fd.range, tol)[:2]
+    down_s, leftover_s = _sum_and_meet(fa.corange, fa.null, fd.corange, tol)[:2]
+    left_trivial = down.dim == fa.rank + fd.rank
+    right_trivial = down_s.dim == fa.rank + fd.rank
     holds = left_trivial and right_trivial
 
     witness_p = witness_q = None
     if holds:
-        witness_p = _left_witness(ra, subspace_sum(rd, down.perp(), tol), tol)
-        witness_q = _left_witness(ras, subspace_sum(rds, down_s.perp(), tol), tol)
+        witness_p = _split_witness(fa, fd, leftover)
+        witness_q = _split_witness(fa.adjoint(), fd.adjoint(), leftover_s)
     verdicts = {"left_intersection_trivial": left_trivial,
                 "right_intersection_trivial": right_trivial}
     return OrderReport("weak_minus", holds, verdicts, witness_p, witness_q, ranks, tuple(flags))

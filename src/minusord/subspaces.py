@@ -2,13 +2,22 @@
 
 A subspace of C^n is represented by an orthonormal basis stored as the
 columns of an (n, k) array; the zero subspace keeps its ambient dimension
-and carries an empty basis.  All set operations (sum, intersection,
-relative complement) go through rank-revealing SVD factorizations with the
-shared rank cutoff of :func:`~minusord.linalg.rank_cut`; a test that needs
-only a dimension (:func:`span_dim`, :func:`is_direct_sum`) or an angle
-(:func:`subspace_equal`, :func:`minimal_angle_cos`) takes singular values
-alone.  A matrix whose fundamental subspaces are all needed is factored
-once into a :class:`Factored`, which reads them off one SVD.
+and carries an empty basis.  A matrix whose fundamental subspaces are all
+needed is factored once into a :class:`Factored`, which reads them off one
+SVD together with their orthogonal complements.
+
+Set operations between two arbitrary subspaces (sum, intersection,
+relative complement) go through rank-revealing SVDs of the joined bases
+with the shared rank cutoff of :func:`~minusord.linalg.rank_cut`; a test
+that needs only a dimension (:func:`span_dim`, :func:`is_direct_sum`) or
+an angle (:func:`subspace_equal`, :func:`minimal_angle_cos`) takes
+singular values alone.  When one side X is read off a factor, its
+orthogonal complement is at hand and the relation with a subspace M is
+read off the small product X^perp* B_M instead, whose singular values are
+the principal-angle sines between M and X (Bjorck & Golub 1973), judged by
+:func:`~minusord.linalg.sine_cut`: :func:`_complements` tests M + X for a
+direct sum of the whole space on values alone, and :func:`_sum_and_meet`
+returns X + M, its orthogonal complement and X cap M from one SVD.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from .linalg import (
     fro,
     numerical_rank,
     rank_cut,
+    sine_cut,
+    singular_values,
 )
 
 __all__ = [
@@ -358,13 +369,60 @@ def oblique_projection(m_space: Subspace, n_space: Subspace,
     :class:`ComplementError` when M and N do not split the ambient space.
     """
     _check_ambient(m_space, n_space)
-    n = m_space.ambient_dim
-    if m_space.dim + n_space.dim != n or not is_direct_sum(m_space, n_space, tol):
+    return _oblique(m_space, n_space, m_space.dim + n_space.dim == m_space.ambient_dim
+                    and is_direct_sum(m_space, n_space, tol))
+
+
+def _oblique(m_space: Subspace, n_space: Subspace, complementary: bool) -> Projection:
+    """:func:`oblique_projection` once ``complementary`` has decided that M
+    and N split the space; raises :class:`ComplementError` when it has not,
+    or when the solve finds them singular."""
+    if not complementary:
         raise ComplementError("not a complementary pair")
     joined = np.hstack([m_space.basis, n_space.basis])
-    target = np.hstack([m_space.basis, np.zeros((n, n_space.dim), dtype=np.complex128)])
+    target = np.hstack([m_space.basis, np.zeros_like(n_space.basis)])
     try:
         matrix = np.linalg.solve(joined.T, target.T).T
     except np.linalg.LinAlgError as exc:
         raise ComplementError("not a complementary pair") from exc
     return Projection(matrix, m_space, n_space)
+
+
+def _complements(m_space: Subspace, x_perp: Subspace,
+                 tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
+    """Whether M and the subspace X with orthogonal complement ``x_perp``
+    split the space: dim M = dim X^perp and M cap X = 0, i.e. the square
+    matrix X^perp* B_M of principal-angle sines is nonsingular."""
+    _check_ambient(m_space, x_perp)
+    if m_space.dim != x_perp.dim:
+        return False
+    sines = singular_values(adjoint(x_perp.basis) @ m_space.basis)
+    return sine_cut(sines, m_space.ambient_dim, tol)[0] == m_space.dim
+
+
+def _complementary(m_space: Subspace, m_perp: Subspace, x_space: Subspace, x_perp: Subspace,
+                   tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
+    """:func:`_complements` of M and X when both orthogonal complements are
+    known, on the smaller of its two equivalent square tests."""
+    if m_space.dim <= x_space.dim:
+        return _complements(m_space, x_perp, tol)
+    return _complements(x_space, m_perp, tol)
+
+
+def _sum_and_meet(x_space: Subspace, x_perp: Subspace, m_space: Subspace,
+                  tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[Subspace, Subspace, Subspace]:
+    """X + M, its orthogonal complement and X cap M, for X with orthogonal
+    complement ``x_perp``, from one SVD of X^perp* B_M = U S W*.
+
+    The sines in S above the cutoff of :func:`~minusord.linalg.sine_cut`
+    count M's directions outside X; X^perp U splits into those directions,
+    which extend B_X to an orthonormal basis of X + M, and the rest, which
+    span (X + M)^perp.  The right singular vectors past them map B_M onto
+    X cap M.
+    """
+    _check_ambient(x_perp, m_space)
+    u, s, wh = np.linalg.svd(adjoint(x_perp.basis) @ m_space.basis)
+    k = sine_cut(s, x_space.ambient_dim, tol)[0]
+    outside = x_perp.basis @ u
+    return (Subspace(np.hstack([x_space.basis, outside[:, :k]])), Subspace(outside[:, k:]),
+            Subspace(m_space.basis @ adjoint(wh[k:])))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import (ComplementError, GroupInvertibilityError, OrderConditionError,
                          VerificationError)
-from .geninv import _core_inverse, _group_inverse, _group_invertible, _reflexive_inverse, pinv
+from .geninv import _core_inverse, _group_inverse, _group_invertible, _reflexive_solve, pinv
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -31,12 +31,12 @@ from .subspaces import (
     Factored,
     Projection,
     Subspace,
-    intersect,
-    is_direct_sum,
-    oblique_projection,
+    _complementary,
+    _complements,
+    _oblique,
+    _sum_and_meet,
     range_basis,
     subspace_equal,
-    subspace_sum,
 )
 
 __all__ = [
@@ -117,16 +117,25 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
 
 
 def _split(context: _MinusContext, A, total, tol, m1, n1) -> SplitWitness:
-    # B = (A + B) - A, so its ranges are those of the context's difference
-    ra, rb = context.fa.range, context.fd.range
-    if m1 is None:
-        m1 = context.leftover
-    if n1 is None:
-        n1 = Subspace.zero(A.shape[0])
-    p = oblique_projection(subspace_sum(ra, m1, tol), subspace_sum(rb, n1, tol), tol)
+    # the order ran on (A, A + B): its B is the sum and its B - A is B
+    fa, ft, fb = context.fa, context.fb, context.fd
+    ra, rb = fa.range, fb.range
+    if m1 is None and n1 is None:
+        # onto R(A) + N(T*) along R(B): the order's witness projects onto
+        # R(A) along R(B) + N(T*), and N(T*) is orthogonal to the rest
+        p = Projection(context.report.witness_p.matrix + ft.conull.projector(),
+                       Subspace(np.hstack([ra.basis, ft.conull.basis])), rb)
+    else:
+        onto = _sum_and_meet(ra, fa.conull, ft.conull if m1 is None else m1, tol)
+        along = _sum_and_meet(rb, fb.conull, Subspace.zero(A.shape[0]) if n1 is None else n1, tol)
+        p = _oblique(onto[0], along[0], _complementary(*onto[:2], *along[:2], tol))
 
-    ras, rbs = context.fa.corange, context.fd.corange
-    q = oblique_projection(subspace_sum(ras, context.leftover_s, tol), rbs, tol).adjoint()
+    # Q is the adjoint of the same construction on the domain side: Q*
+    # projects onto R(A*) + N(T) along R(B*), so Q projects onto N(B)
+    # along N(A) cap R(T*), the null space of V_A* restricted to R(T*)
+    witness_q = context.report.witness_q.matrix + ft.null.projector()
+    kept = np.linalg.svd(adjoint(fa.corange.basis) @ ft.corange.basis)[2][fa.rank:]
+    q = Projection(adjoint(witness_q), fb.null, Subspace(ft.corange.basis @ adjoint(kept)))
 
     eye = np.eye(A.shape[0], dtype=np.complex128)
     e = ra.projector() @ p.matrix + rb.projector() @ (eye - p.matrix)
@@ -221,46 +230,44 @@ def _agreeing_split(context: _MinusContext, A, range_complement, kernel_compleme
     if range_complement.ambient_dim != m or kernel_complement.ambient_dim != n:
         raise ValueError("ambient mismatch")
 
-    r_total, n_total = ft.range, ft.null
-    if (r_total.dim + range_complement.dim != m
-            or not is_direct_sum(r_total, range_complement, tol)):
+    # R(A + B) + M and N(A + B) + N are tested here once; every projection
+    # along them below is a plain solve
+    if not _complements(range_complement, ft.conull, tol):
         raise ComplementError("complement condition violated: M does not complement R(A + B)")
-    if (n_total.dim + kernel_complement.dim != n
-            or not is_direct_sum(n_total, kernel_complement, tol)):
+    if not _complements(kernel_complement, ft.corange, tol):
         raise ComplementError("complement condition violated: N does not complement N(A + B)")
 
-    ra, rb = fa.range, fb.range
-    n1 = subspace_sum(rb, range_complement, tol)
-    n2 = subspace_sum(ra, range_complement, tol)
-    p = oblique_projection(ra, n1, tol)
+    n1, n1_perp, _ = _sum_and_meet(fb.range, fb.conull, range_complement, tol)
+    n2, n2_perp, _ = _sum_and_meet(fa.range, fa.conull, range_complement, tol)
+    p = _oblique(fa.range, n1, _complementary(fa.range, fa.conull, n1, n1_perp, tol))
+    pb = _oblique(fb.range, n2, _complementary(fb.range, fb.conull, n2, n2_perp, tol))
+    _verify_codomain(context, p, p, pb, range_complement, tol)
 
-    n1s = intersect(fb.null, kernel_complement, tol)
-    n2s = intersect(fa.null, kernel_complement, tol)
-    q = oblique_projection(fa.corange, subspace_sum(fb.corange, kernel_complement.perp(), tol),
-                           tol).adjoint()
-
-    _verify_split_identities(context, p, q, p, n2, n1s, n2s,
-                             range_complement, kernel_complement, tol)
+    n1s = _sum_and_meet(fb.null, fb.corange, kernel_complement, tol)[2]
+    n2s = _sum_and_meet(fa.null, fa.corange, kernel_complement, tol)[2]
+    # Q projects onto N1* = N(B) cap N along N(A)
+    q = _oblique(n1s, fa.null, _complements(n1s, fa.corange, tol))
+    qb = _oblique(n2s, fb.null, _complements(n2s, fb.corange, tol))
+    _verify_domain(context, q, q, qb, kernel_complement, tol)
     return AgreeingSplit(p=p, q=q, n1=n1, n2=n2, n1s=n1s, n2s=n2s)
 
 
-def _verify_split_identities(context: _MinusContext, p, q, pa, n2, n1s, n2s,
-                             range_complement, kernel_complement, tol):
-    """Check the two projection-sum identities tying the complements to
-    the prescribed (M, N) pair; ``pa`` projects onto R(A) along N1."""
-    fa, ft, fb = context.fa, context.fb, context.fd
-    eye_m = np.eye(p.matrix.shape[0], dtype=np.complex128)
-    eye_n = np.eye(q.matrix.shape[0], dtype=np.complex128)
-
-    lhs = (pa.matrix @ p.matrix
-           + oblique_projection(fb.range, n2, tol).matrix @ (eye_m - p.matrix))
-    rhs = oblique_projection(ft.range, range_complement, tol).matrix
+def _verify_codomain(context: _MinusContext, p, pa, pb, range_complement, tol):
+    """Check the codomain projection-sum identity tying the complements to
+    M: ``pa`` and ``pb`` project onto R(A) and R(B) along N1 and N2."""
+    eye = np.eye(p.matrix.shape[0], dtype=np.complex128)
+    lhs = pa.matrix @ p.matrix + pb.matrix @ (eye - p.matrix)
+    rhs = _oblique(context.fb.range, range_complement, True).matrix
     tol.verify("codomain projection identity failed for the given complements",
                fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
 
-    lhs = (q.matrix @ oblique_projection(n1s, fa.null, tol).matrix
-           + (eye_n - q.matrix) @ oblique_projection(n2s, fb.null, tol).matrix)
-    rhs = oblique_projection(kernel_complement, ft.null, tol).matrix
+
+def _verify_domain(context: _MinusContext, q, qa, qb, kernel_complement, tol):
+    """Check the domain projection-sum identity tying the complements to
+    N: ``qa`` and ``qb`` project onto N1* and N2* along N(A) and N(B)."""
+    eye = np.eye(q.matrix.shape[0], dtype=np.complex128)
+    lhs = q.matrix @ qa.matrix + (eye - q.matrix) @ qb.matrix
+    rhs = _oblique(kernel_complement, context.fb.null, True).matrix
     tol.verify("domain projection identity failed for the given complements",
                fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
 
@@ -287,15 +294,21 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
         split.n1s if n1s is None else n1s,
         split.n2s if n2s is None else n2s,
     )
-    if any(x is not None for x in (n1, n2, n1s, n2s)):
-        # the split's p projects onto R(A) along its own N1
-        pa = split.p if n1 is None else oblique_projection(context.fa.range, n1, tol)
-        _verify_split_identities(context, split.p, split.q, pa, *chosen[1:],
-                                 range_complement, kernel_complement, tol)
     c1, c2, c1s, c2s = chosen
     # the summands' factors are the context's: B's is that of (A + B) - A
-    xa = _reflexive_inverse(A, context.fa, c1s, c1, tol)
-    xb = _reflexive_inverse(B, context.fd, c2s, c2, tol)
+    fa, fb = context.fa, context.fd
+    if any(x is not None for x in (n1, n2, n1s, n2s)):
+        # the split has tested its own complements; each given one is
+        # tested here, once
+        pa = split.p if n1 is None else _oblique(fa.range, n1, _complements(n1, fa.conull, tol))
+        pb = _oblique(fb.range, c2, n2 is None or _complements(n2, fb.conull, tol))
+        _verify_codomain(context, split.p, pa, pb, range_complement, tol)
+        qa = split.q if n1s is None else _oblique(n1s, fa.null, _complements(n1s, fa.corange, tol))
+        qb = _oblique(c2s, fb.null, n2s is None or _complements(n2s, fb.corange, tol))
+        _verify_domain(context, split.q, qa, qb, kernel_complement, tol)
+    # every complement has now been tested against the summand it serves
+    xa = _reflexive_solve(A, c1s, c1)
+    xb = _reflexive_solve(B, c2s, c2)
     eye_m = np.eye(A.shape[0], dtype=np.complex128)
     eye_n = np.eye(A.shape[1], dtype=np.complex128)
     return (split.q.matrix @ xa @ split.p.matrix
@@ -315,8 +328,9 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     A, B = as_pair(A, B)
     context = _require_minus(A, A + B, tol, "A is not minus-below A + B")
     split = _agreeing_split(context, A, range_complement, kernel_complement, tol)
-    xa = _reflexive_inverse(A, context.fa, split.n1s, split.n1, tol)
-    xb = _reflexive_inverse(B, context.fd, split.n2s, split.n2, tol)
+    # the split has tested these complements against R(A), N(A), R(B), N(B)
+    xa = _reflexive_solve(A, split.n1s, split.n1)
+    xb = _reflexive_solve(B, split.n2s, split.n2)
 
     compressed = split.q.matrix @ xa @ split.p.matrix
     tol.verify("compressed first summand disagrees with the direct route",

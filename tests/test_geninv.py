@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minusord.exceptions import ComplementError, GroupInvertibilityError
 from minusord.geninv import (
@@ -9,7 +11,7 @@ from minusord.geninv import (
     pinv,
     reflexive_inverse,
 )
-from minusord.linalg import ToleranceConfig, adjoint
+from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, fro
 from minusord.subspaces import Subspace, null_basis, range_basis
 
 from conftest import cgauss
@@ -36,6 +38,33 @@ def test_pinv_respects_cutoff():
     # under a coarse cutoff the small direction is treated as zero
     x = pinv(a, ToleranceConfig(rank_rtol=1e-3))
     assert np.allclose(x, np.diag([1.0, 0.0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 12),
+       st.integers(0, 2**32 - 1))
+def test_pinv_matches_numpy_rank_cut(m, n, r, seed):
+    # tall, wide and square, of every rank; the economy factors give the
+    # same pseudoinverse as numpy's with the package's cutoff
+    r = min(r, m, n)
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(cgauss(rng, m, m))[0][:, :r]
+    right = np.linalg.qr(cgauss(rng, n, n))[0][:, :r]
+    a = (left * rng.uniform(1.0, 10.0, r)) @ adjoint(right)
+    oracle = np.linalg.pinv(a, rcond=DEFAULT_TOLERANCE.effective_rank_rtol(a.shape))
+    assert fro(pinv(a) - oracle) <= 1e-14 * max(fro(oracle), 1.0)
+
+
+def test_reflexive_inverse_complement_messages():
+    a = np.diag([1.0, 0.0]).astype(complex)
+    e1 = Subspace.from_span(np.array([[1.0], [0.0]]))
+    e2 = Subspace.from_span(np.array([[0.0], [1.0]]))
+    with pytest.raises(ComplementError, match="^complement condition violated: R\\(A\\) and "
+                       "the prescribed null space do not split the codomain$"):
+        reflexive_inverse(a, e1, e1)
+    with pytest.raises(ComplementError, match="^complement condition violated: the prescribed "
+                       "range and N\\(A\\) do not split the domain$"):
+        reflexive_inverse(a, e2, e2)
 
 
 def test_reflexive_inverse_frozen():

@@ -166,6 +166,62 @@ def test_sum_reflexive_rejects_bad_complement(rng):
         sum_reflexive_inverse(a, b, inside, good_n)
 
 
+CODOMAIN = "complement condition violated: M does not complement R(A + B)"
+DOMAIN = "complement condition violated: N does not complement N(A + B)"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("m_meets_range", CODOMAIN),
+    ("m_too_small", CODOMAIN),
+    ("n_meets_kernel", DOMAIN),
+    ("n1_meets_range_a", "not a complementary pair"),
+    ("n2_meets_range_b", "not a complementary pair"),
+    ("n1s_meets_kernel_a", "not a complementary pair"),
+    ("n2s_meets_kernel_b", "not a complementary pair"),
+])
+def test_sum_reflexive_complement_messages(bad, message):
+    # each complement is tested once; every failing test keeps its message
+    rng = np.random.default_rng(31)
+    a, b = minus_pair(rng, 6, 5, 2, 2)
+    s = a + b
+    m_comp, n_comp = random_complements(rng, s, 6, 5, 4)
+
+    def meeting(space, dim):
+        """A subspace of the given dimension through one direction of ``space``."""
+        return Subspace.from_span(np.hstack([space.basis[:, :1],
+                                             cgauss(rng, space.ambient_dim, dim - 1)]))
+
+    given = {}
+    if bad == "m_meets_range":
+        m_comp = meeting(range_basis(s), 2)
+    elif bad == "m_too_small":
+        m_comp = Subspace.from_span(cgauss(rng, 6, 1))
+    elif bad == "n_meets_kernel":
+        n_comp = meeting(null_basis(s), 4)
+    elif bad == "n1_meets_range_a":
+        given["n1"] = meeting(range_basis(a), 4)
+    elif bad == "n2_meets_range_b":
+        given["n2"] = meeting(range_basis(b), 4)
+    elif bad == "n1s_meets_kernel_a":
+        given["n1s"] = meeting(null_basis(a), 2)
+    else:
+        given["n2s"] = meeting(null_basis(b), 2)
+    with pytest.raises(ComplementError) as info:
+        sum_reflexive_inverse(a, b, m_comp, n_comp, **given)
+    assert str(info.value) == message
+
+
+def test_alternate_complements_of_another_space_are_rejected(rng):
+    a, b = minus_pair(rng, 6, 5, 2, 2)
+    m_comp, n_comp = random_complements(rng, a + b, 6, 5, 4)
+    stranger = Subspace.from_span(cgauss(rng, 7, 4))
+    for call in (lambda: build_split(a, b, m1=stranger),
+                 lambda: sum_reflexive_inverse(a, b, m_comp, n_comp, n1=stranger),
+                 lambda: sum_reflexive_inverse(a, b, m_comp, n_comp, n2s=stranger)):
+        with pytest.raises(ValueError, match="^ambient mismatch$"):
+            call()
+
+
 def test_sum_reflexive_requires_minus(rng):
     a = cgauss(rng, 4, 4)
     b = cgauss(rng, 4, 4)
