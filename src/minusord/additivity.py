@@ -5,30 +5,26 @@ contained in R(A + B), and under disjoint ranges it is further equivalent
 to the null spaces of A and B jointly spanning the domain.  Each predicate
 here evaluates its side of such an equivalence independently, so the
 equivalences themselves stay observable in tests.
+
+Every subspace relation is read off one factor each of A and B, on the
+principal-angle sines between a side of A and a side of B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exceptions import ComplementError
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     adjoint,
     as_pair,
     fro,
+    numerical_rank,
     range_contains,
 )
-from .subspaces import (
-    Factored,
-    Projection,
-    oblique_projection,
-    range_basis,
-    span_dim,
-    subspace_equal,
-    subspace_sum,
-)
+from .orders import _split_witness
+from .subspaces import Factored, Projection, _outside, _sum_and_meet
 
 __all__ = [
     "DisjointRangeAdditivity",
@@ -62,14 +58,20 @@ class DisjointRangeAdditivity:
     kernels_span: bool
 
 
+def _kernels_span(fa: Factored, fb: Factored, tol) -> bool:
+    """Whether N(A) + N(B) is the domain: rank(A) directions of N(B) lie outside N(A)."""
+    return _outside(fa.corange, fb.null, tol) == fa.rank
+
+
 def disjoint_range_additivity(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> DisjointRangeAdditivity:
     A, B = as_pair(A, B)
     fa, fb = Factored.of(A, tol), Factored.of(B, tol)
-    joined = subspace_sum(fa.range, fb.range, tol)
-    disjoint = joined.dim == fa.rank + fb.rank
-    additive = disjoint and subspace_equal(range_basis(A + B, tol), joined, tol)
-    spans = span_dim(fa.null, fb.null, tol) == A.shape[1]
-    return DisjointRangeAdditivity(ranges_disjoint=disjoint, additive=additive, kernels_span=spans)
+    # R(A) cap R(B) = 0 iff all of R(B) lies outside R(A); R(A + B) always
+    # lies in R(A) + R(B), so the two are equal iff their dimensions are
+    disjoint = _outside(fa.conull, fb.range, tol) == fb.rank
+    additive = disjoint and numerical_rank(A + B, tol) == fa.rank + fb.rank
+    return DisjointRangeAdditivity(ranges_disjoint=disjoint, additive=additive,
+                                   kernels_span=_kernels_span(fa, fb, tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,28 +94,21 @@ class KernelCharacterization:
 def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> KernelCharacterization:
     A, B = as_pair(A, B)
     fa, fb = Factored.of(A, tol), Factored.of(B, tol)
-    ras, rbs = fa.corange, fb.corange
-    joined = subspace_sum(ras, rbs, tol)
-    direct = joined.dim == ras.dim + rbs.dim
+    # R(A*) + R(B*) and its orthogonal complement, from the sines against N(A)
+    joined, leftover, _ = _sum_and_meet(fa.corange, fa.null, fb.corange, tol)
+    direct = joined.dim == fa.rank + fb.rank
 
     witness = None
     if direct:
-        rest = joined.perp()
-        complement = subspace_sum(rbs, rest, tol)
-        try:
-            candidate = oblique_projection(ras, complement, tol)
-        except ComplementError:
-            candidate = None
+        candidate = _split_witness(fa.adjoint(), fb.adjoint(), leftover)
         if candidate is not None:
             residual = fro(adjoint(A) - candidate.matrix @ (adjoint(A) + adjoint(B)))
             if tol.within(residual, 1.0 + fro(A) + fro(B)):
                 witness = candidate
 
-    spans = span_dim(fa.null, fb.null, tol) == A.shape[1]
-    additive = is_range_additive(A, B, tol)
     return KernelCharacterization(
         adjoint_ranges_direct_closed=direct,
         witness_q=witness,
-        kernels_span=spans,
-        range_additive=additive,
+        kernels_span=_kernels_span(fa, fb, tol),
+        range_additive=is_range_additive(A, B, tol),
     )

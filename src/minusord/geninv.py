@@ -5,6 +5,8 @@ unique X with A X A = A, X A X = X, R(X) = N, N(X) = M; it exists exactly
 when N complements N(A) in the domain and M complements R(A) in the
 codomain.  Then A X is the projection onto R(A) along M and X A the
 projection onto N along N(A).
+The group and core inverses (null space N(A), respectively N(A*), and
+range R(A)) exist when A is group invertible, decided once off A's factor.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .linalg import (
     ToleranceConfig,
     adjoint,
     as_matrix,
-    numerical_rank,
     rank_cut,
 )
 from .subspaces import Factored, Subspace, _complements
@@ -61,15 +62,10 @@ def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
         composed with the projection onto R(A) along ``nullspace``.
     """
     A = as_matrix(A, "A")
-    return _reflexive_inverse(A, Factored.of(A, tol), range_space, nullspace, tol)
-
-
-def _reflexive_inverse(A, factored: Factored, range_space: Subspace, nullspace: Subspace,
-                       tol) -> np.ndarray:
-    """:func:`reflexive_inverse` of A read off its factor."""
     m, n = A.shape
     if range_space.ambient_dim != n or nullspace.ambient_dim != m:
         raise ValueError("ambient mismatch")
+    factored = Factored.of(A, tol)
     # M complements R(A) iff N(A*)* B_M is nonsingular, and N complements
     # N(A) iff R(A*)* B_N is
     if not _complements(nullspace, factored.conull, tol):
@@ -101,28 +97,34 @@ def _square(A) -> np.ndarray:
 
 
 def is_group_invertible(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
-    """Whether rank(A @ A) == rank(A), i.e. R(A) and N(A) split the space."""
+    """Whether R(A) and N(A) split the space (equivalently rank(A^2) = rank(A)),
+    decided on the r x r sines V_r* U_r read off one SVD of A."""
+    return _group_invertible(Factored.of(_square(A), tol), tol)
+
+
+def _group_invertible(factored: Factored, tol) -> bool:
+    """The one group-invertibility rule: R(A) and N(A) split the space iff
+    the principal-angle sines R(A*)* B_R(A) = V_r* U_r are nonsingular."""
+    return _complements(factored.range, factored.corange, tol)
+
+
+def _group_factor(A, tol) -> tuple[np.ndarray, Factored]:
+    """Square A with its factor, once A is found group invertible."""
     A = _square(A)
-    return numerical_rank(A @ A, tol) == numerical_rank(A, tol)
-
-
-def _group_invertible(A, factored: Factored, tol) -> bool:
-    """:func:`is_group_invertible` with rank(A) read off A's factor."""
-    return numerical_rank(A @ A, tol) == factored.rank
+    factored = Factored.of(A, tol)
+    if not _group_invertible(factored, tol):
+        raise GroupInvertibilityError("not group invertible")
+    return A, factored
 
 
 def group_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     """Group inverse: the reflexive inverse with range R(A), null space N(A)."""
-    A = _square(A)
-    factored = Factored.of(A, tol)
-    if not _group_invertible(A, factored, tol):
-        raise GroupInvertibilityError("not group invertible")
-    return _group_inverse(A, factored, tol)
+    return _group_inverse(*_group_factor(A, tol))
 
 
-def _group_inverse(A, factored: Factored, tol) -> np.ndarray:
-    """:func:`group_inverse` of a group-invertible square A read off its factor."""
-    return _reflexive_inverse(A, factored, factored.range, factored.null, tol)
+def _group_inverse(A, factored: Factored) -> np.ndarray:
+    """:func:`group_inverse` of a square A already found group invertible."""
+    return _reflexive_solve(A, factored.range, factored.null)
 
 
 def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -131,13 +133,9 @@ def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     Defined for group-invertible A; coincides with A# A A+ (checked in the
     test suite as an independent route).
     """
-    A = _square(A)
-    factored = Factored.of(A, tol)
-    if not _group_invertible(A, factored, tol):
-        raise GroupInvertibilityError("not group invertible")
-    return _core_inverse(A, factored, tol)
+    return _core_inverse(*_group_factor(A, tol))
 
 
-def _core_inverse(A, factored: Factored, tol) -> np.ndarray:
-    """:func:`core_inverse` of a group-invertible square A read off its factor."""
-    return _reflexive_inverse(A, factored, factored.range, factored.conull, tol)
+def _core_inverse(A, factored: Factored) -> np.ndarray:
+    """:func:`core_inverse` of a square A already found group invertible."""
+    return _reflexive_solve(A, factored.range, factored.conull)

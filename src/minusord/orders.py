@@ -34,11 +34,9 @@ from .subspaces import (
     Factored,
     Projection,
     Subspace,
-    _complementary,
     _oblique,
     _sum_and_meet,
     minimal_angle_cos,
-    ominus,
 )
 
 __all__ = [
@@ -149,11 +147,11 @@ def _orthogonal_witness(f: Factored) -> Projection:
     return Projection(f.range.projector(), f.range, f.conull)
 
 
-def _group_witness(f: Factored, tol) -> Projection | None:
-    """The projection onto R(X) along N(X) for square X, when they split the
-    space; both their orthogonal complements are read off the factor."""
+def _group_witness(f: Factored) -> Projection | None:
+    """The projection onto R(X) along N(X) for a square X already found
+    group invertible; ``None`` when the solve finds them singular."""
     try:
-        return _oblique(f.range, f.null, _complementary(f.range, f.conull, f.null, f.corange, tol))
+        return _oblique(f.range, f.null, True)
     except ComplementError:
         return None
 
@@ -355,8 +353,8 @@ def _sharp(A, B, tol):
     """The sharp-order report of A against B with the factors of A, B, B - A."""
     factors, ranks, flags = _factor_triple(A, B, tol)
     fa, fb, _ = factors
-    for mat, f, label in ((A, fa, "A"), (B, fb, "B")):
-        if not _group_invertible(mat, f, tol):
+    for f, label in ((fa, "A"), (fb, "B")):
+        if not _group_invertible(f, tol):
             raise GroupInvertibilityError(f"{label} is not group invertible")
 
     square = A @ A
@@ -367,8 +365,8 @@ def _sharp(A, B, tol):
 
     witness_p = witness_q = None
     if holds:
-        witness_p = _group_witness(fa, tol)
-        witness_q = _group_witness(fa.adjoint(), tol)
+        witness_p = _group_witness(fa)
+        witness_q = _group_witness(fa.adjoint())
     verdicts = {"square_equals_ba": left_id, "square_equals_ab": right_id}
     return (OrderReport("sharp", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
             *factors)
@@ -385,7 +383,7 @@ def _core(A, B, tol, factors=None):
     (computed unless ``factors`` holds them)."""
     factors, ranks, flags = _factor_triple(A, B, tol, factors)
     fa = factors[0]
-    if not _group_invertible(A, fa, tol):
+    if not _group_invertible(fa, tol):
         raise GroupInvertibilityError("A is not group invertible")
 
     scale = 1.0 + fro(A) * (fro(A) + fro(B))
@@ -396,7 +394,7 @@ def _core(A, B, tol, factors=None):
     witness_p = witness_q = None
     if holds:
         witness_p = _orthogonal_witness(fa)
-        witness_q = _group_witness(fa.adjoint(), tol)
+        witness_q = _group_witness(fa.adjoint())
     verdicts = {"gram_left": gram, "square_equals_ba": square}
     return (OrderReport("core", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
             *factors)
@@ -454,20 +452,23 @@ def order_predicate(name: str):
 def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     """An inner inverse of A adapted to A <=(left-minus) B.
 
-    Inverts A on M = N(B - A) ominus N(A) back onto that slice of the
-    domain and annihilates R(B - A) plus the orthogonal leftover of R(B),
-    which forces X A = X B and (A - B) X = 0.  Raises
-    :class:`OrderConditionError` when the left minus order fails.
+    Inverts A on M, the orthogonal complement of N(B - A) cap N(A) inside
+    N(B - A), back onto that slice of the domain and annihilates R(B - A)
+    plus the orthogonal leftover of R(B), which forces X A = X B and
+    (A - B) X = 0.  Raises :class:`OrderConditionError` when the left
+    minus order fails.
     """
     A, B = as_pair(A, B)
     report, fa, fb, fd = _left_minus(A, B, tol)
     _require(report, "order does not hold")
     m, n = A.shape
-    m_slice = ominus(fd.null, fa.null, tol)
-    joined = np.hstack([A @ m_slice.basis, fd.range.basis, fb.conull.basis])
+    # M is spanned by the right singular vectors of the sines R(A*)* B_N(B-A)
+    _, sines, wh = np.linalg.svd(adjoint(fa.corange.basis) @ fd.null.basis, full_matrices=False)
+    m_slice = fd.null.basis @ adjoint(wh[:sine_cut(sines, n, tol)[0]])
+    joined = np.hstack([A @ m_slice, fd.range.basis, fb.conull.basis])
     if joined.shape[1] != m:
         raise ComplementError("complement condition violated")
-    target = np.hstack([m_slice.basis, np.zeros((n, m - m_slice.dim), dtype=np.complex128)])
+    target = np.hstack([m_slice, np.zeros((n, m - m_slice.shape[1]), dtype=np.complex128)])
     try:
         witness = np.linalg.solve(joined.T, target.T).T
     except np.linalg.LinAlgError as exc:

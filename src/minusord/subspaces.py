@@ -15,9 +15,10 @@ singular values alone.  When one side X is read off a factor, its
 orthogonal complement is at hand and the relation with a subspace M is
 read off the small product X^perp* B_M instead, whose singular values are
 the principal-angle sines between M and X (Bjorck & Golub 1973), judged by
-:func:`~minusord.linalg.sine_cut`: :func:`_complements` tests M + X for a
-direct sum of the whole space on values alone, and :func:`_sum_and_meet`
-returns X + M, its orthogonal complement and X cap M from one SVD.
+:func:`~minusord.linalg.sine_cut`: :func:`_outside` counts M's directions
+outside X and :func:`_complements` tests M + X for a direct sum of the whole
+space on values alone; :func:`_sum_and_meet` returns X + M, its orthogonal
+complement and X cap M from one SVD.
 """
 
 from __future__ import annotations
@@ -277,15 +278,15 @@ def ominus(m_space: Subspace, n_space: Subspace,
            tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
     """The relative orthogonal complement M ominus N = M intersect (M cap N)^perp.
 
-    Computed by projecting the basis of M off the intersection and
-    re-orthonormalizing; the dimension drops by exactly dim(M cap N).
+    Computed by projecting the basis of M off the intersection and keeping
+    the leading dim(M) - dim(M cap N) left singular vectors of the rest.
     """
     _check_ambient(m_space, n_space)
     inter = intersect(m_space, n_space, tol)
     if inter.dim == 0:
         return m_space
     reduced = m_space.basis - inter.projector() @ m_space.basis
-    return Subspace.from_span(reduced, tol)
+    return Subspace(np.linalg.svd(reduced, full_matrices=False)[0][:, :m_space.dim - inter.dim])
 
 
 def is_direct_sum(m_space: Subspace, n_space: Subspace,
@@ -388,16 +389,20 @@ def _oblique(m_space: Subspace, n_space: Subspace, complementary: bool) -> Proje
     return Projection(matrix, m_space, n_space)
 
 
+def _outside(x_perp: Subspace, m_space: Subspace, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
+    """dim M - dim(M cap X) for the subspace X with orthogonal complement
+    ``x_perp``: the number of principal-angle sines X^perp* B_M above the cutoff."""
+    sines = singular_values(adjoint(x_perp.basis) @ m_space.basis)
+    return sine_cut(sines, m_space.ambient_dim, tol)[0]
+
+
 def _complements(m_space: Subspace, x_perp: Subspace,
                  tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether M and the subspace X with orthogonal complement ``x_perp``
     split the space: dim M = dim X^perp and M cap X = 0, i.e. the square
     matrix X^perp* B_M of principal-angle sines is nonsingular."""
     _check_ambient(m_space, x_perp)
-    if m_space.dim != x_perp.dim:
-        return False
-    sines = singular_values(adjoint(x_perp.basis) @ m_space.basis)
-    return sine_cut(sines, m_space.ambient_dim, tol)[0] == m_space.dim
+    return m_space.dim == x_perp.dim and _outside(x_perp, m_space, tol) == m_space.dim
 
 
 def _complementary(m_space: Subspace, m_perp: Subspace, x_space: Subspace, x_perp: Subspace,

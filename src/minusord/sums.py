@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (ComplementError, GroupInvertibilityError, OrderConditionError,
-                         VerificationError)
-from .geninv import _core_inverse, _group_inverse, _group_invertible, _reflexive_solve, pinv
+from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
+from .geninv import (_core_inverse, _group_factor, _group_inverse, _group_invertible,
+                     _reflexive_solve, pinv)
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -28,15 +28,12 @@ from .linalg import (
 from .orders import (_core, _minus_context, _MinusContext, _require, _sharp, _star,
                      left_minus_order)
 from .subspaces import (
-    Factored,
     Projection,
     Subspace,
     _complementary,
     _complements,
     _oblique,
     _sum_and_meet,
-    range_basis,
-    subspace_equal,
 )
 
 __all__ = [
@@ -144,8 +141,11 @@ def _split(context: _MinusContext, A, total, tol, m1, n1) -> SplitWitness:
     tol.verify("split witness failed A = P (A + B)", fro(A - p.matrix @ total), scale)
     tol.verify("split witness failed A = (A + B) Q", fro(A - total @ q.matrix), scale)
     tol.verify("projection sum E is not idempotent", fro(e @ e - e), 1.0 + fro(e) ** 2)
-    if not subspace_equal(range_basis(e, tol), context.fb.range, tol):
-        raise VerificationError("projection sum E has the wrong range")
+    # an idempotent E has range R(A + B) iff it fixes R(A + B) and maps
+    # into it: E U_T = U_T and U_T^perp* E = 0
+    ut = ft.range.basis
+    for residual in (fro(e @ ut - ut), fro(adjoint(ft.conull.basis) @ e)):
+        tol.verify("projection sum E has the wrong range", residual, 1.0 + fro(e))
 
     optimal = tol.within(fro(e - adjoint(e)), 1.0 + fro(e))
     return SplitWitness(p=p, q=q, e=e, optimal=optimal)
@@ -351,7 +351,7 @@ def ordered_inverse_additivity(A, B, kind: str,
     check's factor of (A + B) - A carries the rounding of A + B, which
     can exceed B's rank cutoff when B is small beside A.
     """
-    A, B = as_pair(A, B)
+    A, B = as_pair(A, B, square=kind in ("group", "core"))
     total = A + B
     if kind == "moore_penrose":
         report, fa, ft, _ = _star(A, total, tol)
@@ -362,11 +362,8 @@ def ordered_inverse_additivity(A, B, kind: str,
         # the sharp check has found A and A + B group invertible, not B
         report, fa, ft, _ = _sharp(A, total, tol)
         _require(report, "required order fails: A is not sharp-below A + B")
-        fb = Factored.of(B, tol)
-        if not _group_invertible(B, fb, tol):
-            raise GroupInvertibilityError("not group invertible")
-        result = _group_inverse(A, fa, tol) + _group_inverse(B, fb, tol)
-        oracle = _group_inverse(total, ft, tol)
+        result = _group_inverse(*_group_factor(B, tol)) + _group_inverse(A, fa)
+        oracle = _group_inverse(total, ft)
     elif kind == "core":
         # the core check has found A group invertible, not B or A + B
         report, fa, ft, fd = _core(A, total, tol)
@@ -374,13 +371,10 @@ def ordered_inverse_additivity(A, B, kind: str,
         mirrored = (fa.adjoint(), ft.adjoint(), fd.adjoint())
         _require(_core(adjoint(A), adjoint(total), tol, mirrored)[0],
                  "required order fails: A* is not core-below (A + B)*")
-        fb = Factored.of(B, tol)
-        if not _group_invertible(B, fb, tol):
+        result = _core_inverse(*_group_factor(B, tol)) + _core_inverse(A, fa)
+        if not _group_invertible(ft, tol):
             raise GroupInvertibilityError("not group invertible")
-        result = _core_inverse(A, fa, tol) + _core_inverse(B, fb, tol)
-        if not _group_invertible(total, ft, tol):
-            raise GroupInvertibilityError("not group invertible")
-        oracle = _core_inverse(total, ft, tol)
+        oracle = _core_inverse(total, ft)
     else:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(INVERSE_KINDS)}")
 

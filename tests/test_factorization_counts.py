@@ -9,15 +9,22 @@ on those of a matrix with a dimension of at least 9, i.e. of the operands'
 size.  The order checks read their subspace relations off the factors of
 A, B and B - A, so beyond those factors only matrices of the ranks' size
 are factored; the third bound keeps work from drifting back to n-sized
-joined bases while the total stays flat.
+joined bases while the total stays flat.  Group invertibility and range
+additivity are read off the same factors, so the modules that build on
+them name none of the set operations of two arbitrary subspaces.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from minusord.additivity import disjoint_range_additivity, kernel_characterization
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
+from minusord.geninv import core_inverse, group_inverse
 from minusord.lsq import decoupled_lss
-from minusord.orders import minus_order, star_order
+from minusord.orders import inner_inverse_witness, minus_order, sharp_order, star_order
 from minusord.subspaces import Subspace
 from minusord.sums import (build_split, fill_fishkind_pinv, ordered_inverse_additivity,
                            sum_reflexive_inverse, werner_decomposition)
@@ -36,13 +43,19 @@ N = Subspace.from_span(_rng.standard_normal((9, 6)) + 1j * _rng.standard_normal(
 CALLS = {
     "minus_order": (lambda: minus_order(A, A + B), 12, 3, 4),
     "star_order": (lambda: star_order(SA, SA + SB), 7, 3, 3),
-    "build_split": (lambda: build_split(A, B), 15, 5, 6),
-    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 15, 5, 6),
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 16, 6, 7),
+    "sharp_order": (lambda: sharp_order(HA, HA + HB), 5, 3, 3),
+    "inner_inverse_witness": (lambda: inner_inverse_witness(A, A + B), 8, 4, 4),
+    "group_inverse": (lambda: group_inverse(HA), 2, 1, 1),
+    "core_inverse": (lambda: core_inverse(CA), 2, 1, 1),
+    "build_split": (lambda: build_split(A, B), 13, 4, 4),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 13, 4, 4),
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 14, 5, 5),
     "additivity_moore_penrose":
         (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 8, 4, 4),
-    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 15, 4, 7),
-    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 16, 4, 8),
+    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 7, 4, 4),
+    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 8, 4, 4),
+    "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3),
+    "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 4),
     "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 22, 7, 4),
     "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 22, 7, 4),
 }
@@ -63,3 +76,28 @@ def test_svd_count_bound(monkeypatch, name):
     assert 0 < len(calls) <= bound
     assert sum(vectors for vectors, _ in calls) <= vectors_bound
     assert sum(sized for _, sized in calls) <= sized_bound
+
+
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "minusord"
+
+#: The set operations that join arbitrary bases (and the complement SVD);
+#: they stay public API and serve as the tests' reference routes.
+SET_OPERATIONS = {"subspace_sum", "span_dim", "intersect", "ominus", "is_direct_sum",
+                  "subspace_equal", "range_basis", "oblique_projection", "perp"}
+
+
+@pytest.mark.parametrize("module", ["orders", "sums", "geninv", "additivity", "lsq"])
+def test_set_operations_not_used_inside(module):
+    # every subspace relation in these modules is read off the operands'
+    # factors; the identifiers they name (imports, calls and attribute
+    # reads such as ``.perp()``) include none of the joined-basis routes
+    tree = ast.parse((SOURCES / f"{module}.py").read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+    assert not named & SET_OPERATIONS

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minusord.exceptions import ComplementError, GroupInvertibilityError
+from minusord.generate import core_pair, sharp_pair
 from minusord.geninv import (
     core_inverse,
     group_inverse,
@@ -11,7 +12,8 @@ from minusord.geninv import (
     pinv,
     reflexive_inverse,
 )
-from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, fro
+from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, fro, numerical_rank
+from minusord.orders import core_order, sharp_order
 from minusord.subspaces import Subspace, null_basis, range_basis
 
 from conftest import cgauss
@@ -161,3 +163,37 @@ def test_core_inverse_matches_composition(rng):
 def test_core_inverse_requires_group_invertible():
     with pytest.raises(GroupInvertibilityError):
         core_inverse(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _rank_rule(a):
+    """The reference rule: A has index at most one iff rank(A^2) == rank(A)."""
+    return numerical_rank(a @ a) == numerical_rank(a)
+
+
+@pytest.mark.parametrize("pair", [sharp_pair, core_pair])
+def test_group_invertibility_matches_rank_rule(pair):
+    for seed in range(40):
+        n = 4 + seed % 9
+        r1 = 1 + seed % 3
+        a, b = pair(seed, n, r1, min(2, n - r1 - 1))
+        for x in (a, b, a + b, b - a):
+            for c in (1e-12, 1.0, 1e12):
+                assert is_group_invertible(c * x) == _rank_rule(c * x), (seed, c)
+
+
+def test_group_invertibility_read_off_the_sines():
+    # A = x y* with y* x = 1e-15: A @ A = 1e-15 A keeps rank one under the
+    # relative cutoff, but R(A) = span(x) lies within 1e-15 of N(A) = y^perp,
+    # so R(A) and N(A) do not split the space.  Every caller reads that off
+    # the principal-angle sines and refuses A as not group invertible.
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    y = np.array([1e-15, 1.0, 0.0, 0.0])
+    a = np.outer(x, y).astype(complex)
+    assert _rank_rule(a)
+    assert not is_group_invertible(a)
+    for call in (group_inverse, core_inverse):
+        with pytest.raises(GroupInvertibilityError, match="^not group invertible$"):
+            call(a)
+    for order in (sharp_order, core_order):
+        with pytest.raises(GroupInvertibilityError, match="^A is not group invertible$"):
+            order(a, 2 * a)

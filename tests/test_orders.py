@@ -310,6 +310,15 @@ def test_inner_inverse_random(rng):
         assert np.allclose((a - b) @ x, 0, atol=1e-8)
 
 
+def test_inner_inverse_of_zero(rng):
+    # 0 is left-minus-below every B, and the zero matrix is its inner
+    # inverse: no part of N(B) lies outside N(0), the whole domain
+    a, d = minus_pair(rng, 7, 5, 2, 2)
+    x = inner_inverse_witness(0 * a, a + d)
+    assert x.shape == (5, 7)
+    assert not np.any(x)
+
+
 def test_inner_inverse_requires_order(rng):
     a = cgauss(rng, 4, 4)
     b = cgauss(rng, 4, 4)

@@ -106,6 +106,12 @@ def test_ominus():
     assert rest.contains_vector(np.array([0.0, 1.0, 0.0]))
     # removing a disjoint space changes nothing
     assert subspace_equal(ominus(m, line(0, 0, 1)), m)
+    # removing a space that contains M leaves nothing, not rounding noise
+    rng = np.random.default_rng(7)
+    big = Subspace.from_span(cgauss(rng, 6, 3))
+    assert ominus(big, big).dim == 0
+    assert ominus(big, Subspace.full(6)).dim == 0
+    assert ominus(m, m).dim == 0
 
 
 def test_direct_sum_predicate():
