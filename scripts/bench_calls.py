@@ -1,6 +1,7 @@
-"""Per-call cost of the public calls: SVD counts on the 9x9 gate pairs of
-``tests/test_factorization_counts.py`` and median wall time at n = 6, 50
-and 200 (square n x n, ranks n/3 + n/3), next to their numpy floors.
+"""Per-call cost of the public calls: SVD and ``as_matrix`` validation
+counts on the 9x9 gate pairs of ``tests/test_factorization_counts.py`` and
+median wall time at n = 6, 50 and 200 (square n x n, ranks n/3 + n/3),
+next to their numpy floors.
 
 Run from the root of a checkout; ``--src`` points at another checkout's
 ``src`` to measure it with the same inputs:
@@ -10,7 +11,7 @@ Run from the root of a checkout; ``--src`` points at another checkout's
 
 BLAS is pinned to one thread before numpy loads.  The last line of
 standard output is one JSON object: ``{call: {"svds": [all, with vectors],
-"ms": {n: median}}}``.
+"validations": count, "ms": {n: median}}}``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import importlib  # noqa: E402
 import json  # noqa: E402
+import pkgutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -63,22 +66,37 @@ def calls(n):
     }
 
 
-def svd_counts(call):
-    """(all SVDs, SVDs with singular vectors) made by one call."""
+def counts(call):
+    """(all SVDs, SVDs with singular vectors) and the ``as_matrix`` calls
+    made by one call, the latter counted in every package module that
+    imports the function."""
     import numpy as np
-    real = np.linalg.svd
-    seen = []
+    import minusord
+    from minusord import linalg
+    real_svd, real_check = np.linalg.svd, linalg.as_matrix
+    modules = [importlib.import_module(f"minusord.{info.name}")
+               for info in pkgutil.iter_modules(minusord.__path__)]
+    modules = [m for m in modules if getattr(m, "as_matrix", None) is real_check]
+    seen, checks = [], []
 
-    def counting(*args, **kwargs):
+    def counting_svd(*args, **kwargs):
         seen.append(kwargs.get("compute_uv", True))
-        return real(*args, **kwargs)
+        return real_svd(*args, **kwargs)
 
-    np.linalg.svd = counting
+    def counting_check(*args, **kwargs):
+        checks.append(1)
+        return real_check(*args, **kwargs)
+
+    np.linalg.svd = counting_svd
+    for module in modules:
+        module.as_matrix = counting_check
     try:
         call()
     finally:
-        np.linalg.svd = real
-    return [len(seen), sum(seen)]
+        np.linalg.svd = real_svd
+        for module in modules:
+            module.as_matrix = real_check
+    return [len(seen), sum(seen)], len(checks)
 
 
 def main(argv=None) -> int:
@@ -96,8 +114,10 @@ def main(argv=None) -> int:
                   "additivity group": "additivity_group", "additivity core": "additivity_core"}
     table = {}
     for name in calls(6):
-        table[name] = {"svds": svd_counts(gate.CALLS[gate_calls[name]][0])
-                       if name in gate_calls else None, "ms": {}}
+        svds = checks = None
+        if name in gate_calls:
+            svds, checks = counts(gate.CALLS[gate_calls[name]][0])
+        table[name] = {"svds": svds, "validations": checks, "ms": {}}
     for n in SIZES:
         for name, call in calls(n).items():
             call()
@@ -109,7 +129,9 @@ def main(argv=None) -> int:
             table[name]["ms"][n] = round(statistics.median(times), 3)
     for name, row in table.items():
         svds = "-" if row["svds"] is None else "%d / %d" % tuple(row["svds"])
-        print(f"{name:34s} {svds:>8s} " + " ".join(f"{row['ms'][n]:9.2f}" for n in SIZES))
+        checks = "-" if row["validations"] is None else str(row["validations"])
+        print(f"{name:34s} {svds:>8s} {checks:>4s} "
+              + " ".join(f"{row['ms'][n]:9.2f}" for n in SIZES))
     print(json.dumps(table))
     return 0
 

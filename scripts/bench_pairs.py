@@ -3,7 +3,9 @@
 Each pair runs the benchmark once in each checkout with the same seed and
 ``--seconds``; the side that runs first alternates from pair to pair.  The
 end-to-end metrics of every run, their medians, the parent's quartiles and
-the wins of the change (ties count for neither side) are merged under the
+the wins of the change (ties count for neither side), and the per-layer
+metrics of one traced run per side on the first seed (``--trace 1``:
+calls, self time and factorizations per layer) are merged under the
 workload's name into the JSON file given by ``--out``:
 
     python3 scripts/bench_pairs.py --parent /path/to/parent --change . \\
@@ -25,11 +27,12 @@ import sys
 from pathlib import Path
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its failure count and end-to-end metric values."""
+def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run: its failure count and metric values, end-to-end
+    for a timed run and per layer for a traced one."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, check=True, capture_output=True, text=True).stdout.splitlines()
     detail, result = json.loads(out[-2]), json.loads(out[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
@@ -90,10 +93,14 @@ def main(argv=None) -> int:
         print(f"seed {seed}: p50 {p['latency_p50_ms']:.3f} -> {c['latency_p50_ms']:.3f} ms, "
               f"failed {pair['parent']['failed']} / {pair['change']['failed']}", flush=True)
 
+    traced = {"seed": pairs[0]["seed"]}
+    for side in ("parent", "change"):
+        traced[side] = run(getattr(args, side), args.workload, traced["seed"], args.seconds,
+                           trace=1)
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("workloads", {})[args.workload] = {
         "seconds": args.seconds, "seeds": args.seeds,
-        "summary": summarize(pairs, directions), "pairs": pairs}
+        "summary": summarize(pairs, directions), "pairs": pairs, "trace": traced}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _range_contains,
+    _rank,
     adjoint,
     as_pair,
     fro,
-    numerical_rank,
-    range_contains,
 )
 from .orders import _split_witness
 from .subspaces import Factored, Projection, _outside, _sum_and_meet
@@ -42,7 +42,7 @@ def is_range_additive(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     tested: rank([A + B | A]) == rank(A + B).
     """
     A, B = as_pair(A, B)
-    return range_contains(A + B, A, tol)
+    return _range_contains(A + B, A, tol)
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,11 @@ def _kernels_span(fa: Factored, fb: Factored, tol) -> bool:
 
 def disjoint_range_additivity(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> DisjointRangeAdditivity:
     A, B = as_pair(A, B)
-    fa, fb = Factored.of(A, tol), Factored.of(B, tol)
+    fa, fb = Factored._of(A, tol), Factored._of(B, tol)
     # R(A) cap R(B) = 0 iff all of R(B) lies outside R(A); R(A + B) always
     # lies in R(A) + R(B), so the two are equal iff their dimensions are
     disjoint = _outside(fa.conull, fb.range, tol) == fb.rank
-    additive = disjoint and numerical_rank(A + B, tol) == fa.rank + fb.rank
+    additive = disjoint and _rank(A + B, tol) == fa.rank + fb.rank
     return DisjointRangeAdditivity(ranges_disjoint=disjoint, additive=additive,
                                    kernels_span=_kernels_span(fa, fb, tol))
 
@@ -93,22 +93,24 @@ class KernelCharacterization:
 
 def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> KernelCharacterization:
     A, B = as_pair(A, B)
-    fa, fb = Factored.of(A, tol), Factored.of(B, tol)
+    fa, fb = Factored._of(A, tol), Factored._of(B, tol)
     # R(A*) + R(B*) and its orthogonal complement, from the sines against N(A)
     joined, leftover, _ = _sum_and_meet(fa.corange, fa.null, fb.corange, tol)
     direct = joined.dim == fa.rank + fb.rank
 
+    # the rounding of A* - Q (A* + B*) grows with ||Q||, which is large when
+    # R(A*) and R(B*) lie close, so the residual is judged against it too
     witness = None
     if direct:
         candidate = _split_witness(fa.adjoint(), fb.adjoint(), leftover)
         if candidate is not None:
             residual = fro(adjoint(A) - candidate.matrix @ (adjoint(A) + adjoint(B)))
-            if tol.within(residual, 1.0 + fro(A) + fro(B)):
+            if tol.within(residual, (1.0 + fro(A) + fro(B)) * (1.0 + fro(candidate.matrix))):
                 witness = candidate
 
     return KernelCharacterization(
         adjoint_ranges_direct_closed=direct,
         witness_q=witness,
         kernels_span=_kernels_span(fa, fb, tol),
-        range_additive=is_range_additive(A, B, tol),
+        range_additive=_range_contains(A + B, A, tol),
     )

@@ -35,9 +35,13 @@ __all__ = [
 def pinv(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the shared rank cutoff; only the
     leading singular vectors enter, so the economy factors suffice."""
-    A = as_matrix(A)
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    r = rank_cut(s, A.shape, tol)[0]
+    return _pinv(as_matrix(A), tol)
+
+
+def _pinv(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """:func:`pinv` of an array derived from validated operands."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    r = rank_cut(s, a.shape, tol)[0]
     return (adjoint(vh[:r]) / s[:r]) @ adjoint(u[:, :r])
 
 
@@ -65,7 +69,7 @@ def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
     m, n = A.shape
     if range_space.ambient_dim != n or nullspace.ambient_dim != m:
         raise ValueError("ambient mismatch")
-    factored = Factored.of(A, tol)
+    factored = Factored._of(A, tol)
     # M complements R(A) iff N(A*)* B_M is nonsingular, and N complements
     # N(A) iff R(A*)* B_N is
     if not _complements(nullspace, factored.conull, tol):
@@ -99,7 +103,7 @@ def _square(A) -> np.ndarray:
 def is_group_invertible(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether R(A) and N(A) split the space (equivalently rank(A^2) = rank(A)),
     decided on the r x r sines V_r* U_r read off one SVD of A."""
-    return _group_invertible(Factored.of(_square(A), tol), tol)
+    return _group_invertible(Factored._of(_square(A), tol), tol)
 
 
 def _group_invertible(factored: Factored, tol) -> bool:
@@ -111,7 +115,7 @@ def _group_invertible(factored: Factored, tol) -> bool:
 def _group_factor(A, tol) -> tuple[np.ndarray, Factored]:
     """Square A with its factor, once A is found group invertible."""
     A = _square(A)
-    factored = Factored.of(A, tol)
+    factored = Factored._of(A, tol)
     if not _group_invertible(factored, tol):
         raise GroupInvertibilityError("not group invertible")
     return A, factored

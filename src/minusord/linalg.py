@@ -104,7 +104,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    # a complex entry is finite when both of its parts are: one scan
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -119,7 +120,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
         arr = arr[:, 0]
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -147,10 +148,15 @@ def as_pair(A, B, square: bool = False) -> tuple[np.ndarray, np.ndarray]:
 
 
 def singular_values(A) -> np.ndarray:
-    A = as_matrix(A)
-    if min(A.shape) == 0:
+    return _singular_values(as_matrix(A))
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """:func:`singular_values` of an array derived from validated operands,
+    which is not validated again; an empty matrix has none."""
+    if min(a.shape) == 0:
         return np.zeros(0)
-    return np.linalg.svd(A, compute_uv=False)
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def rank_cut(s, shape: tuple[int, ...], tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
@@ -191,12 +197,17 @@ def sine_cut(s, ambient_dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> t
 def rank_info(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
     """Numerical rank together with the near-boundary flag of :func:`rank_cut`."""
     A = as_matrix(A)
-    return rank_cut(singular_values(A), A.shape, tol)
+    return rank_cut(_singular_values(A), A.shape, tol)
 
 
 def numerical_rank(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
     """Number of singular values above the relative cutoff."""
     return rank_info(A, tol)[0]
+
+
+def _rank(a: np.ndarray, tol: ToleranceConfig) -> int:
+    """:func:`numerical_rank` of an array derived from validated operands."""
+    return rank_cut(_singular_values(a), a.shape, tol)[0]
 
 
 def range_contains(B, A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
@@ -208,7 +219,12 @@ def range_contains(B, A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     B = as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
         raise ValueError("row counts differ")
-    return numerical_rank(np.hstack([B, A]), tol) == numerical_rank(B, tol)
+    return _range_contains(B, A, tol)
+
+
+def _range_contains(b: np.ndarray, a: np.ndarray, tol: ToleranceConfig) -> bool:
+    """:func:`range_contains` of arrays derived from validated operands."""
+    return _rank(np.hstack([b, a]), tol) == _rank(b, tol)
 
 
 def effective_condition(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> float:

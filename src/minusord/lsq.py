@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import MembershipError
-from .geninv import pinv
+from .geninv import _pinv, pinv
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -157,7 +157,7 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     x_joint = context.fb.pinv() @ c
     stacked = np.vstack([adjoint(A) @ w @ A, adjoint(B) @ w @ B])
     rhs = np.concatenate([adjoint(A) @ w @ c, adjoint(B) @ w @ c])
-    x_system = pinv(stacked, tol) @ rhs
+    x_system = _pinv(stacked, tol) @ rhs
 
     def joint_normal(x):
         return float(np.linalg.norm(adjoint(total) @ (total @ x - c)))

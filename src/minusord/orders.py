@@ -22,13 +22,13 @@ from .geninv import _group_invertible
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _rank,
+    _singular_values,
     adjoint,
     as_pair,
     fro,
-    numerical_rank,
     rank_cut,
     sine_cut,
-    singular_values,
 )
 from .subspaces import (
     Factored,
@@ -98,7 +98,7 @@ def _factor_triple(A, B, tol, factors=None):
     holds them), their rank bookkeeping, and the boundary flags of those
     three rank decisions."""
     if factors is None:
-        factors = tuple(Factored.of(X, tol) for X in (A, B, B - A))
+        factors = tuple(Factored._of(X, tol) for X in (A, B, B - A))
     flags = [f"rank({label}) within 10x of cutoff"
              for f, label in zip(factors, ("A", "B", "B-A")) if f.near]
     return factors, RankData(*(f.rank for f in factors)), flags
@@ -125,9 +125,9 @@ def _join(fa: Factored, fd: Factored, fb: Factored, tol) -> _Join:
     m = fb.u.shape[0]
     ud = fd.u[:, :fd.rank]
     k = adjoint(fb.u) @ np.hstack([fa.u[:, :fa.rank], ud])
-    inside = sine_cut(singular_values(k[fb.rank:]), m, tol)[1]
-    covers = rank_cut(singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), tol)[0] == fb.rank
-    sines = singular_values(adjoint(fa.u[:, fa.rank:]) @ ud)
+    inside = sine_cut(_singular_values(k[fb.rank:]), m, tol)[1]
+    covers = rank_cut(_singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), tol)[0] == fb.rank
+    sines = _singular_values(adjoint(fa.u[:, fa.rank:]) @ ud)
     return _Join(inside and covers, covers, sine_cut(sines, m, tol)[0] == fd.rank)
 
 
@@ -137,7 +137,8 @@ def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection
     if fa.rank + fd.rank + leftover.dim != fa.u.shape[0]:
         return None
     try:
-        return _oblique(fa.range, Subspace(np.hstack([fd.range.basis, leftover.basis])), True)
+        along = Subspace._trusted(np.hstack([fd.range.basis, leftover.basis]))
+        return _oblique(fa.range, along, True)
     except ComplementError:
         return None
 
@@ -168,7 +169,7 @@ def _projection_ok(A, B, witness_p, fb: Factored, tol) -> bool:
     """Whether A = P B with R(A) inside R(B), rank(B) read off its factor."""
     return (witness_p is not None
             and tol.within(fro(A - witness_p.matrix @ B), 1.0 + fro(B))
-            and numerical_rank(np.hstack([B, A]), tol) == fb.rank)
+            and _rank(np.hstack([B, A]), tol) == fb.rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +263,10 @@ def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
 
 
 def _mirrored(name, left_order, A, B, tol) -> OrderReport:
-    """The one-sided ``left_order`` applied to the adjoints, reported as the
-    right-sided order ``name``: its left witness becomes the right one."""
+    """The report of the left-sided body ``left_order`` on the adjoints,
+    reported as the right-sided order ``name``: its left witness becomes the
+    right one.  The operands are validated here, once; the body does not
+    validate them again."""
     A, B = as_pair(A, B)
     mirrored = left_order(adjoint(A), adjoint(B), tol)
     return OrderReport(name, mirrored.holds, mirrored.characterization_verdicts,
@@ -272,7 +275,7 @@ def _mirrored(name, left_order, A, B, tol) -> OrderReport:
 
 def right_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Right minus order: the left condition applied to the adjoints."""
-    return _mirrored("right_minus", left_minus_order, A, B, tol)
+    return _mirrored("right_minus", lambda *args: _left_minus(*args)[0], A, B, tol)
 
 
 def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -315,8 +318,8 @@ def _orthogonal_join(fa: Factored, fd: Factored, fb: Factored, tol) -> bool:
     ud = fd.range.basis
     beyond = adjoint(fb.conull.basis) @ np.hstack([fa.range.basis, ud])
     return (fa.rank + fd.rank == fb.rank
-            and sine_cut(singular_values(beyond), m, tol)[1]
-            and sine_cut(singular_values(adjoint(fa.range.basis) @ ud), m, tol)[1])
+            and sine_cut(_singular_values(beyond), m, tol)[1]
+            and sine_cut(_singular_values(adjoint(fa.range.basis) @ ud), m, tol)[1])
 
 
 def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -326,10 +329,15 @@ def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRepo
     that reformulation is recorded as the cross-check verdict.
     """
     A, B = as_pair(A, B)
+    return _left_star(A, B, tol)
+
+
+def _left_star(A, B, tol) -> OrderReport:
+    """The left-star report of A against B."""
     (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
 
     gram = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), 1.0 + fro(A) * (fro(A) + fro(B)))
-    inclusion = numerical_rank(np.hstack([B, A]), tol) == fb.rank
+    inclusion = _rank(np.hstack([B, A]), tol) == fb.rank
     holds = gram and inclusion
     ortho = _orthogonal_join(fa, fd, fb, tol)
 
@@ -340,7 +348,7 @@ def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRepo
 
 def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Right star order: the left-star condition applied to the adjoints."""
-    return _mirrored("right_star", left_star_order, A, B, tol)
+    return _mirrored("right_star", _left_star, A, B, tol)
 
 
 def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:

@@ -24,6 +24,7 @@ complement and X cap M from one SVD.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,13 +32,13 @@ from .exceptions import ComplementError
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _rank,
+    _singular_values,
     adjoint,
     as_matrix,
     fro,
-    numerical_rank,
     rank_cut,
     sine_cut,
-    singular_values,
 )
 
 __all__ = [
@@ -60,6 +61,15 @@ __all__ = [
 ]
 
 
+def _check_basis(arr: np.ndarray) -> np.ndarray:
+    """The shape checks of a Subspace basis."""
+    if arr.shape[0] < 1:
+        raise ValueError("ambient dimension must be positive")
+    if arr.shape[1] > arr.shape[0]:
+        raise ValueError("more basis vectors than the ambient dimension")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace of C^n held as an orthonormal column basis.
@@ -74,12 +84,17 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        arr = as_matrix(self.basis, "basis")
-        if arr.shape[0] < 1:
-            raise ValueError("ambient dimension must be positive")
-        if arr.shape[1] > arr.shape[0]:
-            raise ValueError("more basis vectors than the ambient dimension")
-        object.__setattr__(self, "basis", arr)
+        object.__setattr__(self, "basis", _check_basis(as_matrix(self.basis, "basis")))
+
+    @classmethod
+    def _trusted(cls, basis: np.ndarray) -> "Subspace":
+        """A Subspace on a complex128 ``basis`` the package derived from
+        validated operands (a slice of a factor, a product or a join of
+        such bases): the shape checks of the constructor, no coercion and
+        no finiteness scan."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "basis", _check_basis(basis))
+        return space
 
     @property
     def ambient_dim(self) -> int:
@@ -91,11 +106,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0), dtype=np.complex128))
+        return cls._trusted(np.zeros((ambient_dim, 0), dtype=np.complex128))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.eye(ambient_dim, dtype=np.complex128))
+        return cls._trusted(np.eye(ambient_dim, dtype=np.complex128))
 
     @classmethod
     def from_span(cls, vectors, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> "Subspace":
@@ -108,14 +123,14 @@ class Subspace:
             return cls.zero(arr.shape[0])
         # economy factors: only the leading left singular vectors are kept
         u, s, _ = np.linalg.svd(arr, full_matrices=False)
-        return cls(u[:, :rank_cut(s, arr.shape, tol)[0]])
+        return cls._trusted(u[:, :rank_cut(s, arr.shape, tol)[0]])
 
     def perp(self) -> "Subspace":
         """Orthogonal complement."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
         u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
-        return Subspace(u[:, self.dim:])
+        return Subspace._trusted(u[:, self.dim:])
 
     def projector(self) -> np.ndarray:
         """Matrix of the orthogonal projection onto this subspace."""
@@ -139,6 +154,8 @@ class Factored:
     The four fundamental subspaces, the Moore-Penrose inverse and the
     effective condition number are all read off these factors:
     R(A) = U[:, :r], R(A*) = V[:, :r], N(A) = V[:, r:], N(A*) = U[:, r:].
+    The four subspaces are views into U and V, built on first use and
+    cached, so every read of ``f.range`` returns the same Subspace.
     ``near`` is the near-boundary flag of :func:`~minusord.linalg.rank_cut`.
     """
 
@@ -150,27 +167,31 @@ class Factored:
 
     @classmethod
     def of(cls, A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> "Factored":
-        A = as_matrix(A)
-        u, s, vh = np.linalg.svd(A, full_matrices=True)
-        return cls(u, s, adjoint(vh), *rank_cut(s, A.shape, tol))
+        return cls._of(as_matrix(A), tol)
 
-    @property
+    @classmethod
+    def _of(cls, a: np.ndarray, tol: ToleranceConfig) -> "Factored":
+        """:meth:`of` for an array derived from validated operands."""
+        u, s, vh = np.linalg.svd(a, full_matrices=True)
+        return cls(u, s, adjoint(vh), *rank_cut(s, a.shape, tol))
+
+    @cached_property
     def range(self) -> Subspace:
-        return Subspace(self.u[:, :self.rank])
+        return Subspace._trusted(self.u[:, :self.rank])
 
-    @property
+    @cached_property
     def corange(self) -> Subspace:
         """R(A*), the orthogonal complement of the null space."""
-        return Subspace(self.v[:, :self.rank])
+        return Subspace._trusted(self.v[:, :self.rank])
 
-    @property
+    @cached_property
     def null(self) -> Subspace:
-        return Subspace(self.v[:, self.rank:])
+        return Subspace._trusted(self.v[:, self.rank:])
 
-    @property
+    @cached_property
     def conull(self) -> Subspace:
         """N(A*), the orthogonal complement of the range."""
-        return Subspace(self.u[:, self.rank:])
+        return Subspace._trusted(self.u[:, self.rank:])
 
     @property
     def condition(self) -> float:
@@ -237,7 +258,7 @@ def null_basis(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
     A = as_matrix(A)
     if A.shape[1] == 0:
         raise ValueError("matrix must have at least one column")
-    return Factored.of(A, tol).null
+    return Factored._of(A, tol).null
 
 
 def subspace_sum(m_space: Subspace, n_space: Subspace,
@@ -253,7 +274,7 @@ def span_dim(m_space: Subspace, n_space: Subspace,
     values alone.  The same cutoff on the same matrix as
     :func:`subspace_sum`, so it equals ``subspace_sum(M, N).dim``."""
     _check_ambient(m_space, n_space)
-    return numerical_rank(np.hstack([m_space.basis, n_space.basis]), tol)
+    return _rank(np.hstack([m_space.basis, n_space.basis]), tol)
 
 
 def intersect(m_space: Subspace, n_space: Subspace,
@@ -268,7 +289,7 @@ def intersect(m_space: Subspace, n_space: Subspace,
     _check_ambient(m_space, n_space)
     if m_space.dim == 0 or n_space.dim == 0:
         return Subspace.zero(m_space.ambient_dim)
-    coeff = Factored.of(np.hstack([m_space.basis, n_space.basis]), tol).null.basis
+    coeff = Factored._of(np.hstack([m_space.basis, n_space.basis]), tol).null.basis
     if coeff.shape[1] == 0:
         return Subspace.zero(m_space.ambient_dim)
     return Subspace.from_span(m_space.basis @ coeff[: m_space.dim, :], tol)
@@ -286,7 +307,8 @@ def ominus(m_space: Subspace, n_space: Subspace,
     if inter.dim == 0:
         return m_space
     reduced = m_space.basis - inter.projector() @ m_space.basis
-    return Subspace(np.linalg.svd(reduced, full_matrices=False)[0][:, :m_space.dim - inter.dim])
+    return Subspace._trusted(
+        np.linalg.svd(reduced, full_matrices=False)[0][:, :m_space.dim - inter.dim])
 
 
 def is_direct_sum(m_space: Subspace, n_space: Subspace,
@@ -392,7 +414,7 @@ def _oblique(m_space: Subspace, n_space: Subspace, complementary: bool) -> Proje
 def _outside(x_perp: Subspace, m_space: Subspace, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
     """dim M - dim(M cap X) for the subspace X with orthogonal complement
     ``x_perp``: the number of principal-angle sines X^perp* B_M above the cutoff."""
-    sines = singular_values(adjoint(x_perp.basis) @ m_space.basis)
+    sines = _singular_values(adjoint(x_perp.basis) @ m_space.basis)
     return sine_cut(sines, m_space.ambient_dim, tol)[0]
 
 
@@ -429,5 +451,6 @@ def _sum_and_meet(x_space: Subspace, x_perp: Subspace, m_space: Subspace,
     u, s, wh = np.linalg.svd(adjoint(x_perp.basis) @ m_space.basis)
     k = sine_cut(s, x_space.ambient_dim, tol)[0]
     outside = x_perp.basis @ u
-    return (Subspace(np.hstack([x_space.basis, outside[:, :k]])), Subspace(outside[:, k:]),
-            Subspace(m_space.basis @ adjoint(wh[k:])))
+    return (Subspace._trusted(np.hstack([x_space.basis, outside[:, :k]])),
+            Subspace._trusted(outside[:, k:]),
+            Subspace._trusted(m_space.basis @ adjoint(wh[k:])))

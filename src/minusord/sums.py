@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
-from .geninv import (_core_inverse, _group_factor, _group_inverse, _group_invertible,
-                     _reflexive_solve, pinv)
+from .geninv import (_core_inverse, _group_factor, _group_inverse, _group_invertible, _pinv,
+                     _reflexive_solve)
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -25,8 +25,7 @@ from .linalg import (
     as_pair,
     fro,
 )
-from .orders import (_core, _minus_context, _MinusContext, _require, _sharp, _star,
-                     left_minus_order)
+from .orders import _core, _left_minus, _minus_context, _MinusContext, _require, _sharp, _star
 from .subspaces import (
     Projection,
     Subspace,
@@ -76,7 +75,7 @@ def _checked_split(A, B, tol) -> tuple[_MinusContext, "SplitWitness"]:
     context = _minus_context(A, total, tol)
     if not context.left_holds:
         raise OrderConditionError("order fails: A is not left-minus-below A + B",
-                                  left_minus_order(A, total, tol))
+                                  _left_minus(A, total, tol)[0])
     _require(context.report, "A is not minus-below A + B")
     return context, _split(context, A, total, tol, None, None)
 
@@ -121,7 +120,7 @@ def _split(context: _MinusContext, A, total, tol, m1, n1) -> SplitWitness:
         # onto R(A) + N(T*) along R(B): the order's witness projects onto
         # R(A) along R(B) + N(T*), and N(T*) is orthogonal to the rest
         p = Projection(context.report.witness_p.matrix + ft.conull.projector(),
-                       Subspace(np.hstack([ra.basis, ft.conull.basis])), rb)
+                       Subspace._trusted(np.hstack([ra.basis, ft.conull.basis])), rb)
     else:
         onto = _sum_and_meet(ra, fa.conull, ft.conull if m1 is None else m1, tol)
         along = _sum_and_meet(rb, fb.conull, Subspace.zero(A.shape[0]) if n1 is None else n1, tol)
@@ -132,7 +131,7 @@ def _split(context: _MinusContext, A, total, tol, m1, n1) -> SplitWitness:
     # along N(A) cap R(T*), the null space of V_A* restricted to R(T*)
     witness_q = context.report.witness_q.matrix + ft.null.projector()
     kept = np.linalg.svd(adjoint(fa.corange.basis) @ ft.corange.basis)[2][fa.rank:]
-    q = Projection(adjoint(witness_q), fb.null, Subspace(ft.corange.basis @ adjoint(kept)))
+    q = Projection(adjoint(witness_q), fb.null, Subspace._trusted(ft.corange.basis @ adjoint(kept)))
 
     eye = np.eye(A.shape[0], dtype=np.complex128)
     e = ra.projector() @ p.matrix + rb.projector() @ (eye - p.matrix)
@@ -181,8 +180,8 @@ def st_projections(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[np.n
     A, B = as_pair(A, B)
     context = _require_minus(A, A + B, tol, "precondition failure: ranges do not split the sum")
     # N(B)^perp = R(B*) and N(B*)^perp = R(B), with B = (A + B) - A
-    s = pinv(context.fd.corange.projector() @ context.fa.null.projector(), tol)
-    t = pinv(context.fa.conull.projector() @ context.fd.range.projector(), tol)
+    s = _pinv(context.fd.corange.projector() @ context.fa.null.projector(), tol)
+    t = _pinv(context.fa.conull.projector() @ context.fd.range.projector(), tol)
 
     for mat, label in ((s, "S"), (t, "T")):
         tol.verify(f"{label} is not idempotent", fro(mat @ mat - mat), 1.0 + fro(mat) ** 2)
@@ -356,7 +355,7 @@ def ordered_inverse_additivity(A, B, kind: str,
     if kind == "moore_penrose":
         report, fa, ft, _ = _star(A, total, tol)
         _require(report, "required order fails: A is not star-below A + B")
-        result = fa.pinv() + pinv(B, tol)
+        result = fa.pinv() + _pinv(B, tol)
         oracle = ft.pinv()
     elif kind == "group":
         # the sharp check has found A and A + B group invertible, not B

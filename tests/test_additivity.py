@@ -108,7 +108,7 @@ def _reference_kernel(A, B, tol=DEFAULT_TOLERANCE):
             candidate = None
         if candidate is not None:
             residual = fro(adjoint(A) - candidate.matrix @ (adjoint(A) + adjoint(B)))
-            if tol.within(residual, 1.0 + fro(A) + fro(B)):
+            if tol.within(residual, (1.0 + fro(A) + fro(B)) * (1.0 + fro(candidate.matrix))):
                 witness = candidate
 
     spans = span_dim(fa.null, fb.null, tol) == A.shape[1]
@@ -181,9 +181,9 @@ def _oracle_mix():
 # rank(A + B) = rank(A) + rank(B) under the same cutoff and
 # is_range_additive holds; the rank read keeps that equivalence (see
 # test_additive_iff_disjoint_and_range_additive).  The kernel witness there
-# projects with norm about 1e6 and its residual is judged against
-# 1 + ||A|| + ||B|| alone, so it lands at the bound and rounding decides
-# whether either route keeps it.
+# projects with norm about 1e6; its residual is judged against
+# (1 + ||A|| + ||B||)(1 + ||Q||), which covers the rounding of both routes,
+# so both keep it.
 RANK_RESOLVED_ONLY = "near"
 
 
@@ -210,8 +210,10 @@ def test_kernel_characterization_matches_joined_bases():
         assert got.adjoint_ranges_direct_closed == ref.adjoint_ranges_direct_closed, label
         assert got.kernels_span == ref.kernels_span, label
         assert got.range_additive == ref.range_additive, label
-        if kind != RANK_RESOLVED_ONLY:
-            assert (got.witness_q is None) == (ref.witness_q is None), label
+        assert (got.witness_q is None) == (ref.witness_q is None), label
+        if kind == RANK_RESOLVED_ONLY:
+            # R(A*) and R(B*) are 1e-6 apart but meet trivially: Q exists
+            assert got.witness_q is not None, label
         if got.witness_q is not None and ref.witness_q is not None:
             # the projection onto R(A*) along R(B*) + (R(A*) + R(B*))^perp is unique
             diff = fro(got.witness_q.matrix - ref.witness_q.matrix)

@@ -12,14 +12,24 @@ are factored; the third bound keeps work from drifting back to n-sized
 joined bases while the total stays flat.  Group invertibility and range
 additivity are read off the same factors, so the modules that build on
 them name none of the set operations of two arbitrary subspaces.
+
+A fourth bound counts the calls of ``linalg.as_matrix``: operands are
+validated once, at the public entry point, and the arrays derived from
+them (factors, the bases cut from them, products and joins of such bases)
+are not validated again.  What remains is the entry point's own
+validation and that of each ``Projection`` the call builds.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minusord
+from minusord import linalg
 from minusord.additivity import disjoint_range_additivity, kernel_characterization
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
 from minusord.geninv import core_inverse, group_inverse
@@ -39,31 +49,32 @@ C = _rng.standard_normal(9) + 0j
 M = Subspace.from_span(_rng.standard_normal((9, 3)) + 1j * _rng.standard_normal((9, 3)))
 N = Subspace.from_span(_rng.standard_normal((9, 6)) + 1j * _rng.standard_normal((9, 6)))
 
-# name: (call, bound on all SVDs, on SVDs with singular vectors, on n-sized SVDs)
+# name: (call, bound on all SVDs, on SVDs with singular vectors, on n-sized SVDs,
+#        on as_matrix calls)
 CALLS = {
-    "minus_order": (lambda: minus_order(A, A + B), 12, 3, 4),
-    "star_order": (lambda: star_order(SA, SA + SB), 7, 3, 3),
-    "sharp_order": (lambda: sharp_order(HA, HA + HB), 5, 3, 3),
-    "inner_inverse_witness": (lambda: inner_inverse_witness(A, A + B), 8, 4, 4),
-    "group_inverse": (lambda: group_inverse(HA), 2, 1, 1),
-    "core_inverse": (lambda: core_inverse(CA), 2, 1, 1),
-    "build_split": (lambda: build_split(A, B), 13, 4, 4),
-    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 13, 4, 4),
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 14, 5, 5),
+    "minus_order": (lambda: minus_order(A, A + B), 12, 3, 4, 4),
+    "star_order": (lambda: star_order(SA, SA + SB), 7, 3, 3, 4),
+    "sharp_order": (lambda: sharp_order(HA, HA + HB), 5, 3, 3, 4),
+    "inner_inverse_witness": (lambda: inner_inverse_witness(A, A + B), 8, 4, 4, 3),
+    "group_inverse": (lambda: group_inverse(HA), 2, 1, 1, 1),
+    "core_inverse": (lambda: core_inverse(CA), 2, 1, 1, 1),
+    "build_split": (lambda: build_split(A, B), 13, 4, 4, 6),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 13, 4, 4, 6),
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 14, 5, 5, 8),
     "additivity_moore_penrose":
-        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 8, 4, 4),
-    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 7, 4, 4),
-    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 8, 4, 4),
-    "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3),
-    "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 4),
-    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 22, 7, 4),
-    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 22, 7, 4),
+        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 8, 4, 4, 4),
+    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 7, 4, 4, 5),
+    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 8, 4, 4, 7),
+    "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
+    "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 4, 3),
+    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 22, 7, 4, 10),
+    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 22, 7, 4, 10),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_svd_count_bound(monkeypatch, name):
-    call, bound, vectors_bound, sized_bound = CALLS[name]
+    call, bound, vectors_bound, sized_bound, _ = CALLS[name]
     real = np.linalg.svd
     calls = []
 
@@ -76,6 +87,26 @@ def test_svd_count_bound(monkeypatch, name):
     assert 0 < len(calls) <= bound
     assert sum(vectors for vectors, _ in calls) <= vectors_bound
     assert sum(sized for _, sized in calls) <= sized_bound
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_validation_count_bound(monkeypatch, name):
+    # spy on as_matrix in every package module that imports it, the way
+    # perfbench/tracing.py patches the package from outside
+    call, bound = CALLS[name][0], CALLS[name][4]
+    real = linalg.as_matrix
+    seen = []
+
+    def counting(a, label="matrix"):
+        seen.append(label)
+        return real(a, label)
+
+    for info in pkgutil.iter_modules(minusord.__path__):
+        module = importlib.import_module(f"minusord.{info.name}")
+        if getattr(module, "as_matrix", None) is real:
+            monkeypatch.setattr(module, "as_matrix", counting)
+    call()
+    assert 0 < len(seen) <= bound, seen
 
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "minusord"
