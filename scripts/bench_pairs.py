@@ -13,7 +13,8 @@ workload's name into the JSON file given by ``--out``:
 
 A gain on a metric is claimed only when the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
-interquartile range.  Both checkouts must hold ``perfbench/run.py`` and
+interquartile range.  With a single pair there are no quartiles: they and
+the interquartile range are ``null``, and no gain is claimed.  Both checkouts must hold ``perfbench/run.py`` and
 ``BENCHMARK.json``; the metric directions come from the change's file.
 """
 
@@ -41,6 +42,9 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0
 
 
 def quartiles(values):
+    """The first and third quartiles, or ``None`` for fewer than two values."""
+    if len(values) < 2:
+        return None, None
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
 
@@ -53,14 +57,16 @@ def summarize(pairs, directions) -> dict:
         sign = 1.0 if better == "lower" else -1.0
         wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
         q1, q3 = quartiles(parent)
+        iqr = None if q1 is None else q3 - q1
         p_med, c_med = statistics.median(parent), statistics.median(change)
         summary[name] = {
             "better": better, "parent_median": p_med, "change_median": c_med,
             "relative_change": (c_med - p_med) / p_med if p_med else None,
-            "parent_q1": q1, "parent_q3": q3, "parent_iqr": q3 - q1,
+            "parent_q1": q1, "parent_q3": q3, "parent_iqr": iqr,
             "change_quartiles": list(quartiles(change)),
             "wins": wins, "pairs": len(pairs),
-            "gain": wins >= 0.9 * len(pairs) and abs(c_med - p_med) > q3 - q1,
+            "gain": (iqr is not None and wins >= 0.9 * len(pairs)
+                     and abs(c_med - p_med) > iqr),
         }
     return summary
 

@@ -209,10 +209,11 @@ def _parse_ranks(text):
 
 def cmd_gen(args) -> int:
     generator = pair_generator(args.kind)
+    kind = args.kind.replace("-", "_")
     m, n = _parse_dims(args.dims)
     r1, r2 = _parse_ranks(args.ranks)
     rng = as_rng(args.seed)
-    if generator in (pair_generator("sharp"), pair_generator("core")):
+    if kind in ("sharp", "core"):
         if m != n:
             raise ValueError("sharp and core pairs need square dims")
         a, b = generator(rng, n, r1, r2)
@@ -225,7 +226,7 @@ def cmd_gen(args) -> int:
     write_matrix(paths["ApB"], a + b)
     payload = {
         "command": "gen",
-        "kind": args.kind.replace("-", "_"),
+        "kind": kind,
         "dims": [m, n],
         "ranks": [r1, r2],
         "seed": args.seed,

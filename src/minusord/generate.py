@@ -23,8 +23,6 @@ __all__ = [
     "PAIR_KINDS",
 ]
 
-PAIR_KINDS = ("minus", "star", "sharp", "core")
-
 #: Pairs whose sum exceeds this effective condition number are redrawn.
 MAX_CONDITION = 1e6
 
@@ -166,10 +164,13 @@ def minus_chain(seed, m, n, r1, r2, r3):
     return _redraw(seed, m, n, (r1, r2, r3), draw, "chain")
 
 
+_GENERATORS = {"minus": minus_pair, "star": star_pair, "sharp": sharp_pair, "core": core_pair}
+PAIR_KINDS = tuple(_GENERATORS)
+
+
 def pair_generator(kind: str):
     """Look up a pair generator by kind name."""
-    table = {"minus": minus_pair, "star": star_pair, "sharp": sharp_pair, "core": core_pair}
     try:
-        return table[kind.replace("-", "_")]
+        return _GENERATORS[kind.replace("-", "_")]
     except KeyError:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(PAIR_KINDS)}") from None

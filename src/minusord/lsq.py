@@ -20,14 +20,14 @@ from .geninv import _pinv, pinv
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _range_contains,
     adjoint,
     as_matrix,
     as_pair,
     as_vector,
     fro,
-    range_contains,
 )
-from .orders import _left_minus, _require
+from .orders import _left_minus, _require, _triple
 from .subspaces import Projection
 from .sums import _checked_split
 
@@ -58,7 +58,7 @@ class Weight:
     @classmethod
     def from_projection(cls, projection: Projection) -> "Weight":
         """W = P*P + (I - P*)(I - P), positive definite for idempotent P."""
-        p = as_matrix(projection.matrix, "projection matrix")
+        p = projection.matrix
         eye = np.eye(p.shape[0], dtype=np.complex128)
         w = adjoint(p) @ p + (eye - adjoint(p)) @ (eye - p)
         return cls(w, projection)
@@ -96,11 +96,11 @@ def solve_system(A, B, a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     if a.shape[0] != A.shape[0] or b.shape[0] != B.shape[0]:
         raise ValueError("right-hand side length mismatch")
     for mat, vec, label in ((A, a, "a"), (B, b, "b")):
-        if not range_contains(mat, vec[:, None], tol):
+        if not _range_contains(mat, vec[:, None], tol):
             raise MembershipError(f"membership fails: {label} is outside the column space")
-    report, _, f_total, _ = _left_minus(A, A + B, tol)
-    _require(report, "order fails: A is not left-minus-below A + B")
-    x = f_total.pinv() @ (a + b)
+    t = _triple(A, A + B, tol)
+    _require(_left_minus(t, tol), "order fails: A is not left-minus-below A + B")
+    x = t.fb.pinv() @ (a + b)
     scale = 1.0 + fro(A) + fro(B) + float(np.linalg.norm(a) + np.linalg.norm(b))
     for residual in (A @ x - a, B @ x - b):
         tol.verify("summed solution failed to solve the pieces", np.linalg.norm(residual), scale)
@@ -148,13 +148,14 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     c = as_vector(c, "c")
     if c.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length mismatch")
-    context, witness = _checked_split(A, B, tol)
-    total = A + B
+    t = _triple(A, A + B, tol)
+    witness = _checked_split(t, tol)
+    total = t.b
     weight = Weight.from_projection(witness.p)
     weight.validate(tol)
     w = weight.matrix
 
-    x_joint = context.fb.pinv() @ c
+    x_joint = t.fb.pinv() @ c
     stacked = np.vstack([adjoint(A) @ w @ A, adjoint(B) @ w @ B])
     rhs = np.concatenate([adjoint(A) @ w @ c, adjoint(B) @ w @ c])
     x_system = _pinv(stacked, tol) @ rhs

@@ -8,6 +8,13 @@ projections when the order holds, the rank bookkeeping of the triple
 
 Witness conventions: ``witness_p`` satisfies A = P B and ``witness_q``
 satisfies A* = Q B*, both to the residual tolerance.
+
+Each public predicate validates A and B, factors A, B and B - A once into
+a :class:`_Triple` and runs one private body on it.  The constructions of
+:mod:`minusord.sums` and :mod:`minusord.lsq` build the triple of A against
+A + B themselves, run the body of the order they need and read the sum
+and every factor off the same triple; ``_Triple.adjoint`` mirrors it to
+the adjoint pair with no further SVD.
 """
 
 from __future__ import annotations
@@ -56,18 +63,6 @@ __all__ = [
     "inner_inverse_witness",
 ]
 
-ORDER_NAMES = (
-    "minus",
-    "left_minus",
-    "right_minus",
-    "star",
-    "left_star",
-    "right_star",
-    "sharp",
-    "core",
-    "weak_minus",
-)
-
 
 @dataclass(frozen=True)
 class RankData:
@@ -93,15 +88,34 @@ def _require(report: OrderReport, message: str) -> None:
         raise OrderConditionError(message, report)
 
 
-def _factor_triple(A, B, tol, factors=None):
-    """One factorization each of A, B and B - A (unless ``factors`` already
-    holds them), their rank bookkeeping, and the boundary flags of those
-    three rank decisions."""
-    if factors is None:
-        factors = tuple(Factored._of(X, tol) for X in (A, B, B - A))
-    flags = [f"rank({label}) within 10x of cutoff"
-             for f, label in zip(factors, ("A", "B", "B-A")) if f.near]
-    return factors, RankData(*(f.rank for f in factors)), flags
+class _Triple(NamedTuple):
+    """The operands A and B of an order check with one factor each of A, B
+    and B - A, from which every subspace relation of the check is read."""
+
+    a: np.ndarray
+    b: np.ndarray
+    fa: Factored
+    fb: Factored
+    fd: Factored
+
+    @property
+    def ranks(self) -> RankData:
+        return RankData(self.fa.rank, self.fb.rank, self.fd.rank)
+
+    def flags(self) -> tuple[str, ...]:
+        """The boundary flags of the three rank decisions."""
+        factors = zip((self.fa, self.fb, self.fd), ("A", "B", "B-A"))
+        return tuple(f"rank({label}) within 10x of cutoff" for f, label in factors if f.near)
+
+    def adjoint(self) -> "_Triple":
+        """The triple of A* against B*, with no further SVD."""
+        return _Triple(adjoint(self.a), adjoint(self.b),
+                       self.fa.adjoint(), self.fb.adjoint(), self.fd.adjoint())
+
+
+def _triple(A, B, tol) -> _Triple:
+    """Factor A, B and B - A once each, for operands already validated."""
+    return _Triple(A, B, *(Factored._of(X, tol) for X in (A, B, B - A)))
 
 
 class _Join(NamedTuple):
@@ -165,34 +179,22 @@ def _angle_margin_ok(ra: Subspace, rd: Subspace, tol, flags) -> bool:
     return margin > tol.angle_gap
 
 
-def _projection_ok(A, B, witness_p, fb: Factored, tol) -> bool:
+def _projection_ok(t: _Triple, witness_p, tol) -> bool:
     """Whether A = P B with R(A) inside R(B), rank(B) read off its factor."""
     return (witness_p is not None
-            and tol.within(fro(A - witness_p.matrix @ B), 1.0 + fro(B))
-            and _rank(np.hstack([B, A]), tol) == fb.rank)
+            and tol.within(fro(t.a - witness_p.matrix @ t.b), 1.0 + fro(t.b))
+            and _rank(np.hstack([t.b, t.a]), tol) == t.fb.rank)
 
 
-@dataclass(frozen=True, eq=False)
-class _MinusContext:
-    """The minus-order check of A against B together with what it factored,
-    for the constructions that need the order and then the same subspaces:
-    the factors of A, B and B - A, from which every subspace relation of
-    the order is read, and the left-side verdict.  When the order holds,
-    the orthogonal complements of R(A) + R(B - A) and R(A*) + R(B* - A*)
-    are N(B*) and N(B), i.e. ``fb.conull`` and ``fb.null``."""
-
-    report: OrderReport
-    fa: Factored
-    fb: Factored
-    fd: Factored
-    left_holds: bool
-
-
-def _minus_context(A, B, tol) -> _MinusContext:
-    (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
+def _minus(t: _Triple, tol) -> OrderReport:
+    """The minus-order report.  When the order holds, the orthogonal
+    complements of R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and
+    N(B), i.e. ``t.fb.conull`` and ``t.fb.null``."""
+    fa, fb, fd = t.fa, t.fb, t.fd
+    flags = list(t.flags())
     adjoints = fa.adjoint(), fd.adjoint(), fb.adjoint()
     left, right = _join(fa, fd, fb, tol), _join(*adjoints, tol)
-    additive = ranks.rank_a + ranks.rank_diff == ranks.rank_b
+    additive = fa.rank + fd.rank == fb.rank
     left_holds = left.spans and additive
     holds = left_holds and right.spans
 
@@ -213,7 +215,7 @@ def _minus_context(A, B, tol) -> _MinusContext:
         witness_p = _split_witness(fa, fd, fb.conull)
     elif left.direct:
         witness_p = _split_witness(fa, fd, _sum_and_meet(fa.range, fa.conull, fd.range, tol)[1])
-    projection_ok = _projection_ok(A, B, witness_p, fb, tol)
+    projection_ok = _projection_ok(t, witness_p, tol)
     witness_q = _split_witness(*adjoints[:2], fb.null) if holds else None
 
     verdicts = {
@@ -223,9 +225,8 @@ def _minus_context(A, B, tol) -> _MinusContext:
         "kernels": kernels_ok,
         "projection": projection_ok,
     }
-    report = OrderReport("minus", holds, verdicts, witness_p if holds else None,
-                         witness_q, ranks, tuple(flags))
-    return _MinusContext(report, fa, fb, fd, left_holds)
+    return OrderReport("minus", holds, verdicts, witness_p if holds else None,
+                       witness_q, t.ranks, tuple(flags))
 
 
 def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -234,23 +235,21 @@ def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     The primary verdict works at the subspace level; the rank, angle,
     kernel and projection characterizations are recorded independently.
     """
-    A, B = as_pair(A, B)
-    return _minus_context(A, B, tol).report
+    return _minus(_triple(*as_pair(A, B), tol), tol)
 
 
-def _left_minus(A, B, tol):
-    """The left-minus report of A against B with the factors of A, B, B - A."""
-    (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
+def _left_minus(t: _Triple, tol) -> OrderReport:
+    """The left-minus report."""
+    fa, fb, fd = t.fa, t.fb, t.fd
     left = _join(fa, fd, fb, tol)
-    holds = left.spans and ranks.rank_a + ranks.rank_diff == ranks.rank_b
+    holds = left.spans and fa.rank + fd.rank == fb.rank
 
     # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff the
     # ranks add and the join covers R(B)
     witness_p = _split_witness(fa, fd, fb.conull) if left.covers else None
-    verdicts = {"ranges": holds, "projection": _projection_ok(A, B, witness_p, fb, tol)}
-    report = OrderReport("left_minus", holds, verdicts, witness_p if holds else None,
-                         None, ranks, tuple(flags))
-    return report, fa, fb, fd
+    verdicts = {"ranges": holds, "projection": _projection_ok(t, witness_p, tol)}
+    return OrderReport("left_minus", holds, verdicts, witness_p if holds else None,
+                       None, t.ranks, t.flags())
 
 
 def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -258,24 +257,24 @@ def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
 
     The witness projects onto R(A) along R(B - A) + N(B*).
     """
-    A, B = as_pair(A, B)
-    return _left_minus(A, B, tol)[0]
+    return _left_minus(_triple(*as_pair(A, B), tol), tol)
 
 
 def _mirrored(name, left_order, A, B, tol) -> OrderReport:
-    """The report of the left-sided body ``left_order`` on the adjoints,
-    reported as the right-sided order ``name``: its left witness becomes the
-    right one.  The operands are validated here, once; the body does not
-    validate them again."""
+    """The report of the left-sided body ``left_order`` on the triple of
+    A* against B*, reported as the right-sided order ``name``: its left
+    witness becomes the right one.  A* and B* are factored themselves: the
+    SVD of A* need not round as the adjoint of the SVD of A does, and the
+    right-sided reports keep the rounding of their own factors."""
     A, B = as_pair(A, B)
-    mirrored = left_order(adjoint(A), adjoint(B), tol)
+    mirrored = left_order(_triple(adjoint(A), adjoint(B), tol), tol)
     return OrderReport(name, mirrored.holds, mirrored.characterization_verdicts,
                        None, mirrored.witness_p, mirrored.rank_data, mirrored.boundary_flags)
 
 
 def right_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Right minus order: the left condition applied to the adjoints."""
-    return _mirrored("right_minus", lambda *args: _left_minus(*args)[0], A, B, tol)
+    return _mirrored("right_minus", _left_minus, A, B, tol)
 
 
 def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -284,14 +283,12 @@ def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     Cross-check: R(B) splits orthogonally as R(A) + R(B - A) on both
     sides.  Witnesses are the orthogonal projections onto R(A), R(A*).
     """
-    A, B = as_pair(A, B)
-    return _star(A, B, tol)[0]
+    return _star(_triple(*as_pair(A, B), tol), tol)
 
 
-def _star(A, B, tol):
-    """The star-order report of A against B with the factors of A, B, B - A."""
-    factors, ranks, flags = _factor_triple(A, B, tol)
-    fa, fb, fd = factors
+def _star(t: _Triple, tol) -> OrderReport:
+    """The star-order report."""
+    A, B, fa, fb, fd = t
 
     scale = 1.0 + fro(A) * (fro(A) + fro(B))
     gram_left = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), scale)
@@ -306,8 +303,7 @@ def _star(A, B, tol):
         witness_p = _orthogonal_witness(fa)
         witness_q = _orthogonal_witness(fa.adjoint())
     verdicts = {"gram_left": gram_left, "gram_right": gram_right, "orthogonal_ranges": ortho}
-    return (OrderReport("star", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
-            *factors)
+    return OrderReport("star", holds, verdicts, witness_p, witness_q, t.ranks, t.flags())
 
 
 def _orthogonal_join(fa: Factored, fd: Factored, fb: Factored, tol) -> bool:
@@ -328,13 +324,12 @@ def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRepo
     Equivalent to R(B) = R(A) + R(B - A) with the summands orthogonal;
     that reformulation is recorded as the cross-check verdict.
     """
-    A, B = as_pair(A, B)
-    return _left_star(A, B, tol)
+    return _left_star(_triple(*as_pair(A, B), tol), tol)
 
 
-def _left_star(A, B, tol) -> OrderReport:
-    """The left-star report of A against B."""
-    (fa, fb, fd), ranks, flags = _factor_triple(A, B, tol)
+def _left_star(t: _Triple, tol) -> OrderReport:
+    """The left-star report."""
+    A, B, fa, fb, fd = t
 
     gram = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), 1.0 + fro(A) * (fro(A) + fro(B)))
     inclusion = _rank(np.hstack([B, A]), tol) == fb.rank
@@ -343,7 +338,7 @@ def _left_star(A, B, tol) -> OrderReport:
 
     witness_p = _orthogonal_witness(fa) if holds else None
     verdicts = {"gram_left": gram, "range_inclusion": inclusion, "orthogonal_split": ortho}
-    return OrderReport("left_star", holds, verdicts, witness_p, None, ranks, tuple(flags))
+    return OrderReport("left_star", holds, verdicts, witness_p, None, t.ranks, t.flags())
 
 
 def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -353,14 +348,12 @@ def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
 
 def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Sharp order on group-invertible matrices: A^2 = BA = AB."""
-    A, B = as_pair(A, B, square=True)
-    return _sharp(A, B, tol)[0]
+    return _sharp(_triple(*as_pair(A, B, square=True), tol), tol)
 
 
-def _sharp(A, B, tol):
-    """The sharp-order report of A against B with the factors of A, B, B - A."""
-    factors, ranks, flags = _factor_triple(A, B, tol)
-    fa, fb, _ = factors
+def _sharp(t: _Triple, tol) -> OrderReport:
+    """The sharp-order report; raises unless A and B are group invertible."""
+    A, B, fa, fb, _ = t
     for f, label in ((fa, "A"), (fb, "B")):
         if not _group_invertible(f, tol):
             raise GroupInvertibilityError(f"{label} is not group invertible")
@@ -376,21 +369,17 @@ def _sharp(A, B, tol):
         witness_p = _group_witness(fa)
         witness_q = _group_witness(fa.adjoint())
     verdicts = {"square_equals_ba": left_id, "square_equals_ab": right_id}
-    return (OrderReport("sharp", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
-            *factors)
+    return OrderReport("sharp", holds, verdicts, witness_p, witness_q, t.ranks, t.flags())
 
 
 def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Core order on group-invertible A: A*A = A*B and A^2 = BA."""
-    A, B = as_pair(A, B, square=True)
-    return _core(A, B, tol)[0]
+    return _core(_triple(*as_pair(A, B, square=True), tol), tol)
 
 
-def _core(A, B, tol, factors=None):
-    """The core-order report of A against B with the factors of A, B, B - A
-    (computed unless ``factors`` holds them)."""
-    factors, ranks, flags = _factor_triple(A, B, tol, factors)
-    fa = factors[0]
+def _core(t: _Triple, tol) -> OrderReport:
+    """The core-order report; raises unless A is group invertible."""
+    A, B, fa, _, _ = t
     if not _group_invertible(fa, tol):
         raise GroupInvertibilityError("A is not group invertible")
 
@@ -404,8 +393,7 @@ def _core(A, B, tol, factors=None):
         witness_p = _orthogonal_witness(fa)
         witness_q = _group_witness(fa.adjoint())
     verdicts = {"gram_left": gram, "square_equals_ba": square}
-    return (OrderReport("core", holds, verdicts, witness_p, witness_q, ranks, tuple(flags)),
-            *factors)
+    return OrderReport("core", holds, verdicts, witness_p, witness_q, t.ranks, t.flags())
 
 
 def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -416,8 +404,8 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
     still evaluates only the intersection conditions so the coincidence
     remains a checkable theorem rather than an implementation artifact.
     """
-    A, B = as_pair(A, B)
-    (fa, _, fd), ranks, flags = _factor_triple(A, B, tol)
+    t = _triple(*as_pair(A, B), tol)
+    fa, fd = t.fa, t.fd
 
     # R(A) + R(B - A) and its orthogonal complement, on both sides
     down, leftover = _sum_and_meet(fa.range, fa.conull, fd.range, tol)[:2]
@@ -432,7 +420,7 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
         witness_q = _split_witness(fa.adjoint(), fd.adjoint(), leftover_s)
     verdicts = {"left_intersection_trivial": left_trivial,
                 "right_intersection_trivial": right_trivial}
-    return OrderReport("weak_minus", holds, verdicts, witness_p, witness_q, ranks, tuple(flags))
+    return OrderReport("weak_minus", holds, verdicts, witness_p, witness_q, t.ranks, t.flags())
 
 
 _PREDICATES = {
@@ -446,6 +434,7 @@ _PREDICATES = {
     "core": core_order,
     "weak_minus": weak_minus_order,
 }
+ORDER_NAMES = tuple(_PREDICATES)
 
 
 def order_predicate(name: str):
@@ -466,9 +455,9 @@ def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.
     (A - B) X = 0.  Raises :class:`OrderConditionError` when the left
     minus order fails.
     """
-    A, B = as_pair(A, B)
-    report, fa, fb, fd = _left_minus(A, B, tol)
-    _require(report, "order does not hold")
+    t = _triple(*as_pair(A, B), tol)
+    _require(_left_minus(t, tol), "order does not hold")
+    A, B, fa, fb, fd = t
     m, n = A.shape
     # M is spanned by the right singular vectors of the sines R(A*)* B_N(B-A)
     _, sines, wh = np.linalg.svd(adjoint(fa.corange.basis) @ fd.null.basis, full_matrices=False)

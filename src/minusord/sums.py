@@ -7,6 +7,12 @@ idempotent E, the Fill-Fishkind expression for the Moore-Penrose inverse
 of the sum, reflexive inverses of the sum with prescribed spaces, the
 two-summand decomposition of such inverses, and inverse additivity under
 the star, sharp and core orders.
+
+Each construction factors A, A + B and (A + B) - A once, into the triple
+``t`` of A against A + B, and runs its order check on it.  So ``t.b`` is
+the sum, ``t.fb`` its factor, and ``t.fd``, the factor of (A + B) - A, is
+that of the summand B; the constructions read every subspace off these
+factors.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from .linalg import (
     as_pair,
     fro,
 )
-from .orders import _core, _left_minus, _minus_context, _MinusContext, _require, _sharp, _star
+from .orders import (OrderReport, _core, _left_minus, _minus, _require, _sharp, _star, _Triple,
+                     _triple)
 from .subspaces import (
     Projection,
     Subspace,
@@ -59,25 +66,24 @@ FF_VERIFY_RTOL = 1e-8
 ADDITIVITY_VERIFY_RTOL = 1e-9
 
 
-def _require_minus(A, total, tol, message) -> _MinusContext:
-    """The minus-order context of A against A + B; raises with its report
-    when the order fails."""
-    context = _minus_context(A, total, tol)
-    _require(context.report, message)
-    return context
+def _minus_triple(A, B, tol, message) -> _Triple:
+    """The triple of A against A + B, after its minus-order check; raises
+    with the report when the order fails."""
+    t = _triple(A, A + B, tol)
+    _require(_minus(t, tol), message)
+    return t
 
 
-def _checked_split(A, B, tol) -> tuple[_MinusContext, "SplitWitness"]:
+def _checked_split(t: _Triple, tol) -> "SplitWitness":
     """The optimal split of A + B behind the pseudoinverse and least-squares
-    constructions, after their checks: left minus order first (its report
-    is built only when it fails), then the full minus order."""
-    total = A + B
-    context = _minus_context(A, total, tol)
-    if not context.left_holds:
-        raise OrderConditionError("order fails: A is not left-minus-below A + B",
-                                  _left_minus(A, total, tol)[0])
-    _require(context.report, "A is not minus-below A + B")
-    return context, _split(context, A, total, tol, None, None)
+    constructions, after their checks on the triple: when the minus order
+    fails, a failing left minus order is reported first, its report built
+    on the same factors."""
+    report = _minus(t, tol)
+    if not report.holds:
+        _require(_left_minus(t, tol), "order fails: A is not left-minus-below A + B")
+        raise OrderConditionError("A is not minus-below A + B", report)
+    return _split(t, report, tol, None, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,19 +113,20 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     back, so A = (A + B) Q.
     """
     A, B = as_pair(A, B)
-    total = A + B
-    context = _require_minus(A, total, tol, "A is not minus-below A + B")
-    return _split(context, A, total, tol, m1, n1)
+    t = _triple(A, A + B, tol)
+    report = _minus(t, tol)
+    _require(report, "A is not minus-below A + B")
+    return _split(t, report, tol, m1, n1)
 
 
-def _split(context: _MinusContext, A, total, tol, m1, n1) -> SplitWitness:
-    # the order ran on (A, A + B): its B is the sum and its B - A is B
-    fa, ft, fb = context.fa, context.fb, context.fd
+def _split(t: _Triple, report: OrderReport, tol, m1, n1) -> SplitWitness:
+    """The split of A + B read off the triple and the minus-order report."""
+    A, total, fa, ft, fb = t.a, t.b, t.fa, t.fb, t.fd
     ra, rb = fa.range, fb.range
     if m1 is None and n1 is None:
         # onto R(A) + N(T*) along R(B): the order's witness projects onto
         # R(A) along R(B) + N(T*), and N(T*) is orthogonal to the rest
-        p = Projection(context.report.witness_p.matrix + ft.conull.projector(),
+        p = Projection(report.witness_p.matrix + ft.conull.projector(),
                        Subspace._trusted(np.hstack([ra.basis, ft.conull.basis])), rb)
     else:
         onto = _sum_and_meet(ra, fa.conull, ft.conull if m1 is None else m1, tol)
@@ -129,7 +136,7 @@ def _split(context: _MinusContext, A, total, tol, m1, n1) -> SplitWitness:
     # Q is the adjoint of the same construction on the domain side: Q*
     # projects onto R(A*) + N(T) along R(B*), so Q projects onto N(B)
     # along N(A) cap R(T*), the null space of V_A* restricted to R(T*)
-    witness_q = context.report.witness_q.matrix + ft.null.projector()
+    witness_q = report.witness_q.matrix + ft.null.projector()
     kept = np.linalg.svd(adjoint(fa.corange.basis) @ ft.corange.basis)[2][fa.rank:]
     q = Projection(adjoint(witness_q), fb.null, Subspace._trusted(ft.corange.basis @ adjoint(kept)))
 
@@ -157,15 +164,16 @@ def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     cross-checks it against the direct SVD route before returning.
     """
     A, B = as_pair(A, B)
-    context, witness = _checked_split(A, B, tol)
+    t = _triple(A, A + B, tol)
+    witness = _checked_split(t, tol)
     m, n = A.shape
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)
-    assembled = (witness.q.matrix @ context.fa.pinv() @ witness.p.matrix
-                 + (eye_n - witness.q.matrix) @ context.fd.pinv() @ (eye_m - witness.p.matrix))
-    oracle = context.fb.pinv()
+    assembled = (witness.q.matrix @ t.fa.pinv() @ witness.p.matrix
+                 + (eye_n - witness.q.matrix) @ t.fd.pinv() @ (eye_m - witness.p.matrix))
+    oracle = t.fb.pinv()
     tol.verify("assembled pseudoinverse disagrees with the SVD route",
-               fro(assembled - oracle), 1.0 + context.fb.condition, FF_VERIFY_RTOL)
+               fro(assembled - oracle), 1.0 + t.fb.condition, FF_VERIFY_RTOL)
     return assembled
 
 
@@ -178,14 +186,13 @@ def st_projections(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[np.n
     idempotent before returning.
     """
     A, B = as_pair(A, B)
-    context = _require_minus(A, A + B, tol, "precondition failure: ranges do not split the sum")
-    # N(B)^perp = R(B*) and N(B*)^perp = R(B), with B = (A + B) - A
-    s = _pinv(context.fd.corange.projector() @ context.fa.null.projector(), tol)
-    t = _pinv(context.fa.conull.projector() @ context.fd.range.projector(), tol)
-
-    for mat, label in ((s, "S"), (t, "T")):
+    t = _minus_triple(A, B, tol, "precondition failure: ranges do not split the sum")
+    # N(B)^perp = R(B*) and N(B*)^perp = R(B)
+    idempotents = (_pinv(t.fd.corange.projector() @ t.fa.null.projector(), tol),
+                   _pinv(t.fa.conull.projector() @ t.fd.range.projector(), tol))
+    for mat, label in zip(idempotents, "ST"):
         tol.verify(f"{label} is not idempotent", fro(mat @ mat - mat), 1.0 + fro(mat) ** 2)
-    return s, t
+    return idempotents
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,15 +224,13 @@ def agreeing_split(A, B, range_complement: Subspace, kernel_complement: Subspace
     defining projection identities are verified before returning.
     """
     A, B = as_pair(A, B)
-    context = _require_minus(A, A + B, tol, "A is not minus-below A + B")
-    return _agreeing_split(context, A, range_complement, kernel_complement, tol)
+    t = _minus_triple(A, B, tol, "A is not minus-below A + B")
+    return _agreeing_split(t, range_complement, kernel_complement, tol)
 
 
-def _agreeing_split(context: _MinusContext, A, range_complement, kernel_complement,
-                    tol) -> AgreeingSplit:
-    # the order ran on (A, A + B): its B is the sum and its B - A is B
-    fa, ft, fb = context.fa, context.fb, context.fd
-    m, n = A.shape
+def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol) -> AgreeingSplit:
+    fa, ft, fb = t.fa, t.fb, t.fd
+    m, n = t.a.shape
     if range_complement.ambient_dim != m or kernel_complement.ambient_dim != n:
         raise ValueError("ambient mismatch")
 
@@ -240,33 +245,33 @@ def _agreeing_split(context: _MinusContext, A, range_complement, kernel_compleme
     n2, n2_perp, _ = _sum_and_meet(fa.range, fa.conull, range_complement, tol)
     p = _oblique(fa.range, n1, _complementary(fa.range, fa.conull, n1, n1_perp, tol))
     pb = _oblique(fb.range, n2, _complementary(fb.range, fb.conull, n2, n2_perp, tol))
-    _verify_codomain(context, p, p, pb, range_complement, tol)
+    _verify_codomain(t, p, p, pb, range_complement, tol)
 
     n1s = _sum_and_meet(fb.null, fb.corange, kernel_complement, tol)[2]
     n2s = _sum_and_meet(fa.null, fa.corange, kernel_complement, tol)[2]
     # Q projects onto N1* = N(B) cap N along N(A)
     q = _oblique(n1s, fa.null, _complements(n1s, fa.corange, tol))
     qb = _oblique(n2s, fb.null, _complements(n2s, fb.corange, tol))
-    _verify_domain(context, q, q, qb, kernel_complement, tol)
+    _verify_domain(t, q, q, qb, kernel_complement, tol)
     return AgreeingSplit(p=p, q=q, n1=n1, n2=n2, n1s=n1s, n2s=n2s)
 
 
-def _verify_codomain(context: _MinusContext, p, pa, pb, range_complement, tol):
+def _verify_codomain(t: _Triple, p, pa, pb, range_complement, tol):
     """Check the codomain projection-sum identity tying the complements to
     M: ``pa`` and ``pb`` project onto R(A) and R(B) along N1 and N2."""
     eye = np.eye(p.matrix.shape[0], dtype=np.complex128)
     lhs = pa.matrix @ p.matrix + pb.matrix @ (eye - p.matrix)
-    rhs = _oblique(context.fb.range, range_complement, True).matrix
+    rhs = _oblique(t.fb.range, range_complement, True).matrix
     tol.verify("codomain projection identity failed for the given complements",
                fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
 
 
-def _verify_domain(context: _MinusContext, q, qa, qb, kernel_complement, tol):
+def _verify_domain(t: _Triple, q, qa, qb, kernel_complement, tol):
     """Check the domain projection-sum identity tying the complements to
     N: ``qa`` and ``qb`` project onto N1* and N2* along N(A) and N(B)."""
     eye = np.eye(q.matrix.shape[0], dtype=np.complex128)
     lhs = q.matrix @ qa.matrix + (eye - q.matrix) @ qb.matrix
-    rhs = _oblique(kernel_complement, context.fb.null, True).matrix
+    rhs = _oblique(kernel_complement, t.fb.null, True).matrix
     tol.verify("domain projection identity failed for the given complements",
                fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
 
@@ -285,8 +290,8 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
     the choice.
     """
     A, B = as_pair(A, B)
-    context = _require_minus(A, A + B, tol, "A is not minus-below A + B")
-    split = _agreeing_split(context, A, range_complement, kernel_complement, tol)
+    t = _minus_triple(A, B, tol, "A is not minus-below A + B")
+    split = _agreeing_split(t, range_complement, kernel_complement, tol)
     chosen = (
         split.n1 if n1 is None else n1,
         split.n2 if n2 is None else n2,
@@ -294,17 +299,16 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
         split.n2s if n2s is None else n2s,
     )
     c1, c2, c1s, c2s = chosen
-    # the summands' factors are the context's: B's is that of (A + B) - A
-    fa, fb = context.fa, context.fd
+    fa, fb = t.fa, t.fd
     if any(x is not None for x in (n1, n2, n1s, n2s)):
         # the split has tested its own complements; each given one is
         # tested here, once
         pa = split.p if n1 is None else _oblique(fa.range, n1, _complements(n1, fa.conull, tol))
         pb = _oblique(fb.range, c2, n2 is None or _complements(n2, fb.conull, tol))
-        _verify_codomain(context, split.p, pa, pb, range_complement, tol)
+        _verify_codomain(t, split.p, pa, pb, range_complement, tol)
         qa = split.q if n1s is None else _oblique(n1s, fa.null, _complements(n1s, fa.corange, tol))
         qb = _oblique(c2s, fb.null, n2s is None or _complements(n2s, fb.corange, tol))
-        _verify_domain(context, split.q, qa, qb, kernel_complement, tol)
+        _verify_domain(t, split.q, qa, qb, kernel_complement, tol)
     # every complement has now been tested against the summand it serves
     xa = _reflexive_solve(A, c1s, c1)
     xb = _reflexive_solve(B, c2s, c2)
@@ -325,8 +329,8 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     before returning.
     """
     A, B = as_pair(A, B)
-    context = _require_minus(A, A + B, tol, "A is not minus-below A + B")
-    split = _agreeing_split(context, A, range_complement, kernel_complement, tol)
+    t = _minus_triple(A, B, tol, "A is not minus-below A + B")
+    split = _agreeing_split(t, range_complement, kernel_complement, tol)
     # the split has tested these complements against R(A), N(A), R(B), N(B)
     xa = _reflexive_solve(A, split.n1s, split.n1)
     xb = _reflexive_solve(B, split.n2s, split.n2)
@@ -351,31 +355,26 @@ def ordered_inverse_additivity(A, B, kind: str,
     can exceed B's rank cutoff when B is small beside A.
     """
     A, B = as_pair(A, B, square=kind in ("group", "core"))
-    total = A + B
+    if kind not in INVERSE_KINDS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(INVERSE_KINDS)}")
+    t = _triple(A, A + B, tol)
     if kind == "moore_penrose":
-        report, fa, ft, _ = _star(A, total, tol)
-        _require(report, "required order fails: A is not star-below A + B")
-        result = fa.pinv() + _pinv(B, tol)
-        oracle = ft.pinv()
+        _require(_star(t, tol), "required order fails: A is not star-below A + B")
+        result = t.fa.pinv() + _pinv(B, tol)
+        oracle = t.fb.pinv()
     elif kind == "group":
         # the sharp check has found A and A + B group invertible, not B
-        report, fa, ft, _ = _sharp(A, total, tol)
-        _require(report, "required order fails: A is not sharp-below A + B")
-        result = _group_inverse(*_group_factor(B, tol)) + _group_inverse(A, fa)
-        oracle = _group_inverse(total, ft)
-    elif kind == "core":
-        # the core check has found A group invertible, not B or A + B
-        report, fa, ft, fd = _core(A, total, tol)
-        _require(report, "required order fails: A is not core-below A + B")
-        mirrored = (fa.adjoint(), ft.adjoint(), fd.adjoint())
-        _require(_core(adjoint(A), adjoint(total), tol, mirrored)[0],
-                 "required order fails: A* is not core-below (A + B)*")
-        result = _core_inverse(*_group_factor(B, tol)) + _core_inverse(A, fa)
-        if not _group_invertible(ft, tol):
-            raise GroupInvertibilityError("not group invertible")
-        oracle = _core_inverse(total, ft)
+        _require(_sharp(t, tol), "required order fails: A is not sharp-below A + B")
+        result = _group_inverse(*_group_factor(B, tol)) + _group_inverse(A, t.fa)
+        oracle = _group_inverse(t.b, t.fb)
     else:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(INVERSE_KINDS)}")
+        # the core check has found A group invertible, not B or A + B
+        _require(_core(t, tol), "required order fails: A is not core-below A + B")
+        _require(_core(t.adjoint(), tol), "required order fails: A* is not core-below (A + B)*")
+        result = _core_inverse(*_group_factor(B, tol)) + _core_inverse(A, t.fa)
+        if not _group_invertible(t.fb, tol):
+            raise GroupInvertibilityError("not group invertible")
+        oracle = _core_inverse(t.b, t.fb)
 
     tol.verify("inverse additivity failed the direct-route check",
                fro(result - oracle), 1.0 + fro(oracle), ADDITIVITY_VERIFY_RTOL)

@@ -1,0 +1,77 @@
+"""The pair statistics of ``scripts/bench_pairs.py``, loaded by path.
+
+Ten pairs exercise the claim rule (at least nine wins of ten and a median
+difference beyond the parent's interquartile range); one pair has no
+quartiles, so nothing is claimed, and its results are still written.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pairs(parent, change):
+    """Synthetic pairs: per metric, one parent and one change value each."""
+    names = list(parent)
+    return [{"parent": {"metrics": {k: parent[k][i] for k in names}},
+             "change": {"metrics": {k: change[k][i] for k in names}}}
+            for i in range(len(parent[names[0]]))]
+
+
+def test_ten_pairs_apply_the_claim_rule(bench_pairs):
+    parent = [float(v) for v in range(10, 20)]  # quartiles 12.25 and 16.75
+    change = {
+        # nine wins, medians 14.5 -> 8.5, beyond the IQR of 4.5: a gain
+        "latency_p50_ms": [v - 6.0 for v in parent[:9]] + [parent[9] + 1.0],
+        # ten wins, but the medians differ by 3 only: no gain
+        "ops_per_s": [v + 3.0 for v in parent],
+        # eight wins, however large: no gain
+        "latency_tail_ms": [v - 10.0 for v in parent[:8]] + [v + 1.0 for v in parent[8:]],
+    }
+    directions = {"latency_p50_ms": "lower", "ops_per_s": "higher", "latency_tail_ms": "lower"}
+    summary = bench_pairs.summarize(_pairs({k: parent for k in change}, change), directions)
+
+    p50 = summary["latency_p50_ms"]
+    assert (p50["wins"], p50["pairs"]) == (9, 10)
+    assert (p50["parent_q1"], p50["parent_q3"], p50["parent_iqr"]) == (12.25, 16.75, 4.5)
+    assert (p50["parent_median"], p50["change_median"]) == (14.5, 8.5)
+    assert p50["gain"] is True
+    assert summary["ops_per_s"]["wins"] == 10 and summary["ops_per_s"]["gain"] is False
+    assert summary["latency_tail_ms"]["wins"] == 8 and summary["latency_tail_ms"]["gain"] is False
+
+
+def test_one_pair_has_no_quartiles(bench_pairs):
+    summary = bench_pairs.summarize(_pairs({"latency_p50_ms": [2.0]}, {"latency_p50_ms": [1.0]}),
+                                    {"latency_p50_ms": "lower"})
+    row = summary["latency_p50_ms"]
+    assert (row["wins"], row["pairs"]) == (1, 1)
+    assert row["parent_q1"] is row["parent_q3"] is row["parent_iqr"] is None
+    assert row["change_quartiles"] == [None, None]
+    assert row["gain"] is False
+
+
+def test_one_seed_still_writes_out(bench_pairs, tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "latency_p50_ms", "better": "lower"}]}))
+    monkeypatch.setattr(bench_pairs, "run", lambda checkout, *args, **kwargs: {
+        "correct": True, "attempted": 1, "failed": 0, "failures": None,
+        "metrics": {"latency_p50_ms": 2.0 if checkout.name == "parent" else 1.0}})
+    out = tmp_path / "BENCH_one.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path), "--workload", "w",
+            "--seeds", "5-5", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())["workloads"]["w"]
+    assert [p["seed"] for p in record["pairs"]] == [5]
+    assert record["summary"]["latency_p50_ms"]["gain"] is False

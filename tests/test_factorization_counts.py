@@ -18,6 +18,11 @@ validated once, at the public entry point, and the arrays derived from
 them (factors, the bases cut from them, products and joins of such bases)
 are not validated again.  What remains is the entry point's own
 validation and that of each ``Projection`` the call builds.
+
+The bounds hold on failure paths too: a construction whose order check
+fails builds the report it raises from the factors that check made, so
+on the unordered row only A, A + B and B are factored with singular
+vectors, once each.
 """
 
 import ast
@@ -31,10 +36,13 @@ import pytest
 import minusord
 from minusord import linalg
 from minusord.additivity import disjoint_range_additivity, kernel_characterization
+from minusord.exceptions import OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
 from minusord.geninv import core_inverse, group_inverse
-from minusord.lsq import decoupled_lss
-from minusord.orders import inner_inverse_witness, minus_order, sharp_order, star_order
+from minusord.lsq import decoupled_lss, solve_system
+from minusord.orders import (core_order, inner_inverse_witness, left_minus_order, minus_order,
+                             right_minus_order, right_star_order, sharp_order, star_order,
+                             weak_minus_order)
 from minusord.subspaces import Subspace
 from minusord.sums import (build_split, fill_fishkind_pinv, ordered_inverse_additivity,
                            sum_reflexive_inverse, werner_decomposition)
@@ -48,11 +56,29 @@ C = _rng.standard_normal(9) + 0j
 # complements of R(A + B) and N(A + B), which have dimensions 6 and 3
 M = Subspace.from_span(_rng.standard_normal((9, 3)) + 1j * _rng.standard_normal((9, 3)))
 N = Subspace.from_span(_rng.standard_normal((9, 6)) + 1j * _rng.standard_normal((9, 6)))
+# a full-rank perturbation, which fails the left minus order against A
+G = _rng.standard_normal((9, 9)) + 1j * _rng.standard_normal((9, 9))
+X = _rng.standard_normal(9) + 0j
+
+
+def _unordered_pinv():
+    try:
+        fill_fishkind_pinv(A, G)
+    except OrderConditionError as exc:
+        assert exc.report.order_name == "left_minus"
+    else:
+        raise AssertionError("the order check passed an unordered pair")
+
 
 # name: (call, bound on all SVDs, on SVDs with singular vectors, on n-sized SVDs,
 #        on as_matrix calls)
 CALLS = {
     "minus_order": (lambda: minus_order(A, A + B), 12, 3, 4, 4),
+    "left_minus_order": (lambda: left_minus_order(A, A + B), 7, 3, 4, 3),
+    "right_minus_order": (lambda: right_minus_order(A, A + B), 7, 3, 4, 3),
+    "right_star_order": (lambda: right_star_order(SA, SA + SB), 6, 3, 4, 3),
+    "core_order": (lambda: core_order(CA, CA + CB), 4, 3, 3, 4),
+    "weak_minus_order": (lambda: weak_minus_order(A, A + B), 5, 5, 3, 4),
     "star_order": (lambda: star_order(SA, SA + SB), 7, 3, 3, 4),
     "sharp_order": (lambda: sharp_order(HA, HA + HB), 5, 3, 3, 4),
     "inner_inverse_witness": (lambda: inner_inverse_witness(A, A + B), 8, 4, 4, 3),
@@ -60,7 +86,10 @@ CALLS = {
     "core_inverse": (lambda: core_inverse(CA), 2, 1, 1, 1),
     "build_split": (lambda: build_split(A, B), 13, 4, 4, 6),
     "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 13, 4, 4, 6),
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 14, 5, 5, 8),
+    # every SVD is n-sized here: the joins of the full-rank sum have 9 rows
+    "fill_fishkind_pinv_unordered": (_unordered_pinv, 10, 3, 10, 2),
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 14, 5, 5, 7),
+    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 11, 3, 8, 3),
     "additivity_moore_penrose":
         (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 8, 4, 4, 4),
     "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 7, 4, 4, 5),
