@@ -1,7 +1,7 @@
 """Per-call cost of the public calls: SVD and ``as_matrix`` validation
-counts on the 9x9 gate pairs of ``tests/test_factorization_counts.py`` and
-median wall time at n = 6, 50 and 200 (square n x n, ranks n/3 + n/3),
-next to their numpy floors.
+counts, taken by the spy of ``tests/test_factorization_counts.py`` on its
+9x9 gate pairs, and median wall time at n = 6, 50 and 200 (square n x n,
+ranks n/3 + n/3), next to their numpy floors.
 
 Run from the root of a checkout; ``--src`` points at another checkout's
 ``src`` to measure it with the same inputs:
@@ -22,9 +22,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import importlib  # noqa: E402
 import json  # noqa: E402
-import pkgutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -66,39 +64,6 @@ def calls(n):
     }
 
 
-def counts(call):
-    """(all SVDs, SVDs with singular vectors) and the ``as_matrix`` calls
-    made by one call, the latter counted in every package module that
-    imports the function."""
-    import numpy as np
-    import minusord
-    from minusord import linalg
-    real_svd, real_check = np.linalg.svd, linalg.as_matrix
-    modules = [importlib.import_module(f"minusord.{info.name}")
-               for info in pkgutil.iter_modules(minusord.__path__)]
-    modules = [m for m in modules if getattr(m, "as_matrix", None) is real_check]
-    seen, checks = [], []
-
-    def counting_svd(*args, **kwargs):
-        seen.append(kwargs.get("compute_uv", True))
-        return real_svd(*args, **kwargs)
-
-    def counting_check(*args, **kwargs):
-        checks.append(1)
-        return real_check(*args, **kwargs)
-
-    np.linalg.svd = counting_svd
-    for module in modules:
-        module.as_matrix = counting_check
-    try:
-        call()
-    finally:
-        np.linalg.svd = real_svd
-        for module in modules:
-            module.as_matrix = real_check
-    return [len(seen), sum(seen)], len(checks)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
@@ -116,7 +81,8 @@ def main(argv=None) -> int:
     for name in calls(6):
         svds = checks = None
         if name in gate_calls:
-            svds, checks = counts(gate.CALLS[gate_calls[name]][0])
+            seen, labels = gate.spy(gate.CALLS[gate_calls[name]][0])
+            svds, checks = [len(seen), sum(vectors for vectors, _ in seen)], len(labels)
         table[name] = {"svds": svds, "validations": checks, "ms": {}}
     for n in SIZES:
         for name, call in calls(n).items():

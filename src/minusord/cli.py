@@ -130,10 +130,7 @@ def cmd_pinv_sum(args) -> int:
     tol = _tolerance(args)
     a = read_matrix(args.file_a)
     b = read_matrix(args.file_b)
-    try:
-        result = fill_fishkind_pinv(a, b, tol)
-    except OrderConditionError as exc:
-        return _order_failure(args, "pinv-sum", exc)
+    result = fill_fishkind_pinv(a, b, tol)
     if args.out:
         write_matrix(args.out, result)
     payload = {
@@ -153,10 +150,7 @@ def cmd_lsq(args) -> int:
     a = read_matrix(args.file_a)
     b = read_matrix(args.file_b)
     c = read_vector(args.file_c)
-    try:
-        result = decoupled_lss(a, b, c, tol)
-    except OrderConditionError as exc:
-        return _order_failure(args, "lsq", exc)
+    result = decoupled_lss(a, b, c, tol)
     payload = {
         "command": "lsq",
         "inputs": _input_payload(A=(args.file_a, a.shape), B=(args.file_b, b.shape),
@@ -250,8 +244,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except OrderConditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _order_failure(args, args.command, exc)
     except (MinusordError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

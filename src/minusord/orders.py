@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
-from .geninv import _group_invertible
+from .geninv import _group_invertible, _reflexive_solve
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -374,15 +374,15 @@ def _sharp(t: _Triple, tol) -> OrderReport:
 
 def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Core order on group-invertible A: A*A = A*B and A^2 = BA."""
-    return _core(_triple(*as_pair(A, B, square=True), tol), tol)
+    t = _triple(*as_pair(A, B, square=True), tol)
+    if not _group_invertible(t.fa, tol):
+        raise GroupInvertibilityError("A is not group invertible")
+    return _core(t, tol)
 
 
 def _core(t: _Triple, tol) -> OrderReport:
-    """The core-order report; raises unless A is group invertible."""
+    """The core-order report, for A (and so A*) found group invertible."""
     A, B, fa, _, _ = t
-    if not _group_invertible(fa, tol):
-        raise GroupInvertibilityError("A is not group invertible")
-
     scale = 1.0 + fro(A) * (fro(A) + fro(B))
     gram = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), scale)
     square = tol.within(fro(A @ A - B @ A), scale)
@@ -458,18 +458,12 @@ def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.
     t = _triple(*as_pair(A, B), tol)
     _require(_left_minus(t, tol), "order does not hold")
     A, B, fa, fb, fd = t
-    m, n = A.shape
     # M is spanned by the right singular vectors of the sines R(A*)* B_N(B-A)
     _, sines, wh = np.linalg.svd(adjoint(fa.corange.basis) @ fd.null.basis, full_matrices=False)
-    m_slice = fd.null.basis @ adjoint(wh[:sine_cut(sines, n, tol)[0]])
-    joined = np.hstack([A @ m_slice, fd.range.basis, fb.conull.basis])
-    if joined.shape[1] != m:
-        raise ComplementError("complement condition violated")
-    target = np.hstack([m_slice, np.zeros((n, m - m_slice.shape[1]), dtype=np.complex128)])
-    try:
-        witness = np.linalg.solve(joined.T, target.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ComplementError("complement condition violated") from exc
+    m_slice = fd.null.basis @ adjoint(wh[:sine_cut(sines, A.shape[1], tol)[0]])
+    # the ranks add, so U_D and U_B^perp fit in C^m; the solve rejects a singular join
+    along = Subspace._trusted(np.hstack([fd.range.basis, fb.conull.basis]))
+    witness = _reflexive_solve(A, Subspace._trusted(m_slice), along)
 
     scale = (1.0 + fro(A)) * (1.0 + fro(witness))
     tol.verify("inner inverse failed A X A = A", fro(A @ witness @ A - A), scale)

@@ -12,7 +12,8 @@ Each construction factors A, A + B and (A + B) - A once, into the triple
 ``t`` of A against A + B, and runs its order check on it.  So ``t.b`` is
 the sum, ``t.fb`` its factor, and ``t.fd``, the factor of (A + B) - A, is
 that of the summand B; the constructions read every subspace off these
-factors.
+factors.  Complements a caller supplies replace the canonical ones inside
+the one agreeing split, which tests and verifies each once.
 """
 
 from __future__ import annotations
@@ -135,10 +136,10 @@ def _split(t: _Triple, report: OrderReport, tol, m1, n1) -> SplitWitness:
 
     # Q is the adjoint of the same construction on the domain side: Q*
     # projects onto R(A*) + N(T) along R(B*), so Q projects onto N(B)
-    # along N(A) cap R(T*), the null space of V_A* restricted to R(T*)
+    # along N(A) cap R(T*), the meet read off the sines V_A* V_T
     witness_q = report.witness_q.matrix + ft.null.projector()
-    kept = np.linalg.svd(adjoint(fa.corange.basis) @ ft.corange.basis)[2][fa.rank:]
-    q = Projection(adjoint(witness_q), fb.null, Subspace._trusted(ft.corange.basis @ adjoint(kept)))
+    meet = _sum_and_meet(fa.null, fa.corange, ft.corange, tol)[2]
+    q = Projection(adjoint(witness_q), fb.null, meet)
 
     eye = np.eye(A.shape[0], dtype=np.complex128)
     e = ra.projector() @ p.matrix + rb.projector() @ (eye - p.matrix)
@@ -201,9 +202,9 @@ class AgreeingSplit:
 
     ``p`` projects onto R(A) along N1 = R(B) + M; ``q`` is the
     right-multiplication projection agreeing with N.  The four subspaces
-    are the canonical complements entering the two-summand formula:
-    X_A keeps range ``n1s`` and null space ``n1``, X_B keeps ``n2s`` and
-    ``n2``.
+    are the (canonical unless given) complements entering the two-summand
+    formula: X_A keeps range ``n1s`` and null space ``n1``, X_B keeps
+    ``n2s`` and ``n2``.
     """
 
     p: Projection
@@ -228,7 +229,12 @@ def agreeing_split(A, B, range_complement: Subspace, kernel_complement: Subspace
     return _agreeing_split(t, range_complement, kernel_complement, tol)
 
 
-def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol) -> AgreeingSplit:
+def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol,
+                    n1=None, n2=None, n1s=None, n2s=None) -> AgreeingSplit:
+    """:func:`agreeing_split` on the checked triple.  P and Q keep the
+    canonical N1 and N1*; each complement given replaces the canonical one,
+    which is then not built unless P or Q needs it.  Every complement in
+    use is tested once, and each projection-sum identity verified once."""
     fa, ft, fb = t.fa, t.fb, t.fd
     m, n = t.a.shape
     if range_complement.ambient_dim != m or kernel_complement.ambient_dim != n:
@@ -241,39 +247,33 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol) -> Agr
     if not _complements(kernel_complement, ft.corange, tol):
         raise ComplementError("complement condition violated: N does not complement N(A + B)")
 
-    n1, n1_perp, _ = _sum_and_meet(fb.range, fb.conull, range_complement, tol)
-    n2, n2_perp, _ = _sum_and_meet(fa.range, fa.conull, range_complement, tol)
-    p = _oblique(fa.range, n1, _complementary(fa.range, fa.conull, n1, n1_perp, tol))
-    pb = _oblique(fb.range, n2, _complementary(fb.range, fb.conull, n2, n2_perp, tol))
-    _verify_codomain(t, p, p, pb, range_complement, tol)
-
-    n1s = _sum_and_meet(fb.null, fb.corange, kernel_complement, tol)[2]
-    n2s = _sum_and_meet(fa.null, fa.corange, kernel_complement, tol)[2]
-    # Q projects onto N1* = N(B) cap N along N(A)
-    q = _oblique(n1s, fa.null, _complements(n1s, fa.corange, tol))
-    qb = _oblique(n2s, fb.null, _complements(n2s, fb.corange, tol))
-    _verify_domain(t, q, q, qb, kernel_complement, tol)
-    return AgreeingSplit(p=p, q=q, n1=n1, n2=n2, n1s=n1s, n2s=n2s)
-
-
-def _verify_codomain(t: _Triple, p, pa, pb, range_complement, tol):
-    """Check the codomain projection-sum identity tying the complements to
-    M: ``pa`` and ``pb`` project onto R(A) and R(B) along N1 and N2."""
-    eye = np.eye(p.matrix.shape[0], dtype=np.complex128)
-    lhs = pa.matrix @ p.matrix + pb.matrix @ (eye - p.matrix)
-    rhs = _oblique(t.fb.range, range_complement, True).matrix
+    # P_A and P_B project onto R(A) and R(B) along N1 and N2
+    c1, c1_perp, _ = _sum_and_meet(fb.range, fb.conull, range_complement, tol)
+    canonical_n2 = n2 is None
+    if canonical_n2:
+        n2, n2_perp, _ = _sum_and_meet(fa.range, fa.conull, range_complement, tol)
+    p = _oblique(fa.range, c1, _complementary(fa.range, fa.conull, c1, c1_perp, tol))
+    pa = p if n1 is None else _oblique(fa.range, n1, _complements(n1, fa.conull, tol))
+    pb = _oblique(fb.range, n2, _complementary(fb.range, fb.conull, n2, n2_perp, tol)
+                  if canonical_n2 else _complements(n2, fb.conull, tol))
+    lhs = pa.matrix @ p.matrix + pb.matrix @ (np.eye(m, dtype=np.complex128) - p.matrix)
+    rhs = _oblique(ft.range, range_complement, True).matrix
     tol.verify("codomain projection identity failed for the given complements",
                fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
 
-
-def _verify_domain(t: _Triple, q, qa, qb, kernel_complement, tol):
-    """Check the domain projection-sum identity tying the complements to
-    N: ``qa`` and ``qb`` project onto N1* and N2* along N(A) and N(B)."""
-    eye = np.eye(q.matrix.shape[0], dtype=np.complex128)
-    lhs = q.matrix @ qa.matrix + (eye - q.matrix) @ qb.matrix
-    rhs = _oblique(kernel_complement, t.fb.null, True).matrix
+    # Q_A and Q_B project onto N1* and N2* along N(A) and N(B)
+    c1s = _sum_and_meet(fb.null, fb.corange, kernel_complement, tol)[2]
+    if n2s is None:
+        n2s = _sum_and_meet(fa.null, fa.corange, kernel_complement, tol)[2]
+    q = _oblique(c1s, fa.null, _complements(c1s, fa.corange, tol))
+    qa = q if n1s is None else _oblique(n1s, fa.null, _complements(n1s, fa.corange, tol))
+    qb = _oblique(n2s, fb.null, _complements(n2s, fb.corange, tol))
+    lhs = q.matrix @ qa.matrix + (np.eye(n, dtype=np.complex128) - q.matrix) @ qb.matrix
+    rhs = _oblique(kernel_complement, ft.null, True).matrix
     tol.verify("domain projection identity failed for the given complements",
                fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
+    return AgreeingSplit(p=p, q=q, n1=c1 if n1 is None else n1, n2=n2,
+                         n1s=c1s if n1s is None else n1s, n2s=n2s)
 
 
 def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: Subspace,
@@ -285,33 +285,16 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
     summands.
 
     Alternate admissible complements may be supplied through ``n1``,
-    ``n2``, ``n1s``, ``n2s``; the projection identities they must satisfy
-    are re-verified, and the assembled output is provably independent of
-    the choice.
+    ``n2``, ``n1s``, ``n2s``; the agreeing split verifies the projection
+    identities they must satisfy, and the output is provably independent
+    of the choice.
     """
     A, B = as_pair(A, B)
     t = _minus_triple(A, B, tol, "A is not minus-below A + B")
-    split = _agreeing_split(t, range_complement, kernel_complement, tol)
-    chosen = (
-        split.n1 if n1 is None else n1,
-        split.n2 if n2 is None else n2,
-        split.n1s if n1s is None else n1s,
-        split.n2s if n2s is None else n2s,
-    )
-    c1, c2, c1s, c2s = chosen
-    fa, fb = t.fa, t.fd
-    if any(x is not None for x in (n1, n2, n1s, n2s)):
-        # the split has tested its own complements; each given one is
-        # tested here, once
-        pa = split.p if n1 is None else _oblique(fa.range, n1, _complements(n1, fa.conull, tol))
-        pb = _oblique(fb.range, c2, n2 is None or _complements(n2, fb.conull, tol))
-        _verify_codomain(t, split.p, pa, pb, range_complement, tol)
-        qa = split.q if n1s is None else _oblique(n1s, fa.null, _complements(n1s, fa.corange, tol))
-        qb = _oblique(c2s, fb.null, n2s is None or _complements(n2s, fb.corange, tol))
-        _verify_domain(t, split.q, qa, qb, kernel_complement, tol)
-    # every complement has now been tested against the summand it serves
-    xa = _reflexive_solve(A, c1s, c1)
-    xb = _reflexive_solve(B, c2s, c2)
+    split = _agreeing_split(t, range_complement, kernel_complement, tol, n1, n2, n1s, n2s)
+    # the split has tested every complement against the summand it serves
+    xa = _reflexive_solve(A, split.n1s, split.n1)
+    xb = _reflexive_solve(B, split.n2s, split.n2)
     eye_m = np.eye(A.shape[0], dtype=np.complex128)
     eye_n = np.eye(A.shape[1], dtype=np.complex128)
     return (split.q.matrix @ xa @ split.p.matrix
@@ -368,7 +351,9 @@ def ordered_inverse_additivity(A, B, kind: str,
         result = _group_inverse(*_group_factor(B, tol)) + _group_inverse(A, t.fa)
         oracle = _group_inverse(t.b, t.fb)
     else:
-        # the core check has found A group invertible, not B or A + B
+        # one group-invertibility test of A serves both core checks
+        if not _group_invertible(t.fa, tol):
+            raise GroupInvertibilityError("A is not group invertible")
         _require(_core(t, tol), "required order fails: A is not core-below A + B")
         _require(_core(t.adjoint(), tol), "required order fails: A* is not core-below (A + B)*")
         result = _core_inverse(*_group_factor(B, tol)) + _core_inverse(A, t.fa)

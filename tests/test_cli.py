@@ -86,15 +86,26 @@ def test_pinv_sum_stdout_matrix(pair_files, capsys):
     assert out.startswith("%%MatrixMarket")
 
 
-def test_pinv_sum_order_failure_exit_one(tmp_path, capsys):
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("command", ["pinv-sum", "lsq"])
+def test_order_failure_one_path(tmp_path, capsys, command, json_mode):
+    # both constructions report a failing order through main's one handler
     rng = np.random.default_rng(3)
-    fa = str(tmp_path / "a.mtx")
-    fb = str(tmp_path / "b.mtx")
-    write_matrix(fa, rng.standard_normal((4, 4)).astype(complex))
-    write_matrix(fb, rng.standard_normal((4, 4)).astype(complex))
-    assert main(["pinv-sum", fa, fb]) == 1
-    err = capsys.readouterr().err
-    assert "minus" in err
+    files = [str(tmp_path / name) for name in ("a.mtx", "b.mtx", "c.mtx")]
+    for path, cols in zip(files, (4, 4, 1)):
+        write_matrix(path, rng.standard_normal((4, cols)).astype(complex))
+    argv = [command] + files[:3 if command == "lsq" else 2] + (["--json"] if json_mode else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    if json_mode:
+        payload = json.loads(captured.out)
+        assert payload["command"] == command
+        assert "left-minus" in payload["error"]
+        assert payload["result"]["order"] == "left_minus"
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith("error: ") and "left-minus" in captured.err
+        assert captured.out == ""
 
 
 def test_pinv_sum_linalg_error_exit_two(pair_files, monkeypatch, capsys):

@@ -11,7 +11,10 @@ A, B and B - A, so beyond those factors only matrices of the ranks' size
 are factored; the third bound keeps work from drifting back to n-sized
 joined bases while the total stays flat.  Group invertibility and range
 additivity are read off the same factors, so the modules that build on
-them name none of the set operations of two arbitrary subspaces.
+them name none of the set operations of two arbitrary subspaces.  Nor
+do ``sums``, ``additivity`` and ``lsq`` call an SVD or a solve inline, or
+``orders`` a solve: every reflexive inverse is one
+``geninv._reflexive_solve``.
 
 A fourth bound counts the calls of ``linalg.as_matrix``: operands are
 validated once, at the public entry point, and the arrays derived from
@@ -23,6 +26,9 @@ The bounds hold on failure paths too: a construction whose order check
 fails builds the report it raises from the factors that check made, so
 on the unordered row only A, A + B and B are factored with singular
 vectors, once each.
+
+One spy, :func:`spy`, takes both counts; ``scripts/bench_calls.py``
+prints them through it.
 """
 
 import ast
@@ -44,8 +50,9 @@ from minusord.orders import (core_order, inner_inverse_witness, left_minus_order
                              right_minus_order, right_star_order, sharp_order, star_order,
                              weak_minus_order)
 from minusord.subspaces import Subspace
-from minusord.sums import (build_split, fill_fishkind_pinv, ordered_inverse_additivity,
-                           sum_reflexive_inverse, werner_decomposition)
+from minusord.sums import (agreeing_split, build_split, fill_fishkind_pinv,
+                           ordered_inverse_additivity, sum_reflexive_inverse,
+                           werner_decomposition)
 
 A, B = minus_pair(3, 9, 9, 3, 3)
 SA, SB = star_pair(3, 9, 9, 3, 3)
@@ -59,6 +66,8 @@ N = Subspace.from_span(_rng.standard_normal((9, 6)) + 1j * _rng.standard_normal(
 # a full-rank perturbation, which fails the left minus order against A
 G = _rng.standard_normal((9, 9)) + 1j * _rng.standard_normal((9, 9))
 X = _rng.standard_normal(9) + 0j
+# the canonical complements, passed back in as given ones
+_SPLIT = agreeing_split(A, B, M, N)
 
 
 def _unordered_pinv():
@@ -93,48 +102,65 @@ CALLS = {
     "additivity_moore_penrose":
         (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 8, 4, 4, 4),
     "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 7, 4, 4, 5),
-    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 8, 4, 4, 7),
+    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 7, 4, 4, 7),
     "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
     "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 4, 3),
     "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 22, 7, 4, 10),
+    # given complements replace the canonical ones inside the one split
+    "sum_reflexive_inverse_alternates":
+        (lambda: sum_reflexive_inverse(A, B, M, N, n1=_SPLIT.n1, n2=_SPLIT.n2,
+                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 22, 5, 4, 12),
     "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 22, 7, 4, 10),
 }
 
 
+def spy(call):
+    """Run ``call`` once; return its SVDs, each as (with singular vectors,
+    n-sized), and the labels of its ``as_matrix`` calls.
+
+    ``np.linalg.svd`` is patched, and ``as_matrix`` in every package module
+    that imports it, the way perfbench/tracing.py patches the package from
+    outside; both are restored when the call returns or raises.
+    """
+    real_svd, real_check = np.linalg.svd, linalg.as_matrix
+    modules = [importlib.import_module(f"minusord.{info.name}")
+               for info in pkgutil.iter_modules(minusord.__path__)]
+    modules = [m for m in modules if getattr(m, "as_matrix", None) is real_check]
+    svds, labels = [], []
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append((kwargs.get("compute_uv", True), max(np.shape(a)) >= 9))
+        return real_svd(a, *args, **kwargs)
+
+    def counting_check(a, label="matrix"):
+        labels.append(label)
+        return real_check(a, label)
+
+    np.linalg.svd = counting_svd
+    for module in modules:
+        module.as_matrix = counting_check
+    try:
+        call()
+    finally:
+        np.linalg.svd = real_svd
+        for module in modules:
+            module.as_matrix = real_check
+    return svds, labels
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
-def test_svd_count_bound(monkeypatch, name):
+def test_svd_count_bound(name):
     call, bound, vectors_bound, sized_bound, _ = CALLS[name]
-    real = np.linalg.svd
-    calls = []
-
-    def counting(a, *args, **kwargs):
-        calls.append((kwargs.get("compute_uv", True), max(np.shape(a)) >= 9))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    call()
+    calls = spy(call)[0]
     assert 0 < len(calls) <= bound
     assert sum(vectors for vectors, _ in calls) <= vectors_bound
     assert sum(sized for _, sized in calls) <= sized_bound
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
-def test_validation_count_bound(monkeypatch, name):
-    # spy on as_matrix in every package module that imports it, the way
-    # perfbench/tracing.py patches the package from outside
+def test_validation_count_bound(name):
     call, bound = CALLS[name][0], CALLS[name][4]
-    real = linalg.as_matrix
-    seen = []
-
-    def counting(a, label="matrix"):
-        seen.append(label)
-        return real(a, label)
-
-    for info in pkgutil.iter_modules(minusord.__path__):
-        module = importlib.import_module(f"minusord.{info.name}")
-        if getattr(module, "as_matrix", None) is real:
-            monkeypatch.setattr(module, "as_matrix", counting)
-    call()
+    seen = spy(call)[1]
     assert 0 < len(seen) <= bound, seen
 
 
@@ -146,18 +172,35 @@ SET_OPERATIONS = {"subspace_sum", "span_dim", "intersect", "ominus", "is_direct_
                   "subspace_equal", "range_basis", "oblique_projection", "perp"}
 
 
-@pytest.mark.parametrize("module", ["orders", "sums", "geninv", "additivity", "lsq"])
-def test_set_operations_not_used_inside(module):
-    # every subspace relation in these modules is read off the operands'
-    # factors; the identifiers they name (imports, calls and attribute
-    # reads such as ``.perp()``) include none of the joined-basis routes
-    tree = ast.parse((SOURCES / f"{module}.py").read_text())
+def _named(module):
+    """The identifiers a package module names: imports, names and
+    attribute reads such as ``.perp()``."""
     named = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((SOURCES / f"{module}.py").read_text())):
         if isinstance(node, ast.Name):
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
         elif isinstance(node, ast.alias):
             named.add(node.asname or node.name)
-    assert not named & SET_OPERATIONS
+    return named
+
+
+@pytest.mark.parametrize("module", ["orders", "sums", "geninv", "additivity", "lsq"])
+def test_set_operations_not_used_inside(module):
+    # every subspace relation in these modules is read off the operands'
+    # factors; none of the joined-basis routes is named
+    assert not _named(module) & SET_OPERATIONS
+
+
+@pytest.mark.parametrize("module, factorizations", [
+    ("orders", {"solve"}),
+    ("sums", {"solve", "svd"}),
+    ("additivity", {"solve", "svd"}),
+    ("lsq", {"solve", "svd"}),
+])
+def test_factorizations_not_inlined(module, factorizations):
+    # every reflexive inverse is one solve of geninv._reflexive_solve, and
+    # every subspace the constructions need is read off the factors or the
+    # set operations of subspaces; no module above them factors inline
+    assert not _named(module) & factorizations
