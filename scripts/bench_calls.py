@@ -1,7 +1,9 @@
 """Per-call cost of the public calls: SVD and ``as_matrix`` validation
 counts, taken by the spy of ``tests/test_factorization_counts.py`` on its
 9x9 gate pairs, and median wall time at n = 6, 50 and 200 (square n x n,
-ranks n/3 + n/3), next to their numpy floors.
+ranks n/3 + n/3), next to their numpy floors.  The set operations run on
+two subspaces of C^n of dimensions n - 2n/3 and 2n/3 that meet in one
+direction, and the oblique projection on a complementary pair.
 
 Run from the root of a checkout; ``--src`` points at another checkout's
 ``src`` to measure it with the same inputs:
@@ -35,7 +37,7 @@ SIZES = (6, 50, 200)
 def calls(n):
     """The timed calls on one seeded square n x n pair of ranks n/3 + n/3."""
     import numpy as np
-    from minusord import lsq, orders, sums
+    from minusord import lsq, orders, subspaces, sums
     from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
     from minusord.subspaces import Subspace
 
@@ -48,6 +50,8 @@ def calls(n):
     c = rng.standard_normal(n) + 0j
     m_comp = Subspace.from_span(rng.standard_normal((n, n - 2 * r)) + 0j)
     n_comp = Subspace.from_span(rng.standard_normal((n, 2 * r)) + 0j)
+    # meets m_comp in one direction
+    meets = Subspace.from_span(np.hstack([m_comp.basis[:, :1], n_comp.basis[:, 1:]]))
     return {
         "floor: 3x np.linalg.matrix_rank":
             lambda: [np.linalg.matrix_rank(x) for x in (a, a + b, b)],
@@ -61,6 +65,11 @@ def calls(n):
             lambda: sums.ordered_inverse_additivity(sa, sb, "moore_penrose"),
         "additivity group": lambda: sums.ordered_inverse_additivity(ha, hb, "group"),
         "additivity core": lambda: sums.ordered_inverse_additivity(ca, cb, "core"),
+        "subspace_sum": lambda: subspaces.subspace_sum(m_comp, meets),
+        "intersect": lambda: subspaces.intersect(m_comp, meets),
+        "ominus": lambda: subspaces.ominus(m_comp, meets),
+        "span_dim": lambda: subspaces.span_dim(m_comp, meets),
+        "oblique_projection": lambda: subspaces.oblique_projection(m_comp, n_comp),
     }
 
 
@@ -72,16 +81,13 @@ def main(argv=None) -> int:
     sys.path[:0] = [args.src, str(ROOT / "tests")]
     import test_factorization_counts as gate
 
-    gate_calls = {"minus_order": "minus_order", "star_order": "star_order",
-                  "fill_fishkind_pinv": "fill_fishkind_pinv", "decoupled_lss": "decoupled_lss",
-                  "sum_reflexive_inverse": "sum_reflexive_inverse",
-                  "additivity moore_penrose": "additivity_moore_penrose",
-                  "additivity group": "additivity_group", "additivity core": "additivity_core"}
     table = {}
     for name in calls(6):
         svds = checks = None
-        if name in gate_calls:
-            seen, labels = gate.spy(gate.CALLS[gate_calls[name]][0])
+        # each timed call has the gate row of its name; the floors have none
+        row = gate.CALLS.get(name.replace(" ", "_"))
+        if row:
+            seen, labels = gate.spy(row[0])
             svds, checks = [len(seen), sum(vectors for vectors, _ in seen)], len(labels)
         table[name] = {"svds": svds, "validations": checks, "ms": {}}
     for n in SIZES:

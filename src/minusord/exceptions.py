@@ -6,7 +6,12 @@ class MinusordError(Exception):
 
 
 class ComplementError(MinusordError, ValueError):
-    """A required direct-sum complement condition does not hold."""
+    """A required direct-sum complement condition does not hold; ``complement``
+    names the one that failed ("M", "N", "n1", ...) when the raiser knows it."""
+
+    def __init__(self, message, complement=None):
+        super().__init__(message)
+        self.complement = complement
 
 
 class GroupInvertibilityError(MinusordError, ValueError):

@@ -41,7 +41,9 @@ from .subspaces import (
     Factored,
     Projection,
     Subspace,
+    _departing,
     _oblique,
+    _outside,
     _sum_and_meet,
     minimal_angle_cos,
 )
@@ -137,12 +139,10 @@ def _join(fa: Factored, fd: Factored, fb: Factored, tol) -> _Join:
     R(B - A) against R(A) decide the direct sum.
     """
     m = fb.u.shape[0]
-    ud = fd.u[:, :fd.rank]
-    k = adjoint(fb.u) @ np.hstack([fa.u[:, :fa.rank], ud])
+    k = adjoint(fb.u) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
     inside = sine_cut(_singular_values(k[fb.rank:]), m, tol)[1]
     covers = rank_cut(_singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), tol)[0] == fb.rank
-    sines = _singular_values(adjoint(fa.u[:, fa.rank:]) @ ud)
-    return _Join(inside and covers, covers, sine_cut(sines, m, tol)[0] == fd.rank)
+    return _Join(inside and covers, covers, _outside(fa.conull, fd.range, tol) == fd.rank)
 
 
 def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection | None:
@@ -186,14 +186,16 @@ def _projection_ok(t: _Triple, witness_p, tol) -> bool:
             and _rank(np.hstack([t.b, t.a]), tol) == t.fb.rank)
 
 
-def _minus(t: _Triple, tol) -> OrderReport:
-    """The minus-order report.  When the order holds, the orthogonal
-    complements of R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and
-    N(B), i.e. ``t.fb.conull`` and ``t.fb.null``."""
+def _minus(t: _Triple, tol, left: _Join | None = None) -> OrderReport:
+    """The minus-order report, on the codomain join ``left`` if made.  When
+    the order holds, the orthogonal complements of R(A) + R(B - A) and
+    R(A*) + R(B* - A*) are N(B*) and N(B), i.e. ``t.fb.conull`` and
+    ``t.fb.null``."""
     fa, fb, fd = t.fa, t.fb, t.fd
     flags = list(t.flags())
     adjoints = fa.adjoint(), fd.adjoint(), fb.adjoint()
-    left, right = _join(fa, fd, fb, tol), _join(*adjoints, tol)
+    left = _join(fa, fd, fb, tol) if left is None else left
+    right = _join(*adjoints, tol)
     additive = fa.rank + fd.rank == fb.rank
     left_holds = left.spans and additive
     holds = left_holds and right.spans
@@ -238,10 +240,10 @@ def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     return _minus(_triple(*as_pair(A, B), tol), tol)
 
 
-def _left_minus(t: _Triple, tol) -> OrderReport:
-    """The left-minus report."""
+def _left_minus(t: _Triple, tol, left: _Join | None = None) -> OrderReport:
+    """The left-minus report, on the codomain join ``left`` if made."""
     fa, fb, fd = t.fa, t.fb, t.fd
-    left = _join(fa, fd, fb, tol)
+    left = _join(fa, fd, fb, tol) if left is None else left
     holds = left.spans and fa.rank + fd.rank == fb.rank
 
     # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff the
@@ -458,12 +460,10 @@ def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.
     t = _triple(*as_pair(A, B), tol)
     _require(_left_minus(t, tol), "order does not hold")
     A, B, fa, fb, fd = t
-    # M is spanned by the right singular vectors of the sines R(A*)* B_N(B-A)
-    _, sines, wh = np.linalg.svd(adjoint(fa.corange.basis) @ fd.null.basis, full_matrices=False)
-    m_slice = fd.null.basis @ adjoint(wh[:sine_cut(sines, A.shape[1], tol)[0]])
-    # the ranks add, so U_D and U_B^perp fit in C^m; the solve rejects a singular join
+    # M = N(B - A) ominus N(A); the ranks add, so U_D and U_B^perp fit in
+    # C^m, and the solve rejects a singular join
     along = Subspace._trusted(np.hstack([fd.range.basis, fb.conull.basis]))
-    witness = _reflexive_solve(A, Subspace._trusted(m_slice), along)
+    witness = _reflexive_solve(A, _departing(fa.corange, fd.null, tol), along)
 
     scale = (1.0 + fro(A)) * (1.0 + fro(witness))
     tol.verify("inner inverse failed A X A = A", fro(A @ witness @ A - A), scale)

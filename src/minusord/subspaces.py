@@ -6,19 +6,15 @@ and carries an empty basis.  A matrix whose fundamental subspaces are all
 needed is factored once into a :class:`Factored`, which reads them off one
 SVD together with their orthogonal complements.
 
-Set operations between two arbitrary subspaces (sum, intersection,
-relative complement) go through rank-revealing SVDs of the joined bases
-with the shared rank cutoff of :func:`~minusord.linalg.rank_cut`; a test
-that needs only a dimension (:func:`span_dim`, :func:`is_direct_sum`) or
-an angle (:func:`subspace_equal`, :func:`minimal_angle_cos`) takes
-singular values alone.  When one side X is read off a factor, its
-orthogonal complement is at hand and the relation with a subspace M is
-read off the small product X^perp* B_M instead, whose singular values are
-the principal-angle sines between M and X (Bjorck & Golub 1973), judged by
-:func:`~minusord.linalg.sine_cut`: :func:`_outside` counts M's directions
-outside X and :func:`_complements` tests M + X for a direct sum of the whole
-space on values alone; :func:`_sum_and_meet` returns X + M, its orthogonal
-complement and X cap M from one SVD.
+Every relation between two subspaces is judged on their principal-angle
+sines (Bjorck & Golub 1973) by :func:`~minusord.linalg.sine_cut`.  The
+sines of M against X are the singular values of X^perp* B_M:
+:func:`_outside` counts M's directions outside X, :func:`_complements`
+tests M + X for a direct sum of the whole space, :func:`_departing` keeps
+M's directions outside X, and :func:`_sum_and_meet` returns X + M, its
+orthogonal complement and X cap M from one SVD.  A test that needs only a
+dimension or an angle takes singular values alone, of B_M - B_X (B_X* B_M)
+when no basis of X^perp is at hand (:func:`_sines`).
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from .exceptions import ComplementError
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
-    _rank,
     _singular_values,
     adjoint,
     as_matrix,
@@ -263,52 +258,31 @@ def null_basis(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
 
 def subspace_sum(m_space: Subspace, n_space: Subspace,
                  tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
-    """The subspace M + N, by re-orthonormalizing the joined bases."""
-    _check_ambient(m_space, n_space)
-    return Subspace.from_span(np.hstack([m_space.basis, n_space.basis]), tol)
+    """The subspace M + N: B_M extended by the directions of N outside M."""
+    return _sum_and_meet(m_space, m_space.perp(), n_space, tol)[0]
 
 
 def span_dim(m_space: Subspace, n_space: Subspace,
              tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
-    """dim(M + N): the numerical rank of the joined bases, from singular
-    values alone.  The same cutoff on the same matrix as
-    :func:`subspace_sum`, so it equals ``subspace_sum(M, N).dim``."""
+    """dim(M + N): dim M plus the number of principal-angle sines of N
+    against M above the cutoff, from singular values alone."""
     _check_ambient(m_space, n_space)
-    return _rank(np.hstack([m_space.basis, n_space.basis]), tol)
+    return m_space.dim + sine_cut(_sines(n_space, m_space), m_space.ambient_dim, tol)[0]
 
 
 def intersect(m_space: Subspace, n_space: Subspace,
               tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
-    """The subspace M intersect N.
-
-    Null vectors (x; y) of [B_M | B_N] satisfy B_M x = -B_N y, so the
-    vectors B_M x run over the intersection.  The null space is read off
-    the SVD of the joined bases with the shared cutoff; each coefficient
-    block has norm 1/sqrt(2), so the final orthonormalization is stable.
-    """
-    _check_ambient(m_space, n_space)
-    if m_space.dim == 0 or n_space.dim == 0:
-        return Subspace.zero(m_space.ambient_dim)
-    coeff = Factored._of(np.hstack([m_space.basis, n_space.basis]), tol).null.basis
-    if coeff.shape[1] == 0:
-        return Subspace.zero(m_space.ambient_dim)
-    return Subspace.from_span(m_space.basis @ coeff[: m_space.dim, :], tol)
+    """The subspace M intersect N: the directions of N whose sines against
+    M fall below the cutoff."""
+    return _sum_and_meet(m_space, m_space.perp(), n_space, tol)[2]
 
 
 def ominus(m_space: Subspace, n_space: Subspace,
            tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
-    """The relative orthogonal complement M ominus N = M intersect (M cap N)^perp.
-
-    Computed by projecting the basis of M off the intersection and keeping
-    the leading dim(M) - dim(M cap N) left singular vectors of the rest.
-    """
+    """The relative orthogonal complement M ominus N = M intersect (M cap N)^perp:
+    the directions of M whose sines against N survive the cutoff."""
     _check_ambient(m_space, n_space)
-    inter = intersect(m_space, n_space, tol)
-    if inter.dim == 0:
-        return m_space
-    reduced = m_space.basis - inter.projector() @ m_space.basis
-    return Subspace._trusted(
-        np.linalg.svd(reduced, full_matrices=False)[0][:, :m_space.dim - inter.dim])
+    return _departing(n_space.perp(), m_space, tol)
 
 
 def is_direct_sum(m_space: Subspace, n_space: Subspace,
@@ -319,20 +293,15 @@ def is_direct_sum(m_space: Subspace, n_space: Subspace,
 
 def subspace_equal(m_space: Subspace, n_space: Subspace,
                    tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
-    """Whether two subspaces coincide.
-
-    Dimensions must match and the largest principal-angle sine, the top
-    singular value of B_M - B_N (B_N* B_M) clipped into [0, 1] (Bjorck &
-    Golub 1973; it equals c0(M, N^perp) without a basis of N^perp), must
-    fall below the equality threshold derived from the rank cutoff.
-    """
+    """Whether two subspaces coincide: their dimensions match and the
+    largest principal-angle sine of M against N, clipped into [0, 1] (it
+    equals c0(M, N^perp)), is at most the equality threshold."""
     _check_ambient(m_space, n_space)
     if m_space.dim != n_space.dim:
         return False
     if m_space.dim == 0:
         return True
-    outside = m_space.basis - n_space.basis @ (adjoint(n_space.basis) @ m_space.basis)
-    sine = np.clip(np.linalg.svd(outside, compute_uv=False)[0], 0.0, 1.0)
+    sine = np.clip(_sines(m_space, n_space)[0], 0.0, 1.0)
     return float(sine) <= tol.subspace_atol(m_space.ambient_dim)
 
 
@@ -367,15 +336,12 @@ class AngleEquivalences:
 
 def angle_equivalences(m_space: Subspace, n_space: Subspace,
                        tol: ToleranceConfig = DEFAULT_TOLERANCE) -> AngleEquivalences:
-    _check_ambient(m_space, n_space)
     c0 = minimal_angle_cos(m_space, n_space)
-    trivial = is_direct_sum(m_space, n_space, tol)
-    spans = span_dim(m_space.perp(), n_space.perp(), tol) == m_space.ambient_dim
     return AngleEquivalences(
         c0=c0,
         c0_lt_1=c0 < 1.0 - tol.angle_gap,
-        direct_sum_closed=trivial,
-        complements_span=spans,
+        direct_sum_closed=is_direct_sum(m_space, n_space, tol),
+        complements_span=span_dim(m_space.perp(), n_space.perp(), tol) == m_space.ambient_dim,
     )
 
 
@@ -396,18 +362,18 @@ def oblique_projection(m_space: Subspace, n_space: Subspace,
                     and is_direct_sum(m_space, n_space, tol))
 
 
-def _oblique(m_space: Subspace, n_space: Subspace, complementary: bool) -> Projection:
+def _oblique(m_space: Subspace, n_space: Subspace, complementary: bool, complement=None):
     """:func:`oblique_projection` once ``complementary`` has decided that M
-    and N split the space; raises :class:`ComplementError` when it has not,
-    or when the solve finds them singular."""
+    and N split the space; raises :class:`ComplementError`, naming
+    ``complement``, when it has not, or when the solve finds them singular."""
     if not complementary:
-        raise ComplementError("not a complementary pair")
+        raise ComplementError("not a complementary pair", complement)
     joined = np.hstack([m_space.basis, n_space.basis])
     target = np.hstack([m_space.basis, np.zeros_like(n_space.basis)])
     try:
         matrix = np.linalg.solve(joined.T, target.T).T
     except np.linalg.LinAlgError as exc:
-        raise ComplementError("not a complementary pair") from exc
+        raise ComplementError("not a complementary pair", complement) from exc
     return Projection(matrix, m_space, n_space)
 
 
@@ -416,6 +382,22 @@ def _outside(x_perp: Subspace, m_space: Subspace, tol: ToleranceConfig = DEFAULT
     ``x_perp``: the number of principal-angle sines X^perp* B_M above the cutoff."""
     sines = _singular_values(adjoint(x_perp.basis) @ m_space.basis)
     return sine_cut(sines, m_space.ambient_dim, tol)[0]
+
+
+def _departing(x_perp: Subspace, m_space: Subspace,
+               tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
+    """M ominus X for X with orthogonal complement ``x_perp``: B_M W[:, :k] for
+    the economy SVD X^perp* B_M = U S W* with k sines above the cutoff."""
+    _, sines, wh = np.linalg.svd(adjoint(x_perp.basis) @ m_space.basis, full_matrices=False)
+    k = sine_cut(sines, m_space.ambient_dim, tol)[0]
+    return Subspace._trusted(m_space.basis @ adjoint(wh[:k]))
+
+
+def _sines(m_space: Subspace, x_space: Subspace) -> np.ndarray:
+    """The principal-angle sines of M against X, descending, with no basis
+    of X^perp: the singular values of B_M - B_X (B_X* B_M)."""
+    b_x = x_space.basis
+    return _singular_values(m_space.basis - b_x @ (adjoint(b_x) @ m_space.basis))
 
 
 def _complements(m_space: Subspace, x_perp: Subspace,

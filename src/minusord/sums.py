@@ -32,8 +32,8 @@ from .linalg import (
     as_pair,
     fro,
 )
-from .orders import (OrderReport, _core, _left_minus, _minus, _require, _sharp, _star, _Triple,
-                     _triple)
+from .orders import (OrderReport, _core, _join, _left_minus, _minus, _require, _sharp, _star,
+                     _Triple, _triple)
 from .subspaces import (
     Projection,
     Subspace,
@@ -79,10 +79,11 @@ def _checked_split(t: _Triple, tol) -> "SplitWitness":
     """The optimal split of A + B behind the pseudoinverse and least-squares
     constructions, after their checks on the triple: when the minus order
     fails, a failing left minus order is reported first, its report built
-    on the same factors."""
-    report = _minus(t, tol)
+    on the same factors and the same codomain join."""
+    left = _join(t.fa, t.fd, t.fb, tol)
+    report = _minus(t, tol, left)
     if not report.holds:
-        _require(_left_minus(t, tol), "order fails: A is not left-minus-below A + B")
+        _require(_left_minus(t, tol, left), "order fails: A is not left-minus-below A + B")
         raise OrderConditionError("A is not minus-below A + B", report)
     return _split(t, report, tol, None, None)
 
@@ -234,7 +235,8 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol,
     """:func:`agreeing_split` on the checked triple.  P and Q keep the
     canonical N1 and N1*; each complement given replaces the canonical one,
     which is then not built unless P or Q needs it.  Every complement in
-    use is tested once, and each projection-sum identity verified once."""
+    use is tested once, and each projection-sum identity verified once; the
+    error of a rejected one names it, or the slot it fills ("n1", ...)."""
     fa, ft, fb = t.fa, t.fb, t.fd
     m, n = t.a.shape
     if range_complement.ambient_dim != m or kernel_complement.ambient_dim != n:
@@ -242,22 +244,23 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol,
 
     # R(A + B) + M and N(A + B) + N are tested here once; every projection
     # along them below is a plain solve
-    if not _complements(range_complement, ft.conull, tol):
-        raise ComplementError("complement condition violated: M does not complement R(A + B)")
-    if not _complements(kernel_complement, ft.corange, tol):
-        raise ComplementError("complement condition violated: N does not complement N(A + B)")
+    for given, x_perp, name, space in ((range_complement, ft.conull, "M", "R(A + B)"),
+                                       (kernel_complement, ft.corange, "N", "N(A + B)")):
+        if not _complements(given, x_perp, tol):
+            message = f"complement condition violated: {name} does not complement {space}"
+            raise ComplementError(message, name)
 
     # P_A and P_B project onto R(A) and R(B) along N1 and N2
     c1, c1_perp, _ = _sum_and_meet(fb.range, fb.conull, range_complement, tol)
     canonical_n2 = n2 is None
     if canonical_n2:
         n2, n2_perp, _ = _sum_and_meet(fa.range, fa.conull, range_complement, tol)
-    p = _oblique(fa.range, c1, _complementary(fa.range, fa.conull, c1, c1_perp, tol))
-    pa = p if n1 is None else _oblique(fa.range, n1, _complements(n1, fa.conull, tol))
+    p = _oblique(fa.range, c1, _complementary(fa.range, fa.conull, c1, c1_perp, tol), "n1")
+    pa = p if n1 is None else _oblique(fa.range, n1, _complements(n1, fa.conull, tol), "n1")
     pb = _oblique(fb.range, n2, _complementary(fb.range, fb.conull, n2, n2_perp, tol)
-                  if canonical_n2 else _complements(n2, fb.conull, tol))
+                  if canonical_n2 else _complements(n2, fb.conull, tol), "n2")
     lhs = pa.matrix @ p.matrix + pb.matrix @ (np.eye(m, dtype=np.complex128) - p.matrix)
-    rhs = _oblique(ft.range, range_complement, True).matrix
+    rhs = _oblique(ft.range, range_complement, True, "M").matrix
     tol.verify("codomain projection identity failed for the given complements",
                fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
 
@@ -265,11 +268,11 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol,
     c1s = _sum_and_meet(fb.null, fb.corange, kernel_complement, tol)[2]
     if n2s is None:
         n2s = _sum_and_meet(fa.null, fa.corange, kernel_complement, tol)[2]
-    q = _oblique(c1s, fa.null, _complements(c1s, fa.corange, tol))
-    qa = q if n1s is None else _oblique(n1s, fa.null, _complements(n1s, fa.corange, tol))
-    qb = _oblique(n2s, fb.null, _complements(n2s, fb.corange, tol))
+    q = _oblique(c1s, fa.null, _complements(c1s, fa.corange, tol), "n1s")
+    qa = q if n1s is None else _oblique(n1s, fa.null, _complements(n1s, fa.corange, tol), "n1s")
+    qb = _oblique(n2s, fb.null, _complements(n2s, fb.corange, tol), "n2s")
     lhs = q.matrix @ qa.matrix + (np.eye(n, dtype=np.complex128) - q.matrix) @ qb.matrix
-    rhs = _oblique(kernel_complement, ft.null, True).matrix
+    rhs = _oblique(kernel_complement, ft.null, True, "N").matrix
     tol.verify("domain projection identity failed for the given complements",
                fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
     return AgreeingSplit(p=p, q=q, n1=c1 if n1 is None else n1, n2=n2,

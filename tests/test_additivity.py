@@ -11,16 +11,10 @@ from minusord.additivity import (
 from minusord.exceptions import ComplementError
 from minusord.generate import minus_pair
 from minusord.linalg import DEFAULT_TOLERANCE, adjoint, as_pair, fro
-from minusord.subspaces import (
-    Factored,
-    oblique_projection,
-    range_basis,
-    span_dim,
-    subspace_equal,
-    subspace_sum,
-)
+from minusord.subspaces import Factored, range_basis, subspace_equal
 
 from conftest import cgauss
+from joined_basis import oblique_projection, span_dim, subspace_sum
 
 
 def test_is_range_additive_diagonal():
@@ -76,10 +70,10 @@ def test_kernel_characterization_degenerate(rng):
 
 # --- oracle: the joined-basis routes ---
 #
-# The references below decide the same facts with the public subspace set
-# operations (sums of joined bases, orthogonal complements, an oblique
-# projection), the way these predicates did before they read every
-# relation off the factors of A and B.
+# The references below decide the same facts with the joined-basis set
+# operations of ``joined_basis`` (sums of joined bases, orthogonal
+# complements, an oblique projection), the way these predicates did before
+# they read every relation off the factors of A and B.
 
 def _reference_disjoint(A, B, tol=DEFAULT_TOLERANCE):
     A, B = as_pair(A, B)

@@ -1,7 +1,8 @@
 """The order checks read their subspace facts off the factors of A, B and
-B - A.  This file keeps the earlier joined-basis implementations (sums,
-orthogonal complements and direct-sum tests on orthonormalized joined
-bases) as references and replays seeded pairs through both: the verdicts,
+B - A.  This file keeps the earlier implementations, built on the
+joined-basis set operations of ``joined_basis`` (sums, orthogonal
+complements and direct-sum tests on orthonormalized joined bases), as
+references and replays seeded pairs through both: the verdicts,
 rank bookkeeping and boundary flags must be identical and the witnesses
 must agree to 1e-12 relative, times ||A|| / ||B - A|| when that exceeds
 one.  That factor is the precision lost in forming B - A: R(B - A) is
@@ -23,11 +24,11 @@ from minusord.generate import minus_pair, star_pair
 from minusord.linalg import DEFAULT_TOLERANCE, fro, numerical_rank
 from minusord.orders import (left_minus_order, left_star_order, minus_order, star_order,
                              weak_minus_order)
-from minusord.subspaces import (Factored, minimal_angle_cos, oblique_projection, span_dim,
-                                subspace_equal, subspace_sum)
+from minusord.subspaces import Factored, minimal_angle_cos, subspace_equal
 from minusord.exceptions import ComplementError
 
 from conftest import cgauss
+from joined_basis import oblique_projection, span_dim, subspace_sum
 
 TOL = DEFAULT_TOLERANCE
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import joined_basis
+import minusord.subspaces
 from minusord.exceptions import ComplementError
-from minusord.linalg import ToleranceConfig, adjoint
+from minusord.linalg import ToleranceConfig, adjoint, fro
 from minusord.subspaces import (
     Projection,
     Subspace,
@@ -136,16 +138,16 @@ def _pair(kind, seed):
 
 
 def _near_cutoff_pair(factor, seed):
-    """M = span(q0, q1), N = span(q0 + t q2, q3) for a random unitary Q,
-    with t chosen so that the smallest singular value of the joined bases
-    sits at ``factor`` times the rank cutoff of that 7 x 4 matrix."""
+    """M = span(q0, q1), N = span(cos t q0 + sin t q2, q3) for a random
+    unitary Q, with sin t, the smallest principal-angle sine of N against
+    M, at ``factor`` times the sine cutoff, the rank cutoff of a 7 x 7
+    matrix."""
     q, _ = np.linalg.qr(cgauss(np.random.default_rng(seed), 7, 7))
-    # singular values of the joined bases: 1, 1, ~sqrt(2) and ~t / sqrt(2)
-    t = 2.0 * factor * ToleranceConfig().effective_rank_rtol((7, 4))
-    tilted = (q[:, 0] + t * q[:, 2]) / np.sqrt(1.0 + t * t)
+    cutoff = ToleranceConfig().effective_rank_rtol((7, 7))
+    sine = factor * cutoff
+    tilted = np.sqrt(1.0 - sine * sine) * q[:, 0] + sine * q[:, 2]
     m, n = Subspace(q[:, :2]), Subspace(np.column_stack([tilted, q[:, 3]]))
-    s = np.linalg.svd(np.hstack([m.basis, n.basis]), compute_uv=False)
-    cutoff = ToleranceConfig().effective_rank_rtol((7, 4)) * s[0]
+    s = np.linalg.svd(adjoint(m.perp().basis) @ n.basis, compute_uv=False)
     assert s[-1] / cutoff == pytest.approx(factor, rel=0.1)
     return m, n
 
@@ -168,6 +170,88 @@ def test_rank_route_agrees_near_cutoff(factor, seed):
     m, n = _near_cutoff_pair(factor, seed)
     assert span_dim(m, n) == (3 if factor < 1.0 else 4)
     _assert_routes_agree(m, n)
+
+
+# --- replay against the joined-basis reference ---
+
+#: Tilt angles of the replayed pairs, from exactly shared to well apart.
+ANGLES = (0.0,) + tuple(10.0 ** -k for k in range(16, 1, -1)) + (0.5,)
+
+
+def _mix(basis, rng):
+    """The same subspace on a random orthonormal basis."""
+    k = basis.shape[1]
+    return basis @ np.linalg.qr(cgauss(rng, k, k))[0] if k else basis
+
+
+def _replay_pair(n, p, q, angle, seed):
+    """M of dimension p and N of dimension q in C^n, and the sine of their
+    smallest nonzero principal angle when it is not pi/2, else ``None``.
+
+    In the basis of a random unitary U, M = span(u_0 .. u_{p-1}).  N shares
+    some of those directions (at least the p + q - n it must), tilts the
+    rest of its first min(p, q) directions out of M by ``angle`` and fills
+    up with directions orthogonal to M.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(cgauss(rng, n, n))[0]
+    low = min(p, q)
+    shared = int(rng.integers(max(0, p + q - n), low + 1))
+    tilted = low - shared
+    cols = [u[:, :shared],
+            np.cos(angle) * u[:, shared:low] + np.sin(angle) * u[:, p:p + tilted],
+            u[:, p + tilted:p + q - shared]]
+    m = Subspace(_mix(u[:, :p], rng))
+    n_space = Subspace(_mix(np.hstack(cols), rng))
+    return m, n_space, np.sin(angle) if tilted and angle else None
+
+
+def _outcomes(ops, m, n):
+    """The verdicts and subspaces of every public set operation on (M, N),
+    by the module ``ops``."""
+    try:
+        oblique = ops.oblique_projection(m, n).matrix
+    except ComplementError:
+        oblique = None
+    verdicts = {"span_dim": ops.span_dim(m, n), "direct": ops.is_direct_sum(m, n),
+                "angles": ops.angle_equivalences(m, n), "oblique": oblique is not None}
+    spaces = {"sum": ops.subspace_sum(m, n), "cap": ops.intersect(m, n),
+              "ominus": ops.ominus(m, n)}
+    return verdicts, spaces, oblique
+
+
+def _replay_cases(n):
+    """Every pair of dimensions in C^n: below n = 7 at every angle, at
+    n = 7 at every third, beyond at one."""
+    step = 1 if n < 7 else 3 if n == 7 else len(ANGLES)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for angle in ANGLES[(p + q) % step::step]:
+                yield p, q, angle
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 12, 20])
+def test_set_operations_match_joined_basis_reference(n):
+    # the sine rule cuts sin(theta) at 16 eps n, the joined-basis rule at
+    # about twice the cutoff of the joined bases; outside 0.5-4x the sine
+    # cutoff the two engines must decide alike
+    cutoff = ToleranceConfig().effective_rank_rtol((n, n))
+    for k, (p, q, angle) in enumerate(_replay_cases(n)):
+        m, n_space, sine = _replay_pair(n, p, q, angle, 1000 * n + k)
+        if sine is not None and 0.5 <= sine / cutoff <= 4.0:
+            continue
+        # the subspaces are known to about eps / sin(theta) near the cutoff
+        sharp = sine is None or sine < 0.5 * cutoff or sine >= 1e-6
+        for a, b in ((m, n_space), (n_space, m)):
+            label = (n, p, q, angle, a is m)
+            verdicts, spaces, oblique = _outcomes(minusord.subspaces, a, b)
+            ref_verdicts, ref_spaces, ref_oblique = _outcomes(joined_basis, a, b)
+            assert verdicts == ref_verdicts, label
+            for name, space in spaces.items():
+                assert space.dim == ref_spaces[name].dim, (name,) + label
+                assert not sharp or subspace_equal(space, ref_spaces[name]), (name,) + label
+            if sharp and oblique is not None:
+                assert fro(oblique - ref_oblique) <= 1e-8 * fro(ref_oblique), label
 
 
 def test_direct_sum_reads_singular_values_only(monkeypatch, rng):
@@ -279,8 +363,10 @@ def test_oblique_projection_random(rng):
 
 
 def test_oblique_projection_needs_complements():
-    with pytest.raises(ComplementError):
+    with pytest.raises(ComplementError) as info:
         oblique_projection(line(1, 0), line(1, 0))
+    # only the agreeing split of a sum names the complement it rejects
+    assert info.value.complement is None
     with pytest.raises(ComplementError):
         # dims do not add up to the ambient space
         oblique_projection(line(1, 0, 0), line(0, 1, 0))

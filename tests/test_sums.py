@@ -181,6 +181,7 @@ DOMAIN = "complement condition violated: N does not complement N(A + B)"
 ])
 def test_sum_reflexive_complement_messages(bad, message):
     # each complement is tested once; every failing test keeps its message
+    # and names the complement it rejected, the one ``bad`` starts with
     rng = np.random.default_rng(31)
     a, b = minus_pair(rng, 6, 5, 2, 2)
     s = a + b
@@ -209,6 +210,8 @@ def test_sum_reflexive_complement_messages(bad, message):
     with pytest.raises(ComplementError) as info:
         sum_reflexive_inverse(a, b, m_comp, n_comp, **given)
     assert str(info.value) == message
+    complement = bad.split("_")[0]
+    assert info.value.complement == {"m": "M", "n": "N"}.get(complement, complement)
 
 
 def test_alternate_complements_of_another_space_are_rejected(rng):
