@@ -98,14 +98,12 @@ def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> K
     joined, leftover, _ = _sum_and_meet(fa.corange, fa.null, fb.corange, tol)
     direct = joined.dim == fa.rank + fb.rank
 
-    # the rounding of A* - Q (A* + B*) grows with ||Q||, which is large when
-    # R(A*) and R(B*) lie close, so the residual is judged against it too
     witness = None
     if direct:
         candidate = _split_witness(fa.adjoint(), fb.adjoint(), leftover)
         if candidate is not None:
             residual = fro(adjoint(A) - candidate.matrix @ (adjoint(A) + adjoint(B)))
-            if tol.within(residual, (1.0 + fro(A) + fro(B)) * (1.0 + fro(candidate.matrix))):
+            if tol.within(residual, fro(candidate.matrix) * (fro(A) + fro(B))):
                 witness = candidate
 
     return KernelCharacterization(

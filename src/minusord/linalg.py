@@ -57,8 +57,10 @@ class ToleranceConfig:
     residual_atol : float
         Cutoff for formula residuals.  Every residual check goes through
         :meth:`within` or :meth:`verify`, which compare the residual with
-        ``residual_atol`` (or a larger floor) times a problem-size scale
-        documented at each operation.
+        ``residual_atol`` times the scale of the checked identity: the
+        product of the Frobenius norms of its factors, a difference X - Y
+        counting as ||X|| + ||Y||.  The scale then has the degree of the
+        residual, so no verdict changes when the operands are scaled.
     angle_gap : float
         Margin below one for minimal-angle tests: ``c0 < 1 - angle_gap``
         counts as "strictly less than one".
@@ -86,13 +88,18 @@ class ToleranceConfig:
         """Threshold on principal-angle sines for subspace equality tests."""
         return SUBSPACE_EQ_FACTOR * self.effective_rank_rtol((ambient_dim, ambient_dim))
 
-    def within(self, residual: float, scale: float, floor: float = 0.0) -> bool:
-        """The one residual rule: ``residual <= max(residual_atol, floor) * scale``."""
-        return residual <= max(self.residual_atol, floor) * scale
+    def within(self, residual: float, scale: float) -> bool:
+        """The one residual rule: ``residual <= residual_atol * scale``.
 
-    def verify(self, name: str, residual: float, scale: float, floor: float = 0.0) -> None:
+        ``scale`` is the product of the Frobenius norms of the factors in
+        the checked identity, with ||X|| + ||Y|| for a difference X - Y, so
+        it is homogeneous of the residual's degree in the operands.
+        """
+        return residual <= self.residual_atol * scale
+
+    def verify(self, name: str, residual: float, scale: float) -> None:
         """Raise :class:`VerificationError` ``name`` unless :meth:`within` passes."""
-        if not self.within(residual, scale, floor):
+        if not self.within(residual, scale):
             raise VerificationError(name)
 
 

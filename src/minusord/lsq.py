@@ -68,7 +68,7 @@ class Weight:
         w = as_matrix(self.matrix, "weight")
         if w.shape[0] != w.shape[1]:
             raise ValueError("weight must be square")
-        scale = 1.0 + fro(w)
+        scale = fro(w)
         if not tol.within(fro(w - adjoint(w)), scale):
             raise ValueError("weight is not Hermitian")
         smallest = float(np.linalg.eigvalsh((w + adjoint(w)) / 2.0)[0])
@@ -101,7 +101,7 @@ def solve_system(A, B, a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     t = _triple(A, A + B, tol)
     _require(_left_minus(t, tol), "order fails: A is not left-minus-below A + B")
     x = t.fb.pinv() @ (a + b)
-    scale = 1.0 + fro(A) + fro(B) + float(np.linalg.norm(a) + np.linalg.norm(b))
+    scale = (fro(A) + fro(B)) * fro(x) + fro(a) + fro(b)
     for residual in (A @ x - a, B @ x - b):
         tol.verify("summed solution failed to solve the pieces", np.linalg.norm(residual), scale)
     return x
@@ -174,8 +174,10 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
         "weighted_a_at_system": weighted_normal(A, x_system),
         "weighted_b_at_system": weighted_normal(B, x_system),
     }
-    scale = (1.0 + fro(A) + fro(B)) * (1.0 + float(np.linalg.norm(c)))
+    # both solutions enter the residuals, so the larger one bounds them
+    norms = fro(A) + fro(B)
+    scale = norms * fro(w) * (norms * max(fro(x_joint), fro(x_system)) + fro(c))
     for key, value in residuals.items():
-        tol.verify(f"cross-residual {key} exceeded tolerance", value, scale * 100.0)
+        tol.verify(f"cross-residual {key} exceeded tolerance", value, scale)
     return DecoupledLeastSquares(x_joint=x_joint, x_system=x_system,
                                  weight=weight, residuals=residuals)

@@ -104,6 +104,12 @@ class _Triple(NamedTuple):
     def ranks(self) -> RankData:
         return RankData(self.fa.rank, self.fb.rank, self.fd.rank)
 
+    def agree(self, x: np.ndarray, y: np.ndarray, tol) -> bool:
+        """Whether two products of A with A or B agree, on the scale
+        ||A|| (||A|| + ||B||) of the Gram and square identities."""
+        na = fro(self.a)
+        return tol.within(fro(x - y), na * (na + fro(self.b)))
+
     def flags(self) -> tuple[str, ...]:
         """The boundary flags of the three rank decisions."""
         factors = zip((self.fa, self.fb, self.fd), ("A", "B", "B-A"))
@@ -182,7 +188,7 @@ def _angle_margin_ok(ra: Subspace, rd: Subspace, tol, flags) -> bool:
 def _projection_ok(t: _Triple, witness_p, tol) -> bool:
     """Whether A = P B with R(A) inside R(B), rank(B) read off its factor."""
     return (witness_p is not None
-            and tol.within(fro(t.a - witness_p.matrix @ t.b), 1.0 + fro(t.b))
+            and tol.within(fro(t.a - witness_p.matrix @ t.b), fro(witness_p.matrix) * fro(t.b))
             and _rank(np.hstack([t.b, t.a]), tol) == t.fb.rank)
 
 
@@ -291,10 +297,8 @@ def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 def _star(t: _Triple, tol) -> OrderReport:
     """The star-order report."""
     A, B, fa, fb, fd = t
-
-    scale = 1.0 + fro(A) * (fro(A) + fro(B))
-    gram_left = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), scale)
-    gram_right = tol.within(fro(A @ adjoint(A) - B @ adjoint(A)), scale)
+    gram_left = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
+    gram_right = t.agree(A @ adjoint(A), B @ adjoint(A), tol)
     holds = gram_left and gram_right
 
     ortho = (_orthogonal_join(fa, fd, fb, tol)
@@ -333,7 +337,7 @@ def _left_star(t: _Triple, tol) -> OrderReport:
     """The left-star report."""
     A, B, fa, fb, fd = t
 
-    gram = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), 1.0 + fro(A) * (fro(A) + fro(B)))
+    gram = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
     inclusion = _rank(np.hstack([B, A]), tol) == fb.rank
     holds = gram and inclusion
     ortho = _orthogonal_join(fa, fd, fb, tol)
@@ -361,9 +365,8 @@ def _sharp(t: _Triple, tol) -> OrderReport:
             raise GroupInvertibilityError(f"{label} is not group invertible")
 
     square = A @ A
-    scale = 1.0 + fro(A) * (fro(A) + fro(B))
-    left_id = tol.within(fro(square - B @ A), scale)
-    right_id = tol.within(fro(square - A @ B), scale)
+    left_id = t.agree(square, B @ A, tol)
+    right_id = t.agree(square, A @ B, tol)
     holds = left_id and right_id
 
     witness_p = witness_q = None
@@ -385,9 +388,8 @@ def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 def _core(t: _Triple, tol) -> OrderReport:
     """The core-order report, for A (and so A*) found group invertible."""
     A, B, fa, _, _ = t
-    scale = 1.0 + fro(A) * (fro(A) + fro(B))
-    gram = tol.within(fro(adjoint(A) @ A - adjoint(A) @ B), scale)
-    square = tol.within(fro(A @ A - B @ A), scale)
+    gram = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
+    square = t.agree(A @ A, B @ A, tol)
     holds = gram and square
 
     witness_p = witness_q = None
@@ -465,8 +467,9 @@ def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.
     along = Subspace._trusted(np.hstack([fd.range.basis, fb.conull.basis]))
     witness = _reflexive_solve(A, _departing(fa.corange, fd.null, tol), along)
 
-    scale = (1.0 + fro(A)) * (1.0 + fro(witness))
-    tol.verify("inner inverse failed A X A = A", fro(A @ witness @ A - A), scale)
+    na, nx = fro(A), fro(witness)
+    scale = nx * (na + fro(B))
+    tol.verify("inner inverse failed A X A = A", fro(A @ witness @ A - A), na * na * nx)
     tol.verify("inner inverse failed X A = X B", fro(witness @ A - witness @ B), scale)
     tol.verify("inner inverse failed (A - B) X = 0", fro((A - B) @ witness), scale)
     return witness

@@ -31,6 +31,7 @@ from .linalg import (
     _singular_values,
     adjoint,
     as_matrix,
+    as_vector,
     fro,
     rank_cut,
     sine_cut,
@@ -132,7 +133,7 @@ class Subspace:
         return self.basis @ adjoint(self.basis)
 
     def contains_vector(self, v, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
-        v = np.asarray(v, dtype=np.complex128).reshape(-1)
+        v = as_vector(np.reshape(v, -1))
         if v.shape[0] != self.ambient_dim:
             raise ValueError("ambient mismatch")
         nv = float(np.linalg.norm(v))
@@ -146,8 +147,8 @@ class Subspace:
 class Factored:
     """One full SVD A = U diag(s) V* with the shared rank decision applied.
 
-    The four fundamental subspaces, the Moore-Penrose inverse and the
-    effective condition number are all read off these factors:
+    The four fundamental subspaces and the Moore-Penrose inverse are all
+    read off these factors:
     R(A) = U[:, :r], R(A*) = V[:, :r], N(A) = V[:, r:], N(A*) = U[:, r:].
     The four subspaces are views into U and V, built on first use and
     cached, so every read of ``f.range`` returns the same Subspace.
@@ -187,11 +188,6 @@ class Factored:
     def conull(self) -> Subspace:
         """N(A*), the orthogonal complement of the range."""
         return Subspace._trusted(self.u[:, self.rank:])
-
-    @property
-    def condition(self) -> float:
-        """Largest singular value over the smallest one kept; 0.0 at rank zero."""
-        return float(self.s[0] / self.s[self.rank - 1]) if self.rank else 0.0
 
     def adjoint(self) -> "Factored":
         """The factor of A*, A* = V diag(s) U*, with no further SVD."""
@@ -235,7 +231,7 @@ class Projection:
         return Projection(adjoint(self.matrix), self.nullspace.perp(), self.range.perp())
 
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
-        return tol.within(fro(self.matrix - adjoint(self.matrix)), 1.0 + fro(self.matrix))
+        return tol.within(fro(self.matrix - adjoint(self.matrix)), fro(self.matrix))
 
 
 def _check_ambient(m_space: Subspace, n_space: Subspace):

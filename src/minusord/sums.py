@@ -58,14 +58,6 @@ __all__ = [
 
 INVERSE_KINDS = ("moore_penrose", "group", "core")
 
-#: Relative tolerance for the internal Fill-Fishkind cross-check, scaled by
-#: one plus the effective condition number of A + B.
-FF_VERIFY_RTOL = 1e-8
-
-#: Relative tolerance for the inverse-additivity cross-check, scaled by one
-#: plus the norm of the directly computed inverse of A + B.
-ADDITIVITY_VERIFY_RTOL = 1e-9
-
 
 def _minus_triple(A, B, tol, message) -> _Triple:
     """The triple of A against A + B, after its minus-order check; raises
@@ -145,17 +137,17 @@ def _split(t: _Triple, report: OrderReport, tol, m1, n1) -> SplitWitness:
     eye = np.eye(A.shape[0], dtype=np.complex128)
     e = ra.projector() @ p.matrix + rb.projector() @ (eye - p.matrix)
 
-    scale = 1.0 + fro(total)
-    tol.verify("split witness failed A = P (A + B)", fro(A - p.matrix @ total), scale)
-    tol.verify("split witness failed A = (A + B) Q", fro(A - total @ q.matrix), scale)
-    tol.verify("projection sum E is not idempotent", fro(e @ e - e), 1.0 + fro(e) ** 2)
+    nt, ne = fro(total), fro(e)
+    tol.verify("split witness failed A = P (A + B)", fro(A - p.matrix @ total), fro(p.matrix) * nt)
+    tol.verify("split witness failed A = (A + B) Q", fro(A - total @ q.matrix), nt * fro(q.matrix))
+    tol.verify("projection sum E is not idempotent", fro(e @ e - e), ne ** 2)
     # an idempotent E has range R(A + B) iff it fixes R(A + B) and maps
     # into it: E U_T = U_T and U_T^perp* E = 0
     ut = ft.range.basis
     for residual in (fro(e @ ut - ut), fro(adjoint(ft.conull.basis) @ e)):
-        tol.verify("projection sum E has the wrong range", residual, 1.0 + fro(e))
+        tol.verify("projection sum E has the wrong range", residual, ne)
 
-    optimal = tol.within(fro(e - adjoint(e)), 1.0 + fro(e))
+    optimal = tol.within(fro(e - adjoint(e)), ne)
     return SplitWitness(p=p, q=q, e=e, optimal=optimal)
 
 
@@ -175,7 +167,7 @@ def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
                  + (eye_n - witness.q.matrix) @ t.fd.pinv() @ (eye_m - witness.p.matrix))
     oracle = t.fb.pinv()
     tol.verify("assembled pseudoinverse disagrees with the SVD route",
-               fro(assembled - oracle), 1.0 + t.fb.condition, FF_VERIFY_RTOL)
+               fro(assembled - oracle), fro(oracle) ** 2 * fro(t.b))
     return assembled
 
 
@@ -193,7 +185,7 @@ def st_projections(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[np.n
     idempotents = (_pinv(t.fd.corange.projector() @ t.fa.null.projector(), tol),
                    _pinv(t.fa.conull.projector() @ t.fd.range.projector(), tol))
     for mat, label in zip(idempotents, "ST"):
-        tol.verify(f"{label} is not idempotent", fro(mat @ mat - mat), 1.0 + fro(mat) ** 2)
+        tol.verify(f"{label} is not idempotent", fro(mat @ mat - mat), fro(mat) ** 2)
     return idempotents
 
 
@@ -262,7 +254,7 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol,
     lhs = pa.matrix @ p.matrix + pb.matrix @ (np.eye(m, dtype=np.complex128) - p.matrix)
     rhs = _oblique(ft.range, range_complement, True, "M").matrix
     tol.verify("codomain projection identity failed for the given complements",
-               fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
+               fro(lhs - rhs), fro(lhs) + fro(rhs))
 
     # Q_A and Q_B project onto N1* and N2* along N(A) and N(B)
     c1s = _sum_and_meet(fb.null, fb.corange, kernel_complement, tol)[2]
@@ -274,7 +266,7 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol,
     lhs = q.matrix @ qa.matrix + (np.eye(n, dtype=np.complex128) - q.matrix) @ qb.matrix
     rhs = _oblique(kernel_complement, ft.null, True, "N").matrix
     tol.verify("domain projection identity failed for the given complements",
-               fro(lhs - rhs), 1.0 + fro(lhs) + fro(rhs))
+               fro(lhs - rhs), fro(lhs) + fro(rhs))
     return AgreeingSplit(p=p, q=q, n1=c1 if n1 is None else n1, n2=n2,
                          n1s=c1s if n1s is None else n1s, n2s=n2s)
 
@@ -323,7 +315,7 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
 
     compressed = split.q.matrix @ xa @ split.p.matrix
     tol.verify("compressed first summand disagrees with the direct route",
-               fro(compressed - xa), 1.0 + fro(xa))
+               fro(compressed - xa), fro(split.q.matrix) * fro(xa) * fro(split.p.matrix))
     return xa, xb
 
 
@@ -365,5 +357,5 @@ def ordered_inverse_additivity(A, B, kind: str,
         oracle = _core_inverse(t.b, t.fb)
 
     tol.verify("inverse additivity failed the direct-route check",
-               fro(result - oracle), 1.0 + fro(oracle), ADDITIVITY_VERIFY_RTOL)
+               fro(result - oracle), fro(oracle) ** 2 * fro(t.b))
     return result

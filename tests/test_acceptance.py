@@ -9,7 +9,9 @@ import json
 
 import numpy as np
 
+from minusord.additivity import is_range_additive
 from minusord.cli import main
+from minusord.exceptions import GroupInvertibilityError
 from minusord.generate import core_pair, minus_chain, minus_pair, sharp_pair, star_pair
 from minusord.geninv import core_inverse, group_inverse, pinv, reflexive_inverse
 from minusord.linalg import adjoint, effective_condition, fro
@@ -335,3 +337,63 @@ def test_criterion_11_cli_determinism_and_roundtrip(tmp_path, capsys):
     text = format_matrix(cgauss(np.random.default_rng(32), 4, 3))
     assert format_matrix(parse_matrix(text)) == text
     announce(11, "CLI reports are deterministic and files round trip bit for bit")
+
+
+SIMILARITY_ORDERS = ("sharp", "core")
+
+
+def verdicts(a, b, names=ORDER_NAMES):
+    """The verdict of each named order on (A, B), a refusal counting as
+    its exception's name, and whether R(A + B) = R(A) + R(B)."""
+    out = {"range_additive": is_range_additive(a, b)}
+    for name in names:
+        try:
+            out[name] = order_predicate(name)(a, b).holds
+        except GroupInvertibilityError as exc:
+            out[name] = type(exc).__name__
+    return out
+
+
+def metamorphic_pairs(rng, rounds):
+    """Per round, ordered minus, star, sharp and core pairs, and three
+    unrelated pairs made from the minus pair (A, A + B): A against a
+    perturbed A, A against 2A, and a rank-one matrix against A + B."""
+    for k in range(rounds):
+        n = (4, 6, 9)[k % 3]
+        r1, r2 = 1 + k % 2, 1 + (k // 2) % 2
+        a, b = minus_pair(rng, n, n, r1, r2)
+        yield "minus", a, a + b
+        for kind, draw in (("star", star_pair), ("sharp", sharp_pair), ("core", core_pair)):
+            x, y = draw(rng, n, n, r1, r2) if kind == "star" else draw(rng, n, r1, r2)
+            yield kind, x, x + y
+        yield "perturbed", a, a + cgauss(rng, n, n)
+        yield "doubled", a, 2.0 * a
+        yield "rank_one", cgauss(rng, n, 1) @ adjoint(cgauss(rng, n, 1)), a + b
+
+
+def test_criterion_12_verdicts_are_metamorphic():
+    """Verdicts do not move under A, B -> cA, cB for c from 1e-12 to 1e12,
+    under a unitary equivalence (a unitary similarity for the sharp and
+    core orders), or from right_*(A, B) to left_*(A*, B*); and star, sharp
+    and core each imply minus.  Pairs with a lopsided ||A|| / ||B|| are
+    left out: they wait for a cutoff of B - A relative to the operands."""
+    rng = np.random.default_rng(112)
+    equivalence_orders = tuple(name for name in ORDER_NAMES if name not in SIMILARITY_ORDERS)
+    for kind, a, b in metamorphic_pairs(rng, 12):
+        base = verdicts(a, b)
+        # the ordered pairs hold their own order and the unrelated ones fail minus
+        assert (base[kind] is True) if kind in ORDER_NAMES else (base["minus"] is False), kind
+        for name in ("star", "sharp", "core"):
+            assert base[name] is not True or base["minus"], (kind, name)
+        for c in (1e-12, 1e-6, 1e6, 1e12):
+            assert verdicts(c * a, c * b) == base, (kind, c)
+        n = a.shape[0]
+        u, v = (np.linalg.qr(cgauss(rng, n, n))[0] for _ in range(2))
+        assert verdicts(u @ a @ adjoint(v), u @ b @ adjoint(v), equivalence_orders) == {
+            key: base[key] for key in ("range_additive",) + equivalence_orders}, kind
+        similar = verdicts(u @ a @ adjoint(u), u @ b @ adjoint(u), SIMILARITY_ORDERS)
+        assert similar == {key: base[key] for key in ("range_additive",) + SIMILARITY_ORDERS}, kind
+        mirrored = verdicts(adjoint(a), adjoint(b), ("left_minus", "left_star"))
+        assert (mirrored["left_minus"], mirrored["left_star"]) == (
+            base["right_minus"], base["right_star"]), kind
+    announce(12, "verdicts survive scaling, unitary maps and the adjoint mirror on 84 pairs")

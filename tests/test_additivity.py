@@ -102,7 +102,7 @@ def _reference_kernel(A, B, tol=DEFAULT_TOLERANCE):
             candidate = None
         if candidate is not None:
             residual = fro(adjoint(A) - candidate.matrix @ (adjoint(A) + adjoint(B)))
-            if tol.within(residual, (1.0 + fro(A) + fro(B)) * (1.0 + fro(candidate.matrix))):
+            if tol.within(residual, fro(candidate.matrix) * (fro(A) + fro(B))):
                 witness = candidate
 
     spans = span_dim(fa.null, fb.null, tol) == A.shape[1]

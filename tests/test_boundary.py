@@ -43,6 +43,7 @@ ENTRY_POINTS = {
     "pinv": (pinv, (A,)),
     "group_inverse": (group_inverse, (A,)),
     "Subspace": (Subspace, (E1.basis,)),
+    "Subspace.contains_vector": (E1.contains_vector, (np.ones(4),)),
     "Factored.of": (Factored.of, (A,)),
     "Projection": (lambda p: Projection(p, E1, E1_PERP), (E1.projector(),)),
 }

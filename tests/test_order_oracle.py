@@ -63,7 +63,7 @@ def _ref_witness(ra, complement, tol):
 
 def _ref_projection_ok(A, B, witness_p, fb, tol):
     return (witness_p is not None
-            and tol.within(fro(A - witness_p.matrix @ B), 1.0 + fro(B))
+            and tol.within(fro(A - witness_p.matrix @ B), fro(witness_p.matrix) * fro(B))
             and numerical_rank(np.hstack([B, A]), tol) == fb.rank)
 
 
