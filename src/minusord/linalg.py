@@ -53,7 +53,10 @@ class ToleranceConfig:
         Relative singular-value cutoff for rank decisions: singular values
         sigma with ``sigma <= rank_rtol * sigma_max`` count as zero.  When
         ``None`` (the default) each matrix uses ``16 * eps * max(m, n)``,
-        the usual dense-rank heuristic.
+        the usual dense-rank heuristic.  sigma_max is the matrix's own
+        largest singular value, except for the difference B - A of an
+        order check, whose rank and the inclusion R(A) in R(B) are cut
+        at max(sigma_max(A), sigma_max(B)): the rounding of forming B - A.
     residual_atol : float
         Cutoff for formula residuals.  Every residual check goes through
         :meth:`within` or :meth:`verify`, which compare the residual with
@@ -166,18 +169,23 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def rank_cut(s, shape: tuple[int, ...], tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
+def rank_cut(s, shape: tuple[int, ...], tol: ToleranceConfig = DEFAULT_TOLERANCE,
+             scale: float | None = None) -> tuple[int, bool]:
     """The one rank decision of the package, made on descending singular
     values ``s`` of a matrix of the given shape.
 
-    Returns the number of singular values above the relative cutoff and a
-    near-boundary flag, set when any singular value falls within a factor
-    of ten of the cutoff, i.e. when the decision is not clearly resolved.
-    Zero matrices have rank zero by convention (the cutoff degenerates).
+    Returns the number of singular values above the cutoff
+    ``effective_rank_rtol(shape) * scale`` and a near-boundary flag, set
+    when any singular value falls within a factor of ten of the cutoff,
+    i.e. when the decision is not clearly resolved.  ``scale`` defaults to
+    the matrix's own largest singular value; the order checks pass
+    max(sigma_1(A), sigma_1(B)) for B - A, since forming it rounds by eps
+    times that scale (Golub & Van Loan, Matrix Computations, 5.4).  Zero
+    matrices have rank zero by convention (the cutoff degenerates).
     """
     if s.size == 0 or s[0] == 0.0:
         return 0, False
-    cutoff = tol.effective_rank_rtol(shape) * s[0]
+    cutoff = tol.effective_rank_rtol(shape) * (s[0] if scale is None else scale)
     rank = int(np.count_nonzero(s > cutoff))
     near = bool(np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)))
     return rank, near

@@ -29,7 +29,6 @@ from .geninv import _group_invertible, _reflexive_solve
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
-    _rank,
     _singular_values,
     adjoint,
     as_pair,
@@ -110,6 +109,25 @@ class _Triple(NamedTuple):
         na = fro(self.a)
         return tol.within(fro(x - y), na * (na + fro(self.b)))
 
+    def inside(self, beyond_a: np.ndarray, tol) -> bool:
+        """Whether A's columns lie in R(B), the inclusion in A = P B and in
+        rank [B | A] = rank(B): no singular value of the part of A outside
+        R(B), ``beyond_a`` diag(sigma_A), lies above the cutoff of B - A.
+        ``beyond_a`` = U_B^perp* U_A holds the sines of R(A) beyond R(B),
+        which the join of the check has computed.  Weighting by sigma_A
+        keeps A's small directions, along which R(B)'s computed basis is
+        least accurate, from counting.
+
+        The range verdicts judge the same sines unweighted, against the
+        subspace-equality threshold of every subspace relation
+        (:func:`~minusord.linalg.sine_cut`): R(A) + R(B - A) = R(B) is a
+        relation of subspaces, where a direction counts whatever A's norm
+        along it, whereas a direction of A adds its singular value times
+        its sine to A - P B."""
+        fa = self.fa
+        part = beyond_a * fa.s[:fa.rank]
+        return rank_cut(_singular_values(part), self.a.shape, tol, _scale(fa, self.fb))[0] == 0
+
     def flags(self) -> tuple[str, ...]:
         """The boundary flags of the three rank decisions."""
         factors = zip((self.fa, self.fb, self.fd), ("A", "B", "B-A"))
@@ -121,9 +139,17 @@ class _Triple(NamedTuple):
                        self.fa.adjoint(), self.fb.adjoint(), self.fd.adjoint())
 
 
+def _scale(fa: Factored, fb: Factored) -> float:
+    """max(sigma_1(A), sigma_1(B)): forming B - A rounds by eps times it,
+    so B - A, and the part of A outside R(B), are cut at this scale."""
+    return max(np.max(fa.s, initial=0.0), np.max(fb.s, initial=0.0))
+
+
 def _triple(A, B, tol) -> _Triple:
-    """Factor A, B and B - A once each, for operands already validated."""
-    return _Triple(A, B, *(Factored._of(X, tol) for X in (A, B, B - A)))
+    """Factor A, B and B - A once each, for operands already validated;
+    the rank of B - A is cut at the operands' scale."""
+    fa, fb = Factored._of(A, tol), Factored._of(B, tol)
+    return _Triple(A, B, fa, fb, Factored._of(B - A, tol, _scale(fa, fb)))
 
 
 class _Join(NamedTuple):
@@ -132,6 +158,7 @@ class _Join(NamedTuple):
     spans: bool   # R(A) + R(B - A) = R(B)
     covers: bool  # [U_A | U_D | U_B^perp] spans the space
     direct: bool  # R(A) cap R(B - A) = 0
+    beyond_a: np.ndarray  # U_B^perp* U_A, the sines of R(A) beyond R(B)
 
 
 def _join(fa: Factored, fd: Factored, fb: Factored, tol) -> _Join:
@@ -148,7 +175,8 @@ def _join(fa: Factored, fd: Factored, fb: Factored, tol) -> _Join:
     k = adjoint(fb.u) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
     inside = sine_cut(_singular_values(k[fb.rank:]), m, tol)[1]
     covers = rank_cut(_singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), tol)[0] == fb.rank
-    return _Join(inside and covers, covers, _outside(fa.conull, fd.range, tol) == fd.rank)
+    return _Join(inside and covers, covers, _outside(fa.conull, fd.range, tol) == fd.rank,
+                 k[fb.rank:, :fa.rank])
 
 
 def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection | None:
@@ -185,11 +213,11 @@ def _angle_margin_ok(ra: Subspace, rd: Subspace, tol, flags) -> bool:
     return margin > tol.angle_gap
 
 
-def _projection_ok(t: _Triple, witness_p, tol) -> bool:
-    """Whether A = P B with R(A) inside R(B), rank(B) read off its factor."""
+def _projection_ok(t: _Triple, witness_p, join: _Join, tol) -> bool:
+    """Whether A = P B with R(A) inside R(B), both read off the factors."""
     return (witness_p is not None
             and tol.within(fro(t.a - witness_p.matrix @ t.b), fro(witness_p.matrix) * fro(t.b))
-            and _rank(np.hstack([t.b, t.a]), tol) == t.fb.rank)
+            and t.inside(join.beyond_a, tol))
 
 
 def _minus(t: _Triple, tol, left: _Join | None = None) -> OrderReport:
@@ -223,7 +251,7 @@ def _minus(t: _Triple, tol, left: _Join | None = None) -> OrderReport:
         witness_p = _split_witness(fa, fd, fb.conull)
     elif left.direct:
         witness_p = _split_witness(fa, fd, _sum_and_meet(fa.range, fa.conull, fd.range, tol)[1])
-    projection_ok = _projection_ok(t, witness_p, tol)
+    projection_ok = _projection_ok(t, witness_p, left, tol)
     witness_q = _split_witness(*adjoints[:2], fb.null) if holds else None
 
     verdicts = {
@@ -255,7 +283,7 @@ def _left_minus(t: _Triple, tol, left: _Join | None = None) -> OrderReport:
     # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff the
     # ranks add and the join covers R(B)
     witness_p = _split_witness(fa, fd, fb.conull) if left.covers else None
-    verdicts = {"ranges": holds, "projection": _projection_ok(t, witness_p, tol)}
+    verdicts = {"ranges": holds, "projection": _projection_ok(t, witness_p, left, tol)}
     return OrderReport("left_minus", holds, verdicts, witness_p if holds else None,
                        None, t.ranks, t.flags())
 
@@ -301,8 +329,8 @@ def _star(t: _Triple, tol) -> OrderReport:
     gram_right = t.agree(A @ adjoint(A), B @ adjoint(A), tol)
     holds = gram_left and gram_right
 
-    ortho = (_orthogonal_join(fa, fd, fb, tol)
-             and _orthogonal_join(fa.adjoint(), fd.adjoint(), fb.adjoint(), tol))
+    ortho = (_orthogonal_join(fa, fd, fb, tol)[0]
+             and _orthogonal_join(fa.adjoint(), fd.adjoint(), fb.adjoint(), tol)[0])
 
     witness_p = witness_q = None
     if holds:
@@ -312,16 +340,18 @@ def _star(t: _Triple, tol) -> OrderReport:
     return OrderReport("star", holds, verdicts, witness_p, witness_q, t.ranks, t.flags())
 
 
-def _orthogonal_join(fa: Factored, fd: Factored, fb: Factored, tol) -> bool:
+def _orthogonal_join(fa: Factored, fd: Factored, fb: Factored, tol) -> tuple[bool, np.ndarray]:
     """Whether R(B) = R(A) + R(B - A) with orthogonal summands: the ranks
     add, both ranges lie in R(B) and R(B - A) lies in N(A*).  The sines of
-    the last inclusion are the cosines U_A* U_D."""
+    the last inclusion are the cosines U_A* U_D.  Also returns U_B^perp* U_A,
+    the sines of R(A) beyond R(B), for :meth:`_Triple.inside`."""
     m = fb.u.shape[0]
     ud = fd.range.basis
     beyond = adjoint(fb.conull.basis) @ np.hstack([fa.range.basis, ud])
-    return (fa.rank + fd.rank == fb.rank
-            and sine_cut(_singular_values(beyond), m, tol)[1]
-            and sine_cut(_singular_values(adjoint(fa.range.basis) @ ud), m, tol)[1])
+    holds = (fa.rank + fd.rank == fb.rank
+             and sine_cut(_singular_values(beyond), m, tol)[1]
+             and sine_cut(_singular_values(adjoint(fa.range.basis) @ ud), m, tol)[1])
+    return holds, beyond[:, :fa.rank]
 
 
 def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -338,9 +368,9 @@ def _left_star(t: _Triple, tol) -> OrderReport:
     A, B, fa, fb, fd = t
 
     gram = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
-    inclusion = _rank(np.hstack([B, A]), tol) == fb.rank
+    ortho, beyond_a = _orthogonal_join(fa, fd, fb, tol)
+    inclusion = t.inside(beyond_a, tol)
     holds = gram and inclusion
-    ortho = _orthogonal_join(fa, fd, fb, tol)
 
     witness_p = _orthogonal_witness(fa) if holds else None
     verdicts = {"gram_left": gram, "range_inclusion": inclusion, "orthogonal_split": ortho}

@@ -122,11 +122,12 @@ class Subspace:
         return cls._trusted(u[:, :rank_cut(s, arr.shape, tol)[0]])
 
     def perp(self) -> "Subspace":
-        """Orthogonal complement."""
+        """Orthogonal complement: the trailing columns of a complete QR of
+        the orthonormal basis."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
-        u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
-        return Subspace._trusted(u[:, self.dim:])
+        q, _ = np.linalg.qr(self.basis, mode="complete")
+        return Subspace._trusted(q[:, self.dim:])
 
     def projector(self) -> np.ndarray:
         """Matrix of the orthogonal projection onto this subspace."""
@@ -166,10 +167,11 @@ class Factored:
         return cls._of(as_matrix(A), tol)
 
     @classmethod
-    def _of(cls, a: np.ndarray, tol: ToleranceConfig) -> "Factored":
-        """:meth:`of` for an array derived from validated operands."""
+    def _of(cls, a: np.ndarray, tol: ToleranceConfig, scale: float | None = None) -> "Factored":
+        """:meth:`of` for an array derived from validated operands, its rank
+        cut at the reference ``scale`` of :func:`~minusord.linalg.rank_cut`."""
         u, s, vh = np.linalg.svd(a, full_matrices=True)
-        return cls(u, s, adjoint(vh), *rank_cut(s, a.shape, tol))
+        return cls(u, s, adjoint(vh), *rank_cut(s, a.shape, tol, scale))
 
     @cached_property
     def range(self) -> Subspace:
@@ -217,18 +219,28 @@ class Projection:
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("projection matrix must be square")
         # loose idempotency screen; constructors verify the tight version
-        if fro(mat @ mat - mat) > 1e-6 * (1.0 + fro(mat) ** 2):
+        if fro(mat @ mat - mat) > 1e-6 * (fro(mat) ** 2 + fro(mat)):
             raise ValueError("matrix is not idempotent")
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, range_: Subspace, nullspace: Subspace) -> "Projection":
+        """A Projection derived from a screened one, not screened again:
+        (I - P)^2 - (I - P) = P^2 - P and (P*)^2 - P* = (P^2 - P)*, while
+        I - P may be pure rounding when P is the identity."""
+        proj = object.__new__(cls)
+        for name, value in (("matrix", matrix), ("range", range_), ("nullspace", nullspace)):
+            object.__setattr__(proj, name, value)
+        return proj
 
     def complement(self) -> "Projection":
         """The complementary projection I - P, onto nullspace along range."""
         eye = np.eye(self.matrix.shape[0], dtype=np.complex128)
-        return Projection(eye - self.matrix, self.nullspace, self.range)
+        return Projection._trusted(eye - self.matrix, self.nullspace, self.range)
 
     def adjoint(self) -> "Projection":
         """The adjoint idempotent P*, onto N(P)^perp along R(P)^perp."""
-        return Projection(adjoint(self.matrix), self.nullspace.perp(), self.range.perp())
+        return Projection._trusted(adjoint(self.matrix), self.nullspace.perp(), self.range.perp())
 
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
         return tol.within(fro(self.matrix - adjoint(self.matrix)), fro(self.matrix))

@@ -328,9 +328,10 @@ def ordered_inverse_additivity(A, B, kind: str,
     needs the core order on the pair and on the adjoint pair and returns
     the sum of core inverses.  The sum is verified against the directly
     computed inverse of A + B.  The inverses of A and A + B are read off
-    the factors of the order check; B is factored on its own, since the
-    check's factor of (A + B) - A carries the rounding of A + B, which
-    can exceed B's rank cutoff when B is small beside A.
+    the factors of the order check; B is factored on its own for
+    accuracy: the check's factor of (A + B) - A carries the rounding of
+    A + B, about eps ||A||, so its subspaces are known only to
+    eps ||A|| / sigma_min(B) when B is small beside A.
     """
     A, B = as_pair(A, B, square=kind in ("group", "core"))
     if kind not in INVERSE_KINDS:

@@ -375,8 +375,9 @@ def test_criterion_12_verdicts_are_metamorphic():
     """Verdicts do not move under A, B -> cA, cB for c from 1e-12 to 1e12,
     under a unitary equivalence (a unitary similarity for the sharp and
     core orders), or from right_*(A, B) to left_*(A*, B*); and star, sharp
-    and core each imply minus.  Pairs with a lopsided ||A|| / ||B|| are
-    left out: they wait for a cutoff of B - A relative to the operands."""
+    and core each imply minus.  On the ordered pairs (A, A + D) the
+    verdicts also stay when A alone becomes rA for r from 1e-6 to 1e6,
+    which keeps every order of the pair."""
     rng = np.random.default_rng(112)
     equivalence_orders = tuple(name for name in ORDER_NAMES if name not in SIMILARITY_ORDERS)
     for kind, a, b in metamorphic_pairs(rng, 12):
@@ -387,6 +388,9 @@ def test_criterion_12_verdicts_are_metamorphic():
             assert base[name] is not True or base["minus"], (kind, name)
         for c in (1e-12, 1e-6, 1e6, 1e12):
             assert verdicts(c * a, c * b) == base, (kind, c)
+        if kind in ORDER_NAMES:
+            for r in (1e-6, 1e-3, 1e3, 1e6):
+                assert verdicts(r * a, r * a + (b - a)) == base, (kind, r)
         n = a.shape[0]
         u, v = (np.linalg.qr(cgauss(rng, n, n))[0] for _ in range(2))
         assert verdicts(u @ a @ adjoint(v), u @ b @ adjoint(v), equivalence_orders) == {
@@ -396,4 +400,4 @@ def test_criterion_12_verdicts_are_metamorphic():
         mirrored = verdicts(adjoint(a), adjoint(b), ("left_minus", "left_star"))
         assert (mirrored["left_minus"], mirrored["left_star"]) == (
             base["right_minus"], base["right_star"]), kind
-    announce(12, "verdicts survive scaling, unitary maps and the adjoint mirror on 84 pairs")
+    announce(12, "verdicts survive scaling, lopsided norms, unitary maps and the adjoint mirror")

@@ -58,15 +58,16 @@ def test_check_order_aliases(pair_files):
 def test_tol_rank_env_and_flag(pair_files, monkeypatch, capsys):
     fa, fb, fs = pair_files
     monkeypatch.setenv("MINUSORD_TOL_RANK", "0.99")
-    # under an absurd cutoff every rank collapses to one and the order
-    # fails; the env var must reach the rank decisions
-    assert main(["check", "minus", fa, fs, "--json"]) == 1
+    # under an absurd cutoff A and B keep one direction each and B - A,
+    # cut at the operands' scale, none, so the order holds; the env var
+    # must reach the rank decisions
+    assert main(["check", "minus", fa, fs, "--json"]) == 0
     ranks = json.loads(capsys.readouterr().out)["result"]["rank_data"]
-    assert ranks == {"rank_A": 1, "rank_B": 1, "rank_B_minus_A": 1}
+    assert ranks == {"rank_A": 1, "rank_B": 1, "rank_B_minus_A": 0}
     # an explicit flag beats the environment
     assert main(["check", "minus", fa, fs, "--tol-rank", "1e-12", "--json"]) == 0
     ranks = json.loads(capsys.readouterr().out)["result"]["rank_data"]
-    assert ranks["rank_A"] == 2
+    assert ranks == {"rank_A": 2, "rank_B": 4, "rank_B_minus_A": 2}
 
 
 def test_pinv_sum_writes_result(pair_files, tmp_path, capsys):

@@ -10,6 +10,7 @@ from minusord.linalg import (
     effective_condition,
     numerical_rank,
     range_contains,
+    rank_cut,
     rank_info,
     singular_values,
 )
@@ -98,6 +99,16 @@ def test_rank_respects_explicit_cutoff():
     a = np.diag([1.0, 1e-5])
     assert numerical_rank(a) == 2
     assert numerical_rank(a, ToleranceConfig(rank_rtol=1e-4)) == 1
+
+
+def test_rank_cut_at_a_reference_scale():
+    # a difference of operands of norm one is cut at their scale, not its own
+    s = np.array([1e-3, 1e-16])
+    rtol = DEFAULT_TOLERANCE.effective_rank_rtol((2, 2))
+    assert rank_cut(s, (2, 2)) == (2, False)
+    assert rank_cut(s, (2, 2), DEFAULT_TOLERANCE, 1.0) == (1, False)
+    assert rank_cut(s, (2, 2), DEFAULT_TOLERANCE, 1e-16 / (3.0 * rtol)) == (2, True)
+    assert rank_cut(np.zeros(2), (2, 2), DEFAULT_TOLERANCE, 1.0) == (0, False)
 
 
 def test_range_contains(rng):

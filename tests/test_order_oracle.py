@@ -8,7 +8,10 @@ must agree to 1e-12 relative, times ||A|| / ||B - A|| when that exceeds
 one.  That factor is the precision lost in forming B - A: R(B - A) is
 known only to it, and the minus-order witness now projects along
 R(B - A) + N(B*) where the reference took R(B - A) plus the complement of
-R(A) + R(B - A), subspaces that differ by that much.
+R(A) + R(B - A), subspaces that differ by that much.  Both sides cut
+the rank of B - A at max(sigma_1(A), sigma_1(B)), the rounding of forming
+it.  The projection verdict's inclusion R(A) in R(B) is read off the
+factors by the package and ranked on the joined [B | A] by the reference.
 
 The pairs cover ordered pairs, generic perturbations a + noise, doubling
 2a, rank-one B, near misses a + b + 1e-9 noise, the trivial pairs (a, a)
@@ -36,7 +39,10 @@ TOL = DEFAULT_TOLERANCE
 # --- reference implementations on joined bases ---
 
 def _ref_triple(A, B, tol):
-    factors = tuple(Factored.of(X, tol) for X in (A, B, B - A))
+    fa, fb = Factored.of(A, tol), Factored.of(B, tol)
+    # B - A is cut at max(sigma_1(A), sigma_1(B)), the rounding of forming it
+    scale = max(np.max(f.s, initial=0.0) for f in (fa, fb))
+    factors = (fa, fb, Factored._of(B - A, tol, scale))
     flags = [f"rank({label}) within 10x of cutoff"
              for f, label in zip(factors, ("A", "B", "B-A")) if f.near]
     return factors, tuple(f.rank for f in factors), flags
@@ -126,7 +132,7 @@ def ref_orthogonal_split(ra, rd, rb, tol=TOL):
 
 def ref_star_cross_checks(A, B, tol=TOL):
     """The orthogonal-split verdicts of star (both sides) and left star."""
-    fa, fb, fd = (Factored.of(X, tol) for X in (A, B, B - A))
+    fa, fb, fd = _ref_triple(A, B, tol)[0]
     left = ref_orthogonal_split(fa.range, fd.range, fb.range, tol)
     right = left and ref_orthogonal_split(fa.corange, fd.corange, fb.corange, tol)
     return right, left

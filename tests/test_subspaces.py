@@ -387,3 +387,23 @@ def test_projection_complement_and_adjoint(rng):
 def test_projection_validates():
     with pytest.raises(ValueError):
         Projection(np.array([[1.0, 1.0], [0.0, 1.0]]), line(1, 0), line(0, 1))
+
+
+def test_projection_screen_scales_with_the_matrix(rng):
+    # a small matrix is no projection: with a constant in the scale of its
+    # idempotency screen, any matrix of norm below about 1e-6 passed
+    zero, full = Subspace.zero(4), Subspace.full(4)
+    with pytest.raises(ValueError, match="matrix is not idempotent"):
+        Projection(1e-10 * cgauss(rng, 4, 4), full, zero)
+    Projection(np.zeros((4, 4)), zero, full)
+
+
+def test_complement_of_a_full_projection(rng):
+    # I - P is pure rounding when P projects onto the whole space; the
+    # complement and adjoint inherit P's screen instead of failing a new one
+    full = Subspace.from_span(cgauss(rng, 4, 4))
+    for p in (orthogonal_projection(full), oblique_projection(full, Subspace.zero(4))):
+        q = p.complement()
+        assert q.range.dim == 0 and q.nullspace.dim == 4
+        assert fro(q.matrix) < 1e-12
+        assert fro(q.adjoint().matrix) < 1e-12

@@ -276,8 +276,8 @@ def test_additivity_matches_public_route(kind, ratio):
         a, b = draw(rng, 7, 7, 2, 3) if kind == "moore_penrose" else draw(rng, 7, 2, 3)
         if ratio is not None:
             # scaling A keeps every order of the pair; at ||A|| / ||B|| = 1e4
-            # the rounding of A + B left in (A + B) - A lies above B's rank
-            # cutoff, so B's inverse must not be read off that difference
+            # the rounding of A + B left in (A + B) - A costs B's inverse read
+            # off that difference about 1e-11 relative, above this bound
             a = a * (ratio * fro(b) / fro(a))
         out = ordered_inverse_additivity(a, b, kind)
         expected = inverse(a) + inverse(b)

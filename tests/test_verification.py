@@ -119,6 +119,36 @@ def test_fill_fishkind_passes_at_every_scale(c):
     assert np.linalg.norm(got - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
+def _lopsided(ratio):
+    # an ordered 9x9 pair of ranks 3 + 3 with ||A|| / ||B|| = ratio
+    a, b = minus_pair(4, 9, 9, 3, 3)
+    return a * (ratio * np.linalg.norm(b) / np.linalg.norm(a)), b
+
+
+@pytest.mark.parametrize("ratio", [1e4, 1e6])
+def test_lopsided_ordered_pairs_hold(ratio):
+    # B - A is formed as fl(A + B) - A, whose rounding of about eps ||A||
+    # lay above a cutoff relative to sigma_1(B - A) alone once ||A|| / ||B||
+    # reached 1e4: rank(B - A) grew and the order failed
+    a, b = _lopsided(ratio)
+    assert minus_order(a, a + b).holds
+
+
+def test_lopsided_ordered_pair_constructs():
+    # and every construction refused the pair; at 1e6 R(B), read off
+    # fl(A + B) - A, is known only to eps ||A|| / sigma_min(B), and the range
+    # check of the split's E fails on most draws
+    a, b = _lopsided(1e4)
+    got = fill_fishkind_pinv(a, b)
+    direct = np.linalg.pinv(a + b)
+    assert np.linalg.norm(got - direct) <= 1e-8 * np.linalg.norm(direct)
+    rng = np.random.default_rng(4)
+    decoupled_lss(a, b, cgauss(rng, 9, 1)[:, 0])
+    # R(A + B) and N(A + B) have dimensions 6 and 3 in C^9
+    sum_reflexive_inverse(a, b, Subspace.from_span(cgauss(rng, 9, 3)),
+                          Subspace.from_span(cgauss(rng, 9, 6)))
+
+
 def test_small_weights_are_judged_like_large_ones():
     rng = np.random.default_rng(5)
     C, y = cgauss(rng, 4, 3), cgauss(rng, 4, 1)[:, 0]
