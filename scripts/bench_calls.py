@@ -1,9 +1,12 @@
-"""Per-call cost of the public calls: SVD and ``as_matrix`` validation
-counts, taken by the spy of ``tests/test_factorization_counts.py`` on its
-9x9 gate pairs, and median wall time at n = 6, 50 and 200 (square n x n,
-ranks n/3 + n/3), next to their numpy floors.  The set operations run on
-two subspaces of C^n of dimensions n - 2n/3 and 2n/3 that meet in one
-direction, and the oblique projection on a complementary pair.
+"""Per-call cost of the public calls: SVD, solve and ``as_matrix``
+validation counts, taken by the spy of ``tests/test_factorization_counts.py``
+on its 9x9 gate pairs, and median wall time at n = 6, 50 and 200 (square
+n x n, ranks n/3 + n/3), next to their numpy floors.  The order checks
+are read for their verdict alone, as a caller deciding the order does;
+``minus_order (read in full)`` also reads every cross-check verdict,
+witness and flag of its report.  The set operations run on two subspaces
+of C^n of dimensions n - 2n/3 and 2n/3 that meet in one direction, and
+the oblique projection on a complementary pair.
 
 Run from the root of a checkout; ``--src`` points at another checkout's
 ``src`` to measure it with the same inputs:
@@ -13,7 +16,7 @@ Run from the root of a checkout; ``--src`` points at another checkout's
 
 BLAS is pinned to one thread before numpy loads.  The last line of
 standard output is one JSON object: ``{call: {"svds": [all, with vectors],
-"validations": count, "ms": {n: median}}}``.
+"solves": count, "validations": count, "ms": {n: median}}}``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,16 @@ from time import perf_counter  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (6, 50, 200)
+#: The count-gate rows of the timed calls whose names differ; every other
+#: timed call has the gate row of its name, with spaces as underscores.
+GATE_ROWS = {"minus_order": "minus_order_holds", "minus_order (read in full)": "minus_order",
+             "star_order": "star_order_holds"}
+
+
+def read_in_full(report):
+    """``report`` with its cross-check verdicts, witnesses and flags read."""
+    report.characterization_verdicts, report.witness_p, report.witness_q, report.boundary_flags
+    return report
 
 
 def calls(n):
@@ -55,8 +68,9 @@ def calls(n):
     return {
         "floor: 3x np.linalg.matrix_rank":
             lambda: [np.linalg.matrix_rank(x) for x in (a, a + b, b)],
-        "minus_order": lambda: orders.minus_order(a, a + b),
-        "star_order": lambda: orders.star_order(sa, sa + sb),
+        "minus_order": lambda: orders.minus_order(a, a + b).holds,
+        "minus_order (read in full)": lambda: read_in_full(orders.minus_order(a, a + b)),
+        "star_order": lambda: orders.star_order(sa, sa + sb).holds,
         "floor: np.linalg.pinv(A+B)": lambda: np.linalg.pinv(a + b),
         "fill_fishkind_pinv": lambda: sums.fill_fishkind_pinv(a, b),
         "decoupled_lss": lambda: lsq.decoupled_lss(a, b, c),
@@ -83,13 +97,13 @@ def main(argv=None) -> int:
 
     table = {}
     for name in calls(6):
-        svds = checks = None
-        # each timed call has the gate row of its name; the floors have none
-        row = gate.CALLS.get(name.replace(" ", "_"))
+        svds = solves = checks = None
+        # each timed call has its gate row; the floors have none
+        row = gate.CALLS.get(GATE_ROWS.get(name, name.replace(" ", "_")))
         if row:
-            seen, labels = gate.spy(row[0])
+            seen, solves, labels = gate.spy(row[0])
             svds, checks = [len(seen), sum(vectors for vectors, _ in seen)], len(labels)
-        table[name] = {"svds": svds, "validations": checks, "ms": {}}
+        table[name] = {"svds": svds, "solves": solves, "validations": checks, "ms": {}}
     for n in SIZES:
         for name, call in calls(n).items():
             call()
@@ -101,8 +115,8 @@ def main(argv=None) -> int:
             table[name]["ms"][n] = round(statistics.median(times), 3)
     for name, row in table.items():
         svds = "-" if row["svds"] is None else "%d / %d" % tuple(row["svds"])
-        checks = "-" if row["validations"] is None else str(row["validations"])
-        print(f"{name:34s} {svds:>8s} {checks:>4s} "
+        solves, checks = ("-" if row[k] is None else str(row[k]) for k in ("solves", "validations"))
+        print(f"{name:34s} {svds:>8s} {solves:>3s} {checks:>4s} "
               + " ".join(f"{row['ms'][n]:9.2f}" for n in SIZES))
     print(json.dumps(table))
     return 0

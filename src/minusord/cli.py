@@ -241,10 +241,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the report of an order failure computes its deferred parts while the
+    # failure is rendered, so their errors exit as every other error does
     try:
-        return _COMMANDS[args.command](args)
-    except OrderConditionError as exc:
-        return _order_failure(args, args.command, exc)
+        try:
+            return _COMMANDS[args.command](args)
+        except OrderConditionError as exc:
+            return _order_failure(args, args.command, exc)
     except (MinusordError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

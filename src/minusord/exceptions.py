@@ -35,4 +35,15 @@ class OrderConditionError(MinusordError, RuntimeError):
 
 
 class VerificationError(MinusordError, ArithmeticError):
-    """An internal cross-check of a constructed result exceeded tolerance."""
+    """An internal cross-check of a constructed result exceeded tolerance.
+
+    ``check`` names the check (it is also the message), ``residual`` is
+    what it measured and ``bound`` the largest residual it allows, when
+    the raiser knows them.
+    """
+
+    def __init__(self, check, residual=None, bound=None):
+        super().__init__(check)
+        self.check = check
+        self.residual = residual
+        self.bound = bound

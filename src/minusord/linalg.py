@@ -101,9 +101,10 @@ class ToleranceConfig:
         return residual <= self.residual_atol * scale
 
     def verify(self, name: str, residual: float, scale: float) -> None:
-        """Raise :class:`VerificationError` ``name`` unless :meth:`within` passes."""
+        """Raise :class:`VerificationError` ``name``, carrying the residual
+        and its bound, unless :meth:`within` passes."""
         if not self.within(residual, scale):
-            raise VerificationError(name)
+            raise VerificationError(name, residual, self.residual_atol * scale)
 
 
 DEFAULT_TOLERANCE = ToleranceConfig()

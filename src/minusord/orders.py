@@ -6,6 +6,20 @@ cross-characterizations (so their agreement can be audited), witness
 projections when the order holds, the rank bookkeeping of the triple
 (A, B, B - A), and boundary flags for decisions that fell near a cutoff.
 
+Verdict first, explanation on demand: a predicate decides ``holds`` and
+the ranks when it is called, from the factors of the triple and the joins,
+Gram, square and inclusion tests the verdict needs, and flags the rank
+decisions near their cutoff.  The cross-characterizations (with the
+angle-margin flags they raise) and the witnesses only restate that
+verdict, so each is computed on first read of its field and cached, the
+witnesses apart from the verdicts: a caller that reads only ``holds``, or
+a construction that reads only the witnesses, pays for nothing else.  The
+deferred parts read the triple's own copies of A and B and its factors,
+so a later change to the caller's arrays does not reach them.  A deferred
+step that fails (say, the idempotency screen of a witness
+:class:`~minusord.subspaces.Projection`) raises its error on the first
+read of a field that needs it, not from the predicate call.
+
 Witness conventions: ``witness_p`` satisfies A = P B and ``witness_q``
 satisfies A* = Q B*, both to the residual tolerance.
 
@@ -19,7 +33,9 @@ the adjoint pair with no further SVD.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,13 +90,54 @@ class RankData:
 
 @dataclass(frozen=True, eq=False)
 class OrderReport:
+    """The verdict of one order check and, on first read, its explanation.
+
+    ``order_name``, ``holds`` and ``rank_data`` are set when the predicate
+    returns.  ``characterization_verdicts``, ``boundary_flags``,
+    ``witness_p`` and ``witness_q`` are computed on first read and cached;
+    the witnesses and the verdicts have separate caches, and
+    ``boundary_flags`` (the rank flags, then any flags of the
+    cross-checks) is read with the verdicts.  Every value is the one the
+    check would have computed at once.  A deferred step that fails raises
+    on the first read of a field that needs it, and again on every read.
+    """
+
     order_name: str
     holds: bool
-    characterization_verdicts: dict[str, bool]
-    witness_p: Projection | None
-    witness_q: Projection | None
     rank_data: RankData
-    boundary_flags: tuple[str, ...] = field(default=())
+    _witness_p: Callable[[], Projection | None] = field(repr=False)
+    _witness_q: Callable[[], Projection | None] = field(repr=False)
+    _explain: Callable[[], tuple[dict[str, bool], tuple[str, ...]]] = field(repr=False)
+
+    @cached_property
+    def witness_p(self) -> Projection | None:
+        return self._witness_p()
+
+    @cached_property
+    def witness_q(self) -> Projection | None:
+        return self._witness_q()
+
+    @cached_property
+    def _explained(self) -> tuple[dict[str, bool], tuple[str, ...]]:
+        return self._explain()
+
+    @property
+    def characterization_verdicts(self) -> dict[str, bool]:
+        return self._explained[0]
+
+    @property
+    def boundary_flags(self) -> tuple[str, ...]:
+        return self._explained[1]
+
+
+def _absent() -> None:
+    """The witness of a report that has none."""
+    return None
+
+
+def _witness(holds: bool, make, *args) -> Callable[[], Projection | None]:
+    """The deferred witness ``make(*args)`` when the order holds."""
+    return (lambda: make(*args)) if holds else _absent
 
 
 def _require(report: OrderReport, message: str) -> None:
@@ -147,9 +204,11 @@ def _scale(fa: Factored, fb: Factored) -> float:
 
 def _triple(A, B, tol) -> _Triple:
     """Factor A, B and B - A once each, for operands already validated;
-    the rank of B - A is cut at the operands' scale."""
+    the rank of B - A is cut at the operands' scale.  The triple holds
+    copies of A and B: validation may hand back the caller's own arrays,
+    and the deferred parts of a report read the operands later."""
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
-    return _Triple(A, B, fa, fb, Factored._of(B - A, tol, _scale(fa, fb)))
+    return _Triple(A.copy(), B.copy(), fa, fb, Factored._of(B - A, tol, _scale(fa, fb)))
 
 
 class _Join(NamedTuple):
@@ -157,7 +216,6 @@ class _Join(NamedTuple):
 
     spans: bool   # R(A) + R(B - A) = R(B)
     covers: bool  # [U_A | U_D | U_B^perp] spans the space
-    direct: bool  # R(A) cap R(B - A) = 0
     beyond_a: np.ndarray  # U_B^perp* U_A, the sines of R(A) beyond R(B)
 
 
@@ -168,15 +226,21 @@ def _join(fa: Factored, fd: Factored, fb: Factored, tol) -> _Join:
     K = U_B* [U_A | U_D] carries both range facts: its rows past rank(B)
     are the sines of R(A) and R(B - A) beyond R(B), which vanish when both
     lie in R(B), and its first rank(B) rows have rank rank(B) exactly when
-    [U_A | U_D | U_B^perp] spans the space.  The sines U_A^perp* U_D of
-    R(B - A) against R(A) decide the direct sum.
+    [U_A | U_D | U_B^perp] spans the space.  Whether R(A) + R(B - A) is
+    direct is left to :func:`_direct`: only the minus order's kernel
+    verdict and fallback witness read it.
     """
     m = fb.u.shape[0]
     k = adjoint(fb.u) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
     inside = sine_cut(_singular_values(k[fb.rank:]), m, tol)[1]
     covers = rank_cut(_singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), tol)[0] == fb.rank
-    return _Join(inside and covers, covers, _outside(fa.conull, fd.range, tol) == fd.rank,
-                 k[fb.rank:, :fa.rank])
+    return _Join(inside and covers, covers, k[fb.rank:, :fa.rank])
+
+
+def _direct(fa: Factored, fd: Factored, tol) -> bool:
+    """Whether R(A) cap R(B - A) = 0: the sines U_A^perp* U_D of R(B - A)
+    against R(A) all lie above the cutoff."""
+    return _outside(fa.conull, fd.range, tol) == fd.rank
 
 
 def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection | None:
@@ -224,45 +288,51 @@ def _minus(t: _Triple, tol, left: _Join | None = None) -> OrderReport:
     """The minus-order report, on the codomain join ``left`` if made.  When
     the order holds, the orthogonal complements of R(A) + R(B - A) and
     R(A*) + R(B* - A*) are N(B*) and N(B), i.e. ``t.fb.conull`` and
-    ``t.fb.null``."""
+    ``t.fb.null``.  The verdict needs the domain-side join only when the
+    codomain side holds."""
     fa, fb, fd = t.fa, t.fb, t.fd
-    flags = list(t.flags())
+    flags = t.flags()
     adjoints = fa.adjoint(), fd.adjoint(), fb.adjoint()
     left = _join(fa, fd, fb, tol) if left is None else left
-    right = _join(*adjoints, tol)
+    right = cache(lambda: _join(*adjoints, tol))
     additive = fa.rank + fd.rank == fb.rank
     left_holds = left.spans and additive
-    holds = left_holds and right.spans
-
-    # The angle route restates disjointness as a minimal-angle margin; the
-    # span part of the condition is still required.
-    angle_ok = (left.spans and right.spans
-                and _angle_margin_ok(fa.range, fd.range, tol, flags)
-                and _angle_margin_ok(fa.corange, fd.corange, tol, flags))
-    # N(A) + N(B - A) is the whole domain iff R(A*) cap R(B* - A*) = 0,
-    # and likewise on the codomain side
-    kernels_ok = left.direct and right.direct
+    holds = left_holds and right().spans
 
     # Canonical left witness: project onto R(A) along R(B - A) plus the
-    # orthogonal complement of R(A) + R(B - A).  That complement is N(B*)
-    # when the left side splits R(B); otherwise U_A^perp* U_D yields it.
-    witness_p = None
-    if left_holds:
-        witness_p = _split_witness(fa, fd, fb.conull)
-    elif left.direct:
-        witness_p = _split_witness(fa, fd, _sum_and_meet(fa.range, fa.conull, fd.range, tol)[1])
-    projection_ok = _projection_ok(t, witness_p, left, tol)
-    witness_q = _split_witness(*adjoints[:2], fb.null) if holds else None
+    # orthogonal complement of R(A) + R(B - A), which is N(B*) when the
+    # left side splits R(B)
+    split_p = cache(lambda: _split_witness(fa, fd, fb.conull))
 
-    verdicts = {
-        "ranges": holds,
-        "ranks": additive,
-        "angles": angle_ok,
-        "kernels": kernels_ok,
-        "projection": projection_ok,
-    }
-    return OrderReport("minus", holds, verdicts, witness_p if holds else None,
-                       witness_q, t.ranks, tuple(flags))
+    def explain():
+        angle_flags = []
+        # The angle route restates disjointness as a minimal-angle margin;
+        # the span part of the condition is still required.
+        angle_ok = (left.spans and right().spans
+                    and _angle_margin_ok(fa.range, fd.range, tol, angle_flags)
+                    and _angle_margin_ok(fa.corange, fd.corange, tol, angle_flags))
+        # N(A) + N(B - A) is the whole domain iff R(A*) cap R(B* - A*) = 0,
+        # and likewise on the codomain side
+        left_direct = _direct(fa, fd, tol)
+        kernels_ok = left_direct and _direct(*adjoints[:2], tol)
+        # a direct sum that does not split R(B) has the complement that
+        # U_A^perp* U_D yields
+        witness_p = None
+        if left_holds:
+            witness_p = split_p()
+        elif left_direct:
+            witness_p = _split_witness(fa, fd, _sum_and_meet(fa.range, fa.conull, fd.range, tol)[1])
+        verdicts = {
+            "ranges": holds,
+            "ranks": additive,
+            "angles": angle_ok,
+            "kernels": kernels_ok,
+            "projection": _projection_ok(t, witness_p, left, tol),
+        }
+        return verdicts, flags + tuple(angle_flags)
+
+    return OrderReport("minus", holds, t.ranks, split_p if holds else _absent,
+                       _witness(holds, _split_witness, *adjoints[:2], fb.null), explain)
 
 
 def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -277,15 +347,21 @@ def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 def _left_minus(t: _Triple, tol, left: _Join | None = None) -> OrderReport:
     """The left-minus report, on the codomain join ``left`` if made."""
     fa, fb, fd = t.fa, t.fb, t.fd
+    flags = t.flags()
     left = _join(fa, fd, fb, tol) if left is None else left
     holds = left.spans and fa.rank + fd.rank == fb.rank
 
     # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff the
     # ranks add and the join covers R(B)
-    witness_p = _split_witness(fa, fd, fb.conull) if left.covers else None
-    verdicts = {"ranges": holds, "projection": _projection_ok(t, witness_p, left, tol)}
-    return OrderReport("left_minus", holds, verdicts, witness_p if holds else None,
-                       None, t.ranks, t.flags())
+    @cache
+    def witness_p():
+        return _split_witness(fa, fd, fb.conull) if left.covers else None
+
+    def explain():
+        return {"ranges": holds, "projection": _projection_ok(t, witness_p(), left, tol)}, flags
+
+    return OrderReport("left_minus", holds, t.ranks, witness_p if holds else _absent, _absent,
+                       explain)
 
 
 def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -301,11 +377,12 @@ def _mirrored(name, left_order, A, B, tol) -> OrderReport:
     A* against B*, reported as the right-sided order ``name``: its left
     witness becomes the right one.  A* and B* are factored themselves: the
     SVD of A* need not round as the adjoint of the SVD of A does, and the
-    right-sided reports keep the rounding of their own factors."""
+    right-sided reports keep the rounding of their own factors.  Its
+    deferred parts stay deferred, read through the left report's caches."""
     A, B = as_pair(A, B)
     mirrored = left_order(_triple(adjoint(A), adjoint(B), tol), tol)
-    return OrderReport(name, mirrored.holds, mirrored.characterization_verdicts,
-                       None, mirrored.witness_p, mirrored.rank_data, mirrored.boundary_flags)
+    return OrderReport(name, mirrored.holds, mirrored.rank_data, _absent,
+                       lambda: mirrored.witness_p, lambda: mirrored._explained)
 
 
 def right_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -328,16 +405,16 @@ def _star(t: _Triple, tol) -> OrderReport:
     gram_left = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
     gram_right = t.agree(A @ adjoint(A), B @ adjoint(A), tol)
     holds = gram_left and gram_right
+    flags = t.flags()
 
-    ortho = (_orthogonal_join(fa, fd, fb, tol)[0]
-             and _orthogonal_join(fa.adjoint(), fd.adjoint(), fb.adjoint(), tol)[0])
+    def explain():
+        ortho = (_orthogonal_join(fa, fd, fb, tol)[0]
+                 and _orthogonal_join(fa.adjoint(), fd.adjoint(), fb.adjoint(), tol)[0])
+        return {"gram_left": gram_left, "gram_right": gram_right,
+                "orthogonal_ranges": ortho}, flags
 
-    witness_p = witness_q = None
-    if holds:
-        witness_p = _orthogonal_witness(fa)
-        witness_q = _orthogonal_witness(fa.adjoint())
-    verdicts = {"gram_left": gram_left, "gram_right": gram_right, "orthogonal_ranges": ortho}
-    return OrderReport("star", holds, verdicts, witness_p, witness_q, t.ranks, t.flags())
+    return OrderReport("star", holds, t.ranks, _witness(holds, _orthogonal_witness, fa),
+                       _witness(holds, _orthogonal_witness, fa.adjoint()), explain)
 
 
 def _orthogonal_join(fa: Factored, fd: Factored, fb: Factored, tol) -> tuple[bool, np.ndarray]:
@@ -372,9 +449,10 @@ def _left_star(t: _Triple, tol) -> OrderReport:
     inclusion = t.inside(beyond_a, tol)
     holds = gram and inclusion
 
-    witness_p = _orthogonal_witness(fa) if holds else None
-    verdicts = {"gram_left": gram, "range_inclusion": inclusion, "orthogonal_split": ortho}
-    return OrderReport("left_star", holds, verdicts, witness_p, None, t.ranks, t.flags())
+    explained = ({"gram_left": gram, "range_inclusion": inclusion, "orthogonal_split": ortho},
+                 t.flags())
+    return OrderReport("left_star", holds, t.ranks, _witness(holds, _orthogonal_witness, fa),
+                       _absent, lambda: explained)
 
 
 def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -399,12 +477,9 @@ def _sharp(t: _Triple, tol) -> OrderReport:
     right_id = t.agree(square, A @ B, tol)
     holds = left_id and right_id
 
-    witness_p = witness_q = None
-    if holds:
-        witness_p = _group_witness(fa)
-        witness_q = _group_witness(fa.adjoint())
-    verdicts = {"square_equals_ba": left_id, "square_equals_ab": right_id}
-    return OrderReport("sharp", holds, verdicts, witness_p, witness_q, t.ranks, t.flags())
+    explained = {"square_equals_ba": left_id, "square_equals_ab": right_id}, t.flags()
+    return OrderReport("sharp", holds, t.ranks, _witness(holds, _group_witness, fa),
+                       _witness(holds, _group_witness, fa.adjoint()), lambda: explained)
 
 
 def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -422,12 +497,9 @@ def _core(t: _Triple, tol) -> OrderReport:
     square = t.agree(A @ A, B @ A, tol)
     holds = gram and square
 
-    witness_p = witness_q = None
-    if holds:
-        witness_p = _orthogonal_witness(fa)
-        witness_q = _group_witness(fa.adjoint())
-    verdicts = {"gram_left": gram, "square_equals_ba": square}
-    return OrderReport("core", holds, verdicts, witness_p, witness_q, t.ranks, t.flags())
+    explained = {"gram_left": gram, "square_equals_ba": square}, t.flags()
+    return OrderReport("core", holds, t.ranks, _witness(holds, _orthogonal_witness, fa),
+                       _witness(holds, _group_witness, fa.adjoint()), lambda: explained)
 
 
 def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -448,13 +520,12 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
     right_trivial = down_s.dim == fa.rank + fd.rank
     holds = left_trivial and right_trivial
 
-    witness_p = witness_q = None
-    if holds:
-        witness_p = _split_witness(fa, fd, leftover)
-        witness_q = _split_witness(fa.adjoint(), fd.adjoint(), leftover_s)
-    verdicts = {"left_intersection_trivial": left_trivial,
-                "right_intersection_trivial": right_trivial}
-    return OrderReport("weak_minus", holds, verdicts, witness_p, witness_q, t.ranks, t.flags())
+    explained = ({"left_intersection_trivial": left_trivial,
+                  "right_intersection_trivial": right_trivial}, t.flags())
+    return OrderReport("weak_minus", holds, t.ranks,
+                       _witness(holds, _split_witness, fa, fd, leftover),
+                       _witness(holds, _split_witness, fa.adjoint(), fd.adjoint(), leftover_s),
+                       lambda: explained)
 
 
 _PREDICATES = {

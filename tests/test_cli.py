@@ -109,6 +109,24 @@ def test_order_failure_one_path(tmp_path, capsys, command, json_mode):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_deferred_error_of_an_order_failure_exits_two(tmp_path, monkeypatch, capsys, json_mode):
+    # the failure report computes its cross-checks while it is rendered; an
+    # error there exits 2 with nothing on stdout, as when the check raised it
+    def failing(*args):
+        raise ValueError("matrix is not idempotent")
+
+    monkeypatch.setattr("minusord.orders._projection_ok", failing)
+    rng = np.random.default_rng(3)
+    files = [str(tmp_path / name) for name in ("a.mtx", "b.mtx")]
+    for path in files:
+        write_matrix(path, rng.standard_normal((4, 4)).astype(complex))
+    assert main(["pinv-sum"] + files + (["--json"] if json_mode else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: matrix is not idempotent\n"
+    assert captured.out == ""
+
+
 def test_pinv_sum_linalg_error_exit_two(pair_files, monkeypatch, capsys):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

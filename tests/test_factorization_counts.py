@@ -33,8 +33,15 @@ fails builds the report it raises from the factors that check made, so
 on the unordered row only A, A + B and B are factored with singular
 vectors, once each.
 
-One spy, :func:`spy`, takes both counts; ``scripts/bench_calls.py``
-prints them through it.
+An order report computes its cross-check verdicts and witnesses on first
+read.  Every row that checks an order reads its report in full, so its
+bounds count the whole explanation; the constructions read only the
+witnesses of their check.  The ``_holds`` rows read the verdict alone:
+they pay for the factors and the joins, Gram, square and inclusion tests
+of the verdict, and make no solve.
+
+One spy, :func:`spy`, takes the counts; ``scripts/bench_calls.py`` prints
+them through it.
 """
 
 import ast
@@ -52,9 +59,9 @@ from minusord.exceptions import OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
 from minusord.geninv import core_inverse, group_inverse
 from minusord.lsq import decoupled_lss, solve_system
-from minusord.orders import (core_order, inner_inverse_witness, left_minus_order, minus_order,
-                             right_minus_order, right_star_order, sharp_order, star_order,
-                             weak_minus_order)
+from minusord.orders import (core_order, inner_inverse_witness, left_minus_order,
+                             left_star_order, minus_order, right_minus_order, right_star_order,
+                             sharp_order, star_order, weak_minus_order)
 from minusord.subspaces import (Subspace, intersect, oblique_projection, ominus, span_dim,
                                 subspace_sum)
 from minusord.sums import (agreeing_split, build_split, fill_fishkind_pinv,
@@ -85,11 +92,18 @@ def _set_operation(op, n_space=MEETS):
     return lambda: op(Subspace(M.basis), Subspace(n_space.basis))
 
 
+def _read(report):
+    """``report`` with every deferred field read: a row that checks an
+    order counts the whole report, not only the verdict."""
+    report.characterization_verdicts, report.witness_p, report.witness_q, report.boundary_flags
+    return report
+
+
 def _unordered_pinv():
     try:
         fill_fishkind_pinv(A, G)
     except OrderConditionError as exc:
-        assert exc.report.order_name == "left_minus"
+        assert _read(exc.report).order_name == "left_minus"
     else:
         raise AssertionError("the order check passed an unordered pair")
 
@@ -97,36 +111,41 @@ def _unordered_pinv():
 # name: (call, bound on all SVDs, on SVDs with singular vectors, on n-sized SVDs,
 #        on as_matrix calls)
 CALLS = {
-    "minus_order": (lambda: minus_order(A, A + B), 12, 3, 3, 4),
-    "left_minus_order": (lambda: left_minus_order(A, A + B), 7, 3, 3, 3),
-    "right_minus_order": (lambda: right_minus_order(A, A + B), 7, 3, 3, 3),
-    "right_star_order": (lambda: right_star_order(SA, SA + SB), 6, 3, 3, 3),
-    "core_order": (lambda: core_order(CA, CA + CB), 4, 3, 3, 4),
-    "weak_minus_order": (lambda: weak_minus_order(A, A + B), 5, 5, 3, 4),
-    "star_order": (lambda: star_order(SA, SA + SB), 7, 3, 3, 4),
-    "sharp_order": (lambda: sharp_order(HA, HA + HB), 5, 3, 3, 4),
-    "inner_inverse_witness": (lambda: inner_inverse_witness(A, A + B), 8, 4, 3, 3),
+    "minus_order": (lambda: _read(minus_order(A, A + B)), 12, 3, 3, 4),
+    "left_minus_order": (lambda: _read(left_minus_order(A, A + B)), 6, 3, 3, 3),
+    "right_minus_order": (lambda: _read(right_minus_order(A, A + B)), 6, 3, 3, 3),
+    "left_star_order": (lambda: _read(left_star_order(SA, SA + SB)), 6, 3, 3, 3),
+    "right_star_order": (lambda: _read(right_star_order(SA, SA + SB)), 6, 3, 3, 3),
+    "core_order": (lambda: _read(core_order(CA, CA + CB)), 4, 3, 3, 4),
+    "weak_minus_order": (lambda: _read(weak_minus_order(A, A + B)), 5, 5, 3, 4),
+    "star_order": (lambda: _read(star_order(SA, SA + SB)), 7, 3, 3, 4),
+    "sharp_order": (lambda: _read(sharp_order(HA, HA + HB)), 5, 3, 3, 4),
+    "inner_inverse_witness": (lambda: inner_inverse_witness(A, A + B), 6, 4, 3, 2),
     "group_inverse": (lambda: group_inverse(HA), 2, 1, 1, 1),
     "core_inverse": (lambda: core_inverse(CA), 2, 1, 1, 1),
-    "build_split": (lambda: build_split(A, B), 13, 4, 3, 6),
-    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 13, 4, 3, 6),
-    # every SVD is n-sized here: the joins of the full-rank sum have 9 rows;
-    # the left-minus report reuses the codomain join of the minus check
-    "fill_fishkind_pinv_unordered": (_unordered_pinv, 8, 3, 8, 2),
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 14, 5, 4, 7),
-    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 11, 3, 7, 3),
+    # the constructions read the witnesses of their order check, never its
+    # cross-check verdicts
+    "build_split": (lambda: build_split(A, B), 8, 4, 3, 6),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 8, 4, 3, 6),
+    # every SVD is n-sized here: the join of the full-rank sum has 9 rows
+    # and no sines beyond R(A + B); the left-minus report reuses the
+    # codomain join of the minus check, whose failing codomain side spares
+    # the domain-side join
+    "fill_fishkind_pinv_unordered": (_unordered_pinv, 4, 3, 4, 2),
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 9, 5, 4, 7),
+    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 9, 3, 7, 2),
     "additivity_moore_penrose":
-        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 8, 4, 4, 4),
-    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 7, 4, 4, 5),
-    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 7, 4, 4, 7),
+        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 4, 4, 4, 2),
+    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 7, 4, 4, 3),
+    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 7, 4, 4, 3),
     "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
     "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 4, 3),
-    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 22, 7, 3, 10),
+    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 17, 7, 3, 8),
     # given complements replace the canonical ones inside the one split
     "sum_reflexive_inverse_alternates":
         (lambda: sum_reflexive_inverse(A, B, M, N, n1=_SPLIT.n1, n2=_SPLIT.n2,
-                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 22, 5, 3, 12),
-    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 22, 7, 3, 10),
+                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 17, 5, 3, 10),
+    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 17, 7, 3, 8),
     # the set operations of two subspaces: a sum, meet or relative
     # complement is one SVD of the sines, the complement coming from a
     # complete QR of an orthonormal basis, and a dimension test reads the
@@ -138,39 +157,61 @@ CALLS = {
     "oblique_projection": (_set_operation(oblique_projection, N), 1, 0, 1, 3),
 }
 
+#: The predicates read for their verdict alone, as a caller that asks only
+#: whether the order holds: the cross-checks and witnesses are never
+#: computed, so no solve runs.
+VERDICT_ONLY = {
+    "minus_order_holds": (lambda: minus_order(A, A + B).holds, 7, 3, 3, 2),
+    "left_minus_order_holds": (lambda: left_minus_order(A, A + B).holds, 5, 3, 3, 2),
+    "right_minus_order_holds": (lambda: right_minus_order(A, A + B).holds, 5, 3, 3, 2),
+    "star_order_holds": (lambda: star_order(SA, SA + SB).holds, 3, 3, 3, 2),
+    "left_star_order_holds": (lambda: left_star_order(SA, SA + SB).holds, 6, 3, 3, 2),
+    "right_star_order_holds": (lambda: right_star_order(SA, SA + SB).holds, 6, 3, 3, 2),
+    "sharp_order_holds": (lambda: sharp_order(HA, HA + HB).holds, 5, 3, 3, 2),
+    "core_order_holds": (lambda: core_order(CA, CA + CB).holds, 4, 3, 3, 2),
+    "weak_minus_order_holds": (lambda: weak_minus_order(A, A + B).holds, 5, 5, 3, 2),
+}
+CALLS.update(VERDICT_ONLY)
+
 
 def spy(call):
     """Run ``call`` once; return its SVDs, each as (with singular vectors,
-    n-sized), and the labels of its ``as_matrix`` calls.
+    n-sized), its number of ``np.linalg.solve`` calls and the labels of its
+    ``as_matrix`` calls.
 
-    ``np.linalg.svd`` is patched, and ``as_matrix`` in every package module
-    that imports it, the way perfbench/tracing.py patches the package from
-    outside; both are restored when the call returns or raises.
+    ``np.linalg.svd`` and ``np.linalg.solve`` are patched, and
+    ``as_matrix`` in every package module that imports it, the way
+    perfbench/tracing.py patches the package from outside; all are
+    restored when the call returns or raises.
     """
-    real_svd, real_check = np.linalg.svd, linalg.as_matrix
+    real_svd, real_solve, real_check = np.linalg.svd, np.linalg.solve, linalg.as_matrix
     modules = [importlib.import_module(f"minusord.{info.name}")
                for info in pkgutil.iter_modules(minusord.__path__)]
     modules = [m for m in modules if getattr(m, "as_matrix", None) is real_check]
-    svds, labels = [], []
+    svds, solves, labels = [], [], []
 
     def counting_svd(a, *args, **kwargs):
         svds.append((kwargs.get("compute_uv", True), max(np.shape(a)) >= 9))
         return real_svd(a, *args, **kwargs)
 
+    def counting_solve(a, *args, **kwargs):
+        solves.append(np.shape(a))
+        return real_solve(a, *args, **kwargs)
+
     def counting_check(a, label="matrix"):
         labels.append(label)
         return real_check(a, label)
 
-    np.linalg.svd = counting_svd
+    np.linalg.svd, np.linalg.solve = counting_svd, counting_solve
     for module in modules:
         module.as_matrix = counting_check
     try:
         call()
     finally:
-        np.linalg.svd = real_svd
+        np.linalg.svd, np.linalg.solve = real_svd, real_solve
         for module in modules:
             module.as_matrix = real_check
-    return svds, labels
+    return svds, len(solves), labels
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -182,10 +223,15 @@ def test_svd_count_bound(name):
     assert sum(sized for _, sized in calls) <= sized_bound
 
 
+@pytest.mark.parametrize("name", sorted(VERDICT_ONLY))
+def test_verdict_only_solves_nothing(name):
+    assert spy(VERDICT_ONLY[name][0])[1] == 0
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_validation_count_bound(name):
     call, bound = CALLS[name][0], CALLS[name][4]
-    seen = spy(call)[1]
+    seen = spy(call)[2]
     assert 0 < len(seen) <= bound, seen
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from minusord import orders
 from minusord.exceptions import GroupInvertibilityError, OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
 from minusord.linalg import ToleranceConfig, adjoint
+from minusord.sums import build_split, fill_fishkind_pinv
 from minusord.orders import (
     ORDER_NAMES,
     core_order,
@@ -326,3 +328,85 @@ def test_inner_inverse_requires_order(rng):
         inner_inverse_witness(a, b)
     assert err.value.report is not None
     assert not err.value.report.holds
+
+
+# --- verdict first, explanation on demand ---
+
+#: The count gate's 9x9 pairs (A, A + B), each checked by the predicates
+#: it is ordered for, and A against A + G for G of full rank, which fails.
+_PAIRS = {"minus": minus_pair(3, 9, 9, 3, 3), "star": star_pair(3, 9, 9, 3, 3),
+          "sharp": sharp_pair(3, 9, 3, 3), "core": core_pair(3, 9, 3, 3)}
+_G = cgauss(np.random.default_rng(5), 9, 9)
+LAZY_CASES = [pytest.param(name, a, second, id=f"{name}-{kind}")
+              for name in ORDER_NAMES
+              for a, b in [_PAIRS.get(name, _PAIRS["star" if "star" in name else "minus"])]
+              for second, kind in ((a + b, "ordered"), (a + _G, "unordered"))]
+
+WITNESSES_FIRST = ("witness_p", "witness_q", "characterization_verdicts", "boundary_flags")
+VERDICTS_FIRST = tuple(reversed(WITNESSES_FIRST))
+
+
+def _projection_bytes(p):
+    if p is None:
+        return None
+    return tuple(x.tobytes() for x in (p.matrix, p.range.basis, p.nullspace.basis))
+
+
+def _fields(report, order=WITNESSES_FIRST):
+    """Every field of ``report``, its deferred parts read in ``order``, with
+    each witness as the bytes of its matrix and of its two bases."""
+    read = {name: getattr(report, name) for name in order}
+    return (report.order_name, report.holds, report.rank_data,
+            dict(read["characterization_verdicts"]), tuple(read["boundary_flags"]),
+            _projection_bytes(read["witness_p"]), _projection_bytes(read["witness_q"]))
+
+
+@pytest.mark.parametrize("name, a, b", LAZY_CASES)
+def test_read_order_does_not_change_a_report(name, a, b):
+    predicate = order_predicate(name)
+    report = predicate(a, b)
+    assert _fields(report, WITNESSES_FIRST) == _fields(predicate(a, b), VERDICTS_FIRST)
+    # a second read returns the cached parts themselves
+    assert report.witness_p is report.witness_p
+    assert report.characterization_verdicts is report.characterization_verdicts
+
+
+@pytest.mark.parametrize("name, a, b", LAZY_CASES)
+def test_deferred_parts_ignore_later_changes_to_the_operands(name, a, b):
+    expected = _fields(order_predicate(name)(a, b))
+    a, b = a.astype(np.complex128), b.astype(np.complex128)  # arrays the predicate may keep
+    report = order_predicate(name)(a, b)
+    a[:] = 0
+    b[:] = 1
+    assert _fields(report) == expected
+
+
+@pytest.mark.parametrize("call, predicate", [
+    pytest.param(lambda a: build_split(a, _G), minus_order, id="build_split"),
+    pytest.param(lambda a: fill_fishkind_pinv(a, _G), left_minus_order, id="fill_fishkind_pinv"),
+    pytest.param(lambda a: inner_inverse_witness(a, a + _G), left_minus_order,
+                 id="inner_inverse_witness"),
+])
+def test_raised_report_read_later_equals_one_read_at_once(call, predicate):
+    a = _PAIRS["minus"][0]
+    with pytest.raises(OrderConditionError) as err:
+        call(a)
+    assert _fields(err.value.report) == _fields(predicate(a, a + _G))
+
+
+def test_deferred_error_surfaces_on_first_read(monkeypatch):
+    # a witness whose idempotency screen fails raised from the predicate
+    # before; now the verdict returns and each read that needs the witness
+    # raises the same error
+    def unscreenable(*args):
+        raise ValueError("matrix is not idempotent")
+
+    a, b = _PAIRS["minus"]
+    monkeypatch.setattr(orders, "_oblique", unscreenable)
+    report = minus_order(a, a + b)
+    assert report.holds and report.rank_data.rank_a == 3
+    for name in ("witness_p", "witness_q", "characterization_verdicts", "boundary_flags"):
+        with pytest.raises(ValueError, match="not idempotent"):
+            getattr(report, name)
+    monkeypatch.undo()
+    assert report.witness_p is not None  # nothing failed was cached

@@ -41,6 +41,15 @@ def test_within_and_verify():
         tol.verify("named check", 2.5e-3, 2.0)
 
 
+def test_verification_error_carries_its_numbers():
+    tol = ToleranceConfig(residual_atol=1e-3)
+    with pytest.raises(VerificationError) as info:
+        tol.verify("named check", 2.5e-3, 2.0)
+    err = info.value
+    assert (err.check, err.residual, err.bound) == ("named check", 2.5e-3, 2e-3)
+    assert str(err) == "named check"  # the message is the check's name alone
+
+
 def test_residual_cutoff_read_in_one_place():
     # every residual check goes through ToleranceConfig.within/verify; only
     # the CLI (which sets the cutoff) and the JSON report (which prints it)
@@ -201,4 +210,5 @@ def test_checks_raise_at_zero_cutoff(name):
     with pytest.raises(VerificationError) as info:
         call(a, b, np.random.default_rng(11), ToleranceConfig(residual_atol=0.0))
     assert type(info.value) is VerificationError
-    assert str(info.value) == message
+    assert str(info.value) == message == info.value.check
+    assert info.value.bound == 0.0 < info.value.residual
