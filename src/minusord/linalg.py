@@ -8,6 +8,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+#: Below this Frobenius norm the sum of squares behind it may have lost
+#: accuracy to underflow: sqrt(tiny / eps), where one lost subnormal per
+#: entry stays far below a relative eps.
+_NORM_FLOOR = math.sqrt(float(np.finfo(np.float64).tiny) / _EPS)
 
 #: Safety factor on top of max(m, n) * eps for the default rank cutoff.
 RANK_SAFETY_FACTOR = 16.0
@@ -182,14 +188,17 @@ def rank_cut(s, shape: tuple[int, ...], tol: ToleranceConfig = DEFAULT_TOLERANCE
     the matrix's own largest singular value; the order checks pass
     max(sigma_1(A), sigma_1(B)) for B - A, since forming it rounds by eps
     times that scale (Golub & Van Loan, Matrix Computations, 5.4).  Zero
-    matrices have rank zero by convention (the cutoff degenerates).
+    matrices have rank zero by convention (the cutoff degenerates).  The
+    cutoff is applied to ``s.tolist()``: on the few values of a small
+    matrix Python floats decide faster than numpy reductions, with the same
+    arithmetic.
     """
-    if s.size == 0 or s[0] == 0.0:
+    values = s.tolist()
+    if not values or values[0] == 0.0:
         return 0, False
-    cutoff = tol.effective_rank_rtol(shape) * (s[0] if scale is None else scale)
-    rank = int(np.count_nonzero(s > cutoff))
-    near = bool(np.any((s > cutoff / 10.0) & (s < cutoff * 10.0)))
-    return rank, near
+    cutoff = float(tol.effective_rank_rtol(shape) * (values[0] if scale is None else scale))
+    low, high = cutoff / 10.0, cutoff * 10.0
+    return sum(v > cutoff for v in values), any(low < v < high for v in values)
 
 
 def sine_cut(s, ambient_dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
@@ -206,8 +215,36 @@ def sine_cut(s, ambient_dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> t
     :meth:`ToleranceConfig.subspace_atol`.  Sines resolve an angle to about
     eps, where 1 - cos resolves it only to about sqrt(eps).
     """
-    rank = int(np.count_nonzero(s > tol.effective_rank_rtol((ambient_dim, ambient_dim))))
-    return rank, bool(s.size == 0 or s[0] <= tol.subspace_atol(ambient_dim))
+    values = s.tolist()
+    cutoff = float(tol.effective_rank_rtol((ambient_dim, ambient_dim)))
+    return (sum(v > cutoff for v in values),
+            not values or values[0] <= float(tol.subspace_atol(ambient_dim)))
+
+
+def _spectral_within(x: np.ndarray, bound: float) -> bool:
+    """Whether no singular value of ``x`` exceeds ``bound``, i.e. the
+    verdict ``s[0] <= bound`` of :func:`sine_cut`'s inclusion and of a
+    :func:`rank_cut` to rank zero at cutoff ``bound``, settled from the
+    Frobenius norm when it is far enough from the bound.
+
+    sigma_1 <= ||x||_F <= sqrt(k) sigma_1 for k = min(x.shape), so
+    ||x||_F <= bound (1 - delta) answers yes and
+    ||x||_F > sqrt(k) bound (1 + delta) answers no; every other case takes
+    the singular values.  delta = 16 eps max(x.shape), the rank cutoff's
+    own rounding margin, covers the rounding of the norm and of the SVD it
+    stands in for.  The norm is one BLAS dot product, unscaled, so a norm
+    that may have overflowed or underflowed settles nothing.
+    """
+    if min(x.shape) == 0:
+        return True
+    norm = math.sqrt(np.vdot(x, x).real)
+    if _NORM_FLOOR <= norm < math.inf:
+        delta = RANK_SAFETY_FACTOR * _EPS * max(x.shape)
+        if norm <= bound * (1.0 - delta):
+            return True
+        if norm > math.sqrt(min(x.shape)) * bound * (1.0 + delta):
+            return False
+    return bool(_singular_values(x)[0] <= bound)
 
 
 def rank_info(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:

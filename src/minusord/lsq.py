@@ -156,23 +156,25 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     w = weight.matrix
 
     x_joint = t.fb.pinv() @ c
-    stacked = np.vstack([adjoint(A) @ w @ A, adjoint(B) @ w @ B])
-    rhs = np.concatenate([adjoint(A) @ w @ c, adjoint(B) @ w @ c])
+    # A* W and B* W, formed once: every product below multiplies them
+    aw, bw = adjoint(A) @ w, adjoint(B) @ w
+    stacked = np.vstack([aw @ A, bw @ B])
+    rhs = np.concatenate([aw @ c, bw @ c])
     x_system = _pinv(stacked, tol) @ rhs
 
     def joint_normal(x):
         return float(np.linalg.norm(adjoint(total) @ (total @ x - c)))
 
-    def weighted_normal(mat, x):
-        return float(np.linalg.norm(adjoint(mat) @ w @ (mat @ x - c)))
+    def weighted_normal(mat_w, mat, x):
+        return float(np.linalg.norm(mat_w @ (mat @ x - c)))
 
     residuals = {
         "joint_normal_at_joint": joint_normal(x_joint),
         "joint_normal_at_system": joint_normal(x_system),
-        "weighted_a_at_joint": weighted_normal(A, x_joint),
-        "weighted_b_at_joint": weighted_normal(B, x_joint),
-        "weighted_a_at_system": weighted_normal(A, x_system),
-        "weighted_b_at_system": weighted_normal(B, x_system),
+        "weighted_a_at_joint": weighted_normal(aw, A, x_joint),
+        "weighted_b_at_joint": weighted_normal(bw, B, x_joint),
+        "weighted_a_at_system": weighted_normal(aw, A, x_system),
+        "weighted_b_at_system": weighted_normal(bw, B, x_system),
     }
     # both solutions enter the residuals, so the larger one bounds them
     norms = fro(A) + fro(B)

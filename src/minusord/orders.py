@@ -9,7 +9,12 @@ projections when the order holds, the rank bookkeeping of the triple
 Verdict first, explanation on demand: a predicate decides ``holds`` and
 the ranks when it is called, from the factors of the triple and the joins,
 Gram, square and inclusion tests the verdict needs, and flags the rank
-decisions near their cutoff.  The cross-characterizations (with the
+decisions near their cutoff.  Each verdict computes only what decides it:
+the minus and left-minus orders test rank additivity before they join
+subspaces (the minus order is rank subtractivity, Hartwig 1980), the left
+star order tests its Gram identity before the inclusion, and an inclusion
+of subspaces is settled from a Frobenius norm before any SVD of its sines
+when the norm is far from the bound.  The cross-characterizations (with the
 angle-margin flags they raise) and the witnesses only restate that
 verdict, so each is computed on first read of its field and cached, the
 witnesses apart from the verdicts: a caller that reads only ``holds``, or
@@ -46,11 +51,11 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     _singular_values,
+    _spectral_within,
     adjoint,
     as_pair,
     fro,
     rank_cut,
-    sine_cut,
 )
 from .subspaces import (
     Factored,
@@ -173,7 +178,9 @@ class _Triple(NamedTuple):
         ``beyond_a`` = U_B^perp* U_A holds the sines of R(A) beyond R(B),
         which the join of the check has computed.  Weighting by sigma_A
         keeps A's small directions, along which R(B)'s computed basis is
-        least accurate, from counting.
+        least accurate, from counting.  The part's Frobenius norm settles
+        the verdict when it lies far from the cutoff
+        (:func:`~minusord.linalg._spectral_within`).
 
         The range verdicts judge the same sines unweighted, against the
         subspace-equality threshold of every subspace relation
@@ -182,8 +189,8 @@ class _Triple(NamedTuple):
         along it, whereas a direction of A adds its singular value times
         its sine to A - P B."""
         fa = self.fa
-        part = beyond_a * fa.s[:fa.rank]
-        return rank_cut(_singular_values(part), self.a.shape, tol, _scale(fa, self.fb))[0] == 0
+        cutoff = tol.effective_rank_rtol(self.a.shape) * _scale(fa, self.fb)
+        return _spectral_within(beyond_a * fa.s[:fa.rank], cutoff)
 
     def flags(self) -> tuple[str, ...]:
         """The boundary flags of the three rank decisions."""
@@ -199,7 +206,7 @@ class _Triple(NamedTuple):
 def _scale(fa: Factored, fb: Factored) -> float:
     """max(sigma_1(A), sigma_1(B)): forming B - A rounds by eps times it,
     so B - A, and the part of A outside R(B), are cut at this scale."""
-    return max(np.max(fa.s, initial=0.0), np.max(fb.s, initial=0.0))
+    return max(float(fa.s[0]) if fa.s.size else 0.0, float(fb.s[0]) if fb.s.size else 0.0)
 
 
 def _triple(A, B, tol) -> _Triple:
@@ -232,9 +239,17 @@ def _join(fa: Factored, fd: Factored, fb: Factored, tol) -> _Join:
     """
     m = fb.u.shape[0]
     k = adjoint(fb.u) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
-    inside = sine_cut(_singular_values(k[fb.rank:]), m, tol)[1]
+    inside = _spectral_within(k[fb.rank:], tol.subspace_atol(m))
     covers = rank_cut(_singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), tol)[0] == fb.rank
     return _Join(inside and covers, covers, k[fb.rank:, :fa.rank])
+
+
+def _codomain_join(t: "_Triple", tol) -> Callable[[], _Join]:
+    """The codomain-side :class:`_Join` of the triple, made on first call
+    and cached: the minus and left-minus verdicts test rank additivity
+    first and need it only when the ranks add, and the constructions pass
+    one to both checks of a triple."""
+    return cache(lambda: _join(t.fa, t.fd, t.fb, tol))
 
 
 def _direct(fa: Factored, fd: Factored, tol) -> bool:
@@ -277,26 +292,28 @@ def _angle_margin_ok(ra: Subspace, rd: Subspace, tol, flags) -> bool:
     return margin > tol.angle_gap
 
 
-def _projection_ok(t: _Triple, witness_p, join: _Join, tol) -> bool:
-    """Whether A = P B with R(A) inside R(B), both read off the factors."""
+def _projection_ok(t: _Triple, witness_p, join: Callable[[], _Join], tol) -> bool:
+    """Whether A = P B with R(A) inside R(B), both read off the factors;
+    the join is made only when the witness passes."""
     return (witness_p is not None
             and tol.within(fro(t.a - witness_p.matrix @ t.b), fro(witness_p.matrix) * fro(t.b))
-            and t.inside(join.beyond_a, tol))
+            and t.inside(join().beyond_a, tol))
 
 
-def _minus(t: _Triple, tol, left: _Join | None = None) -> OrderReport:
-    """The minus-order report, on the codomain join ``left`` if made.  When
-    the order holds, the orthogonal complements of R(A) + R(B - A) and
-    R(A*) + R(B* - A*) are N(B*) and N(B), i.e. ``t.fb.conull`` and
-    ``t.fb.null``.  The verdict needs the domain-side join only when the
-    codomain side holds."""
+def _minus(t: _Triple, tol, left: Callable[[], _Join] | None = None) -> OrderReport:
+    """The minus-order report, on the deferred codomain join ``left`` if
+    given.  When the order holds, the orthogonal complements of
+    R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and N(B), i.e.
+    ``t.fb.conull`` and ``t.fb.null``.  The verdict tests rank additivity
+    first, needs the codomain join only when the ranks add, and the
+    domain-side join only when the codomain side holds."""
     fa, fb, fd = t.fa, t.fb, t.fd
     flags = t.flags()
     adjoints = fa.adjoint(), fd.adjoint(), fb.adjoint()
-    left = _join(fa, fd, fb, tol) if left is None else left
+    left = _codomain_join(t, tol) if left is None else left
     right = cache(lambda: _join(*adjoints, tol))
     additive = fa.rank + fd.rank == fb.rank
-    left_holds = left.spans and additive
+    left_holds = additive and left().spans
     holds = left_holds and right().spans
 
     # Canonical left witness: project onto R(A) along R(B - A) plus the
@@ -308,7 +325,7 @@ def _minus(t: _Triple, tol, left: _Join | None = None) -> OrderReport:
         angle_flags = []
         # The angle route restates disjointness as a minimal-angle margin;
         # the span part of the condition is still required.
-        angle_ok = (left.spans and right().spans
+        angle_ok = (left().spans and right().spans
                     and _angle_margin_ok(fa.range, fd.range, tol, angle_flags)
                     and _angle_margin_ok(fa.corange, fd.corange, tol, angle_flags))
         # N(A) + N(B - A) is the whole domain iff R(A*) cap R(B* - A*) = 0,
@@ -344,18 +361,19 @@ def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     return _minus(_triple(*as_pair(A, B), tol), tol)
 
 
-def _left_minus(t: _Triple, tol, left: _Join | None = None) -> OrderReport:
-    """The left-minus report, on the codomain join ``left`` if made."""
+def _left_minus(t: _Triple, tol, left: Callable[[], _Join] | None = None) -> OrderReport:
+    """The left-minus report, on the deferred codomain join ``left`` if
+    given; the verdict needs the join only when the ranks add."""
     fa, fb, fd = t.fa, t.fb, t.fd
     flags = t.flags()
-    left = _join(fa, fd, fb, tol) if left is None else left
-    holds = left.spans and fa.rank + fd.rank == fb.rank
+    left = _codomain_join(t, tol) if left is None else left
+    holds = fa.rank + fd.rank == fb.rank and left().spans
 
     # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff the
     # ranks add and the join covers R(B)
     @cache
     def witness_p():
-        return _split_witness(fa, fd, fb.conull) if left.covers else None
+        return _split_witness(fa, fd, fb.conull) if left().covers else None
 
     def explain():
         return {"ranges": holds, "projection": _projection_ok(t, witness_p(), left, tol)}, flags
@@ -408,8 +426,8 @@ def _star(t: _Triple, tol) -> OrderReport:
     flags = t.flags()
 
     def explain():
-        ortho = (_orthogonal_join(fa, fd, fb, tol)[0]
-                 and _orthogonal_join(fa.adjoint(), fd.adjoint(), fb.adjoint(), tol)[0])
+        ortho = (_orthogonal_join(fa, fd, fb, tol)
+                 and _orthogonal_join(fa.adjoint(), fd.adjoint(), fb.adjoint(), tol))
         return {"gram_left": gram_left, "gram_right": gram_right,
                 "orthogonal_ranges": ortho}, flags
 
@@ -417,18 +435,23 @@ def _star(t: _Triple, tol) -> OrderReport:
                        _witness(holds, _orthogonal_witness, fa.adjoint()), explain)
 
 
-def _orthogonal_join(fa: Factored, fd: Factored, fb: Factored, tol) -> tuple[bool, np.ndarray]:
+def _beyond(fa: Factored, fd: Factored, fb: Factored) -> np.ndarray:
+    """U_B^perp* [U_A | U_D], the sines of R(A) and R(B - A) beyond R(B);
+    its first rank(A) columns are those :meth:`_Triple.inside` weights."""
+    return adjoint(fb.conull.basis) @ np.hstack([fa.range.basis, fd.range.basis])
+
+
+def _orthogonal_join(fa: Factored, fd: Factored, fb: Factored, tol,
+                     beyond: np.ndarray | None = None) -> bool:
     """Whether R(B) = R(A) + R(B - A) with orthogonal summands: the ranks
     add, both ranges lie in R(B) and R(B - A) lies in N(A*).  The sines of
-    the last inclusion are the cosines U_A* U_D.  Also returns U_B^perp* U_A,
-    the sines of R(A) beyond R(B), for :meth:`_Triple.inside`."""
-    m = fb.u.shape[0]
-    ud = fd.range.basis
-    beyond = adjoint(fb.conull.basis) @ np.hstack([fa.range.basis, ud])
-    holds = (fa.rank + fd.rank == fb.rank
-             and sine_cut(_singular_values(beyond), m, tol)[1]
-             and sine_cut(_singular_values(adjoint(fa.range.basis) @ ud), m, tol)[1])
-    return holds, beyond[:, :fa.rank]
+    the last inclusion are the cosines U_A* U_D; those of the first are
+    :func:`_beyond` of the factors, passed in if made."""
+    atol = tol.subspace_atol(fb.u.shape[0])
+    beyond = _beyond(fa, fd, fb) if beyond is None else beyond
+    return (fa.rank + fd.rank == fb.rank
+            and _spectral_within(beyond, atol)
+            and _spectral_within(adjoint(fa.range.basis) @ fd.range.basis, atol))
 
 
 def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -441,18 +464,22 @@ def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRepo
 
 
 def _left_star(t: _Triple, tol) -> OrderReport:
-    """The left-star report."""
+    """The left-star report: the Gram identity is tested first, the
+    inclusion only when it holds, and the orthogonal split, which restates
+    the verdict, on first read of the explanation."""
     A, B, fa, fb, fd = t
-
     gram = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
-    ortho, beyond_a = _orthogonal_join(fa, fd, fb, tol)
-    inclusion = t.inside(beyond_a, tol)
-    holds = gram and inclusion
+    beyond = cache(lambda: _beyond(fa, fd, fb))
+    inclusion = cache(lambda: t.inside(beyond()[:, :fa.rank], tol))
+    holds = gram and inclusion()
+    flags = t.flags()
 
-    explained = ({"gram_left": gram, "range_inclusion": inclusion, "orthogonal_split": ortho},
-                 t.flags())
+    def explain():
+        return ({"gram_left": gram, "range_inclusion": inclusion(),
+                 "orthogonal_split": _orthogonal_join(fa, fd, fb, tol, beyond())}, flags)
+
     return OrderReport("left_star", holds, t.ranks, _witness(holds, _orthogonal_witness, fa),
-                       _absent, lambda: explained)
+                       _absent, explain)
 
 
 def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:

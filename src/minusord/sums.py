@@ -32,8 +32,8 @@ from .linalg import (
     as_pair,
     fro,
 )
-from .orders import (OrderReport, _core, _join, _left_minus, _minus, _require, _sharp, _star,
-                     _Triple, _triple)
+from .orders import (OrderReport, _codomain_join, _core, _left_minus, _minus, _require, _sharp,
+                     _star, _Triple, _triple)
 from .subspaces import (
     Projection,
     Subspace,
@@ -71,8 +71,8 @@ def _checked_split(t: _Triple, tol) -> "SplitWitness":
     """The optimal split of A + B behind the pseudoinverse and least-squares
     constructions, after their checks on the triple: when the minus order
     fails, a failing left minus order is reported first, its report built
-    on the same factors and the same codomain join."""
-    left = _join(t.fa, t.fd, t.fb, tol)
+    on the same factors and the same deferred codomain join."""
+    left = _codomain_join(t, tol)
     report = _minus(t, tol, left)
     if not report.holds:
         _require(_left_minus(t, tol, left), "order fails: A is not left-minus-below A + B")

@@ -1,25 +1,41 @@
-"""The pair statistics of ``scripts/bench_pairs.py``, loaded by path.
+"""The pair statistics of ``scripts/bench_pairs.py`` and the digests of
+``scripts/replay_digest.py``, both loaded by path.
 
 Ten pairs exercise the claim rule (at least nine wins of ten and a median
 difference beyond the parent's interquartile range); one pair has no
-quartiles, so nothing is claimed, and its results are still written.
+quartiles, so nothing is claimed, and its results are still written.  A
+replay of one checkout twice gives equal digests, and one changed byte of
+an output changes its digest.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+from minusord.generate import minus_pair
+from minusord.orders import minus_order
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("bench_pairs")
+
+
+@pytest.fixture(scope="module")
+def replay_digest():
+    return _load("replay_digest")
 
 
 def _pairs(parent, change):
@@ -75,3 +91,36 @@ def test_one_seed_still_writes_out(bench_pairs, tmp_path, monkeypatch):
     record = json.loads(out.read_text())["workloads"]["w"]
     assert [p["seed"] for p in record["pairs"]] == [5]
     assert record["summary"]["latency_p50_ms"]["gain"] is False
+
+
+@pytest.mark.parametrize("workload", ["decide-small", "cli-files"])
+def test_replay_of_one_checkout_repeats(replay_digest, workload, tmp_path, monkeypatch):
+    # cli-files JSON embeds the input paths, so both replays use one
+    # work directory
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    first, second = (list(replay_digest.replay(workload, 1, tmp_path / "work", limit=6))
+                     for _ in range(2))
+    assert first == second
+    assert len(first) == (6 if workload == "cli-files" else 12)
+    assert not (tmp_path / "work").exists()
+
+
+def test_one_changed_output_byte_changes_the_digest(replay_digest):
+    digest = replay_digest.digest
+    a, b = minus_pair(3, 5, 4, 1, 1)
+    report = minus_order(a, a + b)
+    before = digest(report)
+    # the witness is read in full: one ulp of one entry changes the digest
+    matrix = report.witness_p.matrix
+    matrix.real[0, 0] = np.nextafter(matrix.real[0, 0], np.inf)
+    assert digest(report) != before
+
+    cli_output = b"0\n" + json.dumps({"result": {"holds": True}}).encode()
+    changed = bytearray(cli_output)
+    changed[-2] ^= 1
+    assert digest(cli_output) != digest(bytes(changed))
+
+    x = np.arange(6.0).reshape(2, 3) + 0j
+    y = x.copy()
+    y.reshape(-1).view(np.uint8)[3] ^= 1
+    assert digest(x) != digest(y)

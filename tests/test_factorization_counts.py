@@ -38,7 +38,11 @@ read.  Every row that checks an order reads its report in full, so its
 bounds count the whole explanation; the constructions read only the
 witnesses of their check.  The ``_holds`` rows read the verdict alone:
 they pay for the factors and the joins, Gram, square and inclusion tests
-of the verdict, and make no solve.
+of the verdict, and make no solve.  A verdict computes only what decides
+it: the minus and left-minus orders join ranges only when the ranks add,
+so an unordered pair is decided on its three factors, and an inclusion
+whose sines lie far below or above their bound in Frobenius norm is
+settled without an SVD of them.
 
 One spy, :func:`spy`, takes the counts; ``scripts/bench_calls.py`` prints
 them through it.
@@ -53,7 +57,7 @@ import numpy as np
 import pytest
 
 import minusord
-from minusord import linalg
+from minusord import linalg, orders
 from minusord.additivity import disjoint_range_additivity, kernel_characterization
 from minusord.exceptions import OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
@@ -111,41 +115,41 @@ def _unordered_pinv():
 # name: (call, bound on all SVDs, on SVDs with singular vectors, on n-sized SVDs,
 #        on as_matrix calls)
 CALLS = {
-    "minus_order": (lambda: _read(minus_order(A, A + B)), 12, 3, 3, 4),
-    "left_minus_order": (lambda: _read(left_minus_order(A, A + B)), 6, 3, 3, 3),
-    "right_minus_order": (lambda: _read(right_minus_order(A, A + B)), 6, 3, 3, 3),
-    "left_star_order": (lambda: _read(left_star_order(SA, SA + SB)), 6, 3, 3, 3),
-    "right_star_order": (lambda: _read(right_star_order(SA, SA + SB)), 6, 3, 3, 3),
+    "minus_order": (lambda: _read(minus_order(A, A + B)), 9, 3, 3, 4),
+    "left_minus_order": (lambda: _read(left_minus_order(A, A + B)), 4, 3, 3, 3),
+    "right_minus_order": (lambda: _read(right_minus_order(A, A + B)), 4, 3, 3, 3),
+    "left_star_order": (lambda: _read(left_star_order(SA, SA + SB)), 3, 3, 3, 3),
+    "right_star_order": (lambda: _read(right_star_order(SA, SA + SB)), 3, 3, 3, 3),
     "core_order": (lambda: _read(core_order(CA, CA + CB)), 4, 3, 3, 4),
     "weak_minus_order": (lambda: _read(weak_minus_order(A, A + B)), 5, 5, 3, 4),
-    "star_order": (lambda: _read(star_order(SA, SA + SB)), 7, 3, 3, 4),
+    "star_order": (lambda: _read(star_order(SA, SA + SB)), 3, 3, 3, 4),
     "sharp_order": (lambda: _read(sharp_order(HA, HA + HB)), 5, 3, 3, 4),
-    "inner_inverse_witness": (lambda: inner_inverse_witness(A, A + B), 6, 4, 3, 2),
+    "inner_inverse_witness": (lambda: inner_inverse_witness(A, A + B), 5, 4, 3, 2),
     "group_inverse": (lambda: group_inverse(HA), 2, 1, 1, 1),
     "core_inverse": (lambda: core_inverse(CA), 2, 1, 1, 1),
     # the constructions read the witnesses of their order check, never its
     # cross-check verdicts
-    "build_split": (lambda: build_split(A, B), 8, 4, 3, 6),
-    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 8, 4, 3, 6),
+    "build_split": (lambda: build_split(A, B), 6, 4, 3, 6),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 6, 4, 3, 6),
     # every SVD is n-sized here: the join of the full-rank sum has 9 rows
     # and no sines beyond R(A + B); the left-minus report reuses the
     # codomain join of the minus check, whose failing codomain side spares
     # the domain-side join
     "fill_fishkind_pinv_unordered": (_unordered_pinv, 4, 3, 4, 2),
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 9, 5, 4, 7),
-    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 9, 3, 7, 2),
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 7, 5, 4, 7),
+    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 8, 3, 7, 2),
     "additivity_moore_penrose":
         (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 4, 4, 4, 2),
     "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 7, 4, 4, 3),
     "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 7, 4, 4, 3),
     "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
     "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 4, 3),
-    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 17, 7, 3, 8),
+    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 15, 7, 3, 8),
     # given complements replace the canonical ones inside the one split
     "sum_reflexive_inverse_alternates":
         (lambda: sum_reflexive_inverse(A, B, M, N, n1=_SPLIT.n1, n2=_SPLIT.n2,
-                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 17, 5, 3, 10),
-    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 17, 7, 3, 8),
+                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 15, 5, 3, 10),
+    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 15, 7, 3, 8),
     # the set operations of two subspaces: a sum, meet or relative
     # complement is one SVD of the sines, the complement coming from a
     # complete QR of an orthonormal basis, and a dimension test reads the
@@ -161,15 +165,18 @@ CALLS = {
 #: whether the order holds: the cross-checks and witnesses are never
 #: computed, so no solve runs.
 VERDICT_ONLY = {
-    "minus_order_holds": (lambda: minus_order(A, A + B).holds, 7, 3, 3, 2),
-    "left_minus_order_holds": (lambda: left_minus_order(A, A + B).holds, 5, 3, 3, 2),
-    "right_minus_order_holds": (lambda: right_minus_order(A, A + B).holds, 5, 3, 3, 2),
+    "minus_order_holds": (lambda: minus_order(A, A + B).holds, 5, 3, 3, 2),
+    "left_minus_order_holds": (lambda: left_minus_order(A, A + B).holds, 4, 3, 3, 2),
+    "right_minus_order_holds": (lambda: right_minus_order(A, A + B).holds, 4, 3, 3, 2),
     "star_order_holds": (lambda: star_order(SA, SA + SB).holds, 3, 3, 3, 2),
-    "left_star_order_holds": (lambda: left_star_order(SA, SA + SB).holds, 6, 3, 3, 2),
-    "right_star_order_holds": (lambda: right_star_order(SA, SA + SB).holds, 6, 3, 3, 2),
+    "left_star_order_holds": (lambda: left_star_order(SA, SA + SB).holds, 3, 3, 3, 2),
+    "right_star_order_holds": (lambda: right_star_order(SA, SA + SB).holds, 3, 3, 3, 2),
     "sharp_order_holds": (lambda: sharp_order(HA, HA + HB).holds, 5, 3, 3, 2),
     "core_order_holds": (lambda: core_order(CA, CA + CB).holds, 4, 3, 3, 2),
     "weak_minus_order_holds": (lambda: weak_minus_order(A, A + B).holds, 5, 5, 3, 2),
+    # the ranks of A, A + G and G do not add: the three factors decide
+    "minus_order_unordered_holds": (lambda: minus_order(A, A + G).holds, 3, 3, 3, 2),
+    "left_minus_order_unordered_holds": (lambda: left_minus_order(A, A + G).holds, 3, 3, 3, 2),
 }
 CALLS.update(VERDICT_ONLY)
 
@@ -226,6 +233,17 @@ def test_svd_count_bound(name):
 @pytest.mark.parametrize("name", sorted(VERDICT_ONLY))
 def test_verdict_only_solves_nothing(name):
     assert spy(VERDICT_ONLY[name][0])[1] == 0
+
+
+@pytest.mark.parametrize("name", ["minus_order_unordered_holds",
+                                  "left_minus_order_unordered_holds"])
+def test_unordered_verdict_makes_no_join(name, monkeypatch):
+    # rank additivity fails first, so neither side of R(B) is joined
+    def no_join(*args):
+        raise AssertionError("joined the ranges of a pair whose ranks do not add")
+
+    monkeypatch.setattr(orders, "_join", no_join)
+    assert VERDICT_ONLY[name][0]() is False
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minusord.linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _singular_values,
+    _spectral_within,
     adjoint,
     as_matrix,
     as_vector,
@@ -12,6 +16,7 @@ from minusord.linalg import (
     range_contains,
     rank_cut,
     rank_info,
+    sine_cut,
     singular_values,
 )
 from minusord.geninv import pinv
@@ -156,3 +161,80 @@ def test_one_cutoff_everywhere(rng, shape, position):
     assert numerical_rank(pinv(a)) == rank
     assert f.near == near
     assert near == (position is not None)
+
+
+def _array_rank_cut(s, shape, tol, scale=None):
+    """:func:`rank_cut` as numpy reductions, the formulation it replaces."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0, False
+    cutoff = tol.effective_rank_rtol(shape) * (s[0] if scale is None else scale)
+    return (int(np.count_nonzero(s > cutoff)),
+            bool(np.any((s > cutoff / 10.0) & (s < cutoff * 10.0))))
+
+
+def _array_sine_cut(s, ambient_dim, tol):
+    """:func:`sine_cut` as numpy reductions, the formulation it replaces."""
+    rank = int(np.count_nonzero(s > tol.effective_rank_rtol((ambient_dim, ambient_dim))))
+    return rank, bool(s.size == 0 or s[0] <= tol.subspace_atol(ambient_dim))
+
+
+def _around(*cutoffs):
+    """Each cutoff, its neighbours one ulp away, and a tenth and ten times
+    it: the values at which a cutoff or the near band decides."""
+    values = []
+    for c in cutoffs:
+        values += [c, np.nextafter(c, 0.0), np.nextafter(c, np.inf), c / 10.0, c * 10.0]
+    return values
+
+
+_TOLERANCES = st.sampled_from([DEFAULT_TOLERANCE, ToleranceConfig(rank_rtol=1e-3),
+                               ToleranceConfig(rank_rtol=0.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 50), n=st.integers(1, 50), tol=_TOLERANCES,
+       top=st.sampled_from([0.0, 1e-300, 1e-12, 1.0, 3.7e5, 1e300]),
+       scale=st.sampled_from([None, 0.0, 2.5e-7, 1.0, 4e12]),
+       picks=st.lists(st.integers(0, 14), max_size=12),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_float_cutoffs_match_the_array_formulation(m, n, tol, top, scale, picks, extra):
+    # rank_cut and sine_cut decide on Python floats; values at, beside, a
+    # tenth of and ten times each cutoff decide as numpy's reductions do
+    shape = (m, n)
+    cutoff = tol.effective_rank_rtol(shape) * (top if scale is None else scale)
+    sine_rank = tol.effective_rank_rtol((m, m))
+    candidates = _around(cutoff, sine_rank, tol.subspace_atol(m))
+    chosen = [candidates[i] for i in picks] + [top * x for x in extra]
+    s = np.array(sorted([top] + [v for v in chosen if v <= top], reverse=True))
+    for values in (s, np.zeros(0)):
+        for got, want in ((rank_cut(values, shape, tol, scale),
+                           _array_rank_cut(values, shape, tol, scale)),
+                          (rank_cut(values, shape, tol), _array_rank_cut(values, shape, tol)),
+                          (sine_cut(values, m, tol), _array_sine_cut(values, m, tol))):
+            assert got == want
+            assert type(got[0]) is int and type(got[1]) is bool
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       rank_one=st.booleans(), magnitude=st.sampled_from([1e-200, 1e-160, 1e-12, 1.0, 1e12,
+                                                          1e160, 1e200]))
+def test_norm_certificate_returns_the_svd_decision(m, n, seed, rank_one, magnitude):
+    # bounds at sigma_1, ||X||_F and ||X||_F / sqrt(k), each just off them,
+    # are where the norm bounds sigma_1 <= ||X||_F <= sqrt(k) sigma_1 bind
+    rng = np.random.default_rng(seed)
+    x = cgauss(rng, m, 1) @ cgauss(rng, 1, n) if rank_one else cgauss(rng, m, n)
+    x = magnitude * x
+    sigma = _singular_values(x)
+    # scaled, so that the reference norm neither overflows nor underflows
+    frobenius = float(np.sqrt(np.sum(np.abs(x / magnitude) ** 2))) * magnitude
+    for anchor in (sigma[0], frobenius, frobenius / np.sqrt(min(m, n))):
+        for factor in (1.0, 1 - 1e-15, 1 + 1e-15, 1 - 1e-9, 1 + 1e-9):
+            bound = anchor * factor
+            assert _spectral_within(x, bound) == bool(sigma[0] <= bound)
+
+
+def test_norm_certificate_on_empty_and_zero_matrices():
+    assert _spectral_within(np.zeros((0, 3), dtype=complex), 0.0)
+    assert _spectral_within(np.zeros((3, 2), dtype=complex), 0.0)
+    assert not _spectral_within(np.full((3, 2), 1e-200, dtype=complex), 0.0)
