@@ -11,6 +11,11 @@ workload's name into the JSON file given by ``--out``:
     python3 scripts/bench_pairs.py --parent /path/to/parent --change . \\
         --workload construct-large --seeds 61-70 --seconds 30 --out BENCH_x.json
 
+A workload already recorded there grows: its recorded seeds are not run
+again, a different ``--seconds`` is refused, the summary is recomputed over
+all its pairs, and its traced runs are kept.  So ``--seeds 61-65`` and then
+``--seeds 66-70`` give the ten pairs of ``--seeds 61-70``.
+
 A gain on a metric is claimed only when the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
 interquartile range.  With a single pair there are no quartiles: they and
@@ -88,9 +93,19 @@ def main(argv=None) -> int:
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    pairs = []
-    for i, seed in enumerate(seeds(args.seeds)):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    earlier = record.setdefault("workloads", {}).get(args.workload)
+    if earlier is not None and earlier["seconds"] != args.seconds:
+        parser.error(f"{args.out} records {args.workload} at --seconds {earlier['seconds']}, "
+                     f"not {args.seconds}")
+    pairs = [] if earlier is None else earlier["pairs"]
+    recorded = {pair["seed"] for pair in pairs}
+    for seed in seeds(args.seeds):
+        if seed in recorded:
+            print(f"seed {seed}: recorded in {args.out}, not run again", flush=True)
+            continue
+        # the first side keeps alternating across the merged runs
+        order = ("parent", "change") if len(pairs) % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side] = run(getattr(args, side), args.workload, seed, args.seconds)
@@ -99,13 +114,15 @@ def main(argv=None) -> int:
         print(f"seed {seed}: p50 {p['latency_p50_ms']:.3f} -> {c['latency_p50_ms']:.3f} ms, "
               f"failed {pair['parent']['failed']} / {pair['change']['failed']}", flush=True)
 
-    traced = {"seed": pairs[0]["seed"]}
-    for side in ("parent", "change"):
-        traced[side] = run(getattr(args, side), args.workload, traced["seed"], args.seconds,
-                           trace=1)
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("workloads", {})[args.workload] = {
-        "seconds": args.seconds, "seeds": args.seeds,
+    if earlier is None:
+        traced = {"seed": pairs[0]["seed"]}
+        for side in ("parent", "change"):
+            traced[side] = run(getattr(args, side), args.workload, traced["seed"], args.seconds,
+                               trace=1)
+    else:
+        traced = earlier["trace"]
+    record["workloads"][args.workload] = {
+        "seconds": args.seconds, "seeds": [pair["seed"] for pair in pairs],
         "summary": summarize(pairs, directions), "pairs": pairs, "trace": traced}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0

@@ -21,7 +21,7 @@ from .linalg import (
     as_matrix,
     rank_cut,
 )
-from .subspaces import Factored, Subspace, _complements
+from .subspaces import Factored, Subspace, _complements, _sending
 
 __all__ = [
     "pinv",
@@ -83,12 +83,11 @@ def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
 
 def _reflexive_solve(A, range_space: Subspace, nullspace: Subspace) -> np.ndarray:
     """The solve behind :func:`reflexive_inverse`, for complements that have
-    already been tested: X [A B_N | B_M] = [B_N | 0]."""
+    already been tested: X [A B_N | B_M] = [B_N | 0], solved for the dim N
+    rows of the join's inverse that B_N reads."""
     bn = range_space.basis
-    joined = np.hstack([A @ bn, nullspace.basis])
-    target = np.hstack([bn, np.zeros((A.shape[1], nullspace.dim), dtype=np.complex128)])
     try:
-        return np.linalg.solve(joined.T, target.T).T
+        return _sending(bn, np.hstack([A @ bn, nullspace.basis]))
     except np.linalg.LinAlgError as exc:
         raise ComplementError("complement condition violated") from exc
 
@@ -115,10 +114,14 @@ def _group_invertible(factored: Factored, tol) -> bool:
 def _group_factor(A, tol) -> tuple[np.ndarray, Factored]:
     """Square A with its factor, once A is found group invertible."""
     A = _square(A)
-    factored = Factored._of(A, tol)
+    return A, _require_group(Factored._of(A, tol), tol)
+
+
+def _require_group(factored: Factored, tol) -> Factored:
+    """``factored``, once its square matrix is found group invertible."""
     if not _group_invertible(factored, tol):
         raise GroupInvertibilityError("not group invertible")
-    return A, factored
+    return factored
 
 
 def group_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:

@@ -28,7 +28,7 @@ from .linalg import (
     fro,
 )
 from .orders import _left_minus, _require, _triple
-from .subspaces import Projection
+from .subspaces import Factored, Projection
 from .sums import _checked_split
 
 __all__ = [
@@ -76,6 +76,13 @@ class Weight:
             raise ValueError("weight is not positive semidefinite")
 
 
+def _pinv_times(factored: Factored, c: np.ndarray) -> np.ndarray:
+    """X+ c off the factor of X, as V_r S_r^-1 (U_r* c): products with the
+    rank-sized factors, where the formed n x m X+ costs a full product."""
+    left, right = factored._pinv_factors()
+    return left @ (right @ c)
+
+
 def _as_weight(w) -> Weight:
     if isinstance(w, Weight):
         return w
@@ -98,9 +105,9 @@ def solve_system(A, B, a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     for mat, vec, label in ((A, a, "a"), (B, b, "b")):
         if not _range_contains(mat, vec[:, None], tol):
             raise MembershipError(f"membership fails: {label} is outside the column space")
-    t = _triple(A, A + B, tol)
+    t = _triple(A, A + B, tol, d=B)
     _require(_left_minus(t, tol), "order fails: A is not left-minus-below A + B")
-    x = t.fb.pinv() @ (a + b)
+    x = _pinv_times(t.fb, a + b)
     scale = (fro(A) + fro(B)) * fro(x) + fro(a) + fro(b)
     for residual in (A @ x - a, B @ x - b):
         tol.verify("summed solution failed to solve the pieces", np.linalg.norm(residual), scale)
@@ -148,14 +155,14 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     c = as_vector(c, "c")
     if c.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length mismatch")
-    t = _triple(A, A + B, tol)
+    t = _triple(A, A + B, tol, d=B)
     witness = _checked_split(t, tol)
     total = t.b
     weight = Weight.from_projection(witness.p)
     weight.validate(tol)
     w = weight.matrix
 
-    x_joint = t.fb.pinv() @ c
+    x_joint = _pinv_times(t.fb, c)
     # A* W and B* W, formed once: every product below multiplies them
     aw, bw = adjoint(A) @ w, adjoint(B) @ w
     stacked = np.vstack([aw @ A, bw @ B])

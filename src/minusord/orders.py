@@ -11,8 +11,10 @@ the ranks when it is called, from the factors of the triple and the joins,
 Gram, square and inclusion tests the verdict needs, and flags the rank
 decisions near their cutoff.  Each verdict computes only what decides it:
 the minus and left-minus orders test rank additivity before they join
-subspaces (the minus order is rank subtractivity, Hartwig 1980), the left
-star order tests its Gram identity before the inclusion, and an inclusion
+subspaces (the minus order is rank subtractivity, Hartwig 1980); the star,
+sharp and core orders require the same rank additivity beside their
+identities, so each implies minus at every scale; the left star order
+tests its Gram identity before the inclusion; and an inclusion
 of subspaces is settled from a Frobenius norm before any SVD of its sines
 when the norm is far from the bound.  The cross-characterizations (with the
 angle-margin flags they raise) and the witnesses only restate that
@@ -31,8 +33,9 @@ satisfies A* = Q B*, both to the residual tolerance.
 Each public predicate validates A and B, factors A, B and B - A once into
 a :class:`_Triple` and runs one private body on it.  The constructions of
 :mod:`minusord.sums` and :mod:`minusord.lsq` build the triple of A against
-A + B themselves, run the body of the order they need and read the sum
-and every factor off the same triple; ``_Triple.adjoint`` mirrors it to
+A + B themselves, with their summand B as the exact difference, run the
+body of the order they need and read the sum and every factor off the
+same triple; ``_Triple.adjoint`` mirrors it to
 the adjoint pair with no further SVD.
 """
 
@@ -203,19 +206,34 @@ class _Triple(NamedTuple):
                        self.fa.adjoint(), self.fb.adjoint(), self.fd.adjoint())
 
 
+def _additive(t: _Triple) -> bool:
+    """rank(A) + rank(B - A) = rank(B), read off the triple's ranks: the
+    minus order's rank verdict, and a conjunct of star, sharp and core
+    before their identities.  Each of those is the minus order plus an
+    orthogonality or commutation condition (Mitra, Bhimasankaram & Malik
+    2010), so each implies minus by construction; the identities alone
+    cannot keep that, since for A far smaller than B their residual of
+    about ||A||^2 falls under the scale ||A|| (||A|| + ||B||)."""
+    return t.fa.rank + t.fd.rank == t.fb.rank
+
+
 def _scale(fa: Factored, fb: Factored) -> float:
     """max(sigma_1(A), sigma_1(B)): forming B - A rounds by eps times it,
     so B - A, and the part of A outside R(B), are cut at this scale."""
     return max(float(fa.s[0]) if fa.s.size else 0.0, float(fb.s[0]) if fb.s.size else 0.0)
 
 
-def _triple(A, B, tol) -> _Triple:
+def _triple(A, B, tol, d=None) -> _Triple:
     """Factor A, B and B - A once each, for operands already validated;
-    the rank of B - A is cut at the operands' scale.  The triple holds
-    copies of A and B: validation may hand back the caller's own arrays,
-    and the deferred parts of a report read the operands later."""
+    the rank of B - A is cut at the operands' scale.  A caller that holds
+    the difference exactly passes it as ``d``, which is factored in place
+    of the rounded B - A: a construction on A + B passes its summand.
+    The triple holds copies of A and B: validation may hand back the
+    caller's own arrays, and the deferred parts of a report read the
+    operands later; the factors are new arrays."""
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
-    return _Triple(A.copy(), B.copy(), fa, fb, Factored._of(B - A, tol, _scale(fa, fb)))
+    d = B - A if d is None else d
+    return _Triple(A.copy(), B.copy(), fa, fb, Factored._of(d, tol, _scale(fa, fb)))
 
 
 class _Join(NamedTuple):
@@ -312,7 +330,7 @@ def _minus(t: _Triple, tol, left: Callable[[], _Join] | None = None) -> OrderRep
     adjoints = fa.adjoint(), fd.adjoint(), fb.adjoint()
     left = _codomain_join(t, tol) if left is None else left
     right = cache(lambda: _join(*adjoints, tol))
-    additive = fa.rank + fd.rank == fb.rank
+    additive = _additive(t)
     left_holds = additive and left().spans
     holds = left_holds and right().spans
 
@@ -367,7 +385,7 @@ def _left_minus(t: _Triple, tol, left: Callable[[], _Join] | None = None) -> Ord
     fa, fb, fd = t.fa, t.fb, t.fd
     flags = t.flags()
     left = _codomain_join(t, tol) if left is None else left
-    holds = fa.rank + fd.rank == fb.rank and left().spans
+    holds = _additive(t) and left().spans
 
     # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff the
     # ranks add and the join covers R(B)
@@ -409,7 +427,7 @@ def right_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRe
 
 
 def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
-    """Star order: A*A = A*B and AA* = BA*.
+    """Star order: A*A = A*B and AA* = BA*, with rank(A) + rank(B - A) = rank(B).
 
     Cross-check: R(B) splits orthogonally as R(A) + R(B - A) on both
     sides.  Witnesses are the orthogonal projections onto R(A), R(A*).
@@ -422,7 +440,7 @@ def _star(t: _Triple, tol) -> OrderReport:
     A, B, fa, fb, fd = t
     gram_left = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
     gram_right = t.agree(A @ adjoint(A), B @ adjoint(A), tol)
-    holds = gram_left and gram_right
+    holds = _additive(t) and gram_left and gram_right
     flags = t.flags()
 
     def explain():
@@ -488,7 +506,8 @@ def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
 
 
 def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
-    """Sharp order on group-invertible matrices: A^2 = BA = AB."""
+    """Sharp order on group-invertible matrices: A^2 = BA = AB, with
+    rank(A) + rank(B - A) = rank(B)."""
     return _sharp(_triple(*as_pair(A, B, square=True), tol), tol)
 
 
@@ -502,7 +521,7 @@ def _sharp(t: _Triple, tol) -> OrderReport:
     square = A @ A
     left_id = t.agree(square, B @ A, tol)
     right_id = t.agree(square, A @ B, tol)
-    holds = left_id and right_id
+    holds = _additive(t) and left_id and right_id
 
     explained = {"square_equals_ba": left_id, "square_equals_ab": right_id}, t.flags()
     return OrderReport("sharp", holds, t.ranks, _witness(holds, _group_witness, fa),
@@ -510,7 +529,8 @@ def _sharp(t: _Triple, tol) -> OrderReport:
 
 
 def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
-    """Core order on group-invertible A: A*A = A*B and A^2 = BA."""
+    """Core order on group-invertible A: A*A = A*B and A^2 = BA, with
+    rank(A) + rank(B - A) = rank(B)."""
     t = _triple(*as_pair(A, B, square=True), tol)
     if not _group_invertible(t.fa, tol):
         raise GroupInvertibilityError("A is not group invertible")
@@ -522,7 +542,7 @@ def _core(t: _Triple, tol) -> OrderReport:
     A, B, fa, _, _ = t
     gram = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
     square = t.agree(A @ A, B @ A, tol)
-    holds = gram and square
+    holds = _additive(t) and gram and square
 
     explained = {"gram_left": gram, "square_equals_ba": square}, t.flags()
     return OrderReport("core", holds, t.ranks, _witness(holds, _orthogonal_witness, fa),

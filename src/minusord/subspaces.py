@@ -195,9 +195,16 @@ class Factored:
         """The factor of A*, A* = V diag(s) U*, with no further SVD."""
         return Factored(self.v, self.s, self.u, self.rank, self.near)
 
-    def pinv(self) -> np.ndarray:
+    def _pinv_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """V_r S_r^-1 and U_r*, whose product is the Moore-Penrose inverse:
+        applied in turn, each product has r rows or columns, where the
+        formed n x m inverse costs a full product."""
         r = self.rank
-        return (self.v[:, :r] / self.s[:r]) @ adjoint(self.u[:, :r])
+        return self.v[:, :r] / self.s[:r], adjoint(self.u[:, :r])
+
+    def pinv(self) -> np.ndarray:
+        left, right = self._pinv_factors()
+        return left @ right
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,13 +383,20 @@ def _oblique(m_space: Subspace, n_space: Subspace, complementary: bool, compleme
     ``complement``, when it has not, or when the solve finds them singular."""
     if not complementary:
         raise ComplementError("not a complementary pair", complement)
-    joined = np.hstack([m_space.basis, n_space.basis])
-    target = np.hstack([m_space.basis, np.zeros_like(n_space.basis)])
     try:
-        matrix = np.linalg.solve(joined.T, target.T).T
+        matrix = _sending(m_space.basis, np.hstack([m_space.basis, n_space.basis]))
     except np.linalg.LinAlgError as exc:
         raise ComplementError("not a complementary pair", complement) from exc
     return Projection(matrix, m_space, n_space)
+
+
+def _sending(target: np.ndarray, joined: np.ndarray) -> np.ndarray:
+    """The X with X J = [T | 0] for a square J and the k columns of T:
+    X = T (J^-1)[:k], whose k rows solve J^T against the first k columns
+    of I rather than all n columns of [T | 0].  J is LU-factored whatever
+    k is, so a singular J raises numpy's ``LinAlgError``."""
+    rows = np.linalg.solve(joined.T, np.eye(joined.shape[0], target.shape[1])).T
+    return target @ rows
 
 
 def _outside(x_perp: Subspace, m_space: Subspace, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:

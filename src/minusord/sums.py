@@ -8,12 +8,16 @@ of the sum, reflexive inverses of the sum with prescribed spaces, the
 two-summand decomposition of such inverses, and inverse additivity under
 the star, sharp and core orders.
 
-Each construction factors A, A + B and (A + B) - A once, into the triple
-``t`` of A against A + B, and runs its order check on it.  So ``t.b`` is
-the sum, ``t.fb`` its factor, and ``t.fd``, the factor of (A + B) - A, is
-that of the summand B; the constructions read every subspace off these
-factors.  Complements a caller supplies replace the canonical ones inside
-the one agreeing split, which tests and verifies each once.
+Each construction factors A, A + B and the caller's B once, into the
+triple ``t`` of A against A + B with B as its exact difference, and runs
+its order check on it.  So ``t.b`` is the sum, ``t.fb`` its factor, and
+``t.fd`` the factor of the summand B itself, not of the rounded
+fl(A + B) - A; the constructions read every subspace and pseudoinverse off
+these factors.  They apply projectors onto the factors' ranges and the
+factored pseudoinverses V_r S_r^-1 U_r* in turn, so no n x n projector or
+pseudoinverse is formed where a product with the factors' r columns does.
+Complements a caller supplies replace the canonical ones inside the one
+agreeing split, which tests and verifies each once.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
-from .geninv import (_core_inverse, _group_factor, _group_inverse, _group_invertible, _pinv,
-                     _reflexive_solve)
+from .geninv import (_core_inverse, _group_inverse, _group_invertible, _pinv, _reflexive_solve,
+                     _require_group)
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -62,7 +66,7 @@ INVERSE_KINDS = ("moore_penrose", "group", "core")
 def _minus_triple(A, B, tol, message) -> _Triple:
     """The triple of A against A + B, after its minus-order check; raises
     with the report when the order fails."""
-    t = _triple(A, A + B, tol)
+    t = _triple(A, A + B, tol, d=B)
     _require(_minus(t, tol), message)
     return t
 
@@ -107,7 +111,7 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     back, so A = (A + B) Q.
     """
     A, B = as_pair(A, B)
-    t = _triple(A, A + B, tol)
+    t = _triple(A, A + B, tol, d=B)
     report = _minus(t, tol)
     _require(report, "A is not minus-below A + B")
     return _split(t, report, tol, m1, n1)
@@ -134,8 +138,10 @@ def _split(t: _Triple, report: OrderReport, tol, m1, n1) -> SplitWitness:
     meet = _sum_and_meet(fa.null, fa.corange, ft.corange, tol)[2]
     q = Projection(adjoint(witness_q), fb.null, meet)
 
-    eye = np.eye(A.shape[0], dtype=np.complex128)
-    e = ra.projector() @ p.matrix + rb.projector() @ (eye - p.matrix)
+    # E = P_R(A) P + P_R(B) (I - P), each projector applied as U (U* X)
+    ua, ub = ra.basis, rb.basis
+    ub_h = adjoint(ub)
+    e = ua @ (adjoint(ua) @ p.matrix) + ub @ (ub_h - ub_h @ p.matrix)
 
     nt, ne = fro(total), fro(e)
     tol.verify("split witness failed A = P (A + B)", fro(A - p.matrix @ total), fro(p.matrix) * nt)
@@ -158,13 +164,14 @@ def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     cross-checks it against the direct SVD route before returning.
     """
     A, B = as_pair(A, B)
-    t = _triple(A, A + B, tol)
+    t = _triple(A, A + B, tol, d=B)
     witness = _checked_split(t, tol)
-    m, n = A.shape
-    eye_m = np.eye(m, dtype=np.complex128)
-    eye_n = np.eye(n, dtype=np.complex128)
-    assembled = (witness.q.matrix @ t.fa.pinv() @ witness.p.matrix
-                 + (eye_n - witness.q.matrix) @ t.fd.pinv() @ (eye_m - witness.p.matrix))
+    q, p = witness.q.matrix, witness.p.matrix
+    # A+ = V_A S_A^-1 U_A* and B+ likewise, applied factor by factor:
+    # Q V_A S_A^-1 (U_A* P) + (I - Q) V_B S_B^-1 (U_B* (I - P))
+    va, ua_h = t.fa._pinv_factors()
+    vb, ub_h = t.fd._pinv_factors()
+    assembled = (q @ va) @ (ua_h @ p) + (vb - q @ vb) @ (ub_h - ub_h @ p)
     oracle = t.fb.pinv()
     tol.verify("assembled pseudoinverse disagrees with the SVD route",
                fro(assembled - oracle), fro(oracle) ** 2 * fro(t.b))
@@ -327,24 +334,24 @@ def ordered_inverse_additivity(A, B, kind: str,
     A+ + B+; "group" needs the sharp order and returns A# + B#; "core"
     needs the core order on the pair and on the adjoint pair and returns
     the sum of core inverses.  The sum is verified against the directly
-    computed inverse of A + B.  The inverses of A and A + B are read off
-    the factors of the order check; B is factored on its own for
-    accuracy: the check's factor of (A + B) - A carries the rounding of
-    A + B, about eps ||A||, so its subspaces are known only to
+    computed inverse of A + B.  The inverses of A, B and A + B are read
+    off the three factors of the order check, B's being the factor of the
+    caller's B itself: a factor of the rounded (A + B) - A would carry the
+    rounding of A + B, about eps ||A||, and know B's subspaces only to
     eps ||A|| / sigma_min(B) when B is small beside A.
     """
     A, B = as_pair(A, B, square=kind in ("group", "core"))
     if kind not in INVERSE_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(INVERSE_KINDS)}")
-    t = _triple(A, A + B, tol)
+    t = _triple(A, A + B, tol, d=B)
     if kind == "moore_penrose":
         _require(_star(t, tol), "required order fails: A is not star-below A + B")
-        result = t.fa.pinv() + _pinv(B, tol)
+        result = t.fa.pinv() + t.fd.pinv()
         oracle = t.fb.pinv()
     elif kind == "group":
         # the sharp check has found A and A + B group invertible, not B
         _require(_sharp(t, tol), "required order fails: A is not sharp-below A + B")
-        result = _group_inverse(*_group_factor(B, tol)) + _group_inverse(A, t.fa)
+        result = _group_inverse(B, _require_group(t.fd, tol)) + _group_inverse(A, t.fa)
         oracle = _group_inverse(t.b, t.fb)
     else:
         # one group-invertibility test of A serves both core checks
@@ -352,10 +359,8 @@ def ordered_inverse_additivity(A, B, kind: str,
             raise GroupInvertibilityError("A is not group invertible")
         _require(_core(t, tol), "required order fails: A is not core-below A + B")
         _require(_core(t.adjoint(), tol), "required order fails: A* is not core-below (A + B)*")
-        result = _core_inverse(*_group_factor(B, tol)) + _core_inverse(A, t.fa)
-        if not _group_invertible(t.fb, tol):
-            raise GroupInvertibilityError("not group invertible")
-        oracle = _core_inverse(t.b, t.fb)
+        result = _core_inverse(B, _require_group(t.fd, tol)) + _core_inverse(A, t.fa)
+        oracle = _core_inverse(t.b, _require_group(t.fb, tol))
 
     tol.verify("inverse additivity failed the direct-route check",
                fro(result - oracle), fro(oracle) ** 2 * fro(t.b))

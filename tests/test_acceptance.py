@@ -375,7 +375,8 @@ def test_criterion_12_verdicts_are_metamorphic():
     """Verdicts do not move under A, B -> cA, cB for c from 1e-12 to 1e12,
     under a unitary equivalence (a unitary similarity for the sharp and
     core orders), or from right_*(A, B) to left_*(A*, B*); and star, sharp
-    and core each imply minus.  On the ordered pairs (A, A + D) the
+    and core each imply minus, also on an unrelated diagonal pair with
+    ||A|| / ||B|| down to 1e-12.  On the ordered pairs (A, A + D) the
     verdicts also stay when A alone becomes rA for r from 1e-6 to 1e6,
     which keeps every order of the pair."""
     rng = np.random.default_rng(112)
@@ -400,4 +401,10 @@ def test_criterion_12_verdicts_are_metamorphic():
         mirrored = verdicts(adjoint(a), adjoint(b), ("left_minus", "left_star"))
         assert (mirrored["left_minus"], mirrored["left_star"]) == (
             base["right_minus"], base["right_star"]), kind
+    # an unrelated pair with A far smaller than B, whose identity residuals
+    # of about ||A||^2 fall under their scale: the hierarchy still holds
+    for eps in (1e-12, 1e-10):
+        base = verdicts(np.diag([eps, 0, 0, 0]) + 0j, np.diag([0, 1, 1, 0]) + 0j)
+        for name in ("star", "sharp", "core"):
+            assert base[name] is not True or base["minus"], (eps, name)
     announce(12, "verdicts survive scaling, lopsided norms, unitary maps and the adjoint mirror")

@@ -3,7 +3,8 @@
 
 Ten pairs exercise the claim rule (at least nine wins of ten and a median
 difference beyond the parent's interquartile range); one pair has no
-quartiles, so nothing is claimed, and its results are still written.  A
+quartiles, so nothing is claimed, and its results are still written; a
+second run into the same file adds only the seeds not yet recorded.  A
 replay of one checkout twice gives equal digests, and one changed byte of
 an output changes its digest.
 """
@@ -91,6 +92,44 @@ def test_one_seed_still_writes_out(bench_pairs, tmp_path, monkeypatch):
     record = json.loads(out.read_text())["workloads"]["w"]
     assert [p["seed"] for p in record["pairs"]] == [5]
     assert record["summary"]["latency_p50_ms"]["gain"] is False
+
+
+def test_merged_runs_grow_one_record(bench_pairs, tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "latency_p50_ms", "better": "lower"}]}))
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds, trace=0):
+        runs.append((checkout.name, seed, trace))
+        side = 2.0 if checkout.name == "parent" else 1.0
+        return {"correct": True, "attempted": 1, "failed": 0, "failures": None,
+                "metrics": {"latency_p50_ms": side + seed / 100.0}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "BENCH_merged.json"
+
+    def main(spec, seconds="30"):
+        return bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path),
+                                 "--workload", "w", "--seeds", spec, "--seconds", seconds,
+                                 "--out", str(out)])
+
+    assert main("1-5") == 0
+    first = json.loads(out.read_text())["workloads"]["w"]
+    # the second run skips the recorded seeds 4 and 5 and keeps the trace
+    assert main("4-10") == 0
+    record = json.loads(out.read_text())["workloads"]["w"]
+    assert [p["seed"] for p in record["pairs"]] == record["seeds"] == list(range(1, 11))
+    assert [p["first"] for p in record["pairs"]] == ["parent", "change"] * 5
+    assert record["summary"]["latency_p50_ms"]["pairs"] == 10
+    assert record["summary"]["latency_p50_ms"]["wins"] == 10
+    assert record["trace"] == first["trace"]
+    assert sum(trace for *_, trace in runs) == 2
+    assert sorted(seed for _, seed, trace in runs if not trace) == sorted(2 * list(range(1, 11)))
+
+    # a different --seconds would mix incomparable pairs
+    with pytest.raises(SystemExit):
+        main("11-11", seconds="10")
+    assert json.loads(out.read_text())["workloads"]["w"] == record
 
 
 @pytest.mark.parametrize("workload", ["decide-small", "cli-files"])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from minusord.exceptions import ComplementError, GroupInvertibilityError
 from minusord.generate import core_pair, sharp_pair
 from minusord.geninv import (
+    _reflexive_solve,
     core_inverse,
     group_inverse,
     is_group_invertible,
@@ -14,7 +15,7 @@ from minusord.geninv import (
 )
 from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, fro, numerical_rank
 from minusord.orders import core_order, sharp_order
-from minusord.subspaces import Subspace, null_basis, range_basis
+from minusord.subspaces import Subspace, _oblique, null_basis, range_basis
 
 from conftest import cgauss
 
@@ -197,3 +198,56 @@ def test_group_invertibility_read_off_the_sines():
     for order in (sharp_order, core_order):
         with pytest.raises(GroupInvertibilityError, match="^A is not group invertible$"):
             order(a, 2 * a)
+
+
+# --- solves for the rows of the join's inverse that are read ---
+
+def _full_solve(target, joined):
+    """The X with X J = [T | 0], solved against all n columns of [T | 0]."""
+    padded = np.hstack([target, np.zeros((target.shape[0], joined.shape[0] - target.shape[1]),
+                                          dtype=np.complex128)])
+    return np.linalg.solve(joined.T, padded.T).T
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_oblique_matches_the_full_right_hand_side(k):
+    rng = np.random.default_rng(40 + k)
+    for _ in range(5):
+        m_space = Subspace.from_span(cgauss(rng, 6, k))
+        n_space = Subspace.from_span(cgauss(rng, 6, 6 - k))
+        got = _oblique(m_space, n_space, True).matrix
+        expected = _full_solve(m_space.basis, np.hstack([m_space.basis, n_space.basis]))
+        assert fro(got - expected) <= 1e-13 * fro(expected)
+
+
+@pytest.mark.parametrize("r", [0, 2, 5])
+def test_reflexive_solve_matches_the_full_right_hand_side(r):
+    # A is 7 x 5 of rank r; N complements N(A) in C^5, M complements R(A)
+    rng = np.random.default_rng(50 + r)
+    for _ in range(5):
+        a = cgauss(rng, 7, r) @ cgauss(rng, r, 5)
+        range_space = Subspace.from_span(cgauss(rng, 5, r))
+        nullspace = Subspace.from_span(cgauss(rng, 7, 7 - r))
+        got = _reflexive_solve(a, range_space, nullspace)
+        bn = range_space.basis
+        expected = _full_solve(bn, np.hstack([a @ bn, nullspace.basis]))
+        assert fro(got - expected) <= 1e-13 * fro(expected)
+
+
+def _columns(*indices, n=5):
+    """A basis of unit vectors of C^n, repeats allowed."""
+    return Subspace._trusted(np.eye(n, dtype=np.complex128)[:, list(indices)])
+
+
+@pytest.mark.parametrize("m_space, n_space", [
+    (_columns(0, 1), _columns(1, 2, 3)),
+    (Subspace.zero(5), _columns(0, 1, 1, 2, 3)),
+    (_columns(0, 1, 2, 3, 3), Subspace.zero(5)),
+])
+def test_singular_join_raises(m_space, n_space):
+    # the join is LU-factored whatever the number of rows solved for; with
+    # A = I the reflexive solve joins the same [B_M | B_N]
+    with pytest.raises(ComplementError, match="^not a complementary pair$"):
+        _oblique(m_space, n_space, True)
+    with pytest.raises(ComplementError, match="^complement condition violated$"):
+        _reflexive_solve(np.eye(5, dtype=np.complex128), m_space, n_space)

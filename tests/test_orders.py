@@ -259,6 +259,41 @@ def test_core_needs_group_invertible_a_only():
     assert isinstance(rep.holds, bool)
 
 
+# --- the hierarchy at lopsided norms ---
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11, 1e-12])
+def test_tiny_unrelated_diagonal_fails_every_order(eps):
+    # rank(A) + rank(B - A) = 1 + 3 is not rank(B) = 2, so minus fails; the
+    # identities of star, sharp and core leave a residual of about eps^2,
+    # which fell under their scale eps (eps + sqrt 2) below eps = 1e-9
+    a, b = diag(eps, 0, 0, 0), diag(0, 1, 1, 0)
+    assert not minus_order(a, b).holds
+    for order in (star_order, sharp_order, core_order):
+        report = order(a, b)
+        assert not report.holds, order.__name__
+        assert report.rank_data == orders.RankData(1, 2, 3)
+
+
+def _orthogonal_blocks(seed, ratio):
+    """Two rank-2 blocks of C^6 with orthogonal column and row spaces,
+    ||A|| / ||B|| = ratio: A* B = 0 and B A* = 0, but B - A has rank 4."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(cgauss(rng, 6, 6))[0] for _ in range(2))
+    a = u[:, :2] @ cgauss(rng, 2, 2) @ adjoint(v[:, :2])
+    b = u[:, 2:4] @ cgauss(rng, 2, 2) @ adjoint(v[:, 2:4])
+    return a * (ratio * np.linalg.norm(b) / np.linalg.norm(a)), b
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("ratio", [1e-10, 1e-12])
+def test_tiny_orthogonal_block_is_not_star_below(seed, ratio):
+    # the Gram identities hold to about ||A||^2, under their scale: star
+    # held while minus failed
+    a, b = _orthogonal_blocks(seed, ratio)
+    assert not minus_order(a, b).holds
+    assert not star_order(a, b).holds
+
+
 # --- weak minus ---
 
 def test_weak_minus_matches_minus(rng):

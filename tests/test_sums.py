@@ -3,9 +3,9 @@ import pytest
 
 from minusord.exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
-from minusord.orders import core_order, sharp_order, star_order
+from minusord.orders import _triple, core_order, sharp_order, star_order
 from minusord.geninv import core_inverse, group_inverse, pinv, reflexive_inverse
-from minusord.linalg import adjoint, fro
+from minusord.linalg import DEFAULT_TOLERANCE, adjoint, fro
 from minusord.subspaces import Subspace, intersect, null_basis, range_basis, subspace_sum
 from minusord.sums import (
     INVERSE_KINDS,
@@ -282,6 +282,31 @@ def test_additivity_matches_public_route(kind, ratio):
         out = ordered_inverse_additivity(a, b, kind)
         expected = inverse(a) + inverse(b)
         assert fro(out - expected) <= 1e-12 * fro(expected)
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 1e6])
+@pytest.mark.parametrize("kind", INVERSE_KINDS)
+def test_additivity_of_lopsided_pairs(kind, ratio):
+    # B's inverse is read off the triple's factor of B itself, not of the
+    # rounded (A + B) - A: the sum keeps its accuracy when A alone is
+    # scaled far from B, on either side
+    draw, inverse = PUBLIC_ROUTES[kind]
+    for seed in range(30):
+        a, b = draw(seed, 9, 9, 3, 3) if kind == "moore_penrose" else draw(seed, 9, 3, 3)
+        a = a * (ratio * fro(b) / fro(a))
+        out = ordered_inverse_additivity(a, b, kind)
+        direct = inverse(a + b)
+        assert fro(out - direct) <= 1e-7 * fro(direct), seed
+
+
+def test_construction_triple_factors_the_callers_b():
+    # fl(A + B) - A carries the rounding of A + B, about eps ||A||
+    a, b = minus_pair(4, 9, 9, 3, 3)
+    a = a * (1e6 * fro(b) / fro(a))
+    t = _triple(a, a + b, DEFAULT_TOLERANCE, d=b)
+    assert np.array_equal(t.fd.s, np.linalg.svd(b)[1])
+    assert not np.array_equal(_triple(a, a + b, DEFAULT_TOLERANCE).fd.s, t.fd.s)
+    assert t.fd.rank == 3
 
 
 def _raised(call):
