@@ -101,8 +101,9 @@ def main(argv=None) -> int:
         # each timed call has its gate row; the floors have none
         row = gate.CALLS.get(GATE_ROWS.get(name, name.replace(" ", "_")))
         if row:
-            seen, solves, labels = gate.spy(row[0])
-            svds, checks = [len(seen), sum(vectors for vectors, _ in seen)], len(labels)
+            seen, solved, labels = gate.spy(row[0])
+            svds, solves, checks = ([len(seen), sum(vectors for vectors, _ in seen)],
+                                    len(solved), len(labels))
         table[name] = {"svds": svds, "solves": solves, "validations": checks, "ms": {}}
     for n in SIZES:
         for name, call in calls(n).items():

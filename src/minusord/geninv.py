@@ -38,10 +38,12 @@ def pinv(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     return _pinv(as_matrix(A), tol)
 
 
-def _pinv(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """:func:`pinv` of an array derived from validated operands."""
+def _pinv(a: np.ndarray, tol: ToleranceConfig, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """:func:`pinv` of an array derived from validated operands, its rank cut
+    as for a matrix of ``shape`` when ``a`` stands for a larger one with the
+    same singular values."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = rank_cut(s, a.shape, tol)[0]
+    r = rank_cut(s, a.shape if shape is None else shape, tol)[0]
     return (adjoint(vh[:r]) / s[:r]) @ adjoint(u[:, :r])
 
 

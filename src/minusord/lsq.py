@@ -6,7 +6,8 @@ the positive definite weight W = P*P + (I - P*)(I - P), and the joint
 solutions are exactly the simultaneous solutions of the two weighted
 normal equations A* W (A x - c) = 0 and B* W (B x - c) = 0.  When the
 relation is left-star the canonical P is orthogonal and W collapses to
-the identity.
+the identity.  The two normal equations are solved together on a stack of
+the summands' rank, read off their factors: A* W A = V_A (S_A U_A* W A).
 """
 
 from __future__ import annotations
@@ -57,10 +58,12 @@ class Weight:
 
     @classmethod
     def from_projection(cls, projection: Projection) -> "Weight":
-        """W = P*P + (I - P*)(I - P), positive definite for idempotent P."""
+        """W = P*P + (I - P*)(I - P), positive definite for idempotent P,
+        formed as I - P - P* + 2 P*P with one product."""
         p = projection.matrix
-        eye = np.eye(p.shape[0], dtype=np.complex128)
-        w = adjoint(p) @ p + (eye - adjoint(p)) @ (eye - p)
+        p_h = adjoint(p)
+        w = 2.0 * (p_h @ p) - p - p_h
+        w[np.diag_indices_from(w)] += 1.0
         return cls(w, projection)
 
     def validate(self, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> None:
@@ -163,25 +166,33 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     w = weight.matrix
 
     x_joint = _pinv_times(t.fb, c)
-    # A* W and B* W, formed once: every product below multiplies them
-    aw, bw = adjoint(A) @ w, adjoint(B) @ w
-    stacked = np.vstack([aw @ A, bw @ B])
-    rhs = np.concatenate([aw @ c, bw @ c])
-    x_system = _pinv(stacked, tol) @ rhs
+    # A* W A = V_A K_A for K_A = S_A U_A* W A, so the 2n x n stack
+    # [A* W A; B* W B] is the isometry diag(V_A, V_B) times K = [K_A; K_B]
+    # of the summands' rank, which has its singular values; its right-hand
+    # side [A* W c; B* W c] is the isometry times [S_A U_A* W c; S_B U_B* W c],
+    # and K's rank is cut as the stack's
+    cores, rhs = [], []
+    for factored, mat in ((t.fa, A), (t.fd, B)):
+        r = factored.rank
+        sw = (factored.s[:r, None] * adjoint(factored.u[:, :r])) @ w
+        cores.append(sw @ mat)
+        rhs.append(sw @ c)
+    n = A.shape[1]
+    x_system = _pinv(np.vstack(cores), tol, (2 * n, n)) @ np.concatenate(rhs)
 
     def joint_normal(x):
         return float(np.linalg.norm(adjoint(total) @ (total @ x - c)))
 
-    def weighted_normal(mat_w, mat, x):
-        return float(np.linalg.norm(mat_w @ (mat @ x - c)))
+    def weighted_normal(mat, x):
+        return float(np.linalg.norm(adjoint(mat) @ (w @ (mat @ x - c))))
 
     residuals = {
         "joint_normal_at_joint": joint_normal(x_joint),
         "joint_normal_at_system": joint_normal(x_system),
-        "weighted_a_at_joint": weighted_normal(aw, A, x_joint),
-        "weighted_b_at_joint": weighted_normal(bw, B, x_joint),
-        "weighted_a_at_system": weighted_normal(aw, A, x_system),
-        "weighted_b_at_system": weighted_normal(bw, B, x_system),
+        "weighted_a_at_joint": weighted_normal(A, x_joint),
+        "weighted_b_at_joint": weighted_normal(B, x_joint),
+        "weighted_a_at_system": weighted_normal(A, x_system),
+        "weighted_b_at_system": weighted_normal(B, x_system),
     }
     # both solutions enter the residuals, so the larger one bounds them
     norms = fro(A) + fro(B)

@@ -14,11 +14,14 @@ tests M + X for a direct sum of the whole space, :func:`_departing` keeps
 M's directions outside X, and :func:`_sum_and_meet` returns X + M, its
 orthogonal complement and X cap M from one SVD.  A test that needs only a
 dimension or an angle takes singular values alone, of B_M - B_X (B_X* B_M)
-when no basis of X^perp is at hand (:func:`_sines`).
+when no basis of X^perp is at hand (:func:`_sines`).  The projection onto
+M along N is solved on the square sines that test M and N complementary
+(:func:`_projection`), not on the n x n join [B_M | B_N].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,7 +30,10 @@ import numpy as np
 from .exceptions import ComplementError
 from .linalg import (
     DEFAULT_TOLERANCE,
+    RANK_SAFETY_FACTOR,
     ToleranceConfig,
+    _EPS,
+    _NORM_FLOOR,
     _singular_values,
     adjoint,
     as_matrix,
@@ -55,6 +61,10 @@ __all__ = [
     "orthogonal_projection",
     "oblique_projection",
 ]
+
+#: The relative bound of the idempotency screen of :class:`Projection`:
+#: ||P^2 - P||_F <= _SCREEN (||P||_F^2 + ||P||_F).
+_SCREEN = 1e-6
 
 
 def _check_basis(arr: np.ndarray) -> np.ndarray:
@@ -140,7 +150,7 @@ class Subspace:
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
             return True
-        resid = v - self.projector() @ v
+        resid = v - self.basis @ (adjoint(self.basis) @ v)
         return float(np.linalg.norm(resid)) <= tol.subspace_atol(self.ambient_dim) * nv
 
 
@@ -226,15 +236,16 @@ class Projection:
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("projection matrix must be square")
         # loose idempotency screen; constructors verify the tight version
-        if fro(mat @ mat - mat) > 1e-6 * (fro(mat) ** 2 + fro(mat)):
+        if fro(mat @ mat - mat) > _SCREEN * (fro(mat) ** 2 + fro(mat)):
             raise ValueError("matrix is not idempotent")
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray, range_: Subspace, nullspace: Subspace) -> "Projection":
-        """A Projection derived from a screened one, not screened again:
-        (I - P)^2 - (I - P) = P^2 - P and (P*)^2 - P* = (P^2 - P)*, while
-        I - P may be pure rounding when P is the identity."""
+        """A Projection not screened again: one derived from a screened one,
+        since (I - P)^2 - (I - P) = P^2 - P and (P*)^2 - P* = (P^2 - P)*,
+        while I - P may be pure rounding when P is the identity; or one whose
+        screen :func:`_idempotent_within` has certified from its factors."""
         proj = object.__new__(cls)
         for name, value in (("matrix", matrix), ("range", range_), ("nullspace", nullspace)):
             object.__setattr__(proj, name, value)
@@ -390,6 +401,82 @@ def _oblique(m_space: Subspace, n_space: Subspace, complementary: bool, compleme
     return Projection(matrix, m_space, n_space)
 
 
+def _projection(m_space: Subspace, n_space: Subspace, tol: ToleranceConfig, complement=None, *,
+                m_perp: Subspace | None = None, n_perp: Subspace | None = None,
+                decided: bool = False) -> Projection:
+    """The projection onto M along N, solved on a square core of
+    principal-angle sines rather than on the n x n join [B_M | B_N].
+
+    With a basis of N^perp, P = B_M C^-1 N^perp* for the core
+    C = N^perp* B_M: P fixes B_M and annihilates N.  With a basis of M^perp
+    instead, P = I - B_N C^-1 M^perp* for C = M^perp* B_N, the complement of
+    the projection onto N along M.  Given both, the smaller core serves:
+    N^perp* B_M when dim M <= dim N.  C is the very matrix whose sines
+    :func:`_complements` judges, so the test and the solve share it: unless
+    ``decided`` (the caller's order verdict has found M and N
+    complementary), a sine at or below the cutoff raises
+    :class:`ComplementError` naming ``complement``, as do a core that is not
+    square and one the k x k solve finds singular.  The screen of
+    :class:`Projection` is certified from the k x k residual
+    (:func:`_idempotent_within`) and run in full only when that declines.
+    """
+    _check_ambient(m_space, n_space)
+    if n_perp is not None and (m_perp is None or m_space.dim <= n_space.dim):
+        basis, perp, flipped = m_space.basis, n_perp.basis, False
+    else:
+        basis, perp, flipped = n_space.basis, m_perp.basis, True
+    k = basis.shape[1]
+    perp_h = adjoint(perp)
+    core = perp_h @ basis
+    if perp.shape[1] != k or not (decided or sine_cut(_singular_values(core),
+                                                      m_space.ambient_dim, tol)[0] == k):
+        raise ComplementError("not a complementary pair", complement)
+    try:
+        right = np.linalg.solve(core, perp_h)
+    except np.linalg.LinAlgError as exc:
+        raise ComplementError("not a complementary pair", complement) from exc
+    matrix = basis @ right
+    if flipped:
+        # for M = 0, I - B_N C^-1 M^perp* is I - I: pure rounding, not 0
+        matrix = (np.eye(m_space.ambient_dim, dtype=np.complex128) - matrix if m_space.dim
+                  else np.zeros_like(matrix))
+    if _idempotent_within(matrix, basis, right):
+        return Projection._trusted(matrix, m_space, n_space)
+    return Projection(matrix, m_space, n_space)
+
+
+def _idempotent_within(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> bool:
+    """Whether the idempotency screen of :class:`Projection` passes on
+    ``x``, the computed L R or I - L R for L = ``left`` (n x k) and
+    R = ``right`` (k x n), certified from the k x k residual R L - I in place
+    of the n x n product x x.
+
+    (L R)^2 - L R = L (R L - I) R = (I - L R)^2 - (I - L R), so the exact
+    product has a defect of at most ||L|| ||R L - I|| ||R||, and forming x
+    moves it by at most d = delta (||L|| ||R|| + ||x||), which changes the
+    defect by at most d (2 (||x|| + d) + d + 1).  The screen's own product
+    x x rounds by delta ||x||^2 more.  delta = 16 eps n, the rank cutoff's
+    rounding margin, covers the rounding of each product and norm, as in
+    :func:`~minusord.linalg._spectral_within`.  A norm that may have
+    overflowed or underflowed certifies nothing, nor does a bound that
+    comes near the screen's; the caller then runs the screen in full.
+    """
+    k = left.shape[1]
+    if k == 0:
+        # x is exactly 0 or I
+        return True
+    norms = [math.sqrt(np.vdot(a, a).real) for a in (left, right, x)]
+    if not all(_NORM_FLOOR <= norm < math.inf for norm in norms):
+        return False
+    nl, nr, nx = norms
+    delta = RANK_SAFETY_FACTOR * _EPS * x.shape[0]
+    s = nl * nr
+    gap = fro(right @ left - np.eye(k, dtype=np.complex128))
+    d = delta * (s + nx)
+    bound = s * (gap + delta * (s + math.sqrt(k))) + d * (2.0 * (nx + d) + d + 1.0) + delta * nx ** 2
+    return bound * (1.0 + delta) <= _SCREEN * (nx ** 2 + nx) * (1.0 - delta)
+
+
 def _sending(target: np.ndarray, joined: np.ndarray) -> np.ndarray:
     """The X with X J = [T | 0] for a square J and the k columns of T:
     X = T (J^-1)[:k], whose k rows solve J^T against the first k columns
@@ -429,15 +516,6 @@ def _complements(m_space: Subspace, x_perp: Subspace,
     matrix X^perp* B_M of principal-angle sines is nonsingular."""
     _check_ambient(m_space, x_perp)
     return m_space.dim == x_perp.dim and _outside(x_perp, m_space, tol) == m_space.dim
-
-
-def _complementary(m_space: Subspace, m_perp: Subspace, x_space: Subspace, x_perp: Subspace,
-                   tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
-    """:func:`_complements` of M and X when both orthogonal complements are
-    known, on the smaller of its two equivalent square tests."""
-    if m_space.dim <= x_space.dim:
-        return _complements(m_space, x_perp, tol)
-    return _complements(x_space, m_perp, tol)
 
 
 def _sum_and_meet(x_space: Subspace, x_perp: Subspace, m_space: Subspace,

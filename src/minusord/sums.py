@@ -16,6 +16,12 @@ fl(A + B) - A; the constructions read every subspace and pseudoinverse off
 these factors.  They apply projectors onto the factors' ranges and the
 factored pseudoinverses V_r S_r^-1 U_r* in turn, so no n x n projector or
 pseudoinverse is formed where a product with the factors' r columns does.
+Every oblique projection is solved on the square sines of its range
+against the orthogonal complement of its null space, or of its null space
+against that of its range, both read off the factors; the test that M and
+N are complementary judges the same core.  So no construction solves an
+n x n join.  The reflexive inverses of the summands are Q_A A+ P_A and
+Q_B B+ P_B, from the split's projections and the factored pseudoinverses.
 Complements a caller supplies replace the canonical ones inside the one
 agreeing split, which tests and verifies each once.
 """
@@ -36,16 +42,9 @@ from .linalg import (
     as_pair,
     fro,
 )
-from .orders import (OrderReport, _codomain_join, _core, _left_minus, _minus, _require, _sharp,
-                     _star, _Triple, _triple)
-from .subspaces import (
-    Projection,
-    Subspace,
-    _complementary,
-    _complements,
-    _oblique,
-    _sum_and_meet,
-)
+from .orders import (_codomain_join, _core, _left_minus, _minus, _require, _sharp, _star,
+                     _Triple, _triple)
+from .subspaces import Projection, Subspace, _projection, _sum_and_meet
 
 __all__ = [
     "SplitWitness",
@@ -81,7 +80,7 @@ def _checked_split(t: _Triple, tol) -> "SplitWitness":
     if not report.holds:
         _require(_left_minus(t, tol, left), "order fails: A is not left-minus-below A + B")
         raise OrderConditionError("A is not minus-below A + B", report)
-    return _split(t, report, tol, None, None)
+    return _split(t, tol, None, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,31 +111,31 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     """
     A, B = as_pair(A, B)
     t = _triple(A, A + B, tol, d=B)
-    report = _minus(t, tol)
-    _require(report, "A is not minus-below A + B")
-    return _split(t, report, tol, m1, n1)
+    _require(_minus(t, tol), "A is not minus-below A + B")
+    return _split(t, tol, m1, n1)
 
 
-def _split(t: _Triple, report: OrderReport, tol, m1, n1) -> SplitWitness:
-    """The split of A + B read off the triple and the minus-order report."""
+def _split(t: _Triple, tol, m1, n1) -> SplitWitness:
+    """The split of A + B read off the triple, once the minus order holds."""
     A, total, fa, ft, fb = t.a, t.b, t.fa, t.fb, t.fd
     ra, rb = fa.range, fb.range
     if m1 is None and n1 is None:
-        # onto R(A) + N(T*) along R(B): the order's witness projects onto
-        # R(A) along R(B) + N(T*), and N(T*) is orthogonal to the rest
-        p = Projection(report.witness_p.matrix + ft.conull.projector(),
-                       Subspace._trusted(np.hstack([ra.basis, ft.conull.basis])), rb)
+        # onto R(A) + N(T*) along R(B), on the core against R(B)^perp = N(B*):
+        # the minus order has found R(A) + R(B) direct and equal to R(T)
+        onto = Subspace._trusted(np.hstack([ra.basis, ft.conull.basis]))
+        p = _projection(onto, rb, tol, n_perp=fb.conull, decided=True)
     else:
         onto = _sum_and_meet(ra, fa.conull, ft.conull if m1 is None else m1, tol)
         along = _sum_and_meet(rb, fb.conull, Subspace.zero(A.shape[0]) if n1 is None else n1, tol)
-        p = _oblique(onto[0], along[0], _complementary(*onto[:2], *along[:2], tol))
+        p = _projection(onto[0], along[0], tol, m_perp=onto[1], n_perp=along[1])
 
     # Q is the adjoint of the same construction on the domain side: Q*
     # projects onto R(A*) + N(T) along R(B*), so Q projects onto N(B)
-    # along N(A) cap R(T*), the meet read off the sines V_A* V_T
-    witness_q = report.witness_q.matrix + ft.null.projector()
+    # along N(A) cap R(T*), the meet read off the sines V_A* V_T, whose
+    # orthogonal complement R(A*) + N(T) gives the core
     meet = _sum_and_meet(fa.null, fa.corange, ft.corange, tol)[2]
-    q = Projection(adjoint(witness_q), fb.null, meet)
+    meet_perp = Subspace._trusted(np.hstack([fa.corange.basis, ft.null.basis]))
+    q = _projection(fb.null, meet, tol, n_perp=meet_perp, decided=True)
 
     # E = P_R(A) P + P_R(B) (I - P), each projector applied as U (U* X)
     ua, ub = ra.basis, rb.basis
@@ -226,56 +225,62 @@ def agreeing_split(A, B, range_complement: Subspace, kernel_complement: Subspace
     """
     A, B = as_pair(A, B)
     t = _minus_triple(A, B, tol, "A is not minus-below A + B")
-    return _agreeing_split(t, range_complement, kernel_complement, tol)
+    return _agreeing_split(t, range_complement, kernel_complement, tol)[0]
 
 
 def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol,
-                    n1=None, n2=None, n1s=None, n2s=None) -> AgreeingSplit:
-    """:func:`agreeing_split` on the checked triple.  P and Q keep the
-    canonical N1 and N1*; each complement given replaces the canonical one,
-    which is then not built unless P or Q needs it.  Every complement in
-    use is tested once, and each projection-sum identity verified once; the
-    error of a rejected one names it, or the slot it fills ("n1", ...)."""
+                    n1=None, n2=None, n1s=None, n2s=None
+                    ) -> tuple[AgreeingSplit, tuple[Projection, Projection],
+                               tuple[Projection, Projection]]:
+    """:func:`agreeing_split` on the checked triple, with the projections
+    (P_A, Q_A) and (P_B, Q_B) of the summands' reflexive inverses.  P and Q
+    keep the canonical N1 and N1*; each complement given replaces the
+    canonical one, which is then not built unless P or Q needs it.  Every
+    complement in use is tested once, on the core its projection is solved
+    on, and each projection-sum identity verified once; the error of a
+    rejected one names it, or the slot it fills ("n1", ...)."""
     fa, ft, fb = t.fa, t.fb, t.fd
     m, n = t.a.shape
     if range_complement.ambient_dim != m or kernel_complement.ambient_dim != n:
         raise ValueError("ambient mismatch")
 
-    # R(A + B) + M and N(A + B) + N are tested here once; every projection
-    # along them below is a plain solve
-    for given, x_perp, name, space in ((range_complement, ft.conull, "M", "R(A + B)"),
-                                       (kernel_complement, ft.corange, "N", "N(A + B)")):
-        if not _complements(given, x_perp, tol):
+    def reference(name, space, *spaces, **perps):
+        try:
+            return _projection(*spaces, tol, **perps)
+        except ComplementError:
             message = f"complement condition violated: {name} does not complement {space}"
-            raise ComplementError(message, name)
+            raise ComplementError(message, name) from None
+
+    # the projections onto R(A + B) along M and onto N along N(A + B) test
+    # M and N on the cores against R(A + B)^perp and N(A + B)^perp
+    codomain = reference("M", "R(A + B)", ft.range, range_complement, m_perp=ft.conull)
+    domain = reference("N", "N(A + B)", kernel_complement, ft.null, n_perp=ft.corange)
 
     # P_A and P_B project onto R(A) and R(B) along N1 and N2
     c1, c1_perp, _ = _sum_and_meet(fb.range, fb.conull, range_complement, tol)
-    canonical_n2 = n2 is None
-    if canonical_n2:
+    n2_perp = None
+    if n2 is None:
         n2, n2_perp, _ = _sum_and_meet(fa.range, fa.conull, range_complement, tol)
-    p = _oblique(fa.range, c1, _complementary(fa.range, fa.conull, c1, c1_perp, tol), "n1")
-    pa = p if n1 is None else _oblique(fa.range, n1, _complements(n1, fa.conull, tol), "n1")
-    pb = _oblique(fb.range, n2, _complementary(fb.range, fb.conull, n2, n2_perp, tol)
-                  if canonical_n2 else _complements(n2, fb.conull, tol), "n2")
-    lhs = pa.matrix @ p.matrix + pb.matrix @ (np.eye(m, dtype=np.complex128) - p.matrix)
-    rhs = _oblique(ft.range, range_complement, True, "M").matrix
+    p = _projection(fa.range, c1, tol, "n1", m_perp=fa.conull, n_perp=c1_perp)
+    pa = p if n1 is None else _projection(fa.range, n1, tol, "n1", m_perp=fa.conull)
+    pb = _projection(fb.range, n2, tol, "n2", m_perp=fb.conull, n_perp=n2_perp)
+    lhs = pa.matrix @ p.matrix + pb.matrix - pb.matrix @ p.matrix
     tol.verify("codomain projection identity failed for the given complements",
-               fro(lhs - rhs), fro(lhs) + fro(rhs))
+               fro(lhs - codomain.matrix), fro(lhs) + fro(codomain.matrix))
 
     # Q_A and Q_B project onto N1* and N2* along N(A) and N(B)
     c1s = _sum_and_meet(fb.null, fb.corange, kernel_complement, tol)[2]
     if n2s is None:
         n2s = _sum_and_meet(fa.null, fa.corange, kernel_complement, tol)[2]
-    q = _oblique(c1s, fa.null, _complements(c1s, fa.corange, tol), "n1s")
-    qa = q if n1s is None else _oblique(n1s, fa.null, _complements(n1s, fa.corange, tol), "n1s")
-    qb = _oblique(n2s, fb.null, _complements(n2s, fb.corange, tol), "n2s")
-    lhs = q.matrix @ qa.matrix + (np.eye(n, dtype=np.complex128) - q.matrix) @ qb.matrix
-    rhs = _oblique(kernel_complement, ft.null, True, "N").matrix
+    q = _projection(c1s, fa.null, tol, "n1s", n_perp=fa.corange)
+    qa = q if n1s is None else _projection(n1s, fa.null, tol, "n1s", n_perp=fa.corange)
+    qb = _projection(n2s, fb.null, tol, "n2s", n_perp=fb.corange)
+    lhs = q.matrix @ qa.matrix + qb.matrix - q.matrix @ qb.matrix
     tol.verify("domain projection identity failed for the given complements",
-               fro(lhs - rhs), fro(lhs) + fro(rhs))
-    return AgreeingSplit(p=p, q=q, n1=c1 if n1 is None else n1, n2=n2,
-                         n1s=c1s if n1s is None else n1s, n2s=n2s)
+               fro(lhs - domain.matrix), fro(lhs) + fro(domain.matrix))
+    split = AgreeingSplit(p=p, q=q, n1=c1 if n1 is None else n1, n2=n2,
+                          n1s=c1s if n1s is None else n1s, n2s=n2s)
+    return split, (pa, qa), (pb, qb)
 
 
 def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: Subspace,
@@ -293,14 +298,18 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
     """
     A, B = as_pair(A, B)
     t = _minus_triple(A, B, tol, "A is not minus-below A + B")
-    split = _agreeing_split(t, range_complement, kernel_complement, tol, n1, n2, n1s, n2s)
-    # the split has tested every complement against the summand it serves
-    xa = _reflexive_solve(A, split.n1s, split.n1)
-    xb = _reflexive_solve(B, split.n2s, split.n2)
-    eye_m = np.eye(A.shape[0], dtype=np.complex128)
-    eye_n = np.eye(A.shape[1], dtype=np.complex128)
-    return (split.q.matrix @ xa @ split.p.matrix
-            + (eye_n - split.q.matrix) @ xb @ (eye_m - split.p.matrix))
+    split, (pa, qa), (pb, qb) = _agreeing_split(t, range_complement, kernel_complement, tol,
+                                                n1, n2, n1s, n2s)
+    # X_A = Q_A A+ P_A is the reflexive inverse of A with range N1* and null
+    # space N1, and X_B = Q_B B+ P_B likewise; with A+ = V_A S_A^-1 U_A*,
+    # Q X_A P + (I - Q) X_B (I - P) is applied factor by factor, each
+    # product keeping a side of the summand's rank
+    q, p = split.q.matrix, split.p.matrix
+    va, ua_h = t.fa._pinv_factors()
+    vb, ub_h = t.fd._pinv_factors()
+    left_b, right_b = qb.matrix @ vb, ub_h @ pb.matrix
+    return ((q @ (qa.matrix @ va)) @ ((ua_h @ pa.matrix) @ p)
+            + (left_b - q @ left_b) @ (right_b - right_b @ p))
 
 
 def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Subspace,
@@ -315,7 +324,7 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     """
     A, B = as_pair(A, B)
     t = _minus_triple(A, B, tol, "A is not minus-below A + B")
-    split = _agreeing_split(t, range_complement, kernel_complement, tol)
+    split = _agreeing_split(t, range_complement, kernel_complement, tol)[0]
     # the split has tested these complements against R(A), N(A), R(B), N(B)
     xa = _reflexive_solve(A, split.n1s, split.n1)
     xb = _reflexive_solve(B, split.n2s, split.n2)

@@ -13,8 +13,11 @@ joined bases while the total stays flat.  Group invertibility and range
 additivity are read off the same factors, so the modules that build on
 them name none of the set operations of two arbitrary subspaces.  Nor
 do ``orders``, ``sums``, ``additivity`` and ``lsq`` call an SVD or a solve
-inline: every reflexive inverse is one ``geninv._reflexive_solve``, and
-every sine read is a private helper of ``subspaces``.  The set operations
+inline: every sine read and every oblique projection of a construction is
+a private helper of ``subspaces``, the reflexive inverses of a sum's
+summands are Q A+ P off the factors and the split's projections, every
+other reflexive inverse is one ``geninv._reflexive_solve``, and the
+decoupled least-squares stack is a ``geninv._pinv``.  The set operations
 themselves read principal-angle sines too, never the rank of joined
 bases: a sum, meet or relative complement makes one SVD of the sines,
 after a complete QR (not an SVD) for the complement, and a dimension test
@@ -26,13 +29,21 @@ A fourth bound counts the calls of ``linalg.as_matrix``: operands are
 validated once, at the public entry point, and the arrays derived from
 them (factors, the bases cut from them, products and joins of such bases)
 are not validated again.  What remains is the entry point's own
-validation and that of each ``Projection`` the call builds.
+validation and that of each ``Projection`` the call builds whose
+idempotency screen runs in full; a construction's projections have it
+certified from their cores and are not validated.
 
 The bounds hold on failure paths too: a construction whose order check
 fails builds the report it raises from the factors that check made, so
 on the unordered row only A, A + B and B are factored with singular
 vectors, once each.  A construction's triple factors the caller's B as
 the difference of A + B and A, so no construction factors B again.
+
+The constructions solve no n x n system: each projection of a split is
+solved on its square core of principal-angle sines, a matrix of the
+ranks' size, and the decoupled least-squares stack has as many rows as
+the summands' ranks, not twice the operands' columns.  So their solves
+and SVDs are counted by shape too.
 
 An order report computes its cross-check verdicts and witnesses on first
 read.  Every row that checks an order reads its report in full, so its
@@ -130,14 +141,14 @@ CALLS = {
     "core_inverse": (lambda: core_inverse(CA), 2, 1, 1, 1),
     # the constructions read the witnesses of their order check, never its
     # cross-check verdicts
-    "build_split": (lambda: build_split(A, B), 6, 4, 3, 6),
-    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 6, 4, 3, 6),
+    "build_split": (lambda: build_split(A, B), 6, 4, 3, 2),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 6, 4, 3, 2),
     # every SVD is n-sized here: the join of the full-rank sum has 9 rows
     # and no sines beyond R(A + B); the left-minus report reuses the
     # codomain join of the minus check, whose failing codomain side spares
     # the domain-side join
     "fill_fishkind_pinv_unordered": (_unordered_pinv, 4, 3, 4, 2),
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 7, 5, 4, 7),
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 7, 5, 4, 3),
     "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 8, 3, 7, 2),
     # B's inverse is read off the triple's factor of the caller's B, so
     # A, A + B and B are factored once each and B is not validated again
@@ -147,12 +158,13 @@ CALLS = {
     "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 6, 3, 3, 2),
     "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
     "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 4, 3),
-    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 15, 7, 3, 8),
+    "agreeing_split": (lambda: agreeing_split(A, B, M, N), 15, 7, 3, 2),
+    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 15, 7, 3, 2),
     # given complements replace the canonical ones inside the one split
     "sum_reflexive_inverse_alternates":
         (lambda: sum_reflexive_inverse(A, B, M, N, n1=_SPLIT.n1, n2=_SPLIT.n2,
-                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 15, 5, 3, 10),
-    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 15, 7, 3, 8),
+                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 15, 5, 3, 2),
+    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 15, 7, 3, 2),
     # the set operations of two subspaces: a sum, meet or relative
     # complement is one SVD of the sines, the complement coming from a
     # complete QR of an orthonormal basis, and a dimension test reads the
@@ -186,8 +198,8 @@ CALLS.update(VERDICT_ONLY)
 
 def spy(call):
     """Run ``call`` once; return its SVDs, each as (with singular vectors,
-    n-sized), its number of ``np.linalg.solve`` calls and the labels of its
-    ``as_matrix`` calls.
+    shape), the shapes of the matrices its ``np.linalg.solve`` calls factor
+    and the labels of its ``as_matrix`` calls.
 
     ``np.linalg.svd`` and ``np.linalg.solve`` are patched, and
     ``as_matrix`` in every package module that imports it, the way
@@ -201,7 +213,7 @@ def spy(call):
     svds, solves, labels = [], [], []
 
     def counting_svd(a, *args, **kwargs):
-        svds.append((kwargs.get("compute_uv", True), max(np.shape(a)) >= 9))
+        svds.append((kwargs.get("compute_uv", True), np.shape(a)))
         return real_svd(a, *args, **kwargs)
 
     def counting_solve(a, *args, **kwargs):
@@ -221,7 +233,12 @@ def spy(call):
         np.linalg.svd, np.linalg.solve = real_svd, real_solve
         for module in modules:
             module.as_matrix = real_check
-    return svds, len(solves), labels
+    return svds, solves, labels
+
+
+def _sized(shape) -> bool:
+    """Whether a factored matrix has a dimension of the operands' size."""
+    return max(shape) >= 9
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -230,12 +247,27 @@ def test_svd_count_bound(name):
     calls = spy(call)[0]
     assert 0 < len(calls) <= bound
     assert sum(vectors for vectors, _ in calls) <= vectors_bound
-    assert sum(sized for _, sized in calls) <= sized_bound
+    assert sum(_sized(shape) for _, shape in calls) <= sized_bound
 
 
 @pytest.mark.parametrize("name", sorted(VERDICT_ONLY))
 def test_verdict_only_solves_nothing(name):
-    assert spy(VERDICT_ONLY[name][0])[1] == 0
+    assert spy(VERDICT_ONLY[name][0])[1] == []
+
+
+@pytest.mark.parametrize("name", ["build_split", "fill_fishkind_pinv", "decoupled_lss",
+                                  "agreeing_split", "sum_reflexive_inverse",
+                                  "sum_reflexive_inverse_alternates"])
+def test_constructions_solve_rank_sized_cores(name):
+    # each projection is solved on its core of sines, never on an n x n join
+    solves = spy(CALLS[name][0])[1]
+    assert not [shape for shape in solves if _sized(shape)], solves
+
+
+def test_decoupled_stack_has_the_summands_rank():
+    # [A* W A; B* W B] is factored as the rank-sized K, not as its 2n rows
+    svds = spy(CALLS["decoupled_lss"][0])[0]
+    assert max(shape[0] for _, shape in svds) <= A.shape[0]
 
 
 @pytest.mark.parametrize("name", ["minus_order_unordered_holds",
@@ -305,8 +337,7 @@ def test_set_operations_rank_no_joined_bases():
     ("lsq", {"solve", "svd"}),
 ])
 def test_factorizations_not_inlined(module, factorizations):
-    # every reflexive inverse is one solve of geninv._reflexive_solve, and
-    # every subspace the order checks and constructions need is read off
-    # the factors by the private sine reads of subspaces; no module above
-    # them factors inline
+    # every solve and SVD of these modules goes through geninv and the
+    # private sine reads and core projections of subspaces, which read each
+    # subspace off the factors; no module above them factors inline
     assert not _named(module) & factorizations

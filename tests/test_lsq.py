@@ -3,8 +3,9 @@ import pytest
 
 from minusord.exceptions import MembershipError, OrderConditionError
 from minusord.generate import minus_pair, star_pair
+from minusord.geninv import pinv
 from minusord.lsq import Weight, decoupled_lss, solve_system, wlss_solve
-from minusord.linalg import adjoint
+from minusord.linalg import adjoint, fro
 from minusord.subspaces import oblique_projection, Subspace
 from minusord.sums import build_split
 
@@ -24,6 +25,10 @@ def test_weight_from_projection_positive_definite(rng):
         p = oblique_projection(m, n)
         w = Weight.from_projection(p)
         w.validate()
+        # I - P - P* + 2 P*P, formed with one product, is P*P + (I - P*)(I - P)
+        eye = np.eye(6)
+        expected = adjoint(p.matrix) @ p.matrix + (eye - adjoint(p.matrix)) @ (eye - p.matrix)
+        assert fro(w.matrix - expected) <= 1e-14 * fro(expected)
         eig = np.linalg.eigvalsh(w.matrix)
         assert eig.min() > 0
         # orthogonal projections weight nothing
@@ -102,6 +107,21 @@ def test_decoupled_joint_equals_system(rng):
         # both normal systems are solved by both candidates
         for key, value in res.residuals.items():
             assert value <= 1e-7, (key, value)
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_system_solution_matches_the_stacked_route(m):
+    # x_system is solved on K = [S_A U_A* W A; S_B U_B* W B], whose 5 rows
+    # carry the singular values of the 16 x 8 stack [A* W A; B* W B]; A and
+    # B are square, then 3n/2 x n
+    rng = np.random.default_rng(80 + m)
+    for _ in range(10):
+        a, b = minus_pair(rng, m, 8, 2, 3)
+        c = cgauss(rng, m, 1)[:, 0]
+        res = decoupled_lss(a, b, c)
+        aw, bw = adjoint(a) @ res.weight.matrix, adjoint(b) @ res.weight.matrix
+        expected = pinv(np.vstack([aw @ a, bw @ b])) @ np.concatenate([aw @ c, bw @ c])
+        assert fro(res.x_system - expected) <= 1e-10 * fro(expected)
 
 
 def test_decoupled_weight_is_identity_for_left_star(rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import joined_basis
 import minusord.subspaces
@@ -21,6 +23,7 @@ from minusord.subspaces import (
     subspace_equal,
     subspace_sum,
 )
+from minusord.subspaces import _SCREEN, _idempotent_within, _projection
 
 from conftest import cgauss
 
@@ -407,3 +410,114 @@ def test_complement_of_a_full_projection(rng):
         assert q.range.dim == 0 and q.nullspace.dim == 4
         assert fro(q.matrix) < 1e-12
         assert fro(q.adjoint().matrix) < 1e-12
+
+
+# --- projections solved on their sine core ---
+
+def _complementary_pair(rng, n, k):
+    return Subspace.from_span(cgauss(rng, n, k)), Subspace.from_span(cgauss(rng, n, n - k))
+
+
+def _cores(m_space, n_space):
+    """The three ways of giving the orthogonal complements: N^perp, M^perp
+    or both."""
+    m_perp, n_perp = m_space.perp(), n_space.perp()
+    return ({"n_perp": n_perp}, {"m_perp": m_perp}, {"m_perp": m_perp, "n_perp": n_perp})
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 8])
+def test_core_projection_matches_the_join_route(k):
+    # the reference solves P [B_M | B_N] = [B_M | 0] on the joined bases of
+    # C^8; the core route solves k x k or (8 - k) x (8 - k)
+    rng = np.random.default_rng(60 + k)
+    for _ in range(5):
+        m_space, n_space = _complementary_pair(rng, 8, k)
+        expected = joined_basis.oblique_projection(m_space, n_space).matrix
+        for perps in _cores(m_space, n_space):
+            got = _projection(m_space, n_space, ToleranceConfig(), **perps)
+            assert fro(got.matrix - expected) <= 1e-12 * max(fro(expected), 1.0), perps
+            assert got.range is m_space and got.nullspace is n_space
+
+
+def _columns(*indices, n=5):
+    """A basis of unit vectors of C^n."""
+    return Subspace._trusted(np.eye(n, dtype=np.complex128)[:, list(indices)])
+
+
+@pytest.mark.parametrize("decided", [False, True])
+def test_singular_core_raises_complement_error(decided):
+    # M = span(e0, e1) meets N = span(e1, e2, e3): every core has a zero
+    # sine, which the cutoff rejects, and an undecided core the LU
+    m_space, n_space = _columns(0, 1), _columns(1, 2, 3)
+    for perps in ({"n_perp": _columns(0, 4)}, {"m_perp": _columns(2, 3, 4)},
+                  {"m_perp": _columns(2, 3, 4), "n_perp": _columns(0, 4)}):
+        with pytest.raises(ComplementError, match="^not a complementary pair$") as info:
+            _projection(m_space, n_space, ToleranceConfig(), "n1", decided=decided, **perps)
+        assert info.value.complement == "n1"
+
+
+def test_core_of_the_wrong_shape_raises_complement_error():
+    # dim M + dim N falls short of the space: the core is not square
+    with pytest.raises(ComplementError, match="^not a complementary pair$") as info:
+        _projection(_columns(0), _columns(1, 2), ToleranceConfig(), "n2s",
+                    n_perp=_columns(0, 3, 4), decided=True)
+    assert info.value.complement == "n2s"
+
+
+def _screen_calls(monkeypatch):
+    """The matrices the full idempotency screen of Projection has run on."""
+    seen = []
+    screen = Projection.__post_init__
+
+    def counting(self):
+        seen.append(self.matrix)
+        screen(self)
+
+    monkeypatch.setattr(Projection, "__post_init__", counting)
+    return seen
+
+
+def test_certified_projections_skip_the_full_screen(monkeypatch):
+    seen = _screen_calls(monkeypatch)
+    rng = np.random.default_rng(70)
+    for k in (1, 3, 5):
+        m_space, n_space = _complementary_pair(rng, 6, k)
+        for perps in _cores(m_space, n_space):
+            _projection(m_space, n_space, ToleranceConfig(), **perps)
+    assert seen == []
+
+
+def test_declined_certificate_runs_the_full_screen(monkeypatch):
+    seen = _screen_calls(monkeypatch)
+    monkeypatch.setattr(minusord.subspaces, "_idempotent_within", lambda *args: False)
+    m_space, n_space = _complementary_pair(np.random.default_rng(71), 6, 2)
+    got = _projection(m_space, n_space, ToleranceConfig(), n_perp=n_space.perp())
+    assert len(seen) == 1 and seen[0] is got.matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10), k=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-200, 1e-100, 1e-8, 1.0, 1e8, 1e100, 1e200]),
+       tilt=st.sampled_from([1.0, 1e-4, 1e-8, 1e-12, 1e-15]),
+       defect=st.sampled_from([0.0, 1e-12, 1e-7, 1e-6, 1e-5, 1e-2]),
+       flipped=st.booleans())
+def test_idempotency_certificate_implies_the_screen(n, k, seed, scale, tilt, defect, flipped):
+    # x = L R or I - L R for L = c B_M and R = (N^perp* B_M)^-1 N^perp* / c,
+    # the first column of N^perp tilted toward M^perp so that the core is
+    # near singular; a relative defect in R makes x no idempotent
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    basis = Subspace.from_span(cgauss(rng, n, k)).basis
+    perp = cgauss(rng, n, k)
+    if k < n:
+        inside = basis @ (adjoint(basis) @ perp[:, :1])
+        perp[:, :1] = perp[:, :1] - inside + tilt * inside
+    perp = np.linalg.qr(perp)[0]
+    right = np.linalg.solve(adjoint(perp) @ basis, adjoint(perp))
+    right = right * (1.0 + defect * cgauss(rng, k, n))
+    left, right = scale * basis, right / scale
+    x = left @ right
+    if flipped:
+        x = np.eye(n) - x
+    if _idempotent_within(x, left, right):
+        assert fro(x @ x - x) <= _SCREEN * (fro(x) ** 2 + fro(x))
