@@ -1,8 +1,10 @@
 """Per-call cost of the public calls: SVD, solve and ``as_matrix``
 validation counts, taken by the spy of ``tests/test_factorization_counts.py``
 on its 9x9 gate pairs, and median wall time at n = 6, 50 and 200 (square
-n x n, ranks n/3 + n/3), next to their numpy floors.  The order checks
-are read for their verdict alone, as a caller deciding the order does;
+n x n, ranks n/3 + n/3), next to their numpy floors.  After one untimed
+run of each call, the calls are timed in ``--repeats`` rounds that run
+every call once, and each median is taken over the rounds.  The order
+checks are read for their verdict alone, as a caller deciding the order does;
 ``minus_order (read in full)`` also reads every cross-check verdict,
 witness and flag of its report.  The set operations run on two subspaces
 of C^n of dimensions n - 2n/3 and 2n/3 that meet in one direction, and
@@ -106,14 +108,19 @@ def main(argv=None) -> int:
                                     len(solved), len(labels))
         table[name] = {"svds": svds, "solves": solves, "validations": checks, "ms": {}}
     for n in SIZES:
-        for name, call in calls(n).items():
+        timed = calls(n)
+        for call in timed.values():
             call()
-            times = []
-            for _ in range(args.repeats):
+        times = {name: [] for name in timed}
+        # each round runs every call once, so a drift in host speed spreads
+        # over all calls instead of landing on one
+        for _ in range(args.repeats):
+            for name, call in timed.items():
                 start = perf_counter()
                 call()
-                times.append(1e3 * (perf_counter() - start))
-            table[name]["ms"][n] = round(statistics.median(times), 3)
+                times[name].append(1e3 * (perf_counter() - start))
+        for name, samples in times.items():
+            table[name]["ms"][n] = round(statistics.median(samples), 3)
     for name, row in table.items():
         svds = "-" if row["svds"] is None else "%d / %d" % tuple(row["svds"])
         solves, checks = ("-" if row[k] is None else str(row[k]) for k in ("solves", "validations"))

@@ -92,10 +92,12 @@ def _tolerance(args) -> ToleranceConfig:
 
 
 def _emit(args, payload, text_lines):
+    """Print the JSON report ``payload()`` or the lines ``text_lines()``;
+    only the form printed is computed."""
     if args.json:
-        sys.stdout.write(canonical_json(payload))
+        sys.stdout.write(canonical_json(payload()))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -110,18 +112,23 @@ def cmd_check(args) -> int:
     a = read_matrix(args.file_a)
     b = read_matrix(args.file_b)
     report = predicate(a, b, tol)
-    payload = {
-        "command": "check",
-        "inputs": _input_payload(A=(args.file_a, a.shape), B=(args.file_b, b.shape)),
-        "tolerance": tolerance_payload(tol),
-        "result": order_report_payload(report),
-        "boundary_flags": list(report.boundary_flags),
-    }
-    verdict = "holds" if report.holds else "does not hold"
-    lines = [f"{report.order_name}: {verdict}"]
-    lines += [f"  {name}: {'yes' if value else 'no'}"
-              for name, value in sorted(report.characterization_verdicts.items())]
-    lines += [f"  warning: {flag}" for flag in report.boundary_flags]
+
+    def payload():
+        return {
+            "command": "check",
+            "inputs": _input_payload(A=(args.file_a, a.shape), B=(args.file_b, b.shape)),
+            "tolerance": tolerance_payload(tol),
+            "result": order_report_payload(report),
+            "boundary_flags": list(report.boundary_flags),
+        }
+
+    def lines():
+        verdict = "holds" if report.holds else "does not hold"
+        return ([f"{report.order_name}: {verdict}"]
+                + [f"  {name}: {'yes' if value else 'no'}"
+                   for name, value in sorted(report.characterization_verdicts.items())]
+                + [f"  warning: {flag}" for flag in report.boundary_flags])
+
     _emit(args, payload, lines)
     return 0 if report.holds else 1
 
@@ -133,14 +140,19 @@ def cmd_pinv_sum(args) -> int:
     result = fill_fishkind_pinv(a, b, tol)
     if args.out:
         write_matrix(args.out, result)
-    payload = {
-        "command": "pinv-sum",
-        "inputs": _input_payload(A=(args.file_a, a.shape), B=(args.file_b, b.shape)),
-        "tolerance": tolerance_payload(tol),
-        "result": {"pinv_sum": matrix_payload(result)},
-        "boundary_flags": [],
-    }
-    lines = [f"wrote {args.out}"] if args.out else [format_matrix(result).rstrip("\n")]
+
+    def payload():
+        return {
+            "command": "pinv-sum",
+            "inputs": _input_payload(A=(args.file_a, a.shape), B=(args.file_b, b.shape)),
+            "tolerance": tolerance_payload(tol),
+            "result": {"pinv_sum": matrix_payload(result)},
+            "boundary_flags": [],
+        }
+
+    def lines():
+        return [f"wrote {args.out}"] if args.out else [format_matrix(result).rstrip("\n")]
+
     _emit(args, payload, lines)
     return 0
 
@@ -151,22 +163,27 @@ def cmd_lsq(args) -> int:
     b = read_matrix(args.file_b)
     c = read_vector(args.file_c)
     result = decoupled_lss(a, b, c, tol)
-    payload = {
-        "command": "lsq",
-        "inputs": _input_payload(A=(args.file_a, a.shape), B=(args.file_b, b.shape),
-                                 c=(args.file_c, (c.shape[0], 1))),
-        "tolerance": tolerance_payload(tol),
-        "result": {
-            "x_joint": vector_payload(result.x_joint),
-            "x_system": vector_payload(result.x_system),
-            "weight": matrix_payload(result.weight.matrix),
-            "residuals": result.residuals,
-        },
-        "boundary_flags": [],
-    }
-    lines = ["x_joint:", _format_pairs(result.x_joint, "  ").rstrip("\n"),
-             "x_system:", _format_pairs(result.x_system, "  ").rstrip("\n")]
-    lines += [f"residual {k}: {v:.3e}" for k, v in sorted(result.residuals.items())]
+
+    def payload():
+        return {
+            "command": "lsq",
+            "inputs": _input_payload(A=(args.file_a, a.shape), B=(args.file_b, b.shape),
+                                     c=(args.file_c, (c.shape[0], 1))),
+            "tolerance": tolerance_payload(tol),
+            "result": {
+                "x_joint": vector_payload(result.x_joint),
+                "x_system": vector_payload(result.x_system),
+                "weight": matrix_payload(result.weight.matrix),
+                "residuals": result.residuals,
+            },
+            "boundary_flags": [],
+        }
+
+    def lines():
+        return (["x_joint:", _format_pairs(result.x_joint, "  ").rstrip("\n"),
+                 "x_system:", _format_pairs(result.x_system, "  ").rstrip("\n")]
+                + [f"residual {k}: {v:.3e}" for k, v in sorted(result.residuals.items())])
+
     _emit(args, payload, lines)
     return 0
 
@@ -218,15 +235,18 @@ def cmd_gen(args) -> int:
     write_matrix(paths["A"], a)
     write_matrix(paths["B"], b)
     write_matrix(paths["ApB"], a + b)
-    payload = {
-        "command": "gen",
-        "kind": kind,
-        "dims": [m, n],
-        "ranks": [r1, r2],
-        "seed": args.seed,
-        "files": [paths["A"], paths["B"], paths["ApB"]],
-    }
-    _emit(args, payload, [f"wrote {p}" for p in paths.values()])
+
+    def payload():
+        return {
+            "command": "gen",
+            "kind": kind,
+            "dims": [m, n],
+            "ranks": [r1, r2],
+            "seed": args.seed,
+            "files": [paths["A"], paths["B"], paths["ApB"]],
+        }
+
+    _emit(args, payload, lambda: [f"wrote {p}" for p in paths.values()])
     return 0
 
 

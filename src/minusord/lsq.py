@@ -71,12 +71,19 @@ class Weight:
         w = as_matrix(self.matrix, "weight")
         if w.shape[0] != w.shape[1]:
             raise ValueError("weight must be square")
-        scale = fro(w)
-        if not tol.within(fro(w - adjoint(w)), scale):
-            raise ValueError("weight is not Hermitian")
+        scale = _require_hermitian(w, tol)
         smallest = float(np.linalg.eigvalsh((w + adjoint(w)) / 2.0)[0])
         if not tol.within(-smallest, scale):
             raise ValueError("weight is not positive semidefinite")
+
+
+def _require_hermitian(w: np.ndarray, tol: ToleranceConfig) -> float:
+    """Raise ValueError unless ``w`` is Hermitian within the residual
+    tolerance; return its Frobenius norm."""
+    scale = fro(w)
+    if not tol.within(fro(w - adjoint(w)), scale):
+        raise ValueError("weight is not Hermitian")
+    return scale
 
 
 def _pinv_times(factored: Factored, c: np.ndarray) -> np.ndarray:
@@ -162,8 +169,11 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     witness = _checked_split(t, tol)
     total = t.b
     weight = Weight.from_projection(witness.p)
-    weight.validate(tol)
     w = weight.matrix
+    # W = P*P + (I - P)*(I - P) is a sum of Gram matrices, so it is positive
+    # semidefinite but for rounding; the eigvalsh of Weight.validate could
+    # only fail on that rounding, and only the Hermitian check is kept
+    _require_hermitian(w, tol)
 
     x_joint = _pinv_times(t.fb, c)
     # A* W A = V_A K_A for K_A = S_A U_A* W A, so the 2n x n stack

@@ -9,6 +9,7 @@ and integer files are accepted on input and widened to complex.
 
 from __future__ import annotations
 
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -60,11 +61,12 @@ def parse_matrix(text: str) -> np.ndarray:
     if symmetry != "general":
         raise ValueError(f"unsupported symmetry {symmetry!r}")
 
-    # the lines that are neither blank nor comments
-    body = [line for line in lines[1:] if line.lstrip()[:1] not in ("", "%")]
-    if not body:
+    # the size line is the first line that is neither blank nor a comment
+    size_at = next((k for k in range(1, len(lines)) if lines[k].lstrip()[:1] not in ("", "%")),
+                   None)
+    if size_at is None:
         raise ValueError("missing size line")
-    size_tokens = body[0].split()
+    size_tokens = lines[size_at].split()
     if len(size_tokens) != 2:
         raise ValueError("malformed size line")
     m, n = (int(t) for t in size_tokens)
@@ -72,15 +74,39 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ValueError("matrix dimensions must be positive")
 
     total = m * n
-    entries = body[1:]
     width = 2 if field == "complex" else 1
-    flat = _read_values(entries[:total], width)
-    if len(entries) > total:
-        raise ValueError("too many entries")
-    if len(flat) != width * total:
-        raise ValueError(f"expected {total} entries, found {len(flat) // width}")
+    rest = lines[size_at + 1:]
+    flat = _loaded(rest, total, width)
+    if flat is None:
+        entries = [line for line in rest if line.lstrip()[:1] not in ("", "%")]
+        flat = _read_values(entries[:total], width)
+        if len(entries) > total:
+            raise ValueError("too many entries")
+        if len(flat) != width * total:
+            raise ValueError(f"expected {total} entries, found {len(flat) // width}")
     values = flat.view(np.complex128) if width == 2 else flat.astype(np.complex128)
     return values.reshape((n, m)).T.copy()
+
+
+def _loaded(lines: list[str], total: int, width: int) -> np.ndarray | None:
+    """The values of ``lines`` as float64 when numpy's C reader takes them
+    as exactly ``total`` rows of ``width`` values, else None.
+
+    The reader skips blank lines and refuses a comment line, so on
+    success the rows are the file's entries; any other outcome is left
+    to the line-by-line path and its error messages.
+    """
+    if len(lines) < total:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns when every line is blank
+        try:
+            values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if values.shape != (total, width):
+        return None
+    return values.ravel()
 
 
 def _read_values(lines: list[str], width: int) -> np.ndarray:

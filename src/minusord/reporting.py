@@ -3,13 +3,14 @@
 Identical payloads serialize to identical bytes: keys are sorted, floats
 are printed with 17 significant digits in scientific notation with a
 lowercase exponent, and complex scalars become two-element [re, im]
-arrays.
+arrays.  ``matrix_payload`` and ``vector_payload`` return contiguous
+complex128 arrays, which render as nested lists of [re, im] pairs, the
+same bytes as the nested lists of Python floats they hold.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 import numpy as np
 
@@ -32,23 +33,15 @@ def _floats(template: str, values: tuple) -> str:
     return text
 
 
-def _float_block(obj: list) -> str | None:
-    """Render a regular nested list of Python floats with one ``%.16e``
-    template, or return None when ``obj`` is anything else."""
-    shape = []
-    level = [obj]
-    while set(map(type, level)) == {list}:
-        lengths = set(map(len, level))
-        if len(lengths) != 1:
-            return None
-        shape.append(lengths.pop())
-        level = list(chain.from_iterable(level))
-    if set(map(type, level)) != {float}:
-        return None
+def _array(arr: np.ndarray) -> str:
+    """Render a complex128 array as nested [re, im] pairs with one
+    ``%.16e`` template shaped ``arr.shape + (2,)``."""
+    if arr.dtype != np.complex128:
+        raise TypeError(f"cannot serialize {arr.dtype} arrays deterministically")
     template = "%.16e"
-    for size in reversed(shape):
+    for size in reversed(arr.shape + (2,)):
         template = "[" + ",".join([template] * size) + "]"
-    return _floats(template, tuple(level))
+    return _floats(template, tuple(np.ascontiguousarray(arr).view(np.float64).ravel().tolist()))
 
 
 def _render(obj) -> str:
@@ -69,10 +62,8 @@ def _render(obj) -> str:
         if any(not isinstance(k, str) for k, _ in items):
             raise TypeError("report keys must be strings")
         return "{" + ",".join(f"{json.dumps(k)}:{_render(v)}" for k, v in items) + "}"
-    if isinstance(obj, list):
-        block = _float_block(obj)
-        if block is not None:
-            return block
+    if isinstance(obj, np.ndarray):
+        return _array(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_render(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
@@ -83,16 +74,14 @@ def canonical_json(obj) -> str:
     return _render(obj) + "\n"
 
 
-def _pairs(arr: np.ndarray) -> list:
-    return np.stack([arr.real, arr.imag], -1).tolist()
+def matrix_payload(A) -> np.ndarray:
+    """A contiguous complex128 copy of ``A``."""
+    return np.array(A, dtype=np.complex128, order="C")
 
 
-def matrix_payload(A):
-    return _pairs(np.asarray(A, dtype=np.complex128))
-
-
-def vector_payload(v):
-    return _pairs(np.asarray(v, dtype=np.complex128).reshape(-1))
+def vector_payload(v) -> np.ndarray:
+    """A contiguous complex128 copy of ``v``, flattened."""
+    return matrix_payload(v).reshape(-1)
 
 
 def tolerance_payload(tol):

@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import minusord.cli
 from minusord.cli import main
-from minusord.mmio import read_matrix, write_matrix
+from minusord.linalg import ToleranceConfig
+from minusord.lsq import decoupled_lss
+from minusord.mmio import read_matrix, read_vector, write_matrix
+from minusord.orders import order_predicate
+from minusord.sums import fill_fishkind_pinv
+
+from test_io_oracle import ref_format_matrix, ref_matrix_payload, ref_render, ref_vector_payload
 
 
 @pytest.fixture
@@ -194,3 +201,168 @@ def test_gen_deterministic_bytes(tmp_path):
     for name in ("A.mtx", "B.mtx", "ApB.mtx"):
         with open(one + name, "rb") as f1, open(two + name, "rb") as f2:
             assert f1.read() == f2.read()
+
+
+def _spy(monkeypatch, name):
+    """The argument tuples of every call to ``minusord.cli.<name>``."""
+    calls = []
+    real = getattr(minusord.cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(minusord.cli, name, spy)
+    return calls
+
+
+@pytest.fixture
+def lsq_files(pair_files, tmp_path):
+    fc = str(tmp_path / "c.mtx")
+    write_matrix(fc, np.random.default_rng(0).standard_normal((6, 1)).astype(complex))
+    return pair_files[0], pair_files[1], fc
+
+
+def test_pinv_sum_json_formats_no_matrix(pair_files, monkeypatch, capsys):
+    calls = _spy(monkeypatch, "format_matrix")
+    fa, fb, _ = pair_files
+    assert main(["pinv-sum", fa, fb, "--json"]) == 0
+    assert calls == []
+    assert main(["pinv-sum", fa, fb]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_text_check_builds_no_report_payload(pair_files, monkeypatch, capsys):
+    calls = _spy(monkeypatch, "order_report_payload")
+    fa, _, fs = pair_files
+    assert main(["check", "minus", fa, fs]) == 0
+    assert main(["check", "star", fa, fs]) == 1
+    assert calls == []
+    assert main(["check", "minus", fa, fs, "--json"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_json_runs_format_no_text_pairs(lsq_files, tmp_path, monkeypatch, capsys):
+    calls = _spy(monkeypatch, "_format_pairs")
+    fa, fb, fc = lsq_files
+    prefix = str(tmp_path / "g_")
+    for argv in (["check", "minus", fa, fb], ["pinv-sum", fa, fb], ["lsq", fa, fb, fc],
+                 ["gen", "minus", "--dims", "4x3", "--ranks", "1,1", "--out-prefix", prefix]):
+        assert main(argv + ["--json"]) in (0, 1)
+    assert calls == []
+    assert main(["lsq", fa, fb, fc]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
+
+
+def _inputs(**files):
+    return {name: {"path": path, "shape": [rows, cols]}
+            for name, (path, rows, cols) in files.items()}
+
+
+def _tolerance(tol):
+    return {"rank_rtol": tol.rank_rtol, "residual_atol": tol.residual_atol,
+            "angle_gap": tol.angle_gap}
+
+
+def _check_outputs(order, fa, fb):
+    """The text and the JSON payload of ``check`` from the public report."""
+    tol = ToleranceConfig()
+    a, b = read_matrix(fa), read_matrix(fb)
+    rep = order_predicate(order)(a, b, tol)
+    verdict = "holds" if rep.holds else "does not hold"
+    text = [f"{rep.order_name}: {verdict}"]
+    text += [f"  {k}: {'yes' if v else 'no'}"
+             for k, v in sorted(rep.characterization_verdicts.items())]
+    text += [f"  warning: {flag}" for flag in rep.boundary_flags]
+
+    def witness(projection):
+        return None if projection is None else ref_matrix_payload(projection.matrix)
+
+    payload = {
+        "command": "check",
+        "inputs": _inputs(A=(fa, *a.shape), B=(fb, *b.shape)),
+        "tolerance": _tolerance(tol),
+        "result": {
+            "order": rep.order_name,
+            "holds": rep.holds,
+            "verdicts": dict(rep.characterization_verdicts),
+            "rank_data": {"rank_A": rep.rank_data.rank_a, "rank_B": rep.rank_data.rank_b,
+                          "rank_B_minus_A": rep.rank_data.rank_diff},
+            "witness_P": witness(rep.witness_p),
+            "witness_Q": witness(rep.witness_q),
+            "boundary_flags": list(rep.boundary_flags),
+        },
+        "boundary_flags": list(rep.boundary_flags),
+    }
+    return (0 if rep.holds else 1), "\n".join(text) + "\n", payload
+
+
+def _pinv_sum_outputs(fa, fb):
+    tol = ToleranceConfig()
+    a, b = read_matrix(fa), read_matrix(fb)
+    result = fill_fishkind_pinv(a, b, tol)
+    payload = {
+        "command": "pinv-sum",
+        "inputs": _inputs(A=(fa, *a.shape), B=(fb, *b.shape)),
+        "tolerance": _tolerance(tol),
+        "result": {"pinv_sum": ref_matrix_payload(result)},
+        "boundary_flags": [],
+    }
+    return 0, ref_format_matrix(result), payload
+
+
+def _lsq_outputs(fa, fb, fc):
+    tol = ToleranceConfig()
+    a, b, c = read_matrix(fa), read_matrix(fb), read_vector(fc)
+    result = decoupled_lss(a, b, c, tol)
+    text = ["x_joint:"]
+    text += [f"  {z.real!r} {z.imag!r}" for z in map(complex, result.x_joint)]
+    text.append("x_system:")
+    text += [f"  {z.real!r} {z.imag!r}" for z in map(complex, result.x_system)]
+    text += [f"residual {k}: {v:.3e}" for k, v in sorted(result.residuals.items())]
+    payload = {
+        "command": "lsq",
+        "inputs": _inputs(A=(fa, *a.shape), B=(fb, *b.shape), c=(fc, c.shape[0], 1)),
+        "tolerance": _tolerance(tol),
+        "result": {
+            "x_joint": ref_vector_payload(result.x_joint),
+            "x_system": ref_vector_payload(result.x_system),
+            "weight": ref_matrix_payload(result.weight.matrix),
+            "residuals": result.residuals,
+        },
+        "boundary_flags": [],
+    }
+    return 0, "\n".join(text) + "\n", payload
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("command", ["check minus", "check star", "pinv-sum", "lsq", "gen"])
+def test_stdout_matches_reference_outputs(lsq_files, tmp_path, capsys, command, json_mode):
+    # every subcommand in both modes prints what the public results give:
+    # per-entry reference text, or ref_render of a payload of nested lists
+    fa, fb, fc = lsq_files
+    fs = fa.replace("A.mtx", "ApB.mtx")
+    if command.startswith("check"):
+        order = command.split()[1]
+        argv = ["check", order, fa, fs]
+        code, text, payload = _check_outputs(order, fa, fs)
+    elif command == "pinv-sum":
+        argv = ["pinv-sum", fa, fb]
+        code, text, payload = _pinv_sum_outputs(fa, fb)
+    elif command == "lsq":
+        argv = ["lsq", fa, fb, fc]
+        code, text, payload = _lsq_outputs(fa, fb, fc)
+    else:
+        prefix = str(tmp_path / "g_")
+        argv = ["gen", "minus", "--dims", "6x5", "--ranks", "2,2", "--seed", "7",
+                "--out-prefix", prefix]
+        files = [f"{prefix}{name}.mtx" for name in ("A", "B", "ApB")]
+        code, text = 0, "".join(f"wrote {path}\n" for path in files)
+        payload = {"command": "gen", "kind": "minus", "dims": [6, 5], "ranks": [2, 2],
+                   "seed": 7, "files": files}
+    assert main(argv + (["--json"] if json_mode else [])) == code
+    out = capsys.readouterr().out
+    assert out == (ref_render(payload) + "\n" if json_mode else text)

@@ -19,6 +19,8 @@ from minusord.lsq import decoupled_lss
 from minusord.mmio import format_matrix, parse_matrix, read_matrix, read_vector, write_matrix
 from minusord.reporting import canonical_json, matrix_payload, vector_payload
 
+from conftest import same_bits
+
 _HEADER = "%%MatrixMarket matrix array complex general"
 
 
@@ -140,10 +142,6 @@ def matrices(draw, max_side=6):
     return np.array(flat, dtype=np.float64).view(np.complex128).reshape(m, n)
 
 
-def same_bits(x, y):
-    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
 @given(matrices())
 @settings(max_examples=200, deadline=None)
 def test_format_and_parse_match_reference(a):
@@ -163,11 +161,11 @@ def test_format_and_parse_match_reference(a):
 @given(matrices())
 @settings(max_examples=200, deadline=None)
 def test_payloads_and_json_match_reference(a):
+    # the payloads are the inputs' complex128 arrays, signed zeros included
     pay, ref_pay = matrix_payload(a), ref_matrix_payload(a)
-    assert pay == ref_pay
-    assert repr(pay) == repr(ref_pay)  # repr tells -0.0 from 0.0
+    assert same_bits(pay, a)
     vec, ref_vec = vector_payload(a[:, 0]), ref_vector_payload(a[:, 0])
-    assert repr(vec) == repr(ref_vec)
+    assert same_bits(vec, np.ascontiguousarray(a[:, 0]))
     z = complex(a[0, 0])
 
     def report(matrix, vector):
@@ -210,6 +208,38 @@ def test_parse_matches_reference_on_any_text(text):
         assert same_bits(got[1], ref[1])
     else:
         assert got == ref
+
+
+#: The entries of a 2x2 file in each field; a body names them by index.
+_ENTRIES = {"complex": ["1.5 -0.0", "2 3", "-4e-3 5", "6 7", "8 9"],
+            "real": ["1.5", "-0.0", "-4e-3", "6", "8"]}
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("body, error", [
+    ([0, 1, "", 2, 3], None),
+    (["  \t", 0, 1, 2, 3, "", " "], None),
+    ([0, "% a comment", 1, 2, 3], None),
+    ([0, 1, 2, "   %indented", 3, "%"], None),
+    ([0, 1, 2], "expected 4 entries, found 3"),
+    ([0, 1, 2, "", "% note"], "expected 4 entries, found 3"),
+    ([0, 1, 2, 3, 4], "too many entries"),
+    ([0, 1, 2, 3, "% note", 4, ""], "too many entries"),
+    ([0, 1, 2, "6 % inline note"], "on line"),
+])
+def test_parse_body_lines_and_entry_counts(field, body, error):
+    # blank and comment lines inside the body of a 2x2 file, and m*n - 1 or
+    # m*n + 1 entries
+    lines = [_ENTRIES[field][k] if isinstance(k, int) else k for k in body]
+    text = "\n".join([f"%%MatrixMarket matrix array {field} general", "% header note",
+                      "", "2 2"] + lines) + "\n"
+    got, ref = outcome(parse_matrix, text), outcome(ref_parse_matrix, text)
+    if error is None:
+        assert got[0] == ref[0] == "ok"
+        assert same_bits(got[1], ref[1])
+    else:
+        assert got == ref
+        assert got[0] is ValueError and error in got[1]
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

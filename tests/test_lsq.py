@@ -5,7 +5,7 @@ from minusord.exceptions import MembershipError, OrderConditionError
 from minusord.generate import minus_pair, star_pair
 from minusord.geninv import pinv
 from minusord.lsq import Weight, decoupled_lss, solve_system, wlss_solve
-from minusord.linalg import adjoint, fro
+from minusord.linalg import ToleranceConfig, adjoint, fro
 from minusord.subspaces import oblique_projection, Subspace
 from minusord.sums import build_split
 
@@ -122,6 +122,21 @@ def test_system_solution_matches_the_stacked_route(m):
         aw, bw = adjoint(a) @ res.weight.matrix, adjoint(b) @ res.weight.matrix
         expected = pinv(np.vstack([aw @ a, bw @ b])) @ np.concatenate([aw @ c, bw @ c])
         assert fro(res.x_system - expected) <= 1e-10 * fro(expected)
+
+
+@pytest.mark.parametrize("ratio", [1e-4, 1.0, 1e4])
+def test_decoupled_weight_is_positive_semidefinite(ratio):
+    # decoupled_lss checks only that its weight P*P + (I - P)*(I - P) is
+    # Hermitian; as a sum of Gram matrices it is positive semidefinite up to
+    # rounding, at any ||A|| / ||B||
+    tol = ToleranceConfig()
+    for seed in range(10):
+        a, b = minus_pair(seed, 9, 9, 3, 3)
+        a = a * (ratio * np.linalg.norm(b) / np.linalg.norm(a))
+        c = cgauss(np.random.default_rng(seed), 9, 1)[:, 0]
+        w = decoupled_lss(a, b, c, tol).weight.matrix
+        smallest = np.linalg.eigvalsh(w).min()
+        assert smallest >= -tol.residual_atol * fro(w), (seed, smallest)
 
 
 def test_decoupled_weight_is_identity_for_left_star(rng):

@@ -13,6 +13,8 @@ from minusord.reporting import (
 )
 from minusord.linalg import ToleranceConfig
 
+from conftest import same_bits
+
 
 def test_keys_sorted_and_stable():
     out = canonical_json({"zebra": 1, "alpha": 2})
@@ -46,10 +48,14 @@ def test_rejects_nan_and_unknown_types():
 
 
 def test_matrix_and_vector_payloads():
-    pay = matrix_payload(np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0]]))
-    assert pay == [[[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
-    vec = vector_payload(np.array([3.0, 4.0j]))
-    assert vec == [[3.0, 0.0], [0.0, 4.0]]
+    mat = np.array([[1.0 + 1.0j, -0.0], [0.0, 2.0]])
+    pay = matrix_payload(mat)
+    assert same_bits(pay, mat)
+    assert canonical_json(pay) == canonical_json([[[1.0, 1.0], [-0.0, 0.0]],
+                                                  [[0.0, 0.0], [2.0, 0.0]]])
+    vec = vector_payload(np.array([[3.0], [4.0j]]))
+    assert same_bits(vec, np.array([3.0, 4.0j]))
+    assert canonical_json(vec) == canonical_json([[3.0, 0.0], [0.0, 4.0]])
 
 
 def test_order_report_payload_roundtrips_json():
