@@ -21,7 +21,12 @@ directory, because its JSON output embeds their paths, so two replays of
 that workload must not run at once.
 
 BLAS is pinned to one thread before numpy loads.  Each output line is
-``pass.index label digest``.
+``pass.index label digest verdicts``.  The second digest, of the
+verdicts, covers the same output with each report's witnesses recorded
+only as present or ``None``, so two checkouts whose witnesses differ in
+their last bits can still be compared verdict by verdict:
+
+    diff <(cut -d' ' -f1,2,4 here.txt) <(cut -d' ' -f1,2,4 there.txt)
 """
 
 from __future__ import annotations
@@ -44,11 +49,15 @@ WORKDIR = Path(tempfile.gettempdir()) / "minusord-replay"
 #: The fields of an order report, read in full.
 REPORT_FIELDS = ("order_name", "holds", "rank_data", "characterization_verdicts",
                  "boundary_flags", "witness_p", "witness_q")
+#: The fields the verdict digest records only as present or ``None``.
+WITNESS_FIELDS = ("witness_p", "witness_q")
 
 
-def encode(value) -> bytes:
+def encode(value, witnesses: bool = True) -> bytes:
     """Canonical bytes of a call's result: arrays by dtype, shape and
-    buffer, reports and errors field by field, containers item by item."""
+    buffer, reports and errors field by field, containers item by item.
+    Without ``witnesses``, a report's witnesses count only as present or
+    ``None``."""
     import numpy as np
     from minusord.orders import OrderReport
 
@@ -59,36 +68,42 @@ def encode(value) -> bytes:
         return b"bytes %d " % len(value) + value
     if isinstance(value, BaseException):
         return (f"raised {type(value).__name__}: {value} ".encode()
-                + encode(getattr(value, "report", None)))
+                + encode(getattr(value, "report", None), witnesses))
     if isinstance(value, OrderReport):
-        return b"report " + b"".join(name.encode() + b"=" + encode(_read(value, name)) + b";"
+        return b"report " + b"".join(name.encode() + b"=" + _field(value, name, witnesses) + b";"
                                      for name in REPORT_FIELDS)
     if dataclasses.is_dataclass(value):
         return (type(value).__name__.encode() + b"("
-                + b"".join(f.name.encode() + b"=" + encode(getattr(value, f.name)) + b";"
-                           for f in dataclasses.fields(value)) + b")")
+                + b"".join(f.name.encode() + b"=" + encode(getattr(value, f.name), witnesses)
+                           + b";" for f in dataclasses.fields(value)) + b")")
     if isinstance(value, dict):
-        return b"{" + b"".join(encode(k) + b":" + encode(v) + b"," for k, v in value.items()) + b"}"
+        return b"{" + b"".join(encode(k) + b":" + encode(v, witnesses) + b","
+                               for k, v in value.items()) + b"}"
     if isinstance(value, (list, tuple)):
-        return b"[" + b"".join(encode(v) + b"," for v in value) + b"]"
+        return b"[" + b"".join(encode(v, witnesses) + b"," for v in value) + b"]"
     return repr(value).encode()
 
 
-def _read(report, name):
-    """One field of a report, or the error its deferred step raises."""
+def _field(report, name, witnesses):
+    """One field of a report encoded, or the error its deferred step
+    raises; without ``witnesses``, a witness only as whether it is None."""
     try:
-        return getattr(report, name)
+        value = getattr(report, name)
     except Exception as exc:  # a deferred step's error is part of the output
-        return exc
+        value = exc
+    if not witnesses and name in WITNESS_FIELDS and not isinstance(value, BaseException):
+        value = value is None
+    return encode(value, witnesses)
 
 
-def digest(value) -> str:
-    return hashlib.sha256(encode(value)).hexdigest()
+def digest(value, witnesses: bool = True) -> str:
+    return hashlib.sha256(encode(value, witnesses)).hexdigest()
 
 
 def replay(name: str, seed: int, workdir: Path = WORKDIR, limit: int | None = None):
-    """Yield ``(key, label, digest)`` for each call of the workload ``name``
-    on ``seed``; ``limit`` keeps the first cases of each pass."""
+    """Yield ``(key, label, digest, verdict digest)`` for each call of the
+    workload ``name`` on ``seed``; ``limit`` keeps the first cases of each
+    pass."""
     import numpy as np
     import workloads
 
@@ -109,7 +124,7 @@ def replay(name: str, seed: int, workdir: Path = WORKDIR, limit: int | None = No
                 else:
                     # the exit code, stdout and written files of a CLI call
                     result = workload.fingerprint(case, result) or result
-                yield f"{done}.{index}", case.label, digest(result)
+                yield f"{done}.{index}", case.label, digest(result), digest(result, False)
     finally:
         workload.cleanup()
 
@@ -127,8 +142,8 @@ def main(argv=None) -> int:
         print(f"error: imported minusord from {minusord.__file__}, not {args.src}",
               file=sys.stderr)
         return 2
-    for key, label, value in replay(args.workload, args.seed):
-        print(key, label, value, flush=True)
+    for line in replay(args.workload, args.seed):
+        print(*line, flush=True)
     return 0
 
 

@@ -4,7 +4,8 @@ A reflexive inverse of A with prescribed range N and null space M is the
 unique X with A X A = A, X A X = X, R(X) = N, N(X) = M; it exists exactly
 when N complements N(A) in the domain and M complements R(A) in the
 codomain.  Then A X is the projection onto R(A) along M and X A the
-projection onto N along N(A).
+projection onto N along N(A).  X = Q A+ P is solved off one SVD of A on
+the cores of sines that test the two complements.
 The group and core inverses (null space N(A), respectively N(A*), and
 range R(A)) exist when A is group invertible, decided once off A's factor.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ComplementError, GroupInvertibilityError
+from .exceptions import GroupInvertibilityError
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -21,7 +22,7 @@ from .linalg import (
     as_matrix,
     rank_cut,
 )
-from .subspaces import Factored, Subspace, _complements, _sending
+from .subspaces import Factored, Subspace, _core_solve, _outside
 
 __all__ = [
     "pinv",
@@ -71,27 +72,34 @@ def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
     m, n = A.shape
     if range_space.ambient_dim != n or nullspace.ambient_dim != m:
         raise ValueError("ambient mismatch")
-    factored = Factored._of(A, tol)
-    # M complements R(A) iff N(A*)* B_M is nonsingular, and N complements
-    # N(A) iff R(A*)* B_N is
-    if not _complements(nullspace, factored.conull, tol):
-        raise ComplementError("complement condition violated: R(A) and the "
-                              "prescribed null space do not split the codomain")
-    if not _complements(range_space, factored.corange, tol):
-        raise ComplementError("complement condition violated: the prescribed "
-                              "range and N(A) do not split the domain")
-    return _reflexive_solve(A, range_space, nullspace)
+    return _reflexive(Factored._of(A, tol), range_space, nullspace, tol)
 
 
-def _reflexive_solve(A, range_space: Subspace, nullspace: Subspace) -> np.ndarray:
-    """The solve behind :func:`reflexive_inverse`, for complements that have
-    already been tested: X [A B_N | B_M] = [B_N | 0], solved for the dim N
-    rows of the join's inverse that B_N reads."""
+def _reflexive(factored: Factored, range_space: Subspace, nullspace: Subspace,
+               tol: ToleranceConfig = DEFAULT_TOLERANCE, *, null_perp: Subspace | None = None,
+               decided: bool = False) -> np.ndarray:
+    """The reflexive inverse Q A+ P of the factored A with range N and null
+    space M: Q V_r S_r^-1 = B_N (V_r* B_N)^-1 S_r^-1 times U_r* P, which is
+    (W* U_r)^-1 W* for a basis W = ``null_perp`` of M^perp and otherwise
+    U_r* - (U_r* B_M) (U_r^perp* B_M)^-1 U_r^perp*.  Unless ``decided``,
+    each core tests its complement and raises with the codomain or domain
+    text; a decided core raises "complement condition violated".
+    """
+    r = factored.rank
+    ur_h = adjoint(factored.u[:, :r])
+    violated = "complement condition violated"
+    codomain, domain = (violated, violated) if decided else (
+        f"{violated}: R(A) and the prescribed null space do not split the codomain",
+        f"{violated}: the prescribed range and N(A) do not split the domain")
+    if null_perp is not None:
+        right = _core_solve(factored.u[:, :r], null_perp.basis, tol, codomain, decided=decided)
+    else:
+        bm = nullspace.basis
+        right = ur_h - (ur_h @ bm) @ _core_solve(bm, factored.conull.basis, tol, codomain,
+                                                 decided=decided)
     bn = range_space.basis
-    try:
-        return _sending(bn, np.hstack([A @ bn, nullspace.basis]))
-    except np.linalg.LinAlgError as exc:
-        raise ComplementError("complement condition violated") from exc
+    return (bn @ _core_solve(bn, factored.v[:, :r], tol, domain, decided=decided,
+                             rhs=np.diag(1.0 / factored.s[:r]))) @ right
 
 
 def _square(A) -> np.ndarray:
@@ -110,13 +118,12 @@ def is_group_invertible(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
 def _group_invertible(factored: Factored, tol) -> bool:
     """The one group-invertibility rule: R(A) and N(A) split the space iff
     the principal-angle sines R(A*)* B_R(A) = V_r* U_r are nonsingular."""
-    return _complements(factored.range, factored.corange, tol)
+    return _outside(factored.corange, factored.range, tol) == factored.rank
 
 
-def _group_factor(A, tol) -> tuple[np.ndarray, Factored]:
-    """Square A with its factor, once A is found group invertible."""
-    A = _square(A)
-    return A, _require_group(Factored._of(A, tol), tol)
+def _group_factor(A, tol) -> Factored:
+    """The factor of square A, once A is found group invertible."""
+    return _require_group(Factored._of(_square(A), tol), tol)
 
 
 def _require_group(factored: Factored, tol) -> Factored:
@@ -128,12 +135,14 @@ def _require_group(factored: Factored, tol) -> Factored:
 
 def group_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     """Group inverse: the reflexive inverse with range R(A), null space N(A)."""
-    return _group_inverse(*_group_factor(A, tol))
+    return _group_inverse(_group_factor(A, tol))
 
 
-def _group_inverse(A, factored: Factored) -> np.ndarray:
-    """:func:`group_inverse` of a square A already found group invertible."""
-    return _reflexive_solve(A, factored.range, factored.null)
+def _group_inverse(factored: Factored) -> np.ndarray:
+    """:func:`group_inverse` off the factor of a group-invertible A: both
+    cores are V_r* U_r, the sines that decided it."""
+    return _reflexive(factored, factored.range, factored.null, null_perp=factored.corange,
+                      decided=True)
 
 
 def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -142,9 +151,11 @@ def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     Defined for group-invertible A; coincides with A# A A+ (checked in the
     test suite as an independent route).
     """
-    return _core_inverse(*_group_factor(A, tol))
+    return _core_inverse(_group_factor(A, tol))
 
 
-def _core_inverse(A, factored: Factored) -> np.ndarray:
-    """:func:`core_inverse` of a square A already found group invertible."""
-    return _reflexive_solve(A, factored.range, factored.conull)
+def _core_inverse(factored: Factored) -> np.ndarray:
+    """:func:`core_inverse` off the factor of a group-invertible A: P is
+    U_r U_r*, and Q's core is V_r* U_r."""
+    return _reflexive(factored, factored.range, factored.conull, null_perp=factored.range,
+                      decided=True)

@@ -28,7 +28,8 @@ step that fails (say, the idempotency screen of a witness
 read of a field that needs it, not from the predicate call.
 
 Witness conventions: ``witness_p`` satisfies A = P B and ``witness_q``
-satisfies A* = Q B*, both to the residual tolerance.
+satisfies A* = Q B*, both to the residual tolerance, and each is solved
+on a core of principal-angle sines read off the factors.
 
 Each public predicate validates A and B, factors A, B and B - A once into
 a :class:`_Triple` and runs one private body on it.  The constructions of
@@ -49,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
-from .geninv import _group_invertible, _reflexive_solve
+from .geninv import _group_invertible, _reflexive
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -64,9 +65,10 @@ from .subspaces import (
     Factored,
     Projection,
     Subspace,
+    _certified,
     _departing,
-    _oblique,
     _outside,
+    _projection,
     _sum_and_meet,
     minimal_angle_cos,
 )
@@ -278,26 +280,29 @@ def _direct(fa: Factored, fd: Factored, tol) -> bool:
 
 def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection | None:
     """The projection onto R(A) along R(B - A) + ``leftover``, for R(A) and
-    R(B - A) already found disjoint: one solve against [U_A | U_D | leftover]."""
+    R(B - A) already found disjoint; ``None`` if its core is not square or
+    is singular."""
     if fa.rank + fd.rank + leftover.dim != fa.u.shape[0]:
         return None
     try:
         along = Subspace._trusted(np.hstack([fd.range.basis, leftover.basis]))
-        return _oblique(fa.range, along, True)
+        return _projection(fa.range, along, None, m_perp=fa.conull, decided=True)
     except ComplementError:
         return None
 
 
 def _orthogonal_witness(f: Factored) -> Projection:
-    """The orthogonal projection onto R(X), along N(X*) read off the factor."""
-    return Projection(f.range.projector(), f.range, f.conull)
+    """The orthogonal projection U_r U_r* onto R(X), along N(X*)."""
+    u = f.range.basis
+    return _certified(f.range.projector(), u, adjoint(u), f.range, f.conull)
 
 
 def _group_witness(f: Factored) -> Projection | None:
     """The projection onto R(X) along N(X) for a square X already found
-    group invertible; ``None`` when the solve finds them singular."""
+    group invertible; ``None`` when the solve finds the core singular."""
     try:
-        return _oblique(f.range, f.null, True)
+        return _projection(f.range, f.null, None, m_perp=f.conull, n_perp=f.corange,
+                           decided=True)
     except ComplementError:
         return None
 
@@ -610,10 +615,10 @@ def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.
     t = _triple(*as_pair(A, B), tol)
     _require(_left_minus(t, tol), "order does not hold")
     A, B, fa, fb, fd = t
-    # M = N(B - A) ominus N(A); the ranks add, so U_D and U_B^perp fit in
-    # C^m, and the solve rejects a singular join
+    # M = N(B - A) ominus N(A) complements N(A), and R(B - A) + N(B*)
+    # complements R(A), as the order has found; the cores reject the rest
     along = Subspace._trusted(np.hstack([fd.range.basis, fb.conull.basis]))
-    witness = _reflexive_solve(A, _departing(fa.corange, fd.null, tol), along)
+    witness = _reflexive(fa, _departing(fa.corange, fd.null, tol), along, decided=True)
 
     na, nx = fro(A), fro(witness)
     scale = nx * (na + fro(B))

@@ -9,14 +9,14 @@ SVD together with their orthogonal complements.
 Every relation between two subspaces is judged on their principal-angle
 sines (Bjorck & Golub 1973) by :func:`~minusord.linalg.sine_cut`.  The
 sines of M against X are the singular values of X^perp* B_M:
-:func:`_outside` counts M's directions outside X, :func:`_complements`
-tests M + X for a direct sum of the whole space, :func:`_departing` keeps
-M's directions outside X, and :func:`_sum_and_meet` returns X + M, its
-orthogonal complement and X cap M from one SVD.  A test that needs only a
-dimension or an angle takes singular values alone, of B_M - B_X (B_X* B_M)
-when no basis of X^perp is at hand (:func:`_sines`).  The projection onto
-M along N is solved on the square sines that test M and N complementary
-(:func:`_projection`), not on the n x n join [B_M | B_N].
+:func:`_outside` counts M's directions outside X, :func:`_departing` keeps
+them, and :func:`_sum_and_meet` returns X + M, its orthogonal complement
+and X cap M from one SVD.  A test that needs only a dimension or an angle
+takes singular values alone, of B_M - B_X (B_X* B_M) when no basis of
+X^perp is at hand (:func:`_sines`).  :func:`_core_solve` tests M + X for a
+direct sum of the whole space on the square X^perp* B_M and solves on it:
+it is the package's only solve, so every projection, witness and
+reflexive inverse is solved on such a core, never on an n x n join.
 """
 
 from __future__ import annotations
@@ -378,27 +378,35 @@ def orthogonal_projection(m_space: Subspace) -> Projection:
 
 def oblique_projection(m_space: Subspace, n_space: Subspace,
                        tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Projection:
-    """Projection onto M along N, for complementary M and N.
-
-    The matrix solves P [B_M | B_N] = [B_M | 0].  Raises
-    :class:`ComplementError` when M and N do not split the ambient space.
+    """Projection onto M along N, for complementary M and N, solved on the
+    core of the smaller side against the other's complement (one complete
+    QR).  Raises :class:`ComplementError` unless M and N split the space.
     """
-    _check_ambient(m_space, n_space)
-    return _oblique(m_space, n_space, m_space.dim + n_space.dim == m_space.ambient_dim
-                    and is_direct_sum(m_space, n_space, tol))
+    if m_space.dim <= n_space.dim:
+        return _projection(m_space, n_space, tol, n_perp=n_space.perp())
+    return _projection(m_space, n_space, tol, m_perp=m_space.perp())
 
 
-def _oblique(m_space: Subspace, n_space: Subspace, complementary: bool, complement=None):
-    """:func:`oblique_projection` once ``complementary`` has decided that M
-    and N split the space; raises :class:`ComplementError`, naming
-    ``complement``, when it has not, or when the solve finds them singular."""
-    if not complementary:
-        raise ComplementError("not a complementary pair", complement)
+def _core_solve(basis: np.ndarray, perp: np.ndarray, tol: ToleranceConfig,
+                message: str = "not a complementary pair", complement=None,
+                decided: bool = False, rhs: np.ndarray | None = None) -> np.ndarray:
+    """C^-1 ``rhs`` for the core C = X^perp* B_M of ``basis`` B_M against
+    ``perp`` X^perp; ``rhs`` defaults to X^perp*, so that B_M C^-1 X^perp*
+    projects onto M along X.  Unless ``decided`` (the caller has found M
+    and X complementary; ``tol`` is then not read), a sine at or below the
+    cutoff raises :class:`ComplementError` with ``message``, naming
+    ``complement``, as do a core that is not square and a singular one.
+    """
+    perp_h = adjoint(perp)
+    core = perp_h @ basis
+    k = basis.shape[1]
+    if perp.shape[1] != k or not (decided or sine_cut(_singular_values(core),
+                                                      basis.shape[0], tol)[0] == k):
+        raise ComplementError(message, complement)
     try:
-        matrix = _sending(m_space.basis, np.hstack([m_space.basis, n_space.basis]))
+        return np.linalg.solve(core, perp_h if rhs is None else rhs)
     except np.linalg.LinAlgError as exc:
-        raise ComplementError("not a complementary pair", complement) from exc
-    return Projection(matrix, m_space, n_space)
+        raise ComplementError(message, complement) from exc
 
 
 def _projection(m_space: Subspace, n_space: Subspace, tol: ToleranceConfig, complement=None, *,
@@ -411,38 +419,30 @@ def _projection(m_space: Subspace, n_space: Subspace, tol: ToleranceConfig, comp
     C = N^perp* B_M: P fixes B_M and annihilates N.  With a basis of M^perp
     instead, P = I - B_N C^-1 M^perp* for C = M^perp* B_N, the complement of
     the projection onto N along M.  Given both, the smaller core serves:
-    N^perp* B_M when dim M <= dim N.  C is the very matrix whose sines
-    :func:`_complements` judges, so the test and the solve share it: unless
-    ``decided`` (the caller's order verdict has found M and N
-    complementary), a sine at or below the cutoff raises
-    :class:`ComplementError` naming ``complement``, as do a core that is not
-    square and one the k x k solve finds singular.  The screen of
-    :class:`Projection` is certified from the k x k residual
-    (:func:`_idempotent_within`) and run in full only when that declines.
+    N^perp* B_M when dim M <= dim N.  :func:`_core_solve` tests and solves
+    C, with ``decided`` and ``complement``.
     """
     _check_ambient(m_space, n_space)
     if n_perp is not None and (m_perp is None or m_space.dim <= n_space.dim):
         basis, perp, flipped = m_space.basis, n_perp.basis, False
     else:
         basis, perp, flipped = n_space.basis, m_perp.basis, True
-    k = basis.shape[1]
-    perp_h = adjoint(perp)
-    core = perp_h @ basis
-    if perp.shape[1] != k or not (decided or sine_cut(_singular_values(core),
-                                                      m_space.ambient_dim, tol)[0] == k):
-        raise ComplementError("not a complementary pair", complement)
-    try:
-        right = np.linalg.solve(core, perp_h)
-    except np.linalg.LinAlgError as exc:
-        raise ComplementError("not a complementary pair", complement) from exc
+    right = _core_solve(basis, perp, tol, complement=complement, decided=decided)
     matrix = basis @ right
     if flipped:
         # for M = 0, I - B_N C^-1 M^perp* is I - I: pure rounding, not 0
         matrix = (np.eye(m_space.ambient_dim, dtype=np.complex128) - matrix if m_space.dim
                   else np.zeros_like(matrix))
-    if _idempotent_within(matrix, basis, right):
-        return Projection._trusted(matrix, m_space, n_space)
-    return Projection(matrix, m_space, n_space)
+    return _certified(matrix, basis, right, m_space, n_space)
+
+
+def _certified(matrix: np.ndarray, left: np.ndarray, right: np.ndarray,
+               range_: Subspace, nullspace: Subspace) -> Projection:
+    """The Projection ``matrix`` = L R or I - L R, its screen certified from
+    the k x k residual (:func:`_idempotent_within`) or else run in full."""
+    if _idempotent_within(matrix, left, right):
+        return Projection._trusted(matrix, range_, nullspace)
+    return Projection(matrix, range_, nullspace)
 
 
 def _idempotent_within(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> bool:
@@ -477,15 +477,6 @@ def _idempotent_within(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> bo
     return bound * (1.0 + delta) <= _SCREEN * (nx ** 2 + nx) * (1.0 - delta)
 
 
-def _sending(target: np.ndarray, joined: np.ndarray) -> np.ndarray:
-    """The X with X J = [T | 0] for a square J and the k columns of T:
-    X = T (J^-1)[:k], whose k rows solve J^T against the first k columns
-    of I rather than all n columns of [T | 0].  J is LU-factored whatever
-    k is, so a singular J raises numpy's ``LinAlgError``."""
-    rows = np.linalg.solve(joined.T, np.eye(joined.shape[0], target.shape[1])).T
-    return target @ rows
-
-
 def _outside(x_perp: Subspace, m_space: Subspace, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
     """dim M - dim(M cap X) for the subspace X with orthogonal complement
     ``x_perp``: the number of principal-angle sines X^perp* B_M above the cutoff."""
@@ -507,15 +498,6 @@ def _sines(m_space: Subspace, x_space: Subspace) -> np.ndarray:
     of X^perp: the singular values of B_M - B_X (B_X* B_M)."""
     b_x = x_space.basis
     return _singular_values(m_space.basis - b_x @ (adjoint(b_x) @ m_space.basis))
-
-
-def _complements(m_space: Subspace, x_perp: Subspace,
-                 tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
-    """Whether M and the subspace X with orthogonal complement ``x_perp``
-    split the space: dim M = dim X^perp and M cap X = 0, i.e. the square
-    matrix X^perp* B_M of principal-angle sines is nonsingular."""
-    _check_ambient(m_space, x_perp)
-    return m_space.dim == x_perp.dim and _outside(x_perp, m_space, tol) == m_space.dim
 
 
 def _sum_and_meet(x_space: Subspace, x_perp: Subspace, m_space: Subspace,

@@ -21,7 +21,8 @@ against the orthogonal complement of its null space, or of its null space
 against that of its range, both read off the factors; the test that M and
 N are complementary judges the same core.  So no construction solves an
 n x n join.  The reflexive inverses of the summands are Q_A A+ P_A and
-Q_B B+ P_B, from the split's projections and the factored pseudoinverses.
+Q_B B+ P_B, from the split's projections and the factored pseudoinverses,
+and the group and core inverses Q A+ P from the factors alone.
 Complements a caller supplies replace the canonical ones inside the one
 agreeing split, which tests and verifies each once.
 """
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
-from .geninv import (_core_inverse, _group_inverse, _group_invertible, _pinv, _reflexive_solve,
-                     _require_group)
+from .geninv import _core_inverse, _group_inverse, _group_invertible, _pinv, _require_group
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -44,7 +44,7 @@ from .linalg import (
 )
 from .orders import (_codomain_join, _core, _left_minus, _minus, _require, _sharp, _star,
                      _Triple, _triple)
-from .subspaces import Projection, Subspace, _projection, _sum_and_meet
+from .subspaces import Factored, Projection, Subspace, _projection, _sum_and_meet
 
 __all__ = [
     "SplitWitness",
@@ -298,18 +298,21 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
     """
     A, B = as_pair(A, B)
     t = _minus_triple(A, B, tol, "A is not minus-below A + B")
-    split, (pa, qa), (pb, qb) = _agreeing_split(t, range_complement, kernel_complement, tol,
-                                                n1, n2, n1s, n2s)
-    # X_A = Q_A A+ P_A is the reflexive inverse of A with range N1* and null
-    # space N1, and X_B = Q_B B+ P_B likewise; with A+ = V_A S_A^-1 U_A*,
-    # Q X_A P + (I - Q) X_B (I - P) is applied factor by factor, each
-    # product keeping a side of the summand's rank
+    split, *summands = _agreeing_split(t, range_complement, kernel_complement, tol,
+                                       n1, n2, n1s, n2s)
+    # Q X_A P + (I - Q) X_B (I - P), applied factor by factor: each product
+    # keeps a side of the summand's rank, and I - P is never formed
     q, p = split.q.matrix, split.p.matrix
-    va, ua_h = t.fa._pinv_factors()
-    vb, ub_h = t.fd._pinv_factors()
-    left_b, right_b = qb.matrix @ vb, ub_h @ pb.matrix
-    return ((q @ (qa.matrix @ va)) @ ((ua_h @ pa.matrix) @ p)
-            + (left_b - q @ left_b) @ (right_b - right_b @ p))
+    (left_a, right_a), (left_b, right_b) = map(_summand_factors, (t.fa, t.fd), summands)
+    return (q @ left_a) @ (right_a @ p) + (left_b - q @ left_b) @ (right_b - right_b @ p)
+
+
+def _summand_factors(f: Factored, projections: tuple[Projection, Projection]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Q V_r S_r^-1 and U_r* P for the factor of a summand X and the
+    projections (P, Q): their product is X's reflexive inverse Q X+ P."""
+    (p, q), (v, u_h) = projections, f._pinv_factors()
+    return q.matrix @ v, u_h @ p.matrix
 
 
 def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Subspace,
@@ -318,16 +321,14 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     A + B.
 
     Returns (X_A, X_B) where X_A is the reflexive inverse of A with range
-    N(B) cap N and null space R(B) + M, and X_B the mirror image.  The
-    compressed form Q X_A P of the first summand is checked against X_A
-    before returning.
+    N(B) cap N and null space R(B) + M, and X_B the mirror image: Q_A A+ P_A
+    and Q_B B+ P_B.  The compressed form Q X_A P of the first summand is
+    checked against X_A before returning.
     """
     A, B = as_pair(A, B)
     t = _minus_triple(A, B, tol, "A is not minus-below A + B")
-    split = _agreeing_split(t, range_complement, kernel_complement, tol)[0]
-    # the split has tested these complements against R(A), N(A), R(B), N(B)
-    xa = _reflexive_solve(A, split.n1s, split.n1)
-    xb = _reflexive_solve(B, split.n2s, split.n2)
+    split, *summands = _agreeing_split(t, range_complement, kernel_complement, tol)
+    xa, xb = (left @ right for left, right in map(_summand_factors, (t.fa, t.fd), summands))
 
     compressed = split.q.matrix @ xa @ split.p.matrix
     tol.verify("compressed first summand disagrees with the direct route",
@@ -360,16 +361,16 @@ def ordered_inverse_additivity(A, B, kind: str,
     elif kind == "group":
         # the sharp check has found A and A + B group invertible, not B
         _require(_sharp(t, tol), "required order fails: A is not sharp-below A + B")
-        result = _group_inverse(B, _require_group(t.fd, tol)) + _group_inverse(A, t.fa)
-        oracle = _group_inverse(t.b, t.fb)
+        result = _group_inverse(_require_group(t.fd, tol)) + _group_inverse(t.fa)
+        oracle = _group_inverse(t.fb)
     else:
         # one group-invertibility test of A serves both core checks
         if not _group_invertible(t.fa, tol):
             raise GroupInvertibilityError("A is not group invertible")
         _require(_core(t, tol), "required order fails: A is not core-below A + B")
         _require(_core(t.adjoint(), tol), "required order fails: A* is not core-below (A + B)*")
-        result = _core_inverse(B, _require_group(t.fd, tol)) + _core_inverse(A, t.fa)
-        oracle = _core_inverse(t.b, _require_group(t.fb, tol))
+        result = _core_inverse(_require_group(t.fd, tol)) + _core_inverse(t.fa)
+        oracle = _core_inverse(_require_group(t.fb, tol))
 
     tol.verify("inverse additivity failed the direct-route check",
                fro(result - oracle), fro(oracle) ** 2 * fro(t.b))

@@ -15,6 +15,10 @@ theta when sin(theta) is below about twice the relative cutoff of the
 joined n x (dim M + dim N) matrix, the sine rule when sin(theta) is below
 the cutoff of an n x n matrix.  So the two engines may disagree only for
 angles within a few times the sine cutoff ``16 * eps * n``.
+
+The oblique projections and reflexive inverses here solve the n x n join
+of the two bases, where the package solves cores of principal-angle sines
+of the ranks' size.
 """
 
 import numpy as np
@@ -83,3 +87,12 @@ def oblique_projection(m_space, n_space, tol=DEFAULT_TOLERANCE):
     except np.linalg.LinAlgError as exc:
         raise ComplementError("not a complementary pair") from exc
     return Projection(matrix, m_space, n_space)
+
+
+def reflexive_inverse(A, range_space, nullspace):
+    """The reflexive inverse of A with range N and null space M, solving
+    X [A B_N | B_M] = [B_N | 0] against all m columns of the right-hand
+    side, for N complementing N(A) and M complementing R(A)."""
+    bn = range_space.basis
+    target = np.hstack([bn, np.zeros((bn.shape[0], nullspace.dim), dtype=np.complex128)])
+    return np.linalg.solve(np.hstack([A @ bn, nullspace.basis]).T, target.T).T

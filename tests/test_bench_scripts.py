@@ -6,7 +6,8 @@ difference beyond the parent's interquartile range); one pair has no
 quartiles, so nothing is claimed, and its results are still written; a
 second run into the same file adds only the seeds not yet recorded.  A
 replay of one checkout twice gives equal digests, and one changed byte of
-an output changes its digest.
+an output changes its digest.  The verdict digest ignores a changed
+witness and changes with a verdict.
 """
 
 import importlib.util
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from minusord.generate import minus_pair
-from minusord.orders import minus_order
+from minusord.orders import OrderReport, minus_order
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -163,3 +164,22 @@ def test_one_changed_output_byte_changes_the_digest(replay_digest):
     y = x.copy()
     y.reshape(-1).view(np.uint8)[3] ^= 1
     assert digest(x) != digest(y)
+
+
+def test_verdict_digest_ignores_witnesses_not_verdicts(replay_digest):
+    digest = replay_digest.digest
+    a, b = minus_pair(3, 5, 4, 1, 1)
+    report = minus_order(a, a + b)
+    before = digest(report, False)
+    matrix = report.witness_p.matrix
+    matrix.real[0, 0] = np.nextafter(matrix.real[0, 0], np.inf)
+    assert digest(report, False) == before
+
+    # the same report with its verdict flipped, its fields read as before
+    flipped = OrderReport(report.order_name, not report.holds, report.rank_data,
+                          report._witness_p, report._witness_q, report._explain)
+    assert digest(flipped, False) != before
+    # and with a witness gone
+    absent = OrderReport(report.order_name, report.holds, report.rank_data,
+                         lambda: None, report._witness_q, report._explain)
+    assert digest(absent, False) != before

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import joined_basis
 from minusord.exceptions import ComplementError, GroupInvertibilityError
-from minusord.generate import core_pair, sharp_pair
+from minusord.generate import core_pair, minus_pair, sharp_pair
 from minusord.geninv import (
-    _reflexive_solve,
+    _reflexive,
     core_inverse,
     group_inverse,
     is_group_invertible,
@@ -14,8 +15,9 @@ from minusord.geninv import (
     reflexive_inverse,
 )
 from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, fro, numerical_rank
-from minusord.orders import core_order, sharp_order
-from minusord.subspaces import Subspace, _oblique, null_basis, range_basis
+from minusord.orders import core_order, inner_inverse_witness, sharp_order
+from minusord.subspaces import Factored, Subspace, _projection, null_basis, range_basis
+from minusord.sums import agreeing_split, werner_decomposition
 
 from conftest import cgauss
 
@@ -200,43 +202,65 @@ def test_group_invertibility_read_off_the_sines():
             order(a, 2 * a)
 
 
-# --- solves for the rows of the join's inverse that are read ---
+# --- every reflexive inverse against the joined-basis solve ---
 
-def _full_solve(target, joined):
-    """The X with X J = [T | 0], solved against all n columns of [T | 0]."""
-    padded = np.hstack([target, np.zeros((target.shape[0], joined.shape[0] - target.shape[1]),
-                                          dtype=np.complex128)])
-    return np.linalg.solve(joined.T, padded.T).T
-
-
-@pytest.mark.parametrize("k", [0, 1, 3, 6])
-def test_oblique_matches_the_full_right_hand_side(k):
-    rng = np.random.default_rng(40 + k)
-    for _ in range(5):
-        m_space = Subspace.from_span(cgauss(rng, 6, k))
-        n_space = Subspace.from_span(cgauss(rng, 6, 6 - k))
-        got = _oblique(m_space, n_space, True).matrix
-        expected = _full_solve(m_space.basis, np.hstack([m_space.basis, n_space.basis]))
-        assert fro(got - expected) <= 1e-13 * fro(expected)
+def _close(got, expected):
+    return fro(got - expected) <= 1e-12 * max(fro(expected), 1.0)
 
 
 @pytest.mark.parametrize("r", [0, 2, 5])
-def test_reflexive_solve_matches_the_full_right_hand_side(r):
-    # A is 7 x 5 of rank r; N complements N(A) in C^5, M complements R(A)
+def test_reflexive_inverses_match_the_join_solve(r):
+    # the oracle solves X [A B_N | B_M] = [B_N | 0] against all m columns;
+    # the package solves the rank-sized cores of Q A+ P.  r = 5 is full rank
     rng = np.random.default_rng(50 + r)
     for _ in range(5):
+        # A is 7 x 5 of rank r; N complements N(A) in C^5, M complements R(A)
         a = cgauss(rng, 7, r) @ cgauss(rng, r, 5)
         range_space = Subspace.from_span(cgauss(rng, 5, r))
         nullspace = Subspace.from_span(cgauss(rng, 7, 7 - r))
-        got = _reflexive_solve(a, range_space, nullspace)
-        bn = range_space.basis
-        expected = _full_solve(bn, np.hstack([a @ bn, nullspace.basis]))
-        assert fro(got - expected) <= 1e-13 * fro(expected)
+        expected = joined_basis.reflexive_inverse(a, range_space, nullspace)
+        assert _close(reflexive_inverse(a, range_space, nullspace), expected)
+
+        # a square A of index one and rank r
+        s = cgauss(rng, 5, 5)
+        a = s @ np.diag(np.r_[rng.uniform(1.0, 3.0, r), np.zeros(5 - r)]) @ np.linalg.inv(s)
+        ra, na = range_basis(a), null_basis(a)
+        assert _close(group_inverse(a), joined_basis.reflexive_inverse(a, ra, na))
+        assert _close(core_inverse(a), joined_basis.reflexive_inverse(a, ra, ra.perp()))
+
+
+@pytest.mark.parametrize("ranks", [(0, 3), (2, 2), (3, 3), (6, 0)])
+def test_summand_inverses_match_the_join_solve(ranks):
+    # A of rank 0, or of full column rank 6 with B = 0; at (3, 3) the sum
+    # has full column rank
+    rng = np.random.default_rng(sum(ranks) + 10 * ranks[0])
+    for _ in range(5):
+        a, b = minus_pair(rng, 7, 6, *ranks)
+        total = sum(ranks)
+        m_comp = Subspace.from_span(cgauss(rng, 7, 7 - total))
+        n_comp = Subspace.from_span(cgauss(rng, 6, total))
+        split = agreeing_split(a, b, m_comp, n_comp)
+        xa, xb = werner_decomposition(a, b, m_comp, n_comp)
+        assert _close(xa, joined_basis.reflexive_inverse(a, split.n1s, split.n1))
+        assert _close(xb, joined_basis.reflexive_inverse(b, split.n2s, split.n2))
+
+        # inverts A on N(B) ominus N(A) and annihilates R(B) + N((A + B)*)
+        range_space = joined_basis.ominus(null_basis(b), null_basis(a))
+        along = Subspace.from_span(np.hstack([range_basis(b).basis,
+                                              null_basis(adjoint(a + b)).basis]))
+        assert _close(inner_inverse_witness(a, a + b),
+                      joined_basis.reflexive_inverse(a, range_space, along))
 
 
 def _columns(*indices, n=5):
     """A basis of unit vectors of C^n, repeats allowed."""
     return Subspace._trusted(np.eye(n, dtype=np.complex128)[:, list(indices)])
+
+
+def _left_out(space):
+    """The unit vectors of C^5 that a basis of unit vectors leaves out,
+    which span its orthogonal complement."""
+    return _columns(*np.flatnonzero(~space.basis.any(axis=1)))
 
 
 @pytest.mark.parametrize("m_space, n_space", [
@@ -245,9 +269,11 @@ def _columns(*indices, n=5):
     (_columns(0, 1, 2, 3, 3), Subspace.zero(5)),
 ])
 def test_singular_join_raises(m_space, n_space):
-    # the join is LU-factored whatever the number of rows solved for; with
-    # A = I the reflexive solve joins the same [B_M | B_N]
+    # M and N do not split C^5: a decided core is found singular by the LU
+    # or not square; with A = I the reflexive inverse with range M and null
+    # space N meets the same pair on its cores
     with pytest.raises(ComplementError, match="^not a complementary pair$"):
-        _oblique(m_space, n_space, True)
+        _projection(m_space, n_space, None, m_perp=_left_out(m_space),
+                    n_perp=_left_out(n_space), decided=True)
     with pytest.raises(ComplementError, match="^complement condition violated$"):
-        _reflexive_solve(np.eye(5, dtype=np.complex128), m_space, n_space)
+        _reflexive(Factored.of(np.eye(5)), m_space, n_space, decided=True)

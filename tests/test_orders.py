@@ -433,11 +433,11 @@ def test_deferred_error_surfaces_on_first_read(monkeypatch):
     # a witness whose idempotency screen fails raised from the predicate
     # before; now the verdict returns and each read that needs the witness
     # raises the same error
-    def unscreenable(*args):
+    def unscreenable(*args, **kwargs):
         raise ValueError("matrix is not idempotent")
 
     a, b = _PAIRS["minus"]
-    monkeypatch.setattr(orders, "_oblique", unscreenable)
+    monkeypatch.setattr(orders, "_projection", unscreenable)
     report = minus_order(a, a + b)
     assert report.holds and report.rank_data.rank_a == 3
     for name in ("witness_p", "witness_q", "characterization_verdicts", "boundary_flags"):
