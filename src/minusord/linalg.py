@@ -82,8 +82,8 @@ class ToleranceConfig:
     def __post_init__(self):
         if self.rank_rtol is not None and not 0.0 <= self.rank_rtol < 1.0:
             raise ValueError("rank_rtol must satisfy 0 <= rank_rtol < 1")
-        if self.residual_atol < 0.0:
-            raise ValueError("residual_atol must be nonnegative")
+        if not 0.0 <= self.residual_atol < math.inf:
+            raise ValueError("residual_atol must be finite and nonnegative")
         if not 0.0 <= self.angle_gap < 1.0:
             raise ValueError("angle_gap must satisfy 0 <= angle_gap < 1")
 

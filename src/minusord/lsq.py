@@ -116,7 +116,7 @@ def solve_system(A, B, a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
         if not _range_contains(mat, vec[:, None], tol):
             raise MembershipError(f"membership fails: {label} is outside the column space")
     t = _triple(A, A + B, tol, d=B)
-    _require(_left_minus(t, tol), "order fails: A is not left-minus-below A + B")
+    _require(_left_minus(t), "order fails: A is not left-minus-below A + B")
     x = _pinv_times(t.fb, a + b)
     scale = (fro(A) + fro(B)) * fro(x) + fro(a) + fro(b)
     for residual in (A @ x - a, B @ x - b):
@@ -166,7 +166,7 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     if c.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length mismatch")
     t = _triple(A, A + B, tol, d=B)
-    witness = _checked_split(t, tol)
+    witness = _checked_split(t)
     total = t.b
     weight = Weight.from_projection(witness.p)
     w = weight.matrix

@@ -36,8 +36,9 @@ a :class:`_Triple` and runs one private body on it.  The constructions of
 :mod:`minusord.sums` and :mod:`minusord.lsq` build the triple of A against
 A + B themselves, with their summand B as the exact difference, run the
 body of the order they need and read the sum and every factor off the
-same triple; ``_Triple.adjoint`` mirrors it to
-the adjoint pair with no further SVD.
+same triple.  Its cached ``mirror``, the triple of A* against B* read off
+the adjoint factors with no further SVD, decides every domain side and the
+right-sided orders, so all sides are decided on one set of factors.
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ def _absent() -> None:
     return None
 
 
-def _witness(holds: bool, make, *args) -> Callable[[], Projection | None]:
-    """The deferred witness ``make(*args)`` when the order holds."""
-    return (lambda: make(*args)) if holds else _absent
+def _witness(holds: bool, make) -> Callable[[], Projection | None]:
+    """The deferred witness ``make`` when the order holds."""
+    return make if holds else _absent
 
 
 def _require(report: OrderReport, message: str) -> None:
@@ -156,36 +157,69 @@ def _require(report: OrderReport, message: str) -> None:
         raise OrderConditionError(message, report)
 
 
-class _Triple(NamedTuple):
-    """The operands A and B of an order check with one factor each of A, B
-    and B - A, from which every subspace relation of the check is read."""
+@dataclass(frozen=True, eq=False)
+class _Triple:
+    """The operands A and B of an order check, one factor each of A, B and
+    B - A, off which every subspace relation of the check is read, and the
+    tolerance they were cut at.  What checks of one pair share is cached on
+    first read, so the checks a construction runs on one triple make it
+    once.  The ``mirror`` holds no reference back: a cycle would keep both
+    alive until the cyclic garbage collector ran."""
 
     a: np.ndarray
     b: np.ndarray
     fa: Factored
     fb: Factored
     fd: Factored
+    tol: ToleranceConfig
 
     @property
     def ranks(self) -> RankData:
         return RankData(self.fa.rank, self.fb.rank, self.fd.rank)
 
-    def agree(self, x: np.ndarray, y: np.ndarray, tol) -> bool:
+    @cached_property
+    def mirror(self) -> "_Triple":
+        """The triple of A* against B*, off the adjoint factors with no SVD."""
+        return _Triple(adjoint(self.a), adjoint(self.b), self.fa.adjoint(), self.fb.adjoint(),
+                       self.fd.adjoint(), self.tol)
+
+    @cached_property
+    def sines(self) -> np.ndarray:
+        """K = U_B* [U_A | U_D]; its rows past rank(B) are the sines of R(A)
+        and R(B - A) beyond R(B)."""
+        fa, fd = self.fa, self.fd
+        return adjoint(self.fb.u) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
+
+    @cached_property
+    def join(self) -> "_Join":
+        """The codomain side; ``mirror.join`` is the domain side."""
+        return _join(self)
+
+    @cached_property
+    def left_witness(self) -> Projection | None:
+        """The projection onto R(A) along R(B - A) + N(B*)."""
+        return _split_witness(self.fa, self.fd, self.fb.conull)
+
+    @cached_property
+    def sum_and_meet(self) -> tuple[Subspace, Subspace, Subspace]:
+        """R(A) + R(B - A), its orthogonal complement and R(A) cap R(B - A)."""
+        return _sum_and_meet(self.fa.range, self.fa.conull, self.fd.range, self.tol)
+
+    def agree(self, x: np.ndarray, y: np.ndarray) -> bool:
         """Whether two products of A with A or B agree, on the scale
         ||A|| (||A|| + ||B||) of the Gram and square identities."""
         na = fro(self.a)
-        return tol.within(fro(x - y), na * (na + fro(self.b)))
+        return self.tol.within(fro(x - y), na * (na + fro(self.b)))
 
-    def inside(self, beyond_a: np.ndarray, tol) -> bool:
+    def inside(self) -> bool:
         """Whether A's columns lie in R(B), the inclusion in A = P B and in
         rank [B | A] = rank(B): no singular value of the part of A outside
-        R(B), ``beyond_a`` diag(sigma_A), lies above the cutoff of B - A.
-        ``beyond_a`` = U_B^perp* U_A holds the sines of R(A) beyond R(B),
-        which the join of the check has computed.  Weighting by sigma_A
-        keeps A's small directions, along which R(B)'s computed basis is
-        least accurate, from counting.  The part's Frobenius norm settles
-        the verdict when it lies far from the cutoff
-        (:func:`~minusord.linalg._spectral_within`).
+        R(B), U_B^perp* U_A diag(sigma_A), lies above the cutoff of B - A.
+        U_B^perp* U_A holds the sines of R(A) beyond R(B), read off
+        :attr:`sines`.  Weighting by sigma_A keeps A's small directions,
+        along which R(B)'s computed basis is least accurate, from counting.
+        The part's Frobenius norm settles the verdict when it lies far from
+        the cutoff (:func:`~minusord.linalg._spectral_within`).
 
         The range verdicts judge the same sines unweighted, against the
         subspace-equality threshold of every subspace relation
@@ -194,18 +228,13 @@ class _Triple(NamedTuple):
         along it, whereas a direction of A adds its singular value times
         its sine to A - P B."""
         fa = self.fa
-        cutoff = tol.effective_rank_rtol(self.a.shape) * _scale(fa, self.fb)
-        return _spectral_within(beyond_a * fa.s[:fa.rank], cutoff)
+        cutoff = self.tol.effective_rank_rtol(self.a.shape) * _scale(fa, self.fb)
+        return _spectral_within(self.sines[self.fb.rank:, :fa.rank] * fa.s[:fa.rank], cutoff)
 
     def flags(self) -> tuple[str, ...]:
         """The boundary flags of the three rank decisions."""
         factors = zip((self.fa, self.fb, self.fd), ("A", "B", "B-A"))
         return tuple(f"rank({label}) within 10x of cutoff" for f, label in factors if f.near)
-
-    def adjoint(self) -> "_Triple":
-        """The triple of A* against B*, with no further SVD."""
-        return _Triple(adjoint(self.a), adjoint(self.b),
-                       self.fa.adjoint(), self.fb.adjoint(), self.fd.adjoint())
 
 
 def _additive(t: _Triple) -> bool:
@@ -235,7 +264,7 @@ def _triple(A, B, tol, d=None) -> _Triple:
     operands later; the factors are new arrays."""
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
     d = B - A if d is None else d
-    return _Triple(A.copy(), B.copy(), fa, fb, Factored._of(d, tol, _scale(fa, fb)))
+    return _Triple(A.copy(), B.copy(), fa, fb, Factored._of(d, tol, _scale(fa, fb)), tol)
 
 
 class _Join(NamedTuple):
@@ -243,39 +272,29 @@ class _Join(NamedTuple):
 
     spans: bool   # R(A) + R(B - A) = R(B)
     covers: bool  # [U_A | U_D | U_B^perp] spans the space
-    beyond_a: np.ndarray  # U_B^perp* U_A, the sines of R(A) beyond R(B)
 
 
-def _join(fa: Factored, fd: Factored, fb: Factored, tol) -> _Join:
-    """The codomain-side :class:`_Join` of A, B - A and B; the factors of the
-    adjoints give the domain side.
+def _join(t: _Triple) -> _Join:
+    """The codomain-side :class:`_Join` of the triple.
 
-    K = U_B* [U_A | U_D] carries both range facts: its rows past rank(B)
-    are the sines of R(A) and R(B - A) beyond R(B), which vanish when both
-    lie in R(B), and its first rank(B) rows have rank rank(B) exactly when
-    [U_A | U_D | U_B^perp] spans the space.  Whether R(A) + R(B - A) is
-    direct is left to :func:`_direct`: only the minus order's kernel
-    verdict and fallback witness read it.
+    The sines K = U_B* [U_A | U_D] carry both range facts: the rows past
+    rank(B) vanish when R(A) and R(B - A) both lie in R(B), and the first
+    rank(B) rows have rank rank(B) exactly when [U_A | U_D | U_B^perp]
+    spans the space.  Whether R(A) + R(B - A) is direct is left to
+    :func:`_direct`: only the minus order's kernel verdict and fallback
+    witness read it.
     """
+    fa, fb, fd, k = t.fa, t.fb, t.fd, t.sines
     m = fb.u.shape[0]
-    k = adjoint(fb.u) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
-    inside = _spectral_within(k[fb.rank:], tol.subspace_atol(m))
-    covers = rank_cut(_singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), tol)[0] == fb.rank
-    return _Join(inside and covers, covers, k[fb.rank:, :fa.rank])
+    inside = _spectral_within(k[fb.rank:], t.tol.subspace_atol(m))
+    covers = rank_cut(_singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), t.tol)[0] == fb.rank
+    return _Join(inside and covers, covers)
 
 
-def _codomain_join(t: "_Triple", tol) -> Callable[[], _Join]:
-    """The codomain-side :class:`_Join` of the triple, made on first call
-    and cached: the minus and left-minus verdicts test rank additivity
-    first and need it only when the ranks add, and the constructions pass
-    one to both checks of a triple."""
-    return cache(lambda: _join(t.fa, t.fd, t.fb, tol))
-
-
-def _direct(fa: Factored, fd: Factored, tol) -> bool:
+def _direct(t: _Triple) -> bool:
     """Whether R(A) cap R(B - A) = 0: the sines U_A^perp* U_D of R(B - A)
     against R(A) all lie above the cutoff."""
-    return _outside(fa.conull, fd.range, tol) == fd.rank
+    return _outside(t.fa.conull, t.fd.range, t.tol) == t.fd.rank
 
 
 def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection | None:
@@ -289,6 +308,12 @@ def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection
         return _projection(fa.range, along, None, m_perp=fa.conull, decided=True)
     except ComplementError:
         return None
+
+
+def _sum_witness(t: _Triple) -> Projection | None:
+    """The projection onto R(A) along R(B - A) plus the orthogonal
+    complement of R(A) + R(B - A), for R(A) and R(B - A) found disjoint."""
+    return _split_witness(t.fa, t.fd, t.sum_and_meet[1])
 
 
 def _orthogonal_witness(f: Factored) -> Projection:
@@ -315,64 +340,54 @@ def _angle_margin_ok(ra: Subspace, rd: Subspace, tol, flags) -> bool:
     return margin > tol.angle_gap
 
 
-def _projection_ok(t: _Triple, witness_p, join: Callable[[], _Join], tol) -> bool:
+def _projection_ok(t: _Triple, witness_p) -> bool:
     """Whether A = P B with R(A) inside R(B), both read off the factors;
-    the join is made only when the witness passes."""
+    the inclusion is tested only when the witness passes."""
     return (witness_p is not None
-            and tol.within(fro(t.a - witness_p.matrix @ t.b), fro(witness_p.matrix) * fro(t.b))
-            and t.inside(join().beyond_a, tol))
+            and t.tol.within(fro(t.a - witness_p.matrix @ t.b), fro(witness_p.matrix) * fro(t.b))
+            and t.inside())
 
 
-def _minus(t: _Triple, tol, left: Callable[[], _Join] | None = None) -> OrderReport:
-    """The minus-order report, on the deferred codomain join ``left`` if
-    given.  When the order holds, the orthogonal complements of
-    R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and N(B), i.e.
-    ``t.fb.conull`` and ``t.fb.null``.  The verdict tests rank additivity
-    first, needs the codomain join only when the ranks add, and the
-    domain-side join only when the codomain side holds."""
-    fa, fb, fd = t.fa, t.fb, t.fd
+def _minus(t: _Triple) -> OrderReport:
+    """The minus-order report.  When the order holds, the orthogonal
+    complements of R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and
+    N(B), so the witnesses are the ``left_witness`` of the triple and of
+    its mirror.  The verdict tests rank additivity first, needs the
+    codomain join only when the ranks add, and the domain-side join only
+    when the codomain side holds."""
+    fa, fd = t.fa, t.fd
     flags = t.flags()
-    adjoints = fa.adjoint(), fd.adjoint(), fb.adjoint()
-    left = _codomain_join(t, tol) if left is None else left
-    right = cache(lambda: _join(*adjoints, tol))
     additive = _additive(t)
-    left_holds = additive and left().spans
-    holds = left_holds and right().spans
-
-    # Canonical left witness: project onto R(A) along R(B - A) plus the
-    # orthogonal complement of R(A) + R(B - A), which is N(B*) when the
-    # left side splits R(B)
-    split_p = cache(lambda: _split_witness(fa, fd, fb.conull))
+    left_holds = additive and t.join.spans
+    holds = left_holds and t.mirror.join.spans
 
     def explain():
         angle_flags = []
         # The angle route restates disjointness as a minimal-angle margin;
         # the span part of the condition is still required.
-        angle_ok = (left().spans and right().spans
-                    and _angle_margin_ok(fa.range, fd.range, tol, angle_flags)
-                    and _angle_margin_ok(fa.corange, fd.corange, tol, angle_flags))
+        angle_ok = (t.join.spans and t.mirror.join.spans
+                    and _angle_margin_ok(fa.range, fd.range, t.tol, angle_flags)
+                    and _angle_margin_ok(fa.corange, fd.corange, t.tol, angle_flags))
         # N(A) + N(B - A) is the whole domain iff R(A*) cap R(B* - A*) = 0,
         # and likewise on the codomain side
-        left_direct = _direct(fa, fd, tol)
-        kernels_ok = left_direct and _direct(*adjoints[:2], tol)
-        # a direct sum that does not split R(B) has the complement that
-        # U_A^perp* U_D yields
-        witness_p = None
-        if left_holds:
-            witness_p = split_p()
-        elif left_direct:
-            witness_p = _split_witness(fa, fd, _sum_and_meet(fa.range, fa.conull, fd.range, tol)[1])
+        left_direct = _direct(t)
+        kernels_ok = left_direct and _direct(t.mirror)
+        # Canonical left witness: project onto R(A) along R(B - A) plus the
+        # orthogonal complement of R(A) + R(B - A), which is N(B*) when the
+        # left side splits R(B); a direct sum that does not split R(B) has
+        # the complement that U_A^perp* U_D yields
+        witness_p = t.left_witness if left_holds else _sum_witness(t) if left_direct else None
         verdicts = {
             "ranges": holds,
             "ranks": additive,
             "angles": angle_ok,
             "kernels": kernels_ok,
-            "projection": _projection_ok(t, witness_p, left, tol),
+            "projection": _projection_ok(t, witness_p),
         }
         return verdicts, flags + tuple(angle_flags)
 
-    return OrderReport("minus", holds, t.ranks, split_p if holds else _absent,
-                       _witness(holds, _split_witness, *adjoints[:2], fb.null), explain)
+    return OrderReport("minus", holds, t.ranks, _witness(holds, lambda: t.left_witness),
+                       _witness(holds, lambda: t.mirror.left_witness), explain)
 
 
 def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -381,28 +396,23 @@ def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     The primary verdict works at the subspace level; the rank, angle,
     kernel and projection characterizations are recorded independently.
     """
-    return _minus(_triple(*as_pair(A, B), tol), tol)
+    return _minus(_triple(*as_pair(A, B), tol))
 
 
-def _left_minus(t: _Triple, tol, left: Callable[[], _Join] | None = None) -> OrderReport:
-    """The left-minus report, on the deferred codomain join ``left`` if
-    given; the verdict needs the join only when the ranks add."""
-    fa, fb, fd = t.fa, t.fb, t.fd
+def _left_minus(t: _Triple) -> OrderReport:
+    """The left-minus report; the verdict needs the join only when the
+    ranks add."""
     flags = t.flags()
-    left = _codomain_join(t, tol) if left is None else left
-    holds = _additive(t) and left().spans
-
-    # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff the
-    # ranks add and the join covers R(B)
-    @cache
-    def witness_p():
-        return _split_witness(fa, fd, fb.conull) if left().covers else None
+    holds = _additive(t) and t.join.spans
 
     def explain():
-        return {"ranges": holds, "projection": _projection_ok(t, witness_p(), left, tol)}, flags
+        # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff
+        # the ranks add and the join covers R(B), as it does when the order holds
+        witness_p = t.left_witness if t.join.covers else None
+        return {"ranges": holds, "projection": _projection_ok(t, witness_p)}, flags
 
-    return OrderReport("left_minus", holds, t.ranks, witness_p if holds else _absent, _absent,
-                       explain)
+    return OrderReport("left_minus", holds, t.ranks, _witness(holds, lambda: t.left_witness),
+                       _absent, explain)
 
 
 def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -410,18 +420,15 @@ def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
 
     The witness projects onto R(A) along R(B - A) + N(B*).
     """
-    return _left_minus(_triple(*as_pair(A, B), tol), tol)
+    return _left_minus(_triple(*as_pair(A, B), tol))
 
 
 def _mirrored(name, left_order, A, B, tol) -> OrderReport:
-    """The report of the left-sided body ``left_order`` on the triple of
-    A* against B*, reported as the right-sided order ``name``: its left
-    witness becomes the right one.  A* and B* are factored themselves: the
-    SVD of A* need not round as the adjoint of the SVD of A does, and the
-    right-sided reports keep the rounding of their own factors.  Its
-    deferred parts stay deferred, read through the left report's caches."""
-    A, B = as_pair(A, B)
-    mirrored = left_order(_triple(adjoint(A), adjoint(B), tol), tol)
+    """The report of the left-sided body ``left_order`` on the mirror of
+    the triple of A against B, reported as the right-sided order ``name``:
+    its left witness becomes the right one.  Its deferred parts stay
+    deferred, read through the left report's caches."""
+    mirrored = left_order(_triple(*as_pair(A, B), tol).mirror)
     return OrderReport(name, mirrored.holds, mirrored.rank_data, _absent,
                        lambda: mirrored.witness_p, lambda: mirrored._explained)
 
@@ -437,44 +444,35 @@ def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     Cross-check: R(B) splits orthogonally as R(A) + R(B - A) on both
     sides.  Witnesses are the orthogonal projections onto R(A), R(A*).
     """
-    return _star(_triple(*as_pair(A, B), tol), tol)
+    return _star(_triple(*as_pair(A, B), tol))
 
 
-def _star(t: _Triple, tol) -> OrderReport:
+def _star(t: _Triple) -> OrderReport:
     """The star-order report."""
-    A, B, fa, fb, fd = t
-    gram_left = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
-    gram_right = t.agree(A @ adjoint(A), B @ adjoint(A), tol)
+    A, B, fa = t.a, t.b, t.fa
+    gram_left = t.agree(adjoint(A) @ A, adjoint(A) @ B)
+    gram_right = t.agree(A @ adjoint(A), B @ adjoint(A))
     holds = _additive(t) and gram_left and gram_right
     flags = t.flags()
 
     def explain():
-        ortho = (_orthogonal_join(fa, fd, fb, tol)
-                 and _orthogonal_join(fa.adjoint(), fd.adjoint(), fb.adjoint(), tol))
+        ortho = _orthogonal_join(t) and _orthogonal_join(t.mirror)
         return {"gram_left": gram_left, "gram_right": gram_right,
                 "orthogonal_ranges": ortho}, flags
 
-    return OrderReport("star", holds, t.ranks, _witness(holds, _orthogonal_witness, fa),
-                       _witness(holds, _orthogonal_witness, fa.adjoint()), explain)
+    return OrderReport("star", holds, t.ranks, _witness(holds, lambda: _orthogonal_witness(fa)),
+                       _witness(holds, lambda: _orthogonal_witness(t.mirror.fa)), explain)
 
 
-def _beyond(fa: Factored, fd: Factored, fb: Factored) -> np.ndarray:
-    """U_B^perp* [U_A | U_D], the sines of R(A) and R(B - A) beyond R(B);
-    its first rank(A) columns are those :meth:`_Triple.inside` weights."""
-    return adjoint(fb.conull.basis) @ np.hstack([fa.range.basis, fd.range.basis])
-
-
-def _orthogonal_join(fa: Factored, fd: Factored, fb: Factored, tol,
-                     beyond: np.ndarray | None = None) -> bool:
+def _orthogonal_join(t: _Triple) -> bool:
     """Whether R(B) = R(A) + R(B - A) with orthogonal summands: the ranks
     add, both ranges lie in R(B) and R(B - A) lies in N(A*).  The sines of
-    the last inclusion are the cosines U_A* U_D; those of the first are
-    :func:`_beyond` of the factors, passed in if made."""
-    atol = tol.subspace_atol(fb.u.shape[0])
-    beyond = _beyond(fa, fd, fb) if beyond is None else beyond
-    return (fa.rank + fd.rank == fb.rank
-            and _spectral_within(beyond, atol)
-            and _spectral_within(adjoint(fa.range.basis) @ fd.range.basis, atol))
+    the last inclusion are the cosines U_A* U_D; those of the first are the
+    rows of :attr:`_Triple.sines` past rank(B)."""
+    atol = t.tol.subspace_atol(t.fb.u.shape[0])
+    return (_additive(t)
+            and _spectral_within(t.sines[t.fb.rank:], atol)
+            and _spectral_within(adjoint(t.fa.range.basis) @ t.fd.range.basis, atol))
 
 
 def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -483,26 +481,25 @@ def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRepo
     Equivalent to R(B) = R(A) + R(B - A) with the summands orthogonal;
     that reformulation is recorded as the cross-check verdict.
     """
-    return _left_star(_triple(*as_pair(A, B), tol), tol)
+    return _left_star(_triple(*as_pair(A, B), tol))
 
 
-def _left_star(t: _Triple, tol) -> OrderReport:
+def _left_star(t: _Triple) -> OrderReport:
     """The left-star report: the Gram identity is tested first, the
     inclusion only when it holds, and the orthogonal split, which restates
     the verdict, on first read of the explanation."""
-    A, B, fa, fb, fd = t
-    gram = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
-    beyond = cache(lambda: _beyond(fa, fd, fb))
-    inclusion = cache(lambda: t.inside(beyond()[:, :fa.rank], tol))
+    A, fa = t.a, t.fa
+    gram = t.agree(adjoint(A) @ A, adjoint(A) @ t.b)
+    inclusion = cache(t.inside)
     holds = gram and inclusion()
     flags = t.flags()
 
     def explain():
         return ({"gram_left": gram, "range_inclusion": inclusion(),
-                 "orthogonal_split": _orthogonal_join(fa, fd, fb, tol, beyond())}, flags)
+                 "orthogonal_split": _orthogonal_join(t)}, flags)
 
-    return OrderReport("left_star", holds, t.ranks, _witness(holds, _orthogonal_witness, fa),
-                       _absent, explain)
+    return OrderReport("left_star", holds, t.ranks,
+                       _witness(holds, lambda: _orthogonal_witness(fa)), _absent, explain)
 
 
 def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -513,24 +510,24 @@ def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
 def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Sharp order on group-invertible matrices: A^2 = BA = AB, with
     rank(A) + rank(B - A) = rank(B)."""
-    return _sharp(_triple(*as_pair(A, B, square=True), tol), tol)
+    return _sharp(_triple(*as_pair(A, B, square=True), tol))
 
 
-def _sharp(t: _Triple, tol) -> OrderReport:
+def _sharp(t: _Triple) -> OrderReport:
     """The sharp-order report; raises unless A and B are group invertible."""
-    A, B, fa, fb, _ = t
-    for f, label in ((fa, "A"), (fb, "B")):
-        if not _group_invertible(f, tol):
+    A, B = t.a, t.b
+    for f, label in ((t.fa, "A"), (t.fb, "B")):
+        if not _group_invertible(f, t.tol):
             raise GroupInvertibilityError(f"{label} is not group invertible")
 
     square = A @ A
-    left_id = t.agree(square, B @ A, tol)
-    right_id = t.agree(square, A @ B, tol)
+    left_id = t.agree(square, B @ A)
+    right_id = t.agree(square, A @ B)
     holds = _additive(t) and left_id and right_id
 
     explained = {"square_equals_ba": left_id, "square_equals_ab": right_id}, t.flags()
-    return OrderReport("sharp", holds, t.ranks, _witness(holds, _group_witness, fa),
-                       _witness(holds, _group_witness, fa.adjoint()), lambda: explained)
+    return OrderReport("sharp", holds, t.ranks, _witness(holds, lambda: _group_witness(t.fa)),
+                       _witness(holds, lambda: _group_witness(t.mirror.fa)), lambda: explained)
 
 
 def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -539,19 +536,19 @@ def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     t = _triple(*as_pair(A, B, square=True), tol)
     if not _group_invertible(t.fa, tol):
         raise GroupInvertibilityError("A is not group invertible")
-    return _core(t, tol)
+    return _core(t)
 
 
-def _core(t: _Triple, tol) -> OrderReport:
+def _core(t: _Triple) -> OrderReport:
     """The core-order report, for A (and so A*) found group invertible."""
-    A, B, fa, _, _ = t
-    gram = t.agree(adjoint(A) @ A, adjoint(A) @ B, tol)
-    square = t.agree(A @ A, B @ A, tol)
+    A = t.a
+    gram = t.agree(adjoint(A) @ A, adjoint(A) @ t.b)
+    square = t.agree(A @ A, t.b @ A)
     holds = _additive(t) and gram and square
 
     explained = {"gram_left": gram, "square_equals_ba": square}, t.flags()
-    return OrderReport("core", holds, t.ranks, _witness(holds, _orthogonal_witness, fa),
-                       _witness(holds, _group_witness, fa.adjoint()), lambda: explained)
+    return OrderReport("core", holds, t.ranks, _witness(holds, lambda: _orthogonal_witness(t.fa)),
+                       _witness(holds, lambda: _group_witness(t.mirror.fa)), lambda: explained)
 
 
 def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -563,20 +560,19 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
     remains a checkable theorem rather than an implementation artifact.
     """
     t = _triple(*as_pair(A, B), tol)
-    fa, fd = t.fa, t.fd
+    mirror, dims = t.mirror, t.fa.rank + t.fd.rank
 
-    # R(A) + R(B - A) and its orthogonal complement, on both sides
-    down, leftover = _sum_and_meet(fa.range, fa.conull, fd.range, tol)[:2]
-    down_s, leftover_s = _sum_and_meet(fa.corange, fa.null, fd.corange, tol)[:2]
-    left_trivial = down.dim == fa.rank + fd.rank
-    right_trivial = down_s.dim == fa.rank + fd.rank
+    # R(A) meets R(B - A) trivially iff R(A) + R(B - A) has the dimension
+    # rank(A) + rank(B - A); likewise on the adjoint side
+    left_trivial = t.sum_and_meet[0].dim == dims
+    right_trivial = mirror.sum_and_meet[0].dim == dims
     holds = left_trivial and right_trivial
 
     explained = ({"left_intersection_trivial": left_trivial,
                   "right_intersection_trivial": right_trivial}, t.flags())
     return OrderReport("weak_minus", holds, t.ranks,
-                       _witness(holds, _split_witness, fa, fd, leftover),
-                       _witness(holds, _split_witness, fa.adjoint(), fd.adjoint(), leftover_s),
+                       _witness(holds, lambda: _sum_witness(t)),
+                       _witness(holds, lambda: _sum_witness(mirror)),
                        lambda: explained)
 
 
@@ -613,8 +609,8 @@ def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.
     minus order fails.
     """
     t = _triple(*as_pair(A, B), tol)
-    _require(_left_minus(t, tol), "order does not hold")
-    A, B, fa, fb, fd = t
+    _require(_left_minus(t), "order does not hold")
+    A, B, fa, fb, fd = t.a, t.b, t.fa, t.fb, t.fd
     # M = N(B - A) ominus N(A) complements N(A), and R(B - A) + N(B*)
     # complements R(A), as the order has found; the cores reject the rest
     along = Subspace._trusted(np.hstack([fd.range.basis, fb.conull.basis]))

@@ -42,8 +42,7 @@ from .linalg import (
     as_pair,
     fro,
 )
-from .orders import (_codomain_join, _core, _left_minus, _minus, _require, _sharp, _star,
-                     _Triple, _triple)
+from .orders import _core, _left_minus, _minus, _require, _sharp, _star, _Triple, _triple
 from .subspaces import Factored, Projection, Subspace, _projection, _sum_and_meet
 
 __all__ = [
@@ -66,21 +65,20 @@ def _minus_triple(A, B, tol, message) -> _Triple:
     """The triple of A against A + B, after its minus-order check; raises
     with the report when the order fails."""
     t = _triple(A, A + B, tol, d=B)
-    _require(_minus(t, tol), message)
+    _require(_minus(t), message)
     return t
 
 
-def _checked_split(t: _Triple, tol) -> "SplitWitness":
+def _checked_split(t: _Triple) -> "SplitWitness":
     """The optimal split of A + B behind the pseudoinverse and least-squares
     constructions, after their checks on the triple: when the minus order
     fails, a failing left minus order is reported first, its report built
-    on the same factors and the same deferred codomain join."""
-    left = _codomain_join(t, tol)
-    report = _minus(t, tol, left)
+    on the same factors and the same codomain join."""
+    report = _minus(t)
     if not report.holds:
-        _require(_left_minus(t, tol, left), "order fails: A is not left-minus-below A + B")
+        _require(_left_minus(t), "order fails: A is not left-minus-below A + B")
         raise OrderConditionError("A is not minus-below A + B", report)
-    return _split(t, tol, None, None)
+    return _split(t, None, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +108,12 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     back, so A = (A + B) Q.
     """
     A, B = as_pair(A, B)
-    t = _triple(A, A + B, tol, d=B)
-    _require(_minus(t, tol), "A is not minus-below A + B")
-    return _split(t, tol, m1, n1)
+    return _split(_minus_triple(A, B, tol, "A is not minus-below A + B"), m1, n1)
 
 
-def _split(t: _Triple, tol, m1, n1) -> SplitWitness:
+def _split(t: _Triple, m1, n1) -> SplitWitness:
     """The split of A + B read off the triple, once the minus order holds."""
-    A, total, fa, ft, fb = t.a, t.b, t.fa, t.fb, t.fd
+    A, total, fa, ft, fb, tol = t.a, t.b, t.fa, t.fb, t.fd, t.tol
     ra, rb = fa.range, fb.range
     if m1 is None and n1 is None:
         # onto R(A) + N(T*) along R(B), on the core against R(B)^perp = N(B*):
@@ -164,13 +160,8 @@ def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     """
     A, B = as_pair(A, B)
     t = _triple(A, A + B, tol, d=B)
-    witness = _checked_split(t, tol)
-    q, p = witness.q.matrix, witness.p.matrix
-    # A+ = V_A S_A^-1 U_A* and B+ likewise, applied factor by factor:
-    # Q V_A S_A^-1 (U_A* P) + (I - Q) V_B S_B^-1 (U_B* (I - P))
-    va, ua_h = t.fa._pinv_factors()
-    vb, ub_h = t.fd._pinv_factors()
-    assembled = (q @ va) @ (ua_h @ p) + (vb - q @ vb) @ (ub_h - ub_h @ p)
+    # A+ = V_A S_A^-1 U_A* and B+ likewise
+    assembled = _assemble(_checked_split(t), t.fa._pinv_factors(), t.fd._pinv_factors())
     oracle = t.fb.pinv()
     tol.verify("assembled pseudoinverse disagrees with the SVD route",
                fro(assembled - oracle), fro(oracle) ** 2 * fro(t.b))
@@ -225,10 +216,10 @@ def agreeing_split(A, B, range_complement: Subspace, kernel_complement: Subspace
     """
     A, B = as_pair(A, B)
     t = _minus_triple(A, B, tol, "A is not minus-below A + B")
-    return _agreeing_split(t, range_complement, kernel_complement, tol)[0]
+    return _agreeing_split(t, range_complement, kernel_complement)[0]
 
 
-def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol,
+def _agreeing_split(t: _Triple, range_complement, kernel_complement,
                     n1=None, n2=None, n1s=None, n2s=None
                     ) -> tuple[AgreeingSplit, tuple[Projection, Projection],
                                tuple[Projection, Projection]]:
@@ -239,7 +230,7 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement, tol,
     complement in use is tested once, on the core its projection is solved
     on, and each projection-sum identity verified once; the error of a
     rejected one names it, or the slot it fills ("n1", ...)."""
-    fa, ft, fb = t.fa, t.fb, t.fd
+    fa, ft, fb, tol = t.fa, t.fb, t.fd, t.tol
     m, n = t.a.shape
     if range_complement.ambient_dim != m or kernel_complement.ambient_dim != n:
         raise ValueError("ambient mismatch")
@@ -298,12 +289,17 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
     """
     A, B = as_pair(A, B)
     t = _minus_triple(A, B, tol, "A is not minus-below A + B")
-    split, *summands = _agreeing_split(t, range_complement, kernel_complement, tol,
-                                       n1, n2, n1s, n2s)
-    # Q X_A P + (I - Q) X_B (I - P), applied factor by factor: each product
-    # keeps a side of the summand's rank, and I - P is never formed
+    split, *summands = _agreeing_split(t, range_complement, kernel_complement, n1, n2, n1s, n2s)
+    return _assemble(split, *map(_summand_factors, (t.fa, t.fd), summands))
+
+
+def _assemble(split, a_factors, b_factors) -> np.ndarray:
+    """Q X_A P + (I - Q) X_B (I - P) for the projections P and Q of
+    ``split`` and inverses X = L R of the summands, given as their factors
+    (L, R): applied factor by factor, each product keeps a side of the
+    summand's rank, and neither I - Q nor I - P is formed."""
     q, p = split.q.matrix, split.p.matrix
-    (left_a, right_a), (left_b, right_b) = map(_summand_factors, (t.fa, t.fd), summands)
+    (left_a, right_a), (left_b, right_b) = a_factors, b_factors
     return (q @ left_a) @ (right_a @ p) + (left_b - q @ left_b) @ (right_b - right_b @ p)
 
 
@@ -327,7 +323,7 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     """
     A, B = as_pair(A, B)
     t = _minus_triple(A, B, tol, "A is not minus-below A + B")
-    split, *summands = _agreeing_split(t, range_complement, kernel_complement, tol)
+    split, *summands = _agreeing_split(t, range_complement, kernel_complement)
     xa, xb = (left @ right for left, right in map(_summand_factors, (t.fa, t.fd), summands))
 
     compressed = split.q.matrix @ xa @ split.p.matrix
@@ -355,20 +351,20 @@ def ordered_inverse_additivity(A, B, kind: str,
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(INVERSE_KINDS)}")
     t = _triple(A, A + B, tol, d=B)
     if kind == "moore_penrose":
-        _require(_star(t, tol), "required order fails: A is not star-below A + B")
+        _require(_star(t), "required order fails: A is not star-below A + B")
         result = t.fa.pinv() + t.fd.pinv()
         oracle = t.fb.pinv()
     elif kind == "group":
         # the sharp check has found A and A + B group invertible, not B
-        _require(_sharp(t, tol), "required order fails: A is not sharp-below A + B")
+        _require(_sharp(t), "required order fails: A is not sharp-below A + B")
         result = _group_inverse(_require_group(t.fd, tol)) + _group_inverse(t.fa)
         oracle = _group_inverse(t.fb)
     else:
         # one group-invertibility test of A serves both core checks
         if not _group_invertible(t.fa, tol):
             raise GroupInvertibilityError("A is not group invertible")
-        _require(_core(t, tol), "required order fails: A is not core-below A + B")
-        _require(_core(t.adjoint(), tol), "required order fails: A* is not core-below (A + B)*")
+        _require(_core(t), "required order fails: A is not core-below A + B")
+        _require(_core(t.mirror), "required order fails: A* is not core-below (A + B)*")
         result = _core_inverse(_require_group(t.fd, tol)) + _core_inverse(t.fa)
         oracle = _core_inverse(_require_group(t.fb, tol))
 

@@ -174,6 +174,15 @@ def test_shape_mismatch_exit_two(pair_files, capsys):
     assert "square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_residual_tolerance_exit_two(pair_files, capsys, value):
+    # every residual compared against NaN would fail silently: exit 2, not 1
+    fa, fb, fs = pair_files
+    assert main(["check", "star", fa, fs, "--tol-residual", value]) == 2
+    captured = capsys.readouterr()
+    assert "residual_atol" in captured.err and captured.out == ""
+
+
 def test_gen_rejects_bad_arguments(tmp_path, capsys):
     prefix = str(tmp_path / "x_")
     assert main(["gen", "minus", "--dims", "4", "--ranks", "1,1",

@@ -44,6 +44,8 @@ def test_tolerance_override_wins():
     {"rank_rtol": -1.0},
     {"rank_rtol": 1.0},
     {"residual_atol": -1e-3},
+    {"residual_atol": float("nan")},
+    {"residual_atol": float("inf")},
     {"angle_gap": -0.5},
 ])
 def test_tolerance_rejects_nonsense(bad):

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from minusord import orders
 from minusord.exceptions import GroupInvertibilityError, OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
-from minusord.linalg import ToleranceConfig, adjoint
+from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, as_pair
 from minusord.sums import build_split, fill_fishkind_pinv
 from minusord.orders import (
     ORDER_NAMES,
@@ -445,3 +448,47 @@ def test_deferred_error_surfaces_on_first_read(monkeypatch):
             getattr(report, name)
     monkeypatch.undo()
     assert report.witness_p is not None  # nothing failed was cached
+
+
+# --- one triple, one set of factors for both sides ---
+
+def _both_sided_pairs():
+    """minus and star pairs (A, A + B) at every scale, then the tiny
+    unrelated diagonals and the lopsided orthogonal blocks above."""
+    for kind, draw in (("minus", minus_pair), ("star", star_pair)):
+        for seed in range(2):
+            a, b = draw(seed, 6, 5, 2, 2)
+            for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+                yield pytest.param(scale * a, scale * (a + b), id=f"{kind}-{seed}-{scale:g}")
+    for eps in (1e-9, 1e-10, 1e-11, 1e-12):
+        yield pytest.param(diag(eps, 0, 0, 0), diag(0, 1, 1, 0), id=f"diagonal-{eps:g}")
+    for seed in range(3):
+        for ratio in (1e-10, 1e-12):
+            yield pytest.param(*_orthogonal_blocks(seed, ratio), id=f"blocks-{seed}-{ratio:g}")
+
+
+@pytest.mark.parametrize("a, b", _both_sided_pairs())
+def test_minus_is_left_and_right_minus_on_one_set_of_factors(a, b):
+    # the right-sided orders run on the mirror of the triple, read off the
+    # adjoint factors, so the two-sided check and its halves decide alike
+    # and share the witness bit for bit
+    minus, right = minus_order(a, b), right_minus_order(a, b)
+    assert minus.holds == (left_minus_order(a, b).holds and right.holds)
+    if minus.holds:
+        assert _projection_bytes(right.witness_q) == _projection_bytes(minus.witness_q)
+
+
+def test_a_triple_and_its_mirror_form_no_cycle():
+    # a reference cycle would keep a triple, its mirror and every array they
+    # cache alive until the cyclic garbage collector ran
+    a, b = _PAIRS["minus"]
+    gc.disable()
+    try:
+        t = orders._triple(*as_pair(a, a + b), DEFAULT_TOLERANCE)
+        t.mirror.join, t.join
+        _fields(orders._minus(t))
+        triple = weakref.ref(t)
+        del t
+        assert triple() is None
+    finally:
+        gc.enable()
