@@ -7,15 +7,16 @@ projections when the order holds, the rank bookkeeping of the triple
 (A, B, B - A), and boundary flags for decisions that fell near a cutoff.
 
 Verdict first, explanation on demand: a predicate decides ``holds`` and
-the ranks when it is called, from the factors of the triple and the joins,
-Gram, square and inclusion tests the verdict needs, and flags the rank
+the ranks when it is called, from the factors of the triple and the Gram,
+square and inclusion tests the verdict needs, and flags the rank
 decisions near their cutoff.  Each verdict computes only what decides it:
-the minus and left-minus orders test rank additivity before they join
-subspaces (the minus order is rank subtractivity, Hartwig 1980); the star,
+the minus, left-minus, right-minus and weak-minus orders share the verdict
+they reduce to in finite dimension, rank subtractivity (Marsaglia & Styan
+1974; Hartwig 1980), which their joins and intersections restate; the star,
 sharp and core orders require the same rank additivity beside their
 identities, so each implies minus at every scale; the left star order
-tests its Gram identity before the inclusion; and an inclusion
-of subspaces is settled from a Frobenius norm before any SVD of its sines
+tests its Gram identity before the inclusion; and an inclusion of
+subspaces is settled from a Frobenius norm before any SVD of its sines
 when the norm is far from the bound.  The cross-characterizations (with the
 angle-margin flags they raise) and the witnesses only restate that
 verdict, so each is computed on first read of its field and cached, the
@@ -37,8 +38,8 @@ a :class:`_Triple` and runs one private body on it.  The constructions of
 A + B themselves, with their summand B as the exact difference, run the
 body of the order they need and read the sum and every factor off the
 same triple.  Its cached ``mirror``, the triple of A* against B* read off
-the adjoint factors with no further SVD, decides every domain side and the
-right-sided orders, so all sides are decided on one set of factors.
+the adjoint factors with no further SVD, reads every domain side and the
+right-sided orders, so all sides are read off one set of factors.
 """
 
 from __future__ import annotations
@@ -238,14 +239,18 @@ class _Triple:
 
 
 def _additive(t: _Triple) -> bool:
-    """rank(A) + rank(B - A) = rank(B), read off the triple's ranks: the
-    minus order's rank verdict, and a conjunct of star, sharp and core
+    """rank(A) + rank(B - A) = rank(B), read off the triple's factors: the
+    verdict of the minus family, and a conjunct of star, sharp and core
     before their identities.  Each of those is the minus order plus an
     orthogonality or commutation condition (Mitra, Bhimasankaram & Malik
     2010), so each implies minus by construction; the identities alone
     cannot keep that, since for A far smaller than B their residual of
-    about ||A||^2 falls under the scale ||A|| (||A|| + ||B||)."""
-    return t.fa.rank + t.fd.rank == t.fb.rank
+    about ||A||^2 falls under the scale ||A|| (||A|| + ||B||).  rank(B) is
+    cut at B - A's scale, else a B of norm eps ||A|| would count only in B."""
+    fa, fb = t.fa, t.fb
+    larger_a = fa.rank and fa.s[0] > fb.s[0]
+    rank_b = rank_cut(fb.s, t.b.shape, t.tol, float(fa.s[0]))[0] if larger_a else fb.rank
+    return fa.rank + t.fd.rank == rank_b
 
 
 def _scale(fa: Factored, fb: Factored) -> float:
@@ -349,24 +354,22 @@ def _projection_ok(t: _Triple, witness_p) -> bool:
 
 
 def _minus(t: _Triple) -> OrderReport:
-    """The minus-order report.  When the order holds, the orthogonal
-    complements of R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and
-    N(B), so the witnesses are the ``left_witness`` of the triple and of
-    its mirror.  The verdict tests rank additivity first, needs the
-    codomain join only when the ranks add, and the domain-side join only
-    when the codomain side holds."""
+    """The minus-order report: the verdict is rank subtractivity, which the
+    range (both joins span R(B)), angle, kernel and projection
+    characterizations restate.  When it holds, the orthogonal complements
+    of R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and N(B), so the
+    witnesses are the ``left_witness`` of the triple and of its mirror."""
     fa, fd = t.fa, t.fd
     flags = t.flags()
-    additive = _additive(t)
-    left_holds = additive and t.join.spans
-    holds = left_holds and t.mirror.join.spans
+    holds = _additive(t)
 
     def explain():
         angle_flags = []
+        left_holds = holds and t.join.spans
+        spans = t.join.spans and t.mirror.join.spans
         # The angle route restates disjointness as a minimal-angle margin;
         # the span part of the condition is still required.
-        angle_ok = (t.join.spans and t.mirror.join.spans
-                    and _angle_margin_ok(fa.range, fd.range, t.tol, angle_flags)
+        angle_ok = (spans and _angle_margin_ok(fa.range, fd.range, t.tol, angle_flags)
                     and _angle_margin_ok(fa.corange, fd.corange, t.tol, angle_flags))
         # N(A) + N(B - A) is the whole domain iff R(A*) cap R(B* - A*) = 0,
         # and likewise on the codomain side
@@ -378,8 +381,8 @@ def _minus(t: _Triple) -> OrderReport:
         # the complement that U_A^perp* U_D yields
         witness_p = t.left_witness if left_holds else _sum_witness(t) if left_direct else None
         verdicts = {
-            "ranges": holds,
-            "ranks": additive,
+            "ranges": holds and spans,
+            "ranks": holds,
             "angles": angle_ok,
             "kernels": kernels_ok,
             "projection": _projection_ok(t, witness_p),
@@ -393,23 +396,23 @@ def _minus(t: _Triple) -> OrderReport:
 def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Minus order A <=- B: R(B) splits as R(A) plus R(B - A) on both sides.
 
-    The primary verdict works at the subspace level; the rank, angle,
-    kernel and projection characterizations are recorded independently.
+    The verdict is rank subtractivity, rank(B) = rank(A) + rank(B - A); the
+    range, rank, angle, kernel and projection characterizations restate it.
     """
     return _minus(_triple(*as_pair(A, B), tol))
 
 
 def _left_minus(t: _Triple) -> OrderReport:
-    """The left-minus report; the verdict needs the join only when the
-    ranks add."""
+    """The left-minus report: the verdict is rank subtractivity, and the
+    ranges hold when the ranks add and the codomain join spans R(B)."""
     flags = t.flags()
-    holds = _additive(t) and t.join.spans
+    holds = _additive(t)
 
     def explain():
         # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff
-        # the ranks add and the join covers R(B), as it does when the order holds
+        # the ranks add and the join covers R(B), which the join tests here
         witness_p = t.left_witness if t.join.covers else None
-        return {"ranges": holds, "projection": _projection_ok(t, witness_p)}, flags
+        return {"ranges": holds and t.join.spans, "projection": _projection_ok(t, witness_p)}, flags
 
     return OrderReport("left_minus", holds, t.ranks, _witness(holds, lambda: t.left_witness),
                        _absent, explain)
@@ -418,24 +421,28 @@ def _left_minus(t: _Triple) -> OrderReport:
 def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Left minus order: R(B) = R(A) direct-plus R(B - A) (codomain side only).
 
-    The witness projects onto R(A) along R(B - A) + N(B*).
+    The verdict is the minus order's rank subtractivity, which the codomain
+    join restates.  The witness projects onto R(A) along R(B - A) + N(B*).
     """
     return _left_minus(_triple(*as_pair(A, B), tol))
 
 
-def _mirrored(name, left_order, A, B, tol) -> OrderReport:
+def _mirrored(name, left_order, A, B, tol, verdict=None) -> OrderReport:
     """The report of the left-sided body ``left_order`` on the mirror of
     the triple of A against B, reported as the right-sided order ``name``:
-    its left witness becomes the right one.  Its deferred parts stay
-    deferred, read through the left report's caches."""
-    mirrored = left_order(_triple(*as_pair(A, B), tol).mirror)
-    return OrderReport(name, mirrored.holds, mirrored.rank_data, _absent,
-                       lambda: mirrored.witness_p, lambda: mirrored._explained)
+    its left witness becomes the right one.  A ``verdict`` alike on both
+    sides decides on the triple itself, deferring the mirror and the left
+    report; the deferred parts are read through the left report's caches."""
+    t = _triple(*as_pair(A, B), tol)
+    mirrored = cache(lambda: left_order(t.mirror))
+    holds = mirrored().holds if verdict is None else verdict(t)
+    return OrderReport(name, holds, t.ranks, _absent,
+                       lambda: mirrored().witness_p, lambda: mirrored()._explained)
 
 
 def right_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
-    """Right minus order: the left condition applied to the adjoints."""
-    return _mirrored("right_minus", _left_minus, A, B, tol)
+    """Right minus order: the left condition on the adjoints, decided with no adjoint."""
+    return _mirrored("right_minus", _left_minus, A, B, tol, _additive)
 
 
 def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -555,25 +562,21 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
     """Weak minus order: R(A) meets R(B - A) trivially, and likewise for
     the adjoints.
 
-    In finite dimension this coincides with the minus order; the library
-    still evaluates only the intersection conditions so the coincidence
-    remains a checkable theorem rather than an implementation artifact.
+    In finite dimension this coincides with the minus order, whose rank
+    subtractivity is the verdict; the intersection conditions stay as
+    characterizations, so a break of the coincidence shows as a disagreement.
     """
     t = _triple(*as_pair(A, B), tol)
-    mirror, dims = t.mirror, t.fa.rank + t.fd.rank
+    holds, dims = _additive(t), t.fa.rank + t.fd.rank
 
-    # R(A) meets R(B - A) trivially iff R(A) + R(B - A) has the dimension
-    # rank(A) + rank(B - A); likewise on the adjoint side
-    left_trivial = t.sum_and_meet[0].dim == dims
-    right_trivial = mirror.sum_and_meet[0].dim == dims
-    holds = left_trivial and right_trivial
+    def explain():
+        # R(A) meets R(B - A) trivially iff R(A) + R(B - A) has the dimension
+        # rank(A) + rank(B - A); likewise on the adjoint side
+        return ({"left_intersection_trivial": t.sum_and_meet[0].dim == dims,
+                 "right_intersection_trivial": t.mirror.sum_and_meet[0].dim == dims}, t.flags())
 
-    explained = ({"left_intersection_trivial": left_trivial,
-                  "right_intersection_trivial": right_trivial}, t.flags())
-    return OrderReport("weak_minus", holds, t.ranks,
-                       _witness(holds, lambda: _sum_witness(t)),
-                       _witness(holds, lambda: _sum_witness(mirror)),
-                       lambda: explained)
+    return OrderReport("weak_minus", holds, t.ranks, _witness(holds, lambda: _sum_witness(t)),
+                       _witness(holds, lambda: _sum_witness(t.mirror)), explain)
 
 
 _PREDICATES = {
@@ -612,7 +615,8 @@ def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.
     _require(_left_minus(t), "order does not hold")
     A, B, fa, fb, fd = t.a, t.b, t.fa, t.fb, t.fd
     # M = N(B - A) ominus N(A) complements N(A), and R(B - A) + N(B*)
-    # complements R(A), as the order has found; the cores reject the rest
+    # complements R(A), as rank additivity implies; a bad core raises
+    # ComplementError or fails the checks below
     along = Subspace._trusted(np.hstack([fd.range.basis, fb.conull.basis]))
     witness = _reflexive(fa, _departing(fa.corange, fd.null, tol), along, decided=True)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
+from .exceptions import ComplementError, GroupInvertibilityError
 from .geninv import _core_inverse, _group_inverse, _group_invertible, _pinv, _require_group
 from .linalg import (
     DEFAULT_TOLERANCE,
@@ -71,13 +71,9 @@ def _minus_triple(A, B, tol, message) -> _Triple:
 
 def _checked_split(t: _Triple) -> "SplitWitness":
     """The optimal split of A + B behind the pseudoinverse and least-squares
-    constructions, after their checks on the triple: when the minus order
-    fails, a failing left minus order is reported first, its report built
-    on the same factors and the same codomain join."""
-    report = _minus(t)
-    if not report.holds:
-        _require(_left_minus(t), "order fails: A is not left-minus-below A + B")
-        raise OrderConditionError("A is not minus-below A + B", report)
+    constructions, after their check on the triple: the left-minus order,
+    whose verdict, rank subtractivity, is the minus order's."""
+    _require(_left_minus(t), "order fails: A is not left-minus-below A + B")
     return _split(t, None, None)
 
 
@@ -116,8 +112,8 @@ def _split(t: _Triple, m1, n1) -> SplitWitness:
     A, total, fa, ft, fb, tol = t.a, t.b, t.fa, t.fb, t.fd, t.tol
     ra, rb = fa.range, fb.range
     if m1 is None and n1 is None:
-        # onto R(A) + N(T*) along R(B), on the core against R(B)^perp = N(B*):
-        # the minus order has found R(A) + R(B) direct and equal to R(T)
+        # onto R(A) + N(T*) along R(B), on the core against R(B)^perp = N(B*), a
+        # complement by rank additivity: the checks below catch a bad core
         onto = Subspace._trusted(np.hstack([ra.basis, ft.conull.basis]))
         p = _projection(onto, rb, tol, n_perp=fb.conull, decided=True)
     else:

@@ -52,12 +52,12 @@ An order report computes its cross-check verdicts and witnesses on first
 read.  Every row that checks an order reads its report in full, so its
 bounds count the whole explanation; the constructions read only the
 witnesses of their check.  The ``_holds`` rows read the verdict alone:
-they pay for the factors and the joins, Gram, square and inclusion tests
-of the verdict, and make no solve.  A verdict computes only what decides
-it: the minus and left-minus orders join ranges only when the ranks add,
-so an unordered pair is decided on its three factors, and an inclusion
-whose sines lie far below or above their bound in Frobenius norm is
-settled without an SVD of them.
+they pay for the factors and the Gram, square and inclusion tests of the
+verdict, and make no solve.  A verdict computes only what decides it: the
+minus, left-minus, right-minus and weak-minus orders are decided on the
+three factors alone, by rank subtractivity, and never form a join or the
+adjoint mirror, and an inclusion whose sines lie far below or above their
+bound in Frobenius norm is settled without an SVD of them.
 
 One spy, :func:`spy`, takes the counts; ``scripts/bench_calls.py`` prints
 them through it.
@@ -139,20 +139,19 @@ CALLS = {
     "weak_minus_order": (lambda: _read(weak_minus_order(A, A + B)), 5, 5, 3, 2),
     "star_order": (lambda: _read(star_order(SA, SA + SB)), 3, 3, 3, 2),
     "sharp_order": (lambda: _read(sharp_order(HA, HA + HB)), 5, 3, 3, 2),
-    "inner_inverse_witness": (lambda: inner_inverse_witness(A, A + B), 5, 4, 3, 2),
+    "inner_inverse_witness": (lambda: inner_inverse_witness(A, A + B), 4, 4, 3, 2),
     "group_inverse": (lambda: group_inverse(HA), 2, 1, 1, 1),
     "core_inverse": (lambda: core_inverse(CA), 2, 1, 1, 1),
     # the constructions read the witnesses of their order check, never its
     # cross-check verdicts
-    "build_split": (lambda: build_split(A, B), 6, 4, 3, 2),
-    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 6, 4, 3, 2),
+    "build_split": (lambda: build_split(A, B), 4, 4, 3, 2),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 4, 4, 3, 2),
     # every SVD is n-sized here: the join of the full-rank sum has 9 rows
-    # and no sines beyond R(A + B); the left-minus report reuses the
-    # codomain join of the minus check, whose failing codomain side spares
-    # the domain-side join
+    # and no sines beyond R(A + B); the check is the left-minus order, and
+    # its report, read in full, joins the codomain side alone
     "fill_fishkind_pinv_unordered": (_unordered_pinv, 4, 3, 4, 2),
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 7, 5, 4, 3),
-    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 8, 3, 7, 2),
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 5, 5, 4, 3),
+    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 7, 3, 7, 2),
     # B's inverse is read off the triple's factor of the caller's B, so
     # A, A + B and B are factored once each and B is not validated again
     "additivity_moore_penrose":
@@ -161,13 +160,13 @@ CALLS = {
     "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 6, 3, 3, 2),
     "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
     "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 4, 2),
-    "agreeing_split": (lambda: agreeing_split(A, B, M, N), 15, 7, 3, 2),
-    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 15, 7, 3, 2),
+    "agreeing_split": (lambda: agreeing_split(A, B, M, N), 13, 7, 3, 2),
+    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 13, 7, 3, 2),
     # given complements replace the canonical ones inside the one split
     "sum_reflexive_inverse_alternates":
         (lambda: sum_reflexive_inverse(A, B, M, N, n1=_SPLIT.n1, n2=_SPLIT.n2,
-                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 15, 5, 3, 2),
-    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 15, 7, 3, 2),
+                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 13, 5, 3, 2),
+    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 13, 7, 3, 2),
     # the set operations of two subspaces: a sum, meet or relative
     # complement is one SVD of the sines, the complement coming from a
     # complete QR of an orthonormal basis, and a dimension test reads the
@@ -184,18 +183,20 @@ CALLS = {
 #: whether the order holds: the cross-checks and witnesses are never
 #: computed, so no solve runs.
 VERDICT_ONLY = {
-    "minus_order_holds": (lambda: minus_order(A, A + B).holds, 5, 3, 3, 2),
-    "left_minus_order_holds": (lambda: left_minus_order(A, A + B).holds, 4, 3, 3, 2),
-    "right_minus_order_holds": (lambda: right_minus_order(A, A + B).holds, 4, 3, 3, 2),
+    "minus_order_holds": (lambda: minus_order(A, A + B).holds, 3, 3, 3, 2),
+    "left_minus_order_holds": (lambda: left_minus_order(A, A + B).holds, 3, 3, 3, 2),
+    "right_minus_order_holds": (lambda: right_minus_order(A, A + B).holds, 3, 3, 3, 2),
     "star_order_holds": (lambda: star_order(SA, SA + SB).holds, 3, 3, 3, 2),
     "left_star_order_holds": (lambda: left_star_order(SA, SA + SB).holds, 3, 3, 3, 2),
     "right_star_order_holds": (lambda: right_star_order(SA, SA + SB).holds, 3, 3, 3, 2),
     "sharp_order_holds": (lambda: sharp_order(HA, HA + HB).holds, 5, 3, 3, 2),
     "core_order_holds": (lambda: core_order(CA, CA + CB).holds, 4, 3, 3, 2),
-    "weak_minus_order_holds": (lambda: weak_minus_order(A, A + B).holds, 5, 5, 3, 2),
+    "weak_minus_order_holds": (lambda: weak_minus_order(A, A + B).holds, 3, 3, 3, 2),
     # the ranks of A, A + G and G do not add: the three factors decide
     "minus_order_unordered_holds": (lambda: minus_order(A, A + G).holds, 3, 3, 3, 2),
     "left_minus_order_unordered_holds": (lambda: left_minus_order(A, A + G).holds, 3, 3, 3, 2),
+    "right_minus_order_unordered_holds": (lambda: right_minus_order(A, A + G).holds, 3, 3, 3, 2),
+    "weak_minus_order_unordered_holds": (lambda: weak_minus_order(A, A + G).holds, 3, 3, 3, 2),
 }
 CALLS.update(VERDICT_ONLY)
 
@@ -273,15 +274,31 @@ def test_decoupled_stack_has_the_summands_rank():
     assert max(shape[0] for _, shape in svds) <= A.shape[0]
 
 
-@pytest.mark.parametrize("name", ["minus_order_unordered_holds",
-                                  "left_minus_order_unordered_holds"])
-def test_unordered_verdict_makes_no_join(name, monkeypatch):
-    # rank additivity fails first, so neither side of R(B) is joined
-    def no_join(*args):
-        raise AssertionError("joined the ranges of a pair whose ranks do not add")
+def _forbidden(what):
+    def fail(*args):
+        raise AssertionError(f"reached {what}")
+    return fail
 
-    monkeypatch.setattr(orders, "_join", no_join)
-    assert VERDICT_ONLY[name][0]() is False
+
+@pytest.mark.parametrize("name", sorted(n for n in VERDICT_ONLY if "minus" in n))
+def test_minus_family_verdict_is_the_ranks(name, monkeypatch):
+    # the four minus-family verdicts are rank subtractivity, read off the
+    # three factors: no join, direct sum, sum and meet or adjoint mirror
+    for helper in ("_join", "_direct"):
+        monkeypatch.setattr(orders, helper, _forbidden(helper))
+    for cached in ("sum_and_meet", "mirror"):
+        monkeypatch.setattr(orders._Triple, cached, property(_forbidden(cached)))
+    assert VERDICT_ONLY[name][0]() is ("unordered" not in name)
+
+
+@pytest.mark.parametrize("name", ["build_split", "fill_fishkind_pinv",
+                                  "fill_fishkind_pinv_unordered", "decoupled_lss",
+                                  "sum_reflexive_inverse"])
+def test_constructions_build_no_mirror(name, monkeypatch):
+    # a construction reads every domain-side subspace off the factors, so
+    # it never forms the adjoints of A and A + B
+    monkeypatch.setattr(orders._Triple, "mirror", property(_forbidden("mirror")))
+    CALLS[name][0]()
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

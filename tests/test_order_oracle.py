@@ -12,6 +12,9 @@ R(A) + R(B - A), subspaces that differ by that much.  Both sides cut
 the rank of B - A at max(sigma_1(A), sigma_1(B)), the rounding of forming
 it.  The projection verdict's inclusion R(A) in R(B) is read off the
 factors by the package and ranked on the joined [B | A] by the reference.
+The package decides the minus family by rank subtractivity alone, while
+the references still decide by their joins and intersections, so the
+replay also checks that the two routes reach the same verdict.
 
 The pairs cover ordered pairs, generic perturbations a + noise, doubling
 2a, rank-one B, near misses a + b + 1e-9 noise, the trivial pairs (a, a)

@@ -7,7 +7,7 @@ import pytest
 from minusord import orders
 from minusord.exceptions import GroupInvertibilityError, OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
-from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, as_pair
+from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, as_pair, fro
 from minusord.sums import build_split, fill_fishkind_pinv
 from minusord.orders import (
     ORDER_NAMES,
@@ -270,11 +270,35 @@ def test_tiny_unrelated_diagonal_fails_every_order(eps):
     # identities of star, sharp and core leave a residual of about eps^2,
     # which fell under their scale eps (eps + sqrt 2) below eps = 1e-9
     a, b = diag(eps, 0, 0, 0), diag(0, 1, 1, 0)
-    assert not minus_order(a, b).holds
+    for name in MINUS_FAMILY_SIDES:
+        assert not order_predicate(name)(a, b).holds, name
     for order in (star_order, sharp_order, core_order):
         report = order(a, b)
         assert not report.holds, order.__name__
         assert report.rank_data == orders.RankData(1, 2, 3)
+
+
+@pytest.mark.parametrize("delta", [1e-16, 1e-18, 1e-20])
+def test_tiny_unrelated_b_fails_every_order(delta):
+    # rank(B) = 2 at B's own scale is rank(A) + rank(B - A), but B lies
+    # under the rounding of forming B - A, which cuts it to rank 1; at
+    # that common scale rank(B) is 0 and the ranks do not add
+    a, b = diag(1, 0, 0, 0), diag(0, delta, delta, 0)
+    for name in (*MINUS_FAMILY_SIDES, "star", "sharp", "core"):
+        report = order_predicate(name)(a, b)
+        assert not report.holds, name
+        assert report.rank_data == orders.RankData(1, 2, 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_negligible_b_of_twice_the_rank_fails_the_minus_family(seed):
+    # the pair above in general position: when rank(B) was cut at B's own
+    # scale, its ranks added and the witnesses failed A = P B
+    rng = np.random.default_rng(seed)
+    a = cgauss(rng, 5, 1) @ cgauss(rng, 1, 5)
+    b = 1e-18 * cgauss(rng, 5, 2) @ cgauss(rng, 2, 5)
+    for name in MINUS_FAMILY_SIDES:
+        assert not order_predicate(name)(a, b).holds, name
 
 
 def _orthogonal_blocks(seed, ratio):
@@ -310,6 +334,43 @@ def test_weak_minus_matches_minus(rng):
             assert wm.holds == mn.holds
             if wm.holds:
                 assert np.allclose(wm.witness_p.matrix @ y, x, atol=1e-8)
+
+
+# --- one verdict for the minus family ---
+
+def _close_rank_one_pairs():
+    """A = c u1 v1* below B = A + u2 v2* in C^5, with v1 orthogonal to v2
+    and u2 at angle s from u1: the ranks add exactly, while B's factor
+    knows its subspaces only to about eps ||B|| / sigma_min(B)."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        u, v = (np.linalg.qr(cgauss(rng, 5, 5))[0] for _ in range(2))
+        for s in (1e-7, 1e-5, 1e-3):
+            u2 = np.cos(s) * u[:, 0] + np.sin(s) * u[:, 1]
+            for c in (1e-6, 1.0, 1e6):
+                a = c * np.outer(u[:, 0], v[:, 0].conj())
+                yield pytest.param(a, a + np.outer(u2, v[:, 1].conj()), id=f"{seed}-{s:g}-{c:g}")
+
+
+#: The witnesses each order of the minus family reports: P with A = P B,
+#: Q with A* = Q B*.
+MINUS_FAMILY_SIDES = {"minus": "pq", "left_minus": "p", "right_minus": "q", "weak_minus": "pq"}
+
+
+@pytest.mark.parametrize("a, b", _close_rank_one_pairs())
+def test_minus_family_decides_alike_on_close_ranges(a, b):
+    # the four orders are one fact in finite dimension, rank subtractivity,
+    # so they decide alike even where the joins of B's subspaces cannot
+    # tell; a report that holds has each of its witnesses
+    for name, sides in MINUS_FAMILY_SIDES.items():
+        report = order_predicate(name)(a, b)
+        assert report.holds, name
+        for side in sides:
+            witness = getattr(report, f"witness_{side}")
+            x, y = (a, b) if side == "p" else (adjoint(a), adjoint(b))
+            assert witness is not None, (name, side)
+            assert DEFAULT_TOLERANCE.within(fro(x - witness.matrix @ y),
+                                            fro(witness.matrix) * fro(y)), (name, side)
 
 
 # --- plumbing ---
