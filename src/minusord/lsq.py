@@ -7,7 +7,8 @@ solutions are exactly the simultaneous solutions of the two weighted
 normal equations A* W (A x - c) = 0 and B* W (B x - c) = 0.  When the
 relation is left-star the canonical P is orthogonal and W collapses to
 the identity.  The two normal equations are solved together on a stack of
-the summands' rank, read off their factors: A* W A = V_A (S_A U_A* W A).
+the summands' rank, read off their factors: A* W (A x - c) vanishes iff
+U_A* W (A x - c) does, since A* = V_A S_A U_A* with V_A S_A injective.
 """
 
 from __future__ import annotations
@@ -176,19 +177,14 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     _require_hermitian(w, tol)
 
     x_joint = _pinv_times(t.fb, c)
-    # A* W A = V_A K_A for K_A = S_A U_A* W A, so the 2n x n stack
-    # [A* W A; B* W B] is the isometry diag(V_A, V_B) times K = [K_A; K_B]
-    # of the summands' rank, which has its singular values; its right-hand
-    # side [A* W c; B* W c] is the isometry times [S_A U_A* W c; S_B U_B* W c],
-    # and K's rank is cut as the stack's
-    cores, rhs = [], []
-    for factored, mat in ((t.fa, A), (t.fd, B)):
-        r = factored.rank
-        sw = (factored.s[:r, None] * adjoint(factored.u[:, :r])) @ w
-        cores.append(sw @ mat)
-        rhs.append(sw @ c)
-    n = A.shape[1]
-    x_system = _pinv(np.vstack(cores), tol, (2 * n, n)) @ np.concatenate(rhs)
+    # A* W (A x - c) = V_A S_A U_A* W (A x - c), and V_A S_A is injective,
+    # so the two normal equations are K x = [U_A* W c; U_B* W c] for the
+    # stack K = [U_A* W A; U_B* W B] of the summands' rank.  Without S_A and
+    # S_B in its rows, kappa(K) grows with ||A|| / ||B||, not its square.
+    # K has the rank of the 2n x n [A* W A; B* W B] and is cut as it is
+    uw = adjoint(np.hstack([t.fa.range.basis, t.fd.range.basis])) @ w
+    ka, n = t.fa.rank, A.shape[1]
+    x_system = _pinv(np.vstack([uw[:ka] @ A, uw[ka:] @ B]), tol, (2 * n, n)) @ (uw @ c)
 
     def joint_normal(x):
         return float(np.linalg.norm(adjoint(total) @ (total @ x - c)))

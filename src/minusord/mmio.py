@@ -110,22 +110,13 @@ def _loaded(lines: list[str], total: int, width: int) -> np.ndarray | None:
 
 
 def _read_values(lines: list[str], width: int) -> np.ndarray:
-    """The ``width`` values on each of ``lines``, in order, as float64.
-
-    numpy's C reader converts each token as ``float`` does.  When it
-    refuses the lines, they are read again one token at a time, which
-    raises the error of the first bad line, or reads the forms that only
-    ``float`` accepts (such as ``1_000``).
+    """The ``width`` values on each of ``lines``, in order, as float64, read
+    one token at a time with ``float``: the fallback for the entries that
+    :func:`_loaded` could not read as one block.  It raises the error of
+    the first bad line, or reads the forms that only ``float`` accepts
+    (such as ``1_000``); numpy's reader converts every other token as
+    ``float`` does, so the values do not depend on the path.
     """
-    if not lines:  # loadtxt warns on empty input
-        return np.empty(0)
-    try:
-        values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        pass
-    else:
-        if values.shape[1] == width:
-            return values.ravel()
     rows = list(map(str.split, lines))
     good = next((k for k, row in enumerate(rows) if len(row) != width), len(rows))
     values = np.array(list(map(float, chain.from_iterable(rows[:good]))), dtype=np.float64)

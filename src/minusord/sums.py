@@ -18,13 +18,13 @@ factored pseudoinverses V_r S_r^-1 U_r* in turn, so no n x n projector or
 pseudoinverse is formed where a product with the factors' r columns does.
 Every oblique projection is solved on the square sines of its range
 against the orthogonal complement of its null space, or of its null space
-against that of its range, both read off the factors; the test that M and
-N are complementary judges the same core.  So no construction solves an
-n x n join.  The reflexive inverses of the summands are Q_A A+ P_A and
-Q_B B+ P_B, from the split's projections and the factored pseudoinverses,
-and the group and core inverses Q A+ P from the factors alone.
-Complements a caller supplies replace the canonical ones inside the one
-agreeing split, which tests and verifies each once.
+against that of its range, both read off the factors, so no construction
+solves an n x n join.  The reflexive inverses of the summands are Q_A A+ P_A
+and Q_B B+ P_B, the group and core inverses Q A+ P, off the factors.  Once
+the ranks add, R(A + B) = R(A) + R(B) and N(A + B) = N(A) cap N(B)
+(Marsaglia & Styan 1974), so every check reads them off the summands'
+factors: A + B's factor knows the smaller summand's subspaces only to about
+eps ||A + B|| / sigma_min.  Only the tests of M and N against them read it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .linalg import (
     fro,
 )
 from .orders import _core, _left_minus, _minus, _require, _sharp, _star, _Triple, _triple
-from .subspaces import Factored, Projection, Subspace, _projection, _sum_and_meet
+from .subspaces import Factored, Projection, Subspace, _outside, _projection, _sum_and_meet
 
 __all__ = [
     "SplitWitness",
@@ -138,11 +138,10 @@ def _split(t: _Triple, m1, n1) -> SplitWitness:
     tol.verify("split witness failed A = P (A + B)", fro(A - p.matrix @ total), fro(p.matrix) * nt)
     tol.verify("split witness failed A = (A + B) Q", fro(A - total @ q.matrix), nt * fro(q.matrix))
     tol.verify("projection sum E is not idempotent", fro(e @ e - e), ne ** 2)
-    # an idempotent E has range R(A + B) iff it fixes R(A + B) and maps
-    # into it: E U_T = U_T and U_T^perp* E = 0
-    ut = ft.range.basis
-    for residual in (fro(e @ ut - ut), fro(adjoint(ft.conull.basis) @ e)):
-        tol.verify("projection sum E has the wrong range", residual, ne)
+    # E maps into R(A) + R(B), which is R(A + B) when the ranks add, so an
+    # idempotent E has range R(A + B) iff it fixes U_A and U_B
+    for u in (ua, ub):
+        tol.verify("projection sum E has the wrong range", fro(e @ u - u), ne)
 
     optimal = tol.within(fro(e - adjoint(e)), ne)
     return SplitWitness(p=p, q=q, e=e, optimal=optimal)
@@ -222,49 +221,60 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement,
     """:func:`agreeing_split` on the checked triple, with the projections
     (P_A, Q_A) and (P_B, Q_B) of the summands' reflexive inverses.  P and Q
     keep the canonical N1 and N1*; each complement given replaces the
-    canonical one, which is then not built unless P or Q needs it.  Every
-    complement in use is tested once, on the core its projection is solved
-    on, and each projection-sum identity verified once; the error of a
-    rejected one names it, or the slot it fills ("n1", ...)."""
+    canonical one, which is then not built unless P or Q needs it.  Once M
+    and N are complements, so are the canonical ones, whose cores are
+    solved untested; each one given is tested on its core, and its error
+    names it or the slot it fills ("n1", ...).  Each projection-sum
+    identity is verified once, by its action on the summands' bases."""
     fa, ft, fb, tol = t.fa, t.fb, t.fd, t.tol
     m, n = t.a.shape
     if range_complement.ambient_dim != m or kernel_complement.ambient_dim != n:
         raise ValueError("ambient mismatch")
-
-    def reference(name, space, *spaces, **perps):
-        try:
-            return _projection(*spaces, tol, **perps)
-        except ComplementError:
+    # a complement of X has X^perp's dimension and no sine against X at the cutoff
+    for name, space, given, x_perp in (("M", "R(A + B)", range_complement, ft.conull),
+                                       ("N", "N(A + B)", kernel_complement, ft.corange)):
+        if given.dim != x_perp.dim or _outside(x_perp, given, tol) != given.dim:
             message = f"complement condition violated: {name} does not complement {space}"
-            raise ComplementError(message, name) from None
-
-    # the projections onto R(A + B) along M and onto N along N(A + B) test
-    # M and N on the cores against R(A + B)^perp and N(A + B)^perp
-    codomain = reference("M", "R(A + B)", ft.range, range_complement, m_perp=ft.conull)
-    domain = reference("N", "N(A + B)", kernel_complement, ft.null, n_perp=ft.corange)
+            raise ComplementError(message, name)
 
     # P_A and P_B project onto R(A) and R(B) along N1 and N2
     c1, c1_perp, _ = _sum_and_meet(fb.range, fb.conull, range_complement, tol)
     n2_perp = None
     if n2 is None:
         n2, n2_perp, _ = _sum_and_meet(fa.range, fa.conull, range_complement, tol)
-    p = _projection(fa.range, c1, tol, "n1", m_perp=fa.conull, n_perp=c1_perp)
+    p = _projection(fa.range, c1, tol, "n1", m_perp=fa.conull, n_perp=c1_perp, decided=True)
     pa = p if n1 is None else _projection(fa.range, n1, tol, "n1", m_perp=fa.conull)
-    pb = _projection(fb.range, n2, tol, "n2", m_perp=fb.conull, n_perp=n2_perp)
-    lhs = pa.matrix @ p.matrix + pb.matrix - pb.matrix @ p.matrix
+    pb = _projection(fb.range, n2, tol, "n2", m_perp=fb.conull, n_perp=n2_perp,
+                     decided=n2_perp is not None)
+    # P_A P + P_B (I - P) projects onto R(A + B) along M iff it fixes U_A
+    # and U_B and annihilates B_M
+    x = np.hstack([fa.range.basis, fb.range.basis, range_complement.basis])
+    px = p.matrix @ x
+    moved = pa.matrix @ px + pb.matrix @ (x - px)
+    moved[:, :fa.rank + fb.rank] -= x[:, :fa.rank + fb.rank]
+    nx = fro(x)
+    npx = fro(p.matrix) * nx
     tol.verify("codomain projection identity failed for the given complements",
-               fro(lhs - codomain.matrix), fro(lhs) + fro(codomain.matrix))
+               fro(moved), fro(pa.matrix) * npx + fro(pb.matrix) * (nx + npx) + nx)
 
     # Q_A and Q_B project onto N1* and N2* along N(A) and N(B)
     c1s = _sum_and_meet(fb.null, fb.corange, kernel_complement, tol)[2]
-    if n2s is None:
+    decided = n2s is None
+    if decided:
         n2s = _sum_and_meet(fa.null, fa.corange, kernel_complement, tol)[2]
-    q = _projection(c1s, fa.null, tol, "n1s", n_perp=fa.corange)
+    q = _projection(c1s, fa.null, tol, "n1s", n_perp=fa.corange, decided=True)
     qa = q if n1s is None else _projection(n1s, fa.null, tol, "n1s", n_perp=fa.corange)
-    qb = _projection(n2s, fb.null, tol, "n2s", n_perp=fb.corange)
-    lhs = q.matrix @ qa.matrix + qb.matrix - q.matrix @ qb.matrix
+    qb = _projection(n2s, fb.null, tol, "n2s", n_perp=fb.corange, decided=decided)
+    # Q Q_A + (I - Q) Q_B annihilates N(A) cap N(B), as Q_A and Q_B do; it
+    # projects onto N along it iff it fixes B_N and the rows V_A* and V_B*
+    b_n, rows = kernel_complement.basis, adjoint(np.hstack([fa.corange.basis, fb.corange.basis]))
+    qb_n, yq = qb.matrix @ b_n, rows @ q.matrix
+    residual = np.hypot(fro(q.matrix @ (qa.matrix @ b_n - qb_n) + qb_n - b_n),
+                        fro(yq @ qa.matrix + (rows - yq) @ qb.matrix - rows))
+    ny = fro(b_n) + fro(rows)
+    nqy = fro(q.matrix) * ny
     tol.verify("domain projection identity failed for the given complements",
-               fro(lhs - domain.matrix), fro(lhs) + fro(domain.matrix))
+               residual, fro(qa.matrix) * nqy + fro(qb.matrix) * (ny + nqy) + ny)
     split = AgreeingSplit(p=p, q=q, n1=c1 if n1 is None else n1, n2=n2,
                           n1s=c1s if n1s is None else n1s, n2s=n2s)
     return split, (pa, qa), (pb, qb)

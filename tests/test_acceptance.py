@@ -378,8 +378,13 @@ def test_criterion_12_verdicts_are_metamorphic():
     and core each imply minus, also on an unrelated diagonal pair with
     ||A|| / ||B|| down to 1e-12.  On the ordered pairs (A, A + D) the
     verdicts also stay when A alone becomes rA for r from 1e-6 to 1e6,
-    which keeps every order of the pair."""
+    which keeps every order of the pair, and the constructions on the sum
+    rA + D (the Fill-Fishkind pseudoinverse, decoupled least squares and
+    the reflexive inverse with prescribed complements) all return."""
     rng = np.random.default_rng(112)
+    # the right-hand sides and complements of the constructions, drawn
+    # apart so that the pairs and unitary maps stay those of ``rng``
+    draws = np.random.default_rng(212)
     equivalence_orders = tuple(name for name in ORDER_NAMES if name not in SIMILARITY_ORDERS)
     for kind, a, b in metamorphic_pairs(rng, 12):
         base = verdicts(a, b)
@@ -389,10 +394,16 @@ def test_criterion_12_verdicts_are_metamorphic():
             assert base[name] is not True or base["minus"], (kind, name)
         for c in (1e-12, 1e-6, 1e6, 1e12):
             assert verdicts(c * a, c * b) == base, (kind, c)
-        if kind in ORDER_NAMES:
-            for r in (1e-6, 1e-3, 1e3, 1e6):
-                assert verdicts(r * a, r * a + (b - a)) == base, (kind, r)
         n = a.shape[0]
+        if kind in ORDER_NAMES:
+            d, k = b - a, np.linalg.matrix_rank(b)
+            for r in (1e-6, 1e-3, 1e3, 1e6):
+                assert verdicts(r * a, r * a + d) == base, (kind, r)
+                fill_fishkind_pinv(r * a, d)
+                decoupled_lss(r * a, d, cgauss(draws, n, 1)[:, 0])
+                # complements of R(rA + D) and N(rA + D), of dimensions n - k and k
+                sum_reflexive_inverse(r * a, d, Subspace.from_span(cgauss(draws, n, n - k)),
+                                      Subspace.from_span(cgauss(draws, n, k)))
         u, v = (np.linalg.qr(cgauss(rng, n, n))[0] for _ in range(2))
         assert verdicts(u @ a @ adjoint(v), u @ b @ adjoint(v), equivalence_orders) == {
             key: base[key] for key in ("range_additive",) + equivalence_orders}, kind
@@ -407,4 +418,5 @@ def test_criterion_12_verdicts_are_metamorphic():
         base = verdicts(np.diag([eps, 0, 0, 0]) + 0j, np.diag([0, 1, 1, 0]) + 0j)
         for name in ("star", "sharp", "core"):
             assert base[name] is not True or base["minus"], (eps, name)
-    announce(12, "verdicts survive scaling, lopsided norms, unitary maps and the adjoint mirror")
+    announce(12, "verdicts survive scaling, lopsided norms, unitary maps and the adjoint mirror; "
+                 "constructions survive lopsided norms")

@@ -47,6 +47,11 @@ inverse is solved on its square core of principal-angle sines, a matrix
 of the ranks' size, and the decoupled least-squares stack has as many
 rows as the summands' ranks, not twice the operands' columns.  So the
 solves of every row and the SVDs of the stack are counted by shape too.
+The agreeing split behind the reflexive inverses of a sum tests M and N
+on their sines alone and verifies its two projection-sum identities by
+their action on the summands' bases, so its solves are those of its own
+projections, and the canonical complements, which M and N being
+complements settles, are built but their cores not tested.
 
 An order report computes its cross-check verdicts and witnesses on first
 read.  Every row that checks an order reads its report in full, so its
@@ -160,13 +165,16 @@ CALLS = {
     "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 6, 3, 3, 2),
     "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
     "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 4, 2),
-    "agreeing_split": (lambda: agreeing_split(A, B, M, N), 13, 7, 3, 2),
-    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 13, 7, 3, 2),
-    # given complements replace the canonical ones inside the one split
+    # M and N are tested on their sines, and the four canonical complements
+    # are built with vectors but not tested: 7 SVDs with vectors, 2 without
+    "agreeing_split": (lambda: agreeing_split(A, B, M, N), 9, 7, 3, 2),
+    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 9, 7, 3, 2),
+    # given complements replace the canonical ones inside the one split,
+    # and each is tested on its core
     "sum_reflexive_inverse_alternates":
         (lambda: sum_reflexive_inverse(A, B, M, N, n1=_SPLIT.n1, n2=_SPLIT.n2,
-                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 13, 5, 3, 2),
-    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 13, 7, 3, 2),
+                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 11, 5, 3, 2),
+    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 9, 7, 3, 2),
     # the set operations of two subspaces: a sum, meet or relative
     # complement is one SVD of the sines, the complement coming from a
     # complete QR of an orthonormal basis, and a dimension test reads the
@@ -299,6 +307,20 @@ def test_constructions_build_no_mirror(name, monkeypatch):
     # it never forms the adjoints of A and A + B
     monkeypatch.setattr(orders._Triple, "mirror", property(_forbidden("mirror")))
     CALLS[name][0]()
+
+
+#: The solves of the agreeing split's rows: one per projection, P, Q, P_B
+#: and Q_B, and P_A and Q_A when given complements replace N1 and N1*.
+AGREEING_SOLVES = {"agreeing_split": 4, "sum_reflexive_inverse": 4, "werner_decomposition": 4,
+                   "sum_reflexive_inverse_alternates": 6}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEING_SOLVES))
+def test_agreeing_split_solves_only_its_projections(name):
+    # M and N are tested on their sines, and each identity is verified by
+    # its action on the summands' bases: no projection onto R(A + B) or
+    # along N(A + B) is solved to compare against
+    assert len(spy(CALLS[name][0])[1]) <= AGREEING_SOLVES[name]
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

@@ -111,9 +111,9 @@ def test_decoupled_joint_equals_system(rng):
 
 @pytest.mark.parametrize("m", [8, 12])
 def test_system_solution_matches_the_stacked_route(m):
-    # x_system is solved on K = [S_A U_A* W A; S_B U_B* W B], whose 5 rows
-    # carry the singular values of the 16 x 8 stack [A* W A; B* W B]; A and
-    # B are square, then 3n/2 x n
+    # x_system is solved on K = [U_A* W A; U_B* W B], whose 5 rows have the
+    # rank and the solutions of the 16 x 8 stack [A* W A; B* W B]; A and B
+    # are square, then 3n/2 x n
     rng = np.random.default_rng(80 + m)
     for _ in range(10):
         a, b = minus_pair(rng, m, 8, 2, 3)

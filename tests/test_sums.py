@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from minusord.exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
+from minusord.exceptions import (ComplementError, GroupInvertibilityError, OrderConditionError,
+                                 VerificationError)
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
 from minusord.orders import _triple, core_order, sharp_order, star_order
 from minusord.geninv import core_inverse, group_inverse, pinv, reflexive_inverse
@@ -212,6 +213,23 @@ def test_sum_reflexive_complement_messages(bad, message):
     assert str(info.value) == message
     complement = bad.split("_")[0]
     assert info.value.complement == {"m": "M", "n": "N"}.get(complement, complement)
+
+
+@pytest.mark.parametrize("slot, dim, message", [
+    ("n2", 4, "codomain projection identity failed for the given complements"),
+    ("n2s", 2, "domain projection identity failed for the given complements"),
+])
+def test_inadmissible_alternate_complements_fail_their_identity(slot, dim, message):
+    # a complement of R(B) that does not hold M, or of N(B) that does not
+    # lie in N, passes its own test but breaks the projection-sum identity,
+    # which its action on the summands' bases catches
+    rng = np.random.default_rng(31)
+    a, b = minus_pair(rng, 6, 5, 2, 2)
+    m_comp, n_comp = random_complements(rng, a + b, 6, 5, 4)
+    stray = Subspace.from_span(cgauss(rng, {"n2": 6, "n2s": 5}[slot], dim))
+    with pytest.raises(VerificationError) as info:
+        sum_reflexive_inverse(a, b, m_comp, n_comp, **{slot: stray})
+    assert info.value.check == message
 
 
 def test_alternate_complements_of_another_space_are_rejected(rng):

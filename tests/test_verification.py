@@ -145,11 +145,13 @@ def test_lopsided_ordered_pairs_hold(ratio):
 
 def test_lopsided_ordered_pair_constructs():
     # at ||A|| / ||B|| = 1e4 the order check once failed on B - A read off
-    # fl(A + B) - A, and every construction refused the pair; every draw of
-    # 9x9 pairs of ranks 3 + 3 constructs with A scaled to 1e-4 and 1e4
-    # times ||B||.  At 1e6 and at 1e-6 most draws still fail a verification
-    # of each construction
-    for ratio in (1e-4, 1e4):
+    # fl(A + B) - A, and every construction refused the pair; near 1e6 and
+    # 1e-6 most draws then failed a check that read R(A) or R(B) off the
+    # factor of A + B, which knows the smaller summand's subspaces only to
+    # about eps ||A + B|| / sigma_min.  The checks read each subspace off
+    # its summand's own factor, so every draw of 9x9 pairs of ranks 3 + 3
+    # constructs with A scaled to 1e-6 ... 1e6 times ||B||
+    for ratio in (1e-6, 1e-5, 1e-4, 1e4, 1e5, 1e6):
         for seed in range(30):
             a, b = minus_pair(seed, 9, 9, 3, 3)
             a = a * (ratio * np.linalg.norm(b) / np.linalg.norm(a))
