@@ -43,6 +43,11 @@ GATE_ROWS = {"minus_order": "minus_order_holds", "minus_order (read in full)": "
              "star_order": "star_order_holds"}
 
 
+def gate_row(name: str) -> str:
+    """The count-gate row of a timed call."""
+    return GATE_ROWS.get(name, name.replace(" ", "_"))
+
+
 def read_in_full(report):
     """``report`` with its cross-check verdicts, witnesses and flags read."""
     report.characterization_verdicts, report.witness_p, report.witness_q, report.boundary_flags
@@ -65,6 +70,7 @@ def calls(n):
     c = rng.standard_normal(n) + 0j
     m_comp = Subspace.from_span(rng.standard_normal((n, n - 2 * r)) + 0j)
     n_comp = Subspace.from_span(rng.standard_normal((n, 2 * r)) + 0j)
+    x = rng.standard_normal(n) + 0j
     # meets m_comp in one direction
     meets = Subspace.from_span(np.hstack([m_comp.basis[:, :1], n_comp.basis[:, 1:]]))
     return {
@@ -74,8 +80,10 @@ def calls(n):
         "minus_order (read in full)": lambda: read_in_full(orders.minus_order(a, a + b)),
         "star_order": lambda: orders.star_order(sa, sa + sb).holds,
         "floor: np.linalg.pinv(A+B)": lambda: np.linalg.pinv(a + b),
+        "build_split": lambda: sums.build_split(a, b),
         "fill_fishkind_pinv": lambda: sums.fill_fishkind_pinv(a, b),
         "decoupled_lss": lambda: lsq.decoupled_lss(a, b, c),
+        "solve_system": lambda: lsq.solve_system(a, b, a @ x, b @ x),
         "sum_reflexive_inverse": lambda: sums.sum_reflexive_inverse(a, b, m_comp, n_comp),
         "additivity moore_penrose":
             lambda: sums.ordered_inverse_additivity(sa, sb, "moore_penrose"),
@@ -101,7 +109,7 @@ def main(argv=None) -> int:
     for name in calls(6):
         svds = solves = checks = None
         # each timed call has its gate row; the floors have none
-        row = gate.CALLS.get(GATE_ROWS.get(name, name.replace(" ", "_")))
+        row = gate.CALLS.get(gate_row(name))
         if row:
             seen, solved, labels = gate.spy(row[0])
             svds, solves, checks = ([len(seen), sum(vectors for vectors, _ in seen)],

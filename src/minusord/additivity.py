@@ -81,8 +81,9 @@ class KernelCharacterization:
     Conditions evaluated, in order: the adjoint ranges split directly;
     a projection witness Q with A* = Q (A* + B*) exists (built when the
     split holds, ``None`` otherwise); the kernels of A and B span the
-    domain; the ranges add.  The first three are mutually equivalent and
-    imply the fourth; the converse needs disjoint adjoint ranges.
+    domain; the ranges add, read off dim(R(A) + R(B)), which holds R(A + B).
+    The first three are mutually equivalent and imply the fourth; the
+    converse needs disjoint adjoint ranges.
     """
 
     adjoint_ranges_direct_closed: bool
@@ -110,5 +111,5 @@ def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> K
         adjoint_ranges_direct_closed=direct,
         witness_q=witness,
         kernels_span=_kernels_span(fa, fb, tol),
-        range_additive=_range_contains(A + B, A, tol),
+        range_additive=_rank(A + B, tol) == fa.rank + _outside(fa.conull, fb.range, tol),
     )

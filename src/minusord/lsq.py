@@ -9,6 +9,8 @@ relation is left-star the canonical P is orthogonal and W collapses to
 the identity.  The two normal equations are solved together on a stack of
 the summands' rank, read off their factors: A* W (A x - c) vanishes iff
 U_A* W (A x - c) does, since A* = V_A S_A U_A* with V_A S_A injective.
+The weight needs the split's P alone, so no Q is built; and
+:func:`solve_system` tests a in R(A) and b in R(B) on its triple's factors.
 """
 
 from __future__ import annotations
@@ -22,16 +24,16 @@ from .geninv import _pinv, pinv
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
-    _range_contains,
+    _spectral_within,
     adjoint,
     as_matrix,
     as_pair,
     as_vector,
     fro,
 )
-from .orders import _left_minus, _require, _triple
+from .orders import _triple
 from .subspaces import Factored, Projection
-from .sums import _checked_split
+from .sums import _checked, _split_p
 
 __all__ = [
     "Weight",
@@ -113,11 +115,14 @@ def solve_system(A, B, a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     b = as_vector(b, "b")
     if a.shape[0] != A.shape[0] or b.shape[0] != B.shape[0]:
         raise ValueError("right-hand side length mismatch")
-    for mat, vec, label in ((A, a, "a"), (B, b, "b")):
-        if not _range_contains(mat, vec[:, None], tol):
-            raise MembershipError(f"membership fails: {label} is outside the column space")
     t = _triple(A, A + B, tol, d=B)
-    _require(_left_minus(t), "order fails: A is not left-minus-below A + B")
+    # v lies in R(X) when U_X^perp* v is within the cutoff of [X | v] at max(s_1(X), ||v||)
+    cutoff = tol.effective_rank_rtol((A.shape[0], A.shape[1] + 1))
+    for f, vec, label in ((t.fa, a, "a"), (t.fd, b, "b")):
+        outside = adjoint(f.conull.basis) @ vec[:, None]
+        if not _spectral_within(outside, cutoff * max(f.s.max(initial=0.0), np.linalg.norm(vec))):
+            raise MembershipError(f"membership fails: {label} is outside the column space")
+    _checked(t)
     x = _pinv_times(t.fb, a + b)
     scale = (fro(A) + fro(B)) * fro(x) + fro(a) + fro(b)
     for residual in (A @ x - a, B @ x - b):
@@ -166,10 +171,8 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     c = as_vector(c, "c")
     if c.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length mismatch")
-    t = _triple(A, A + B, tol, d=B)
-    witness = _checked_split(t)
-    total = t.b
-    weight = Weight.from_projection(witness.p)
+    t = _checked(_triple(A, A + B, tol, d=B))
+    weight = Weight.from_projection(_split_p(t))
     w = weight.matrix
     # W = P*P + (I - P)*(I - P) is a sum of Gram matrices, so it is positive
     # semidefinite but for rounding; the eigvalsh of Weight.validate could
@@ -187,7 +190,7 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     x_system = _pinv(np.vstack([uw[:ka] @ A, uw[ka:] @ B]), tol, (2 * n, n)) @ (uw @ c)
 
     def joint_normal(x):
-        return float(np.linalg.norm(adjoint(total) @ (total @ x - c)))
+        return float(np.linalg.norm(adjoint(t.b) @ (t.b @ x - c)))
 
     def weighted_normal(mat, x):
         return float(np.linalg.norm(adjoint(mat) @ (w @ (mat @ x - c))))

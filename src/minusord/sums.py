@@ -13,13 +13,13 @@ triple ``t`` of A against A + B with B as its exact difference, and runs
 its order check on it.  So ``t.b`` is the sum, ``t.fb`` its factor, and
 ``t.fd`` the factor of the summand B itself, not of the rounded
 fl(A + B) - A; the constructions read every subspace and pseudoinverse off
-these factors.  They apply projectors onto the factors' ranges and the
-factored pseudoinverses V_r S_r^-1 U_r* in turn, so no n x n projector or
-pseudoinverse is formed where a product with the factors' r columns does.
-Every oblique projection is solved on the square sines of its range
-against the orthogonal complement of its null space, or of its null space
-against that of its range, both read off the factors, so no construction
-solves an n x n join.  The reflexive inverses of the summands are Q_A A+ P_A
+these factors, and builds only what it returns: P and Q are built and
+verified apart, so the pseudoinverse builds both, least squares P alone,
+and only :func:`build_split` forms E and runs its checks.  Projectors onto
+the factors' ranges and the factored pseudoinverses V_r S_r^-1 U_r* are
+applied in turn, never formed as n x n matrices, and every oblique
+projection is solved on a square core of sines read off the factors, never
+on an n x n join.  The reflexive inverses of the summands are Q_A A+ P_A
 and Q_B B+ P_B, the group and core inverses Q A+ P, off the factors.  Once
 the ranks add, R(A + B) = R(A) + R(B) and N(A + B) = N(A) cap N(B)
 (Marsaglia & Styan 1974), so every check reads them off the summands'
@@ -61,20 +61,12 @@ __all__ = [
 INVERSE_KINDS = ("moore_penrose", "group", "core")
 
 
-def _minus_triple(A, B, tol, message) -> _Triple:
-    """The triple of A against A + B, after its minus-order check; raises
-    with the report when the order fails."""
-    t = _triple(A, A + B, tol, d=B)
-    _require(_minus(t), message)
+def _checked(t: _Triple, message="order fails: A is not left-minus-below A + B",
+             order=_left_minus) -> _Triple:
+    """The triple of A against A + B after a construction's order check, by
+    default the left-minus order, whose verdict is the minus order's."""
+    _require(order(t), message)
     return t
-
-
-def _checked_split(t: _Triple) -> "SplitWitness":
-    """The optimal split of A + B behind the pseudoinverse and least-squares
-    constructions, after their check on the triple: the left-minus order,
-    whose verdict, rank subtractivity, is the minus order's."""
-    _require(_left_minus(t), "order fails: A is not left-minus-below A + B")
-    return _split(t, None, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,47 +96,50 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     back, so A = (A + B) Q.
     """
     A, B = as_pair(A, B)
-    return _split(_minus_triple(A, B, tol, "A is not minus-below A + B"), m1, n1)
+    t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
+    p, q = _split_p(t, m1, n1), _split_q(t)
+    # E = P_R(A) P + P_R(B) (I - P), each projector applied as U (U* X)
+    ua, ub = t.fa.range.basis, t.fd.range.basis
+    ub_h = adjoint(ub)
+    e = ua @ (adjoint(ua) @ p.matrix) + ub @ (ub_h - ub_h @ p.matrix)
+    ne = fro(e)
+    tol.verify("projection sum E is not idempotent", fro(e @ e - e), ne ** 2)
+    # E maps into R(A) + R(B), which is R(A + B) when the ranks add, so an
+    # idempotent E has range R(A + B) iff it fixes U_A and U_B
+    for u in (ua, ub):
+        tol.verify("projection sum E has the wrong range", fro(e @ u - u), ne)
+    return SplitWitness(p=p, q=q, e=e, optimal=tol.within(fro(e - adjoint(e)), ne))
 
 
-def _split(t: _Triple, m1, n1) -> SplitWitness:
-    """The split of A + B read off the triple, once the minus order holds."""
-    A, total, fa, ft, fb, tol = t.a, t.b, t.fa, t.fb, t.fd, t.tol
+def _split_p(t: _Triple, m1=None, n1=None) -> Projection:
+    """The P of the split off the checked triple, verified to give A = P (A + B)."""
+    A, fa, ft, fb, tol = t.a, t.fa, t.fb, t.fd, t.tol
     ra, rb = fa.range, fb.range
     if m1 is None and n1 is None:
         # onto R(A) + N(T*) along R(B), on the core against R(B)^perp = N(B*), a
-        # complement by rank additivity: the checks below catch a bad core
+        # complement by rank additivity: the check below catches a bad core
         onto = Subspace._trusted(np.hstack([ra.basis, ft.conull.basis]))
         p = _projection(onto, rb, tol, n_perp=fb.conull, decided=True)
     else:
         onto = _sum_and_meet(ra, fa.conull, ft.conull if m1 is None else m1, tol)
         along = _sum_and_meet(rb, fb.conull, Subspace.zero(A.shape[0]) if n1 is None else n1, tol)
         p = _projection(onto[0], along[0], tol, m_perp=onto[1], n_perp=along[1])
+    tol.verify("split witness failed A = P (A + B)", fro(A - p.matrix @ t.b),
+               fro(p.matrix) * fro(t.b))
+    return p
 
-    # Q is the adjoint of the same construction on the domain side: Q*
-    # projects onto R(A*) + N(T) along R(B*), so Q projects onto N(B)
-    # along N(A) cap R(T*), the meet read off the sines V_A* V_T, whose
-    # orthogonal complement R(A*) + N(T) gives the core
+
+def _split_q(t: _Triple) -> Projection:
+    """The Q of the optimal split, verified to give A = (A + B) Q: Q* projects
+    onto R(A*) + N(T) along R(B*), so Q projects onto N(B) along N(A) cap
+    R(T*), the meet read off the sines V_A* V_T, on the core against R(A*) + N(T)."""
+    A, fa, ft, fb, tol = t.a, t.fa, t.fb, t.fd, t.tol
     meet = _sum_and_meet(fa.null, fa.corange, ft.corange, tol)[2]
     meet_perp = Subspace._trusted(np.hstack([fa.corange.basis, ft.null.basis]))
     q = _projection(fb.null, meet, tol, n_perp=meet_perp, decided=True)
-
-    # E = P_R(A) P + P_R(B) (I - P), each projector applied as U (U* X)
-    ua, ub = ra.basis, rb.basis
-    ub_h = adjoint(ub)
-    e = ua @ (adjoint(ua) @ p.matrix) + ub @ (ub_h - ub_h @ p.matrix)
-
-    nt, ne = fro(total), fro(e)
-    tol.verify("split witness failed A = P (A + B)", fro(A - p.matrix @ total), fro(p.matrix) * nt)
-    tol.verify("split witness failed A = (A + B) Q", fro(A - total @ q.matrix), nt * fro(q.matrix))
-    tol.verify("projection sum E is not idempotent", fro(e @ e - e), ne ** 2)
-    # E maps into R(A) + R(B), which is R(A + B) when the ranks add, so an
-    # idempotent E has range R(A + B) iff it fixes U_A and U_B
-    for u in (ua, ub):
-        tol.verify("projection sum E has the wrong range", fro(e @ u - u), ne)
-
-    optimal = tol.within(fro(e - adjoint(e)), ne)
-    return SplitWitness(p=p, q=q, e=e, optimal=optimal)
+    tol.verify("split witness failed A = (A + B) Q", fro(A - t.b @ q.matrix),
+               fro(t.b) * fro(q.matrix))
+    return q
 
 
 def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -154,9 +149,9 @@ def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     cross-checks it against the direct SVD route before returning.
     """
     A, B = as_pair(A, B)
-    t = _triple(A, A + B, tol, d=B)
+    t = _checked(_triple(A, A + B, tol, d=B))
     # A+ = V_A S_A^-1 U_A* and B+ likewise
-    assembled = _assemble(_checked_split(t), t.fa._pinv_factors(), t.fd._pinv_factors())
+    assembled = _assemble(_split_p(t), _split_q(t), t.fa._pinv_factors(), t.fd._pinv_factors())
     oracle = t.fb.pinv()
     tol.verify("assembled pseudoinverse disagrees with the SVD route",
                fro(assembled - oracle), fro(oracle) ** 2 * fro(t.b))
@@ -172,7 +167,8 @@ def st_projections(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[np.n
     idempotent before returning.
     """
     A, B = as_pair(A, B)
-    t = _minus_triple(A, B, tol, "precondition failure: ranges do not split the sum")
+    t = _checked(_triple(A, A + B, tol, d=B),
+                 "precondition failure: ranges do not split the sum", _minus)
     # N(B)^perp = R(B*) and N(B*)^perp = R(B)
     idempotents = (_pinv(t.fd.corange.projector() @ t.fa.null.projector(), tol),
                    _pinv(t.fa.conull.projector() @ t.fd.range.projector(), tol))
@@ -210,7 +206,7 @@ def agreeing_split(A, B, range_complement: Subspace, kernel_complement: Subspace
     defining projection identities are verified before returning.
     """
     A, B = as_pair(A, B)
-    t = _minus_triple(A, B, tol, "A is not minus-below A + B")
+    t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
     return _agreeing_split(t, range_complement, kernel_complement)[0]
 
 
@@ -294,17 +290,17 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
     of the choice.
     """
     A, B = as_pair(A, B)
-    t = _minus_triple(A, B, tol, "A is not minus-below A + B")
+    t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
     split, *summands = _agreeing_split(t, range_complement, kernel_complement, n1, n2, n1s, n2s)
-    return _assemble(split, *map(_summand_factors, (t.fa, t.fd), summands))
+    return _assemble(split.p, split.q, *map(_summand_factors, (t.fa, t.fd), summands))
 
 
-def _assemble(split, a_factors, b_factors) -> np.ndarray:
-    """Q X_A P + (I - Q) X_B (I - P) for the projections P and Q of
-    ``split`` and inverses X = L R of the summands, given as their factors
-    (L, R): applied factor by factor, each product keeps a side of the
-    summand's rank, and neither I - Q nor I - P is formed."""
-    q, p = split.q.matrix, split.p.matrix
+def _assemble(p: Projection, q: Projection, a_factors, b_factors) -> np.ndarray:
+    """Q X_A P + (I - Q) X_B (I - P) for the projections P and Q of a split
+    and inverses X = L R of the summands, given as their factors (L, R):
+    applied factor by factor, each product keeps a side of the summand's
+    rank, and neither I - Q nor I - P is formed."""
+    q, p = q.matrix, p.matrix
     (left_a, right_a), (left_b, right_b) = a_factors, b_factors
     return (q @ left_a) @ (right_a @ p) + (left_b - q @ left_b) @ (right_b - right_b @ p)
 
@@ -328,7 +324,7 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     checked against X_A before returning.
     """
     A, B = as_pair(A, B)
-    t = _minus_triple(A, B, tol, "A is not minus-below A + B")
+    t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
     split, *summands = _agreeing_split(t, range_complement, kernel_complement)
     xa, xb = (left @ right for left, right in map(_summand_factors, (t.fa, t.fd), summands))
 

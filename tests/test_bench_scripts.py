@@ -1,5 +1,6 @@
-"""The pair statistics of ``scripts/bench_pairs.py`` and the digests of
-``scripts/replay_digest.py``, both loaded by path.
+"""The pair statistics of ``scripts/bench_pairs.py``, the digests of
+``scripts/replay_digest.py`` and the per-call table of
+``scripts/bench_calls.py``, all loaded by path.
 
 Ten pairs exercise the claim rule (at least nine wins of ten and a median
 difference beyond the parent's interquartile range); one pair has no
@@ -7,7 +8,8 @@ quartiles, so nothing is claimed, and its results are still written; a
 second run into the same file adds only the seeds not yet recorded.  A
 replay of one checkout twice gives equal digests, and one changed byte of
 an output changes its digest.  The verdict digest ignores a changed
-witness and changes with a verdict.
+witness and changes with a verdict.  Every timed call of the per-call
+table has a row in the count gate, whose spy counts its factorizations.
 """
 
 import importlib.util
@@ -33,6 +35,11 @@ def _load(name):
 @pytest.fixture(scope="module")
 def bench_pairs():
     return _load("bench_pairs")
+
+
+@pytest.fixture(scope="module")
+def bench_calls():
+    return _load("bench_calls")
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +138,14 @@ def test_merged_runs_grow_one_record(bench_pairs, tmp_path, monkeypatch):
     with pytest.raises(SystemExit):
         main("11-11", seconds="10")
     assert json.loads(out.read_text())["workloads"]["w"] == record
+
+
+def test_every_timed_call_has_a_gate_row(bench_calls):
+    # a call without a count-gate row would print "-" for its counts
+    import test_factorization_counts as gate
+
+    timed = [name for name in bench_calls.calls(6) if not name.startswith("floor:")]
+    assert [name for name in timed if bench_calls.gate_row(name) not in gate.CALLS] == []
 
 
 @pytest.mark.parametrize("workload", ["decide-small", "cli-files"])

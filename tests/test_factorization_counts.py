@@ -47,6 +47,13 @@ inverse is solved on its square core of principal-angle sines, a matrix
 of the ranks' size, and the decoupled least-squares stack has as many
 rows as the summands' ranks, not twice the operands' columns.  So the
 solves of every row and the SVDs of the stack are counted by shape too.
+Each construction of a sum builds only what it returns: only
+``build_split`` forms the projection sum E and its SplitWitness, the
+pseudoinverse builds the split's P and Q, and least squares P alone, so
+its one solve is P's core.  ``solve_system`` tests a in R(A) and b in R(B)
+on its triple's factors, and ``kernel_characterization`` reads range
+additivity off rank(A + B) and the sines of R(B) against R(A); neither
+ranks a joined [X | v] or [A + B | A].
 The agreeing split behind the reflexive inverses of a sum tests M and N
 on their sines alone and verifies its two projection-sum identities by
 their action on the summands' bases, so its solves are those of its own
@@ -77,7 +84,7 @@ import numpy as np
 import pytest
 
 import minusord
-from minusord import linalg, orders
+from minusord import linalg, orders, sums
 from minusord.additivity import disjoint_range_additivity, kernel_characterization
 from minusord.exceptions import OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
@@ -155,8 +162,10 @@ CALLS = {
     # and no sines beyond R(A + B); the check is the left-minus order, and
     # its report, read in full, joins the codomain side alone
     "fill_fishkind_pinv_unordered": (_unordered_pinv, 4, 3, 4, 2),
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 5, 5, 4, 3),
-    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 7, 3, 7, 2),
+    # least squares builds the split's P alone, and the memberships of
+    # solve_system are read off its triple's factors of A and B
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 4, 4, 4, 3),
+    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 3, 3, 3, 2),
     # B's inverse is read off the triple's factor of the caller's B, so
     # A, A + B and B are factored once each and B is not validated again
     "additivity_moore_penrose":
@@ -164,7 +173,7 @@ CALLS = {
     "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 6, 3, 3, 2),
     "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 6, 3, 3, 2),
     "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
-    "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 4, 2),
+    "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 3, 2),
     # M and N are tested on their sines, and the four canonical complements
     # are built with vectors but not tested: 7 SVDs with vectors, 2 without
     "agreeing_split": (lambda: agreeing_split(A, B, M, N), 9, 7, 3, 2),
@@ -323,6 +332,15 @@ def test_agreeing_split_solves_only_its_projections(name):
     assert len(spy(CALLS[name][0])[1]) <= AGREEING_SOLVES[name]
 
 
+def test_constructions_build_only_what_they_return(monkeypatch):
+    # only build_split forms E and its SplitWitness: the pseudoinverse
+    # builds P and Q, and least squares P alone, solving its core only
+    monkeypatch.setattr(sums, "SplitWitness", _forbidden("SplitWitness"))
+    fill_fishkind_pinv(A, B)
+    decoupled_lss(A, B, C)
+    assert len(spy(CALLS["decoupled_lss"][0])[1]) <= 1
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_validation_count_bound(name):
     call, bound = CALLS[name][0], CALLS[name][4]
@@ -362,8 +380,9 @@ def test_set_operations_not_used_inside(module):
 
 def test_orders_rank_no_joined_operands():
     # R(A) in R(B) is read off the factors of A and B; no order check ranks
-    # the joined [B | A]
+    # the joined [B | A], nor does solve_system rank [A | a] or [B | b]
     assert not _named("orders") & {"_rank", "_range_contains"}
+    assert not _named("lsq") & {"_rank", "_range_contains"}
 
 
 def test_set_operations_rank_no_joined_bases():

@@ -63,12 +63,17 @@ def test_wlss_solves_normal_equation(rng):
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
-def test_solve_system_consistent(rng):
+@pytest.mark.parametrize("scale", [1.0, 1e14, 1e16])
+def test_solve_system_consistent(rng, scale):
+    # a lies in R(A) at any scale of its own: its part outside R(A) is cut
+    # at max(sigma_1(A), ||a||), not at A's scale alone
     a, b = minus_pair(rng, 6, 5, 2, 2)
     x_true = cgauss(rng, 5, 1).ravel()
-    x = solve_system(a, b, a @ x_true, b @ x_true)
-    assert np.allclose(a @ x, a @ x_true, atol=1e-9)
-    assert np.allclose(b @ x, b @ x_true, atol=1e-9)
+    rhs_a, rhs_b = scale * (a @ x_true), b @ x_true
+    x = solve_system(a, b, rhs_a, rhs_b)
+    bound = 1e-9 * (np.linalg.norm(rhs_a) + np.linalg.norm(rhs_b))
+    assert np.linalg.norm(a @ x - rhs_a) <= bound
+    assert np.linalg.norm(b @ x - rhs_b) <= bound
 
 
 def test_solve_system_membership_errors(rng):
