@@ -19,11 +19,12 @@ from .linalg import (
     ToleranceConfig,
     _range_contains,
     _rank,
+    _singular_values,
     adjoint,
     as_pair,
     fro,
 )
-from .orders import _split_witness
+from .orders import _ranks_add, _split_witness
 from .subspaces import Factored, Projection, _outside, _sum_and_meet
 
 __all__ = [
@@ -66,12 +67,12 @@ def _kernels_span(fa: Factored, fb: Factored, tol) -> bool:
 def disjoint_range_additivity(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> DisjointRangeAdditivity:
     A, B = as_pair(A, B)
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
-    # R(A) cap R(B) = 0 iff all of R(B) lies outside R(A); R(A + B) always
-    # lies in R(A) + R(B), so the two are equal iff their dimensions are
-    disjoint = _outside(fa.conull, fb.range, tol) == fb.rank
-    additive = disjoint and _rank(A + B, tol) == fa.rank + fb.rank
-    return DisjointRangeAdditivity(ranges_disjoint=disjoint, additive=additive,
-                                   kernels_span=_kernels_span(fa, fb, tol))
+    # R(A) cap R(B) = 0 iff all of R(B) lies outside R(A); R(A + B) is their
+    # direct sum iff the ranks add, the minus order's verdict on A <= A + B
+    return DisjointRangeAdditivity(
+        ranges_disjoint=_outside(fa.conull, fb.range, tol) == fb.rank,
+        additive=_ranks_add(fa, fb.s, _singular_values(A + B), A.shape, tol),
+        kernels_span=_kernels_span(fa, fb, tol))
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,7 +44,7 @@ def _pinv(a: np.ndarray, tol: ToleranceConfig, shape: tuple[int, int] | None = N
     as for a matrix of ``shape`` when ``a`` stands for a larger one with the
     same singular values."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = rank_cut(s, a.shape if shape is None else shape, tol)[0]
+    r = rank_cut(s, a.shape if shape is None else shape, tol)
     return (adjoint(vh[:r]) / s[:r]) @ adjoint(u[:, :r])
 
 

@@ -177,53 +177,46 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
 
 
 def rank_cut(s, shape: tuple[int, ...], tol: ToleranceConfig = DEFAULT_TOLERANCE,
-             scale: float | None = None) -> tuple[int, bool]:
-    """The one rank decision of the package, made on descending singular
-    values ``s`` of a matrix of the given shape.
+             scale: float | None = None) -> int:
+    """The one rank decision of the package: how many of the descending
+    singular values ``s`` of a matrix of the given shape lie above its
+    :func:`_rank_cutoff`."""
+    return _count(s, _rank_cutoff(s, shape, tol, scale))
 
-    Returns the number of singular values above the cutoff
-    ``effective_rank_rtol(shape) * scale`` and a near-boundary flag, set
-    when any singular value falls within a factor of ten of the cutoff,
-    i.e. when the decision is not clearly resolved.  ``scale`` defaults to
-    the matrix's own largest singular value; the order checks pass
+
+def _rank_cutoff(s, shape: tuple[int, ...], tol: ToleranceConfig,
+                 scale: float | None = None) -> float:
+    """``effective_rank_rtol(shape) * scale``, ``scale`` defaulting to the
+    matrix's own sigma_1 (0 for none); the order checks pass
     max(sigma_1(A), sigma_1(B)) for B - A, since forming it rounds by eps
-    times that scale (Golub & Van Loan, Matrix Computations, 5.4).  Zero
-    matrices have rank zero by convention (the cutoff degenerates).  The
-    cutoff is applied to ``s.tolist()``: on the few values of a small
-    matrix Python floats decide faster than numpy reductions, with the same
-    arithmetic.
-    """
-    values = s.tolist()
-    if not values or values[0] == 0.0:
-        return 0, False
-    cutoff = float(tol.effective_rank_rtol(shape) * (values[0] if scale is None else scale))
-    low, high = cutoff / 10.0, cutoff * 10.0
-    return sum(v > cutoff for v in values), any(low < v < high for v in values)
+    times that scale (Golub & Van Loan, Matrix Computations, 5.4)."""
+    top = float(s[0]) if len(s) else 0.0
+    return float(tol.effective_rank_rtol(shape) * (top if scale is None else scale))
 
 
-def sine_cut(s, ambient_dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
-    """The rank decisions on principal-angle sines, made on the descending
-    singular values ``s`` of X* B_M, where X is an orthonormal basis of the
-    orthogonal complement of a subspace S of C^ambient_dim and B_M an
-    orthonormal basis of a subspace M.
+def _count(s, cutoff: float) -> int:
+    """How many of ``s`` exceed ``cutoff``, compared as Python floats: faster on few values."""
+    return sum(v > cutoff for v in s.tolist())
 
-    Returns the number of sines above the rank cutoff, which is
-    dim M - dim(M cap S), and whether every sine lies within the
-    subspace-equality threshold, i.e. whether M lies in S.  Sines are
-    measured against orthonormal bases, so both cutoffs are absolute: the
-    rank cutoff of a square ambient matrix and
-    :meth:`ToleranceConfig.subspace_atol`.  Sines resolve an angle to about
-    eps, where 1 - cos resolves it only to about sqrt(eps).
-    """
-    values = s.tolist()
-    cutoff = float(tol.effective_rank_rtol((ambient_dim, ambient_dim)))
-    return (sum(v > cutoff for v in values),
-            not values or values[0] <= float(tol.subspace_atol(ambient_dim)))
+
+def _near(values, threshold: float) -> bool:
+    """The one boundary rule: whether any of ``values`` lies within a
+    factor of ten of ``threshold``, a decision not clearly resolved."""
+    return any(threshold / 10.0 < v < threshold * 10.0 for v in values)
+
+
+def sine_cut(s, ambient_dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
+    """dim M - dim(M cap S) from the principal-angle sines ``s``, the
+    singular values of X* B_M for orthonormal bases X of S^perp and B_M of
+    M in C^ambient_dim: the rank of a square ambient matrix at scale one,
+    the norm of an orthonormal basis.  Sines resolve an angle to about
+    eps, where 1 - cos resolves it only to about sqrt(eps)."""
+    return rank_cut(s, (ambient_dim, ambient_dim), tol, 1.0)
 
 
 def _spectral_within(x: np.ndarray, bound: float) -> bool:
     """Whether no singular value of ``x`` exceeds ``bound``, i.e. the
-    verdict ``s[0] <= bound`` of :func:`sine_cut`'s inclusion and of a
+    verdict ``s[0] <= bound`` of an inclusion of subspaces and of a
     :func:`rank_cut` to rank zero at cutoff ``bound``, settled from the
     Frobenius norm when it is far enough from the bound.
 
@@ -248,19 +241,21 @@ def _spectral_within(x: np.ndarray, bound: float) -> bool:
 
 
 def rank_info(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
-    """Numerical rank together with the near-boundary flag of :func:`rank_cut`."""
+    """Numerical rank together with the near-boundary flag: whether a
+    singular value lies within a factor of ten of the cutoff (:func:`_near`)."""
     A = as_matrix(A)
-    return rank_cut(_singular_values(A), A.shape, tol)
+    s = _singular_values(A)
+    return rank_cut(s, A.shape, tol), _near(s.tolist(), _rank_cutoff(s, A.shape, tol))
 
 
 def numerical_rank(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
     """Number of singular values above the relative cutoff."""
-    return rank_info(A, tol)[0]
+    return _rank(as_matrix(A), tol)
 
 
 def _rank(a: np.ndarray, tol: ToleranceConfig) -> int:
     """:func:`numerical_rank` of an array derived from validated operands."""
-    return rank_cut(_singular_values(a), a.shape, tol)[0]
+    return rank_cut(_singular_values(a), a.shape, tol)
 
 
 def range_contains(B, A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
@@ -284,5 +279,5 @@ def effective_condition(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> float:
     """Ratio of the largest singular value to the smallest one above the
     rank cutoff.  Returns 0.0 for the zero matrix."""
     s = singular_values(A)
-    rank, _ = rank_cut(s, np.shape(A), tol)
+    rank = rank_cut(s, np.shape(A), tol)
     return float(s[0] / s[rank - 1]) if rank else 0.0

@@ -8,8 +8,8 @@ projections when the order holds, the rank bookkeeping of the triple
 
 Verdict first, explanation on demand: a predicate decides ``holds`` and
 the ranks when it is called, from the factors of the triple and the Gram,
-square and inclusion tests the verdict needs, and flags the rank
-decisions near their cutoff.  Each verdict computes only what decides it:
+square and inclusion tests the verdict needs, and leaves the rank flags
+to the explanation.  Each verdict computes only what decides it:
 the minus, left-minus, right-minus and weak-minus orders share the verdict
 they reduce to in finite dimension, rank subtractivity (Marsaglia & Styan
 1974; Hartwig 1980), which their joins and intersections restate; the star,
@@ -56,6 +56,7 @@ from .geninv import _group_invertible, _reflexive
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _near,
     _singular_values,
     _spectral_within,
     adjoint,
@@ -224,16 +225,15 @@ class _Triple:
 
         The range verdicts judge the same sines unweighted, against the
         subspace-equality threshold of every subspace relation
-        (:func:`~minusord.linalg.sine_cut`): R(A) + R(B - A) = R(B) is a
-        relation of subspaces, where a direction counts whatever A's norm
-        along it, whereas a direction of A adds its singular value times
-        its sine to A - P B."""
-        fa = self.fa
-        cutoff = self.tol.effective_rank_rtol(self.a.shape) * _scale(fa, self.fb)
-        return _spectral_within(self.sines[self.fb.rank:, :fa.rank] * fa.s[:fa.rank], cutoff)
+        (:meth:`~minusord.linalg.ToleranceConfig.subspace_atol`): R(A) +
+        R(B - A) = R(B) is a relation of subspaces, where a direction counts
+        whatever A's norm along it, whereas a direction of A adds its
+        singular value times its sine to A - P B."""
+        fa, outside = self.fa, self.sines[self.fb.rank:]
+        return _spectral_within(outside[:, :fa.rank] * fa.s[:fa.rank], self.fd.cutoff)
 
     def flags(self) -> tuple[str, ...]:
-        """The boundary flags of the three rank decisions."""
+        """The boundary flags of the three rank decisions, off each factor's cutoff."""
         factors = zip((self.fa, self.fb, self.fd), ("A", "B", "B-A"))
         return tuple(f"rank({label}) within 10x of cutoff" for f, label in factors if f.near)
 
@@ -245,18 +245,21 @@ def _additive(t: _Triple) -> bool:
     orthogonality or commutation condition (Mitra, Bhimasankaram & Malik
     2010), so each implies minus by construction; the identities alone
     cannot keep that, since for A far smaller than B their residual of
-    about ||A||^2 falls under the scale ||A|| (||A|| + ||B||).  rank(B) is
-    cut at B - A's scale, else a B of norm eps ||A|| would count only in B."""
-    fa, fb = t.fa, t.fb
-    larger_a = fa.rank and fa.s[0] > fb.s[0]
-    rank_b = rank_cut(fb.s, t.b.shape, t.tol, float(fa.s[0]))[0] if larger_a else fb.rank
-    return fa.rank + t.fd.rank == rank_b
+    about ||A||^2 falls under the scale ||A|| (||A|| + ||B||)."""
+    return _ranks_add(t.fa, t.fd.s, t.fb.s, t.b.shape, t.tol)
 
 
-def _scale(fa: Factored, fb: Factored) -> float:
-    """max(sigma_1(A), sigma_1(B)): forming B - A rounds by eps times it,
-    so B - A, and the part of A outside R(B), are cut at this scale."""
-    return max(float(fa.s[0]) if fa.s.size else 0.0, float(fb.s[0]) if fb.s.size else 0.0)
+def _ranks_add(fa: Factored, sd: np.ndarray, sb: np.ndarray, shape, tol) -> bool:
+    """rank(A) + rank(D) = rank(B) for B = A + D, rank(D) and rank(B) counted at
+    :func:`_scale` of A and B, else a B of norm eps ||A|| would count only in B."""
+    scale = _scale(fa.s, sb)
+    return fa.rank + rank_cut(sd, shape, tol, scale) == rank_cut(sb, shape, tol, scale)
+
+
+def _scale(sa: np.ndarray, sb: np.ndarray) -> float:
+    """max(sigma_1(A), sigma_1(B)) from their singular values: forming
+    B - A rounds by eps times it, so B - A is cut at this scale."""
+    return max(float(sa[0]) if sa.size else 0.0, float(sb[0]) if sb.size else 0.0)
 
 
 def _triple(A, B, tol, d=None) -> _Triple:
@@ -269,7 +272,7 @@ def _triple(A, B, tol, d=None) -> _Triple:
     operands later; the factors are new arrays."""
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
     d = B - A if d is None else d
-    return _Triple(A.copy(), B.copy(), fa, fb, Factored._of(d, tol, _scale(fa, fb)), tol)
+    return _Triple(A.copy(), B.copy(), fa, fb, Factored._of(d, tol, _scale(fa.s, fb.s)), tol)
 
 
 class _Join(NamedTuple):
@@ -292,7 +295,7 @@ def _join(t: _Triple) -> _Join:
     fa, fb, fd, k = t.fa, t.fb, t.fd, t.sines
     m = fb.u.shape[0]
     inside = _spectral_within(k[fb.rank:], t.tol.subspace_atol(m))
-    covers = rank_cut(_singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), t.tol)[0] == fb.rank
+    covers = rank_cut(_singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), t.tol) == fb.rank
     return _Join(inside and covers, covers)
 
 
@@ -338,9 +341,8 @@ def _group_witness(f: Factored) -> Projection | None:
 
 
 def _angle_margin_ok(ra: Subspace, rd: Subspace, tol, flags) -> bool:
-    c0 = minimal_angle_cos(ra, rd)
-    margin = 1.0 - c0
-    if tol.angle_gap / 10.0 < margin < tol.angle_gap * 10.0:
+    margin = 1.0 - minimal_angle_cos(ra, rd)
+    if _near([margin], tol.angle_gap):
         flags.append("minimal angle within 10x of the gap")
     return margin > tol.angle_gap
 
@@ -360,7 +362,6 @@ def _minus(t: _Triple) -> OrderReport:
     of R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and N(B), so the
     witnesses are the ``left_witness`` of the triple and of its mirror."""
     fa, fd = t.fa, t.fd
-    flags = t.flags()
     holds = _additive(t)
 
     def explain():
@@ -387,7 +388,7 @@ def _minus(t: _Triple) -> OrderReport:
             "kernels": kernels_ok,
             "projection": _projection_ok(t, witness_p),
         }
-        return verdicts, flags + tuple(angle_flags)
+        return verdicts, t.flags() + tuple(angle_flags)
 
     return OrderReport("minus", holds, t.ranks, _witness(holds, lambda: t.left_witness),
                        _witness(holds, lambda: t.mirror.left_witness), explain)
@@ -405,14 +406,14 @@ def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 def _left_minus(t: _Triple) -> OrderReport:
     """The left-minus report: the verdict is rank subtractivity, and the
     ranges hold when the ranks add and the codomain join spans R(B)."""
-    flags = t.flags()
     holds = _additive(t)
 
     def explain():
         # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff
         # the ranks add and the join covers R(B), which the join tests here
         witness_p = t.left_witness if t.join.covers else None
-        return {"ranges": holds and t.join.spans, "projection": _projection_ok(t, witness_p)}, flags
+        return ({"ranges": holds and t.join.spans, "projection": _projection_ok(t, witness_p)},
+                t.flags())
 
     return OrderReport("left_minus", holds, t.ranks, _witness(holds, lambda: t.left_witness),
                        _absent, explain)
@@ -460,12 +461,11 @@ def _star(t: _Triple) -> OrderReport:
     gram_left = t.agree(adjoint(A) @ A, adjoint(A) @ B)
     gram_right = t.agree(A @ adjoint(A), B @ adjoint(A))
     holds = _additive(t) and gram_left and gram_right
-    flags = t.flags()
 
     def explain():
         ortho = _orthogonal_join(t) and _orthogonal_join(t.mirror)
         return {"gram_left": gram_left, "gram_right": gram_right,
-                "orthogonal_ranges": ortho}, flags
+                "orthogonal_ranges": ortho}, t.flags()
 
     return OrderReport("star", holds, t.ranks, _witness(holds, lambda: _orthogonal_witness(fa)),
                        _witness(holds, lambda: _orthogonal_witness(t.mirror.fa)), explain)
@@ -499,11 +499,10 @@ def _left_star(t: _Triple) -> OrderReport:
     gram = t.agree(adjoint(A) @ A, adjoint(A) @ t.b)
     inclusion = cache(t.inside)
     holds = gram and inclusion()
-    flags = t.flags()
 
     def explain():
         return ({"gram_left": gram, "range_inclusion": inclusion(),
-                 "orthogonal_split": _orthogonal_join(t)}, flags)
+                 "orthogonal_split": _orthogonal_join(t)}, t.flags())
 
     return OrderReport("left_star", holds, t.ranks,
                        _witness(holds, lambda: _orthogonal_witness(fa)), _absent, explain)
@@ -531,10 +530,10 @@ def _sharp(t: _Triple) -> OrderReport:
     left_id = t.agree(square, B @ A)
     right_id = t.agree(square, A @ B)
     holds = _additive(t) and left_id and right_id
-
-    explained = {"square_equals_ba": left_id, "square_equals_ab": right_id}, t.flags()
     return OrderReport("sharp", holds, t.ranks, _witness(holds, lambda: _group_witness(t.fa)),
-                       _witness(holds, lambda: _group_witness(t.mirror.fa)), lambda: explained)
+                       _witness(holds, lambda: _group_witness(t.mirror.fa)),
+                       lambda: ({"square_equals_ba": left_id, "square_equals_ab": right_id},
+                                t.flags()))
 
 
 def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -553,9 +552,9 @@ def _core(t: _Triple) -> OrderReport:
     square = t.agree(A @ A, t.b @ A)
     holds = _additive(t) and gram and square
 
-    explained = {"gram_left": gram, "square_equals_ba": square}, t.flags()
     return OrderReport("core", holds, t.ranks, _witness(holds, lambda: _orthogonal_witness(t.fa)),
-                       _witness(holds, lambda: _group_witness(t.mirror.fa)), lambda: explained)
+                       _witness(holds, lambda: _group_witness(t.mirror.fa)),
+                       lambda: ({"gram_left": gram, "square_equals_ba": square}, t.flags()))
 
 
 def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:

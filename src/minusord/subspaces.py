@@ -11,12 +11,14 @@ sines (Bjorck & Golub 1973) by :func:`~minusord.linalg.sine_cut`.  The
 sines of M against X are the singular values of X^perp* B_M:
 :func:`_outside` counts M's directions outside X, :func:`_departing` keeps
 them, and :func:`_sum_and_meet` returns X + M, its orthogonal complement
-and X cap M from one SVD.  A test that needs only a dimension or an angle
-takes singular values alone, of B_M - B_X (B_X* B_M) when no basis of
-X^perp is at hand (:func:`_sines`).  :func:`_core_solve` tests M + X for a
-direct sum of the whole space on the square X^perp* B_M and solves on it:
-it is the package's only solve, so every projection, witness and
-reflexive inverse is solved on such a core, never on an n x n join.
+and X cap M from one SVD.  A test that needs only a dimension takes
+singular values alone, and an inclusion a Frobenius norm when that
+settles it (:func:`~minusord.linalg._spectral_within`), of
+B_M - B_X (B_X* B_M) when no basis of X^perp is at hand (:func:`_sines`).
+:func:`_core_solve` tests M + X for a direct sum of the whole space on
+the square X^perp* B_M and solves on it: it is the package's only solve,
+so every projection, witness and reflexive inverse is solved on such a
+core, never on an n x n join.
 """
 
 from __future__ import annotations
@@ -34,7 +36,11 @@ from .linalg import (
     ToleranceConfig,
     _EPS,
     _NORM_FLOOR,
+    _count,
+    _near,
+    _rank_cutoff,
     _singular_values,
+    _spectral_within,
     adjoint,
     as_matrix,
     as_vector,
@@ -129,7 +135,7 @@ class Subspace:
             return cls.zero(arr.shape[0])
         # economy factors: only the leading left singular vectors are kept
         u, s, _ = np.linalg.svd(arr, full_matrices=False)
-        return cls._trusted(u[:, :rank_cut(s, arr.shape, tol)[0]])
+        return cls._trusted(u[:, :rank_cut(s, arr.shape, tol)])
 
     def perp(self) -> "Subspace":
         """Orthogonal complement: the trailing columns of a complete QR of
@@ -147,11 +153,8 @@ class Subspace:
         v = as_vector(np.reshape(v, -1))
         if v.shape[0] != self.ambient_dim:
             raise ValueError("ambient mismatch")
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return True
         resid = v - self.basis @ (adjoint(self.basis) @ v)
-        return float(np.linalg.norm(resid)) <= tol.subspace_atol(self.ambient_dim) * nv
+        return fro(resid) <= tol.subspace_atol(self.ambient_dim) * fro(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,14 +166,14 @@ class Factored:
     R(A) = U[:, :r], R(A*) = V[:, :r], N(A) = V[:, r:], N(A*) = U[:, r:].
     The four subspaces are views into U and V, built on first use and
     cached, so every read of ``f.range`` returns the same Subspace.
-    ``near`` is the near-boundary flag of :func:`~minusord.linalg.rank_cut`.
+    ``cutoff`` is what the rank was cut at, and ``near`` is derived from it on read.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
     rank: int
-    near: bool
+    cutoff: float
 
     @classmethod
     def of(cls, A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> "Factored":
@@ -179,9 +182,14 @@ class Factored:
     @classmethod
     def _of(cls, a: np.ndarray, tol: ToleranceConfig, scale: float | None = None) -> "Factored":
         """:meth:`of` for an array derived from validated operands, its rank
-        cut at the reference ``scale`` of :func:`~minusord.linalg.rank_cut`."""
+        cut at the reference ``scale`` of :func:`~minusord.linalg._rank_cutoff`."""
         u, s, vh = np.linalg.svd(a, full_matrices=True)
-        return cls(u, s, adjoint(vh), *rank_cut(s, a.shape, tol, scale))
+        cutoff = _rank_cutoff(s, a.shape, tol, scale)
+        return cls(u, s, adjoint(vh), _count(s, cutoff), cutoff)
+
+    @property
+    def near(self) -> bool:
+        return _near(self.s.tolist(), self.cutoff)
 
     @cached_property
     def range(self) -> Subspace:
@@ -203,7 +211,7 @@ class Factored:
 
     def adjoint(self) -> "Factored":
         """The factor of A*, A* = V diag(s) U*, with no further SVD."""
-        return Factored(self.v, self.s, self.u, self.rank, self.near)
+        return Factored(self.v, self.s, self.u, self.rank, self.cutoff)
 
     def _pinv_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """V_r S_r^-1 and U_r*, whose product is the Moore-Penrose inverse:
@@ -293,7 +301,8 @@ def span_dim(m_space: Subspace, n_space: Subspace,
     """dim(M + N): dim M plus the number of principal-angle sines of N
     against M above the cutoff, from singular values alone."""
     _check_ambient(m_space, n_space)
-    return m_space.dim + sine_cut(_sines(n_space, m_space), m_space.ambient_dim, tol)[0]
+    return m_space.dim + sine_cut(_singular_values(_sines(n_space, m_space)),
+                                  m_space.ambient_dim, tol)
 
 
 def intersect(m_space: Subspace, n_space: Subspace,
@@ -320,15 +329,11 @@ def is_direct_sum(m_space: Subspace, n_space: Subspace,
 def subspace_equal(m_space: Subspace, n_space: Subspace,
                    tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether two subspaces coincide: their dimensions match and the
-    largest principal-angle sine of M against N, clipped into [0, 1] (it
-    equals c0(M, N^perp)), is at most the equality threshold."""
+    largest principal-angle sine of M against N (it equals c0(M, N^perp))
+    is within the equality threshold, by :func:`~minusord.linalg._spectral_within`."""
     _check_ambient(m_space, n_space)
-    if m_space.dim != n_space.dim:
-        return False
-    if m_space.dim == 0:
-        return True
-    sine = np.clip(_sines(m_space, n_space)[0], 0.0, 1.0)
-    return float(sine) <= tol.subspace_atol(m_space.ambient_dim)
+    return (m_space.dim == n_space.dim
+            and _spectral_within(_sines(m_space, n_space), tol.subspace_atol(m_space.ambient_dim)))
 
 
 def minimal_angle_cos(m_space: Subspace, n_space: Subspace) -> float:
@@ -401,7 +406,7 @@ def _core_solve(basis: np.ndarray, perp: np.ndarray, tol: ToleranceConfig,
     core = perp_h @ basis
     k = basis.shape[1]
     if perp.shape[1] != k or not (decided or sine_cut(_singular_values(core),
-                                                      basis.shape[0], tol)[0] == k):
+                                                      basis.shape[0], tol) == k):
         raise ComplementError(message, complement)
     try:
         return np.linalg.solve(core, perp_h if rhs is None else rhs)
@@ -481,7 +486,7 @@ def _outside(x_perp: Subspace, m_space: Subspace, tol: ToleranceConfig = DEFAULT
     """dim M - dim(M cap X) for the subspace X with orthogonal complement
     ``x_perp``: the number of principal-angle sines X^perp* B_M above the cutoff."""
     sines = _singular_values(adjoint(x_perp.basis) @ m_space.basis)
-    return sine_cut(sines, m_space.ambient_dim, tol)[0]
+    return sine_cut(sines, m_space.ambient_dim, tol)
 
 
 def _departing(x_perp: Subspace, m_space: Subspace,
@@ -489,15 +494,15 @@ def _departing(x_perp: Subspace, m_space: Subspace,
     """M ominus X for X with orthogonal complement ``x_perp``: B_M W[:, :k] for
     the economy SVD X^perp* B_M = U S W* with k sines above the cutoff."""
     _, sines, wh = np.linalg.svd(adjoint(x_perp.basis) @ m_space.basis, full_matrices=False)
-    k = sine_cut(sines, m_space.ambient_dim, tol)[0]
+    k = sine_cut(sines, m_space.ambient_dim, tol)
     return Subspace._trusted(m_space.basis @ adjoint(wh[:k]))
 
 
 def _sines(m_space: Subspace, x_space: Subspace) -> np.ndarray:
-    """The principal-angle sines of M against X, descending, with no basis
-    of X^perp: the singular values of B_M - B_X (B_X* B_M)."""
+    """B_M - B_X (B_X* B_M), whose singular values are the principal-angle
+    sines of M against X, for when no basis of X^perp is at hand."""
     b_x = x_space.basis
-    return _singular_values(m_space.basis - b_x @ (adjoint(b_x) @ m_space.basis))
+    return m_space.basis - b_x @ (adjoint(b_x) @ m_space.basis)
 
 
 def _sum_and_meet(x_space: Subspace, x_perp: Subspace, m_space: Subspace,
@@ -513,7 +518,7 @@ def _sum_and_meet(x_space: Subspace, x_perp: Subspace, m_space: Subspace,
     """
     _check_ambient(x_perp, m_space)
     u, s, wh = np.linalg.svd(adjoint(x_perp.basis) @ m_space.basis)
-    k = sine_cut(s, x_space.ambient_dim, tol)[0]
+    k = sine_cut(s, x_space.ambient_dim, tol)
     outside = x_perp.basis @ u
     return (Subspace._trusted(np.hstack([x_space.basis, outside[:, :k]])),
             Subspace._trusted(outside[:, k:]),

@@ -11,6 +11,7 @@ from minusord.additivity import (
 from minusord.exceptions import ComplementError
 from minusord.generate import minus_pair
 from minusord.linalg import DEFAULT_TOLERANCE, adjoint, as_pair, fro
+from minusord.orders import minus_order
 from minusord.subspaces import Factored, range_basis, subspace_equal
 
 from conftest import cgauss
@@ -212,3 +213,25 @@ def test_kernel_characterization_matches_joined_bases():
             # the projection onto R(A*) along R(B*) + (R(A*) + R(B*))^perp is unique
             diff = fro(got.witness_q.matrix - ref.witness_q.matrix)
             assert diff <= 1e-8 * (1.0 + fro(ref.witness_q.matrix)), label
+
+
+# R(A + B) is the direct sum of R(A) and R(B) exactly when A is minus-below
+# A + B, and both verdicts read the same rank subtractivity: rank(B) and
+# rank(A + B) counted at max(sigma_1(A), sigma_1(A + B)), so a summand
+# below the rounding of A + B counts in neither.
+LOPSIDED_SCALES = (1e6, 1e-6, 1e13, 1e-13, 1e15, 1e-15, 1e17, 1e-17, 1.0)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("c", LOPSIDED_SCALES)
+def test_disjoint_additivity_is_the_minus_verdict_at_lopsided_scales(side, c):
+    for seed in range(10):
+        a, b = minus_pair(seed, 9, 9, 3, 3)
+        a, b = (c * a, b) if side == "A" else (a, c * b)
+        label = f"{side} scaled by {c:g}, seed {seed}"
+        assert disjoint_range_additivity(a, b).additive == minus_order(a, a + b).holds, label
+
+
+def test_disjoint_additivity_is_the_minus_verdict_on_the_oracle_mix():
+    for kind, label, a, b in _oracle_mix():
+        assert disjoint_range_additivity(a, b).additive == minus_order(a, a + b).holds, label

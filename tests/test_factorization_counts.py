@@ -65,7 +65,8 @@ read.  Every row that checks an order reads its report in full, so its
 bounds count the whole explanation; the constructions read only the
 witnesses of their check.  The ``_holds`` rows read the verdict alone:
 they pay for the factors and the Gram, square and inclusion tests of the
-verdict, and make no solve.  A verdict computes only what decides it: the
+verdict, and make no solve, and no boundary flag is derived until the
+explanation is read.  A verdict computes only what decides it: the
 minus, left-minus, right-minus and weak-minus orders are decided on the
 three factors alone, by rank subtractivity, and never form a join or the
 adjoint mirror, and an inclusion whose sines lie far below or above their
@@ -84,7 +85,7 @@ import numpy as np
 import pytest
 
 import minusord
-from minusord import linalg, orders, sums
+from minusord import linalg, orders, subspaces, sums
 from minusord.additivity import disjoint_range_additivity, kernel_characterization
 from minusord.exceptions import OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
@@ -306,6 +307,40 @@ def test_minus_family_verdict_is_the_ranks(name, monkeypatch):
     for cached in ("sum_and_meet", "mirror"):
         monkeypatch.setattr(orders._Triple, cached, property(_forbidden(cached)))
     assert VERDICT_ONLY[name][0]() is ("unordered" not in name)
+
+
+def _near_thresholds(monkeypatch):
+    """The thresholds of every call of the one boundary rule, ``_near``,
+    from here on, in every module that names it."""
+    calls, real = [], linalg._near
+
+    def counting(values, threshold):
+        calls.append(threshold)
+        return real(values, threshold)
+
+    for module in (linalg, subspaces, orders):
+        monkeypatch.setattr(module, "_near", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_ONLY))
+def test_verdict_only_derives_no_flag(name, monkeypatch):
+    # the boundary flags are derived from each factor's cutoff when the
+    # explanation is read, never for a verdict alone
+    calls = _near_thresholds(monkeypatch)
+    VERDICT_ONLY[name][0]()
+    assert calls == []
+
+
+@pytest.mark.parametrize("order", [minus_order, right_minus_order])
+def test_reading_flags_derives_them(order, monkeypatch):
+    # the triple's three factors, or the adjoint factors of its mirror for
+    # a right-sided order, are flagged at the cutoffs their ranks were cut at
+    t = orders._triple(A, A + B, linalg.DEFAULT_TOLERANCE)
+    report = order(A, A + B)
+    calls = _near_thresholds(monkeypatch)
+    assert report.boundary_flags == ()
+    assert set(calls) >= {f.cutoff for f in (t.fa, t.fb, t.fd)}
 
 
 @pytest.mark.parametrize("name", ["build_split", "fill_fishkind_pinv",

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minusord import linalg
 from minusord.linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -112,10 +115,16 @@ def test_rank_cut_at_a_reference_scale():
     # a difference of operands of norm one is cut at their scale, not its own
     s = np.array([1e-3, 1e-16])
     rtol = DEFAULT_TOLERANCE.effective_rank_rtol((2, 2))
-    assert rank_cut(s, (2, 2)) == (2, False)
-    assert rank_cut(s, (2, 2), DEFAULT_TOLERANCE, 1.0) == (1, False)
-    assert rank_cut(s, (2, 2), DEFAULT_TOLERANCE, 1e-16 / (3.0 * rtol)) == (2, True)
-    assert rank_cut(np.zeros(2), (2, 2), DEFAULT_TOLERANCE, 1.0) == (0, False)
+    assert rank_cut(s, (2, 2)) == 2
+    assert rank_cut(s, (2, 2), DEFAULT_TOLERANCE, 1.0) == 1
+    assert rank_cut(s, (2, 2), DEFAULT_TOLERANCE, 1e-16 / (3.0 * rtol)) == 2
+    assert rank_cut(np.zeros(2), (2, 2), DEFAULT_TOLERANCE, 1.0) == 0
+    # a factor keeps the cutoff it was cut at, and its flag is read off it
+    for scale, want in ((None, (2, False)), (1.0, (1, False)), (1e-16 / (3.0 * rtol), (2, True))):
+        f = Factored._of(np.diag(s).astype(complex), DEFAULT_TOLERANCE, scale)
+        assert (f.rank, f.near) == want
+        assert (f.adjoint().rank, f.adjoint().near) == want
+    assert not Factored._of(np.zeros((2, 2), dtype=complex), DEFAULT_TOLERANCE, 1.0).near
 
 
 def test_range_contains(rng):
@@ -176,8 +185,25 @@ def _array_rank_cut(s, shape, tol, scale=None):
 
 def _array_sine_cut(s, ambient_dim, tol):
     """:func:`sine_cut` as numpy reductions, the formulation it replaces."""
-    rank = int(np.count_nonzero(s > tol.effective_rank_rtol((ambient_dim, ambient_dim))))
-    return rank, bool(s.size == 0 or s[0] <= tol.subspace_atol(ambient_dim))
+    return int(np.count_nonzero(s > tol.effective_rank_rtol((ambient_dim, ambient_dim))))
+
+
+def _flagged_ranks(values, shape, tol, scale):
+    """(rank, near) of :meth:`Factored._of` at ``scale`` and, at the
+    matrix's own scale (``scale`` None), of :func:`rank_info`, each fed
+    ``values`` as the singular values of a matrix of ``shape``."""
+    m, n = shape
+
+    def svd(a, full_matrices=True):
+        return np.eye(m), values, np.eye(n)
+
+    with mock.patch.object(np.linalg, "svd", svd):
+        f = Factored._of(np.zeros(shape, dtype=complex), tol, scale)
+    routes = [(f.rank, f.near)]
+    if scale is None:
+        with mock.patch.object(linalg, "_singular_values", lambda a: values):
+            routes.append(rank_info(np.zeros(shape), tol))
+    return routes
 
 
 def _around(*cutoffs):
@@ -200,8 +226,9 @@ _TOLERANCES = st.sampled_from([DEFAULT_TOLERANCE, ToleranceConfig(rank_rtol=1e-3
        picks=st.lists(st.integers(0, 14), max_size=12),
        extra=st.lists(st.floats(0.0, 1.0), max_size=6))
 def test_float_cutoffs_match_the_array_formulation(m, n, tol, top, scale, picks, extra):
-    # rank_cut and sine_cut decide on Python floats; values at, beside, a
-    # tenth of and ten times each cutoff decide as numpy's reductions do
+    # rank_cut, sine_cut and the near rule decide on Python floats; values
+    # at, beside, a tenth of and ten times each cutoff decide as numpy's
+    # reductions do, by every route that cuts a rank or flags its boundary
     shape = (m, n)
     cutoff = tol.effective_rank_rtol(shape) * (top if scale is None else scale)
     sine_rank = tol.effective_rank_rtol((m, m))
@@ -209,12 +236,15 @@ def test_float_cutoffs_match_the_array_formulation(m, n, tol, top, scale, picks,
     chosen = [candidates[i] for i in picks] + [top * x for x in extra]
     s = np.array(sorted([top] + [v for v in chosen if v <= top], reverse=True))
     for values in (s, np.zeros(0)):
-        for got, want in ((rank_cut(values, shape, tol, scale),
-                           _array_rank_cut(values, shape, tol, scale)),
-                          (rank_cut(values, shape, tol), _array_rank_cut(values, shape, tol)),
-                          (sine_cut(values, m, tol), _array_sine_cut(values, m, tol))):
-            assert got == want
-            assert type(got[0]) is int and type(got[1]) is bool
+        for at in (scale, None):
+            want = _array_rank_cut(values, shape, tol, at)
+            assert rank_cut(values, shape, tol, at) == want[0]
+            assert type(rank_cut(values, shape, tol, at)) is int
+            for got in _flagged_ranks(values, shape, tol, at):
+                assert got == want
+                assert type(got[0]) is int and type(got[1]) is bool
+        assert sine_cut(values, m, tol) == _array_sine_cut(values, m, tol)
+        assert type(sine_cut(values, m, tol)) is int
 
 
 @settings(max_examples=300, deadline=None)

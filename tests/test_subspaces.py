@@ -274,6 +274,12 @@ def test_direct_sum_reads_singular_values_only(monkeypatch, rng):
 def test_subspace_equal_reads_singular_values_only(monkeypatch, rng):
     m = Subspace.from_span(cgauss(rng, 6, 3))
     n = Subspace.from_span(m.basis @ cgauss(rng, 3, 3))
+    # two sines of 0.9 subspace_atol: sigma_1 is within the threshold while
+    # the Frobenius norm, about 1.27 times it, settles nothing
+    q, _ = np.linalg.qr(cgauss(rng, 6, 6))
+    sine = 0.9 * ToleranceConfig().subspace_atol(6)
+    tilted = [np.sqrt(1.0 - sine * sine) * q[:, j] + sine * q[:, j + 3] for j in (0, 1)]
+    close = Subspace(q[:, :3]), Subspace(np.column_stack(tilted + [q[:, 2]]))
     real = np.linalg.svd
     vectors = []
 
@@ -282,7 +288,10 @@ def test_subspace_equal_reads_singular_values_only(monkeypatch, rng):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
+    # equal spans: the norm of the sines settles the bound with no SVD
     assert subspace_equal(m, n)
+    assert vectors == []
+    assert subspace_equal(*close)
     assert vectors == [False]
 
 
