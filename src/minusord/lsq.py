@@ -24,6 +24,7 @@ from .geninv import _pinv, pinv
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _rank_cutoff,
     _spectral_within,
     adjoint,
     as_matrix,
@@ -117,10 +118,11 @@ def solve_system(A, B, a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
         raise ValueError("right-hand side length mismatch")
     t = _triple(A, A + B, tol, d=B)
     # v lies in R(X) when U_X^perp* v is within the cutoff of [X | v] at max(s_1(X), ||v||)
-    cutoff = tol.effective_rank_rtol((A.shape[0], A.shape[1] + 1))
+    shape = (A.shape[0], A.shape[1] + 1)
     for f, vec, label in ((t.fa, a, "a"), (t.fd, b, "b")):
         outside = adjoint(f.conull.basis) @ vec[:, None]
-        if not _spectral_within(outside, cutoff * max(f.s.max(initial=0.0), np.linalg.norm(vec))):
+        scale = max(f.s.max(initial=0.0), np.linalg.norm(vec))
+        if not _spectral_within(outside, _rank_cutoff(f.s, shape, tol, scale)):
             raise MembershipError(f"membership fails: {label} is outside the column space")
     _checked(t)
     x = _pinv_times(t.fb, a + b)

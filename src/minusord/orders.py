@@ -12,9 +12,9 @@ square and inclusion tests the verdict needs, and leaves the rank flags
 to the explanation.  Each verdict computes only what decides it:
 the minus, left-minus, right-minus and weak-minus orders share the verdict
 they reduce to in finite dimension, rank subtractivity (Marsaglia & Styan
-1974; Hartwig 1980), which their joins and intersections restate; the star,
-sharp and core orders require the same rank additivity beside their
-identities, so each implies minus at every scale; the left star order
+1974; Hartwig 1980), which their range sums and intersections restate;
+the star, sharp and core orders require the same rank additivity beside
+their identities, so each implies minus at every scale; the left star order
 tests its Gram identity before the inclusion; and an inclusion of
 subspaces is settled from a Frobenius norm before any SVD of its sines
 when the norm is far from the bound.  The cross-characterizations (with the
@@ -47,7 +47,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +56,6 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     _near,
-    _singular_values,
     _spectral_within,
     adjoint,
     as_pair,
@@ -187,15 +185,20 @@ class _Triple:
 
     @cached_property
     def sines(self) -> np.ndarray:
-        """K = U_B* [U_A | U_D]; its rows past rank(B) are the sines of R(A)
-        and R(B - A) beyond R(B)."""
+        """U_B^perp* [U_A | U_D], the sines of R(A) and R(B - A) beyond R(B):
+        the only rows of U_B* [U_A | U_D] any check reads."""
         fa, fd = self.fa, self.fd
-        return adjoint(self.fb.u) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
+        return adjoint(self.fb.conull.basis) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
 
     @cached_property
-    def join(self) -> "_Join":
-        """The codomain side; ``mirror.join`` is the domain side."""
-        return _join(self)
+    def spans(self) -> bool:
+        """R(A) + R(B - A) = R(B) on the codomain side; ``mirror.spans`` is
+        the domain side.  B = A + (B - A) puts R(B) inside R(A) + R(B - A)
+        for every pair, so the sum spans R(B) exactly when both ranges lie
+        in R(B): no sine beyond R(B) exceeds the subspace-equality threshold.
+        Whether the sum is direct is left to :func:`_direct`: only the minus
+        order's kernel verdict and fallback witness read it."""
+        return _spectral_within(self.sines, self.tol.subspace_atol(self.fb.u.shape[0]))
 
     @cached_property
     def left_witness(self) -> Projection | None:
@@ -226,11 +229,11 @@ class _Triple:
         The range verdicts judge the same sines unweighted, against the
         subspace-equality threshold of every subspace relation
         (:meth:`~minusord.linalg.ToleranceConfig.subspace_atol`): R(A) +
-        R(B - A) = R(B) is a relation of subspaces, where a direction counts
-        whatever A's norm along it, whereas a direction of A adds its
-        singular value times its sine to A - P B."""
-        fa, outside = self.fa, self.sines[self.fb.rank:]
-        return _spectral_within(outside[:, :fa.rank] * fa.s[:fa.rank], self.fd.cutoff)
+        R(B - A) = R(B) is a relation of subspaces (:attr:`spans`), where a
+        direction counts whatever A's norm along it, whereas a direction of A
+        adds its singular value times its sine to A - P B."""
+        fa = self.fa
+        return _spectral_within(self.sines[:, :fa.rank] * fa.s[:fa.rank], self.fd.cutoff)
 
     def flags(self) -> tuple[str, ...]:
         """The boundary flags of the three rank decisions, off each factor's cutoff."""
@@ -273,30 +276,6 @@ def _triple(A, B, tol, d=None) -> _Triple:
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
     d = B - A if d is None else d
     return _Triple(A.copy(), B.copy(), fa, fb, Factored._of(d, tol, _scale(fa.s, fb.s)), tol)
-
-
-class _Join(NamedTuple):
-    """How R(A) and R(B - A) sit in R(B) on one side, read off the factors."""
-
-    spans: bool   # R(A) + R(B - A) = R(B)
-    covers: bool  # [U_A | U_D | U_B^perp] spans the space
-
-
-def _join(t: _Triple) -> _Join:
-    """The codomain-side :class:`_Join` of the triple.
-
-    The sines K = U_B* [U_A | U_D] carry both range facts: the rows past
-    rank(B) vanish when R(A) and R(B - A) both lie in R(B), and the first
-    rank(B) rows have rank rank(B) exactly when [U_A | U_D | U_B^perp]
-    spans the space.  Whether R(A) + R(B - A) is direct is left to
-    :func:`_direct`: only the minus order's kernel verdict and fallback
-    witness read it.
-    """
-    fa, fb, fd, k = t.fa, t.fb, t.fd, t.sines
-    m = fb.u.shape[0]
-    inside = _spectral_within(k[fb.rank:], t.tol.subspace_atol(m))
-    covers = rank_cut(_singular_values(k[:fb.rank]), (m, fa.rank + fd.rank), t.tol) == fb.rank
-    return _Join(inside and covers, covers)
 
 
 def _direct(t: _Triple) -> bool:
@@ -357,8 +336,8 @@ def _projection_ok(t: _Triple, witness_p) -> bool:
 
 def _minus(t: _Triple) -> OrderReport:
     """The minus-order report: the verdict is rank subtractivity, which the
-    range (both joins span R(B)), angle, kernel and projection
-    characterizations restate.  When it holds, the orthogonal complements
+    range (R(A) + R(B - A) spans R(B) on both sides), angle, kernel and
+    projection characterizations restate.  When it holds, the orthogonal complements
     of R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and N(B), so the
     witnesses are the ``left_witness`` of the triple and of its mirror."""
     fa, fd = t.fa, t.fd
@@ -366,8 +345,8 @@ def _minus(t: _Triple) -> OrderReport:
 
     def explain():
         angle_flags = []
-        left_holds = holds and t.join.spans
-        spans = t.join.spans and t.mirror.join.spans
+        left_holds = holds and t.spans
+        spans = t.spans and t.mirror.spans
         # The angle route restates disjointness as a minimal-angle margin;
         # the span part of the condition is still required.
         angle_ok = (spans and _angle_margin_ok(fa.range, fd.range, t.tol, angle_flags)
@@ -405,25 +384,25 @@ def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 
 def _left_minus(t: _Triple) -> OrderReport:
     """The left-minus report: the verdict is rank subtractivity, and the
-    ranges hold when the ranks add and the codomain join spans R(B)."""
+    ranges hold when the ranks add and R(A) + R(B - A) spans R(B).  The
+    witness, along R(B - A) + N(B*), is built only when the ranks add, so
+    a dimension match on an unordered pair never reaches its core solve."""
     holds = _additive(t)
+    witness_p = _witness(holds, lambda: t.left_witness)
 
     def explain():
-        # along R(B - A) + N(B*): [U_A | U_D | U_B^perp] is invertible iff
-        # the ranks add and the join covers R(B), which the join tests here
-        witness_p = t.left_witness if t.join.covers else None
-        return ({"ranges": holds and t.join.spans, "projection": _projection_ok(t, witness_p)},
+        return ({"ranges": holds and t.spans, "projection": _projection_ok(t, witness_p())},
                 t.flags())
 
-    return OrderReport("left_minus", holds, t.ranks, _witness(holds, lambda: t.left_witness),
-                       _absent, explain)
+    return OrderReport("left_minus", holds, t.ranks, witness_p, _absent, explain)
 
 
 def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Left minus order: R(B) = R(A) direct-plus R(B - A) (codomain side only).
 
     The verdict is the minus order's rank subtractivity, which the codomain
-    join restates.  The witness projects onto R(A) along R(B - A) + N(B*).
+    sum R(A) + R(B - A) = R(B) restates.  The witness projects onto R(A)
+    along R(B - A) + N(B*).
     """
     return _left_minus(_triple(*as_pair(A, B), tol))
 
@@ -473,13 +452,11 @@ def _star(t: _Triple) -> OrderReport:
 
 def _orthogonal_join(t: _Triple) -> bool:
     """Whether R(B) = R(A) + R(B - A) with orthogonal summands: the ranks
-    add, both ranges lie in R(B) and R(B - A) lies in N(A*).  The sines of
-    the last inclusion are the cosines U_A* U_D; those of the first are the
-    rows of :attr:`_Triple.sines` past rank(B)."""
-    atol = t.tol.subspace_atol(t.fb.u.shape[0])
-    return (_additive(t)
-            and _spectral_within(t.sines[t.fb.rank:], atol)
-            and _spectral_within(adjoint(t.fa.range.basis) @ t.fd.range.basis, atol))
+    add, both ranges lie in R(B) (:attr:`_Triple.spans`) and R(B - A) lies
+    in N(A*), whose sines are the cosines U_A* U_D."""
+    return (_additive(t) and t.spans
+            and _spectral_within(adjoint(t.fa.range.basis) @ t.fd.range.basis,
+                                 t.tol.subspace_atol(t.fb.u.shape[0])))
 
 
 def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:

@@ -68,9 +68,12 @@ they pay for the factors and the Gram, square and inclusion tests of the
 verdict, and make no solve, and no boundary flag is derived until the
 explanation is read.  A verdict computes only what decides it: the
 minus, left-minus, right-minus and weak-minus orders are decided on the
-three factors alone, by rank subtractivity, and never form a join or the
-adjoint mirror, and an inclusion whose sines lie far below or above their
-bound in Frobenius norm is settled without an SVD of them.
+three factors alone, by rank subtractivity, and never test whether
+R(A) + R(B - A) spans R(B) or form the adjoint mirror, and an inclusion
+whose sines lie far below or above their bound in Frobenius norm is
+settled without an SVD of them.  Their explanations test that span once
+per side, on the sines beyond R(B) alone: B = A + (B - A) puts R(B)
+inside the sum for every pair, so no rank of the sines is taken.
 
 One spy, :func:`spy`, takes the counts; ``scripts/bench_calls.py`` prints
 them through it.
@@ -143,9 +146,9 @@ def _unordered_pinv():
 # name: (call, bound on all SVDs, on SVDs with singular vectors, on n-sized SVDs,
 #        on as_matrix calls)
 CALLS = {
-    "minus_order": (lambda: _read(minus_order(A, A + B)), 9, 3, 3, 2),
-    "left_minus_order": (lambda: _read(left_minus_order(A, A + B)), 4, 3, 3, 2),
-    "right_minus_order": (lambda: _read(right_minus_order(A, A + B)), 4, 3, 3, 2),
+    "minus_order": (lambda: _read(minus_order(A, A + B)), 7, 3, 3, 2),
+    "left_minus_order": (lambda: _read(left_minus_order(A, A + B)), 3, 3, 3, 2),
+    "right_minus_order": (lambda: _read(right_minus_order(A, A + B)), 3, 3, 3, 2),
     "left_star_order": (lambda: _read(left_star_order(SA, SA + SB)), 3, 3, 3, 2),
     "right_star_order": (lambda: _read(right_star_order(SA, SA + SB)), 3, 3, 3, 2),
     "core_order": (lambda: _read(core_order(CA, CA + CB)), 4, 3, 3, 2),
@@ -159,10 +162,9 @@ CALLS = {
     # cross-check verdicts
     "build_split": (lambda: build_split(A, B), 4, 4, 3, 2),
     "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 4, 4, 3, 2),
-    # every SVD is n-sized here: the join of the full-rank sum has 9 rows
-    # and no sines beyond R(A + B); the check is the left-minus order, and
-    # its report, read in full, joins the codomain side alone
-    "fill_fishkind_pinv_unordered": (_unordered_pinv, 4, 3, 4, 2),
+    # the full-rank sum leaves no sines beyond R(A + B), so the left-minus
+    # report, read in full, adds no SVD to the three factors
+    "fill_fishkind_pinv_unordered": (_unordered_pinv, 3, 3, 3, 2),
     # least squares builds the split's P alone, and the memberships of
     # solve_system are read off its triple's factors of A and B
     "decoupled_lss": (lambda: decoupled_lss(A, B, C), 4, 4, 4, 3),
@@ -301,10 +303,9 @@ def _forbidden(what):
 @pytest.mark.parametrize("name", sorted(n for n in VERDICT_ONLY if "minus" in n))
 def test_minus_family_verdict_is_the_ranks(name, monkeypatch):
     # the four minus-family verdicts are rank subtractivity, read off the
-    # three factors: no join, direct sum, sum and meet or adjoint mirror
-    for helper in ("_join", "_direct"):
-        monkeypatch.setattr(orders, helper, _forbidden(helper))
-    for cached in ("sum_and_meet", "mirror"):
+    # three factors: no range sum, direct sum, sum and meet or adjoint mirror
+    monkeypatch.setattr(orders, "_direct", _forbidden("_direct"))
+    for cached in ("spans", "sum_and_meet", "mirror"):
         monkeypatch.setattr(orders._Triple, cached, property(_forbidden(cached)))
     assert VERDICT_ONLY[name][0]() is ("unordered" not in name)
 
@@ -418,6 +419,13 @@ def test_orders_rank_no_joined_operands():
     # the joined [B | A], nor does solve_system rank [A | a] or [B | b]
     assert not _named("orders") & {"_rank", "_range_contains"}
     assert not _named("lsq") & {"_rank", "_range_contains"}
+
+
+def test_one_module_holds_the_rank_tolerance():
+    # every rank and membership cutoff is built by linalg's one cutoff rule,
+    # so no other module reads the relative tolerance behind it
+    modules = [info.name for info in pkgutil.iter_modules(minusord.__path__)]
+    assert [m for m in modules if m != "linalg" and "effective_rank_rtol" in _named(m)] == []
 
 
 def test_set_operations_rank_no_joined_bases():

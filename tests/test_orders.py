@@ -546,10 +546,36 @@ def test_a_triple_and_its_mirror_form_no_cycle():
     gc.disable()
     try:
         t = orders._triple(*as_pair(a, a + b), DEFAULT_TOLERANCE)
-        t.mirror.join, t.join
+        t.mirror.spans, t.spans
         _fields(orders._minus(t))
         triple = weakref.ref(t)
         del t
         assert triple() is None
     finally:
         gc.enable()
+
+
+def _lopsided(seed, side, scale):
+    """An exactly ordered pair A <=- A + B with A or B alone scaled."""
+    a, b = minus_pair(seed, 9, 7, 3, 2)
+    return (scale * a, b) if side == "A" else (a, scale * b)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("seed", range(3))
+def test_lopsided_minus_pairs_keep_their_projection(seed, side):
+    # at 1e+-10 R(B)'s computed basis misses the small summand's directions
+    # by more than the subspace threshold, so the sum does not span R(B) and
+    # the projection characterization holds only through the witness along
+    # the complement of R(A) + R(B - A)
+    for scale in (1e-10, 1e10):
+        a, b = _lopsided(seed, side, scale)
+        report = minus_order(a, a + b)
+        assert report.holds and report.characterization_verdicts["projection"]
+    # further out, every field of the minus family's reports is read
+    # without raising
+    for exponent in range(13, 18):
+        for scale in (10.0 ** -exponent, 10.0 ** exponent):
+            a, b = _lopsided(seed, side, scale)
+            for order in (minus_order, left_minus_order, right_minus_order):
+                _fields(order(a, a + b))
