@@ -70,7 +70,6 @@ from .subspaces import (
     _departing,
     _outside,
     _projection,
-    _sum_and_meet,
     minimal_angle_cos,
 )
 
@@ -184,31 +183,32 @@ class _Triple:
                        self.fd.adjoint(), self.tol)
 
     @cached_property
-    def sines(self) -> np.ndarray:
-        """U_B^perp* [U_A | U_D], the sines of R(A) and R(B - A) beyond R(B):
-        the only rows of U_B* [U_A | U_D] any check reads."""
+    def weighted(self) -> np.ndarray:
+        """U_B^perp* [U_A diag(sigma_A) | U_D diag(sigma_D)], the parts of A
+        and B - A outside R(B): the sines of R(A) and R(B - A) beyond R(B),
+        the only rows of U_B* [U_A | U_D] any check reads, each weighted by
+        its direction's singular value.  A computed singular subspace
+        resolves a summand far smaller than the other only to about the
+        rounding over its gap (Wedin 1972), so a small direction's sine may
+        be rounding; its singular value times its sine is what it adds to a
+        residual such as A - P B."""
         fa, fd = self.fa, self.fd
-        return adjoint(self.fb.conull.basis) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
+        sines = adjoint(self.fb.conull.basis) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
+        return sines * np.concatenate([fa.s[:fa.rank], fd.s[:fd.rank]])
 
     @cached_property
     def spans(self) -> bool:
         """R(A) + R(B - A) = R(B) on the codomain side; ``mirror.spans`` is
         the domain side.  B = A + (B - A) puts R(B) inside R(A) + R(B - A)
         for every pair, so the sum spans R(B) exactly when both ranges lie
-        in R(B): no sine beyond R(B) exceeds the subspace-equality threshold.
-        Whether the sum is direct is left to :func:`_direct`: only the minus
-        order's kernel verdict and fallback witness read it."""
-        return _spectral_within(self.sines, self.tol.subspace_atol(self.fb.u.shape[0]))
+        in R(B): no singular value of :attr:`weighted` lies above the cutoff
+        of B - A.  Whether the sum is direct is left to :func:`_direct`."""
+        return _spectral_within(self.weighted, self.fd.cutoff)
 
     @cached_property
     def left_witness(self) -> Projection | None:
         """The projection onto R(A) along R(B - A) + N(B*)."""
         return _split_witness(self.fa, self.fd, self.fb.conull)
-
-    @cached_property
-    def sum_and_meet(self) -> tuple[Subspace, Subspace, Subspace]:
-        """R(A) + R(B - A), its orthogonal complement and R(A) cap R(B - A)."""
-        return _sum_and_meet(self.fa.range, self.fa.conull, self.fd.range, self.tol)
 
     def agree(self, x: np.ndarray, y: np.ndarray) -> bool:
         """Whether two products of A with A or B agree, on the scale
@@ -219,21 +219,11 @@ class _Triple:
     def inside(self) -> bool:
         """Whether A's columns lie in R(B), the inclusion in A = P B and in
         rank [B | A] = rank(B): no singular value of the part of A outside
-        R(B), U_B^perp* U_A diag(sigma_A), lies above the cutoff of B - A.
-        U_B^perp* U_A holds the sines of R(A) beyond R(B), read off
-        :attr:`sines`.  Weighting by sigma_A keeps A's small directions,
-        along which R(B)'s computed basis is least accurate, from counting.
-        The part's Frobenius norm settles the verdict when it lies far from
-        the cutoff (:func:`~minusord.linalg._spectral_within`).
-
-        The range verdicts judge the same sines unweighted, against the
-        subspace-equality threshold of every subspace relation
-        (:meth:`~minusord.linalg.ToleranceConfig.subspace_atol`): R(A) +
-        R(B - A) = R(B) is a relation of subspaces (:attr:`spans`), where a
-        direction counts whatever A's norm along it, whereas a direction of A
-        adds its singular value times its sine to A - P B."""
-        fa = self.fa
-        return _spectral_within(self.sines[:, :fa.rank] * fa.s[:fa.rank], self.fd.cutoff)
+        R(B), U_B^perp* U_A diag(sigma_A), the first rank(A) columns of
+        :attr:`weighted`, lies above the cutoff of B - A.  The part's
+        Frobenius norm settles the verdict when it lies far from the cutoff
+        (:func:`~minusord.linalg._spectral_within`)."""
+        return _spectral_within(self.weighted[:, :self.fa.rank], self.fd.cutoff)
 
     def flags(self) -> tuple[str, ...]:
         """The boundary flags of the three rank decisions, off each factor's cutoff."""
@@ -297,12 +287,6 @@ def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection
         return None
 
 
-def _sum_witness(t: _Triple) -> Projection | None:
-    """The projection onto R(A) along R(B - A) plus the orthogonal
-    complement of R(A) + R(B - A), for R(A) and R(B - A) found disjoint."""
-    return _split_witness(t.fa, t.fd, t.sum_and_meet[1])
-
-
 def _orthogonal_witness(f: Factored) -> Projection:
     """The orthogonal projection U_r U_r* onto R(X), along N(X*)."""
     u = f.range.basis
@@ -336,36 +320,30 @@ def _projection_ok(t: _Triple, witness_p) -> bool:
 
 def _minus(t: _Triple) -> OrderReport:
     """The minus-order report: the verdict is rank subtractivity, which the
-    range (R(A) + R(B - A) spans R(B) on both sides), angle, kernel and
+    range (R(A) + R(B - A) spans R(B) on both sides, each direction weighed
+    by its singular value, :attr:`_Triple.spans`), angle, kernel and
     projection characterizations restate.  When it holds, the orthogonal complements
     of R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and N(B), so the
-    witnesses are the ``left_witness`` of the triple and of its mirror."""
+    witnesses, and the projection characterization's P, are the
+    ``left_witness`` of the triple and of its mirror."""
     fa, fd = t.fa, t.fd
     holds = _additive(t)
 
     def explain():
         angle_flags = []
-        left_holds = holds and t.spans
         spans = t.spans and t.mirror.spans
         # The angle route restates disjointness as a minimal-angle margin;
         # the span part of the condition is still required.
         angle_ok = (spans and _angle_margin_ok(fa.range, fd.range, t.tol, angle_flags)
                     and _angle_margin_ok(fa.corange, fd.corange, t.tol, angle_flags))
-        # N(A) + N(B - A) is the whole domain iff R(A*) cap R(B* - A*) = 0,
-        # and likewise on the codomain side
-        left_direct = _direct(t)
-        kernels_ok = left_direct and _direct(t.mirror)
-        # Canonical left witness: project onto R(A) along R(B - A) plus the
-        # orthogonal complement of R(A) + R(B - A), which is N(B*) when the
-        # left side splits R(B); a direct sum that does not split R(B) has
-        # the complement that U_A^perp* U_D yields
-        witness_p = t.left_witness if left_holds else _sum_witness(t) if left_direct else None
         verdicts = {
             "ranges": holds and spans,
             "ranks": holds,
             "angles": angle_ok,
-            "kernels": kernels_ok,
-            "projection": _projection_ok(t, witness_p),
+            # N(A) + N(B - A) is the whole domain iff R(A*) cap R(B* - A*) = 0,
+            # and likewise on the codomain side
+            "kernels": _direct(t) and _direct(t.mirror),
+            "projection": _projection_ok(t, t.left_witness if holds else None),
         }
         return verdicts, t.flags() + tuple(angle_flags)
 
@@ -452,11 +430,13 @@ def _star(t: _Triple) -> OrderReport:
 
 def _orthogonal_join(t: _Triple) -> bool:
     """Whether R(B) = R(A) + R(B - A) with orthogonal summands: the ranks
-    add, both ranges lie in R(B) (:attr:`_Triple.spans`) and R(B - A) lies
-    in N(A*), whose sines are the cosines U_A* U_D."""
+    add, both ranges lie in R(B) (:attr:`_Triple.spans`) and B - A lies in
+    N(A*): no singular value of its part inside R(A), U_A* U_D diag(sigma_D),
+    lies above the cutoff of B - A, the rule of :attr:`_Triple.spans`."""
+    fd = t.fd
     return (_additive(t) and t.spans
-            and _spectral_within(adjoint(t.fa.range.basis) @ t.fd.range.basis,
-                                 t.tol.subspace_atol(t.fb.u.shape[0])))
+            and _spectral_within(adjoint(t.fa.range.basis) @ fd.range.basis * fd.s[:fd.rank],
+                                 fd.cutoff))
 
 
 def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -539,20 +519,17 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
     the adjoints.
 
     In finite dimension this coincides with the minus order, whose rank
-    subtractivity is the verdict; the intersection conditions stay as
-    characterizations, so a break of the coincidence shows as a disagreement.
+    subtractivity is the verdict and whose witnesses, the ``left_witness``
+    of the triple and of its mirror, it returns; the intersection conditions
+    stay as characterizations, counted from the sines U_A^perp* U_D alone
+    (:func:`_direct`), so a break of the coincidence shows as a disagreement.
     """
     t = _triple(*as_pair(A, B), tol)
-    holds, dims = _additive(t), t.fa.rank + t.fd.rank
-
-    def explain():
-        # R(A) meets R(B - A) trivially iff R(A) + R(B - A) has the dimension
-        # rank(A) + rank(B - A); likewise on the adjoint side
-        return ({"left_intersection_trivial": t.sum_and_meet[0].dim == dims,
-                 "right_intersection_trivial": t.mirror.sum_and_meet[0].dim == dims}, t.flags())
-
-    return OrderReport("weak_minus", holds, t.ranks, _witness(holds, lambda: _sum_witness(t)),
-                       _witness(holds, lambda: _sum_witness(t.mirror)), explain)
+    holds = _additive(t)
+    return OrderReport("weak_minus", holds, t.ranks, _witness(holds, lambda: t.left_witness),
+                       _witness(holds, lambda: t.mirror.left_witness),
+                       lambda: ({"left_intersection_trivial": _direct(t),
+                                 "right_intersection_trivial": _direct(t.mirror)}, t.flags()))
 
 
 _PREDICATES = {

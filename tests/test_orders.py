@@ -555,23 +555,29 @@ def test_a_triple_and_its_mirror_form_no_cycle():
         gc.enable()
 
 
-def _lopsided(seed, side, scale):
-    """An exactly ordered pair A <=- A + B with A or B alone scaled."""
-    a, b = minus_pair(seed, 9, 7, 3, 2)
+def _lopsided(seed, side, scale, pair=minus_pair):
+    """An exactly ordered pair A <= A + B with A or B alone scaled."""
+    a, b = pair(seed, 9, 7, 3, 2)
     return (scale * a, b) if side == "A" else (a, scale * b)
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
 @pytest.mark.parametrize("seed", range(3))
 def test_lopsided_minus_pairs_keep_their_projection(seed, side):
-    # at 1e+-10 R(B)'s computed basis misses the small summand's directions
-    # by more than the subspace threshold, so the sum does not span R(B) and
-    # the projection characterization holds only through the witness along
-    # the complement of R(A) + R(B - A)
-    for scale in (1e-10, 1e10):
-        a, b = _lopsided(seed, side, scale)
-        report = minus_order(a, a + b)
-        assert report.holds and report.characterization_verdicts["projection"]
+    # R(B)'s computed basis resolves the small summand's directions only to
+    # about the rounding over its gap, so every range relation weighs a
+    # direction by its singular value: each characterization of the minus
+    # and star families then agrees with a verdict that holds
+    cases = [(minus_pair, (minus_order, left_minus_order, right_minus_order, weak_minus_order)),
+             (star_pair, (minus_order, star_order, left_star_order, right_star_order))]
+    for pair, predicates in cases:
+        for scale in (1e-8, 1e8, 1e-10, 1e10, 1e-12, 1e12):
+            a, b = _lopsided(seed, side, scale, pair)
+            for order in predicates:
+                report = order(a, a + b)
+                assert report.holds, (report.order_name, scale)
+                verdicts = report.characterization_verdicts
+                assert all(verdicts.values()), (report.order_name, scale, verdicts)
     # further out, every field of the minus family's reports is read
     # without raising
     for exponent in range(13, 18):
