@@ -59,7 +59,7 @@ def read_in_full(report):
 def calls(n):
     """The timed calls on one seeded square n x n pair of ranks n/3 + n/3."""
     import numpy as np
-    from minusord import lsq, orders, subspaces, sums
+    from minusord import additivity, lsq, orders, subspaces, sums
     from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
     from minusord.subspaces import Subspace
 
@@ -83,6 +83,7 @@ def calls(n):
         "left_minus_order (read in full)":
             lambda: read_in_full(orders.left_minus_order(a, a + b)),
         "star_order": lambda: orders.star_order(sa, sa + sb).holds,
+        "is_range_additive": lambda: additivity.is_range_additive(a, b),
         "floor: np.linalg.pinv(A+B)": lambda: np.linalg.pinv(a + b),
         "build_split": lambda: sums.build_split(a, b),
         "fill_fishkind_pinv": lambda: sums.fill_fishkind_pinv(a, b),

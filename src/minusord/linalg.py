@@ -267,12 +267,7 @@ def range_contains(B, A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     B = as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
         raise ValueError("row counts differ")
-    return _range_contains(B, A, tol)
-
-
-def _range_contains(b: np.ndarray, a: np.ndarray, tol: ToleranceConfig) -> bool:
-    """:func:`range_contains` of arrays derived from validated operands."""
-    return _rank(np.hstack([b, a]), tol) == _rank(b, tol)
+    return _rank(np.hstack([B, A]), tol) == _rank(B, tol)
 
 
 def effective_condition(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> float:

@@ -16,6 +16,10 @@ joined n x (dim M + dim N) matrix, the sine rule when sin(theta) is below
 the cutoff of an n x n matrix.  So the two engines may disagree only for
 angles within a few times the sine cutoff ``16 * eps * n``.
 
+Range additivity of two matrices is ranked the same way, on the joined
+[A + B | A], where the package counts B's part outside R(A) against the
+rank of A + B.
+
 The oblique projections and reflexive inverses here solve the n x n join
 of the two bases, where the package solves cores of principal-angle sines
 of the ranks' size.
@@ -74,6 +78,12 @@ def angle_equivalences(m_space, n_space, tol=DEFAULT_TOLERANCE):
         direct_sum_closed=is_direct_sum(m_space, n_space, tol),
         complements_span=span_dim(m_space.perp(), n_space.perp(), tol) == m_space.ambient_dim,
     )
+
+
+def range_additive(A, B, tol=DEFAULT_TOLERANCE):
+    """R(A + B) = R(A) + R(B), tested as R(A) in R(A + B):
+    rank([A + B | A]) == rank(A + B)."""
+    return numerical_rank(np.hstack([A + B, A]), tol) == numerical_rank(A + B, tol)
 
 
 def oblique_projection(m_space, n_space, tol=DEFAULT_TOLERANCE):

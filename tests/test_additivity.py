@@ -9,13 +9,13 @@ from minusord.additivity import (
     kernel_characterization,
 )
 from minusord.exceptions import ComplementError
-from minusord.generate import minus_pair
+from minusord.generate import minus_pair, star_pair
 from minusord.linalg import DEFAULT_TOLERANCE, adjoint, as_pair, fro
 from minusord.orders import minus_order
 from minusord.subspaces import Factored, range_basis, subspace_equal
 
 from conftest import cgauss
-from joined_basis import oblique_projection, span_dim, subspace_sum
+from joined_basis import oblique_projection, range_additive, span_dim, subspace_sum
 
 
 def test_is_range_additive_diagonal():
@@ -107,7 +107,7 @@ def _reference_kernel(A, B, tol=DEFAULT_TOLERANCE):
                 witness = candidate
 
     spans = span_dim(fa.null, fb.null, tol) == A.shape[1]
-    additive = is_range_additive(A, B, tol)
+    additive = range_additive(A, B, tol)
     return KernelCharacterization(
         adjoint_ranges_direct_closed=direct,
         witness_q=witness,
@@ -205,6 +205,7 @@ def test_kernel_characterization_matches_joined_bases():
         assert got.adjoint_ranges_direct_closed == ref.adjoint_ranges_direct_closed, label
         assert got.kernels_span == ref.kernels_span, label
         assert got.range_additive == ref.range_additive, label
+        assert is_range_additive(a, b) == ref.range_additive, label
         assert (got.witness_q is None) == (ref.witness_q is None), label
         if kind == RANK_RESOLVED_ONLY:
             # R(A*) and R(B*) are 1e-6 apart but meet trivially: Q exists
@@ -215,21 +216,30 @@ def test_kernel_characterization_matches_joined_bases():
             assert diff <= 1e-8 * (1.0 + fro(ref.witness_q.matrix)), label
 
 
-# R(A + B) is the direct sum of R(A) and R(B) exactly when A is minus-below
-# A + B, and both verdicts read the same rank subtractivity: rank(B) and
-# rank(A + B) counted at max(sigma_1(A), sigma_1(A + B)), so a summand
-# below the rounding of A + B counts in neither.
-LOPSIDED_SCALES = (1e6, 1e-6, 1e13, 1e-13, 1e15, 1e-15, 1e17, 1e-17, 1.0)
+# Every reading of range additivity counts by the minus verdict's one rule:
+# rank(A) plus the rank of a part of B, against rank(A + B), the last two
+# counted at max(sigma_1(A), sigma_1(A + B)), so a summand below the rounding
+# of A + B counts in neither.  R(A + B) is the direct sum of R(A) and R(B)
+# when that part is B itself, which is A being minus-below A + B; the two
+# readings of R(A + B) = R(A) + R(B) take B's part outside R(A).
+LOPSIDED_SCALES = (1e6, 1e-6, 1e8, 1e-8, 1e10, 1e-10, 1e12, 1e-12,
+                   1e13, 1e-13, 1e15, 1e-15, 1e17, 1e-17, 1.0)
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
 @pytest.mark.parametrize("c", LOPSIDED_SCALES)
 def test_disjoint_additivity_is_the_minus_verdict_at_lopsided_scales(side, c):
     for seed in range(10):
-        a, b = minus_pair(seed, 9, 9, 3, 3)
-        a, b = (c * a, b) if side == "A" else (a, c * b)
-        label = f"{side} scaled by {c:g}, seed {seed}"
-        assert disjoint_range_additivity(a, b).additive == minus_order(a, a + b).holds, label
+        for kind, (a, b) in (("minus", minus_pair(seed, 9, 9, 3, 3)),
+                             ("star", star_pair(seed, 9, 7, 3, 2))):
+            a, b = (c * a, b) if side == "A" else (a, c * b)
+            label = f"{kind} pair, {side} scaled by {c:g}, seed {seed}"
+            got = disjoint_range_additivity(a, b)
+            assert got.additive == minus_order(a, a + b).holds, label
+            range_additive = is_range_additive(a, b)
+            assert range_additive == kernel_characterization(a, b).range_additive, label
+            assert not got.additive or range_additive, label
+            assert got.additive == (got.ranges_disjoint and range_additive), label
 
 
 def test_disjoint_additivity_is_the_minus_verdict_on_the_oracle_mix():

@@ -51,9 +51,10 @@ Each construction of a sum builds only what it returns: only
 ``build_split`` forms the projection sum E and its SplitWitness, the
 pseudoinverse builds the split's P and Q, and least squares P alone, so
 its one solve is P's core.  ``solve_system`` tests a in R(A) and b in R(B)
-on its triple's factors, and ``kernel_characterization`` reads range
-additivity off rank(A + B) and the sines of R(B) against R(A); neither
-ranks a joined [X | v] or [A + B | A].
+on its triple's factors, and ``is_range_additive`` and
+``kernel_characterization`` read range additivity off A's factor, by the
+minus verdict's count of rank(A + B) against rank(A) and the part of B
+outside R(A); none ranks a joined [X | v] or [A + B | A].
 The agreeing split behind the reflexive inverses of a sum tests M and N
 on their sines alone and verifies its two projection-sum identities by
 their action on the summands' bases, so its solves are those of its own
@@ -89,7 +90,8 @@ import pytest
 
 import minusord
 from minusord import linalg, orders, subspaces, sums
-from minusord.additivity import disjoint_range_additivity, kernel_characterization
+from minusord.additivity import (disjoint_range_additivity, is_range_additive,
+                                 kernel_characterization)
 from minusord.exceptions import OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
 from minusord.geninv import core_inverse, group_inverse
@@ -175,6 +177,8 @@ CALLS = {
         (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 3, 3, 3, 2),
     "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 6, 3, 3, 2),
     "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 6, 3, 3, 2),
+    # A with vectors; the part of B outside R(A) and A + B by values alone
+    "is_range_additive": (lambda: is_range_additive(A, B), 3, 1, 3, 2),
     "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
     "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 3, 2),
     # M and N are tested on their sines, and the four canonical complements
@@ -416,11 +420,13 @@ def test_set_operations_not_used_inside(module):
 
 def test_orders_rank_no_joined_operands():
     # R(A) in R(B) is read off the factors of A and B; no order check ranks
-    # the joined [B | A], nor does solve_system rank [A | a] or [B | b].  No
-    # order check judges unweighted sines at the subspace-equality threshold
-    # or builds the basis of a sum of ranges
+    # the joined [B | A], nor does solve_system rank [A | a] or [B | b], nor
+    # does range additivity rank [A + B | A].  No order check judges
+    # unweighted sines at the subspace-equality threshold or builds the
+    # basis of a sum of ranges
     assert not _named("orders") & {"_rank", "_range_contains", "subspace_atol", "_sum_and_meet"}
-    assert not _named("lsq") & {"_rank", "_range_contains"}
+    for module in ("lsq", "additivity"):
+        assert not _named(module) & {"_rank", "_range_contains"}, module
 
 
 def test_one_module_holds_the_rank_tolerance():
