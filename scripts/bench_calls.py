@@ -5,11 +5,11 @@ n x n, ranks n/3 + n/3), next to their numpy floors.  After one untimed
 run of each call, the calls are timed in ``--repeats`` rounds that run
 every call once, and each median is taken over the rounds.  The order
 checks are read for their verdict alone, as a caller deciding the order does;
-``minus_order (read in full)`` and ``left_minus_order (read in full)`` also
-read every cross-check verdict, witness and flag of their report.  The set
-operations run on two subspaces of C^n of dimensions n - 2n/3 and 2n/3
-that meet in one direction, and the oblique projection on a
-complementary pair.
+``minus_order (read in full)``, ``left_minus_order (read in full)`` and
+``weak_minus_order (read in full)`` also read every cross-check verdict,
+witness and flag of their report.  The set operations run on two
+subspaces of C^n of dimensions n - 2n/3 and 2n/3 that meet in one
+direction, and the oblique projection on a complementary pair.
 
 Run from the root of a checkout; ``--src`` points at another checkout's
 ``src`` to measure it with the same inputs:
@@ -42,6 +42,7 @@ SIZES = (6, 50, 200)
 #: timed call has the gate row of its name, with spaces as underscores.
 GATE_ROWS = {"minus_order": "minus_order_holds", "minus_order (read in full)": "minus_order",
              "left_minus_order (read in full)": "left_minus_order",
+             "weak_minus_order (read in full)": "weak_minus_order",
              "star_order": "star_order_holds"}
 
 
@@ -82,8 +83,11 @@ def calls(n):
         "minus_order (read in full)": lambda: read_in_full(orders.minus_order(a, a + b)),
         "left_minus_order (read in full)":
             lambda: read_in_full(orders.left_minus_order(a, a + b)),
+        "weak_minus_order (read in full)":
+            lambda: read_in_full(orders.weak_minus_order(a, a + b)),
         "star_order": lambda: orders.star_order(sa, sa + sb).holds,
         "is_range_additive": lambda: additivity.is_range_additive(a, b),
+        "disjoint_range_additivity": lambda: additivity.disjoint_range_additivity(a, b),
         "floor: np.linalg.pinv(A+B)": lambda: np.linalg.pinv(a + b),
         "build_split": lambda: sums.build_split(a, b),
         "fill_fishkind_pinv": lambda: sums.fill_fishkind_pinv(a, b),

@@ -6,8 +6,8 @@ it is further equivalent to the null spaces of A and B jointly spanning the
 domain.  Each predicate here evaluates its side of such an equivalence
 independently, so the equivalences themselves stay observable in tests.
 
-Every subspace relation is read off one factor each of A and B, on the
-principal-angle sines between a side of A and a side of B.
+Every subspace relation is read off one factor each of A and B: the ranges'
+by the minus verdict's count, the kernels' on principal-angle sines.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .linalg import (
     as_pair,
     fro,
 )
-from .orders import _ranks_add, _split_witness
+from .orders import _disjoint, _ranks_add, _split_witness
 from .subspaces import Factored, Projection, _outside, _sum_and_meet
 
 __all__ = [
@@ -53,9 +53,11 @@ class DisjointRangeAdditivity:
     """Joint verdicts for the disjoint-range additivity equivalence.
 
     ``additive`` records whether R(A + B) is the direct sum of R(A) and
-    R(B); under ``ranges_disjoint`` it is equivalent to ``kernels_span`` in
-    exact arithmetic only: a summand under the rounding of A + B counts in
-    no rank of ``additive``, yet its null space still spans with the other's.
+    R(B), and ``ranges_disjoint`` whether they meet trivially, both counted
+    as the minus verdict counts.  Under ``ranges_disjoint``, ``additive`` is
+    equivalent to ``kernels_span`` in exact arithmetic only: a summand in
+    the cutoff band of A + B counts in no rank of ``additive``, yet its null
+    space still spans with the other's.
     """
 
     ranges_disjoint: bool
@@ -71,11 +73,11 @@ def _kernels_span(fa: Factored, fb: Factored, tol) -> bool:
 def disjoint_range_additivity(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> DisjointRangeAdditivity:
     A, B = as_pair(A, B)
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
-    # R(A) cap R(B) = 0 iff all of R(B) lies outside R(A); R(A + B) is their
-    # direct sum iff the ranks add, the minus order's verdict on A <= A + B
+    total = _singular_values(A + B)
+    # both counted as the minus order counts A <= A + B
     return DisjointRangeAdditivity(
-        ranges_disjoint=_outside(fa.conull, fb.range, tol) == fb.rank,
-        additive=_ranks_add(fa, fb.s, _singular_values(A + B), A.shape, tol),
+        ranges_disjoint=_disjoint(fa, fb, total, A.shape, tol),
+        additive=_ranks_add(fa, fb.s, total, A.shape, tol),
         kernels_span=_kernels_span(fa, fb, tol))
 
 

@@ -12,7 +12,7 @@ square and inclusion tests the verdict needs, and leaves the rank flags
 to the explanation.  Each verdict computes only what decides it:
 the minus, left-minus, right-minus and weak-minus orders share the verdict
 they reduce to in finite dimension, rank subtractivity (Marsaglia & Styan
-1974; Hartwig 1980), which their range sums and intersections restate;
+1974; Hartwig 1980), which their range sums and meets restate at its scale;
 the star, sharp and core orders require the same rank additivity beside
 their identities, so each implies minus at every scale; the left star order
 tests its Gram identity before the inclusion; and an inclusion of
@@ -56,6 +56,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     _near,
+    _singular_values,
     _spectral_within,
     adjoint,
     as_pair,
@@ -68,7 +69,6 @@ from .subspaces import (
     Subspace,
     _certified,
     _departing,
-    _outside,
     _projection,
     minimal_angle_cos,
 )
@@ -249,6 +249,17 @@ def _ranks_add(fa: Factored, sd: np.ndarray, sb: np.ndarray, shape, tol) -> bool
     return fa.rank + rank_cut(sd, shape, tol, scale) == rank_cut(sb, shape, tol, scale)
 
 
+def _disjoint(fa: Factored, fd: Factored, sb: np.ndarray, shape, tol) -> bool:
+    """R(A) cap R(D) = 0 for B = A + D: rank(A) + rank(D) = rank [A | D], the
+    last split as rank(A) plus the rank of D's part outside R(A), U_A^perp*
+    U_D diag(sigma_D) (Marsaglia & Styan, 1974), each count but the first
+    at :func:`_scale` of A and B, as :func:`_ranks_add` counts."""
+    scale = _scale(fa.s, sb)
+    part = _singular_values(adjoint(fa.conull.basis) @ fd.range.basis * fd.s[:fd.rank])
+    return (fa.rank + rank_cut(fd.s, shape, tol, scale)
+            == rank_cut(fa.s, shape, tol, scale) + rank_cut(part, shape, tol, scale))
+
+
 def _scale(sa: np.ndarray, sb: np.ndarray) -> float:
     """max(sigma_1(A), sigma_1(B)) from their singular values: forming
     B - A rounds by eps times it, so B - A is cut at this scale."""
@@ -269,17 +280,14 @@ def _triple(A, B, tol, d=None) -> _Triple:
 
 
 def _direct(t: _Triple) -> bool:
-    """Whether R(A) cap R(B - A) = 0: the sines U_A^perp* U_D of R(B - A)
-    against R(A) all lie above the cutoff."""
-    return _outside(t.fa.conull, t.fd.range, t.tol) == t.fd.rank
+    """Whether R(A) cap R(B - A) = 0, counted by :func:`_disjoint`."""
+    return _disjoint(t.fa, t.fd, t.fb.s, t.b.shape, t.tol)
 
 
 def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection | None:
     """The projection onto R(A) along R(B - A) + ``leftover``, for R(A) and
     R(B - A) already found disjoint; ``None`` if its core is not square or
     is singular."""
-    if fa.rank + fd.rank + leftover.dim != fa.u.shape[0]:
-        return None
     try:
         along = Subspace._trusted(np.hstack([fd.range.basis, leftover.basis]))
         return _projection(fa.range, along, None, m_perp=fa.conull, decided=True)
@@ -521,8 +529,8 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
     In finite dimension this coincides with the minus order, whose rank
     subtractivity is the verdict and whose witnesses, the ``left_witness``
     of the triple and of its mirror, it returns; the intersection conditions
-    stay as characterizations, counted from the sines U_A^perp* U_D alone
-    (:func:`_direct`), so a break of the coincidence shows as a disagreement.
+    stay as characterizations, counted as the verdict counts (:func:`_direct`),
+    so a break of the coincidence shows as a disagreement.
     """
     t = _triple(*as_pair(A, B), tol)
     holds = _additive(t)

@@ -240,6 +240,10 @@ def test_disjoint_additivity_is_the_minus_verdict_at_lopsided_scales(side, c):
             assert range_additive == kernel_characterization(a, b).range_additive, label
             assert not got.additive or range_additive, label
             assert got.additive == (got.ranges_disjoint and range_additive), label
+            # under disjoint ranges, additivity is the kernels' spanning except
+            # at 1e13, where a summand sits in the cutoff band of the sum
+            if c not in (1e13, 1e-13):
+                assert not got.ranges_disjoint or got.additive == got.kernels_span, label
 
 
 def test_disjoint_additivity_is_the_minus_verdict_on_the_oracle_mix():

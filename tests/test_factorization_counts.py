@@ -422,9 +422,10 @@ def test_orders_rank_no_joined_operands():
     # R(A) in R(B) is read off the factors of A and B; no order check ranks
     # the joined [B | A], nor does solve_system rank [A | a] or [B | b], nor
     # does range additivity rank [A + B | A].  No order check judges
-    # unweighted sines at the subspace-equality threshold or builds the
-    # basis of a sum of ranges
-    assert not _named("orders") & {"_rank", "_range_contains", "subspace_atol", "_sum_and_meet"}
+    # unweighted sines at the subspace-equality threshold or at scale one,
+    # or builds the basis of a sum of ranges
+    assert not _named("orders") & {"_rank", "_range_contains", "subspace_atol", "_sum_and_meet",
+                                   "_outside"}
     for module in ("lsq", "additivity"):
         assert not _named(module) & {"_rank", "_range_contains"}, module
 
