@@ -88,6 +88,7 @@ def calls(n):
         "star_order": lambda: orders.star_order(sa, sa + sb).holds,
         "is_range_additive": lambda: additivity.is_range_additive(a, b),
         "disjoint_range_additivity": lambda: additivity.disjoint_range_additivity(a, b),
+        "kernel_characterization": lambda: additivity.kernel_characterization(a, b),
         "floor: np.linalg.pinv(A+B)": lambda: np.linalg.pinv(a + b),
         "build_split": lambda: sums.build_split(a, b),
         "fill_fishkind_pinv": lambda: sums.fill_fishkind_pinv(a, b),

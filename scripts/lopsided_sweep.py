@@ -1,0 +1,74 @@
+"""Tally of the minus verdict and the range-additivity invariants on the
+lopsided corpus of ``tests/lopsided.py``: 870 exactly ordered pairs
+A <= A + B (three pair kinds, seeds 0-9), each with A or B alone scaled
+by 1e6 ... 1e17 or 1e-6 ... 1e-17, or unscaled.
+
+Run from the root of a checkout, with no options:
+
+    python3 scripts/lopsided_sweep.py
+
+The output is one JSON object, ``{kind: {side: {scale: tally}}}`` and a
+``"total"`` tally over the corpus, where each tally counts
+
+- ``draws``: the pairs;
+- ``verdict_wrong``: minus verdicts on A <= A + B that fail, although
+  the pair is ordered in exact arithmetic;
+- ``flagged``: minus reports with a boundary flag;
+- ``direct_not_additive``: pairs whose adjoint ranges split directly
+  while R(A + B) = R(A) + R(B) fails, against the implication that
+  ``KernelCharacterization`` documents;
+- ``caveat``: pairs with disjoint ranges and spanning kernels whose
+  range sum is not direct, the cutoff-band caveat of
+  ``DisjointRangeAdditivity``;
+- ``kernel_disagree``: pairs where the direct adjoint sum, the kernels'
+  spanning and the witness's existence do not all agree.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from lopsided import corpus  # noqa: E402
+from minusord.additivity import disjoint_range_additivity, kernel_characterization  # noqa: E402
+from minusord.orders import minus_order  # noqa: E402
+
+COUNTS = ("draws", "verdict_wrong", "flagged", "direct_not_additive", "caveat", "kernel_disagree")
+
+
+def tally_pair(a, b) -> dict[str, int]:
+    """The counts of one pair, each 0 or 1."""
+    report = minus_order(a, a + b)
+    disjoint = disjoint_range_additivity(a, b)
+    kernel = kernel_characterization(a, b)
+    direct = kernel.adjoint_ranges_direct_closed
+    return {
+        "draws": 1,
+        "verdict_wrong": int(not report.holds),
+        "flagged": int(bool(report.boundary_flags)),
+        "direct_not_additive": int(direct and not kernel.range_additive),
+        "caveat": int(disjoint.ranges_disjoint and disjoint.kernels_span and not disjoint.additive),
+        "kernel_disagree": int(len({direct, kernel.kernels_span, kernel.witness_q is not None}) > 1),
+    }
+
+
+def main() -> int:
+    table: dict = {}
+    total = dict.fromkeys(COUNTS, 0)
+    for kind, _, side, c, a, b in corpus():
+        cell = table.setdefault(kind, {}).setdefault(side, {}).setdefault(
+            f"{c:g}", dict.fromkeys(COUNTS, 0))
+        for name, count in tally_pair(a, b).items():
+            cell[name] += count
+            total[name] += count
+    table["total"] = total
+    print(json.dumps(table, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

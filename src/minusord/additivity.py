@@ -6,8 +6,9 @@ it is further equivalent to the null spaces of A and B jointly spanning the
 domain.  Each predicate here evaluates its side of such an equivalence
 independently, so the equivalences themselves stay observable in tests.
 
-Every subspace relation is read off one factor each of A and B: the ranges'
-by the minus verdict's count, the kernels' on principal-angle sines.
+Every subspace relation is counted as the minus verdict counts, on one
+factor each of A and B: the kernels' on their adjoints, since N(A) + N(B)
+is the domain exactly when R(A*) and R(B*) meet trivially.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .linalg import (
     fro,
 )
 from .orders import _disjoint, _ranks_add, _split_witness
-from .subspaces import Factored, Projection, _outside, _sum_and_meet
+from .subspaces import Factored, Projection, _sum_and_meet
 
 __all__ = [
     "DisjointRangeAdditivity",
@@ -37,15 +38,15 @@ __all__ = [
 def is_range_additive(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether R(A + B) = R(A) + R(B), read off A's factor by :func:`_ranges_add`."""
     A, B = as_pair(A, B)
-    return _ranges_add(Factored._of(A, tol), B, A + B, tol)
+    return _ranges_add(Factored._of(A, tol), B, _singular_values(A + B), A.shape, tol)
 
 
-def _ranges_add(fa: Factored, x, total, tol) -> bool:
-    """Whether R(total) = R(A) + R(x) for total = A + B, R(x) = R(B): the ranks
-    of A and of U_A^perp* x add to rank(total) (Marsaglia & Styan, 1974), as
-    the minus verdict's :func:`~minusord.orders._ranks_add` counts them."""
+def _ranges_add(fa: Factored, x, total, shape, tol) -> bool:
+    """Whether R(A + B) = R(A) + R(x), R(x) = R(B): the ranks of A and of U_A^perp* x
+    add to rank(A + B), of singular values ``total`` (Marsaglia & Styan, 1974),
+    as the minus verdict's :func:`~minusord.orders._ranks_add` counts them."""
     sx = _singular_values(adjoint(fa.conull.basis) @ x)
-    return _ranks_add(fa, sx, _singular_values(total), total.shape, tol)
+    return _ranks_add(fa, sx, total, shape, tol)
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,11 @@ class DisjointRangeAdditivity:
     """Joint verdicts for the disjoint-range additivity equivalence.
 
     ``additive`` records whether R(A + B) is the direct sum of R(A) and
-    R(B), and ``ranges_disjoint`` whether they meet trivially, both counted
-    as the minus verdict counts.  Under ``ranges_disjoint``, ``additive`` is
-    equivalent to ``kernels_span`` in exact arithmetic only: a summand in
-    the cutoff band of A + B counts in no rank of ``additive``, yet its null
-    space still spans with the other's.
+    R(B), ``ranges_disjoint`` whether they meet trivially and
+    ``kernels_span`` whether N(A) + N(B) is the domain, all counted as the
+    minus verdict counts.  Under ``ranges_disjoint``, ``additive`` is
+    equivalent to ``kernels_span`` but in the cutoff band, a summand about
+    1e13 times smaller than the other, where rounding decides each count.
     """
 
     ranges_disjoint: bool
@@ -65,32 +66,29 @@ class DisjointRangeAdditivity:
     kernels_span: bool
 
 
-def _kernels_span(fa: Factored, fb: Factored, tol) -> bool:
-    """Whether N(A) + N(B) is the domain: rank(A) directions of N(B) lie outside N(A)."""
-    return _outside(fa.corange, fb.null, tol) == fa.rank
-
-
 def disjoint_range_additivity(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> DisjointRangeAdditivity:
     A, B = as_pair(A, B)
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
     total = _singular_values(A + B)
-    # both counted as the minus order counts A <= A + B
+    # all counted as the minus order counts A <= A + B
     return DisjointRangeAdditivity(
         ranges_disjoint=_disjoint(fa, fb, total, A.shape, tol),
         additive=_ranks_add(fa, fb.s, total, A.shape, tol),
-        kernels_span=_kernels_span(fa, fb, tol))
+        kernels_span=_disjoint(fa.adjoint(), fb.adjoint(), total, A.shape, tol))
 
 
 @dataclass(frozen=True, eq=False)
 class KernelCharacterization:
-    """Independent verdicts of the four-way range/kernel equivalence.
+    """Verdicts of the four-way range/kernel equivalence.
 
     Conditions evaluated, in order: the adjoint ranges split directly;
     a projection witness Q with A* = Q (A* + B*) exists (built when the
     split holds, ``None`` otherwise); the kernels of A and B span the
     domain; the ranges add, read off dim(R(A) + R(B)), which holds R(A + B).
-    The first three are mutually equivalent and imply the fourth; the
-    converse needs disjoint adjoint ranges.
+    The first and third are one count of R(A*) cap R(B*) = 0, as the minus
+    verdict counts; the witness is checked on its own residual.  The first
+    three imply the fourth but in the 1e13 cutoff band; the converse needs
+    disjoint adjoint ranges.
     """
 
     adjoint_ranges_direct_closed: bool
@@ -102,13 +100,14 @@ class KernelCharacterization:
 def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> KernelCharacterization:
     A, B = as_pair(A, B)
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
-    # R(A*) + R(B*) and its orthogonal complement, from the sines against N(A)
-    joined, leftover, _ = _sum_and_meet(fa.corange, fa.null, fb.corange, tol)
-    direct = joined.dim == fa.rank + fb.rank
+    total = _singular_values(A + B)
+    direct = _disjoint(fa.adjoint(), fb.adjoint(), total, A.shape, tol)
 
     witness = None
     if direct:
-        candidate = _split_witness(fa.adjoint(), fb.adjoint(), leftover)
+        # along R(B*) + (R(A*) + R(B*))^perp, the last from the sines against N(A)
+        candidate = _split_witness(fa.adjoint(), fb.adjoint(),
+                                   _sum_and_meet(fa.corange, fa.null, fb.corange, tol)[1])
         if candidate is not None:
             residual = fro(adjoint(A) - candidate.matrix @ (adjoint(A) + adjoint(B)))
             if tol.within(residual, fro(candidate.matrix) * (fro(A) + fro(B))):
@@ -117,6 +116,6 @@ def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> K
     return KernelCharacterization(
         adjoint_ranges_direct_closed=direct,
         witness_q=witness,
-        kernels_span=_kernels_span(fa, fb, tol),
-        range_additive=_ranges_add(fa, fb.u[:, :fb.rank] * fb.s[:fb.rank], A + B, tol),
+        kernels_span=direct,
+        range_additive=_ranges_add(fa, fb.u[:, :fb.rank] * fb.s[:fb.rank], total, A.shape, tol),
     )

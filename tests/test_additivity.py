@@ -9,13 +9,14 @@ from minusord.additivity import (
     kernel_characterization,
 )
 from minusord.exceptions import ComplementError
-from minusord.generate import minus_pair, star_pair
+from minusord.generate import minus_pair
 from minusord.linalg import DEFAULT_TOLERANCE, adjoint, as_pair, fro
 from minusord.orders import minus_order
 from minusord.subspaces import Factored, range_basis, subspace_equal
 
 from conftest import cgauss
 from joined_basis import oblique_projection, range_additive, span_dim, subspace_sum
+from lopsided import CUTOFF_BAND, KINDS, LOPSIDED_SCALES, SEEDS, SIDES, lopsided
 
 
 def test_is_range_additive_diagonal():
@@ -221,29 +222,32 @@ def test_kernel_characterization_matches_joined_bases():
 # counted at max(sigma_1(A), sigma_1(A + B)), so a summand below the rounding
 # of A + B counts in neither.  R(A + B) is the direct sum of R(A) and R(B)
 # when that part is B itself, which is A being minus-below A + B; the two
-# readings of R(A + B) = R(A) + R(B) take B's part outside R(A).
-LOPSIDED_SCALES = (1e6, 1e-6, 1e8, 1e-8, 1e10, 1e-10, 1e12, 1e-12,
-                   1e13, 1e-13, 1e15, 1e-15, 1e17, 1e-17, 1.0)
-
-
-@pytest.mark.parametrize("side", ["A", "B"])
+# readings of R(A + B) = R(A) + R(B) take B's part outside R(A).  The kernel
+# side counts the same way on the adjoint factors.
+@pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("c", LOPSIDED_SCALES)
 def test_disjoint_additivity_is_the_minus_verdict_at_lopsided_scales(side, c):
-    for seed in range(10):
-        for kind, (a, b) in (("minus", minus_pair(seed, 9, 9, 3, 3)),
-                             ("star", star_pair(seed, 9, 7, 3, 2))):
-            a, b = (c * a, b) if side == "A" else (a, c * b)
+    for seed in SEEDS:
+        for kind, draw in KINDS.items():
+            a, b = lopsided(draw(seed), side, c)
             label = f"{kind} pair, {side} scaled by {c:g}, seed {seed}"
             got = disjoint_range_additivity(a, b)
+            kernel = kernel_characterization(a, b)
             assert got.additive == minus_order(a, a + b).holds, label
             range_additive = is_range_additive(a, b)
-            assert range_additive == kernel_characterization(a, b).range_additive, label
+            assert range_additive == kernel.range_additive, label
             assert not got.additive or range_additive, label
             assert got.additive == (got.ranges_disjoint and range_additive), label
-            # under disjoint ranges, additivity is the kernels' spanning except
+            # the kernel entries are one count, and the witness exists with it
+            assert kernel.kernels_span == kernel.adjoint_ranges_direct_closed, label
+            assert kernel.kernels_span == got.kernels_span, label
+            assert (kernel.witness_q is not None) == kernel.kernels_span, label
+            # under disjoint ranges, additivity is the kernels' spanning, and
+            # the adjoint ranges' direct sum implies range additivity, except
             # at 1e13, where a summand sits in the cutoff band of the sum
-            if c not in (1e13, 1e-13):
+            if c not in CUTOFF_BAND:
                 assert not got.ranges_disjoint or got.additive == got.kernels_span, label
+                assert not kernel.adjoint_ranges_direct_closed or kernel.range_additive, label
 
 
 def test_disjoint_additivity_is_the_minus_verdict_on_the_oracle_mix():

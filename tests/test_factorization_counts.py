@@ -54,7 +54,9 @@ its one solve is P's core.  ``solve_system`` tests a in R(A) and b in R(B)
 on its triple's factors, and ``is_range_additive`` and
 ``kernel_characterization`` read range additivity off A's factor, by the
 minus verdict's count of rank(A + B) against rank(A) and the part of B
-outside R(A); none ranks a joined [X | v] or [A + B | A].
+outside R(A); none ranks a joined [X | v] or [A + B | A].  The kernel
+entries of ``kernel_characterization`` are one such count on the adjoint
+factors, so R(A*) + R(B*) is factored only for the witness, when direct.
 The agreeing split behind the reflexive inverses of a sum tests M and N
 on their sines alone and verifies its two projection-sum identities by
 their action on the summands' bases, so its solves are those of its own
@@ -181,6 +183,9 @@ CALLS = {
     "is_range_additive": (lambda: is_range_additive(A, B), 3, 1, 3, 2),
     "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
     "kernel_characterization": (lambda: kernel_characterization(A, B), 6, 3, 3, 2),
+    # adjoint ranges that meet: no witness, so the sum of R(A*) and R(B*)
+    # is not factored
+    "kernel_characterization_not_direct": (lambda: kernel_characterization(A, G), 5, 2, 5, 2),
     # M and N are tested on their sines, and the four canonical complements
     # are built with vectors but not tested: 7 SVDs with vectors, 2 without
     "agreeing_split": (lambda: agreeing_split(A, B, M, N), 9, 7, 3, 2),
@@ -423,11 +428,12 @@ def test_orders_rank_no_joined_operands():
     # the joined [B | A], nor does solve_system rank [A | a] or [B | b], nor
     # does range additivity rank [A + B | A].  No order check judges
     # unweighted sines at the subspace-equality threshold or at scale one,
-    # or builds the basis of a sum of ranges
+    # or builds the basis of a sum of ranges, nor does range additivity
+    # count the kernels' sines at scale one
     assert not _named("orders") & {"_rank", "_range_contains", "subspace_atol", "_sum_and_meet",
                                    "_outside"}
-    for module in ("lsq", "additivity"):
-        assert not _named(module) & {"_rank", "_range_contains"}, module
+    assert not _named("lsq") & {"_rank", "_range_contains"}
+    assert not _named("additivity") & {"_rank", "_range_contains", "_outside"}
 
 
 def test_one_module_holds_the_rank_tolerance():

@@ -25,6 +25,7 @@ from minusord.orders import (
 )
 
 from conftest import cgauss
+from lopsided import SIDES, lopsided
 
 
 def diag(*entries):
@@ -555,13 +556,7 @@ def test_a_triple_and_its_mirror_form_no_cycle():
         gc.enable()
 
 
-def _lopsided(seed, side, scale, pair=minus_pair):
-    """An exactly ordered pair A <= A + B with A or B alone scaled."""
-    a, b = pair(seed, 9, 7, 3, 2)
-    return (scale * a, b) if side == "A" else (a, scale * b)
-
-
-@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("seed", range(3))
 def test_lopsided_minus_pairs_keep_their_projection(seed, side):
     # R(B)'s computed basis resolves the small summand's directions only to
@@ -572,7 +567,7 @@ def test_lopsided_minus_pairs_keep_their_projection(seed, side):
              (star_pair, (minus_order, star_order, left_star_order, right_star_order))]
     for pair, predicates in cases:
         for scale in (1e-8, 1e8, 1e-10, 1e10, 1e-12, 1e12):
-            a, b = _lopsided(seed, side, scale, pair)
+            a, b = lopsided(pair(seed, 9, 7, 3, 2), side, scale)
             for order in predicates:
                 report = order(a, a + b)
                 assert report.holds, (report.order_name, scale)
@@ -585,7 +580,7 @@ def test_lopsided_minus_pairs_keep_their_projection(seed, side):
               "weak_minus": ("left_intersection_trivial", "right_intersection_trivial")}
     for exponent in range(13, 18):
         for scale in (10.0 ** -exponent, 10.0 ** exponent):
-            a, b = _lopsided(seed, side, scale)
+            a, b = lopsided(minus_pair(seed, 9, 7, 3, 2), side, scale)
             for order in (minus_order, left_minus_order, right_minus_order, weak_minus_order):
                 report = order(a, a + b)
                 verdicts = _fields(report)[3]
