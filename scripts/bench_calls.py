@@ -7,7 +7,9 @@ every call once, and each median is taken over the rounds.  The order
 checks are read for their verdict alone, as a caller deciding the order does;
 ``minus_order (read in full)``, ``left_minus_order (read in full)`` and
 ``weak_minus_order (read in full)`` also read every cross-check verdict,
-witness and flag of their report.  The set operations run on two
+witness and flag of their report.  The ``(tall)`` rows run the three
+constructions on a 3n/2 x n pair of the same ranks, with the counts of
+their square gate rows.  The set operations run on two
 subspaces of C^n of dimensions n - 2n/3 and 2n/3 that meet in one
 direction, and the oblique projection on a complementary pair.
 
@@ -43,7 +45,10 @@ SIZES = (6, 50, 200)
 GATE_ROWS = {"minus_order": "minus_order_holds", "minus_order (read in full)": "minus_order",
              "left_minus_order (read in full)": "left_minus_order",
              "weak_minus_order (read in full)": "weak_minus_order",
-             "star_order": "star_order_holds"}
+             "star_order": "star_order_holds",
+             "fill_fishkind_pinv (tall)": "fill_fishkind_pinv",
+             "decoupled_lss (tall)": "decoupled_lss",
+             "sum_reflexive_inverse (tall)": "sum_reflexive_inverse"}
 
 
 def gate_row(name: str) -> str:
@@ -58,7 +63,8 @@ def read_in_full(report):
 
 
 def calls(n):
-    """The timed calls on one seeded square n x n pair of ranks n/3 + n/3."""
+    """The timed calls on one seeded square n x n pair of ranks n/3 + n/3,
+    and the three constructions also on a tall 3n/2 x n pair of those ranks."""
     import numpy as np
     from minusord import additivity, lsq, orders, subspaces, sums
     from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
@@ -76,6 +82,12 @@ def calls(n):
     x = rng.standard_normal(n) + 0j
     # meets m_comp in one direction
     meets = Subspace.from_span(np.hstack([m_comp.basis[:, :1], n_comp.basis[:, 1:]]))
+    m = 3 * n // 2
+    ta, tb = minus_pair(3, m, n, r, r)
+    tall = np.random.default_rng(6)
+    tc = tall.standard_normal(m) + 0j
+    tm_comp = Subspace.from_span(tall.standard_normal((m, m - 2 * r)) + 0j)
+    tn_comp = Subspace.from_span(tall.standard_normal((n, 2 * r)) + 0j)
     return {
         "floor: 3x np.linalg.matrix_rank":
             lambda: [np.linalg.matrix_rank(x) for x in (a, a + b, b)],
@@ -95,6 +107,10 @@ def calls(n):
         "decoupled_lss": lambda: lsq.decoupled_lss(a, b, c),
         "solve_system": lambda: lsq.solve_system(a, b, a @ x, b @ x),
         "sum_reflexive_inverse": lambda: sums.sum_reflexive_inverse(a, b, m_comp, n_comp),
+        "fill_fishkind_pinv (tall)": lambda: sums.fill_fishkind_pinv(ta, tb),
+        "decoupled_lss (tall)": lambda: lsq.decoupled_lss(ta, tb, tc),
+        "sum_reflexive_inverse (tall)":
+            lambda: sums.sum_reflexive_inverse(ta, tb, tm_comp, tn_comp),
         "additivity moore_penrose":
             lambda: sums.ordered_inverse_additivity(sa, sb, "moore_penrose"),
         "additivity group": lambda: sums.ordered_inverse_additivity(ha, hb, "group"),

@@ -1,7 +1,8 @@
 """Tally of the minus verdict and the range-additivity invariants on the
 lopsided corpus of ``tests/lopsided.py``: 870 exactly ordered pairs
 A <= A + B (three pair kinds, seeds 0-9), each with A or B alone scaled
-by 1e6 ... 1e17 or 1e-6 ... 1e-17, or unscaled.
+by 1e6 ... 1e17 or 1e-6 ... 1e-17, or unscaled; and of the star, sharp
+and core verdicts on pairs drawn for those orders, scaled alike.
 
 Run from the root of a checkout, with no options:
 
@@ -22,6 +23,17 @@ The output is one JSON object, ``{kind: {side: {scale: tally}}}`` and a
   ``DisjointRangeAdditivity``;
 - ``kernel_disagree``: pairs where the direct adjoint sum, the kernels'
   spanning and the witness's existence do not all agree.
+
+Under ``"orders"`` the same layout, ``{kind: {side: {scale: tally}}}``
+and a ``"total"``, tallies the order each kind of ``ORDER_KINDS`` is
+drawn for (``star_pair(seed, 8, 8, 3, 2)``, ``sharp_pair(seed, 8, 3, 2)``
+and ``core_pair(seed, 8, 3, 2)``) on A against A + B, counting
+
+- ``draws``: the pairs;
+- ``verdict_wrong``: verdicts that fail, or checks that raise, although
+  the pair is ordered in exact arithmetic;
+- ``raised``: checks that raise, finding A or A + B not group invertible;
+- ``flagged``: reports with a boundary flag.
 """
 
 from __future__ import annotations
@@ -33,11 +45,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from lopsided import corpus  # noqa: E402
+from lopsided import ORDER_KINDS, corpus  # noqa: E402
 from minusord.additivity import disjoint_range_additivity, kernel_characterization  # noqa: E402
-from minusord.orders import minus_order  # noqa: E402
+from minusord.exceptions import GroupInvertibilityError  # noqa: E402
+from minusord.orders import minus_order, order_predicate  # noqa: E402
 
 COUNTS = ("draws", "verdict_wrong", "flagged", "direct_not_additive", "caveat", "kernel_disagree")
+ORDER_COUNTS = ("draws", "verdict_wrong", "raised", "flagged")
 
 
 def tally_pair(a, b) -> dict[str, int]:
@@ -56,16 +70,37 @@ def tally_pair(a, b) -> dict[str, int]:
     }
 
 
-def main() -> int:
+def tally_order(order, a, b) -> dict[str, int]:
+    """The counts of one pair drawn for ``order``, each 0 or 1."""
+    try:
+        report = order_predicate(order)(a, a + b)
+    except GroupInvertibilityError:
+        return {"draws": 1, "verdict_wrong": 1, "raised": 1, "flagged": 0}
+    return {"draws": 1, "verdict_wrong": int(not report.holds), "raised": 0,
+            "flagged": int(bool(report.boundary_flags))}
+
+
+def sweep(tallies, counts) -> dict:
+    """``{kind: {side: {scale: tally}}, "total": tally}`` summed over
+    ``tallies``, each ``(kind, side, c, tally)``."""
     table: dict = {}
-    total = dict.fromkeys(COUNTS, 0)
-    for kind, _, side, c, a, b in corpus():
+    total = dict.fromkeys(counts, 0)
+    for kind, side, c, tally in tallies:
         cell = table.setdefault(kind, {}).setdefault(side, {}).setdefault(
-            f"{c:g}", dict.fromkeys(COUNTS, 0))
-        for name, count in tally_pair(a, b).items():
+            f"{c:g}", dict.fromkeys(counts, 0))
+        for name, count in tally.items():
             cell[name] += count
             total[name] += count
     table["total"] = total
+    return table
+
+
+def main() -> int:
+    table = sweep(((kind, side, c, tally_pair(a, b)) for kind, _, side, c, a, b in corpus()),
+                  COUNTS)
+    draws = {kind: draw for kind, (_, draw) in ORDER_KINDS.items()}
+    table["orders"] = sweep(((kind, side, c, tally_order(ORDER_KINDS[kind][0], a, b))
+                             for kind, _, side, c, a, b in corpus(draws)), ORDER_COUNTS)
     print(json.dumps(table, indent=1))
     return 0
 

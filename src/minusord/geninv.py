@@ -7,7 +7,9 @@ codomain.  Then A X is the projection onto R(A) along M and X A the
 projection onto N along N(A).  X = Q A+ P is solved off one SVD of A on
 the cores of sines that test the two complements.
 The group and core inverses (null space N(A), respectively N(A*), and
-range R(A)) exist when A is group invertible, decided once off A's factor.
+range R(A)) exist when A is group invertible, decided once off A's factor;
+each forms its one core, the sines V_r* U_r that decided it, and solves it
+once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ __all__ = [
     "group_inverse",
     "core_inverse",
 ]
+
+
+#: The message of a core that a decided complement leaves singular.
+_VIOLATED = "complement condition violated"
 
 
 def pinv(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -76,27 +82,21 @@ def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
 
 
 def _reflexive(factored: Factored, range_space: Subspace, nullspace: Subspace,
-               tol: ToleranceConfig = DEFAULT_TOLERANCE, *, null_perp: Subspace | None = None,
-               decided: bool = False) -> np.ndarray:
+               tol: ToleranceConfig = DEFAULT_TOLERANCE, *, decided: bool = False) -> np.ndarray:
     """The reflexive inverse Q A+ P of the factored A with range N and null
-    space M: Q V_r S_r^-1 = B_N (V_r* B_N)^-1 S_r^-1 times U_r* P, which is
-    (W* U_r)^-1 W* for a basis W = ``null_perp`` of M^perp and otherwise
+    space M: Q V_r S_r^-1 = B_N (V_r* B_N)^-1 S_r^-1 times U_r* P =
     U_r* - (U_r* B_M) (U_r^perp* B_M)^-1 U_r^perp*.  Unless ``decided``,
     each core tests its complement and raises with the codomain or domain
     text; a decided core raises "complement condition violated".
     """
     r = factored.rank
     ur_h = adjoint(factored.u[:, :r])
-    violated = "complement condition violated"
-    codomain, domain = (violated, violated) if decided else (
-        f"{violated}: R(A) and the prescribed null space do not split the codomain",
-        f"{violated}: the prescribed range and N(A) do not split the domain")
-    if null_perp is not None:
-        right = _core_solve(factored.u[:, :r], null_perp.basis, tol, codomain, decided=decided)
-    else:
-        bm = nullspace.basis
-        right = ur_h - (ur_h @ bm) @ _core_solve(bm, factored.conull.basis, tol, codomain,
-                                                 decided=decided)
+    codomain, domain = (_VIOLATED, _VIOLATED) if decided else (
+        f"{_VIOLATED}: R(A) and the prescribed null space do not split the codomain",
+        f"{_VIOLATED}: the prescribed range and N(A) do not split the domain")
+    bm = nullspace.basis
+    right = ur_h - (ur_h @ bm) @ _core_solve(bm, factored.conull.basis, tol, codomain,
+                                             decided=decided)
     bn = range_space.basis
     return (bn @ _core_solve(bn, factored.v[:, :r], tol, domain, decided=decided,
                              rhs=np.diag(1.0 / factored.s[:r]))) @ right
@@ -139,10 +139,14 @@ def group_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
 
 
 def _group_inverse(factored: Factored) -> np.ndarray:
-    """:func:`group_inverse` off the factor of a group-invertible A: both
-    cores are V_r* U_r, the sines that decided it."""
-    return _reflexive(factored, factored.range, factored.null, null_perp=factored.corange,
-                      decided=True)
+    """:func:`group_inverse` off the factor of a group-invertible A:
+    U_r C^-1 S_r^-1 C^-1 V_r* for the core C = V_r* U_r, the sines that
+    decided it, formed once and solved once against [S_r^-1 | V_r*]."""
+    r = factored.rank
+    u, v = factored.u[:, :r], factored.v[:, :r]
+    solved = _core_solve(u, v, None, _VIOLATED, decided=True,
+                         rhs=np.hstack([np.diag(1.0 / factored.s[:r]), adjoint(v)]))
+    return u @ (solved[:, :r] @ solved[:, r:])
 
 
 def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -155,7 +159,11 @@ def core_inverse(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
 
 
 def _core_inverse(factored: Factored) -> np.ndarray:
-    """:func:`core_inverse` off the factor of a group-invertible A: P is
-    U_r U_r*, and Q's core is V_r* U_r."""
-    return _reflexive(factored, factored.range, factored.conull, null_perp=factored.range,
-                      decided=True)
+    """:func:`core_inverse` off the factor of a group-invertible A:
+    U_r C^-1 S_r^-1 U_r* for the core C = V_r* U_r, solved once; P is
+    U_r U_r*, its row factor U_r* in place of (U_r* U_r)^-1 U_r*."""
+    r = factored.rank
+    u = factored.u[:, :r]
+    solved = _core_solve(u, factored.v[:, :r], None, _VIOLATED, decided=True,
+                         rhs=np.diag(1.0 / factored.s[:r]))
+    return (u @ solved) @ adjoint(u)

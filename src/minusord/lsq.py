@@ -9,7 +9,9 @@ relation is left-star the canonical P is orthogonal and W collapses to
 the identity.  The two normal equations are solved together on a stack of
 the summands' rank, read off their factors: A* W (A x - c) vanishes iff
 U_A* W (A x - c) does, since A* = V_A S_A U_A* with V_A S_A injective.
-The weight needs the split's P alone, so no Q is built; and
+The weight needs the split's P alone, so no Q is built; P is solved as
+I - L R with factors of rank(B) columns and rows, and P*P = R* (L* L) R
+and the check A = P (A + B) are formed from those factors.
 :func:`solve_system` tests a in R(A) and b in R(B) on its triple's factors.
 """
 
@@ -33,7 +35,7 @@ from .linalg import (
     fro,
 )
 from .orders import _triple
-from .subspaces import Factored, Projection
+from .subspaces import Factored, Projection, Subspace, _Factors
 from .sums import _checked, _split_p
 
 __all__ = [
@@ -69,6 +71,17 @@ class Weight:
         w = 2.0 * (p_h @ p) - p - p_h
         w[np.diag_indices_from(w)] += 1.0
         return cls(w, projection)
+
+    @classmethod
+    def _of_split(cls, factors: _Factors, range_: Subspace, nullspace: Subspace) -> "Weight":
+        """:meth:`from_projection` of the projection P = X or I - X held as
+        its factors X = L R: W is symmetric in P and I - P, so
+        W = I - X - X* + 2 X*X, and X*X = R* (L* L) R is formed from the
+        factors, one product of the rank's inner size."""
+        left, right, x = factors.left, factors.right, factors.product
+        w = 2.0 * ((adjoint(right) @ (adjoint(left) @ left)) @ right) - x - adjoint(x)
+        w[np.diag_indices_from(w)] += 1.0
+        return cls(w, factors.projection(range_, nullspace))
 
     def validate(self, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> None:
         """Raise ValueError unless the matrix is Hermitian and PSD."""
@@ -174,7 +187,7 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     if c.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length mismatch")
     t = _checked(_triple(A, A + B, tol, d=B))
-    weight = Weight.from_projection(_split_p(t))
+    weight = Weight._of_split(*_split_p(t))
     w = weight.matrix
     # W = P*P + (I - P)*(I - P) is a sum of Gram matrices, so it is positive
     # semidefinite but for rounding; the eigvalsh of Weight.validate could

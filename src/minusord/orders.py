@@ -14,7 +14,9 @@ the minus, left-minus, right-minus and weak-minus orders share the verdict
 they reduce to in finite dimension, rank subtractivity (Marsaglia & Styan
 1974; Hartwig 1980), which their range sums and meets restate at its scale;
 the star, sharp and core orders require the same rank additivity beside
-their identities, so each implies minus at every scale; the left star order
+their identities, so each implies minus at every scale, and each identity,
+such as A*A = A*B, is tested as one product with the difference the triple
+factored, A*(B - A) = 0; the left star order
 tests its Gram identity before the inclusion; and an inclusion of
 subspaces is settled from a Frobenius norm before any SVD of its sines
 when the norm is far from the bound.  The cross-characterizations (with the
@@ -158,15 +160,16 @@ def _require(report: OrderReport, message: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Triple:
-    """The operands A and B of an order check, one factor each of A, B and
-    B - A, off which every subspace relation of the check is read, and the
-    tolerance they were cut at.  What checks of one pair share is cached on
-    first read, so the checks a construction runs on one triple make it
-    once.  The ``mirror`` holds no reference back: a cycle would keep both
+    """The operands A and B of an order check, the difference D = B - A it
+    factored, one factor each of A, B and D, off which every subspace
+    relation of the check is read, and the tolerance they were cut at.
+    What checks of one pair share is cached on first read, so the checks a
+    construction runs on one triple make it once.  The ``mirror`` holds no reference back: a cycle would keep both
     alive until the cyclic garbage collector ran."""
 
     a: np.ndarray
     b: np.ndarray
+    d: np.ndarray
     fa: Factored
     fb: Factored
     fd: Factored
@@ -179,8 +182,8 @@ class _Triple:
     @cached_property
     def mirror(self) -> "_Triple":
         """The triple of A* against B*, off the adjoint factors with no SVD."""
-        return _Triple(adjoint(self.a), adjoint(self.b), self.fa.adjoint(), self.fb.adjoint(),
-                       self.fd.adjoint(), self.tol)
+        return _Triple(adjoint(self.a), adjoint(self.b), adjoint(self.d), self.fa.adjoint(),
+                       self.fb.adjoint(), self.fd.adjoint(), self.tol)
 
     @cached_property
     def weighted(self) -> np.ndarray:
@@ -210,11 +213,13 @@ class _Triple:
         """The projection onto R(A) along R(B - A) + N(B*)."""
         return _split_witness(self.fa, self.fd, self.fb.conull)
 
-    def agree(self, x: np.ndarray, y: np.ndarray) -> bool:
-        """Whether two products of A with A or B agree, on the scale
-        ||A|| (||A|| + ||B||) of the Gram and square identities."""
+    def agree(self, x: np.ndarray) -> bool:
+        """Whether two products of A with A or B agree, given as their
+        difference ``x``, a product of A with D, on the scale
+        ||A|| (||A|| + ||B||) of the Gram and square identities: A*A = A*B
+        is A*D = 0, one n x n product where the two sides take two."""
         na = fro(self.a)
-        return self.tol.within(fro(x - y), na * (na + fro(self.b)))
+        return self.tol.within(fro(x), na * (na + fro(self.b)))
 
     def inside(self) -> bool:
         """Whether A's columns lie in R(B), the inclusion in A = P B and in
@@ -271,12 +276,12 @@ def _triple(A, B, tol, d=None) -> _Triple:
     the rank of B - A is cut at the operands' scale.  A caller that holds
     the difference exactly passes it as ``d``, which is factored in place
     of the rounded B - A: a construction on A + B passes its summand.
-    The triple holds copies of A and B: validation may hand back the
-    caller's own arrays, and the deferred parts of a report read the
-    operands later; the factors are new arrays."""
+    The triple holds copies of A, B and a given ``d``: validation may hand
+    back the caller's own arrays, and the deferred parts of a report read
+    the operands later; the factors are new arrays."""
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
-    d = B - A if d is None else d
-    return _Triple(A.copy(), B.copy(), fa, fb, Factored._of(d, tol, _scale(fa.s, fb.s)), tol)
+    d = B - A if d is None else d.copy()
+    return _Triple(A.copy(), B.copy(), d, fa, fb, Factored._of(d, tol, _scale(fa.s, fb.s)), tol)
 
 
 def _direct(t: _Triple) -> bool:
@@ -422,9 +427,9 @@ def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 
 def _star(t: _Triple) -> OrderReport:
     """The star-order report."""
-    A, B, fa = t.a, t.b, t.fa
-    gram_left = t.agree(adjoint(A) @ A, adjoint(A) @ B)
-    gram_right = t.agree(A @ adjoint(A), B @ adjoint(A))
+    A, D, fa = t.a, t.d, t.fa
+    gram_left = t.agree(adjoint(A) @ D)
+    gram_right = t.agree(D @ adjoint(A))
     holds = _additive(t) and gram_left and gram_right
 
     def explain():
@@ -461,7 +466,7 @@ def _left_star(t: _Triple) -> OrderReport:
     inclusion only when it holds, and the orthogonal split, which restates
     the verdict, on first read of the explanation."""
     A, fa = t.a, t.fa
-    gram = t.agree(adjoint(A) @ A, adjoint(A) @ t.b)
+    gram = t.agree(adjoint(A) @ t.d)
     inclusion = cache(t.inside)
     holds = gram and inclusion()
 
@@ -486,14 +491,14 @@ def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 
 def _sharp(t: _Triple) -> OrderReport:
     """The sharp-order report; raises unless A and B are group invertible."""
-    A, B = t.a, t.b
+    A, D = t.a, t.d
     for f, label in ((t.fa, "A"), (t.fb, "B")):
         if not _group_invertible(f, t.tol):
             raise GroupInvertibilityError(f"{label} is not group invertible")
 
-    square = A @ A
-    left_id = t.agree(square, B @ A)
-    right_id = t.agree(square, A @ B)
+    # A^2 = BA and A^2 = AB are DA = 0 and AD = 0
+    left_id = t.agree(D @ A)
+    right_id = t.agree(A @ D)
     holds = _additive(t) and left_id and right_id
     return OrderReport("sharp", holds, t.ranks, _witness(holds, lambda: _group_witness(t.fa)),
                        _witness(holds, lambda: _group_witness(t.mirror.fa)),
@@ -512,9 +517,9 @@ def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 
 def _core(t: _Triple) -> OrderReport:
     """The core-order report, for A (and so A*) found group invertible."""
-    A = t.a
-    gram = t.agree(adjoint(A) @ A, adjoint(A) @ t.b)
-    square = t.agree(A @ A, t.b @ A)
+    A, D = t.a, t.d
+    gram = t.agree(adjoint(A) @ D)
+    square = t.agree(D @ A)
     holds = _additive(t) and gram and square
 
     return OrderReport("core", holds, t.ranks, _witness(holds, lambda: _orthogonal_witness(t.fa)),

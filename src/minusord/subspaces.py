@@ -18,7 +18,11 @@ B_M - B_X (B_X* B_M) when no basis of X^perp is at hand (:func:`_sines`).
 :func:`_core_solve` tests M + X for a direct sum of the whole space on
 the square X^perp* B_M and solves on it: it is the package's only solve,
 so every projection, witness and reflexive inverse is solved on such a
-core, never on an n x n join.
+core, never on an n x n join.  :func:`_oblique` keeps the projection as
+its rank-sized factors (:class:`_Factors`), formed only on request.  A
+meet or sum whose dimension the caller has already decided has no sine to
+cut: :func:`_meet` and :func:`_join` read it off one QR of the sines'
+matrix.
 """
 
 from __future__ import annotations
@@ -417,8 +421,17 @@ def _core_solve(basis: np.ndarray, perp: np.ndarray, tol: ToleranceConfig,
 def _projection(m_space: Subspace, n_space: Subspace, tol: ToleranceConfig, complement=None, *,
                 m_perp: Subspace | None = None, n_perp: Subspace | None = None,
                 decided: bool = False) -> Projection:
+    """The projection onto M along N of :func:`_oblique`, formed and certified."""
+    return _oblique(m_space, n_space, tol, complement, m_perp=m_perp, n_perp=n_perp,
+                    decided=decided).projection(m_space, n_space)
+
+
+def _oblique(m_space: Subspace, n_space: Subspace, tol: ToleranceConfig, complement=None, *,
+             m_perp: Subspace | None = None, n_perp: Subspace | None = None,
+             decided: bool = False) -> "_Factors":
     """The projection onto M along N, solved on a square core of
-    principal-angle sines rather than on the n x n join [B_M | B_N].
+    principal-angle sines rather than on the n x n join [B_M | B_N], and
+    held as its rank-sized factors.
 
     With a basis of N^perp, P = B_M C^-1 N^perp* for the core
     C = N^perp* B_M: P fixes B_M and annihilates N.  With a basis of M^perp
@@ -429,16 +442,84 @@ def _projection(m_space: Subspace, n_space: Subspace, tol: ToleranceConfig, comp
     """
     _check_ambient(m_space, n_space)
     if n_perp is not None and (m_perp is None or m_space.dim <= n_space.dim):
-        basis, perp, flipped = m_space.basis, n_perp.basis, False
-    else:
-        basis, perp, flipped = n_space.basis, m_perp.basis, True
-    right = _core_solve(basis, perp, tol, complement=complement, decided=decided)
-    matrix = basis @ right
-    if flipped:
-        # for M = 0, I - B_N C^-1 M^perp* is I - I: pure rounding, not 0
-        matrix = (np.eye(m_space.ambient_dim, dtype=np.complex128) - matrix if m_space.dim
-                  else np.zeros_like(matrix))
-    return _certified(matrix, basis, right, m_space, n_space)
+        return _along(m_space, n_perp, tol, complement, decided=decided)
+    onto_n = _along(n_space, m_perp, tol, complement, decided=decided)
+    # for M = 0, I - B_N C^-1 M^perp* is I - I: pure rounding, not 0
+    return onto_n.complement() if m_space.dim else _Factors.zero(m_space.ambient_dim)
+
+
+def _along(m_space: Subspace, x_perp: Subspace, tol: ToleranceConfig, complement=None, *,
+           decided: bool = False) -> "_Factors":
+    """The projection B_M C^-1 X^perp* onto M along the subspace X with
+    orthogonal complement ``x_perp``, for the core C = X^perp* B_M that
+    :func:`_core_solve` tests and solves."""
+    basis = m_space.basis
+    return _Factors(basis, _core_solve(basis, x_perp.basis, tol, complement=complement,
+                                       decided=decided), False)
+
+
+@dataclass(frozen=True, eq=False)
+class _Factors:
+    """A projection held as its rank-sized factors: L R, or I - L R when
+    ``flipped``, for L = ``left`` (n x k) and R = ``right`` (k x n) with
+    R L = I.  Applied to a matrix of k or fewer columns or rows, each
+    product keeps a side of the rank's size, where the formed n x n
+    projection costs a full product; it is formed only when returned."""
+
+    left: np.ndarray
+    right: np.ndarray
+    flipped: bool
+
+    @classmethod
+    def zero(cls, n: int) -> "_Factors":
+        empty = np.zeros((n, 0), dtype=np.complex128)
+        return cls(empty, adjoint(empty), False)
+
+    def complement(self) -> "_Factors":
+        """I - P, on the same factors."""
+        return _Factors(self.left, self.right, not self.flipped)
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """P x."""
+        y = self.left @ (self.right @ x)
+        return x - y if self.flipped else y
+
+    def after(self, x: np.ndarray) -> np.ndarray:
+        """x P."""
+        y = (x @ self.left) @ self.right
+        return x - y if self.flipped else y
+
+    def norm(self) -> float:
+        """||P||_F off the factors: ||L R||_F^2 = tr((L* L)(R R*)), and
+        ||I - L R||_F^2 = n - 2 Re tr(R L) + ||L R||_F^2."""
+        left, right = self.left, self.right
+        square = np.vdot(right @ adjoint(right), adjoint(left) @ left).real
+        if self.flipped:
+            square += left.shape[0] - 2.0 * np.trace(right @ left).real
+        return math.sqrt(max(square, 0.0))
+
+    def certify(self, tol: ToleranceConfig, name: str) -> None:
+        """Verify the solve of the core from its k x k residual R L - I,
+        on the scale ||R|| ||L|| + ||I||: P^2 - P = L (R L - I) R up to sign,
+        and P fixes L's columns up to L (R L - I)."""
+        left, right = self.left, self.right
+        k = left.shape[1]
+        tol.verify(name, fro(right @ left - np.eye(k, dtype=np.complex128)),
+                   fro(right) * fro(left) + math.sqrt(k))
+
+    @cached_property
+    def product(self) -> np.ndarray:
+        """L R, formed once."""
+        return self.left @ self.right
+
+    def matrix(self) -> np.ndarray:
+        x = self.product
+        return np.eye(x.shape[0], dtype=np.complex128) - x if self.flipped else x
+
+    def projection(self, range_: Subspace, nullspace: Subspace) -> Projection:
+        """The Projection onto ``range_`` along ``nullspace``, formed, its
+        screen certified from the core (:func:`_certified`)."""
+        return _certified(self.matrix(), self.left, self.right, range_, nullspace)
 
 
 def _certified(matrix: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -523,3 +604,23 @@ def _sum_and_meet(x_space: Subspace, x_perp: Subspace, m_space: Subspace,
     return (Subspace._trusted(np.hstack([x_space.basis, outside[:, :k]])),
             Subspace._trusted(outside[:, k:]),
             Subspace._trusted(m_space.basis @ adjoint(wh[k:])))
+
+
+def _meet(x_perp: Subspace, m_space: Subspace) -> Subspace:
+    """X cap M for the subspace X with orthogonal complement ``x_perp``, once
+    the caller has found X^perp* B_M of full row rank, so that the meet has
+    dimension dim M - dim X^perp: B_M times the trailing columns of one
+    complete QR of (X^perp* B_M)*, which span its null space, with no sine
+    to cut."""
+    _check_ambient(x_perp, m_space)
+    q, _ = np.linalg.qr(adjoint(m_space.basis) @ x_perp.basis, mode="complete")
+    return Subspace._trusted(m_space.basis @ q[:, x_perp.dim:])
+
+
+def _join(x_space: Subspace, x_perp: Subspace, m_space: Subspace) -> Subspace:
+    """X + M for X with orthogonal complement ``x_perp``, once the caller has
+    found the sum direct: B_X extended by X^perp Q for the economy QR of
+    X^perp* B_M, whose Q spans M's part outside X, with no sine to cut."""
+    _check_ambient(x_perp, m_space)
+    q, _ = np.linalg.qr(adjoint(x_perp.basis) @ m_space.basis)
+    return Subspace._trusted(np.hstack([x_space.basis, x_perp.basis @ q]))

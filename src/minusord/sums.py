@@ -19,12 +19,22 @@ and only :func:`build_split` forms E and runs its checks.  Projectors onto
 the factors' ranges and the factored pseudoinverses V_r S_r^-1 U_r* are
 applied in turn, never formed as n x n matrices, and every oblique
 projection is solved on a square core of sines read off the factors, never
-on an n x n join.  The reflexive inverses of the summands are Q_A A+ P_A
-and Q_B B+ P_B, the group and core inverses Q A+ P, off the factors.  Once
-the ranks add, R(A + B) = R(A) + R(B) and N(A + B) = N(A) cap N(B)
-(Marsaglia & Styan 1974), so every check reads them off the summands'
-factors: A + B's factor knows the smaller summand's subspaces only to about
-eps ||A + B|| / sigma_min.  Only the tests of M and N against them read it.
+on an n x n join, and held as its rank-sized factors, L R or I - L R
+(:class:`~minusord.subspaces._Factors`): P and Q are applied factor by
+factor, A - P (A + B) is checked as A - (A + B) + L (R (A + B)), and an
+n x n P or Q is formed only where one is returned, by :func:`build_split`,
+:func:`agreeing_split` and the weight of least squares.  The reflexive
+inverses of the summands are Q_A A+ P_A and Q_B B+ P_B, the group and core
+inverses Q A+ P, off the factors.  Once the ranks add,
+R(A + B) = R(A) + R(B) and N(A + B) = N(A) cap N(B) (Marsaglia & Styan
+1974), so every check reads them off the summands' factors: A + B's factor
+knows the smaller summand's subspaces only to about
+eps ||A + B|| / sigma_min.  Only the tests of M and N against them read
+it, and the optimal split, whose complements N((A + B)*) and R((A + B)*)
+are A + B's own.  A sum or meet that the verdict and those tests have
+decided is not cut again: each is read off one complete QR of rank-sized
+sines (:func:`~minusord.subspaces._meet`), and each core solved on it is
+certified from its k x k residual.
 """
 
 from __future__ import annotations
@@ -43,7 +53,18 @@ from .linalg import (
     fro,
 )
 from .orders import _core, _left_minus, _minus, _require, _sharp, _star, _Triple, _triple
-from .subspaces import Factored, Projection, Subspace, _outside, _projection, _sum_and_meet
+from .subspaces import (
+    Factored,
+    Projection,
+    Subspace,
+    _along,
+    _Factors,
+    _join,
+    _meet,
+    _oblique,
+    _outside,
+    _sum_and_meet,
+)
 
 __all__ = [
     "SplitWitness",
@@ -97,7 +118,7 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     """
     A, B = as_pair(A, B)
     t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
-    p, q = _split_p(t, m1, n1), _split_q(t)
+    p, q = (f.projection(onto, along) for f, onto, along in (_split_p(t, m1, n1), _split_q(t)))
     # E = P_R(A) P + P_R(B) (I - P), each projector applied as U (U* X)
     ua, ub = t.fa.range.basis, t.fd.range.basis
     ub_h = adjoint(ub)
@@ -111,35 +132,41 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     return SplitWitness(p=p, q=q, e=e, optimal=tol.within(fro(e - adjoint(e)), ne))
 
 
-def _split_p(t: _Triple, m1=None, n1=None) -> Projection:
-    """The P of the split off the checked triple, verified to give A = P (A + B)."""
+def _split_p(t: _Triple, m1=None, n1=None) -> tuple[_Factors, Subspace, Subspace]:
+    """The P of the split off the checked triple, with its range and null
+    space, verified to give A = P (A + B) off its factors."""
     A, fa, ft, fb, tol = t.a, t.fa, t.fb, t.fd, t.tol
     ra, rb = fa.range, fb.range
     if m1 is None and n1 is None:
-        # onto R(A) + N(T*) along R(B), on the core against R(B)^perp = N(B*), a
-        # complement by rank additivity: the check below catches a bad core
-        onto = Subspace._trusted(np.hstack([ra.basis, ft.conull.basis]))
-        p = _projection(onto, rb, tol, n_perp=fb.conull, decided=True)
+        # onto R(A) + N(T*) along R(B), on the smaller core: against
+        # R(B)^perp = N(B*), or against (R(A) + N(T*))^perp = R(T) cap N(A*), a
+        # meet of dimension rank(B) once the ranks add; the check below
+        # catches a bad core
+        onto, along = Subspace._trusted(np.hstack([ra.basis, ft.conull.basis])), rb
+        p = _oblique(onto, along, tol, m_perp=_meet(ra, ft.range), n_perp=fb.conull,
+                     decided=True)
     else:
         onto = _sum_and_meet(ra, fa.conull, ft.conull if m1 is None else m1, tol)
         along = _sum_and_meet(rb, fb.conull, Subspace.zero(A.shape[0]) if n1 is None else n1, tol)
-        p = _projection(onto[0], along[0], tol, m_perp=onto[1], n_perp=along[1])
-    tol.verify("split witness failed A = P (A + B)", fro(A - p.matrix @ t.b),
-               fro(p.matrix) * fro(t.b))
-    return p
+        p = _oblique(onto[0], along[0], tol, m_perp=onto[1], n_perp=along[1])
+        onto, along = onto[0], along[0]
+    tol.verify("split witness failed A = P (A + B)", fro(A - p.times(t.b)), p.norm() * fro(t.b))
+    return p, onto, along
 
 
-def _split_q(t: _Triple) -> Projection:
-    """The Q of the optimal split, verified to give A = (A + B) Q: Q* projects
-    onto R(A*) + N(T) along R(B*), so Q projects onto N(B) along N(A) cap
-    R(T*), the meet read off the sines V_A* V_T, on the core against R(A*) + N(T)."""
+def _split_q(t: _Triple) -> tuple[_Factors, Subspace, Subspace]:
+    """The Q of the optimal split, with its range and null space, verified
+    to give A = (A + B) Q off its factors: Q* projects onto R(A*) + N(T)
+    along R(B*), so Q projects onto N(B) along N(A) cap R(T*), a meet of
+    dimension rank(B) once the ranks add, on the smaller core: against
+    N(B)^perp = R(B*), or against R(A*) + N(T)."""
     A, fa, ft, fb, tol = t.a, t.fa, t.fb, t.fd, t.tol
-    meet = _sum_and_meet(fa.null, fa.corange, ft.corange, tol)[2]
+    meet = _meet(fa.corange, ft.corange)
     meet_perp = Subspace._trusted(np.hstack([fa.corange.basis, ft.null.basis]))
-    q = _projection(fb.null, meet, tol, n_perp=meet_perp, decided=True)
-    tol.verify("split witness failed A = (A + B) Q", fro(A - t.b @ q.matrix),
-               fro(t.b) * fro(q.matrix))
-    return q
+    q = _oblique(fb.null, meet, tol, m_perp=fb.corange, n_perp=meet_perp, decided=True)
+    tol.verify("split witness failed A = (A + B) Q", fro(A - q.after(t.b)),
+               fro(t.b) * q.norm())
+    return q, fb.null, meet
 
 
 def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -151,7 +178,8 @@ def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     A, B = as_pair(A, B)
     t = _checked(_triple(A, A + B, tol, d=B))
     # A+ = V_A S_A^-1 U_A* and B+ likewise
-    assembled = _assemble(_split_p(t), _split_q(t), t.fa._pinv_factors(), t.fd._pinv_factors())
+    assembled = _assemble(_split_p(t)[0], _split_q(t)[0], t.fa._pinv_factors(),
+                          t.fd._pinv_factors())
     oracle = t.fb.pinv()
     tol.verify("assembled pseudoinverse disagrees with the SVD route",
                fro(assembled - oracle), fro(oracle) ** 2 * fro(t.b))
@@ -207,21 +235,38 @@ def agreeing_split(A, B, range_complement: Subspace, kernel_complement: Subspace
     """
     A, B = as_pair(A, B)
     t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
-    return _agreeing_split(t, range_complement, kernel_complement)[0]
+    (p, q), _, _ = _agreeing_split(t, range_complement, kernel_complement)
+    # the split has found each sum direct and each meet of its dimension
+    fa, fb = t.fa, t.fd
+    n1, n2 = (_join(f.range, f.conull, range_complement) for f in (fb, fa))
+    n1s, n2s = (_meet(f.corange, kernel_complement) for f in (fb, fa))
+    return AgreeingSplit(p=p.projection(fa.range, n1), q=q.projection(n1s, fa.null),
+                         n1=n1, n2=n2, n1s=n1s, n2s=n2s)
 
 
 def _agreeing_split(t: _Triple, range_complement, kernel_complement,
                     n1=None, n2=None, n1s=None, n2s=None
-                    ) -> tuple[AgreeingSplit, tuple[Projection, Projection],
-                               tuple[Projection, Projection]]:
-    """:func:`agreeing_split` on the checked triple, with the projections
-    (P_A, Q_A) and (P_B, Q_B) of the summands' reflexive inverses.  P and Q
-    keep the canonical N1 and N1*; each complement given replaces the
-    canonical one, which is then not built unless P or Q needs it.  Once M
-    and N are complements, so are the canonical ones, whose cores are
-    solved untested; each one given is tested on its core, and its error
-    names it or the slot it fills ("n1", ...).  Each projection-sum
-    identity is verified once, by its action on the summands' bases."""
+                    ) -> tuple[tuple[_Factors, _Factors], tuple[_Factors, _Factors],
+                               tuple[_Factors, _Factors]]:
+    """The factors of P and Q of :func:`agreeing_split` on the checked
+    triple, with the projections (P_A, Q_A) and (P_B, Q_B) of the summands'
+    reflexive inverses.  P and Q keep the canonical N1 and N1*; each
+    complement given replaces the canonical one, which is then not built
+    unless P or Q needs it.
+
+    Once the ranks add and M and N pass their complement tests, the
+    canonical sums R(B) + M and R(A) + M are direct and the meets
+    N(B) cap N and N(A) cap N have dimensions rank(A) and rank(B), so each
+    canonical projection is solved on a core the verdict has decided, with
+    no sine to cut: P = U_A C^-1 W* for W = (R(B) + M)^perp, the meet of
+    N(B*) and M^perp, and Q = B C^-1 V_A* for a basis B of N(B) cap N, the
+    null space of V_B* B_N, and likewise P_B and Q_B.  Each one given is
+    tested on its core, and its error names it or the slot it fills
+    ("n1", ...).  Every core is certified from its k x k residual
+    (:meth:`~minusord.subspaces._Factors.certify`); so P fixes U_A and P_B
+    fixes U_B, while P annihilates U_B, and Q and Q_B the rows V_A* and
+    V_B*, by construction.  What is left of the projection-sum identities,
+    their action on B_M and B_N, is verified once."""
     fa, ft, fb, tol = t.fa, t.fb, t.fd, t.tol
     m, n = t.a.shape
     if range_complement.ambient_dim != m or kernel_complement.ambient_dim != n:
@@ -234,46 +279,38 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement,
             raise ComplementError(message, name)
 
     # P_A and P_B project onto R(A) and R(B) along N1 and N2
-    c1, c1_perp, _ = _sum_and_meet(fb.range, fb.conull, range_complement, tol)
-    n2_perp = None
-    if n2 is None:
-        n2, n2_perp, _ = _sum_and_meet(fa.range, fa.conull, range_complement, tol)
-    p = _projection(fa.range, c1, tol, "n1", m_perp=fa.conull, n_perp=c1_perp, decided=True)
-    pa = p if n1 is None else _projection(fa.range, n1, tol, "n1", m_perp=fa.conull)
-    pb = _projection(fb.range, n2, tol, "n2", m_perp=fb.conull, n_perp=n2_perp,
-                     decided=n2_perp is not None)
-    # P_A P + P_B (I - P) projects onto R(A + B) along M iff it fixes U_A
-    # and U_B and annihilates B_M
-    x = np.hstack([fa.range.basis, fb.range.basis, range_complement.basis])
-    px = p.matrix @ x
-    moved = pa.matrix @ px + pb.matrix @ (x - px)
-    moved[:, :fa.rank + fb.rank] -= x[:, :fa.rank + fb.rank]
-    nx = fro(x)
-    npx = fro(p.matrix) * nx
-    tol.verify("codomain projection identity failed for the given complements",
-               fro(moved), fro(pa.matrix) * npx + fro(pb.matrix) * (nx + npx) + nx)
-
+    p = _along(fa.range, _meet(range_complement, fb.conull), tol, "n1", decided=True)
+    pa = p if n1 is None else _oblique(fa.range, n1, tol, "n1", m_perp=fa.conull)
+    pb = (_along(fb.range, _meet(range_complement, fa.conull), tol, "n2", decided=True)
+          if n2 is None else _oblique(fb.range, n2, tol, "n2", m_perp=fb.conull))
     # Q_A and Q_B project onto N1* and N2* along N(A) and N(B)
-    c1s = _sum_and_meet(fb.null, fb.corange, kernel_complement, tol)[2]
-    decided = n2s is None
-    if decided:
-        n2s = _sum_and_meet(fa.null, fa.corange, kernel_complement, tol)[2]
-    q = _projection(c1s, fa.null, tol, "n1s", n_perp=fa.corange, decided=True)
-    qa = q if n1s is None else _projection(n1s, fa.null, tol, "n1s", n_perp=fa.corange)
-    qb = _projection(n2s, fb.null, tol, "n2s", n_perp=fb.corange, decided=decided)
+    q = _along(_meet(fb.corange, kernel_complement), fa.corange, tol, "n1s", decided=True)
+    qa = q if n1s is None else _oblique(n1s, fa.null, tol, "n1s", n_perp=fa.corange)
+    qb = (_along(_meet(fa.corange, kernel_complement), fb.corange, tol, "n2s", decided=True)
+          if n2s is None else _oblique(n2s, fb.null, tol, "n2s", n_perp=fb.corange))
+    # P_A P + P_B (I - P) projects onto R(A + B) along M iff, beside fixing
+    # U_A and U_B, it annihilates B_M
+    b_m = range_complement.basis
+    pb_m = p.times(b_m)
+    nx, norm_p = fro(b_m), p.norm()
+    npx = norm_p * nx
+    tol.verify("codomain projection identity failed for the given complements",
+               fro(pa.times(pb_m) + pb.times(b_m - pb_m)),
+               (norm_p if pa is p else pa.norm()) * npx + pb.norm() * (nx + npx) + nx)
     # Q Q_A + (I - Q) Q_B annihilates N(A) cap N(B), as Q_A and Q_B do; it
-    # projects onto N along it iff it fixes B_N and the rows V_A* and V_B*
-    b_n, rows = kernel_complement.basis, adjoint(np.hstack([fa.corange.basis, fb.corange.basis]))
-    qb_n, yq = qb.matrix @ b_n, rows @ q.matrix
-    residual = np.hypot(fro(q.matrix @ (qa.matrix @ b_n - qb_n) + qb_n - b_n),
-                        fro(yq @ qa.matrix + (rows - yq) @ qb.matrix - rows))
-    ny = fro(b_n) + fro(rows)
-    nqy = fro(q.matrix) * ny
+    # projects onto N along it iff, beside fixing the rows V_A* and V_B*,
+    # it fixes B_N
+    b_n = kernel_complement.basis
+    qb_n = qb.times(b_n)
+    ny, nq = fro(b_n), q.norm()
+    nqy = nq * ny
     tol.verify("domain projection identity failed for the given complements",
-               residual, fro(qa.matrix) * nqy + fro(qb.matrix) * (ny + nqy) + ny)
-    split = AgreeingSplit(p=p, q=q, n1=c1 if n1 is None else n1, n2=n2,
-                          n1s=c1s if n1s is None else n1s, n2s=n2s)
-    return split, (pa, qa), (pb, qb)
+               fro(q.times(qa.times(b_n) - qb_n) + qb_n - b_n),
+               (nq if qa is q else qa.norm()) * nqy + qb.norm() * (ny + nqy) + ny)
+    # each core once: P_A is P, and Q_A is Q, unless given
+    for f in {id(f): f for f in (p, pa, pb, q, qa, qb)}.values():
+        f.certify(tol, "projection core of the agreeing split failed R L = I")
+    return (p, q), (pa, qa), (pb, qb)
 
 
 def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: Subspace,
@@ -291,26 +328,27 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
     """
     A, B = as_pair(A, B)
     t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
-    split, *summands = _agreeing_split(t, range_complement, kernel_complement, n1, n2, n1s, n2s)
-    return _assemble(split.p, split.q, *map(_summand_factors, (t.fa, t.fd), summands))
+    (p, q), *summands = _agreeing_split(t, range_complement, kernel_complement,
+                                        n1, n2, n1s, n2s)
+    return _assemble(p, q, *map(_summand_factors, (t.fa, t.fd), summands))
 
 
-def _assemble(p: Projection, q: Projection, a_factors, b_factors) -> np.ndarray:
+def _assemble(p: _Factors, q: _Factors, a_factors, b_factors) -> np.ndarray:
     """Q X_A P + (I - Q) X_B (I - P) for the projections P and Q of a split
     and inverses X = L R of the summands, given as their factors (L, R):
     applied factor by factor, each product keeps a side of the summand's
-    rank, and neither I - Q nor I - P is formed."""
-    q, p = q.matrix, p.matrix
+    or the projections' rank, and no n x n projection is formed."""
     (left_a, right_a), (left_b, right_b) = a_factors, b_factors
-    return (q @ left_a) @ (right_a @ p) + (left_b - q @ left_b) @ (right_b - right_b @ p)
+    return (q.times(left_a) @ p.after(right_a)
+            + q.complement().times(left_b) @ p.complement().after(right_b))
 
 
-def _summand_factors(f: Factored, projections: tuple[Projection, Projection]
+def _summand_factors(f: Factored, projections: tuple[_Factors, _Factors]
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Q V_r S_r^-1 and U_r* P for the factor of a summand X and the
     projections (P, Q): their product is X's reflexive inverse Q X+ P."""
     (p, q), (v, u_h) = projections, f._pinv_factors()
-    return q.matrix @ v, u_h @ p.matrix
+    return q.times(v), p.after(u_h)
 
 
 def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Subspace,
@@ -325,12 +363,12 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     """
     A, B = as_pair(A, B)
     t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
-    split, *summands = _agreeing_split(t, range_complement, kernel_complement)
+    (p, q), *summands = _agreeing_split(t, range_complement, kernel_complement)
     xa, xb = (left @ right for left, right in map(_summand_factors, (t.fa, t.fd), summands))
 
-    compressed = split.q.matrix @ xa @ split.p.matrix
+    compressed = p.after(q.times(xa))
     tol.verify("compressed first summand disagrees with the direct route",
-               fro(compressed - xa), fro(split.q.matrix) * fro(xa) * fro(split.p.matrix))
+               fro(compressed - xa), q.norm() * fro(xa) * p.norm())
     return xa, xb
 
 

@@ -59,9 +59,13 @@ entries of ``kernel_characterization`` are one such count on the adjoint
 factors, so R(A*) + R(B*) is factored only for the witness, when direct.
 The agreeing split behind the reflexive inverses of a sum tests M and N
 on their sines alone and verifies its two projection-sum identities by
-their action on the summands' bases, so its solves are those of its own
-projections, and the canonical complements, which M and N being
-complements settles, are built but their cores not tested.
+their action on B_M and B_N, so its solves are those of its own
+projections.  The canonical complements, which M and N being complements
+settles, take no SVD: the orthogonal complements of the sums R(B) + M and
+R(A) + M and the meets N(B) cap N and N(A) cap N are each read off one
+complete QR of rank-sized sines, their cores are solved untested, and
+each core is certified from its k x k residual.  The optimal split takes
+the meet N(A) cap R(T*) behind Q, and its mirror behind P, the same way.
 
 An order report computes its cross-check verdicts and witnesses on first
 read.  Every row that checks an order reads its report in full, so its
@@ -164,14 +168,17 @@ CALLS = {
     "core_inverse": (lambda: core_inverse(CA), 2, 1, 1, 1),
     # the constructions read the witnesses of their order check, never its
     # cross-check verdicts
-    "build_split": (lambda: build_split(A, B), 4, 4, 3, 2),
-    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 4, 4, 3, 2),
+    # the meet that Q's core is solved against is a complete QR of the
+    # rank-sized sines, so the split adds no SVD to the three factors
+    "build_split": (lambda: build_split(A, B), 3, 3, 3, 2),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 3, 3, 3, 2),
     # the full-rank sum leaves no sines beyond R(A + B), so the left-minus
     # report, read in full, adds no SVD to the three factors
     "fill_fishkind_pinv_unordered": (_unordered_pinv, 3, 3, 3, 2),
-    # least squares builds the split's P alone, and the memberships of
-    # solve_system are read off its triple's factors of A and B
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 4, 4, 4, 3),
+    # least squares builds the split's P alone, whose screen its rank-sized
+    # core certifies, and the memberships of solve_system are read off its
+    # triple's factors of A and B
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 4, 4, 4, 2),
     "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 3, 3, 3, 2),
     # B's inverse is read off the triple's factor of the caller's B, so
     # A, A + B and B are factored once each and B is not validated again
@@ -186,16 +193,17 @@ CALLS = {
     # adjoint ranges that meet: no witness, so the sum of R(A*) and R(B*)
     # is not factored
     "kernel_characterization_not_direct": (lambda: kernel_characterization(A, G), 5, 2, 5, 2),
-    # M and N are tested on their sines, and the four canonical complements
-    # are built with vectors but not tested: 7 SVDs with vectors, 2 without
-    "agreeing_split": (lambda: agreeing_split(A, B, M, N), 9, 7, 3, 2),
-    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 9, 7, 3, 2),
+    # M and N are tested on their sines, and the cores of the four canonical
+    # complements, which that test and the verdict decide, are built from
+    # complete QRs of rank-sized sines: 3 SVDs with vectors, 2 without
+    "agreeing_split": (lambda: agreeing_split(A, B, M, N), 5, 3, 3, 2),
+    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 5, 3, 3, 2),
     # given complements replace the canonical ones inside the one split,
     # and each is tested on its core
     "sum_reflexive_inverse_alternates":
         (lambda: sum_reflexive_inverse(A, B, M, N, n1=_SPLIT.n1, n2=_SPLIT.n2,
-                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 11, 5, 3, 2),
-    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 9, 7, 3, 2),
+                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 9, 3, 3, 2),
+    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 5, 3, 3, 2),
     # the set operations of two subspaces: a sum, meet or relative
     # complement is one SVD of the sines, the complement coming from a
     # complete QR of an orthonormal basis, and a dimension test reads the

@@ -6,7 +6,9 @@ from minusord.exceptions import (ComplementError, GroupInvertibilityError, Order
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
 from minusord.orders import _triple, core_order, sharp_order, star_order
 from minusord.geninv import core_inverse, group_inverse, pinv, reflexive_inverse
+from minusord import subspaces
 from minusord.linalg import DEFAULT_TOLERANCE, adjoint, fro
+from minusord.lsq import decoupled_lss
 from minusord.subspaces import Subspace, intersect, null_basis, range_basis, subspace_sum
 from minusord.sums import (
     INVERSE_KINDS,
@@ -241,6 +243,52 @@ def test_alternate_complements_of_another_space_are_rejected(rng):
                  lambda: sum_reflexive_inverse(a, b, m_comp, n_comp, n2s=stranger)):
         with pytest.raises(ValueError, match="^ambient mismatch$"):
             call()
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 1e-3, 1e3, 1e6])
+def test_constructions_of_lopsided_pairs(ratio):
+    # each construction reads R(A) and R(B) off the summands' own factors
+    # and applies its projections through their rank-sized factors, so it
+    # keeps its accuracy against the dense route when A alone is scaled far
+    # from B, on either side
+    for seed in range(30):
+        a, b = minus_pair(seed, 9, 9, 3, 3)
+        a = a * (ratio * fro(b) / fro(a))
+        rng = np.random.default_rng(seed)
+        c = cgauss(rng, 9, 1)[:, 0]
+        # R(A + B) and N(A + B) have dimensions 6 and 3 in C^9
+        m_comp, n_comp = random_complements(rng, None, 9, 9, 6)
+        direct = pinv(a + b)
+        assert fro(fill_fishkind_pinv(a, b) - direct) <= 1e-7 * fro(direct), seed
+        solved = direct @ c
+        result = decoupled_lss(a, b, c)
+        for x in (result.x_joint, result.x_system):
+            assert fro(x - solved) <= 1e-7 * fro(solved), seed
+        expected = reflexive_inverse(a + b, n_comp, m_comp)
+        got = sum_reflexive_inverse(a, b, m_comp, n_comp)
+        assert fro(got - expected) <= 1e-7 * fro(expected), seed
+
+
+@pytest.mark.parametrize("slot", [None, "n1", "n2", "n1s", "n2s"])
+def test_corrupted_decided_cores_are_raised(slot, monkeypatch):
+    # the agreeing split solves the cores of P, P_B, Q and Q_B (the slots
+    # n1, n2, n1s and n2s) untested, on complements its checks have
+    # decided; a solution off by 1e-4 relative, in every core (None) or in
+    # one, is caught before a result is returned
+    real = subspaces._core_solve
+
+    def corrupted(*args, decided=False, **kwargs):
+        solved = real(*args, decided=decided, **kwargs)
+        hit = decided and slot in (None, kwargs.get("complement"))
+        return solved * (1.0 + 1e-4) if hit else solved
+
+    monkeypatch.setattr(subspaces, "_core_solve", corrupted)
+    rng = np.random.default_rng(41)
+    a, b = minus_pair(rng, 9, 9, 3, 3)
+    m_comp, n_comp = random_complements(rng, None, 9, 9, 6)
+    for call in (sum_reflexive_inverse, werner_decomposition):
+        with pytest.raises((ValueError, VerificationError)):
+            call(a, b, m_comp, n_comp)
 
 
 def test_sum_reflexive_requires_minus(rng):
