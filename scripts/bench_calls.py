@@ -7,11 +7,16 @@ every call once, and each median is taken over the rounds.  The order
 checks are read for their verdict alone, as a caller deciding the order does;
 ``minus_order (read in full)``, ``left_minus_order (read in full)`` and
 ``weak_minus_order (read in full)`` also read every cross-check verdict,
-witness and flag of their report.  The ``(tall)`` rows run the three
+witness and flag of their report.  The ``(unordered)`` rows decide the
+star, left-star, core and sharp orders of A against A + G for a full-rank
+G, a pair whose product identities fail.  The ``(tall)`` rows run the three
 constructions on a 3n/2 x n pair of the same ranks, with the counts of
 their square gate rows.  The set operations run on two
 subspaces of C^n of dimensions n - 2n/3 and 2n/3 that meet in one
-direction, and the oblique projection on a complementary pair.
+direction, and the oblique projection on a complementary pair.  Each
+call is also printed as its ratio to the floor above it in the table,
+taken round by round against the floor's time in the same round, so a
+drift of the host between rounds, or between two runs, cancels.
 
 Run from the root of a checkout; ``--src`` points at another checkout's
 ``src`` to measure it with the same inputs:
@@ -46,6 +51,10 @@ GATE_ROWS = {"minus_order": "minus_order_holds", "minus_order (read in full)": "
              "left_minus_order (read in full)": "left_minus_order",
              "weak_minus_order (read in full)": "weak_minus_order",
              "star_order": "star_order_holds",
+             "star_order (unordered)": "star_order_unordered_holds",
+             "left_star_order (unordered)": "left_star_order_unordered_holds",
+             "core_order (unordered)": "core_order_unordered_holds",
+             "sharp_order (unordered)": "sharp_order_unordered_holds",
              "fill_fishkind_pinv (tall)": "fill_fishkind_pinv",
              "decoupled_lss (tall)": "decoupled_lss",
              "sum_reflexive_inverse (tall)": "sum_reflexive_inverse"}
@@ -80,6 +89,7 @@ def calls(n):
     m_comp = Subspace.from_span(rng.standard_normal((n, n - 2 * r)) + 0j)
     n_comp = Subspace.from_span(rng.standard_normal((n, 2 * r)) + 0j)
     x = rng.standard_normal(n) + 0j
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     # meets m_comp in one direction
     meets = Subspace.from_span(np.hstack([m_comp.basis[:, :1], n_comp.basis[:, 1:]]))
     m = 3 * n // 2
@@ -98,6 +108,10 @@ def calls(n):
         "weak_minus_order (read in full)":
             lambda: read_in_full(orders.weak_minus_order(a, a + b)),
         "star_order": lambda: orders.star_order(sa, sa + sb).holds,
+        "star_order (unordered)": lambda: orders.star_order(sa, sa + g).holds,
+        "left_star_order (unordered)": lambda: orders.left_star_order(sa, sa + g).holds,
+        "core_order (unordered)": lambda: orders.core_order(ca, ca + g).holds,
+        "sharp_order (unordered)": lambda: orders.sharp_order(ha, ha + g).holds,
         "is_range_additive": lambda: additivity.is_range_additive(a, b),
         "disjoint_range_additivity": lambda: additivity.disjoint_range_additivity(a, b),
         "kernel_characterization": lambda: additivity.kernel_characterization(a, b),
@@ -131,7 +145,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [args.src, str(ROOT / "tests")]
     import test_factorization_counts as gate
 
-    table = {}
+    table, ratios = {}, {}
     for name in calls(6):
         svds = solves = checks = None
         # each timed call has its gate row; the floors have none
@@ -153,13 +167,18 @@ def main(argv=None) -> int:
                 start = perf_counter()
                 call()
                 times[name].append(1e3 * (perf_counter() - start))
+        floor = None
         for name, samples in times.items():
             table[name]["ms"][n] = round(statistics.median(samples), 3)
+            floor = times[name] if name.startswith("floor:") else floor
+            ratios.setdefault(name, {})[n] = statistics.median(
+                t / f for t, f in zip(samples, floor))
     for name, row in table.items():
         svds = "-" if row["svds"] is None else "%d / %d" % tuple(row["svds"])
         solves, checks = ("-" if row[k] is None else str(row[k]) for k in ("solves", "validations"))
         print(f"{name:34s} {svds:>8s} {solves:>3s} {checks:>4s} "
-              + " ".join(f"{row['ms'][n]:9.2f}" for n in SIZES))
+              + " ".join(f"{row['ms'][n]:9.2f}" for n in SIZES)
+              + " " + " ".join(f"{ratios[name][n]:7.2f}x" for n in SIZES))
     print(json.dumps(table))
     return 0
 

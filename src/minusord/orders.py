@@ -6,42 +6,47 @@ cross-characterizations (so their agreement can be audited), witness
 projections when the order holds, the rank bookkeeping of the triple
 (A, B, B - A), and boundary flags for decisions that fell near a cutoff.
 
-Verdict first, explanation on demand: a predicate decides ``holds`` and
-the ranks when it is called, from the factors of the triple and the Gram,
-square and inclusion tests the verdict needs, and leaves the rank flags
-to the explanation.  Each verdict computes only what decides it:
-the minus, left-minus, right-minus and weak-minus orders share the verdict
-they reduce to in finite dimension, rank subtractivity (Marsaglia & Styan
-1974; Hartwig 1980), which their range sums and meets restate at its scale;
-the star, sharp and core orders require the same rank additivity beside
-their identities, so each implies minus at every scale, and each identity,
-such as A*A = A*B, is tested as one product with the difference the triple
-factored, A*(B - A) = 0; the left star order
-tests its Gram identity before the inclusion; and an inclusion of
-subspaces is settled from a Frobenius norm before any SVD of its sines
-when the norm is far from the bound.  The cross-characterizations (with the
-angle-margin flags they raise) and the witnesses only restate that
-verdict, so each is computed on first read of its field and cached, the
-witnesses apart from the verdicts: a caller that reads only ``holds``, or
-a construction that reads only the witnesses, pays for nothing else.  The
-deferred parts read the triple's own copies of A and B and its factors,
-so a later change to the caller's arrays does not reach them.  A deferred
-step that fails (say, the idempotency screen of a witness
-:class:`~minusord.subspaces.Projection`) raises its error on the first
-read of a field that needs it, not from the predicate call.
+Verdict first, explanation on demand: a predicate decides ``holds`` when
+it is called, from the Gram, square and inclusion tests the verdict needs
+and the factors those read, and leaves the ranks and the rank flags to a
+later read.  The triple factors each of A, B and B - A on first read, so
+each verdict computes only what decides it: the minus, left-minus,
+right-minus and weak-minus orders share the verdict they reduce to in
+finite dimension, rank subtractivity (Marsaglia & Styan 1974; Hartwig
+1980), which their range sums and meets restate at its scale; the star,
+sharp and core orders require the same rank additivity beside their
+identities, so each implies minus at every scale, and each identity, such
+as A*A = A*B, is one product with the difference, A*(B - A) = 0, tested
+before the ranks, so a pair that fails it is decided with no SVD beyond
+the group-invertibility tests of sharp and core, which come first; the
+left star order tests its Gram identity before the inclusion; and an
+inclusion of subspaces is settled from a Frobenius norm before any SVD of
+its sines when the norm is far from the bound.  The ranks, the
+cross-characterizations (with the angle-margin flags they raise) and the
+witnesses only restate that verdict, so each is computed on first read of
+its field and cached, the witnesses apart from the verdicts: a caller
+that reads only ``holds``, or a construction that reads only the
+witnesses, pays for nothing else.  The deferred parts read the triple's
+own copies of A and B and its factors, so a later change to the caller's
+arrays does not reach them.  A deferred step that fails (say, the
+idempotency screen of a witness :class:`~minusord.subspaces.Projection`)
+raises its error on the first read of a field that needs it, not from the
+predicate call.
 
 Witness conventions: ``witness_p`` satisfies A = P B and ``witness_q``
 satisfies A* = Q B*, both to the residual tolerance, and each is solved
 on a core of principal-angle sines read off the factors.
 
-Each public predicate validates A and B, factors A, B and B - A once into
-a :class:`_Triple` and runs one private body on it.  The constructions of
+Each public predicate validates A and B, holds them in a
+:class:`_Triple`, which factors each of A, B and B - A at most once, on
+first read, and runs one private body on it.  The constructions of
 :mod:`minusord.sums` and :mod:`minusord.lsq` build the triple of A against
 A + B themselves, with their summand B as the exact difference, run the
 body of the order they need and read the sum and every factor off the
 same triple.  Its cached ``mirror``, the triple of A* against B* read off
 the adjoint factors with no further SVD, reads every domain side and the
-right-sided orders, so all sides are read off one set of factors.
+right-sided orders; the two share the operands whose factors they read,
+so all sides are read off one set of factors.
 """
 
 from __future__ import annotations
@@ -104,22 +109,28 @@ class RankData:
 class OrderReport:
     """The verdict of one order check and, on first read, its explanation.
 
-    ``order_name``, ``holds`` and ``rank_data`` are set when the predicate
-    returns.  ``characterization_verdicts``, ``boundary_flags``,
+    ``order_name`` and ``holds`` are set when the predicate returns.
+    ``rank_data``, ``characterization_verdicts``, ``boundary_flags``,
     ``witness_p`` and ``witness_q`` are computed on first read and cached;
-    the witnesses and the verdicts have separate caches, and
+    the ranks, the witnesses and the verdicts have separate caches, and
     ``boundary_flags`` (the rank flags, then any flags of the
-    cross-checks) is read with the verdicts.  Every value is the one the
-    check would have computed at once.  A deferred step that fails raises
-    on the first read of a field that needs it, and again on every read.
+    cross-checks) is read with the verdicts.  The ranks are deferred
+    because a verdict decided by a failing identity factors nothing they
+    count.  Every value is the one the check would have computed at once.
+    A deferred step that fails raises on the first read of a field that
+    needs it, and again on every read.
     """
 
     order_name: str
     holds: bool
-    rank_data: RankData
+    _rank_data: Callable[[], RankData] = field(repr=False)
     _witness_p: Callable[[], Projection | None] = field(repr=False)
     _witness_q: Callable[[], Projection | None] = field(repr=False)
     _explain: Callable[[], tuple[dict[str, bool], tuple[str, ...]]] = field(repr=False)
+
+    @cached_property
+    def rank_data(self) -> RankData:
+        return self._rank_data()
 
     @cached_property
     def witness_p(self) -> Projection | None:
@@ -159,31 +170,75 @@ def _require(report: OrderReport, message: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class _Triple:
-    """The operands A and B of an order check, the difference D = B - A it
-    factored, one factor each of A, B and D, off which every subspace
-    relation of the check is read, and the tolerance they were cut at.
-    What checks of one pair share is cached on first read, so the checks a
-    construction runs on one triple make it once.  The ``mirror`` holds no reference back: a cycle would keep both
-    alive until the cyclic garbage collector ran."""
+class _Operands:
+    """The operands A and B of an order check, the difference D = B - A
+    and the tolerance, with the factor of each made on first read and
+    cached: the one source that a triple and its mirror share, so no
+    operand is factored twice.  D is cut at the operands' scale, so its
+    factor is made after theirs."""
 
     a: np.ndarray
     b: np.ndarray
     d: np.ndarray
-    fa: Factored
-    fb: Factored
-    fd: Factored
     tol: ToleranceConfig
 
-    @property
+    @cached_property
+    def fa(self) -> Factored:
+        return Factored._of(self.a, self.tol)
+
+    @cached_property
+    def fb(self) -> Factored:
+        return Factored._of(self.b, self.tol)
+
+    @cached_property
+    def fd(self) -> Factored:
+        return Factored._of(self.d, self.tol, _scale(self.fa.s, self.fb.s))
+
+
+@dataclass(frozen=True, eq=False)
+class _Triple:
+    """The operands A and B of an order check, the difference D = B - A
+    and the tolerance, and one factor each of A, B and D, off which every
+    subspace relation of the check is read.  The factors are those of the
+    shared :class:`_Operands`, adjoint on the ``flipped`` side, each read
+    on first need: a check whose product identity fails makes none.  What
+    checks of one pair share is cached on first read, so the checks a
+    construction runs on one triple make it once.  The ``mirror`` holds
+    the operands, not its parent: a cycle would keep both alive until the
+    cyclic garbage collector ran."""
+
+    a: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
+    tol: ToleranceConfig
+    source: _Operands = field(repr=False)
+    flipped: bool = False
+
+    @cached_property
+    def fa(self) -> Factored:
+        return self._side(self.source.fa)
+
+    @cached_property
+    def fb(self) -> Factored:
+        return self._side(self.source.fb)
+
+    @cached_property
+    def fd(self) -> Factored:
+        return self._side(self.source.fd)
+
+    def _side(self, f: Factored) -> Factored:
+        """A factor of the operands, read on this triple's side."""
+        return f.adjoint() if self.flipped else f
+
     def ranks(self) -> RankData:
         return RankData(self.fa.rank, self.fb.rank, self.fd.rank)
 
     @cached_property
     def mirror(self) -> "_Triple":
-        """The triple of A* against B*, off the adjoint factors with no SVD."""
-        return _Triple(adjoint(self.a), adjoint(self.b), adjoint(self.d), self.fa.adjoint(),
-                       self.fb.adjoint(), self.fd.adjoint(), self.tol)
+        """The triple of A* against B*, whose factors are the adjoints of
+        this triple's, made on first read with no SVD."""
+        return _Triple(adjoint(self.a), adjoint(self.b), adjoint(self.d), self.tol, self.source,
+                       not self.flipped)
 
     @cached_property
     def weighted(self) -> np.ndarray:
@@ -239,7 +294,7 @@ class _Triple:
 def _additive(t: _Triple) -> bool:
     """rank(A) + rank(B - A) = rank(B), read off the triple's factors: the
     verdict of the minus family, and a conjunct of star, sharp and core
-    before their identities.  Each of those is the minus order plus an
+    after their identities.  Each of those is the minus order plus an
     orthogonality or commutation condition (Mitra, Bhimasankaram & Malik
     2010), so each implies minus by construction; the identities alone
     cannot keep that, since for A far smaller than B their residual of
@@ -272,16 +327,16 @@ def _scale(sa: np.ndarray, sb: np.ndarray) -> float:
 
 
 def _triple(A, B, tol, d=None) -> _Triple:
-    """Factor A, B and B - A once each, for operands already validated;
-    the rank of B - A is cut at the operands' scale.  A caller that holds
-    the difference exactly passes it as ``d``, which is factored in place
-    of the rounded B - A: a construction on A + B passes its summand.
-    The triple holds copies of A, B and a given ``d``: validation may hand
-    back the caller's own arrays, and the deferred parts of a report read
-    the operands later; the factors are new arrays."""
-    fa, fb = Factored._of(A, tol), Factored._of(B, tol)
-    d = B - A if d is None else d.copy()
-    return _Triple(A.copy(), B.copy(), d, fa, fb, Factored._of(d, tol, _scale(fa.s, fb.s)), tol)
+    """The triple of operands already validated, which factors each of A, B
+    and B - A once, on first read; the rank of B - A is cut at the
+    operands' scale.  A caller that holds the difference exactly passes it
+    as ``d``, which is factored in place of the rounded B - A: a
+    construction on A + B passes its summand.  The triple holds copies of
+    A, B and a given ``d``: validation may hand back the caller's own
+    arrays, and the factors and the deferred parts of a report read the
+    operands later; the factors are new arrays."""
+    source = _Operands(A.copy(), B.copy(), B - A if d is None else d.copy(), tol)
+    return _Triple(source.a, source.b, source.d, tol, source)
 
 
 def _direct(t: _Triple) -> bool:
@@ -426,18 +481,19 @@ def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 
 
 def _star(t: _Triple) -> OrderReport:
-    """The star-order report."""
-    A, D, fa = t.a, t.d, t.fa
+    """The star-order report: the Gram identities, one product each, are
+    tested before the ranks, which need the three factors."""
+    A, D = t.a, t.d
     gram_left = t.agree(adjoint(A) @ D)
     gram_right = t.agree(D @ adjoint(A))
-    holds = _additive(t) and gram_left and gram_right
+    holds = gram_left and gram_right and _additive(t)
 
     def explain():
         ortho = _orthogonal_join(t) and _orthogonal_join(t.mirror)
         return {"gram_left": gram_left, "gram_right": gram_right,
                 "orthogonal_ranges": ortho}, t.flags()
 
-    return OrderReport("star", holds, t.ranks, _witness(holds, lambda: _orthogonal_witness(fa)),
+    return OrderReport("star", holds, t.ranks, _witness(holds, lambda: _orthogonal_witness(t.fa)),
                        _witness(holds, lambda: _orthogonal_witness(t.mirror.fa)), explain)
 
 
@@ -465,8 +521,7 @@ def _left_star(t: _Triple) -> OrderReport:
     """The left-star report: the Gram identity is tested first, the
     inclusion only when it holds, and the orthogonal split, which restates
     the verdict, on first read of the explanation."""
-    A, fa = t.a, t.fa
-    gram = t.agree(adjoint(A) @ t.d)
+    gram = t.agree(adjoint(t.a) @ t.d)
     inclusion = cache(t.inside)
     holds = gram and inclusion()
 
@@ -475,7 +530,7 @@ def _left_star(t: _Triple) -> OrderReport:
                  "orthogonal_split": _orthogonal_join(t)}, t.flags())
 
     return OrderReport("left_star", holds, t.ranks,
-                       _witness(holds, lambda: _orthogonal_witness(fa)), _absent, explain)
+                       _witness(holds, lambda: _orthogonal_witness(t.fa)), _absent, explain)
 
 
 def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -496,10 +551,10 @@ def _sharp(t: _Triple) -> OrderReport:
         if not _group_invertible(f, t.tol):
             raise GroupInvertibilityError(f"{label} is not group invertible")
 
-    # A^2 = BA and A^2 = AB are DA = 0 and AD = 0
+    # A^2 = BA and A^2 = AB are DA = 0 and AD = 0, tested before the ranks
     left_id = t.agree(D @ A)
     right_id = t.agree(A @ D)
-    holds = _additive(t) and left_id and right_id
+    holds = left_id and right_id and _additive(t)
     return OrderReport("sharp", holds, t.ranks, _witness(holds, lambda: _group_witness(t.fa)),
                        _witness(holds, lambda: _group_witness(t.mirror.fa)),
                        lambda: ({"square_equals_ba": left_id, "square_equals_ab": right_id},
@@ -516,11 +571,12 @@ def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 
 
 def _core(t: _Triple) -> OrderReport:
-    """The core-order report, for A (and so A*) found group invertible."""
+    """The core-order report, for A (and so A*) found group invertible;
+    the identities are tested before the ranks."""
     A, D = t.a, t.d
     gram = t.agree(adjoint(A) @ D)
     square = t.agree(D @ A)
-    holds = _additive(t) and gram and square
+    holds = gram and square and _additive(t)
 
     return OrderReport("core", holds, t.ranks, _witness(holds, lambda: _orthogonal_witness(t.fa)),
                        _witness(holds, lambda: _group_witness(t.mirror.fa)),

@@ -191,10 +191,11 @@ def test_verdict_digest_ignores_witnesses_not_verdicts(replay_digest):
     assert digest(report, False) == before
 
     # the same report with its verdict flipped, its fields read as before
-    flipped = OrderReport(report.order_name, not report.holds, report.rank_data,
+    flipped = OrderReport(report.order_name, not report.holds, report._rank_data,
                           report._witness_p, report._witness_q, report._explain)
+    assert flipped.rank_data == report.rank_data
     assert digest(flipped, False) != before
     # and with a witness gone
-    absent = OrderReport(report.order_name, report.holds, report.rank_data,
+    absent = OrderReport(report.order_name, report.holds, report._rank_data,
                          lambda: None, report._witness_q, report._explain)
     assert digest(absent, False) != before

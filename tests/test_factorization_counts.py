@@ -71,9 +71,15 @@ An order report computes its cross-check verdicts and witnesses on first
 read.  Every row that checks an order reads its report in full, so its
 bounds count the whole explanation; the constructions read only the
 witnesses of their check.  The ``_holds`` rows read the verdict alone:
-they pay for the factors and the Gram, square and inclusion tests of the
-verdict, and make no solve, and no boundary flag is derived until the
-explanation is read.  A verdict computes only what decides it: the
+they pay for the Gram, square and inclusion tests of the verdict and the
+factors those read, and make no solve, and no boundary flag is derived
+until the explanation is read.  The triple factors A, B and B - A on
+first read, and the star, sharp and core verdicts test their product
+identities before the ranks, so on a pair that fails an identity the
+star orders make no SVD, core factors A alone and sharp A and B, for
+their group-invertibility tests: those ``_unordered_holds`` rows are
+exact.  Reading such a report in full afterwards factors A, B and B - A
+once each.  A verdict computes only what decides it: the
 minus, left-minus, right-minus and weak-minus orders are decided on the
 three factors alone, by rank subtractivity, and never test whether
 R(A) + R(B - A) spans R(B) or form the adjoint mirror, and an inclusion
@@ -110,6 +116,8 @@ from minusord.subspaces import (Subspace, intersect, oblique_projection, ominus,
 from minusord.sums import (agreeing_split, build_split, fill_fishkind_pinv,
                            ordered_inverse_additivity, sum_reflexive_inverse,
                            werner_decomposition)
+
+from conftest import factor_first
 
 A, B = minus_pair(3, 9, 9, 3, 3)
 SA, SB = star_pair(3, 9, 9, 3, 3)
@@ -237,6 +245,21 @@ VERDICT_ONLY = {
 }
 CALLS.update(VERDICT_ONLY)
 
+#: The verdicts of pairs whose product identity fails, read alone.  The
+#: identities are tested before any factor is made, so the star orders
+#: make no SVD, core factors A alone for its group-invertibility test, and
+#: sharp A and B for theirs.  The counts are exact, so these rows have
+#: their own test in place of :func:`test_svd_count_bound`, which asks for
+#: at least one SVD.
+IDENTITY_FAILS = {
+    "star_order_unordered_holds": (lambda: star_order(SA, SA + G).holds, 0, 0, 0, 2),
+    "left_star_order_unordered_holds": (lambda: left_star_order(SA, SA + G).holds, 0, 0, 0, 2),
+    "right_star_order_unordered_holds": (lambda: right_star_order(SA, SA + G).holds, 0, 0, 0, 2),
+    "core_order_unordered_holds": (lambda: core_order(CA, CA + G).holds, 2, 1, 1, 2),
+    "sharp_order_unordered_holds": (lambda: sharp_order(HA, HA + G).holds, 4, 2, 3, 2),
+}
+CALLS.update(IDENTITY_FAILS)
+
 
 def spy(call):
     """Run ``call`` once; return its SVDs, each as (with singular vectors,
@@ -283,7 +306,7 @@ def _sized(shape) -> bool:
     return max(shape) >= 9
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted(CALLS.keys() - IDENTITY_FAILS.keys()))
 def test_svd_count_bound(name):
     call, bound, vectors_bound, sized_bound, _ = CALLS[name]
     calls = spy(call)[0]
@@ -295,6 +318,58 @@ def test_svd_count_bound(name):
 @pytest.mark.parametrize("name", sorted(VERDICT_ONLY))
 def test_verdict_only_solves_nothing(name):
     assert spy(VERDICT_ONLY[name][0])[1] == []
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_FAILS))
+def test_failing_identity_decides_before_the_factors(name, monkeypatch):
+    # the Gram and square identities are one product each, so a pair that
+    # fails one is decided with no factor beyond the group-invertibility
+    # tests, no solve and no boundary flag
+    call, svds, vectors, sized, _ = IDENTITY_FAILS[name]
+    flags = _near_thresholds(monkeypatch)
+    seen, solved, _ = spy(call)
+    assert (len(seen), sum(v for v, _ in seen), sum(_sized(s) for _, s in seen)) == (
+        svds, vectors, sized)
+    assert solved == [] and flags == []
+    assert call() is False
+
+
+#: The full-read row and the gate pair (A, B) of each order in IDENTITY_FAILS.
+_UNORDERED = {"star_order": (star_order, SA, SA + G),
+              "left_star_order": (left_star_order, SA, SA + G),
+              "right_star_order": (right_star_order, SA, SA + G),
+              "core_order": (core_order, CA, CA + G),
+              "sharp_order": (sharp_order, HA, HA + G)}
+
+
+@pytest.mark.parametrize("row", sorted(_UNORDERED))
+def test_failing_identity_read_in_full_factors_each_operand_once(row, monkeypatch):
+    # reading the report after its verdict makes the factors the verdict
+    # skipped, within the order's full-read row, and factors A, B and
+    # B - A once each, whichever side reads them.  The n-sized column is
+    # compared with the same read on a triple factored first: the group
+    # test of the full-rank A + G is n-sized for sharp either way
+    predicate, a, b = _UNORDERED[row]
+    factored, real = [], subspaces.Factored._of
+
+    def recording(x, tol, scale=None):
+        factored.append(x)
+        return real(x, tol, scale)
+
+    def verdict_then_read():
+        report = predicate(a, b)
+        assert not report.holds
+        _read(report).rank_data
+
+    monkeypatch.setattr(subspaces.Factored, "_of", staticmethod(recording))
+    seen = spy(verdict_then_read)[0]
+    _, bound, vectors_bound, _, _ = CALLS[row]
+    assert len(seen) <= bound
+    assert sum(vectors for vectors, _ in seen) <= vectors_bound
+    assert [sum(np.array_equal(x, y) for x in factored) for y in (a, b, b - a)] == [1, 1, 1]
+    assert len(factored) == 3
+    factor_first(monkeypatch)
+    assert sorted(spy(verdict_then_read)[0]) == sorted(seen)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

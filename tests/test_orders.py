@@ -24,8 +24,9 @@ from minusord.orders import (
     weak_minus_order,
 )
 
-from conftest import cgauss
+from conftest import cgauss, factor_first
 from lopsided import SIDES, lopsided
+from test_order_oracle import _pairs as oracle_pairs
 
 
 def diag(*entries):
@@ -512,6 +513,56 @@ def test_deferred_error_surfaces_on_first_read(monkeypatch):
     assert report.witness_p is not None  # nothing failed was cached
 
 
+# --- factors made on first need ---
+
+def _outcome(predicate, a, b):
+    """The verdict and ranks of ``predicate`` on (a, b), or the text of the
+    GroupInvertibilityError it raises."""
+    try:
+        report = predicate(a, b)
+    except GroupInvertibilityError as exc:
+        return str(exc)
+    return report.holds, report.rank_data
+
+
+def _first_need_pairs():
+    """The order oracle's corpus, then A against A + noise, 2A and a
+    rank-one B, as in the decide-small workload, at scales 1, 1e+-6 and
+    1e+-12, A group invertible where square."""
+    for _, a, b in oracle_pairs(1, 180):
+        yield a, b
+    rng = np.random.default_rng(11)
+    for m, n in ((6, 6), (9, 9), (12, 7)):
+        a = sharp_pair(rng, m, 2, 2)[0] if m == n else minus_pair(rng, m, n, 2, 2)[0]
+        for b in (a + cgauss(rng, m, n), 2.0 * a, cgauss(rng, m, 1) @ cgauss(rng, 1, n)):
+            for scale in (1.0, 1e-6, 1e6, 1e-12, 1e12):
+                yield scale * a, scale * b
+
+
+def test_verdicts_and_ranks_do_not_depend_on_when_the_factors_are_made(monkeypatch):
+    # the star, sharp and core identities are tested before any factor is
+    # made and the ranks are read later, yet every verdict, every rank and
+    # every group-invertibility error is that of a triple factored first
+    cases = [(order_predicate(name), a, b) for a, b in _first_need_pairs()
+             for name in ORDER_NAMES if a.shape[0] == a.shape[1] or name not in ("sharp", "core")]
+    lazy = [_outcome(*case) for case in cases]
+    factor_first(monkeypatch)
+    assert [_outcome(*case) for case in cases] == lazy
+
+
+@pytest.mark.parametrize("predicate", [sharp_order, core_order])
+def test_group_invertibility_is_tested_before_the_identities(predicate):
+    # A nilpotent, B = A + G: both identities fail, and the group test,
+    # which runs first, still raises
+    a = diag(0, 0, 0, 1)
+    a[0, 1] = 1
+    b = a + cgauss(np.random.default_rng(2), 4, 4)
+    t = orders._triple(*as_pair(a, b), DEFAULT_TOLERANCE)
+    assert not t.agree(t.d @ t.a) and not t.agree(adjoint(t.a) @ t.d)
+    with pytest.raises(GroupInvertibilityError, match="A is not group invertible"):
+        predicate(a, b)
+
+
 # --- one triple, one set of factors for both sides ---
 
 def _both_sided_pairs():
@@ -538,6 +589,19 @@ def test_minus_is_left_and_right_minus_on_one_set_of_factors(a, b):
     assert minus.holds == (left_minus_order(a, b).holds and right.holds)
     if minus.holds:
         assert _projection_bytes(right.witness_q) == _projection_bytes(minus.witness_q)
+
+
+def test_a_triple_and_its_mirror_share_one_set_of_factors():
+    # the mirror reads the factors of the operands it shares with its
+    # parent as adjoints, made once and cached, so each subspace read off
+    # them is one object
+    a, b = _PAIRS["minus"]
+    t = orders._triple(*as_pair(a, a + b), DEFAULT_TOLERANCE)
+    mirror = t.mirror
+    assert mirror.source is t.source and mirror.mirror.fa is t.fa
+    assert mirror.fa is mirror.fa and mirror.fa.range is mirror.fa.range
+    assert all(m.u is f.v and m.v is f.u for m, f in zip((mirror.fa, mirror.fb, mirror.fd),
+                                                         (t.fa, t.fb, t.fd)))
 
 
 def test_a_triple_and_its_mirror_form_no_cycle():
