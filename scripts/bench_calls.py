@@ -9,7 +9,10 @@ checks are read for their verdict alone, as a caller deciding the order does;
 ``weak_minus_order (read in full)`` also read every cross-check verdict,
 witness and flag of their report.  The ``(unordered)`` rows decide the
 star, left-star, core and sharp orders of A against A + G for a full-rank
-G, a pair whose product identities fail.  The ``(tall)`` rows run the three
+G, a pair whose product identities fail.  ``minus_order (A, 2A)`` and
+``is_range_additive (A, A)`` are decided by the ranks of their operands
+alone, with no factor of the difference, as is the inclusion of the
+ordered ``left_star_order``.  The ``(tall)`` rows run the three
 constructions on a 3n/2 x n pair of the same ranks, with the counts of
 their square gate rows.  The set operations run on two
 subspaces of C^n of dimensions n - 2n/3 and 2n/3 that meet in one
@@ -51,6 +54,9 @@ GATE_ROWS = {"minus_order": "minus_order_holds", "minus_order (read in full)": "
              "left_minus_order (read in full)": "left_minus_order",
              "weak_minus_order (read in full)": "weak_minus_order",
              "star_order": "star_order_holds",
+             "minus_order (A, 2A)": "minus_order_double_holds",
+             "left_star_order": "left_star_order_holds",
+             "is_range_additive (A, A)": "is_range_additive_equal",
              "star_order (unordered)": "star_order_unordered_holds",
              "left_star_order (unordered)": "left_star_order_unordered_holds",
              "core_order (unordered)": "core_order_unordered_holds",
@@ -107,12 +113,15 @@ def calls(n):
             lambda: read_in_full(orders.left_minus_order(a, a + b)),
         "weak_minus_order (read in full)":
             lambda: read_in_full(orders.weak_minus_order(a, a + b)),
+        "minus_order (A, 2A)": lambda: orders.minus_order(a, 2.0 * a).holds,
         "star_order": lambda: orders.star_order(sa, sa + sb).holds,
+        "left_star_order": lambda: orders.left_star_order(sa, sa + sb).holds,
         "star_order (unordered)": lambda: orders.star_order(sa, sa + g).holds,
         "left_star_order (unordered)": lambda: orders.left_star_order(sa, sa + g).holds,
         "core_order (unordered)": lambda: orders.core_order(ca, ca + g).holds,
         "sharp_order (unordered)": lambda: orders.sharp_order(ha, ha + g).holds,
         "is_range_additive": lambda: additivity.is_range_additive(a, b),
+        "is_range_additive (A, A)": lambda: additivity.is_range_additive(a, a),
         "disjoint_range_additivity": lambda: additivity.disjoint_range_additivity(a, b),
         "kernel_characterization": lambda: additivity.kernel_characterization(a, b),
         "floor: np.linalg.pinv(A+B)": lambda: np.linalg.pinv(a + b),

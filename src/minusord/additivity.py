@@ -23,7 +23,7 @@ from .linalg import (
     as_pair,
     fro,
 )
-from .orders import _disjoint, _ranks_add, _split_witness
+from .orders import _disjoint, _ranks_add, _split_witness, _subtracts
 from .subspaces import Factored, Projection, _sum_and_meet
 
 __all__ = [
@@ -44,9 +44,11 @@ def is_range_additive(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
 def _ranges_add(fa: Factored, x, total, shape, tol) -> bool:
     """Whether R(A + B) = R(A) + R(x), R(x) = R(B): the ranks of A and of U_A^perp* x
     add to rank(A + B), of singular values ``total`` (Marsaglia & Styan, 1974),
-    as the minus verdict's :func:`~minusord.orders._ranks_add` counts them."""
-    sx = _singular_values(adjoint(fa.conull.basis) @ x)
-    return _ranks_add(fa, sx, total, shape, tol)
+    as the minus verdict counts them, rank(A) against rank(A + B) first
+    (:func:`~minusord.orders._subtracts`): U_A^perp* x takes singular values
+    only when rank(A) < rank(A + B) or its norm lies near the cutoff."""
+    part = adjoint(fa.conull.basis) @ x
+    return _subtracts(fa, total, shape, tol, part, lambda: _singular_values(part))
 
 
 @dataclass(frozen=True)

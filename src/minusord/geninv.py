@@ -117,8 +117,11 @@ def is_group_invertible(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
 
 def _group_invertible(factored: Factored, tol) -> bool:
     """The one group-invertibility rule: R(A) and N(A) split the space iff
-    the principal-angle sines R(A*)* B_R(A) = V_r* U_r are nonsingular."""
-    return _outside(factored.corange, factored.range, tol) == factored.rank
+    the principal-angle sines R(A*)* B_R(A) = V_r* U_r are nonsingular.  A
+    square A of full rank is invertible: its sines V* U are unitary, so it
+    takes no SVD of them."""
+    return (factored.rank == factored.u.shape[0]
+            or _outside(factored.corange, factored.range, tol) == factored.rank)
 
 
 def _group_factor(A, tol) -> Factored:

@@ -214,11 +214,13 @@ def sine_cut(s, ambient_dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> i
     return rank_cut(s, (ambient_dim, ambient_dim), tol, 1.0)
 
 
-def _spectral_within(x: np.ndarray, bound: float) -> bool:
+def _spectral_within(x: np.ndarray, bound: float, values=None) -> bool:
     """Whether no singular value of ``x`` exceeds ``bound``, i.e. the
     verdict ``s[0] <= bound`` of an inclusion of subspaces and of a
     :func:`rank_cut` to rank zero at cutoff ``bound``, settled from the
-    Frobenius norm when it is far enough from the bound.
+    Frobenius norm when it is far enough from the bound.  An open case
+    reads the singular values from ``values()`` when given, a factor of
+    ``x`` made or kept elsewhere, so ``x`` is not factored twice.
 
     sigma_1 <= ||x||_F <= sqrt(k) sigma_1 for k = min(x.shape), so
     ||x||_F <= bound (1 - delta) answers yes and
@@ -226,7 +228,8 @@ def _spectral_within(x: np.ndarray, bound: float) -> bool:
     the singular values.  delta = 16 eps max(x.shape), the rank cutoff's
     own rounding margin, covers the rounding of the norm and of the SVD it
     stands in for.  The norm is one BLAS dot product, unscaled, so a norm
-    that may have overflowed or underflowed settles nothing.
+    that may have overflowed or underflowed settles nothing, but for an
+    ``x`` of zeros alone, whose singular values are all 0.
     """
     if min(x.shape) == 0:
         return True
@@ -237,7 +240,9 @@ def _spectral_within(x: np.ndarray, bound: float) -> bool:
             return True
         if norm > math.sqrt(min(x.shape)) * bound * (1.0 + delta):
             return False
-    return bool(_singular_values(x)[0] <= bound)
+    elif not x.any():
+        return 0.0 <= bound
+    return bool((_singular_values(x) if values is None else values())[0] <= bound)
 
 
 def rank_info(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:

@@ -13,15 +13,21 @@ later read.  The triple factors each of A, B and B - A on first read, so
 each verdict computes only what decides it: the minus, left-minus,
 right-minus and weak-minus orders share the verdict they reduce to in
 finite dimension, rank subtractivity (Marsaglia & Styan 1974; Hartwig
-1980), which their range sums and meets restate at its scale; the star,
-sharp and core orders require the same rank additivity beside their
+1980), which their range sums and meets restate at its scale.  The ranks
+of A and B come first: rank(B - A) >= 0, so rank(A) > rank(B) fails the
+order and rank(A) = rank(B) leaves only B - A = 0, which its Frobenius
+norm settles away from the cutoff, so B - A is factored only when
+rank(A) < rank(B) or that norm lies near the cutoff.  The star, sharp
+and core orders require the same rank additivity beside their
 identities, so each implies minus at every scale, and each identity, such
 as A*A = A*B, is one product with the difference, A*(B - A) = 0, tested
 before the ranks, so a pair that fails it is decided with no SVD beyond
 the group-invertibility tests of sharp and core, which come first; the
-left star order tests its Gram identity before the inclusion; and an
-inclusion of subspaces is settled from a Frobenius norm before any SVD of
-its sines when the norm is far from the bound.  The ranks, the
+left star order tests its Gram identity before the inclusion, which
+reads A's part outside R(B) at the pair's cutoff, that of B - A, with no
+factor of B - A; and an inclusion of subspaces is settled from a
+Frobenius norm before any SVD of its sines when the norm is far from the
+bound.  The ranks, the
 cross-characterizations (with the angle-margin flags they raise) and the
 witnesses only restate that verdict, so each is computed on first read of
 its field and cached, the witnesses apart from the verdicts: a caller
@@ -63,6 +69,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     _near,
+    _rank_cutoff,
     _singular_values,
     _spectral_within,
     adjoint,
@@ -194,6 +201,19 @@ class _Operands:
     def fd(self) -> Factored:
         return Factored._of(self.d, self.tol, _scale(self.fa.s, self.fb.s))
 
+    @cached_property
+    def cutoff(self) -> float:
+        """The pair's rank cutoff, at :func:`_scale` of A and B: the cutoff
+        D is cut at, known before D is factored."""
+        return _rank_cutoff(self.fb.s, self.b.shape, self.tol, _scale(self.fa.s, self.fb.s))
+
+    @cached_property
+    def identity_scale(self) -> float:
+        """||A|| (||A|| + ||B||), the scale of the Gram and square
+        identities, the same on the adjoint side: ||X*||_F = ||X||_F."""
+        na = fro(self.a)
+        return na * (na + fro(self.b))
+
 
 @dataclass(frozen=True, eq=False)
 class _Triple:
@@ -241,6 +261,14 @@ class _Triple:
                        not self.flipped)
 
     @cached_property
+    def outside_a(self) -> np.ndarray:
+        """U_B^perp* U_A diag(sigma_A), the part of A outside R(B): the
+        first rank(A) columns of :attr:`weighted`, made with no factor of
+        B - A."""
+        fa = self.fa
+        return adjoint(self.fb.conull.basis) @ fa.u[:, :fa.rank] * fa.s[:fa.rank]
+
+    @cached_property
     def weighted(self) -> np.ndarray:
         """U_B^perp* [U_A diag(sigma_A) | U_D diag(sigma_D)], the parts of A
         and B - A outside R(B): the sines of R(A) and R(B - A) beyond R(B),
@@ -249,10 +277,11 @@ class _Triple:
         resolves a summand far smaller than the other only to about the
         rounding over its gap (Wedin 1972), so a small direction's sine may
         be rounding; its singular value times its sine is what it adds to a
-        residual such as A - P B."""
-        fa, fd = self.fa, self.fd
-        sines = adjoint(self.fb.conull.basis) @ np.hstack([fa.u[:, :fa.rank], fd.u[:, :fd.rank]])
-        return sines * np.concatenate([fa.s[:fa.rank], fd.s[:fd.rank]])
+        residual such as A - P B.  A's part is :attr:`outside_a`, shared
+        with :meth:`inside`."""
+        fd = self.fd
+        return np.hstack([self.outside_a,
+                          adjoint(self.fb.conull.basis) @ fd.u[:, :fd.rank] * fd.s[:fd.rank]])
 
     @cached_property
     def spans(self) -> bool:
@@ -271,19 +300,20 @@ class _Triple:
     def agree(self, x: np.ndarray) -> bool:
         """Whether two products of A with A or B agree, given as their
         difference ``x``, a product of A with D, on the scale
-        ||A|| (||A|| + ||B||) of the Gram and square identities: A*A = A*B
-        is A*D = 0, one n x n product where the two sides take two."""
-        na = fro(self.a)
-        return self.tol.within(fro(x), na * (na + fro(self.b)))
+        ||A|| (||A|| + ||B||) of the Gram and square identities, computed
+        once for both sides: A*A = A*B is A*D = 0, one n x n product where
+        the two sides take two."""
+        return self.tol.within(fro(x), self.source.identity_scale)
 
     def inside(self) -> bool:
         """Whether A's columns lie in R(B), the inclusion in A = P B and in
-        rank [B | A] = rank(B): no singular value of the part of A outside
-        R(B), U_B^perp* U_A diag(sigma_A), the first rank(A) columns of
-        :attr:`weighted`, lies above the cutoff of B - A.  The part's
-        Frobenius norm settles the verdict when it lies far from the cutoff
+        rank [B | A] = rank(B): no singular value of :attr:`outside_a`, the
+        part of A outside R(B), lies above the pair's cutoff
+        eps_rank max(sigma_1(A), sigma_1(B)), the cutoff of B - A, so
+        B - A is not factored.  The part's Frobenius norm settles the
+        verdict when it lies far from the cutoff
         (:func:`~minusord.linalg._spectral_within`)."""
-        return _spectral_within(self.weighted[:, :self.fa.rank], self.fd.cutoff)
+        return _spectral_within(self.outside_a, self.source.cutoff)
 
     def flags(self) -> tuple[str, ...]:
         """The boundary flags of the three rank decisions, off each factor's cutoff."""
@@ -298,8 +328,24 @@ def _additive(t: _Triple) -> bool:
     orthogonality or commutation condition (Mitra, Bhimasankaram & Malik
     2010), so each implies minus by construction; the identities alone
     cannot keep that, since for A far smaller than B their residual of
-    about ||A||^2 falls under the scale ||A|| (||A|| + ||B||)."""
-    return _ranks_add(t.fa, t.fd.s, t.fb.s, t.b.shape, t.tol)
+    about ||A||^2 falls under the scale ||A|| (||A|| + ||B||).  The ranks
+    of A and B come first (:func:`_subtracts`), and B - A is factored
+    only when rank(A) < rank(B) or its norm lies near the cutoff."""
+    return _subtracts(t.fa, t.fb.s, t.b.shape, t.tol, t.d, lambda: t.fd.s)
+
+
+def _subtracts(fa: Factored, sb: np.ndarray, shape, tol, d: np.ndarray, sd) -> bool:
+    """The count of :func:`_ranks_add` for B = A + D, decided from rank(A)
+    and rank(B) first: rank(D) >= 0, so rank(A) > rank(B) fails, and
+    rank(A) = rank(B) holds iff D vanishes at the pair's cutoff, which its
+    Frobenius norm settles when far from it
+    (:func:`~minusord.linalg._spectral_within`).  Only rank(A) < rank(B),
+    or a norm near the cutoff, reads ``sd()``, the singular values of D."""
+    scale = _scale(fa.s, sb)
+    rank_b = rank_cut(sb, shape, tol, scale)
+    if fa.rank < rank_b:
+        return fa.rank + rank_cut(sd(), shape, tol, scale) == rank_b
+    return fa.rank == rank_b and _spectral_within(d, _rank_cutoff(sb, shape, tol, scale), sd)
 
 
 def _ranks_add(fa: Factored, sd: np.ndarray, sb: np.ndarray, shape, tol) -> bool:
@@ -394,10 +440,10 @@ def _minus(t: _Triple) -> OrderReport:
     of R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and N(B), so the
     witnesses, and the projection characterization's P, are the
     ``left_witness`` of the triple and of its mirror."""
-    fa, fd = t.fa, t.fd
     holds = _additive(t)
 
     def explain():
+        fa, fd = t.fa, t.fd
         angle_flags = []
         spans = t.spans and t.mirror.spans
         # The angle route restates disjointness as a minimal-angle margin;

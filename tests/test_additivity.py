@@ -10,8 +10,10 @@ from minusord.additivity import (
 )
 from minusord.exceptions import ComplementError
 from minusord.generate import minus_pair
-from minusord.linalg import DEFAULT_TOLERANCE, adjoint, as_pair, fro
-from minusord.orders import minus_order
+from minusord import additivity
+from minusord.linalg import (DEFAULT_TOLERANCE, _rank_cutoff, _singular_values, adjoint, as_pair,
+                             fro)
+from minusord.orders import _ranks_add, minus_order
 from minusord.subspaces import Factored, range_basis, subspace_equal
 
 from conftest import cgauss
@@ -198,6 +200,53 @@ def test_additive_iff_disjoint_and_range_additive():
     for kind, label, a, b in _oracle_mix():
         got = disjoint_range_additivity(a, b)
         assert got.additive == (got.ranges_disjoint and is_range_additive(a, b)), label
+
+
+def _range_band_pairs():
+    """Summands B = E outside R(A), with two singular values about the
+    cutoff of A, so the Frobenius norm of U_A^perp* E lies in the window
+    that leaves :func:`~minusord.linalg._spectral_within` open, at scales
+    1 and 1e+-12."""
+    rng = np.random.default_rng(14)
+    for m, n in ((9, 9), (12, 7)):
+        a = minus_pair(rng, m, n, 2, 2)[0]
+        u, s, vh = np.linalg.svd(a)
+        cutoff = _rank_cutoff(s, a.shape, DEFAULT_TOLERANCE)
+        for ratio in (0.8, 0.95, 1.05, 1.25):
+            e = (u[:, 2:4] * (ratio * cutoff)) @ vh[2:4]
+            for scale in (1.0, 1e-12, 1e12):
+                yield scale * a, scale * e
+
+
+def test_rank_first_range_additivity_is_the_full_count(monkeypatch):
+    # rank(A) > rank(A + B) fails and rank(A) = rank(A + B) asks only
+    # whether B's part outside R(A) vanishes, so the verdict is the full
+    # count of that part's rank; the part takes singular values beside
+    # those of A + B on a band pair, and none for (A, A), whose part lies
+    # far under the cutoff
+    tol, seen = DEFAULT_TOLERANCE, []
+
+    def counting(x):
+        seen.append(x.shape)
+        return _singular_values(x)
+
+    def verdict(a, b):
+        seen.clear()
+        a, b = as_pair(a, b)
+        fa = Factored._of(a, tol)
+        part = _singular_values(adjoint(fa.conull.basis) @ b)
+        with monkeypatch.context() as patch:
+            patch.setattr(additivity, "_singular_values", counting)
+            got = is_range_additive(a, b)
+        assert got == _ranks_add(fa, part, _singular_values(a + b), a.shape, tol)
+        return got
+
+    for _, _, a, b in _oracle_mix():
+        verdict(a, b)
+    for a, b in _range_band_pairs():
+        verdict(a, b)
+        assert len(seen) == 2
+        assert verdict(a, a) and len(seen) == 1
 
 
 def test_kernel_characterization_matches_joined_bases():

@@ -54,9 +54,12 @@ its one solve is P's core.  ``solve_system`` tests a in R(A) and b in R(B)
 on its triple's factors, and ``is_range_additive`` and
 ``kernel_characterization`` read range additivity off A's factor, by the
 minus verdict's count of rank(A + B) against rank(A) and the part of B
-outside R(A); none ranks a joined [X | v] or [A + B | A].  The kernel
-entries of ``kernel_characterization`` are one such count on the adjoint
-factors, so R(A*) + R(B*) is factored only for the witness, when direct.
+outside R(A), rank(A) against rank(A + B) first, so the part takes
+singular values only when rank(A) < rank(A + B) or its Frobenius norm
+lies near the cutoff; none ranks a joined [X | v] or [A + B | A].  The
+kernel entries of ``kernel_characterization`` are one such count on the
+adjoint factors, so R(A*) + R(B*) is factored only for the witness, when
+direct.
 The agreeing split behind the reflexive inverses of a sum tests M and N
 on their sines alone and verifies its two projection-sum identities by
 their action on B_M and B_N, so its solves are those of its own
@@ -77,16 +80,25 @@ until the explanation is read.  The triple factors A, B and B - A on
 first read, and the star, sharp and core verdicts test their product
 identities before the ranks, so on a pair that fails an identity the
 star orders make no SVD, core factors A alone and sharp A and B, for
-their group-invertibility tests: those ``_unordered_holds`` rows are
-exact.  Reading such a report in full afterwards factors A, B and B - A
-once each.  A verdict computes only what decides it: the
-minus, left-minus, right-minus and weak-minus orders are decided on the
-three factors alone, by rank subtractivity, and never test whether
-R(A) + R(B - A) spans R(B) or form the adjoint mirror, and an inclusion
-whose sines lie far below or above their bound in Frobenius norm is
-settled without an SVD of them.  Their explanations test that span once
-per side, on the sines beyond R(B) alone: B = A + (B - A) puts R(B)
-inside the sum for every pair, so no rank of the sines is taken.
+their group-invertibility tests, of which a square factor of full rank
+needs no SVD of its sines: those ``_unordered_holds`` rows are exact.
+Reading such a report in full afterwards factors A, B and B - A once
+each.  A verdict computes only what decides it: the minus, left-minus,
+right-minus and weak-minus orders are decided by rank subtractivity and
+never test whether R(A) + R(B - A) spans R(B) or form the adjoint
+mirror.  The ranks of A and B come first, and B - A is factored only
+when rank(A) < rank(B): rank(A) > rank(B) fails the order, and equal
+ranks leave only B - A = 0, which its Frobenius norm settles away from
+the cutoff, so against 2A or a rank-one B those verdicts factor A and B
+alone, and range additivity of (A, A) factors A and takes the values of
+2A (the exact ``RANKS_DECIDE`` rows).  The inclusion R(A) in R(B) of
+the left and right star orders reads A's part outside R(B) at the
+pair's cutoff, which is that of B - A, so it never factors B - A, and
+an inclusion whose sines lie far below or above their bound in
+Frobenius norm is settled without an SVD of them.  Their explanations
+test that span once per side, on the sines beyond R(B) alone:
+B = A + (B - A) puts R(B) inside the sum for every pair, so no rank of
+the sines is taken.
 
 One spy, :func:`spy`, takes the counts; ``scripts/bench_calls.py`` prints
 them through it.
@@ -232,8 +244,8 @@ VERDICT_ONLY = {
     "left_minus_order_holds": (lambda: left_minus_order(A, A + B).holds, 3, 3, 3, 2),
     "right_minus_order_holds": (lambda: right_minus_order(A, A + B).holds, 3, 3, 3, 2),
     "star_order_holds": (lambda: star_order(SA, SA + SB).holds, 3, 3, 3, 2),
-    "left_star_order_holds": (lambda: left_star_order(SA, SA + SB).holds, 3, 3, 3, 2),
-    "right_star_order_holds": (lambda: right_star_order(SA, SA + SB).holds, 3, 3, 3, 2),
+    "left_star_order_holds": (lambda: left_star_order(SA, SA + SB).holds, 2, 2, 2, 2),
+    "right_star_order_holds": (lambda: right_star_order(SA, SA + SB).holds, 2, 2, 2, 2),
     "sharp_order_holds": (lambda: sharp_order(HA, HA + HB).holds, 5, 3, 3, 2),
     "core_order_holds": (lambda: core_order(CA, CA + CB).holds, 4, 3, 3, 2),
     "weak_minus_order_holds": (lambda: weak_minus_order(A, A + B).holds, 3, 3, 3, 2),
@@ -248,17 +260,36 @@ CALLS.update(VERDICT_ONLY)
 #: The verdicts of pairs whose product identity fails, read alone.  The
 #: identities are tested before any factor is made, so the star orders
 #: make no SVD, core factors A alone for its group-invertibility test, and
-#: sharp A and B for theirs.  The counts are exact, so these rows have
-#: their own test in place of :func:`test_svd_count_bound`, which asks for
-#: at least one SVD.
+#: sharp A and B for theirs, taking the sines of A alone: A + G is square
+#: of full rank.  The counts are exact, so these rows have their own test
+#: in place of :func:`test_svd_count_bound`, which asks for at least one SVD.
 IDENTITY_FAILS = {
     "star_order_unordered_holds": (lambda: star_order(SA, SA + G).holds, 0, 0, 0, 2),
     "left_star_order_unordered_holds": (lambda: left_star_order(SA, SA + G).holds, 0, 0, 0, 2),
     "right_star_order_unordered_holds": (lambda: right_star_order(SA, SA + G).holds, 0, 0, 0, 2),
     "core_order_unordered_holds": (lambda: core_order(CA, CA + G).holds, 2, 1, 1, 2),
-    "sharp_order_unordered_holds": (lambda: sharp_order(HA, HA + G).holds, 4, 2, 3, 2),
+    "sharp_order_unordered_holds": (lambda: sharp_order(HA, HA + G).holds, 3, 2, 2, 2),
 }
 CALLS.update(IDENTITY_FAILS)
+
+# a rank-one B, which ranks under A
+ONE = np.outer(_rng.standard_normal(9), _rng.standard_normal(9)) + 0j
+
+#: The verdicts that the ranks of A and B decide, read alone, with the
+#: verdict each gives: against 2A or a rank-one B the minus family fails
+#: on A's and B's factors, and B - A is never factored; range additivity
+#: of (A, A), whose sum 2A ranks as A, holds on A's factor and the values
+#: of 2A, its part of B outside R(A) settled by its Frobenius norm.  The
+#: counts are exact.
+RANKS_DECIDE = {
+    **{f"{name}_order_{label}_holds": (lambda order=order, b=b: order(A, b).holds, 2, 2, 2, 2)
+       for name, order in (("minus", minus_order), ("left_minus", left_minus_order),
+                           ("right_minus", right_minus_order), ("weak_minus", weak_minus_order))
+       for label, b in (("double", 2.0 * A), ("rank_one", ONE))},
+    "is_range_additive_equal": (lambda: is_range_additive(A, A), 2, 1, 2, 2),
+}
+RANKS_DECIDE_VERDICTS = {name: name == "is_range_additive_equal" for name in RANKS_DECIDE}
+CALLS.update(RANKS_DECIDE)
 
 
 def spy(call):
@@ -334,8 +365,24 @@ def test_failing_identity_decides_before_the_factors(name, monkeypatch):
     assert call() is False
 
 
-#: The full-read row and the gate pair (A, B) of each order in IDENTITY_FAILS.
-_UNORDERED = {"star_order": (star_order, SA, SA + G),
+@pytest.mark.parametrize("name", sorted(RANKS_DECIDE))
+def test_ranks_decide_before_the_difference(name, monkeypatch):
+    # rank(A) >= rank(B) decides the verdict on the factors of A and B, so
+    # B - A, or the part of B outside R(A), takes no SVD, and no solve runs
+    # and no boundary flag is derived
+    call, svds, vectors, sized, _ = RANKS_DECIDE[name]
+    flags = _near_thresholds(monkeypatch)
+    seen, solved, _ = spy(call)
+    assert (len(seen), sum(v for v, _ in seen), sum(_sized(s) for _, s in seen)) == (
+        svds, vectors, sized)
+    assert solved == [] and flags == []
+    assert call() is RANKS_DECIDE_VERDICTS[name]
+
+
+#: The full-read row and the gate pair (A, B) of each order in IDENTITY_FAILS,
+#: and of the minus order against 2A, which the ranks of A and B decide.
+_UNORDERED = {"minus_order": (minus_order, A, 2.0 * A),
+              "star_order": (star_order, SA, SA + G),
               "left_star_order": (left_star_order, SA, SA + G),
               "right_star_order": (right_star_order, SA, SA + G),
               "core_order": (core_order, CA, CA + G),
@@ -346,9 +393,9 @@ _UNORDERED = {"star_order": (star_order, SA, SA + G),
 def test_failing_identity_read_in_full_factors_each_operand_once(row, monkeypatch):
     # reading the report after its verdict makes the factors the verdict
     # skipped, within the order's full-read row, and factors A, B and
-    # B - A once each, whichever side reads them.  The n-sized column is
-    # compared with the same read on a triple factored first: the group
-    # test of the full-rank A + G is n-sized for sharp either way
+    # B - A once each, whichever side reads them: the arrays factored are
+    # A, B and B - A, matched one for one (B - A = A against 2A).  The
+    # SVDs are compared with the same read on a triple factored first
     predicate, a, b = _UNORDERED[row]
     factored, real = [], subspaces.Factored._of
 
@@ -366,8 +413,10 @@ def test_failing_identity_read_in_full_factors_each_operand_once(row, monkeypatc
     _, bound, vectors_bound, _, _ = CALLS[row]
     assert len(seen) <= bound
     assert sum(vectors for vectors, _ in seen) <= vectors_bound
-    assert [sum(np.array_equal(x, y) for x in factored) for y in (a, b, b - a)] == [1, 1, 1]
-    assert len(factored) == 3
+    unmatched = [a, b, b - a]
+    for x in factored:
+        unmatched.pop(next(i for i, y in enumerate(unmatched) if np.array_equal(x, y)))
+    assert unmatched == []
     factor_first(monkeypatch)
     assert sorted(spy(verdict_then_read)[0]) == sorted(seen)
 

@@ -16,7 +16,7 @@ from minusord.geninv import (
 )
 from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, fro, numerical_rank
 from minusord.orders import core_order, inner_inverse_witness, sharp_order
-from minusord.subspaces import Factored, Subspace, _projection, null_basis, range_basis
+from minusord.subspaces import Factored, Subspace, _outside, _projection, null_basis, range_basis
 from minusord.sums import agreeing_split, werner_decomposition
 
 from conftest import cgauss
@@ -182,6 +182,19 @@ def test_group_invertibility_matches_rank_rule(pair):
         for x in (a, b, a + b, b - a):
             for c in (1e-12, 1.0, 1e12):
                 assert is_group_invertible(c * x) == _rank_rule(c * x), (seed, c)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-12, 1e12])
+def test_full_rank_is_group_invertible_without_its_sines(c):
+    # a square factor of full rank has unitary sines V* U, so the verdict
+    # that skips them is their count, conditioned or not
+    rng = np.random.default_rng(15)
+    for n in (1, 4, 9):
+        for x in (cgauss(rng, n, n), cgauss(rng, n, n) * np.logspace(0, -10, n)):
+            f = Factored._of(c * x, DEFAULT_TOLERANCE)
+            assert f.rank == n
+            assert is_group_invertible(c * x)
+            assert _outside(f.corange, f.range, DEFAULT_TOLERANCE) == n
 
 
 def test_group_invertibility_read_off_the_sines():

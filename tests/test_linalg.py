@@ -266,7 +266,18 @@ def test_norm_certificate_returns_the_svd_decision(m, n, seed, rank_one, magnitu
             assert _spectral_within(x, bound) == bool(sigma[0] <= bound)
 
 
-def test_norm_certificate_on_empty_and_zero_matrices():
+def test_norm_certificate_on_empty_and_zero_matrices(monkeypatch):
+    # a matrix of zeros has no singular value above a bound of 0, which
+    # its underflowed norm cannot settle, so it takes no SVD
+    monkeypatch.setattr(linalg, "_singular_values", None)
     assert _spectral_within(np.zeros((0, 3), dtype=complex), 0.0)
     assert _spectral_within(np.zeros((3, 2), dtype=complex), 0.0)
+    monkeypatch.undo()
     assert not _spectral_within(np.full((3, 2), 1e-200, dtype=complex), 0.0)
+
+
+def test_norm_certificate_reads_given_values_when_open():
+    # an open case reads the values given, not an SVD of its own
+    x = np.diag([1.0, 1.0]).astype(complex)
+    assert _spectral_within(x, 1.2, lambda: np.array([1.0, 1.0]))
+    assert not _spectral_within(x, 1.2, lambda: np.array([1.3, 0.0]))

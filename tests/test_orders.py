@@ -7,7 +7,8 @@ import pytest
 from minusord import orders
 from minusord.exceptions import GroupInvertibilityError, OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
-from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, as_pair, fro
+from minusord.linalg import (DEFAULT_TOLERANCE, ToleranceConfig, _rank_cutoff,
+                             _singular_values, adjoint, as_pair, fro)
 from minusord.sums import build_split, fill_fishkind_pinv
 from minusord.orders import (
     ORDER_NAMES,
@@ -526,28 +527,74 @@ def _outcome(predicate, a, b):
 
 
 def _first_need_pairs():
-    """The order oracle's corpus, then A against A + noise, 2A and a
-    rank-one B, as in the decide-small workload, at scales 1, 1e+-6 and
-    1e+-12, A group invertible where square."""
+    """The order oracle's corpus, then A against A + noise, 2A, a rank-one
+    B and A itself, as in the decide-small workload, at scales 1, 1e+-6
+    and 1e+-12, A group invertible where square, then the band pairs."""
     for _, a, b in oracle_pairs(1, 180):
         yield a, b
     rng = np.random.default_rng(11)
     for m, n in ((6, 6), (9, 9), (12, 7)):
         a = sharp_pair(rng, m, 2, 2)[0] if m == n else minus_pair(rng, m, n, 2, 2)[0]
-        for b in (a + cgauss(rng, m, n), 2.0 * a, cgauss(rng, m, 1) @ cgauss(rng, 1, n)):
+        for b in (a + cgauss(rng, m, n), 2.0 * a, cgauss(rng, m, 1) @ cgauss(rng, 1, n), a):
             for scale in (1.0, 1e-6, 1e6, 1e-12, 1e12):
+                yield scale * a, scale * b
+    yield from _band_pairs()
+
+
+def _band_pairs():
+    """Pairs of one rank whose difference E = B - A, inside R(A) and
+    R(A*), has two singular values about the pair's cutoff, so its
+    Frobenius norm lies in the window that leaves
+    :func:`~minusord.linalg._spectral_within` open, at scales 1 and
+    1e+-12, A group invertible where square."""
+    rng = np.random.default_rng(12)
+    for m, n in ((9, 9), (12, 7)):
+        a = sharp_pair(rng, m, 2, 2)[0] if m == n else minus_pair(rng, m, n, 2, 2)[0]
+        u, s, vh = np.linalg.svd(a)
+        cutoff = _rank_cutoff(s, a.shape, DEFAULT_TOLERANCE)
+        for ratio in (0.8, 0.95, 1.05, 1.25):
+            b = a + (u[:, :2] * (ratio * cutoff)) @ vh[:2]
+            for scale in (1.0, 1e-12, 1e12):
                 yield scale * a, scale * b
 
 
 def test_verdicts_and_ranks_do_not_depend_on_when_the_factors_are_made(monkeypatch):
     # the star, sharp and core identities are tested before any factor is
-    # made and the ranks are read later, yet every verdict, every rank and
-    # every group-invertibility error is that of a triple factored first
+    # made, the minus family's ranks of A and B before B - A, and the ranks
+    # are read later, yet every verdict, every rank and every
+    # group-invertibility error is that of a triple factored first
     cases = [(order_predicate(name), a, b) for a, b in _first_need_pairs()
              for name in ORDER_NAMES if a.shape[0] == a.shape[1] or name not in ("sharp", "core")]
     lazy = [_outcome(*case) for case in cases]
     factor_first(monkeypatch)
     assert [_outcome(*case) for case in cases] == lazy
+
+
+def _rank_first_is_the_full_count(a, b) -> bool:
+    """Assert that the rank-first verdict of rank subtractivity, and the
+    inclusion R(A) in R(B) at the pair's cutoff, are the full counts on
+    the factors of A, B and B - A, on both sides of the triple of (a, b);
+    return whether those verdicts factored B - A."""
+    t = orders._triple(*as_pair(a, b), DEFAULT_TOLERANCE)
+    sides = (t, t.mirror)
+    verdicts = [orders._additive(x) for x in sides] + [x.inside() for x in sides]
+    factored = "fd" in vars(t.source)
+    full = [orders._ranks_add(x.fa, x.fd.s, x.fb.s, x.b.shape, x.tol) for x in sides]
+    full += [bool(np.all(_singular_values(x.outside_a) <= x.fd.cutoff)) for x in sides]
+    assert verdicts == full
+    return factored
+
+
+def test_rank_first_verdicts_are_the_full_count():
+    # rank(A) > rank(B) fails and rank(A) = rank(B) asks only whether
+    # B - A vanishes, so each verdict is the count it skips; equal operands
+    # are decided on A's and B's factors, while a band pair's difference,
+    # whose norm leaves the Frobenius test open, falls back to its factor
+    for a, b in _first_need_pairs():
+        _rank_first_is_the_full_count(a, b)
+    band = list(_band_pairs())
+    assert not any(_rank_first_is_the_full_count(a, a) for a, _ in band)
+    assert all(_rank_first_is_the_full_count(a, b) for a, b in band)
 
 
 @pytest.mark.parametrize("predicate", [sharp_order, core_order])
