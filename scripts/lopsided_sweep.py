@@ -22,7 +22,10 @@ The output is one JSON object, ``{kind: {side: {scale: tally}}}`` and a
   range sum is not direct, the cutoff-band caveat of
   ``DisjointRangeAdditivity``;
 - ``kernel_disagree``: pairs where the direct adjoint sum, the kernels'
-  spanning and the witness's existence do not all agree.
+  spanning and the witness's existence do not all agree;
+- ``disagree``: per key of the minus report's ``characterization_verdicts``
+  (``angles``, ``kernels``, ``projection``, ``ranges`` and ``ranks``), the
+  reports whose entry differs from ``holds``.
 
 Under ``"orders"`` the same layout, ``{kind: {side: {scale: tally}}}``
 and a ``"total"``, tallies the order each kind of ``ORDER_KINDS`` is
@@ -67,6 +70,8 @@ def tally_pair(a, b) -> dict[str, int]:
         "direct_not_additive": int(direct and not kernel.range_additive),
         "caveat": int(disjoint.ranges_disjoint and disjoint.kernels_span and not disjoint.additive),
         "kernel_disagree": int(len({direct, kernel.kernels_span, kernel.witness_q is not None}) > 1),
+        "disagree": {key: int(verdict != report.holds)
+                     for key, verdict in sorted(report.characterization_verdicts.items())},
     }
 
 
@@ -80,6 +85,15 @@ def tally_order(order, a, b) -> dict[str, int]:
             "flagged": int(bool(report.boundary_flags))}
 
 
+def add(into: dict, tally: dict) -> None:
+    """Add the counts of ``tally``, nested ones key by key, to ``into``."""
+    for name, count in tally.items():
+        if isinstance(count, dict):
+            add(into.setdefault(name, {}), count)
+        else:
+            into[name] = into.get(name, 0) + count
+
+
 def sweep(tallies, counts) -> dict:
     """``{kind: {side: {scale: tally}}, "total": tally}`` summed over
     ``tallies``, each ``(kind, side, c, tally)``."""
@@ -88,9 +102,8 @@ def sweep(tallies, counts) -> dict:
     for kind, side, c, tally in tallies:
         cell = table.setdefault(kind, {}).setdefault(side, {}).setdefault(
             f"{c:g}", dict.fromkeys(counts, 0))
-        for name, count in tally.items():
-            cell[name] += count
-            total[name] += count
+        add(cell, tally)
+        add(total, tally)
     table["total"] = total
     return table
 

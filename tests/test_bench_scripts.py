@@ -47,6 +47,11 @@ def replay_digest():
     return _load("replay_digest")
 
 
+@pytest.fixture(scope="module")
+def lopsided_sweep():
+    return _load("lopsided_sweep")
+
+
 def _pairs(parent, change):
     """Synthetic pairs: per metric, one parent and one change value each."""
     names = list(parent)
@@ -199,3 +204,18 @@ def test_verdict_digest_ignores_witnesses_not_verdicts(replay_digest):
     absent = OrderReport(report.order_name, report.holds, report._rank_data,
                          lambda: None, report._witness_q, report._explain)
     assert digest(absent, False) != before
+
+
+def test_sweep_tallies_each_characterization(lopsided_sweep):
+    a, b = minus_pair(3, 5, 4, 1, 1)
+    tally = lopsided_sweep.tally_pair(a, b)
+    keys = sorted(minus_order(a, a + b).characterization_verdicts)
+    assert tally["disagree"] == dict.fromkeys(keys, 0)
+
+    other = dict(tally, draws=1, disagree=dict(tally["disagree"], angles=1, ranks=1))
+    table = lopsided_sweep.sweep([("k", "A", 1.0, tally), ("k", "A", 1.0, other),
+                                  ("k", "B", 1e-6, other)], lopsided_sweep.COUNTS)
+    assert table["k"]["A"]["1"]["draws"] == 2
+    assert table["k"]["A"]["1"]["disagree"] == dict(tally["disagree"], angles=1, ranks=1)
+    assert table["total"]["disagree"] == dict(tally["disagree"], angles=2, ranks=2)
+    assert list(table["total"]) == list(lopsided_sweep.COUNTS) + ["disagree"]
