@@ -23,7 +23,7 @@ from .linalg import (
     as_pair,
     fro,
 )
-from .orders import _disjoint, _ranks_add, _split_witness, _subtracts
+from .orders import _disjoint, _pair_cutoff, _split_witness, _subtracts
 from .subspaces import Factored, Projection, _sum_and_meet
 
 __all__ = [
@@ -38,17 +38,19 @@ __all__ = [
 def is_range_additive(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether R(A + B) = R(A) + R(B), read off A's factor by :func:`_ranges_add`."""
     A, B = as_pair(A, B)
-    return _ranges_add(Factored._of(A, tol), B, _singular_values(A + B), A.shape, tol)
+    fa, total = Factored._of(A, tol), _singular_values(A + B)
+    return _ranges_add(fa, B, total, _pair_cutoff(fa.s, total, A.shape, tol))
 
 
-def _ranges_add(fa: Factored, x, total, shape, tol) -> bool:
+def _ranges_add(fa: Factored, x, total, cutoff: float) -> bool:
     """Whether R(A + B) = R(A) + R(x), R(x) = R(B): the ranks of A and of U_A^perp* x
     add to rank(A + B), of singular values ``total`` (Marsaglia & Styan, 1974),
-    as the minus verdict counts them, rank(A) against rank(A + B) first
-    (:func:`~minusord.orders._subtracts`): U_A^perp* x takes singular values
-    only when rank(A) < rank(A + B) or its norm lies near the cutoff."""
+    as the minus verdict counts them, at the ``cutoff`` of the pair A, A + B,
+    rank(A) against rank(A + B) first (:func:`~minusord.orders._subtracts`):
+    U_A^perp* x takes singular values only when rank(A) < rank(A + B) or its
+    norm lies near the cutoff."""
     part = adjoint(fa.conull.basis) @ x
-    return _subtracts(fa, total, shape, tol, part, lambda: _singular_values(part))
+    return _subtracts(fa, total, cutoff, part, lambda: _singular_values(part))
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,12 @@ def disjoint_range_additivity(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) ->
     A, B = as_pair(A, B)
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
     total = _singular_values(A + B)
+    cutoff = _pair_cutoff(fa.s, total, A.shape, tol)
     # all counted as the minus order counts A <= A + B
     return DisjointRangeAdditivity(
-        ranges_disjoint=_disjoint(fa, fb, total, A.shape, tol),
-        additive=_ranks_add(fa, fb.s, total, A.shape, tol),
-        kernels_span=_disjoint(fa.adjoint(), fb.adjoint(), total, A.shape, tol))
+        ranges_disjoint=_disjoint(fa, fb, cutoff),
+        additive=_subtracts(fa, total, cutoff, B, lambda: fb.s),
+        kernels_span=_disjoint(fa.adjoint(), fb.adjoint(), cutoff))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +106,8 @@ def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> K
     A, B = as_pair(A, B)
     fa, fb = Factored._of(A, tol), Factored._of(B, tol)
     total = _singular_values(A + B)
-    direct = _disjoint(fa.adjoint(), fb.adjoint(), total, A.shape, tol)
+    cutoff = _pair_cutoff(fa.s, total, A.shape, tol)
+    direct = _disjoint(fa.adjoint(), fb.adjoint(), cutoff)
 
     witness = None
     if direct:
@@ -119,5 +123,5 @@ def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> K
         adjoint_ranges_direct_closed=direct,
         witness_q=witness,
         kernels_span=direct,
-        range_additive=_ranges_add(fa, fb.u[:, :fb.rank] * fb.s[:fb.rank], total, A.shape, tol),
+        range_additive=_ranges_add(fa, fb.u[:, :fb.rank] * fb.s[:fb.rank], total, cutoff),
     )

@@ -41,9 +41,14 @@ def _complex_gaussian(rng, m, n):
 
 
 def _random_unitary(rng, n):
-    q, r = np.linalg.qr(_complex_gaussian(rng, n, n))
-    # Fix the phase convention so the draw is a deterministic function of
-    # the underlying gaussians.
+    return _phased_q(_complex_gaussian(rng, n, n))
+
+
+def _phased_q(x):
+    """The Q of a QR of ``x`` with the diagonal of R made positive: the
+    phase convention that makes the draw a deterministic function of the
+    underlying gaussians."""
+    q, r = np.linalg.qr(x)
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
@@ -136,10 +141,7 @@ def core_pair(seed, n, r1, r2):
         u1, u2, u3 = u[:, :r1], u[:, r1:r1 + r2], u[:, r1 + r2:]
         a = (u1 * _block_values(rng, r1)) @ adjoint(u1)
         mix = u2 + 0.5 * (u3 @ _complex_gaussian(rng, n - r1 - r2, r2))
-        q, r = np.linalg.qr(mix)
-        d = np.diagonal(r).copy()
-        d[d == 0] = 1.0
-        v2 = q * (d / np.abs(d))
+        v2 = _phased_q(mix)
         b = (u2 * _block_values(rng, r2)) @ adjoint(v2)
         # B must stay group invertible: the rotated frame may not fold
         # back degenerately onto the original slot.

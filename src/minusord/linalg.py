@@ -27,7 +27,6 @@ __all__ = [
     "rank_cut",
     "sine_cut",
     "numerical_rank",
-    "rank_info",
     "range_contains",
     "effective_condition",
 ]
@@ -243,14 +242,6 @@ def _spectral_within(x: np.ndarray, bound: float, values=None) -> bool:
     elif not x.any():
         return 0.0 <= bound
     return bool((_singular_values(x) if values is None else values())[0] <= bound)
-
-
-def rank_info(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[int, bool]:
-    """Numerical rank together with the near-boundary flag: whether a
-    singular value lies within a factor of ten of the cutoff (:func:`_near`)."""
-    A = as_matrix(A)
-    s = _singular_values(A)
-    return rank_cut(s, A.shape, tol), _near(s.tolist(), _rank_cutoff(s, A.shape, tol))
 
 
 def numerical_rank(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:

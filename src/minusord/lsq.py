@@ -26,17 +26,15 @@ from .geninv import _pinv, pinv
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
-    _rank_cutoff,
     _spectral_within,
     adjoint,
     as_matrix,
-    as_pair,
     as_vector,
     fro,
 )
-from .orders import _triple
+from .orders import _left_minus, _pair_cutoff, _require
 from .subspaces import Factored, Projection, Subspace, _Factors
-from .sums import _checked, _split_p
+from .sums import _NOT_LEFT_MINUS, _checked, _split_p
 
 __all__ = [
     "Weight",
@@ -124,20 +122,20 @@ def solve_system(A, B, a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     minimum-norm solution of the summed system solves both equations,
     which is verified before returning.
     """
-    A, B = as_pair(A, B)
+    t = _checked(A, B, tol, None)
+    A, B = t.a, t.d
     a = as_vector(a, "a")
     b = as_vector(b, "b")
     if a.shape[0] != A.shape[0] or b.shape[0] != B.shape[0]:
         raise ValueError("right-hand side length mismatch")
-    t = _triple(A, A + B, tol, d=B)
-    # v lies in R(X) when U_X^perp* v is within the cutoff of [X | v] at max(s_1(X), ||v||)
+    # v lies in R(X) when U_X^perp* v is within the cutoff of the pair [X | v]
     shape = (A.shape[0], A.shape[1] + 1)
     for f, vec, label in ((t.fa, a, "a"), (t.fd, b, "b")):
         outside = adjoint(f.conull.basis) @ vec[:, None]
-        scale = max(f.s.max(initial=0.0), np.linalg.norm(vec))
-        if not _spectral_within(outside, _rank_cutoff(f.s, shape, tol, scale)):
+        cutoff = _pair_cutoff(f.s, np.linalg.norm(vec, keepdims=True), shape, tol)
+        if not _spectral_within(outside, cutoff):
             raise MembershipError(f"membership fails: {label} is outside the column space")
-    _checked(t)
+    _require(_left_minus(t), _NOT_LEFT_MINUS)
     x = _pinv_times(t.fb, a + b)
     scale = (fro(A) + fro(B)) * fro(x) + fro(a) + fro(b)
     for residual in (A @ x - a, B @ x - b):
@@ -182,11 +180,12 @@ def decoupled_lss(A, B, c, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decouple
     identity whenever that projection is orthogonal (in particular under
     the left-star relation).
     """
-    A, B = as_pair(A, B)
+    t = _checked(A, B, tol, None)
+    A, B = t.a, t.d
     c = as_vector(c, "c")
     if c.shape[0] != A.shape[0]:
         raise ValueError("right-hand side length mismatch")
-    t = _checked(_triple(A, A + B, tol, d=B))
+    _require(_left_minus(t), _NOT_LEFT_MINUS)
     weight = Weight._of_split(*_split_p(t))
     w = weight.matrix
     # W = P*P + (I - P)*(I - P) is a sum of Gram matrices, so it is positive

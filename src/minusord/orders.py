@@ -47,12 +47,22 @@ Each public predicate validates A and B, holds them in a
 :class:`_Triple`, which factors each of A, B and B - A at most once, on
 first read, and runs one private body on it.  The constructions of
 :mod:`minusord.sums` and :mod:`minusord.lsq` build the triple of A against
-A + B themselves, with their summand B as the exact difference, run the
-body of the order they need and read the sum and every factor off the
-same triple.  Its cached ``mirror``, the triple of A* against B* read off
-the adjoint factors with no further SVD, reads every domain side and the
-right-sided orders; the two share the operands whose factors they read,
-so all sides are read off one set of factors.
+A + B through one entry, ``sums._checked``, with their summand B as the
+exact difference, run the body of the order they need and read the sum
+and every factor off the same triple.  Its cached ``mirror``, the triple
+of A* against B* read off the adjoint factors with no further SVD, reads
+every domain side and the right-sided orders; the two share the operands
+whose factors they read, so all sides are read off one set of factors.
+
+Every rank a verdict counts, but rank(A), is counted at one cutoff of
+the pair, eps_rank max(sigma_1(A), sigma_1(B)), formed by
+:func:`_pair_cutoff` and cached on the operands: rank subtractivity
+(:func:`_subtracts`), the direct sum R(A) cap R(B - A) = 0
+(:func:`_disjoint`), the inclusion R(A) in R(B), and the factor of B - A,
+cut at the same scale.  The predicates of :mod:`minusord.additivity`
+count the pair A, A + B by the same two rules at its cutoff, and
+:func:`~minusord.lsq.solve_system` cuts each membership at the cutoff of
+the pair [X | v].
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ from .geninv import _group_invertible, _reflexive
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _count,
     _near,
     _rank_cutoff,
     _singular_values,
@@ -75,7 +86,6 @@ from .linalg import (
     adjoint,
     as_pair,
     fro,
-    rank_cut,
 )
 from .subspaces import (
     Factored,
@@ -203,9 +213,9 @@ class _Operands:
 
     @cached_property
     def cutoff(self) -> float:
-        """The pair's rank cutoff, at :func:`_scale` of A and B: the cutoff
-        D is cut at, known before D is factored."""
-        return _rank_cutoff(self.fb.s, self.b.shape, self.tol, _scale(self.fa.s, self.fb.s))
+        """The pair's :func:`_pair_cutoff`, the cutoff D is cut at, known
+        before D is factored: every rank count of the pair reads it."""
+        return _pair_cutoff(self.fa.s, self.fb.s, self.b.shape, self.tol)
 
     @cached_property
     def identity_scale(self) -> float:
@@ -265,8 +275,7 @@ class _Triple:
         """U_B^perp* U_A diag(sigma_A), the part of A outside R(B): the
         first rank(A) columns of :attr:`weighted`, made with no factor of
         B - A."""
-        fa = self.fa
-        return adjoint(self.fb.conull.basis) @ fa.u[:, :fa.rank] * fa.s[:fa.rank]
+        return _part(self.fb.conull, self.fa)
 
     @cached_property
     def weighted(self) -> np.ndarray:
@@ -279,9 +288,7 @@ class _Triple:
         be rounding; its singular value times its sine is what it adds to a
         residual such as A - P B.  A's part is :attr:`outside_a`, shared
         with :meth:`inside`."""
-        fd = self.fd
-        return np.hstack([self.outside_a,
-                          adjoint(self.fb.conull.basis) @ fd.u[:, :fd.rank] * fd.s[:fd.rank]])
+        return np.hstack([self.outside_a, _part(self.fb.conull, self.fd)])
 
     @cached_property
     def spans(self) -> bool:
@@ -331,39 +338,45 @@ def _additive(t: _Triple) -> bool:
     about ||A||^2 falls under the scale ||A|| (||A|| + ||B||).  The ranks
     of A and B come first (:func:`_subtracts`), and B - A is factored
     only when rank(A) < rank(B) or its norm lies near the cutoff."""
-    return _subtracts(t.fa, t.fb.s, t.b.shape, t.tol, t.d, lambda: t.fd.s)
+    return _subtracts(t.fa, t.fb.s, t.source.cutoff, t.d, lambda: t.fd.s)
 
 
-def _subtracts(fa: Factored, sb: np.ndarray, shape, tol, d: np.ndarray, sd) -> bool:
-    """The count of :func:`_ranks_add` for B = A + D, decided from rank(A)
-    and rank(B) first: rank(D) >= 0, so rank(A) > rank(B) fails, and
-    rank(A) = rank(B) holds iff D vanishes at the pair's cutoff, which its
+def _subtracts(fa: Factored, sb: np.ndarray, cutoff: float, d: np.ndarray, sd) -> bool:
+    """rank(A) + rank(D) = rank(B) for B = A + D, rank(D) and rank(B)
+    counted at the pair's ``cutoff`` (:func:`_pair_cutoff`), else a D of
+    norm eps ||A|| would count in D and not in B; decided from rank(A) and
+    rank(B) first: rank(D) >= 0, so rank(A) > rank(B) fails, and
+    rank(A) = rank(B) holds iff D vanishes at the cutoff, which its
     Frobenius norm settles when far from it
     (:func:`~minusord.linalg._spectral_within`).  Only rank(A) < rank(B),
     or a norm near the cutoff, reads ``sd()``, the singular values of D."""
-    scale = _scale(fa.s, sb)
-    rank_b = rank_cut(sb, shape, tol, scale)
+    rank_b = _count(sb, cutoff)
     if fa.rank < rank_b:
-        return fa.rank + rank_cut(sd(), shape, tol, scale) == rank_b
-    return fa.rank == rank_b and _spectral_within(d, _rank_cutoff(sb, shape, tol, scale), sd)
+        return fa.rank + _count(sd(), cutoff) == rank_b
+    return fa.rank == rank_b and _spectral_within(d, cutoff, sd)
 
 
-def _ranks_add(fa: Factored, sd: np.ndarray, sb: np.ndarray, shape, tol) -> bool:
-    """rank(A) + rank(D) = rank(B) for B = A + D, rank(D) and rank(B) counted at
-    :func:`_scale` of A and B, else a B of norm eps ||A|| would count only in B."""
-    scale = _scale(fa.s, sb)
-    return fa.rank + rank_cut(sd, shape, tol, scale) == rank_cut(sb, shape, tol, scale)
-
-
-def _disjoint(fa: Factored, fd: Factored, sb: np.ndarray, shape, tol) -> bool:
+def _disjoint(fa: Factored, fd: Factored, cutoff: float) -> bool:
     """R(A) cap R(D) = 0 for B = A + D: rank(A) + rank(D) = rank [A | D], the
     last split as rank(A) plus the rank of D's part outside R(A), U_A^perp*
     U_D diag(sigma_D) (Marsaglia & Styan, 1974), each count but the first
-    at :func:`_scale` of A and B, as :func:`_ranks_add` counts."""
-    scale = _scale(fa.s, sb)
-    part = _singular_values(adjoint(fa.conull.basis) @ fd.range.basis * fd.s[:fd.rank])
-    return (fa.rank + rank_cut(fd.s, shape, tol, scale)
-            == rank_cut(fa.s, shape, tol, scale) + rank_cut(part, shape, tol, scale))
+    at the pair's ``cutoff``, as :func:`_subtracts` counts."""
+    part = _singular_values(_part(fa.conull, fd))
+    return fa.rank + _count(fd.s, cutoff) == _count(fa.s, cutoff) + _count(part, cutoff)
+
+
+def _part(x: Subspace, f: Factored) -> np.ndarray:
+    """X* U_r diag(sigma_r) for the factor ``f`` of rank r: the part of its
+    matrix in the subspace X, each direction weighted by its singular value."""
+    r = f.rank
+    return adjoint(x.basis) @ f.u[:, :r] * f.s[:r]
+
+
+def _pair_cutoff(sa: np.ndarray, sb: np.ndarray, shape, tol: ToleranceConfig) -> float:
+    """The cutoff of every rank count of a pair of singular values ``sa``
+    and ``sb`` of matrices of the given shape: the rank cutoff at
+    :func:`_scale` of the two."""
+    return _rank_cutoff(sb, shape, tol, _scale(sa, sb))
 
 
 def _scale(sa: np.ndarray, sb: np.ndarray) -> float:
@@ -387,7 +400,7 @@ def _triple(A, B, tol, d=None) -> _Triple:
 
 def _direct(t: _Triple) -> bool:
     """Whether R(A) cap R(B - A) = 0, counted by :func:`_disjoint`."""
-    return _disjoint(t.fa, t.fd, t.fb.s, t.b.shape, t.tol)
+    return _disjoint(t.fa, t.fd, t.source.cutoff)
 
 
 def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection | None:
@@ -548,10 +561,7 @@ def _orthogonal_join(t: _Triple) -> bool:
     add, both ranges lie in R(B) (:attr:`_Triple.spans`) and B - A lies in
     N(A*): no singular value of its part inside R(A), U_A* U_D diag(sigma_D),
     lies above the cutoff of B - A, the rule of :attr:`_Triple.spans`."""
-    fd = t.fd
-    return (_additive(t) and t.spans
-            and _spectral_within(adjoint(t.fa.range.basis) @ fd.range.basis * fd.s[:fd.rank],
-                                 fd.cutoff))
+    return _additive(t) and t.spans and _spectral_within(_part(t.fa.range, t.fd), t.fd.cutoff)
 
 
 def left_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:

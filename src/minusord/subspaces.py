@@ -93,14 +93,21 @@ class Subspace:
     Parameters
     ----------
     basis : ndarray
-        Array of shape (ambient_dim, dim) with orthonormal columns.  The
-        zero subspace is the (ambient_dim, 0) empty array.
+        Array of shape (ambient_dim, dim) with orthonormal columns, to
+        within ``DEFAULT_TOLERANCE.subspace_atol(ambient_dim)`` in
+        ||B*B - I||_F; any other basis raises ValueError.  The zero
+        subspace is the (ambient_dim, 0) empty array.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _check_basis(as_matrix(self.basis, "basis")))
+        basis = _check_basis(as_matrix(self.basis, "basis"))
+        gram = adjoint(basis) @ basis
+        gram[np.diag_indices_from(gram)] -= 1.0
+        if fro(gram) > DEFAULT_TOLERANCE.subspace_atol(basis.shape[0]):
+            raise ValueError("basis columns are not orthonormal")
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def _trusted(cls, basis: np.ndarray) -> "Subspace":

@@ -8,14 +8,16 @@ of the sum, reflexive inverses of the sum with prescribed spaces, the
 two-summand decomposition of such inverses, and inverse additivity under
 the star, sharp and core orders.
 
-Each construction factors A, A + B and the caller's B once, into the
-triple ``t`` of A against A + B with B as its exact difference, and runs
-its order check on it.  So ``t.b`` is the sum, ``t.fb`` its factor, and
-``t.fd`` the factor of the summand B itself, not of the rounded
-fl(A + B) - A; the constructions read every subspace and pseudoinverse off
-these factors, and builds only what it returns: P and Q are built and
-verified apart, so the pseudoinverse builds both, least squares P alone,
-and only :func:`build_split` forms E and runs its checks.  Projectors onto
+Each construction enters through :func:`_checked`, which validates A and
+B, holds them in the triple ``t`` of A against A + B with the caller's B
+as its exact difference, and runs the construction's order check on it;
+the triple factors A, A + B and B once each.  So ``t.b`` is the sum,
+``t.fb`` its factor, and ``t.fd`` the factor of the summand B itself, not
+of the rounded fl(A + B) - A; the constructions read every subspace and
+pseudoinverse off these factors, and each builds only what it returns:
+P and Q are built and verified apart, so the pseudoinverse builds both,
+least squares P alone, and only :func:`build_split` forms E and runs its
+checks.  Projectors onto
 the factors' ranges and the factored pseudoinverses V_r S_r^-1 U_r* are
 applied in turn, never formed as n x n matrices, and every oblique
 projection is solved on a square core of sines read off the factors, never
@@ -81,12 +83,20 @@ __all__ = [
 
 INVERSE_KINDS = ("moore_penrose", "group", "core")
 
+_NOT_LEFT_MINUS = "order fails: A is not left-minus-below A + B"
 
-def _checked(t: _Triple, message="order fails: A is not left-minus-below A + B",
-             order=_left_minus) -> _Triple:
-    """The triple of A against A + B after a construction's order check, by
-    default the left-minus order, whose verdict is the minus order's."""
-    _require(order(t), message)
+
+def _checked(A, B, tol: ToleranceConfig, order=_left_minus, message=_NOT_LEFT_MINUS,
+             square: bool = False) -> _Triple:
+    """The one entry of a construction on A + B: A and B validated (square
+    when ``square`` is set), the triple of A against A + B with the
+    caller's B as its exact difference, and the construction's order check
+    on it, by default the left-minus order, whose verdict is the minus
+    order's.  With ``order`` None the caller runs its own checks."""
+    A, B = as_pair(A, B, square)
+    t = _triple(A, A + B, tol, d=B)
+    if order is not None:
+        _require(order(t), message)
     return t
 
 
@@ -116,8 +126,7 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     codomain.  Q is built the same way on the adjoint side and transposed
     back, so A = (A + B) Q.
     """
-    A, B = as_pair(A, B)
-    t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
+    t = _checked(A, B, tol, _minus, "A is not minus-below A + B")
     p, q = (f.projection(onto, along) for f, onto, along in (_split_p(t, m1, n1), _split_q(t)))
     # E = P_R(A) P + P_R(B) (I - P), each projector applied as U (U* X)
     ua, ub = t.fa.range.basis, t.fd.range.basis
@@ -175,8 +184,7 @@ def fill_fishkind_pinv(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.nda
     Computes Q A+ P + (I - Q) B+ (I - P) with the optimal split and
     cross-checks it against the direct SVD route before returning.
     """
-    A, B = as_pair(A, B)
-    t = _checked(_triple(A, A + B, tol, d=B))
+    t = _checked(A, B, tol)
     # A+ = V_A S_A^-1 U_A* and B+ likewise
     assembled = _assemble(_split_p(t)[0], _split_q(t)[0], t.fa._pinv_factors(),
                           t.fd._pinv_factors())
@@ -194,9 +202,7 @@ def st_projections(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> tuple[np.n
     split: I - S equals Q and I - T equals P.  Both are verified
     idempotent before returning.
     """
-    A, B = as_pair(A, B)
-    t = _checked(_triple(A, A + B, tol, d=B),
-                 "precondition failure: ranges do not split the sum", _minus)
+    t = _checked(A, B, tol, _minus, "precondition failure: ranges do not split the sum")
     # N(B)^perp = R(B*) and N(B*)^perp = R(B)
     idempotents = (_pinv(t.fd.corange.projector() @ t.fa.null.projector(), tol),
                    _pinv(t.fa.conull.projector() @ t.fd.range.projector(), tol))
@@ -233,13 +239,13 @@ def agreeing_split(A, B, range_complement: Subspace, kernel_complement: Subspace
     and N1* = N(B) cap N, N2* = N(A) cap N on the domain side.  The
     defining projection identities are verified before returning.
     """
-    A, B = as_pair(A, B)
-    t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
-    (p, q), _, _ = _agreeing_split(t, range_complement, kernel_complement)
-    # the split has found each sum direct and each meet of its dimension
+    t = _checked(A, B, tol, _minus, "A is not minus-below A + B")
+    (p, q), _, (_, qb) = _agreeing_split(t, range_complement, kernel_complement)
+    # the split has found each sum direct and each meet of its dimension;
+    # Q and Q_B project onto the meets N1* and N2*, held as their left factors
     fa, fb = t.fa, t.fd
     n1, n2 = (_join(f.range, f.conull, range_complement) for f in (fb, fa))
-    n1s, n2s = (_meet(f.corange, kernel_complement) for f in (fb, fa))
+    n1s, n2s = (Subspace._trusted(f.left) for f in (q, qb))
     return AgreeingSplit(p=p.projection(fa.range, n1), q=q.projection(n1s, fa.null),
                          n1=n1, n2=n2, n1s=n1s, n2s=n2s)
 
@@ -326,8 +332,7 @@ def sum_reflexive_inverse(A, B, range_complement: Subspace, kernel_complement: S
     identities they must satisfy, and the output is provably independent
     of the choice.
     """
-    A, B = as_pair(A, B)
-    t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
+    t = _checked(A, B, tol, _minus, "A is not minus-below A + B")
     (p, q), *summands = _agreeing_split(t, range_complement, kernel_complement,
                                         n1, n2, n1s, n2s)
     return _assemble(p, q, *map(_summand_factors, (t.fa, t.fd), summands))
@@ -361,8 +366,7 @@ def werner_decomposition(A, B, range_complement: Subspace, kernel_complement: Su
     and Q_B B+ P_B.  The compressed form Q X_A P of the first summand is
     checked against X_A before returning.
     """
-    A, B = as_pair(A, B)
-    t = _checked(_triple(A, A + B, tol, d=B), "A is not minus-below A + B", _minus)
+    t = _checked(A, B, tol, _minus, "A is not minus-below A + B")
     (p, q), *summands = _agreeing_split(t, range_complement, kernel_complement)
     xa, xb = (left @ right for left, right in map(_summand_factors, (t.fa, t.fd), summands))
 
@@ -386,10 +390,9 @@ def ordered_inverse_additivity(A, B, kind: str,
     rounding of A + B, about eps ||A||, and know B's subspaces only to
     eps ||A|| / sigma_min(B) when B is small beside A.
     """
-    A, B = as_pair(A, B, square=kind in ("group", "core"))
+    t = _checked(A, B, tol, None, square=kind in ("group", "core"))
     if kind not in INVERSE_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(INVERSE_KINDS)}")
-    t = _triple(A, A + B, tol, d=B)
     if kind == "moore_penrose":
         _require(_star(t), "required order fails: A is not star-below A + B")
         result = t.fa.pinv() + t.fd.pinv()

@@ -11,9 +11,9 @@ from minusord.additivity import (
 from minusord.exceptions import ComplementError
 from minusord.generate import minus_pair
 from minusord import additivity
-from minusord.linalg import (DEFAULT_TOLERANCE, _rank_cutoff, _singular_values, adjoint, as_pair,
-                             fro)
-from minusord.orders import _ranks_add, minus_order
+from minusord.linalg import (DEFAULT_TOLERANCE, _count, _rank_cutoff, _singular_values, adjoint,
+                             as_pair, fro)
+from minusord.orders import _pair_cutoff, minus_order
 from minusord.subspaces import Factored, range_basis, subspace_equal
 
 from conftest import cgauss
@@ -238,7 +238,9 @@ def test_rank_first_range_additivity_is_the_full_count(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(additivity, "_singular_values", counting)
             got = is_range_additive(a, b)
-        assert got == _ranks_add(fa, part, _singular_values(a + b), a.shape, tol)
+        total = _singular_values(a + b)
+        cutoff = _pair_cutoff(fa.s, total, a.shape, tol)
+        assert got == (fa.rank + _count(part, cutoff) == _count(total, cutoff))
         return got
 
     for _, _, a, b in _oracle_mix():

@@ -575,6 +575,24 @@ def test_one_module_holds_the_rank_tolerance():
     assert [m for m in modules if m != "linalg" and "effective_rank_rtol" in _named(m)] == []
 
 
+def test_one_rule_cuts_a_pair():
+    # every rank count of a pair reads the cutoff of orders._pair_cutoff,
+    # so no other module forms the pair's scale, and within orders no other
+    # function forms a rank cutoff; the full-count fork of the rank-first
+    # count is gone
+    modules = [info.name for info in pkgutil.iter_modules(minusord.__path__)]
+    assert [m for m in modules if m != "orders" and "_scale" in _named(m)] == []
+    cutting = [m for m in modules if "_rank_cutoff" in _named(m)]
+    assert cutting == ["linalg", "orders", "subspaces"]
+    tree = ast.parse((SOURCES / "orders.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert [f.name for f in functions
+            if any(isinstance(n, ast.Name) and n.id == "_rank_cutoff" for n in ast.walk(f))
+            ] == ["_pair_cutoff"]
+    assert [m for m in modules
+            if "_ranks_add" in _named(m) or "_ranks_add" in (SOURCES / f"{m}.py").read_text()] == []
+
+
 def test_set_operations_rank_no_joined_bases():
     # every relation of two subspaces is judged on principal-angle sines;
     # the rank cutoff of a joined basis [B_M | B_N] is used nowhere

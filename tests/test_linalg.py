@@ -18,7 +18,6 @@ from minusord.linalg import (
     numerical_rank,
     range_contains,
     rank_cut,
-    rank_info,
     sine_cut,
     singular_values,
 )
@@ -94,15 +93,13 @@ def test_numerical_rank_products(rng):
     assert numerical_rank(np.zeros((3, 5))) == 0
 
 
-def test_rank_info_boundary_flag():
-    clean = np.diag([1.0, 1e-3])
-    r, near = rank_info(clean)
-    assert r == 2 and not near
+def test_factored_boundary_flag():
+    clean = Factored.of(np.diag([1.0, 1e-3]))
+    assert clean.rank == 2 and not clean.near
     # drop one value just above the default cutoff: flagged but counted
     rtol = DEFAULT_TOLERANCE.effective_rank_rtol((2, 2))
-    edgy = np.diag([1.0, 3.0 * rtol])
-    r, near = rank_info(edgy)
-    assert r == 2 and near
+    edgy = Factored.of(np.diag([1.0, 3.0 * rtol]))
+    assert edgy.rank == 2 and edgy.near
 
 
 def test_rank_respects_explicit_cutoff():
@@ -162,15 +159,13 @@ def _placed(rng, shape, position):
 def test_one_cutoff_everywhere(rng, shape, position):
     a = _placed(rng, shape, position)
     expected = 0 if position is None else min(shape) - (position < 1.0)
-    rank, near = rank_info(a)
     f = Factored.of(a)
+    rank, near = f.rank, f.near
     assert rank == expected
     assert numerical_rank(a) == rank
-    assert f.rank == rank
     assert range_basis(a).dim == rank
     assert a.shape[1] - null_basis(a).dim == rank
     assert numerical_rank(pinv(a)) == rank
-    assert f.near == near
     assert near == (position is not None)
 
 
@@ -190,20 +185,18 @@ def _array_sine_cut(s, ambient_dim, tol):
 
 def _flagged_ranks(values, shape, tol, scale):
     """(rank, near) of :meth:`Factored._of` at ``scale`` and, at the
-    matrix's own scale (``scale`` None), of :func:`rank_info`, each fed
-    ``values`` as the singular values of a matrix of ``shape``."""
+    matrix's own scale (``scale`` None), of the public :meth:`Factored.of`,
+    each fed ``values`` as the singular values of a matrix of ``shape``."""
     m, n = shape
 
     def svd(a, full_matrices=True):
         return np.eye(m), values, np.eye(n)
 
     with mock.patch.object(np.linalg, "svd", svd):
-        f = Factored._of(np.zeros(shape, dtype=complex), tol, scale)
-    routes = [(f.rank, f.near)]
-    if scale is None:
-        with mock.patch.object(linalg, "_singular_values", lambda a: values):
-            routes.append(rank_info(np.zeros(shape), tol))
-    return routes
+        factors = [Factored._of(np.zeros(shape, dtype=complex), tol, scale)]
+        if scale is None:
+            factors.append(Factored.of(np.zeros(shape), tol))
+    return [(f.rank, f.near) for f in factors]
 
 
 def _around(*cutoffs):

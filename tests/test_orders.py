@@ -7,7 +7,7 @@ import pytest
 from minusord import orders
 from minusord.exceptions import GroupInvertibilityError, OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
-from minusord.linalg import (DEFAULT_TOLERANCE, ToleranceConfig, _rank_cutoff,
+from minusord.linalg import (DEFAULT_TOLERANCE, ToleranceConfig, _count, _rank_cutoff,
                              _singular_values, adjoint, as_pair, fro)
 from minusord.sums import build_split, fill_fishkind_pinv
 from minusord.orders import (
@@ -579,7 +579,7 @@ def _rank_first_is_the_full_count(a, b) -> bool:
     sides = (t, t.mirror)
     verdicts = [orders._additive(x) for x in sides] + [x.inside() for x in sides]
     factored = "fd" in vars(t.source)
-    full = [orders._ranks_add(x.fa, x.fd.s, x.fb.s, x.b.shape, x.tol) for x in sides]
+    full = [x.fa.rank + x.fd.rank == _count(x.fb.s, x.source.cutoff) for x in sides]
     full += [bool(np.all(_singular_values(x.outside_a) <= x.fd.cutoff)) for x in sides]
     assert verdicts == full
     return factored

@@ -56,6 +56,24 @@ def test_perp_complements(rng):
     assert np.allclose(s.projector() + p.projector(), np.eye(6))
 
 
+def test_constructor_rejects_a_basis_that_is_not_orthonormal():
+    # every read assumes orthonormal columns: on span(3 e1) the minimal
+    # angle against span(0.6 e1 + 0.8 e2) read 1.0 and e1 fell outside, and
+    # [e1 | e1 + 1e-3 e2] counted dim(W + span(e2)) = 3 in C^2
+    e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+    n = Subspace(0.6 * e1 + 0.8 * e2)
+    for basis in (3.0 * e1, np.hstack([e1, e1 + 1e-3 * e2])):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(basis)
+    assert minimal_angle_cos(Subspace(e1), n) == pytest.approx(0.6)
+    assert Subspace(e1).contains_vector(e1)
+    w = Subspace.from_span(np.hstack([e1, e1 + 1e-3 * e2]))
+    assert span_dim(w, Subspace(e2)) == 2
+    # a computed orthonormal basis passes, with its rounding
+    q = np.linalg.qr(cgauss(np.random.default_rng(0), 40, 7))[0]
+    assert Subspace(q).dim == 7
+
+
 def test_contains_vector():
     s = line(1, 1, 0)
     assert s.contains_vector(np.array([2.0, 2.0, 0.0]))

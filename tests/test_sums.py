@@ -6,10 +6,10 @@ from minusord.exceptions import (ComplementError, GroupInvertibilityError, Order
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
 from minusord.orders import _triple, core_order, sharp_order, star_order
 from minusord.geninv import core_inverse, group_inverse, pinv, reflexive_inverse
-from minusord import subspaces
+from minusord import subspaces, sums
 from minusord.linalg import DEFAULT_TOLERANCE, adjoint, fro
 from minusord.lsq import decoupled_lss
-from minusord.subspaces import Subspace, intersect, null_basis, range_basis, subspace_sum
+from minusord.subspaces import Factored, Subspace, intersect, null_basis, range_basis, subspace_sum
 from minusord.sums import (
     INVERSE_KINDS,
     agreeing_split,
@@ -21,7 +21,7 @@ from minusord.sums import (
     werner_decomposition,
 )
 
-from conftest import cgauss
+from conftest import cgauss, same_bits
 
 
 def random_complements(rng, total, m, n, r):
@@ -121,6 +121,24 @@ def test_agreeing_split_identities(rng):
         # canonical complements contain what the formula needs
         assert split.n1.dim == 7 - 2  # R(B) + M complements R(A)
         assert split.n2s.dim >= 1
+
+
+def test_agreeing_split_reads_its_meets_off_the_split(rng, monkeypatch):
+    # N1* = N(B) cap N and N2* = N(A) cap N are the ranges of Q and Q_B,
+    # so the four meets of the split are all it builds
+    made, calls = sums._meet, []
+
+    def counting(*args):
+        calls.append(args)
+        return made(*args)
+
+    monkeypatch.setattr(sums, "_meet", counting)
+    a, b = minus_pair(rng, 7, 6, 2, 3)
+    m_comp, n_comp = random_complements(rng, a + b, 7, 6, 5)
+    split = agreeing_split(a, b, m_comp, n_comp)
+    assert len(calls) == 4
+    for got, summand in ((split.n1s, b), (split.n2s, a)):
+        assert same_bits(got.basis, made(Factored.of(summand).corange, n_comp).basis)
 
 
 def test_sum_reflexive_inverse_matches_direct(rng):
