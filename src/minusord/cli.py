@@ -91,6 +91,11 @@ def _tolerance(args) -> ToleranceConfig:
     return ToleranceConfig(**kwargs)
 
 
+def _operands(args):
+    """The tolerance of ``args`` and the matrices of its A and B files."""
+    return _tolerance(args), read_matrix(args.file_a), read_matrix(args.file_b)
+
+
 def _emit(args, payload, text_lines):
     """Print the JSON report ``payload()`` or the lines ``text_lines()``;
     only the form printed is computed."""
@@ -101,26 +106,29 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _input_payload(**files):
-    return {name: {"path": path, "shape": list(shape)}
-            for name, (path, shape) in files.items()}
+def _envelope(args, tol, result, flags=(), **shapes):
+    """The JSON report of ``check``, ``pinv-sum`` and ``lsq``: the command,
+    the path and shape of each input named in ``shapes`` (A, B or c, read
+    from ``args.file_a``, ``file_b`` or ``file_c``), the tolerance, the
+    ``result`` and its boundary ``flags``, none unless given."""
+    return {
+        "command": args.command,
+        "inputs": {name: {"path": getattr(args, f"file_{name.lower()}"), "shape": list(shape)}
+                   for name, shape in shapes.items()},
+        "tolerance": tolerance_payload(tol),
+        "result": result,
+        "boundary_flags": list(flags),
+    }
 
 
 def cmd_check(args) -> int:
     predicate = order_predicate(args.order)
-    tol = _tolerance(args)
-    a = read_matrix(args.file_a)
-    b = read_matrix(args.file_b)
+    tol, a, b = _operands(args)
     report = predicate(a, b, tol)
 
     def payload():
-        return {
-            "command": "check",
-            "inputs": _input_payload(A=(args.file_a, a.shape), B=(args.file_b, b.shape)),
-            "tolerance": tolerance_payload(tol),
-            "result": order_report_payload(report),
-            "boundary_flags": list(report.boundary_flags),
-        }
+        return _envelope(args, tol, order_report_payload(report), report.boundary_flags,
+                         A=a.shape, B=b.shape)
 
     def lines():
         verdict = "holds" if report.holds else "does not hold"
@@ -134,21 +142,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_pinv_sum(args) -> int:
-    tol = _tolerance(args)
-    a = read_matrix(args.file_a)
-    b = read_matrix(args.file_b)
+    tol, a, b = _operands(args)
     result = fill_fishkind_pinv(a, b, tol)
     if args.out:
         write_matrix(args.out, result)
 
     def payload():
-        return {
-            "command": "pinv-sum",
-            "inputs": _input_payload(A=(args.file_a, a.shape), B=(args.file_b, b.shape)),
-            "tolerance": tolerance_payload(tol),
-            "result": {"pinv_sum": matrix_payload(result)},
-            "boundary_flags": [],
-        }
+        return _envelope(args, tol, {"pinv_sum": matrix_payload(result)}, A=a.shape, B=b.shape)
 
     def lines():
         return [f"wrote {args.out}"] if args.out else [format_matrix(result).rstrip("\n")]
@@ -158,26 +158,17 @@ def cmd_pinv_sum(args) -> int:
 
 
 def cmd_lsq(args) -> int:
-    tol = _tolerance(args)
-    a = read_matrix(args.file_a)
-    b = read_matrix(args.file_b)
+    tol, a, b = _operands(args)
     c = read_vector(args.file_c)
     result = decoupled_lss(a, b, c, tol)
 
     def payload():
-        return {
-            "command": "lsq",
-            "inputs": _input_payload(A=(args.file_a, a.shape), B=(args.file_b, b.shape),
-                                     c=(args.file_c, (c.shape[0], 1))),
-            "tolerance": tolerance_payload(tol),
-            "result": {
-                "x_joint": vector_payload(result.x_joint),
-                "x_system": vector_payload(result.x_system),
-                "weight": matrix_payload(result.weight.matrix),
-                "residuals": result.residuals,
-            },
-            "boundary_flags": [],
-        }
+        return _envelope(args, tol, {
+            "x_joint": vector_payload(result.x_joint),
+            "x_system": vector_payload(result.x_system),
+            "weight": matrix_payload(result.weight.matrix),
+            "residuals": result.residuals,
+        }, A=a.shape, B=b.shape, c=(c.shape[0], 1))
 
     def lines():
         return (["x_joint:", _format_pairs(result.x_joint, "  ").rstrip("\n"),
@@ -188,12 +179,10 @@ def cmd_lsq(args) -> int:
     return 0
 
 
-def _order_failure(args, command, exc: OrderConditionError) -> int:
-    payload = {
-        "command": command,
-        "error": str(exc),
-        "result": order_report_payload(exc.report) if exc.report is not None else None,
-    }
+def _order_failure(args, exc: OrderConditionError) -> int:
+    # the report is rendered in text mode too, so a deferred error exits 2
+    payload = {"command": args.command, "error": str(exc),
+               "result": order_report_payload(exc.report)}
     if args.json:
         sys.stdout.write(canonical_json(payload))
     else:
@@ -267,7 +256,7 @@ def main(argv=None) -> int:
         try:
             return _COMMANDS[args.command](args)
         except OrderConditionError as exc:
-            return _order_failure(args, args.command, exc)
+            return _order_failure(args, exc)
     except (MinusordError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,13 @@
 """Matrix partial orders: minus, star, sharp, core and their one-sided kin.
 
 Every predicate returns an :class:`OrderReport` rather than a bare bool.
-The report carries the primary verdict, the independently evaluated
-cross-characterizations (so their agreement can be audited), witness
-projections when the order holds, the rank bookkeeping of the triple
-(A, B, B - A), and boundary flags for decisions that fell near a cutoff.
+The report carries the primary verdict, the cross-characterizations that
+restate it (so their agreement can be audited), witness projections, and
+the ranks and boundary flags of decisions that fell near a cutoff.  A
+report holds its triple (A, B, B - A), and the rules shared by every order
+live in the report, not in each body: the ranks and the rank flags are
+read off the triple, the flags of the cross-checks follow the rank flags,
+and a witness exists only when the order holds.
 
 Verdict first, explanation on demand: a predicate decides ``holds`` when
 it is called, from the Gram, square and inclusion tests the verdict needs
@@ -129,37 +132,42 @@ class OrderReport:
     ``order_name`` and ``holds`` are set when the predicate returns.
     ``rank_data``, ``characterization_verdicts``, ``boundary_flags``,
     ``witness_p`` and ``witness_q`` are computed on first read and cached;
-    the ranks, the witnesses and the verdicts have separate caches, and
-    ``boundary_flags`` (the rank flags, then any flags of the
-    cross-checks) is read with the verdicts.  The ranks are deferred
-    because a verdict decided by a failing identity factors nothing they
-    count.  Every value is the one the check would have computed at once.
+    the ranks, the witnesses and the verdicts have separate caches.  The
+    ranks are those of the report's triple, deferred because a verdict
+    decided by a failing identity factors nothing they count.
+    ``boundary_flags`` is read with the verdicts: the triple's rank flags,
+    then any flags the cross-checks add.  A witness exists only when the
+    order holds: on a failing pair both are ``None`` and their makers never
+    run.  Every value is the one the check would have computed at once.
     A deferred step that fails raises on the first read of a field that
     needs it, and again on every read.
     """
 
     order_name: str
     holds: bool
-    _rank_data: Callable[[], RankData] = field(repr=False)
-    _witness_p: Callable[[], Projection | None] = field(repr=False)
-    _witness_q: Callable[[], Projection | None] = field(repr=False)
-    _explain: Callable[[], tuple[dict[str, bool], tuple[str, ...]]] = field(repr=False)
+    _triple: _Triple = field(repr=False)
+    # the cross-check verdicts, given a list to append extra flags to
+    _explain: Callable[[list[str]], dict[str, bool]] = field(repr=False)
+    _make_p: Callable[[], Projection | None] | None = field(default=None, repr=False)
+    _make_q: Callable[[], Projection | None] | None = field(default=None, repr=False)
 
     @cached_property
     def rank_data(self) -> RankData:
-        return self._rank_data()
+        return self._triple.ranks()
 
     @cached_property
     def witness_p(self) -> Projection | None:
-        return self._witness_p()
+        return self._make_p() if self.holds and self._make_p else None
 
     @cached_property
     def witness_q(self) -> Projection | None:
-        return self._witness_q()
+        return self._make_q() if self.holds and self._make_q else None
 
     @cached_property
     def _explained(self) -> tuple[dict[str, bool], tuple[str, ...]]:
-        return self._explain()
+        extra = []
+        verdicts = self._explain(extra)
+        return verdicts, self._triple.flags() + tuple(extra)
 
     @property
     def characterization_verdicts(self) -> dict[str, bool]:
@@ -168,16 +176,6 @@ class OrderReport:
     @property
     def boundary_flags(self) -> tuple[str, ...]:
         return self._explained[1]
-
-
-def _absent() -> None:
-    """The witness of a report that has none."""
-    return None
-
-
-def _witness(holds: bool, make) -> Callable[[], Projection | None]:
-    """The deferred witness ``make`` when the order holds."""
-    return make if holds else _absent
 
 
 def _require(report: OrderReport, message: str) -> None:
@@ -437,11 +435,12 @@ def _angle_margin_ok(ra: Subspace, rd: Subspace, tol, flags) -> bool:
     return margin > tol.angle_gap
 
 
-def _projection_ok(t: _Triple, witness_p) -> bool:
-    """Whether A = P B with R(A) inside R(B), both read off the factors;
+def _projection_ok(t: _Triple, holds: bool) -> bool:
+    """Whether A = P B with R(A) inside R(B), both read off the factors, for
+    P the triple's ``left_witness``, built only when the order ``holds``;
     the inclusion is tested only when the witness passes."""
-    return (witness_p is not None
-            and t.tol.within(fro(t.a - witness_p.matrix @ t.b), fro(witness_p.matrix) * fro(t.b))
+    p = t.left_witness if holds else None
+    return (p is not None and t.tol.within(fro(t.a - p.matrix @ t.b), fro(p.matrix) * fro(t.b))
             and t.inside())
 
 
@@ -455,27 +454,25 @@ def _minus(t: _Triple) -> OrderReport:
     ``left_witness`` of the triple and of its mirror."""
     holds = _additive(t)
 
-    def explain():
+    def explain(flags):
         fa, fd = t.fa, t.fd
-        angle_flags = []
         spans = t.spans and t.mirror.spans
         # The angle route restates disjointness as a minimal-angle margin;
         # the span part of the condition is still required.
-        angle_ok = (spans and _angle_margin_ok(fa.range, fd.range, t.tol, angle_flags)
-                    and _angle_margin_ok(fa.corange, fd.corange, t.tol, angle_flags))
-        verdicts = {
+        angle_ok = (spans and _angle_margin_ok(fa.range, fd.range, t.tol, flags)
+                    and _angle_margin_ok(fa.corange, fd.corange, t.tol, flags))
+        return {
             "ranges": holds and spans,
             "ranks": holds,
             "angles": angle_ok,
             # N(A) + N(B - A) is the whole domain iff R(A*) cap R(B* - A*) = 0,
             # and likewise on the codomain side
             "kernels": _direct(t) and _direct(t.mirror),
-            "projection": _projection_ok(t, t.left_witness if holds else None),
+            "projection": _projection_ok(t, holds),
         }
-        return verdicts, t.flags() + tuple(angle_flags)
 
-    return OrderReport("minus", holds, t.ranks, _witness(holds, lambda: t.left_witness),
-                       _witness(holds, lambda: t.mirror.left_witness), explain)
+    return OrderReport("minus", holds, t, explain, lambda: t.left_witness,
+                       lambda: t.mirror.left_witness)
 
 
 def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -493,13 +490,10 @@ def _left_minus(t: _Triple) -> OrderReport:
     witness, along R(B - A) + N(B*), is built only when the ranks add, so
     a dimension match on an unordered pair never reaches its core solve."""
     holds = _additive(t)
-    witness_p = _witness(holds, lambda: t.left_witness)
-
-    def explain():
-        return ({"ranges": holds and t.spans, "projection": _projection_ok(t, witness_p())},
-                t.flags())
-
-    return OrderReport("left_minus", holds, t.ranks, witness_p, _absent, explain)
+    return OrderReport("left_minus", holds, t,
+                       lambda _: {"ranges": holds and t.spans,
+                                  "projection": _projection_ok(t, holds)},
+                       lambda: t.left_witness)
 
 
 def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -517,12 +511,13 @@ def _mirrored(name, left_order, A, B, tol, verdict=None) -> OrderReport:
     the triple of A against B, reported as the right-sided order ``name``:
     its left witness becomes the right one.  A ``verdict`` alike on both
     sides decides on the triple itself, deferring the mirror and the left
-    report; the deferred parts are read through the left report's caches."""
+    report, which is built once; the ranks and rank flags, alike on both
+    sides, are read off the triple."""
     t = _triple(*as_pair(A, B), tol)
     mirrored = cache(lambda: left_order(t.mirror))
     holds = mirrored().holds if verdict is None else verdict(t)
-    return OrderReport(name, holds, t.ranks, _absent,
-                       lambda: mirrored().witness_p, lambda: mirrored()._explained)
+    return OrderReport(name, holds, t, lambda flags: mirrored()._explain(flags),
+                       _make_q=lambda: mirrored().witness_p)
 
 
 def right_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -547,13 +542,12 @@ def _star(t: _Triple) -> OrderReport:
     gram_right = t.agree(D @ adjoint(A))
     holds = gram_left and gram_right and _additive(t)
 
-    def explain():
+    def explain(_):
         ortho = _orthogonal_join(t) and _orthogonal_join(t.mirror)
-        return {"gram_left": gram_left, "gram_right": gram_right,
-                "orthogonal_ranges": ortho}, t.flags()
+        return {"gram_left": gram_left, "gram_right": gram_right, "orthogonal_ranges": ortho}
 
-    return OrderReport("star", holds, t.ranks, _witness(holds, lambda: _orthogonal_witness(t.fa)),
-                       _witness(holds, lambda: _orthogonal_witness(t.mirror.fa)), explain)
+    return OrderReport("star", holds, t, explain, lambda: _orthogonal_witness(t.fa),
+                       lambda: _orthogonal_witness(t.mirror.fa))
 
 
 def _orthogonal_join(t: _Triple) -> bool:
@@ -581,12 +575,10 @@ def _left_star(t: _Triple) -> OrderReport:
     inclusion = cache(t.inside)
     holds = gram and inclusion()
 
-    def explain():
-        return ({"gram_left": gram, "range_inclusion": inclusion(),
-                 "orthogonal_split": _orthogonal_join(t)}, t.flags())
-
-    return OrderReport("left_star", holds, t.ranks,
-                       _witness(holds, lambda: _orthogonal_witness(t.fa)), _absent, explain)
+    return OrderReport("left_star", holds, t,
+                       lambda _: {"gram_left": gram, "range_inclusion": inclusion(),
+                                  "orthogonal_split": _orthogonal_join(t)},
+                       lambda: _orthogonal_witness(t.fa))
 
 
 def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -611,10 +603,9 @@ def _sharp(t: _Triple) -> OrderReport:
     left_id = t.agree(D @ A)
     right_id = t.agree(A @ D)
     holds = left_id and right_id and _additive(t)
-    return OrderReport("sharp", holds, t.ranks, _witness(holds, lambda: _group_witness(t.fa)),
-                       _witness(holds, lambda: _group_witness(t.mirror.fa)),
-                       lambda: ({"square_equals_ba": left_id, "square_equals_ab": right_id},
-                                t.flags()))
+    return OrderReport("sharp", holds, t,
+                       lambda _: {"square_equals_ba": left_id, "square_equals_ab": right_id},
+                       lambda: _group_witness(t.fa), lambda: _group_witness(t.mirror.fa))
 
 
 def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -633,10 +624,8 @@ def _core(t: _Triple) -> OrderReport:
     gram = t.agree(adjoint(A) @ D)
     square = t.agree(D @ A)
     holds = gram and square and _additive(t)
-
-    return OrderReport("core", holds, t.ranks, _witness(holds, lambda: _orthogonal_witness(t.fa)),
-                       _witness(holds, lambda: _group_witness(t.mirror.fa)),
-                       lambda: ({"gram_left": gram, "square_equals_ba": square}, t.flags()))
+    return OrderReport("core", holds, t, lambda _: {"gram_left": gram, "square_equals_ba": square},
+                       lambda: _orthogonal_witness(t.fa), lambda: _group_witness(t.mirror.fa))
 
 
 def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -651,10 +640,10 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
     """
     t = _triple(*as_pair(A, B), tol)
     holds = _additive(t)
-    return OrderReport("weak_minus", holds, t.ranks, _witness(holds, lambda: t.left_witness),
-                       _witness(holds, lambda: t.mirror.left_witness),
-                       lambda: ({"left_intersection_trivial": _direct(t),
-                                 "right_intersection_trivial": _direct(t.mirror)}, t.flags()))
+    return OrderReport("weak_minus", holds, t,
+                       lambda _: {"left_intersection_trivial": _direct(t),
+                                  "right_intersection_trivial": _direct(t.mirror)},
+                       lambda: t.left_witness, lambda: t.mirror.left_witness)
 
 
 _PREDICATES = {

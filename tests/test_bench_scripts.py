@@ -1,6 +1,7 @@
 """The pair statistics of ``scripts/bench_pairs.py``, the digests of
-``scripts/replay_digest.py`` and the per-call table of
-``scripts/bench_calls.py``, all loaded by path.
+``scripts/replay_digest.py``, the per-call table of
+``scripts/bench_calls.py`` and the code-line count of
+``scripts/src_lines.py``, all loaded by path.
 
 Ten pairs exercise the claim rule (at least nine wins of ten and a median
 difference beyond the parent's interquartile range); one pair has no
@@ -14,13 +15,14 @@ table has a row in the count gate, whose spy counts its factorizations.
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minusord.generate import minus_pair
-from minusord.orders import OrderReport, minus_order
+from minusord.orders import minus_order
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,6 +52,11 @@ def replay_digest():
 @pytest.fixture(scope="module")
 def lopsided_sweep():
     return _load("lopsided_sweep")
+
+
+@pytest.fixture(scope="module")
+def src_lines():
+    return _load("src_lines")
 
 
 def _pairs(parent, change):
@@ -195,14 +202,12 @@ def test_verdict_digest_ignores_witnesses_not_verdicts(replay_digest):
     matrix.real[0, 0] = np.nextafter(matrix.real[0, 0], np.inf)
     assert digest(report, False) == before
 
-    # the same report with its verdict flipped, its fields read as before
-    flipped = OrderReport(report.order_name, not report.holds, report._rank_data,
-                          report._witness_p, report._witness_q, report._explain)
+    # the same report with its verdict flipped, on the same triple
+    flipped = replace(report, holds=not report.holds)
     assert flipped.rank_data == report.rank_data
     assert digest(flipped, False) != before
     # and with a witness gone
-    absent = OrderReport(report.order_name, report.holds, report._rank_data,
-                         lambda: None, report._witness_q, report._explain)
+    absent = replace(report, _make_p=lambda: None)
     assert digest(absent, False) != before
 
 
@@ -219,3 +224,40 @@ def test_sweep_tallies_each_characterization(lopsided_sweep):
     assert table["k"]["A"]["1"]["disagree"] == dict(tally["disagree"], angles=1, ranks=1)
     assert table["total"]["disagree"] == dict(tally["disagree"], angles=2, ranks=2)
     assert list(table["total"]) == list(lopsided_sweep.COUNTS) + ["disagree"]
+
+
+#: Nine code lines: the import, ``def f``, the four lines of the call in
+#: ``return``, ``class C`` and the two lines of a string that is no
+#: docstring.  The docstrings, the comment line and the blank lines count
+#: nothing.
+SNIPPET = '''"""A module docstring,
+over two lines."""
+
+import os  # a trailing comment leaves its line a code line
+
+# a comment line
+
+
+def f(x):
+    """A function docstring."""
+    return os.path.join(
+        x,
+        "y",
+    )
+
+
+class C:
+    """A class docstring."""
+
+    text = """a string,
+    no docstring"""
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines(src_lines, tmp_path, capsys):
+    assert src_lines.code_lines(SNIPPET) == 9
+    assert src_lines.code_lines("") == 0
+    (tmp_path / "b.py").write_text(SNIPPET)
+    (tmp_path / "a.py").write_text("x = 1\n\n")
+    assert src_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "a.py 1\nb.py 9\ntotal 10\n"

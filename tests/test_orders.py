@@ -483,6 +483,24 @@ def test_deferred_parts_ignore_later_changes_to_the_operands(name, a, b):
     assert _fields(report) == expected
 
 
+@pytest.mark.parametrize("name", ORDER_NAMES)
+def test_a_failing_order_has_no_witness_and_the_triples_ranks(name):
+    # A against A + G for G unrelated and of full rank; A + G is then
+    # invertible, so sharp and core see group-invertible operands
+    predicate = order_predicate(name)
+    a = _PAIRS.get(name, _PAIRS["star" if "star" in name else "minus"])[0]
+    b = a + _G
+    witnesses_first = predicate(a, b)
+    assert not witnesses_first.holds
+    assert (witnesses_first.witness_p, witnesses_first.witness_q) == (None, None)
+    witnesses_first.characterization_verdicts
+    assert (witnesses_first.witness_p, witnesses_first.witness_q) == (None, None)
+    explanation_first = predicate(a, b)
+    explanation_first.boundary_flags
+    assert (explanation_first.witness_p, explanation_first.witness_q) == (None, None)
+    assert explanation_first.rank_data == orders._triple(*as_pair(a, b), DEFAULT_TOLERANCE).ranks()
+
+
 @pytest.mark.parametrize("call, predicate", [
     pytest.param(lambda a: build_split(a, _G), minus_order, id="build_split"),
     pytest.param(lambda a: fill_fishkind_pinv(a, _G), left_minus_order, id="fill_fishkind_pinv"),
