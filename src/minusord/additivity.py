@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _finite,
     _singular_values,
     adjoint,
     as_pair,
@@ -35,11 +36,19 @@ __all__ = [
 ]
 
 
+def _pair(A, B, tol: ToleranceConfig):
+    """A and B validated, A's factor, the singular values of A + B and the
+    cutoff of the pair A, A + B, which every count of a predicate reads;
+    an A + B that overflows raises ValueError."""
+    A, B = as_pair(A, B)
+    fa, total = Factored._of(A, tol), _singular_values(_finite(A + B, "A + B"))
+    return A, B, fa, total, _pair_cutoff(fa.s, total, A.shape, tol)
+
+
 def is_range_additive(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether R(A + B) = R(A) + R(B), read off A's factor by :func:`_ranges_add`."""
-    A, B = as_pair(A, B)
-    fa, total = Factored._of(A, tol), _singular_values(A + B)
-    return _ranges_add(fa, B, total, _pair_cutoff(fa.s, total, A.shape, tol))
+    _, B, fa, total, cutoff = _pair(A, B, tol)
+    return _ranges_add(fa, B, total, cutoff)
 
 
 def _ranges_add(fa: Factored, x, total, cutoff: float) -> bool:
@@ -71,10 +80,8 @@ class DisjointRangeAdditivity:
 
 
 def disjoint_range_additivity(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> DisjointRangeAdditivity:
-    A, B = as_pair(A, B)
-    fa, fb = Factored._of(A, tol), Factored._of(B, tol)
-    total = _singular_values(A + B)
-    cutoff = _pair_cutoff(fa.s, total, A.shape, tol)
+    _, B, fa, total, cutoff = _pair(A, B, tol)
+    fb = Factored._of(B, tol)
     # all counted as the minus order counts A <= A + B
     return DisjointRangeAdditivity(
         ranges_disjoint=_disjoint(fa, fb, cutoff),
@@ -103,10 +110,8 @@ class KernelCharacterization:
 
 
 def kernel_characterization(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> KernelCharacterization:
-    A, B = as_pair(A, B)
-    fa, fb = Factored._of(A, tol), Factored._of(B, tol)
-    total = _singular_values(A + B)
-    cutoff = _pair_cutoff(fa.s, total, A.shape, tol)
+    A, B, fa, total, cutoff = _pair(A, B, tol)
+    fb = Factored._of(B, tol)
     direct = _disjoint(fa.adjoint(), fb.adjoint(), cutoff)
 
     witness = None

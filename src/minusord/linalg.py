@@ -3,7 +3,8 @@
 Everything in the package operates on dense complex numpy arrays.  Real
 input is accepted at every entry point and widened to complex128; NaN or
 infinite entries are rejected up front so the decompositions never see
-them.
+them, and so is a sum A + B or difference B - A that the package forms
+and that overflows (:func:`_finite`).
 """
 
 from __future__ import annotations
@@ -120,10 +121,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    # a complex entry is finite when both of its parts are: one scan
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return _finite(arr, name)
 
 
 def as_vector(a, name: str = "vector") -> np.ndarray:
@@ -136,6 +134,15 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
         arr = arr[:, 0]
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    return _finite(arr, name)
+
+
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr`` unless it holds a non-finite entry: an operand as given, or
+    a sum or difference of finite operands, such as B - A, which overflows
+    when their entries near the largest float; the SVD of an infinite
+    matrix gives NaN singular values, which no rank count would see."""
+    # a complex entry is finite when both of its parts are: one scan
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -179,7 +186,8 @@ def rank_cut(s, shape: tuple[int, ...], tol: ToleranceConfig = DEFAULT_TOLERANCE
              scale: float | None = None) -> int:
     """The one rank decision of the package: how many of the descending
     singular values ``s`` of a matrix of the given shape lie above its
-    :func:`_rank_cutoff`."""
+    :func:`_rank_cutoff`, given as an array or a sequence."""
+    s = np.asarray(s)
     return _count(s, _rank_cutoff(s, shape, tol, scale))
 
 

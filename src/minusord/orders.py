@@ -7,7 +7,13 @@ the ranks and boundary flags of decisions that fell near a cutoff.  A
 report holds its triple (A, B, B - A), and the rules shared by every order
 live in the report, not in each body: the ranks and the rank flags are
 read off the triple, the flags of the cross-checks follow the rank flags,
-and a witness exists only when the order holds.
+and a witness exists only when the order holds.  Every order is the minus
+order plus product identities (Mitra, Bhimasankaram & Malik 2010), so
+every report but a mirrored one is built by one constructor,
+:func:`_order`, from the order's identities, its rank conjunct, the
+cross-checks that restate its verdict and its witness makers; and every
+witness solved on a core the verdict has decided goes through one guard,
+:func:`_decided`, and is certified as every rank-sized projection is.
 
 Verdict first, explanation on demand: a predicate decides ``holds`` when
 it is called, from the Gram, square and inclusion tests the verdict needs
@@ -82,6 +88,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     _count,
+    _finite,
     _near,
     _rank_cutoff,
     _singular_values,
@@ -94,8 +101,8 @@ from .subspaces import (
     Factored,
     Projection,
     Subspace,
-    _certified,
     _departing,
+    _Factors,
     _projection,
     minimal_angle_cos,
 )
@@ -140,7 +147,8 @@ class OrderReport:
     order holds: on a failing pair both are ``None`` and their makers never
     run.  Every value is the one the check would have computed at once.
     A deferred step that fails raises on the first read of a field that
-    needs it, and again on every read.
+    needs it, and again on every read.  Reports are built by
+    :func:`_order`, or by :func:`_mirrored` for a right-sided order.
     """
 
     order_name: str
@@ -391,8 +399,9 @@ def _triple(A, B, tol, d=None) -> _Triple:
     construction on A + B passes its summand.  The triple holds copies of
     A, B and a given ``d``: validation may hand back the caller's own
     arrays, and the factors and the deferred parts of a report read the
-    operands later; the factors are new arrays."""
-    source = _Operands(A.copy(), B.copy(), B - A if d is None else d.copy(), tol)
+    operands later; the factors are new arrays.  A B - A that overflows
+    raises ValueError."""
+    source = _Operands(A.copy(), B.copy(), _finite(B - A, "B - A") if d is None else d.copy(), tol)
     return _Triple(source.a, source.b, source.d, tol, source)
 
 
@@ -403,27 +412,29 @@ def _direct(t: _Triple) -> bool:
 
 def _split_witness(fa: Factored, fd: Factored, leftover: Subspace) -> Projection | None:
     """The projection onto R(A) along R(B - A) + ``leftover``, for R(A) and
-    R(B - A) already found disjoint; ``None`` if its core is not square or
-    is singular."""
-    try:
-        along = Subspace._trusted(np.hstack([fd.range.basis, leftover.basis]))
-        return _projection(fa.range, along, None, m_perp=fa.conull, decided=True)
-    except ComplementError:
-        return None
+    R(B - A) already found disjoint (:func:`_decided`)."""
+    along = Subspace._trusted(np.hstack([fd.range.basis, leftover.basis]))
+    return _decided(fa.range, along, m_perp=fa.conull)
 
 
 def _orthogonal_witness(f: Factored) -> Projection:
     """The orthogonal projection U_r U_r* onto R(X), along N(X*)."""
     u = f.range.basis
-    return _certified(f.range.projector(), u, adjoint(u), f.range, f.conull)
+    return _Factors(u, adjoint(u), False).projection(f.range, f.conull)
 
 
 def _group_witness(f: Factored) -> Projection | None:
     """The projection onto R(X) along N(X) for a square X already found
-    group invertible; ``None`` when the solve finds the core singular."""
+    group invertible (:func:`_decided`)."""
+    return _decided(f.range, f.null, m_perp=f.conull, n_perp=f.corange)
+
+
+def _decided(m_space: Subspace, n_space: Subspace, **perps) -> Projection | None:
+    """The projection onto M along N, which the caller has found
+    complementary, solved on the core against ``perps``; ``None`` when the
+    solve finds the core not square or singular."""
     try:
-        return _projection(f.range, f.null, None, m_perp=f.conull, n_perp=f.corange,
-                           decided=True)
+        return _projection(m_space, n_space, None, decided=True, **perps)
     except ComplementError:
         return None
 
@@ -444,6 +455,23 @@ def _projection_ok(t: _Triple, holds: bool) -> bool:
             and t.inside())
 
 
+def _order(name: str, t: _Triple, makers, identities=None, rest=_additive,
+           restate=lambda holds, flags: {}) -> OrderReport:
+    """The report of the order ``name`` on the triple ``t``, the one body
+    of every order: each is the minus order plus product identities
+    (Mitra, Bhimasankaram & Malik 2010).  Each of the ``identities``, a
+    key and the product with the difference its identity reduces to, such
+    as A*(B - A) for A*A = A*B, is tested by :meth:`_Triple.agree` at once
+    and in order; the verdict conjoins them with ``rest(t)``, rank
+    additivity unless given, read only when every identity holds.  The
+    explanation is the identities' verdicts, then ``restate(holds,
+    flags)``, the cross-checks that restate the verdict, given the list to
+    append their flags to.  ``makers`` are the witness makers, P's first."""
+    checks = {key: t.agree(x) for key, x in (identities or {}).items()}
+    holds = all(checks.values()) and rest(t)
+    return OrderReport(name, holds, t, lambda flags: {**checks, **restate(holds, flags)}, *makers)
+
+
 def _minus(t: _Triple) -> OrderReport:
     """The minus-order report: the verdict is rank subtractivity, which the
     range (R(A) + R(B - A) spans R(B) on both sides, each direction weighed
@@ -452,15 +480,13 @@ def _minus(t: _Triple) -> OrderReport:
     of R(A) + R(B - A) and R(A*) + R(B* - A*) are N(B*) and N(B), so the
     witnesses, and the projection characterization's P, are the
     ``left_witness`` of the triple and of its mirror."""
-    holds = _additive(t)
 
-    def explain(flags):
-        fa, fd = t.fa, t.fd
+    def restate(holds, flags):
         spans = t.spans and t.mirror.spans
         # The angle route restates disjointness as a minimal-angle margin;
         # the span part of the condition is still required.
-        angle_ok = (spans and _angle_margin_ok(fa.range, fd.range, t.tol, flags)
-                    and _angle_margin_ok(fa.corange, fd.corange, t.tol, flags))
+        angle_ok = (spans and _angle_margin_ok(t.fa.range, t.fd.range, t.tol, flags)
+                    and _angle_margin_ok(t.fa.corange, t.fd.corange, t.tol, flags))
         return {
             "ranges": holds and spans,
             "ranks": holds,
@@ -471,8 +497,8 @@ def _minus(t: _Triple) -> OrderReport:
             "projection": _projection_ok(t, holds),
         }
 
-    return OrderReport("minus", holds, t, explain, lambda: t.left_witness,
-                       lambda: t.mirror.left_witness)
+    return _order("minus", t, (lambda: t.left_witness, lambda: t.mirror.left_witness),
+                  restate=restate)
 
 
 def minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -489,11 +515,9 @@ def _left_minus(t: _Triple) -> OrderReport:
     ranges hold when the ranks add and R(A) + R(B - A) spans R(B).  The
     witness, along R(B - A) + N(B*), is built only when the ranks add, so
     a dimension match on an unordered pair never reaches its core solve."""
-    holds = _additive(t)
-    return OrderReport("left_minus", holds, t,
-                       lambda _: {"ranges": holds and t.spans,
-                                  "projection": _projection_ok(t, holds)},
-                       lambda: t.left_witness)
+    return _order("left_minus", t, (lambda: t.left_witness,),
+                  restate=lambda holds, _: {"ranges": holds and t.spans,
+                                            "projection": _projection_ok(t, holds)})
 
 
 def left_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -537,17 +561,11 @@ def star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 def _star(t: _Triple) -> OrderReport:
     """The star-order report: the Gram identities, one product each, are
     tested before the ranks, which need the three factors."""
-    A, D = t.a, t.d
-    gram_left = t.agree(adjoint(A) @ D)
-    gram_right = t.agree(D @ adjoint(A))
-    holds = gram_left and gram_right and _additive(t)
-
-    def explain(_):
-        ortho = _orthogonal_join(t) and _orthogonal_join(t.mirror)
-        return {"gram_left": gram_left, "gram_right": gram_right, "orthogonal_ranges": ortho}
-
-    return OrderReport("star", holds, t, explain, lambda: _orthogonal_witness(t.fa),
-                       lambda: _orthogonal_witness(t.mirror.fa))
+    return _order("star", t, (lambda: _orthogonal_witness(t.fa),
+                              lambda: _orthogonal_witness(t.mirror.fa)),
+                  {"gram_left": adjoint(t.a) @ t.d, "gram_right": t.d @ adjoint(t.a)},
+                  restate=lambda *_: {"orthogonal_ranges": _orthogonal_join(t)
+                                      and _orthogonal_join(t.mirror)})
 
 
 def _orthogonal_join(t: _Triple) -> bool:
@@ -571,14 +589,11 @@ def _left_star(t: _Triple) -> OrderReport:
     """The left-star report: the Gram identity is tested first, the
     inclusion only when it holds, and the orthogonal split, which restates
     the verdict, on first read of the explanation."""
-    gram = t.agree(adjoint(t.a) @ t.d)
     inclusion = cache(t.inside)
-    holds = gram and inclusion()
-
-    return OrderReport("left_star", holds, t,
-                       lambda _: {"gram_left": gram, "range_inclusion": inclusion(),
-                                  "orthogonal_split": _orthogonal_join(t)},
-                       lambda: _orthogonal_witness(t.fa))
+    return _order("left_star", t, (lambda: _orthogonal_witness(t.fa),),
+                  {"gram_left": adjoint(t.a) @ t.d}, rest=lambda _: inclusion(),
+                  restate=lambda *_: {"range_inclusion": inclusion(),
+                                      "orthogonal_split": _orthogonal_join(t)})
 
 
 def right_star_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -594,18 +609,12 @@ def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 
 def _sharp(t: _Triple) -> OrderReport:
     """The sharp-order report; raises unless A and B are group invertible."""
-    A, D = t.a, t.d
     for f, label in ((t.fa, "A"), (t.fb, "B")):
         if not _group_invertible(f, t.tol):
             raise GroupInvertibilityError(f"{label} is not group invertible")
-
     # A^2 = BA and A^2 = AB are DA = 0 and AD = 0, tested before the ranks
-    left_id = t.agree(D @ A)
-    right_id = t.agree(A @ D)
-    holds = left_id and right_id and _additive(t)
-    return OrderReport("sharp", holds, t,
-                       lambda _: {"square_equals_ba": left_id, "square_equals_ab": right_id},
-                       lambda: _group_witness(t.fa), lambda: _group_witness(t.mirror.fa))
+    return _order("sharp", t, (lambda: _group_witness(t.fa), lambda: _group_witness(t.mirror.fa)),
+                  {"square_equals_ba": t.d @ t.a, "square_equals_ab": t.a @ t.d})
 
 
 def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -620,12 +629,9 @@ def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 def _core(t: _Triple) -> OrderReport:
     """The core-order report, for A (and so A*) found group invertible;
     the identities are tested before the ranks."""
-    A, D = t.a, t.d
-    gram = t.agree(adjoint(A) @ D)
-    square = t.agree(D @ A)
-    holds = gram and square and _additive(t)
-    return OrderReport("core", holds, t, lambda _: {"gram_left": gram, "square_equals_ba": square},
-                       lambda: _orthogonal_witness(t.fa), lambda: _group_witness(t.mirror.fa))
+    return _order("core", t, (lambda: _orthogonal_witness(t.fa),
+                              lambda: _group_witness(t.mirror.fa)),
+                  {"gram_left": adjoint(t.a) @ t.d, "square_equals_ba": t.d @ t.a})
 
 
 def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
@@ -639,11 +645,9 @@ def weak_minus_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderRep
     so a break of the coincidence shows as a disagreement.
     """
     t = _triple(*as_pair(A, B), tol)
-    holds = _additive(t)
-    return OrderReport("weak_minus", holds, t,
-                       lambda _: {"left_intersection_trivial": _direct(t),
-                                  "right_intersection_trivial": _direct(t.mirror)},
-                       lambda: t.left_witness, lambda: t.mirror.left_witness)
+    return _order("weak_minus", t, (lambda: t.left_witness, lambda: t.mirror.left_witness),
+                  restate=lambda *_: {"left_intersection_trivial": _direct(t),
+                                      "right_intersection_trivial": _direct(t.mirror)})
 
 
 _PREDICATES = {

@@ -525,17 +525,12 @@ class _Factors:
 
     def projection(self, range_: Subspace, nullspace: Subspace) -> Projection:
         """The Projection onto ``range_`` along ``nullspace``, formed, its
-        screen certified from the core (:func:`_certified`)."""
-        return _certified(self.matrix(), self.left, self.right, range_, nullspace)
-
-
-def _certified(matrix: np.ndarray, left: np.ndarray, right: np.ndarray,
-               range_: Subspace, nullspace: Subspace) -> Projection:
-    """The Projection ``matrix`` = L R or I - L R, its screen certified from
-    the k x k residual (:func:`_idempotent_within`) or else run in full."""
-    if _idempotent_within(matrix, left, right):
-        return Projection._trusted(matrix, range_, nullspace)
-    return Projection(matrix, range_, nullspace)
+        screen certified from the k x k residual (:func:`_idempotent_within`)
+        or else run in full."""
+        matrix = self.matrix()
+        if _idempotent_within(matrix, self.left, self.right):
+            return Projection._trusted(matrix, range_, nullspace)
+        return Projection(matrix, range_, nullspace)
 
 
 def _idempotent_within(x: np.ndarray, left: np.ndarray, right: np.ndarray) -> bool:

@@ -50,6 +50,7 @@ from .geninv import _core_inverse, _group_inverse, _group_invertible, _pinv, _re
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _finite,
     adjoint,
     as_pair,
     fro,
@@ -92,9 +93,10 @@ def _checked(A, B, tol: ToleranceConfig, order=_left_minus, message=_NOT_LEFT_MI
     when ``square`` is set), the triple of A against A + B with the
     caller's B as its exact difference, and the construction's order check
     on it, by default the left-minus order, whose verdict is the minus
-    order's.  With ``order`` None the caller runs its own checks."""
+    order's.  With ``order`` None the caller runs its own checks.  An
+    A + B that overflows raises ValueError."""
     A, B = as_pair(A, B, square)
-    t = _triple(A, A + B, tol, d=B)
+    t = _triple(A, _finite(A + B, "A + B"), tol, d=B)
     if order is not None:
         _require(order(t), message)
     return t

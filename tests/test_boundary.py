@@ -5,8 +5,11 @@ anything else runs; the arrays the package derives from them (factors,
 bases cut from a factor, products and joins of such bases) are not
 validated again.  These tests pin the boundary: a NaN or an infinity in
 the real or the imaginary part of any operand of any public entry point
-raises ``ValueError`` naming the non-finite entries.
+raises ``ValueError`` naming the non-finite entries, and so does a sum
+A + B or a difference B - A that overflows when the package forms it.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -15,10 +18,12 @@ from minusord.additivity import (disjoint_range_additivity, is_range_additive,
                                  kernel_characterization)
 from minusord.generate import minus_pair
 from minusord.geninv import group_inverse, pinv
-from minusord.lsq import decoupled_lss
+from minusord.lsq import decoupled_lss, solve_system
 from minusord.orders import ORDER_NAMES, inner_inverse_witness, order_predicate
 from minusord.subspaces import Factored, Projection, Subspace
-from minusord.sums import build_split, fill_fishkind_pinv, sum_reflexive_inverse
+from minusord.sums import (agreeing_split, build_split, fill_fishkind_pinv,
+                           ordered_inverse_additivity, st_projections, sum_reflexive_inverse,
+                           werner_decomposition)
 
 A, B = minus_pair(7, 4, 4, 1, 2)
 _rng = np.random.default_rng(11)
@@ -67,6 +72,41 @@ def test_non_finite_operand_rejected(name, position, bad):
     poisoned[position][(0,) * poisoned[position].ndim] = NON_FINITE[bad]
     with pytest.raises(ValueError, match="contains non-finite entries"):
         call(*poisoned)
+
+
+# A = diag(1e308, 1): finite, but 2A is not
+BIG = np.diag([1e308, 1.0]) + 0j
+LINE = Subspace(np.eye(2, dtype=complex)[:, :1])
+# name: (call, what it forms); an order forms B - A of (BIG, -BIG), a
+# predicate or construction on A + B forms A + B of (BIG, BIG)
+OVERFLOWS = {
+    **{order: (order_predicate(order), "B - A") for order in ORDER_NAMES},
+    "inner_inverse_witness": (inner_inverse_witness, "B - A"),
+    "is_range_additive": (is_range_additive, "A + B"),
+    "disjoint_range_additivity": (disjoint_range_additivity, "A + B"),
+    "kernel_characterization": (kernel_characterization, "A + B"),
+    "build_split": (build_split, "A + B"),
+    "fill_fishkind_pinv": (fill_fishkind_pinv, "A + B"),
+    "st_projections": (st_projections, "A + B"),
+    "decoupled_lss": (lambda a, b: decoupled_lss(a, b, np.ones(2)), "A + B"),
+    "solve_system": (lambda a, b: solve_system(a, b, np.ones(2), np.ones(2)), "A + B"),
+    "agreeing_split": (lambda a, b: agreeing_split(a, b, LINE, LINE), "A + B"),
+    "sum_reflexive_inverse": (lambda a, b: sum_reflexive_inverse(a, b, LINE, LINE), "A + B"),
+    "werner_decomposition": (lambda a, b: werner_decomposition(a, b, LINE, LINE), "A + B"),
+    **{f"ordered_inverse_additivity-{kind}":
+       (lambda a, b, kind=kind: ordered_inverse_additivity(a, b, kind), "A + B")
+       for kind in ("moore_penrose", "group", "core")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_sum_or_difference_rejected(name):
+    # the SVD of an infinite matrix gives NaN singular values, which every
+    # rank count reads as zero: the verdict would be made on nothing
+    call, formed = OVERFLOWS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(formed)} contains non-finite entries$"):
+        call(BIG, -BIG if formed == "B - A" else BIG)
 
 
 def test_factored_views_are_cached_slices():

@@ -108,6 +108,14 @@ def test_rank_respects_explicit_cutoff():
     assert numerical_rank(a, ToleranceConfig(rank_rtol=1e-4)) == 1
 
 
+def test_rank_cut_and_sine_cut_take_a_list_or_a_tuple():
+    # both document ``s`` as singular values, which a caller may hold in a sequence
+    assert rank_cut([3.0, 1.0], (2, 2)) == rank_cut(np.array([3.0, 1.0]), (2, 2)) == 2
+    assert rank_cut((1.0, 1e-20), (2, 2), DEFAULT_TOLERANCE, 1.0) == 1
+    assert sine_cut((1.0, 1e-20), 2) == sine_cut(np.array([1.0, 1e-20]), 2) == 1
+    assert sine_cut([], 2) == 0
+
+
 def test_rank_cut_at_a_reference_scale():
     # a difference of operands of norm one is cut at their scale, not its own
     s = np.array([1e-3, 1e-16])

@@ -1,4 +1,6 @@
+import ast
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -499,6 +501,18 @@ def test_a_failing_order_has_no_witness_and_the_triples_ranks(name):
     explanation_first.boundary_flags
     assert (explanation_first.witness_p, explanation_first.witness_q) == (None, None)
     assert explanation_first.rank_data == orders._triple(*as_pair(a, b), DEFAULT_TOLERANCE).ranks()
+
+
+def test_every_order_report_is_built_in_one_constructor():
+    # every order body is one call of orders._order; only _mirrored, which
+    # reports a left-sided body on the mirror as its right-sided order,
+    # builds its own
+    tree = ast.parse(inspect.getsource(orders))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "OrderReport"]
+    builders = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if any(node is call for call in calls)}
+    assert len(calls) == 2 and builders == {"_order", "_mirrored"}
 
 
 @pytest.mark.parametrize("call, predicate", [
