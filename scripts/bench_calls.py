@@ -16,10 +16,13 @@ ordered ``left_star_order``.  The ``(tall)`` rows run the three
 constructions on a 3n/2 x n pair of the same ranks, with the counts of
 their square gate rows.  The set operations run on two
 subspaces of C^n of dimensions n - 2n/3 and 2n/3 that meet in one
-direction, and the oblique projection on a complementary pair.  Each
-call is also printed as its ratio to the floor above it in the table,
-taken round by round against the floor's time in the same round, so a
-drift of the host between rounds, or between two runs, cancels.
+direction, and the oblique projection on a complementary pair.  The
+Matrix Market writer and reader run on a complex n x n matrix, under the
+floors of one ``'%r'`` template over its floats and of ``np.loadtxt`` of
+its entry lines.  Each call is also printed as its ratio to the floor
+above it in the table, taken round by round against the floor's time in
+the same round, so a drift of the host between rounds, or between two
+runs, cancels.
 
 Run from the root of a checkout; ``--src`` points at another checkout's
 ``src`` to measure it with the same inputs:
@@ -81,7 +84,7 @@ def calls(n):
     """The timed calls on one seeded square n x n pair of ranks n/3 + n/3,
     and the three constructions also on a tall 3n/2 x n pair of those ranks."""
     import numpy as np
-    from minusord import additivity, lsq, orders, subspaces, sums
+    from minusord import additivity, lsq, mmio, orders, subspaces, sums
     from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
     from minusord.subspaces import Subspace
 
@@ -96,6 +99,7 @@ def calls(n):
     n_comp = Subspace.from_span(rng.standard_normal((n, 2 * r)) + 0j)
     x = rng.standard_normal(n) + 0j
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    text = mmio.format_matrix(g)
     # meets m_comp in one direction
     meets = Subspace.from_span(np.hstack([m_comp.basis[:, :1], n_comp.basis[:, 1:]]))
     m = 3 * n // 2
@@ -143,6 +147,11 @@ def calls(n):
         "ominus": lambda: subspaces.ominus(m_comp, meets),
         "span_dim": lambda: subspaces.span_dim(m_comp, meets),
         "oblique_projection": lambda: subspaces.oblique_projection(m_comp, n_comp),
+        "floor: '%r' template":
+            lambda: ("%r %r\n" * n * n) % tuple(g.T.ravel().view(np.float64).tolist()),
+        "format_matrix": lambda: mmio.format_matrix(g),
+        "floor: np.loadtxt": lambda: np.loadtxt(text.splitlines()[2:], dtype=np.float64),
+        "parse_matrix": lambda: mmio.parse_matrix(text),
     }
 
 

@@ -8,24 +8,24 @@ complex128 arrays, which render as nested lists of [re, im] pairs, the
 same bytes as the nested lists of Python floats they hold.
 
 An array is rendered by a numpy kernel that reproduces ``'%.16e' % x``
-byte for byte, ``CHUNK`` floats at a time.  With k = floor(log10 |x|), the
-17 digits are N = |x| 10^(16 - k) rounded to nearest, and N^ is formed as
-one long double product of the exact double and the correctly rounded
-10^(16 - k).  With 64 significant bits, |N^ - N| <= 2^-63 N < 0.011 for
-N < 10^17, so N^ rounds as N does unless its fraction lies within
-``HALF_WINDOW`` of 1/2.  Those elements, and those whose N^ falls outside
-[10^16, 10^17), take the ``%.16e`` template; so does every array where
-long double has fewer than 63 fraction bits.  The bytes never depend on
-which path ran.
+byte for byte, ``CHUNK`` floats at a time, on the decimal core that
+``mmio`` shares (``_decimal``): the 17 digits are N^, |x| 10^(16 - k) as
+one long double product, rounded to nearest.  N^ rounds as N does unless
+its fraction lies within ``HALF_WINDOW`` of 1/2; those elements, and
+those whose N^ falls outside [10^16, 10^17), take the ``%.16e`` template,
+whose fixed-width texts are read back into digits and exponents in one
+numpy pass.  Every array takes the template where long double has fewer
+than 63 fraction bits.  The bytes never depend on which path ran.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 
 import numpy as np
 
+from . import _decimal
+from ._decimal import CHUNK
 from .orders import OrderReport
 from .subspaces import Projection
 
@@ -45,45 +45,11 @@ def _floats(template: str, values: tuple) -> str:
     return text
 
 
-# 16 - k over every finite double, k = floor(log10 |x|), lies in
-# POW_LOW ... POW_HIGH, and k in -EXP_MAX ... EXP_MAX.
-POW_LOW, POW_HIGH = -292, 340
-EXP_MAX = 324
-CHUNK = 8192
-HALF_WINDOW = 0.0125
 # One float's row: a pad, the sign, d.dddddddddddddddd, "e", the exponent's
 # sign and three digits, so that the 16 digits after the point fill the
 # 4-byte words 1 ... 4 and "e" starts word 5.  The brackets and the comma
 # follow, and spaces pad the row to whole words.
 _HEAD = b" -0." + b"0" * 16 + b"e+000"
-
-
-def _kernel_exact() -> bool:
-    """Whether long double holds the 63 fraction bits the kernel's error
-    bound needs."""
-    return np.finfo(np.longdouble).nmant >= 63
-
-
-def _words(*columns) -> np.ndarray:
-    """One 4-byte word per row of the four ASCII ``columns``."""
-    return np.stack(columns, axis=1).astype(np.uint8).view(np.uint32).reshape(-1)
-
-
-@functools.cache
-def _tables():
-    """Built on first use: the correctly rounded long double powers
-    10^POW_LOW ... 10^POW_HIGH; the digits of 0 ... 9999, a word each; and
-    for k = -EXP_MAX ... EXP_MAX the word of "e", the sign of k and the
-    hundreds and tens digits of |k|."""
-    texts = np.char.add("1e", np.arange(POW_LOW, POW_HIGH + 1).astype(str))
-    powers = texts.astype(np.longdouble)
-    d = ord("0")
-    n = np.arange(10000)
-    digits = _words(n // 1000 + d, n // 100 % 10 + d, n // 10 % 10 + d, n % 10 + d)
-    k = np.arange(-EXP_MAX, EXP_MAX + 1)
-    exponents = _words(np.full_like(k, ord("e")), np.where(k < 0, ord("-"), ord("+")),
-                       abs(k) // 100 + d, abs(k) // 10 % 10 + d)
-    return powers, digits, exponents
 
 
 def _chunk(x: np.ndarray, start: int, spans: list[int], last: bool) -> bytes:
@@ -94,35 +60,21 @@ def _chunk(x: np.ndarray, start: int, spans: list[int], last: bool) -> bytes:
     innermost first."""
     if not np.isfinite(x).all():
         raise ValueError("non-finite value in report payload")
-    powers, digits, exponents = _tables()
     a = np.abs(x)
-    zero = a == 0
-    k = np.floor(np.log10(np.where(zero, 1.0, a))).astype(np.intp)
-    n = a.astype(np.longdouble) * powers[16 - k - POW_LOW]
-    whole = n.astype(np.int64)
-    fraction = (n - whole).astype(np.float64)
+    k, whole, fraction = _decimal.scaled(a)
     m = whole + (fraction > 0.5)
-    exact = (abs(fraction - 0.5) > HALF_WINDOW) & (whole >= 10**16) & (m < 10**17)
-    fallback = np.flatnonzero(~(exact | zero))
+    exact = (abs(fraction - 0.5) > _decimal.HALF_WINDOW) & (whole >= 10**16) & (m < 10**17)
+    fallback = np.flatnonzero(~(exact | (a == 0)))
     if fallback.size:
-        texts = ["%.16e" % v for v in a[fallback].tolist()]
-        m[fallback] = [int(t[0] + t[2:18]) for t in texts]
-        k[fallback] = [int(t[19:]) for t in texts]
+        m[fallback], k[fallback] = _decimal.scientific(a[fallback])
 
     depth = len(spans)
     row = _HEAD + b"]" * depth + b"," + b"[" * depth
     row = np.frombuffer(row.ljust(-(-len(row) // 4) * 4), np.uint8)
     out = np.tile(row, (len(x), 1))
     words = out.view(np.uint32)
-    high, low = np.divmod(m, 10**8)
-    lead, high = np.divmod(high, 10**8)
-    out[:, 2] = lead + ord("0")
-    words[:, 1] = digits[high // 10**4]
-    words[:, 2] = digits[high % 10**4]
-    words[:, 3] = digits[low // 10**4]
-    words[:, 4] = digits[low % 10**4]
-    words[:, 5] = exponents[k + EXP_MAX]
-    out[:, 24] = abs(k) % 10 + ord("0")
+    out[:, 2], words[:, 1:5] = _decimal.digits(m)
+    words[:, 5], out[:, 24] = _decimal.exponent(k)
 
     # keep the digits, the point, "e" and the comma; the sign, the hundreds
     # of the exponent and the brackets as each float needs them
@@ -144,7 +96,7 @@ def _array(arr: np.ndarray) -> str:
         raise TypeError(f"cannot serialize {arr.dtype} arrays deterministically")
     shape = arr.shape + (2,)
     flat = np.ascontiguousarray(arr).reshape(-1).view(np.float64)
-    if flat.size and _kernel_exact():
+    if flat.size and _decimal.exact():
         spans = np.cumprod(shape[::-1]).tolist()
         chunks = [b"[" * len(shape)]
         for start in range(0, flat.size, CHUNK):

@@ -120,6 +120,7 @@ from minusord.exceptions import OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
 from minusord.geninv import core_inverse, group_inverse
 from minusord.lsq import decoupled_lss, solve_system
+from minusord.mmio import format_matrix, parse_matrix
 from minusord.orders import (core_order, inner_inverse_witness, left_minus_order,
                              left_star_order, minus_order, right_minus_order, right_star_order,
                              sharp_order, star_order, weak_minus_order)
@@ -291,6 +292,19 @@ RANKS_DECIDE = {
 RANKS_DECIDE_VERDICTS = {name: name == "is_range_additive_equal" for name in RANKS_DECIDE}
 CALLS.update(RANKS_DECIDE)
 
+#: The Matrix Market writer on G and the reader on G's text: no SVD and
+#: no solve, the writer validating its matrix once and the reader, which
+#: leaves that to the call its matrix enters, nothing.  The counts are
+#: exact, so these rows have their own test in place of
+#: :func:`test_svd_count_bound` and :func:`test_validation_count_bound`,
+#: which ask for at least one.
+_G_TEXT = format_matrix(G)
+MATRIX_MARKET = {
+    "format_matrix": (lambda: format_matrix(G), 0, 0, 0, 1),
+    "parse_matrix": (lambda: parse_matrix(_G_TEXT), 0, 0, 0, 0),
+}
+CALLS.update(MATRIX_MARKET)
+
 
 def spy(call):
     """Run ``call`` once; return its SVDs, each as (with singular vectors,
@@ -337,7 +351,8 @@ def _sized(shape) -> bool:
     return max(shape) >= 9
 
 
-@pytest.mark.parametrize("name", sorted(CALLS.keys() - IDENTITY_FAILS.keys()))
+@pytest.mark.parametrize("name", sorted(CALLS.keys() - IDENTITY_FAILS.keys()
+                                         - MATRIX_MARKET.keys()))
 def test_svd_count_bound(name):
     call, bound, vectors_bound, sized_bound, _ = CALLS[name]
     calls = spy(call)[0]
@@ -377,6 +392,15 @@ def test_ranks_decide_before_the_difference(name, monkeypatch):
         svds, vectors, sized)
     assert solved == [] and flags == []
     assert call() is RANKS_DECIDE_VERDICTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_MARKET))
+def test_matrix_market_factors_nothing(name):
+    call, svds, vectors, sized, checks = MATRIX_MARKET[name]
+    seen, solved, labels = spy(call)
+    assert (len(seen), sum(v for v, _ in seen), sum(_sized(s) for _, s in seen)) == (
+        svds, vectors, sized)
+    assert solved == [] and len(labels) == checks
 
 
 #: The full-read row and the gate pair (A, B) of each order in IDENTITY_FAILS,
@@ -518,7 +542,7 @@ def test_constructions_build_only_what_they_return(monkeypatch):
     assert len(spy(CALLS["decoupled_lss"][0])[1]) <= 1
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted(CALLS.keys() - MATRIX_MARKET.keys()))
 def test_validation_count_bound(name):
     call, bound = CALLS[name][0], CALLS[name][4]
     seen = spy(call)[2]

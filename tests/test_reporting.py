@@ -4,12 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minusord import reporting
+from minusord import _decimal
+from minusord._decimal import CHUNK, POW_HIGH, POW_LOW
 from minusord.orders import minus_order
 from minusord.reporting import (
-    CHUNK,
-    POW_HIGH,
-    POW_LOW,
     canonical_json,
     matrix_payload,
     order_report_payload,
@@ -159,15 +157,15 @@ def test_kernel_and_template_paths_give_the_same_bytes(monkeypatch, rng):
     witness = matrix_payload(scales * cgauss(rng, 150, 150))
     witness[::7] = witness[::7].real
     kernel = canonical_json({"witness": witness})
-    monkeypatch.setattr(reporting, "_kernel_exact", lambda: False)
+    monkeypatch.setattr(_decimal, "exact", lambda: False)
     assert canonical_json({"witness": witness}) == kernel
     assert kernel == '{"witness":' + templated(witness) + "}\n"
 
 
-@pytest.mark.skipif(not reporting._kernel_exact(),
+@pytest.mark.skipif(not _decimal.exact(),
                     reason="long double has fewer than 63 fraction bits")
 def test_power_table_is_correctly_rounded():
-    powers = reporting._tables()[0]
+    powers = _decimal.tables()[0]
     assert len(powers) == POW_HIGH - POW_LOW + 1
     for p, power in zip(range(POW_LOW, POW_HIGH + 1), powers):
         error = abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** p)
