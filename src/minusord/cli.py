@@ -15,6 +15,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .exceptions import MinusordError, OrderConditionError
 from .generate import as_rng, pair_generator
@@ -251,12 +253,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # the report of an order failure computes its deferred parts while the
-    # failure is rendered, so their errors exit as every other error does
+    # failure is rendered, so their errors exit as every other error does;
+    # a sum or difference that overflows raises its own error, so numpy's
+    # overflow warning would only print ahead of it
     try:
-        try:
-            return _COMMANDS[args.command](args)
-        except OrderConditionError as exc:
-            return _order_failure(args, exc)
+        with np.errstate(over="ignore"):
+            try:
+                return _COMMANDS[args.command](args)
+            except OrderConditionError as exc:
+                return _order_failure(args, exc)
     except (MinusordError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

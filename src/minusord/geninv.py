@@ -82,23 +82,23 @@ def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
 
 
 def _reflexive(factored: Factored, range_space: Subspace, nullspace: Subspace,
-               tol: ToleranceConfig = DEFAULT_TOLERANCE, *, decided: bool = False) -> np.ndarray:
+               tol: ToleranceConfig | None) -> np.ndarray:
     """The reflexive inverse Q A+ P of the factored A with range N and null
     space M: Q V_r S_r^-1 = B_N (V_r* B_N)^-1 S_r^-1 times U_r* P =
-    U_r* - (U_r* B_M) (U_r^perp* B_M)^-1 U_r^perp*.  Unless ``decided``,
-    each core tests its complement and raises with the codomain or domain
-    text; a decided core raises "complement condition violated".
+    U_r* - (U_r* B_M) (U_r^perp* B_M)^-1 U_r^perp*.  Given a ``tol``, each
+    core tests its complement and raises with the codomain or domain text;
+    with None, the caller has decided both, and a core found singular
+    raises "complement condition violated".
     """
     r = factored.rank
     ur_h = adjoint(factored.u[:, :r])
-    codomain, domain = (_VIOLATED, _VIOLATED) if decided else (
+    codomain, domain = (_VIOLATED, _VIOLATED) if tol is None else (
         f"{_VIOLATED}: R(A) and the prescribed null space do not split the codomain",
         f"{_VIOLATED}: the prescribed range and N(A) do not split the domain")
     bm = nullspace.basis
-    right = ur_h - (ur_h @ bm) @ _core_solve(bm, factored.conull.basis, tol, codomain,
-                                             decided=decided)
+    right = ur_h - (ur_h @ bm) @ _core_solve(bm, factored.conull.basis, tol, codomain)
     bn = range_space.basis
-    return (bn @ _core_solve(bn, factored.v[:, :r], tol, domain, decided=decided,
+    return (bn @ _core_solve(bn, factored.v[:, :r], tol, domain,
                              rhs=np.diag(1.0 / factored.s[:r]))) @ right
 
 
@@ -129,10 +129,13 @@ def _group_factor(A, tol) -> Factored:
     return _require_group(Factored._of(_square(A), tol), tol)
 
 
-def _require_group(factored: Factored, tol) -> Factored:
-    """``factored``, once its square matrix is found group invertible."""
+def _require_group(factored: Factored, tol, label: str | None = None) -> Factored:
+    """``factored``, once its square matrix is found group invertible; the
+    one raise of :class:`GroupInvertibilityError`, naming the matrix
+    ``label`` when given."""
     if not _group_invertible(factored, tol):
-        raise GroupInvertibilityError("not group invertible")
+        raise GroupInvertibilityError(f"{label} is not group invertible" if label
+                                      else "not group invertible")
     return factored
 
 
@@ -147,7 +150,7 @@ def _group_inverse(factored: Factored) -> np.ndarray:
     decided it, formed once and solved once against [S_r^-1 | V_r*]."""
     r = factored.rank
     u, v = factored.u[:, :r], factored.v[:, :r]
-    solved = _core_solve(u, v, None, _VIOLATED, decided=True,
+    solved = _core_solve(u, v, None, _VIOLATED,
                          rhs=np.hstack([np.diag(1.0 / factored.s[:r]), adjoint(v)]))
     return u @ (solved[:, :r] @ solved[:, r:])
 
@@ -167,6 +170,5 @@ def _core_inverse(factored: Factored) -> np.ndarray:
     U_r U_r*, its row factor U_r* in place of (U_r* U_r)^-1 U_r*."""
     r = factored.rank
     u = factored.u[:, :r]
-    solved = _core_solve(u, factored.v[:, :r], None, _VIOLATED, decided=True,
-                         rhs=np.diag(1.0 / factored.s[:r]))
+    solved = _core_solve(u, factored.v[:, :r], None, _VIOLATED, rhs=np.diag(1.0 / factored.s[:r]))
     return (u @ solved) @ adjoint(u)

@@ -82,8 +82,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .exceptions import ComplementError, GroupInvertibilityError, OrderConditionError
-from .geninv import _group_invertible, _reflexive
+from .exceptions import ComplementError, OrderConditionError
+from .geninv import _reflexive, _require_group
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -103,7 +103,7 @@ from .subspaces import (
     Subspace,
     _departing,
     _Factors,
-    _projection,
+    _oblique,
     minimal_angle_cos,
 )
 
@@ -266,8 +266,14 @@ class _Triple:
         """A factor of the operands, read on this triple's side."""
         return f.adjoint() if self.flipped else f
 
+    @cached_property
+    def rank_b(self) -> int:
+        """rank(B) at the pair's cutoff, the count the verdict makes; B's
+        own factor may count directions under the rounding of B - A."""
+        return _count(self.fb.s, self.source.cutoff)
+
     def ranks(self) -> RankData:
-        return RankData(self.fa.rank, self.fb.rank, self.fd.rank)
+        return RankData(self.fa.rank, self.rank_b, self.fd.rank)
 
     @cached_property
     def mirror(self) -> "_Triple":
@@ -307,8 +313,9 @@ class _Triple:
 
     @cached_property
     def left_witness(self) -> Projection | None:
-        """The projection onto R(A) along R(B - A) + N(B*)."""
-        return _split_witness(self.fa, self.fd, self.fb.conull)
+        """The projection onto R(A) along R(B - A) + N(B*), N(B*) spanned by
+        the left singular vectors of B past :attr:`rank_b`."""
+        return _split_witness(self.fa, self.fd, Subspace._trusted(self.fb.u[:, self.rank_b:]))
 
     def agree(self, x: np.ndarray) -> bool:
         """Whether two products of A with A or B agree, given as their
@@ -434,7 +441,7 @@ def _decided(m_space: Subspace, n_space: Subspace, **perps) -> Projection | None
     complementary, solved on the core against ``perps``; ``None`` when the
     solve finds the core not square or singular."""
     try:
-        return _projection(m_space, n_space, None, decided=True, **perps)
+        return _oblique(m_space, n_space, None, **perps).projection(m_space, n_space)
     except ComplementError:
         return None
 
@@ -610,8 +617,7 @@ def sharp_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
 def _sharp(t: _Triple) -> OrderReport:
     """The sharp-order report; raises unless A and B are group invertible."""
     for f, label in ((t.fa, "A"), (t.fb, "B")):
-        if not _group_invertible(f, t.tol):
-            raise GroupInvertibilityError(f"{label} is not group invertible")
+        _require_group(f, t.tol, label)
     # A^2 = BA and A^2 = AB are DA = 0 and AD = 0, tested before the ranks
     return _order("sharp", t, (lambda: _group_witness(t.fa), lambda: _group_witness(t.mirror.fa)),
                   {"square_equals_ba": t.d @ t.a, "square_equals_ab": t.a @ t.d})
@@ -621,8 +627,7 @@ def core_order(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrderReport:
     """Core order on group-invertible A: A*A = A*B and A^2 = BA, with
     rank(A) + rank(B - A) = rank(B)."""
     t = _triple(*as_pair(A, B, square=True), tol)
-    if not _group_invertible(t.fa, tol):
-        raise GroupInvertibilityError("A is not group invertible")
+    _require_group(t.fa, tol, "A")
     return _core(t)
 
 
@@ -688,8 +693,8 @@ def inner_inverse_witness(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.
     # M = N(B - A) ominus N(A) complements N(A), and R(B - A) + N(B*)
     # complements R(A), as rank additivity implies; a bad core raises
     # ComplementError or fails the checks below
-    along = Subspace._trusted(np.hstack([fd.range.basis, fb.conull.basis]))
-    witness = _reflexive(fa, _departing(fa.corange, fd.null, tol), along, decided=True)
+    along = Subspace._trusted(np.hstack([fd.range.basis, fb.u[:, t.rank_b:]]))
+    witness = _reflexive(fa, _departing(fa.corange, fd.null, tol), along, None)
 
     na, nx = fro(A), fro(witness)
     scale = nx * (na + fro(B))

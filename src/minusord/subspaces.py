@@ -16,7 +16,8 @@ singular values alone, and an inclusion a Frobenius norm when that
 settles it (:func:`~minusord.linalg._spectral_within`), of
 B_M - B_X (B_X* B_M) when no basis of X^perp is at hand (:func:`_sines`).
 :func:`_core_solve` tests M + X for a direct sum of the whole space on
-the square X^perp* B_M and solves on it: it is the package's only solve,
+the square X^perp* B_M exactly when given a tolerance (without one, the
+caller has decided it) and solves on it: it is the package's only solve,
 so every projection, witness and reflexive inverse is solved on such a
 core, never on an n x n join.  :func:`_oblique` keeps the projection as
 its rank-sized factors (:class:`_Factors`), formed only on request.  A
@@ -396,28 +397,31 @@ def oblique_projection(m_space: Subspace, n_space: Subspace,
                        tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Projection:
     """Projection onto M along N, for complementary M and N, solved on the
     core of the smaller side against the other's complement (one complete
-    QR).  Raises :class:`ComplementError` unless M and N split the space.
+    QR).  Raises :class:`ComplementError` unless M and N split the space,
+    and TypeError for a ``tol`` of None, which would leave the core untested.
     """
-    if m_space.dim <= n_space.dim:
-        return _projection(m_space, n_space, tol, n_perp=n_space.perp())
-    return _projection(m_space, n_space, tol, m_perp=m_space.perp())
+    if tol is None:
+        raise TypeError("oblique_projection needs a ToleranceConfig")
+    perps = ({"n_perp": n_space.perp()} if m_space.dim <= n_space.dim
+             else {"m_perp": m_space.perp()})
+    return _oblique(m_space, n_space, tol, **perps).projection(m_space, n_space)
 
 
-def _core_solve(basis: np.ndarray, perp: np.ndarray, tol: ToleranceConfig,
+def _core_solve(basis: np.ndarray, perp: np.ndarray, tol: ToleranceConfig | None,
                 message: str = "not a complementary pair", complement=None,
-                decided: bool = False, rhs: np.ndarray | None = None) -> np.ndarray:
+                rhs: np.ndarray | None = None) -> np.ndarray:
     """C^-1 ``rhs`` for the core C = X^perp* B_M of ``basis`` B_M against
     ``perp`` X^perp; ``rhs`` defaults to X^perp*, so that B_M C^-1 X^perp*
-    projects onto M along X.  Unless ``decided`` (the caller has found M
-    and X complementary; ``tol`` is then not read), a sine at or below the
-    cutoff raises :class:`ComplementError` with ``message``, naming
-    ``complement``, as do a core that is not square and a singular one.
+    projects onto M along X.  A ``tol`` of None says the caller has found M
+    and X complementary; otherwise a sine at or below the cutoff raises
+    :class:`ComplementError` with ``message``, naming ``complement``, as do
+    a core that is not square and a singular one.
     """
     perp_h = adjoint(perp)
     core = perp_h @ basis
     k = basis.shape[1]
-    if perp.shape[1] != k or not (decided or sine_cut(_singular_values(core),
-                                                      basis.shape[0], tol) == k):
+    if perp.shape[1] != k or (tol is not None
+                              and sine_cut(_singular_values(core), basis.shape[0], tol) != k):
         raise ComplementError(message, complement)
     try:
         return np.linalg.solve(core, perp_h if rhs is None else rhs)
@@ -425,17 +429,8 @@ def _core_solve(basis: np.ndarray, perp: np.ndarray, tol: ToleranceConfig,
         raise ComplementError(message, complement) from exc
 
 
-def _projection(m_space: Subspace, n_space: Subspace, tol: ToleranceConfig, complement=None, *,
-                m_perp: Subspace | None = None, n_perp: Subspace | None = None,
-                decided: bool = False) -> Projection:
-    """The projection onto M along N of :func:`_oblique`, formed and certified."""
-    return _oblique(m_space, n_space, tol, complement, m_perp=m_perp, n_perp=n_perp,
-                    decided=decided).projection(m_space, n_space)
-
-
-def _oblique(m_space: Subspace, n_space: Subspace, tol: ToleranceConfig, complement=None, *,
-             m_perp: Subspace | None = None, n_perp: Subspace | None = None,
-             decided: bool = False) -> "_Factors":
+def _oblique(m_space: Subspace, n_space: Subspace, tol: ToleranceConfig | None, complement=None,
+             *, m_perp: Subspace | None = None, n_perp: Subspace | None = None) -> "_Factors":
     """The projection onto M along N, solved on a square core of
     principal-angle sines rather than on the n x n join [B_M | B_N], and
     held as its rank-sized factors.
@@ -445,24 +440,23 @@ def _oblique(m_space: Subspace, n_space: Subspace, tol: ToleranceConfig, complem
     instead, P = I - B_N C^-1 M^perp* for C = M^perp* B_N, the complement of
     the projection onto N along M.  Given both, the smaller core serves:
     N^perp* B_M when dim M <= dim N.  :func:`_core_solve` tests and solves
-    C, with ``decided`` and ``complement``.
+    C, with ``tol`` and ``complement``.
     """
     _check_ambient(m_space, n_space)
     if n_perp is not None and (m_perp is None or m_space.dim <= n_space.dim):
-        return _along(m_space, n_perp, tol, complement, decided=decided)
-    onto_n = _along(n_space, m_perp, tol, complement, decided=decided)
+        return _along(m_space, n_perp, tol, complement)
+    onto_n = _along(n_space, m_perp, tol, complement)
     # for M = 0, I - B_N C^-1 M^perp* is I - I: pure rounding, not 0
     return onto_n.complement() if m_space.dim else _Factors.zero(m_space.ambient_dim)
 
 
-def _along(m_space: Subspace, x_perp: Subspace, tol: ToleranceConfig, complement=None, *,
-           decided: bool = False) -> "_Factors":
+def _along(m_space: Subspace, x_perp: Subspace, tol: ToleranceConfig | None,
+           complement=None) -> "_Factors":
     """The projection B_M C^-1 X^perp* onto M along the subspace X with
     orthogonal complement ``x_perp``, for the core C = X^perp* B_M that
     :func:`_core_solve` tests and solves."""
     basis = m_space.basis
-    return _Factors(basis, _core_solve(basis, x_perp.basis, tol, complement=complement,
-                                       decided=decided), False)
+    return _Factors(basis, _core_solve(basis, x_perp.basis, tol, complement=complement), False)
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ComplementError, GroupInvertibilityError
-from .geninv import _core_inverse, _group_inverse, _group_invertible, _pinv, _require_group
+from .exceptions import ComplementError
+from .geninv import _core_inverse, _group_inverse, _pinv, _require_group
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
@@ -154,8 +154,7 @@ def _split_p(t: _Triple, m1=None, n1=None) -> tuple[_Factors, Subspace, Subspace
         # meet of dimension rank(B) once the ranks add; the check below
         # catches a bad core
         onto, along = Subspace._trusted(np.hstack([ra.basis, ft.conull.basis])), rb
-        p = _oblique(onto, along, tol, m_perp=_meet(ra, ft.range), n_perp=fb.conull,
-                     decided=True)
+        p = _oblique(onto, along, None, m_perp=_meet(ra, ft.range), n_perp=fb.conull)
     else:
         onto = _sum_and_meet(ra, fa.conull, ft.conull if m1 is None else m1, tol)
         along = _sum_and_meet(rb, fb.conull, Subspace.zero(A.shape[0]) if n1 is None else n1, tol)
@@ -174,7 +173,7 @@ def _split_q(t: _Triple) -> tuple[_Factors, Subspace, Subspace]:
     A, fa, ft, fb, tol = t.a, t.fa, t.fb, t.fd, t.tol
     meet = _meet(fa.corange, ft.corange)
     meet_perp = Subspace._trusted(np.hstack([fa.corange.basis, ft.null.basis]))
-    q = _oblique(fb.null, meet, tol, m_perp=fb.corange, n_perp=meet_perp, decided=True)
+    q = _oblique(fb.null, meet, None, m_perp=fb.corange, n_perp=meet_perp)
     tol.verify("split witness failed A = (A + B) Q", fro(A - q.after(t.b)),
                fro(t.b) * q.norm())
     return q, fb.null, meet
@@ -287,14 +286,14 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement,
             raise ComplementError(message, name)
 
     # P_A and P_B project onto R(A) and R(B) along N1 and N2
-    p = _along(fa.range, _meet(range_complement, fb.conull), tol, "n1", decided=True)
+    p = _along(fa.range, _meet(range_complement, fb.conull), None, "n1")
     pa = p if n1 is None else _oblique(fa.range, n1, tol, "n1", m_perp=fa.conull)
-    pb = (_along(fb.range, _meet(range_complement, fa.conull), tol, "n2", decided=True)
+    pb = (_along(fb.range, _meet(range_complement, fa.conull), None, "n2")
           if n2 is None else _oblique(fb.range, n2, tol, "n2", m_perp=fb.conull))
     # Q_A and Q_B project onto N1* and N2* along N(A) and N(B)
-    q = _along(_meet(fb.corange, kernel_complement), fa.corange, tol, "n1s", decided=True)
+    q = _along(_meet(fb.corange, kernel_complement), fa.corange, None, "n1s")
     qa = q if n1s is None else _oblique(n1s, fa.null, tol, "n1s", n_perp=fa.corange)
-    qb = (_along(_meet(fa.corange, kernel_complement), fb.corange, tol, "n2s", decided=True)
+    qb = (_along(_meet(fa.corange, kernel_complement), fb.corange, None, "n2s")
           if n2s is None else _oblique(n2s, fb.null, tol, "n2s", n_perp=fb.corange))
     # P_A P + P_B (I - P) projects onto R(A + B) along M iff, beside fixing
     # U_A and U_B, it annihilates B_M
@@ -406,8 +405,7 @@ def ordered_inverse_additivity(A, B, kind: str,
         oracle = _group_inverse(t.fb)
     else:
         # one group-invertibility test of A serves both core checks
-        if not _group_invertible(t.fa, tol):
-            raise GroupInvertibilityError("A is not group invertible")
+        _require_group(t.fa, tol, "A")
         _require(_core(t), "required order fails: A is not core-below A + B")
         _require(_core(t.mirror), "required order fails: A* is not core-below (A + B)*")
         result = _core_inverse(_require_group(t.fd, tol)) + _core_inverse(t.fa)

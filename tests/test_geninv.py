@@ -16,7 +16,7 @@ from minusord.geninv import (
 )
 from minusord.linalg import DEFAULT_TOLERANCE, ToleranceConfig, adjoint, fro, numerical_rank
 from minusord.orders import core_order, inner_inverse_witness, sharp_order
-from minusord.subspaces import Factored, Subspace, _outside, _projection, null_basis, range_basis
+from minusord.subspaces import Factored, Subspace, _oblique, _outside, null_basis, range_basis
 from minusord.sums import agreeing_split, werner_decomposition
 
 from conftest import cgauss
@@ -286,7 +286,6 @@ def test_singular_join_raises(m_space, n_space):
     # or not square; with A = I the reflexive inverse with range M and null
     # space N meets the same pair on its cores
     with pytest.raises(ComplementError, match="^not a complementary pair$"):
-        _projection(m_space, n_space, None, m_perp=_left_out(m_space),
-                    n_perp=_left_out(n_space), decided=True)
+        _oblique(m_space, n_space, None, m_perp=_left_out(m_space), n_perp=_left_out(n_space))
     with pytest.raises(ComplementError, match="^complement condition violated$"):
-        _reflexive(Factored.of(np.eye(5)), m_space, n_space, decided=True)
+        _reflexive(Factored.of(np.eye(5)), m_space, n_space, None)

@@ -287,12 +287,31 @@ def test_tiny_unrelated_diagonal_fails_every_order(eps):
 def test_tiny_unrelated_b_fails_every_order(delta):
     # rank(B) = 2 at B's own scale is rank(A) + rank(B - A), but B lies
     # under the rounding of forming B - A, which cuts it to rank 1; at
-    # that common scale rank(B) is 0 and the ranks do not add
+    # that common scale rank(B) is 0, the rank the report gives, and the
+    # ranks do not add
     a, b = diag(1, 0, 0, 0), diag(0, delta, delta, 0)
     for name in (*MINUS_FAMILY_SIDES, "star", "sharp", "core"):
         report = order_predicate(name)(a, b)
         assert not report.holds, name
-        assert report.rank_data == orders.RankData(1, 2, 1)
+        assert report.rank_data == orders.RankData(1, 0, 1)
+
+
+def test_reported_rank_of_b_is_the_count_the_verdict_made():
+    # B's third direction, 1e-6, lies under the pair's cutoff at the scale
+    # 1e9 of A: the verdict counts rank(B) = 2 = 1 + rank(B - A), so the
+    # report gives that rank, and its witnesses and the inner inverse read
+    # N(B*) past it, where B's own cutoff would leave them no complement
+    a = np.array([[1.0, -1e9, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    b = diag(1, 1, 1e-6)
+    for name, sides in MINUS_FAMILY_SIDES.items():
+        report = order_predicate(name)(a, b)
+        assert report.holds and report.rank_data == orders.RankData(1, 2, 1), name
+        for side, w, x, y in (("p", report.witness_p, a, b),
+                              ("q", report.witness_q, adjoint(a), adjoint(b))):
+            if side in sides:
+                assert fro(x - w.matrix @ y) <= 1e-14 * fro(w.matrix) * fro(y), (name, side)
+    x = inner_inverse_witness(a, b)
+    assert fro(a @ x @ a - a) <= 1e-12 * fro(a) ** 2 * fro(x)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -536,7 +555,7 @@ def test_deferred_error_surfaces_on_first_read(monkeypatch):
         raise ValueError("matrix is not idempotent")
 
     a, b = _PAIRS["minus"]
-    monkeypatch.setattr(orders, "_projection", unscreenable)
+    monkeypatch.setattr(orders, "_oblique", unscreenable)
     report = minus_order(a, a + b)
     assert report.holds and report.rank_data.rank_a == 3
     for name in ("witness_p", "witness_q", "characterization_verdicts", "boundary_flags"):

@@ -23,7 +23,7 @@ from minusord.subspaces import (
     subspace_equal,
     subspace_sum,
 )
-from minusord.subspaces import _SCREEN, _idempotent_within, _projection
+from minusord.subspaces import _SCREEN, _idempotent_within, _oblique
 
 from conftest import cgauss
 
@@ -445,6 +445,12 @@ def _complementary_pair(rng, n, k):
     return Subspace.from_span(cgauss(rng, n, k)), Subspace.from_span(cgauss(rng, n, n - k))
 
 
+def _projection(m_space, n_space, tol, complement=None, **perps):
+    """The projection onto M along N, solved on the core against ``perps``
+    and formed."""
+    return _oblique(m_space, n_space, tol, complement, **perps).projection(m_space, n_space)
+
+
 def _cores(m_space, n_space):
     """The three ways of giving the orthogonal complements: N^perp, M^perp
     or both."""
@@ -471,24 +477,39 @@ def _columns(*indices, n=5):
     return Subspace._trusted(np.eye(n, dtype=np.complex128)[:, list(indices)])
 
 
-@pytest.mark.parametrize("decided", [False, True])
-def test_singular_core_raises_complement_error(decided):
+@pytest.mark.parametrize("tol", [ToleranceConfig(), None], ids=["tested", "untested"])
+def test_singular_core_raises_complement_error(tol):
     # M = span(e0, e1) meets N = span(e1, e2, e3): every core has a zero
-    # sine, which the cutoff rejects, and an undecided core the LU
+    # sine, which a tolerance's cutoff rejects, and a core solved with no
+    # tolerance the LU
     m_space, n_space = _columns(0, 1), _columns(1, 2, 3)
     for perps in ({"n_perp": _columns(0, 4)}, {"m_perp": _columns(2, 3, 4)},
                   {"m_perp": _columns(2, 3, 4), "n_perp": _columns(0, 4)}):
         with pytest.raises(ComplementError, match="^not a complementary pair$") as info:
-            _projection(m_space, n_space, ToleranceConfig(), "n1", decided=decided, **perps)
+            _projection(m_space, n_space, tol, "n1", **perps)
         assert info.value.complement == "n1"
 
 
 def test_core_of_the_wrong_shape_raises_complement_error():
     # dim M + dim N falls short of the space: the core is not square
     with pytest.raises(ComplementError, match="^not a complementary pair$") as info:
-        _projection(_columns(0), _columns(1, 2), ToleranceConfig(), "n2s",
-                    n_perp=_columns(0, 3, 4), decided=True)
+        _projection(_columns(0), _columns(1, 2), None, "n2s", n_perp=_columns(0, 3, 4))
     assert info.value.complement == "n2s"
+
+
+def test_oblique_projection_without_a_tolerance_returns_no_projection():
+    # M and N of complementary dimensions meeting in one direction, their
+    # bases in general position: with no tolerance the core would go
+    # untested, and the LU does not see a singular core through rounding
+    rng = np.random.default_rng(72)
+    shared = cgauss(rng, 6, 1)
+    m_space = Subspace.from_span(np.hstack([shared, cgauss(rng, 6, 1)]))
+    n_space = Subspace.from_span(np.hstack([shared, cgauss(rng, 6, 3)]))
+    with pytest.raises(ComplementError):
+        oblique_projection(m_space, n_space)
+    for m, n in ((m_space, n_space), (n_space, m_space)):
+        with pytest.raises(TypeError, match="^oblique_projection needs a ToleranceConfig$"):
+            oblique_projection(m, n, None)
 
 
 def _screen_calls(monkeypatch):

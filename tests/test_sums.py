@@ -295,9 +295,9 @@ def test_corrupted_decided_cores_are_raised(slot, monkeypatch):
     # one, is caught before a result is returned
     real = subspaces._core_solve
 
-    def corrupted(*args, decided=False, **kwargs):
-        solved = real(*args, decided=decided, **kwargs)
-        hit = decided and slot in (None, kwargs.get("complement"))
+    def corrupted(basis, perp, tol, *args, **kwargs):
+        solved = real(basis, perp, tol, *args, **kwargs)
+        hit = tol is None and slot in (None, kwargs.get("complement"))
         return solved * (1.0 + 1e-4) if hit else solved
 
     monkeypatch.setattr(subspaces, "_core_solve", corrupted)

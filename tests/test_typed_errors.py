@@ -5,10 +5,11 @@ One table: each case is a call and the exception type and message it
 must raise.  A CLI case is an argument list, with the files it reads
 written to a work directory first; its command must raise the error, and
 ``minusord`` must exit 2 with ``error:`` and the message on stderr, and
-no traceback.
+no traceback, and issue no warning.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ CASES = [
     pytest.param((["check", "minus", "a.mtx", "b.mtx"],
                   {"a.mtx": _mtx("real", 1e308), "b.mtx": _mtx("real", -1e308)}),
                  ValueError, "B - A contains non-finite entries", id="cli-check-overflow"),
+    pytest.param((["pinv-sum", "a.mtx", "a.mtx"], {"a.mtx": _mtx("real", 1e308)}),
+                 ValueError, "A + B contains non-finite entries", id="cli-pinv-overflow"),
     # calls
     pytest.param(lambda: parse_matrix("%%MatrixMarket matrix array real\n1 1\n1\n"),
                  ValueError, "malformed Matrix Market header", id="mmio-header"),
@@ -99,7 +102,9 @@ def test_malformed_input_raises_a_typed_error(case, error, message, tmp_path, mo
     args = build_parser().parse_args(argv)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         _COMMANDS[args.command](args)
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.endswith(f"error: {message}\n")
     assert "Traceback" not in captured.err and captured.out == ""
