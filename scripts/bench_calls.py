@@ -14,7 +14,8 @@ G, a pair whose product identities fail.  ``minus_order (A, 2A)`` and
 alone, with no factor of the difference, as is the inclusion of the
 ordered ``left_star_order``.  The ``(tall)`` rows run the three
 constructions on a 3n/2 x n pair of the same ranks, with the counts of
-their square gate rows.  The set operations run on two
+their square gate rows, under the floor of ``np.linalg.pinv`` of that
+pair's sum.  The set operations run on two
 subspaces of C^n of dimensions n - 2n/3 and 2n/3 that meet in one
 direction, and the oblique projection on a complementary pair.  The
 Matrix Market writer and reader run on a complex n x n matrix, under the
@@ -134,6 +135,7 @@ def calls(n):
         "decoupled_lss": lambda: lsq.decoupled_lss(a, b, c),
         "solve_system": lambda: lsq.solve_system(a, b, a @ x, b @ x),
         "sum_reflexive_inverse": lambda: sums.sum_reflexive_inverse(a, b, m_comp, n_comp),
+        "floor: np.linalg.pinv(A+B) (tall)": lambda: np.linalg.pinv(ta + tb),
         "fill_fishkind_pinv (tall)": lambda: sums.fill_fishkind_pinv(ta, tb),
         "decoupled_lss (tall)": lambda: lsq.decoupled_lss(ta, tb, tc),
         "sum_reflexive_inverse (tall)":

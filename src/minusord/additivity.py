@@ -20,6 +20,7 @@ from .linalg import (
     ToleranceConfig,
     _finite,
     _singular_values,
+    _tolerance,
     adjoint,
     as_pair,
     fro,
@@ -41,7 +42,7 @@ def _pair(A, B, tol: ToleranceConfig):
     cutoff of the pair A, A + B, which every count of a predicate reads;
     an A + B that overflows raises ValueError."""
     A, B = as_pair(A, B)
-    fa, total = Factored._of(A, tol), _singular_values(_finite(A + B, "A + B"))
+    fa, total = Factored._of(A, _tolerance(tol)), _singular_values(_finite(A + B, "A + B"))
     return A, B, fa, total, _pair_cutoff(fa.s, total, A.shape, tol)
 
 

@@ -20,11 +20,12 @@ from .exceptions import GroupInvertibilityError
 from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
+    _tolerance,
     adjoint,
     as_matrix,
     rank_cut,
 )
-from .subspaces import Factored, Subspace, _core_solve, _outside
+from .subspaces import Factored, Subspace, _core_solve, _outside, _subspace
 
 __all__ = [
     "pinv",
@@ -42,7 +43,7 @@ _VIOLATED = "complement condition violated"
 def pinv(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the shared rank cutoff; only the
     leading singular vectors enter, so the economy factors suffice."""
-    return _pinv(as_matrix(A), tol)
+    return _pinv(as_matrix(A), _tolerance(tol))
 
 
 def _pinv(a: np.ndarray, tol: ToleranceConfig, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -76,9 +77,11 @@ def reflexive_inverse(A, range_space: Subspace, nullspace: Subspace,
     """
     A = as_matrix(A, "A")
     m, n = A.shape
+    _subspace(range_space, "range_space")
+    _subspace(nullspace, "nullspace")
     if range_space.ambient_dim != n or nullspace.ambient_dim != m:
         raise ValueError("ambient mismatch")
-    return _reflexive(Factored._of(A, tol), range_space, nullspace, tol)
+    return _reflexive(Factored._of(A, _tolerance(tol)), range_space, nullspace, tol)
 
 
 def _reflexive(factored: Factored, range_space: Subspace, nullspace: Subspace,
@@ -112,7 +115,7 @@ def _square(A) -> np.ndarray:
 def is_group_invertible(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether R(A) and N(A) split the space (equivalently rank(A^2) = rank(A)),
     decided on the r x r sines V_r* U_r read off one SVD of A."""
-    return _group_invertible(Factored._of(_square(A), tol), tol)
+    return _group_invertible(Factored._of(_square(A), _tolerance(tol)), tol)
 
 
 def _group_invertible(factored: Factored, tol) -> bool:
@@ -126,7 +129,7 @@ def _group_invertible(factored: Factored, tol) -> bool:
 
 def _group_factor(A, tol) -> Factored:
     """The factor of square A, once A is found group invertible."""
-    return _require_group(Factored._of(_square(A), tol), tol)
+    return _require_group(Factored._of(_square(A), _tolerance(tol)), tol)
 
 
 def _require_group(factored: Factored, tol, label: str | None = None) -> Factored:

@@ -116,6 +116,15 @@ class ToleranceConfig:
 DEFAULT_TOLERANCE = ToleranceConfig()
 
 
+def _tolerance(tol) -> ToleranceConfig:
+    """``tol``, checked once at a public entry: anything but a
+    ToleranceConfig, such as None or a float, raises TypeError, where it
+    would fail deep inside as an AttributeError."""
+    if not isinstance(tol, ToleranceConfig):
+        raise TypeError(f"tol must be a ToleranceConfig, not {type(tol).__name__}")
+    return tol
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite two-dimensional complex128 array."""
     arr = np.asarray(a, dtype=np.complex128)
@@ -254,7 +263,7 @@ def _spectral_within(x: np.ndarray, bound: float, values=None) -> bool:
 
 def numerical_rank(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
     """Number of singular values above the relative cutoff."""
-    return _rank(as_matrix(A), tol)
+    return _rank(as_matrix(A), _tolerance(tol))
 
 
 def _rank(a: np.ndarray, tol: ToleranceConfig) -> int:
@@ -271,12 +280,12 @@ def range_contains(B, A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     B = as_matrix(B, "B")
     if A.shape[0] != B.shape[0]:
         raise ValueError("row counts differ")
-    return _rank(np.hstack([B, A]), tol) == _rank(B, tol)
+    return _rank(np.hstack([B, A]), _tolerance(tol)) == _rank(B, tol)
 
 
 def effective_condition(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> float:
     """Ratio of the largest singular value to the smallest one above the
     rank cutoff.  Returns 0.0 for the zero matrix."""
     s = singular_values(A)
-    rank = rank_cut(s, np.shape(A), tol)
+    rank = rank_cut(s, np.shape(A), _tolerance(tol))
     return float(s[0] / s[rank - 1]) if rank else 0.0

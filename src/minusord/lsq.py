@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ToleranceConfig,
     _spectral_within,
+    _tolerance,
     adjoint,
     as_matrix,
     as_vector,
@@ -86,7 +87,7 @@ class Weight:
         w = as_matrix(self.matrix, "weight")
         if w.shape[0] != w.shape[1]:
             raise ValueError("weight must be square")
-        scale = _require_hermitian(w, tol)
+        scale = _require_hermitian(w, _tolerance(tol))
         smallest = float(np.linalg.eigvalsh((w + adjoint(w)) / 2.0)[0])
         if not tol.within(-smallest, scale):
             raise ValueError("weight is not positive semidefinite")

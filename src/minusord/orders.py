@@ -58,7 +58,8 @@ first read, and runs one private body on it.  The constructions of
 :mod:`minusord.sums` and :mod:`minusord.lsq` build the triple of A against
 A + B through one entry, ``sums._checked``, with their summand B as the
 exact difference, run the body of the order they need and read the sum
-and every factor off the same triple.  Its cached ``mirror``, the triple
+and every factor off the same triple, whose summands are read off the
+sum's rank-sized core (:class:`_Summed`).  Its cached ``mirror``, the triple
 of A* against B* read off the adjoint factors with no further SVD, reads
 every domain side and the right-sided orders; the two share the operands
 whose factors they read, so all sides are read off one set of factors.
@@ -93,6 +94,7 @@ from .linalg import (
     _rank_cutoff,
     _singular_values,
     _spectral_within,
+    _tolerance,
     adjoint,
     as_pair,
     fro,
@@ -229,6 +231,22 @@ class _Operands:
         identities, the same on the adjoint side: ||X*||_F = ||X||_F."""
         na = fro(self.a)
         return na * (na + fro(self.b))
+
+
+@dataclass(frozen=True, eq=False)
+class _Summed(_Operands):
+    """The operands of a construction on the sum B = A + D: B is factored
+    in full, and its summands A and D are read off its rank-sized core
+    (:meth:`~minusord.subspaces.Factored._summand`), each rank cut at the
+    scale :class:`_Operands` cuts it at."""
+
+    @cached_property
+    def fa(self) -> Factored:
+        return Factored._summand(self.a, self.fb, self.tol)
+
+    @cached_property
+    def fd(self) -> Factored:
+        return Factored._summand(self.d, self.fb, self.tol, _scale(self.fa.s, self.fb.s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,14 +419,19 @@ def _scale(sa: np.ndarray, sb: np.ndarray) -> float:
 def _triple(A, B, tol, d=None) -> _Triple:
     """The triple of operands already validated, which factors each of A, B
     and B - A once, on first read; the rank of B - A is cut at the
-    operands' scale.  A caller that holds the difference exactly passes it
-    as ``d``, which is factored in place of the rounded B - A: a
-    construction on A + B passes its summand.  The triple holds copies of
-    A, B and a given ``d``: validation may hand back the caller's own
-    arrays, and the factors and the deferred parts of a report read the
-    operands later; the factors are new arrays.  A B - A that overflows
-    raises ValueError."""
-    source = _Operands(A.copy(), B.copy(), _finite(B - A, "B - A") if d is None else d.copy(), tol)
+    operands' scale.  A construction on the sum B = A + d passes its
+    summand as ``d``, which stands in for the rounded B - A, and the triple
+    reads both summands off B's factor (:class:`_Summed`).  The triple
+    holds copies of A, B and a given ``d``: validation may hand back the
+    caller's own arrays, and the factors and the deferred parts of a report
+    read the operands later; the factors are new arrays.  A B - A that
+    overflows raises ValueError, and a ``tol`` that is no ToleranceConfig
+    TypeError."""
+    _tolerance(tol)
+    if d is None:
+        source = _Operands(A.copy(), B.copy(), _finite(B - A, "B - A"), tol)
+    else:
+        source = _Summed(A.copy(), B.copy(), d.copy(), tol)
     return _Triple(source.a, source.b, source.d, tol, source)
 
 

@@ -46,6 +46,7 @@ from .linalg import (
     _rank_cutoff,
     _singular_values,
     _spectral_within,
+    _tolerance,
     adjoint,
     as_matrix,
     as_vector,
@@ -143,6 +144,7 @@ class Subspace:
         Rank-deficient spans are compressed with the shared rank cutoff.
         """
         arr = as_matrix(vectors, "vectors")
+        _tolerance(tol)
         if arr.shape[1] == 0:
             return cls.zero(arr.shape[0])
         # economy factors: only the leading left singular vectors are kept
@@ -166,7 +168,7 @@ class Subspace:
         if v.shape[0] != self.ambient_dim:
             raise ValueError("ambient mismatch")
         resid = v - self.basis @ (adjoint(self.basis) @ v)
-        return fro(resid) <= tol.subspace_atol(self.ambient_dim) * fro(v)
+        return fro(resid) <= _tolerance(tol).subspace_atol(self.ambient_dim) * fro(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +191,7 @@ class Factored:
 
     @classmethod
     def of(cls, A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> "Factored":
-        return cls._of(as_matrix(A), tol)
+        return cls._of(as_matrix(A), _tolerance(tol))
 
     @classmethod
     def _of(cls, a: np.ndarray, tol: ToleranceConfig, scale: float | None = None) -> "Factored":
@@ -198,6 +200,34 @@ class Factored:
         u, s, vh = np.linalg.svd(a, full_matrices=True)
         cutoff = _rank_cutoff(s, a.shape, tol, scale)
         return cls(u, s, adjoint(vh), _count(s, cutoff), cutoff)
+
+    @classmethod
+    def _summand(cls, x: np.ndarray, total: "Factored", tol: ToleranceConfig,
+                 scale: float | None = None) -> "Factored":
+        """:meth:`_of` of a summand X of S, read off the factor ``total`` of
+        S cut at its rank k: Y = U_S* X V_S holds X in S's bases, and the
+        SVD X_c Sigma Y_c* of its k x k core gives X's factor
+        [U_k X_c | U_k^perp], Sigma padded with zeros, [V_k Y_c | V_k^perp].
+        Once the ranks of the summands add, R(X) lies in R(S) and R(X*) in
+        R(S*) (Marsaglia & Styan 1974), so the rest of Y, X's part outside
+        the bases, vanishes; it is formed, not taken as ||X||^2 - ||W||^2,
+        which cancels.  S's bases know a summand far smaller than S only to
+        about eps ||S|| / sigma_min(X) (Wedin 1972), so the core serves only
+        when that part lies within X's own rank cutoff
+        (:func:`~minusord.linalg._spectral_within`); otherwise X is factored
+        in full.  The rank is cut at ``scale`` either way."""
+        k = total.rank
+        y = adjoint(total.u) @ x @ total.v
+        x_c, core, y_ch = np.linalg.svd(y[:k, :k])
+        y[:k, :k] = 0.0
+        if not _spectral_within(y, _rank_cutoff(core, x.shape, tol)):
+            return cls._of(x, tol, scale)
+        s = np.zeros(min(x.shape))
+        s[:k] = core
+        u = np.hstack([total.u[:, :k] @ x_c, total.u[:, k:]])
+        v = np.hstack([total.v[:, :k] @ adjoint(y_ch), total.v[:, k:]])
+        cutoff = _rank_cutoff(s, x.shape, tol, scale)
+        return cls(u, s, v, _count(s, cutoff), cutoff)
 
     @property
     def near(self) -> bool:
@@ -289,6 +319,23 @@ def _check_ambient(m_space: Subspace, n_space: Subspace):
         raise ValueError("ambient mismatch")
 
 
+def _subspace(space, name: str) -> Subspace:
+    """``space``, checked once at a public entry: anything but a Subspace,
+    such as an array of basis columns, raises TypeError naming the
+    parameter ``name``."""
+    if not isinstance(space, Subspace):
+        raise TypeError(f"{name} must be a Subspace, not {type(space).__name__}")
+    return space
+
+
+def _operands(m_space, n_space, tol=DEFAULT_TOLERANCE) -> None:
+    """The argument checks of a public operation on M and N: each a
+    Subspace and ``tol`` a ToleranceConfig (TypeError), in one ambient
+    space (ValueError)."""
+    _check_ambient(_subspace(m_space, "m_space"), _subspace(n_space, "n_space"))
+    _tolerance(tol)
+
+
 def range_basis(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
     """Orthonormal basis of the column space of ``A``."""
     return Subspace.from_span(as_matrix(A), tol)
@@ -299,12 +346,13 @@ def null_basis(A, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
     A = as_matrix(A)
     if A.shape[1] == 0:
         raise ValueError("matrix must have at least one column")
-    return Factored._of(A, tol).null
+    return Factored._of(A, _tolerance(tol)).null
 
 
 def subspace_sum(m_space: Subspace, n_space: Subspace,
                  tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
     """The subspace M + N: B_M extended by the directions of N outside M."""
+    _operands(m_space, n_space, tol)
     return _sum_and_meet(m_space, m_space.perp(), n_space, tol)[0]
 
 
@@ -312,7 +360,7 @@ def span_dim(m_space: Subspace, n_space: Subspace,
              tol: ToleranceConfig = DEFAULT_TOLERANCE) -> int:
     """dim(M + N): dim M plus the number of principal-angle sines of N
     against M above the cutoff, from singular values alone."""
-    _check_ambient(m_space, n_space)
+    _operands(m_space, n_space, tol)
     return m_space.dim + sine_cut(_singular_values(_sines(n_space, m_space)),
                                   m_space.ambient_dim, tol)
 
@@ -321,6 +369,7 @@ def intersect(m_space: Subspace, n_space: Subspace,
               tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
     """The subspace M intersect N: the directions of N whose sines against
     M fall below the cutoff."""
+    _operands(m_space, n_space, tol)
     return _sum_and_meet(m_space, m_space.perp(), n_space, tol)[2]
 
 
@@ -328,7 +377,7 @@ def ominus(m_space: Subspace, n_space: Subspace,
            tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Subspace:
     """The relative orthogonal complement M ominus N = M intersect (M cap N)^perp:
     the directions of M whose sines against N survive the cutoff."""
-    _check_ambient(m_space, n_space)
+    _operands(m_space, n_space, tol)
     return _departing(n_space.perp(), m_space, tol)
 
 
@@ -343,7 +392,7 @@ def subspace_equal(m_space: Subspace, n_space: Subspace,
     """Whether two subspaces coincide: their dimensions match and the
     largest principal-angle sine of M against N (it equals c0(M, N^perp))
     is within the equality threshold, by :func:`~minusord.linalg._spectral_within`."""
-    _check_ambient(m_space, n_space)
+    _operands(m_space, n_space, tol)
     return (m_space.dim == n_space.dim
             and _spectral_within(_sines(m_space, n_space), tol.subspace_atol(m_space.ambient_dim)))
 
@@ -355,7 +404,7 @@ def minimal_angle_cos(m_space: Subspace, n_space: Subspace) -> float:
     largest singular value of B_M* B_N, clipped into [0, 1] against
     floating-point overshoot.  Either subspace being zero gives 0.
     """
-    _check_ambient(m_space, n_space)
+    _operands(m_space, n_space)
     if m_space.dim == 0 or n_space.dim == 0:
         return 0.0
     s = np.linalg.svd(adjoint(m_space.basis) @ n_space.basis, compute_uv=False)
@@ -379,6 +428,7 @@ class AngleEquivalences:
 
 def angle_equivalences(m_space: Subspace, n_space: Subspace,
                        tol: ToleranceConfig = DEFAULT_TOLERANCE) -> AngleEquivalences:
+    _operands(m_space, n_space, tol)
     c0 = minimal_angle_cos(m_space, n_space)
     return AngleEquivalences(
         c0=c0,
@@ -390,6 +440,7 @@ def angle_equivalences(m_space: Subspace, n_space: Subspace,
 
 def orthogonal_projection(m_space: Subspace) -> Projection:
     """Orthogonal projection onto M."""
+    _subspace(m_space, "m_space")
     return Projection(m_space.projector(), m_space, m_space.perp())
 
 
@@ -398,10 +449,10 @@ def oblique_projection(m_space: Subspace, n_space: Subspace,
     """Projection onto M along N, for complementary M and N, solved on the
     core of the smaller side against the other's complement (one complete
     QR).  Raises :class:`ComplementError` unless M and N split the space,
-    and TypeError for a ``tol`` of None, which would leave the core untested.
+    and TypeError for a ``tol`` that is no ToleranceConfig, such as None,
+    which would leave the core untested.
     """
-    if tol is None:
-        raise TypeError("oblique_projection needs a ToleranceConfig")
+    _operands(m_space, n_space, tol)
     perps = ({"n_perp": n_space.perp()} if m_space.dim <= n_space.dim
              else {"m_perp": m_space.perp()})
     return _oblique(m_space, n_space, tol, **perps).projection(m_space, n_space)

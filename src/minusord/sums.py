@@ -10,10 +10,15 @@ the star, sharp and core orders.
 
 Each construction enters through :func:`_checked`, which validates A and
 B, holds them in the triple ``t`` of A against A + B with the caller's B
-as its exact difference, and runs the construction's order check on it;
-the triple factors A, A + B and B once each.  So ``t.b`` is the sum,
-``t.fb`` its factor, and ``t.fd`` the factor of the summand B itself, not
-of the rounded fl(A + B) - A; the constructions read every subspace and
+as its exact difference, and runs the construction's order check on it.
+The triple factors A + B alone in full and reads each summand off its
+k x k core, k = rank(A + B)
+(:meth:`~minusord.subspaces.Factored._summand`): A <=- A + B exactly
+when R(A) + R(B) = R(A + B) is direct, and likewise on the adjoint side
+(Marsaglia & Styan 1974; Hartwig 1980), so both summands live in the
+sum's singular bases.  So ``t.b`` is the sum, ``t.fb`` its factor, and
+``t.fd`` the factor of the summand B itself, not of the rounded
+fl(A + B) - A; the constructions read every subspace and
 pseudoinverse off these factors, and each builds only what it returns:
 P and Q are built and verified apart, so the pseudoinverse builds both,
 least squares P alone, and only :func:`build_split` forms E and runs its
@@ -29,11 +34,14 @@ n x n P or Q is formed only where one is returned, by :func:`build_split`,
 inverses of the summands are Q_A A+ P_A and Q_B B+ P_B, the group and core
 inverses Q A+ P, off the factors.  Once the ranks add,
 R(A + B) = R(A) + R(B) and N(A + B) = N(A) cap N(B) (Marsaglia & Styan
-1974), so every check reads them off the summands' factors: A + B's factor
-knows the smaller summand's subspaces only to about
-eps ||A + B|| / sigma_min.  Only the tests of M and N against them read
-it, and the optimal split, whose complements N((A + B)*) and R((A + B)*)
-are A + B's own.  A sum or meet that the verdict and those tests have
+1974), so every check reads them off the summands' factors: A + B's
+factor knows the smaller summand's subspaces only to about
+eps ||A + B|| / sigma_min (Wedin 1972).  That is why a summand whose part
+outside A + B's bases exceeds its own rank cutoff, such as a B far
+smaller than A, is factored in full rather than on the core, and why
+only the tests of M and N read A + B's factor, and the optimal split,
+whose complements N((A + B)*) and R((A + B)*) are A + B's own.  A sum or
+meet that the verdict and those tests have
 decided is not cut again: each is read off one complete QR of rank-sized
 sines (:func:`~minusord.subspaces._meet`), and each core solved on it is
 certified from its k x k residual.
@@ -66,6 +74,7 @@ from .subspaces import (
     _meet,
     _oblique,
     _outside,
+    _subspace,
     _sum_and_meet,
 )
 
@@ -93,10 +102,16 @@ def _checked(A, B, tol: ToleranceConfig, order=_left_minus, message=_NOT_LEFT_MI
     when ``square`` is set), the triple of A against A + B with the
     caller's B as its exact difference, and the construction's order check
     on it, by default the left-minus order, whose verdict is the minus
-    order's.  With ``order`` None the caller runs its own checks.  An
-    A + B that overflows raises ValueError."""
+    order's.  With ``order`` None the caller runs its own checks.  The
+    triple factors A + B in full and A and B on its rank-sized core, or
+    in full when a summand lies outside its bases
+    (:class:`~minusord.orders._Summed`).  An A + B that overflows raises
+    ValueError, with no numpy warning."""
     A, B = as_pair(A, B, square)
-    t = _triple(A, _finite(A + B, "A + B"), tol, d=B)
+    # the overflow is reported as the ValueError, with no numpy warning
+    with np.errstate(over="ignore"):
+        total = A + B
+    t = _triple(A, _finite(total, "A + B"), tol, d=B)
     if order is not None:
         _require(order(t), message)
     return t
@@ -129,6 +144,7 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     back, so A = (A + B) Q.
     """
     t = _checked(A, B, tol, _minus, "A is not minus-below A + B")
+    _given(m1=m1, n1=n1)
     p, q = (f.projection(onto, along) for f, onto, along in (_split_p(t, m1, n1), _split_q(t)))
     # E = P_R(A) P + P_R(B) (I - P), each projector applied as U (U* X)
     ua, ub = t.fa.range.basis, t.fd.range.basis
@@ -141,6 +157,14 @@ def build_split(A, B, tol: ToleranceConfig = DEFAULT_TOLERANCE,
     for u in (ua, ub):
         tol.verify("projection sum E has the wrong range", fro(e @ u - u), ne)
     return SplitWitness(p=p, q=q, e=e, optimal=tol.within(fro(e - adjoint(e)), ne))
+
+
+def _given(**spaces) -> None:
+    """Raise TypeError for any of the optional ``spaces`` given as anything
+    but a Subspace (:func:`~minusord.subspaces._subspace`)."""
+    for name, space in spaces.items():
+        if space is not None:
+            _subspace(space, name)
 
 
 def _split_p(t: _Triple, m1=None, n1=None) -> tuple[_Factors, Subspace, Subspace]:
@@ -276,6 +300,9 @@ def _agreeing_split(t: _Triple, range_complement, kernel_complement,
     their action on B_M and B_N, is verified once."""
     fa, ft, fb, tol = t.fa, t.fb, t.fd, t.tol
     m, n = t.a.shape
+    _subspace(range_complement, "range_complement")
+    _subspace(kernel_complement, "kernel_complement")
+    _given(n1=n1, n2=n2, n1s=n1s, n2s=n2s)
     if range_complement.ambient_dim != m or kernel_complement.ambient_dim != n:
         raise ValueError("ambient mismatch")
     # a complement of X has X^perp's dimension and no sine against X at the cutoff
@@ -386,10 +413,13 @@ def ordered_inverse_additivity(A, B, kind: str,
     needs the core order on the pair and on the adjoint pair and returns
     the sum of core inverses.  The sum is verified against the directly
     computed inverse of A + B.  The inverses of A, B and A + B are read
-    off the three factors of the order check, B's being the factor of the
-    caller's B itself: a factor of the rounded (A + B) - A would carry the
-    rounding of A + B, about eps ||A||, and know B's subspaces only to
-    eps ||A|| / sigma_min(B) when B is small beside A.
+    off the three factors of the order check, A's and B's read off A + B's
+    rank-sized core, B's being the factor of the caller's B itself: a
+    factor of the rounded (A + B) - A would carry the rounding of A + B,
+    about eps ||A||, and know B's subspaces only to
+    eps ||A|| / sigma_min(B) when B is small beside A.  A + B's bases know
+    such a B no better, so then B's part outside them exceeds B's own
+    cutoff and B is factored in full.
     """
     t = _checked(A, B, tol, None, square=kind in ("group", "core"))
     if kind not in INVERSE_KINDS:

@@ -36,11 +36,16 @@ idempotency screen runs in full; the projections the package builds,
 witnesses included, have it certified from their cores and are not
 validated.
 
-The bounds hold on failure paths too: a construction whose order check
-fails builds the report it raises from the factors that check made, so
-on the unordered row only A, A + B and B are factored with singular
-vectors, once each.  A construction's triple factors the caller's B as
-the difference of A + B and A, so no construction factors B again.
+A construction's triple factors A + B alone at the operands' size and
+reads A and the caller's B off its rank-sized core, so the rows that
+build it make one n-sized SVD; a summand whose part outside A + B's
+bases exceeds its own cutoff, such as a B far smaller than A, is
+factored in full instead, and no construction factors B again.  The
+bounds hold on failure paths too: a construction whose order check fails
+builds the report it raises from the factors that check made, so on the
+unordered row only A + B and the cores of A and B, which a full-rank sum
+leaves at the operands' size, are factored with singular vectors, once
+each.
 
 No call solves an n x n system: each projection, witness and reflexive
 inverse is solved on its square core of principal-angle sines, a matrix
@@ -118,7 +123,7 @@ from minusord.additivity import (disjoint_range_additivity, is_range_additive,
                                  kernel_characterization)
 from minusord.exceptions import OrderConditionError
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
-from minusord.geninv import core_inverse, group_inverse
+from minusord.geninv import core_inverse, group_inverse, pinv
 from minusord.lsq import decoupled_lss, solve_system
 from minusord.mmio import format_matrix, parse_matrix
 from minusord.orders import (core_order, inner_inverse_witness, left_minus_order,
@@ -191,22 +196,23 @@ CALLS = {
     # cross-check verdicts
     # the meet that Q's core is solved against is a complete QR of the
     # rank-sized sines, so the split adds no SVD to the three factors
-    "build_split": (lambda: build_split(A, B), 3, 3, 3, 2),
-    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 3, 3, 3, 2),
+    "build_split": (lambda: build_split(A, B), 3, 3, 1, 2),
+    "fill_fishkind_pinv": (lambda: fill_fishkind_pinv(A, B), 3, 3, 1, 2),
     # the full-rank sum leaves no sines beyond R(A + B), so the left-minus
     # report, read in full, adds no SVD to the three factors
     "fill_fishkind_pinv_unordered": (_unordered_pinv, 3, 3, 3, 2),
     # least squares builds the split's P alone, whose screen its rank-sized
     # core certifies, and the memberships of solve_system are read off its
     # triple's factors of A and B
-    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 4, 4, 4, 2),
-    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 3, 3, 3, 2),
+    "decoupled_lss": (lambda: decoupled_lss(A, B, C), 4, 4, 2, 2),
+    "solve_system": (lambda: solve_system(A, B, A @ X, B @ X), 3, 3, 1, 2),
     # B's inverse is read off the triple's factor of the caller's B, so
-    # A, A + B and B are factored once each and B is not validated again
+    # A + B is factored once, A and B on its core, and B is not validated
+    # again
     "additivity_moore_penrose":
-        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 3, 3, 3, 2),
-    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 6, 3, 3, 2),
-    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 6, 3, 3, 2),
+        (lambda: ordered_inverse_additivity(SA, SB, "moore_penrose"), 3, 3, 1, 2),
+    "additivity_group": (lambda: ordered_inverse_additivity(HA, HB, "group"), 6, 3, 1, 2),
+    "additivity_core": (lambda: ordered_inverse_additivity(CA, CB, "core"), 6, 3, 1, 2),
     # A with vectors; the part of B outside R(A) and A + B by values alone
     "is_range_additive": (lambda: is_range_additive(A, B), 3, 1, 3, 2),
     "disjoint_range_additivity": (lambda: disjoint_range_additivity(A, B), 5, 2, 3, 2),
@@ -217,14 +223,14 @@ CALLS = {
     # M and N are tested on their sines, and the cores of the four canonical
     # complements, which that test and the verdict decide, are built from
     # complete QRs of rank-sized sines: 3 SVDs with vectors, 2 without
-    "agreeing_split": (lambda: agreeing_split(A, B, M, N), 5, 3, 3, 2),
-    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 5, 3, 3, 2),
+    "agreeing_split": (lambda: agreeing_split(A, B, M, N), 5, 3, 1, 2),
+    "sum_reflexive_inverse": (lambda: sum_reflexive_inverse(A, B, M, N), 5, 3, 1, 2),
     # given complements replace the canonical ones inside the one split,
     # and each is tested on its core
     "sum_reflexive_inverse_alternates":
         (lambda: sum_reflexive_inverse(A, B, M, N, n1=_SPLIT.n1, n2=_SPLIT.n2,
-                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 9, 3, 3, 2),
-    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 5, 3, 3, 2),
+                                       n1s=_SPLIT.n1s, n2s=_SPLIT.n2s), 9, 3, 1, 2),
+    "werner_decomposition": (lambda: werner_decomposition(A, B, M, N), 5, 3, 1, 2),
     # the set operations of two subspaces: a sum, meet or relative
     # complement is one SVD of the sines, the complement coming from a
     # complete QR of an orthonormal basis, and a dimension test reads the
@@ -457,6 +463,37 @@ def test_decoupled_stack_has_the_summands_rank():
     # [A* W A; B* W B] is factored as the rank-sized K, not as its 2n rows
     svds = spy(CALLS["decoupled_lss"][0])[0]
     assert max(shape[0] for _, shape in svds) <= A.shape[0]
+
+
+#: Pairs of each inverse kind with ||A|| / ||B|| = 1e4, and the public route
+#: of their inverses.
+LOPSIDED = {"moore_penrose": (SA, SB, pinv), "group": (HA, HB, group_inverse),
+            "core": (CA, CB, core_inverse)}
+
+
+@pytest.mark.parametrize("kind", sorted(LOPSIDED))
+def test_lopsided_summand_is_factored_in_full(kind, monkeypatch):
+    # A + B's bases know B only to about eps ||A + B|| / sigma_min(B), so B's
+    # part outside them exceeds B's own cutoff and B takes the fallback, a
+    # factor of its own, while A is read off the core: two n-sized SVDs, of
+    # A + B and of B, and the sum keeps the accuracy of the public route
+    a, b, inverse = LOPSIDED[kind]
+    a = a * (1e4 * np.linalg.norm(b) / np.linalg.norm(a))
+    factored, real = [], subspaces.Factored._of
+
+    def recording(x, tol, scale=None):
+        factored.append(x)
+        return real(x, tol, scale)
+
+    monkeypatch.setattr(subspaces.Factored, "_of", staticmethod(recording))
+    svds = spy(lambda: ordered_inverse_additivity(a, b, kind))[0]
+    assert sum(_sized(shape) for _, shape in svds) == 2
+    assert [np.array_equal(x, y) for x, y in zip(factored, (a + b, b))] == [True, True]
+    assert len(factored) == 2
+    monkeypatch.undo()
+    out = ordered_inverse_additivity(a, b, kind)
+    expected = inverse(a) + inverse(b)
+    assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def _forbidden(what):

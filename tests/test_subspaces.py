@@ -508,7 +508,7 @@ def test_oblique_projection_without_a_tolerance_returns_no_projection():
     with pytest.raises(ComplementError):
         oblique_projection(m_space, n_space)
     for m, n in ((m_space, n_space), (n_space, m_space)):
-        with pytest.raises(TypeError, match="^oblique_projection needs a ToleranceConfig$"):
+        with pytest.raises(TypeError, match="^tol must be a ToleranceConfig, not NoneType$"):
             oblique_projection(m, n, None)
 
 

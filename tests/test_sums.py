@@ -9,7 +9,7 @@ from minusord.geninv import core_inverse, group_inverse, pinv, reflexive_inverse
 from minusord import subspaces, sums
 from minusord.linalg import DEFAULT_TOLERANCE, adjoint, fro
 from minusord.lsq import decoupled_lss
-from minusord.subspaces import Factored, Subspace, intersect, null_basis, range_basis, subspace_sum
+from minusord.subspaces import Subspace, intersect, null_basis, range_basis, subspace_sum
 from minusord.sums import (
     INVERSE_KINDS,
     agreeing_split,
@@ -125,7 +125,8 @@ def test_agreeing_split_identities(rng):
 
 def test_agreeing_split_reads_its_meets_off_the_split(rng, monkeypatch):
     # N1* = N(B) cap N and N2* = N(A) cap N are the ranges of Q and Q_B,
-    # so the four meets of the split are all it builds
+    # so the four meets of the split are all it builds, each read off the
+    # factors of the checked triple
     made, calls = sums._meet, []
 
     def counting(*args):
@@ -137,8 +138,9 @@ def test_agreeing_split_reads_its_meets_off_the_split(rng, monkeypatch):
     m_comp, n_comp = random_complements(rng, a + b, 7, 6, 5)
     split = agreeing_split(a, b, m_comp, n_comp)
     assert len(calls) == 4
-    for got, summand in ((split.n1s, b), (split.n2s, a)):
-        assert same_bits(got.basis, made(Factored.of(summand).corange, n_comp).basis)
+    t = sums._checked(a, b, DEFAULT_TOLERANCE, None)
+    for got, factor in ((split.n1s, t.fd), (split.n2s, t.fa)):
+        assert same_bits(got.basis, made(factor.corange, n_comp).basis)
 
 
 def test_sum_reflexive_inverse_matches_direct(rng):
