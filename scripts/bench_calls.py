@@ -12,10 +12,15 @@ star, left-star, core and sharp orders of A against A + G for a full-rank
 G, a pair whose product identities fail.  ``minus_order (A, 2A)`` and
 ``is_range_additive (A, A)`` are decided by the ranks of their operands
 alone, with no factor of the difference, as is the inclusion of the
-ordered ``left_star_order``.  The ``(tall)`` rows run the three
-constructions on a 3n/2 x n pair of the same ranks, with the counts of
-their square gate rows, under the floor of ``np.linalg.pinv`` of that
-pair's sum.  The set operations run on two
+ordered ``left_star_order``.  The ``fill_fishkind_pinv`` rows under its
+floor also run a lopsided pair, A scaled to ||A|| / ||B|| = 1e4, whose B
+is factored in full rather than on A + B's core, and an unordered pair,
+A against the sum of A and C - A for a C of A's rank, whose sum is too
+small to hold either summand, so both are factored in full and the call
+reads in full the report of the error it raises.  The ``(tall)`` rows
+run the three constructions on a 3n/2 x n pair of the same ranks, with
+the counts of their square gate rows, under the floor of
+``np.linalg.pinv`` of that pair's sum.  The set operations run on two
 subspaces of C^n of dimensions n - 2n/3 and 2n/3 that meet in one
 direction, and the oblique projection on a complementary pair.  The
 Matrix Market writer and reader run on a complex n x n matrix, under the
@@ -65,6 +70,8 @@ GATE_ROWS = {"minus_order": "minus_order_holds", "minus_order (read in full)": "
              "left_star_order (unordered)": "left_star_order_unordered_holds",
              "core_order (unordered)": "core_order_unordered_holds",
              "sharp_order (unordered)": "sharp_order_unordered_holds",
+             "fill_fishkind_pinv (lopsided)": "fill_fishkind_pinv_lopsided",
+             "fill_fishkind_pinv (outside)": "fill_fishkind_pinv_outside",
              "fill_fishkind_pinv (tall)": "fill_fishkind_pinv",
              "decoupled_lss (tall)": "decoupled_lss",
              "sum_reflexive_inverse (tall)": "sum_reflexive_inverse"}
@@ -79,6 +86,17 @@ def read_in_full(report):
     """``report`` with its cross-check verdicts, witnesses and flags read."""
     report.characterization_verdicts, report.witness_p, report.witness_q, report.boundary_flags
     return report
+
+
+def refused(call):
+    """The report, read in full, of the OrderConditionError that ``call`` raises."""
+    from minusord.exceptions import OrderConditionError
+
+    try:
+        call()
+    except OrderConditionError as exc:
+        return read_in_full(exc.report)
+    raise AssertionError("the order check passed an unordered pair")
 
 
 def calls(n):
@@ -103,6 +121,7 @@ def calls(n):
     text = mmio.format_matrix(g)
     # meets m_comp in one direction
     meets = Subspace.from_span(np.hstack([m_comp.basis[:, :1], n_comp.basis[:, 1:]]))
+    la = a * (1e4 * np.linalg.norm(b) / np.linalg.norm(a))
     m = 3 * n // 2
     ta, tb = minus_pair(3, m, n, r, r)
     tall = np.random.default_rng(6)
@@ -132,6 +151,9 @@ def calls(n):
         "floor: np.linalg.pinv(A+B)": lambda: np.linalg.pinv(a + b),
         "build_split": lambda: sums.build_split(a, b),
         "fill_fishkind_pinv": lambda: sums.fill_fishkind_pinv(a, b),
+        "fill_fishkind_pinv (lopsided)": lambda: sums.fill_fishkind_pinv(la, b),
+        "fill_fishkind_pinv (outside)":
+            lambda: refused(lambda: sums.fill_fishkind_pinv(a, sa - a)),
         "decoupled_lss": lambda: lsq.decoupled_lss(a, b, c),
         "solve_system": lambda: lsq.solve_system(a, b, a @ x, b @ x),
         "sum_reflexive_inverse": lambda: sums.sum_reflexive_inverse(a, b, m_comp, n_comp),

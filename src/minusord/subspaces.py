@@ -206,27 +206,46 @@ class Factored:
                  scale: float | None = None) -> "Factored":
         """:meth:`_of` of a summand X of S, read off the factor ``total`` of
         S cut at its rank k: Y = U_S* X V_S holds X in S's bases, and the
-        SVD X_c Sigma Y_c* of its k x k core gives X's factor
+        SVD X_c Sigma Y_c* of its k x k core W gives X's factor
         [U_k X_c | U_k^perp], Sigma padded with zeros, [V_k Y_c | V_k^perp].
         Once the ranks of the summands add, R(X) lies in R(S) and R(X*) in
         R(S*) (Marsaglia & Styan 1974), so the rest of Y, X's part outside
-        the bases, vanishes; it is formed, not taken as ||X||^2 - ||W||^2,
-        which cancels.  S's bases know a summand far smaller than S only to
-        about eps ||S|| / sigma_min(X) (Wedin 1972), so the core serves only
-        when that part lies within X's own rank cutoff
-        (:func:`~minusord.linalg._spectral_within`); otherwise X is factored
-        in full.  The rank is cut at ``scale`` either way."""
+        the bases, vanishes.  S's bases know a summand far smaller than S
+        only to about eps ||S|| / sigma_min(X) (Wedin 1972), so the core
+        serves only when the Frobenius norm of that part, which bounds
+        every singular value of X past k, lies within a tenth of the lesser
+        of X's own cutoff and the cutoff at ``scale``: no value that
+        :func:`_near` flags is then dropped.  Otherwise, or when that bound
+        is too small for the norm to settle
+        (:func:`~minusord.linalg._spectral_within`), X is factored in full.
+        The part is formed, not taken as ||X||^2 - ||W||^2, which cancels:
+        first U_k^perp* X, whose norm is that of Y's rows past k, then the
+        rest of U_k* X V_S.  The rank is cut at ``scale`` either way."""
         k = total.rank
-        y = adjoint(total.u) @ x @ total.v
-        x_c, core, y_ch = np.linalg.svd(y[:k, :k])
-        y[:k, :k] = 0.0
-        if not _spectral_within(y, _rank_cutoff(core, x.shape, tol)):
+        # the bound below is at most a tenth of the cutoff of a sigma_1 of
+        # ||X||_F >= sigma_1(W), so a part past that fails before the rest
+        # of Y, or the core's SVD, is made
+        loose = _rank_cutoff([math.sqrt(np.vdot(x, x).real)], x.shape, tol) / 10.0
+        left = adjoint(total.u) @ x
+        below = math.sqrt(np.vdot(left[k:], left[k:]).real)
+        if below > loose:
             return cls._of(x, tol, scale)
+        top = left[:k] @ total.v
+        beside = top[:, k:].ravel()
+        outside = math.hypot(below, math.sqrt(np.vdot(beside, beside).real))
+        if outside > loose:
+            return cls._of(x, tol, scale)
+        x_c, core, y_ch = np.linalg.svd(top[:, :k])
         s = np.zeros(min(x.shape))
         s[:k] = core
-        u = np.hstack([total.u[:, :k] @ x_c, total.u[:, k:]])
-        v = np.hstack([total.v[:, :k] @ adjoint(y_ch), total.v[:, k:]])
         cutoff = _rank_cutoff(s, x.shape, tol, scale)
+        bound = min(_rank_cutoff(core, x.shape, tol), cutoff) / 10.0
+        if not _NORM_FLOOR <= bound or outside > bound:
+            return cls._of(x, tol, scale)
+        u, v = np.empty_like(total.u), np.empty_like(total.v)
+        np.matmul(total.u[:, :k], x_c, out=u[:, :k])
+        np.matmul(total.v[:, :k], adjoint(y_ch), out=v[:, :k])
+        u[:, k:], v[:, k:] = total.u[:, k:], total.v[:, k:]
         return cls(u, s, v, _count(s, cutoff), cutoff)
 
     @property

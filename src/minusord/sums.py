@@ -37,13 +37,13 @@ R(A + B) = R(A) + R(B) and N(A + B) = N(A) cap N(B) (Marsaglia & Styan
 1974), so every check reads them off the summands' factors: A + B's
 factor knows the smaller summand's subspaces only to about
 eps ||A + B|| / sigma_min (Wedin 1972).  That is why a summand whose part
-outside A + B's bases exceeds its own rank cutoff, such as a B far
-smaller than A, is factored in full rather than on the core, and why
+outside A + B's bases exceeds a tenth of its own rank cutoff, such as a B
+far smaller than A, is factored in full rather than on the core, and why
 only the tests of M and N read A + B's factor, and the optimal split,
 whose complements N((A + B)*) and R((A + B)*) are A + B's own.  A sum or
-meet that the verdict and those tests have
-decided is not cut again: each is read off one complete QR of rank-sized
-sines (:func:`~minusord.subspaces._meet`), and each core solved on it is
+meet that the verdict and those tests have decided is not cut again: each
+is read off one complete QR of rank-sized sines
+(:func:`~minusord.subspaces._meet`), and each core solved on it is
 certified from its k x k residual.
 """
 

@@ -1,6 +1,7 @@
 """The pair statistics of ``scripts/bench_pairs.py``, the digests of
 ``scripts/replay_digest.py``, the per-call table of
-``scripts/bench_calls.py`` and the code-line count of
+``scripts/bench_calls.py``, the route counts of
+``scripts/summand_routes.py`` and the code-line count of
 ``scripts/src_lines.py``, all loaded by path.
 
 Ten pairs exercise the claim rule (at least nine wins of ten and a median
@@ -10,7 +11,8 @@ second run into the same file adds only the seeds not yet recorded.  A
 replay of one checkout twice gives equal digests, and one changed byte of
 an output changes its digest.  The verdict digest ignores a changed
 witness and changes with a verdict.  Every timed call of the per-call
-table has a row in the count gate, whose spy counts its factorizations.
+table has a row in the count gate, whose spy counts its factorizations,
+and the constructions of a replay are counted by the route they take.
 """
 
 import importlib.util
@@ -170,6 +172,20 @@ def test_replay_of_one_checkout_repeats(replay_digest, workload, tmp_path, monke
     assert first == second
     assert len(first) == (6 if workload == "cli-files" else 12)
     assert not (tmp_path / "work").exists()
+
+
+def test_summand_routes_count_each_construction(tmp_path, monkeypatch):
+    # each cli-files construction reads both summands off the core of A + B
+    from minusord.subspaces import Factored
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    saved = Factored.__dict__["_summand"], Factored.__dict__["_of"]
+    table = _load("summand_routes").routes("cli-files", [1], workdir=tmp_path / "work", limit=6)
+    assert (Factored.__dict__["_summand"], Factored.__dict__["_of"]) == saved
+    assert table["total"]["core"] > 0
+    assert all(counts["full"] == 0 and counts["core"] % 2 == 0 for counts in table.values())
+    assert set(table) <= {"total", "pinv-sum:json", "pinv-sum:out", "lsq:json"}
 
 
 def test_one_changed_output_byte_changes_the_digest(replay_digest):

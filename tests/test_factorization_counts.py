@@ -39,13 +39,14 @@ validated.
 A construction's triple factors A + B alone at the operands' size and
 reads A and the caller's B off its rank-sized core, so the rows that
 build it make one n-sized SVD; a summand whose part outside A + B's
-bases exceeds its own cutoff, such as a B far smaller than A, is
-factored in full instead, and no construction factors B again.  The
-bounds hold on failure paths too: a construction whose order check fails
-builds the report it raises from the factors that check made, so on the
-unordered row only A + B and the cores of A and B, which a full-rank sum
-leaves at the operands' size, are factored with singular vectors, once
-each.
+bases exceeds a tenth of its own cutoff, such as a B far smaller than A,
+is factored in full instead, with no core factored for it, and no
+construction factors B again.  The bounds hold on failure paths too: a
+construction whose order check fails builds the report it raises from
+the factors that check made, so on the unordered row only A + B and the
+cores of A and B, which a full-rank sum leaves at the operands' size,
+are factored with singular vectors, once each, and on the outside row,
+whose sum has the rank of A alone, A + B, A and B.
 
 No call solves an n x n system: each projection, witness and reflexive
 inverse is solved on its square core of principal-angle sines, a matrix
@@ -168,13 +169,17 @@ def _read(report):
     return report
 
 
-def _unordered_pinv():
+def _unordered_pinv(a=A, b=G):
     try:
-        fill_fishkind_pinv(A, G)
+        fill_fishkind_pinv(a, b)
     except OrderConditionError as exc:
         assert _read(exc.report).order_name == "left_minus"
     else:
         raise AssertionError("the order check passed an unordered pair")
+
+
+# A scaled to ||A|| / ||B|| = 1e4, which A + B's bases know B too poorly for
+LA = A * (1e4 * np.linalg.norm(B) / np.linalg.norm(A))
 
 
 # name: (call, bound on all SVDs, on SVDs with singular vectors, on n-sized SVDs,
@@ -201,6 +206,12 @@ CALLS = {
     # the full-rank sum leaves no sines beyond R(A + B), so the left-minus
     # report, read in full, adds no SVD to the three factors
     "fill_fishkind_pinv_unordered": (_unordered_pinv, 3, 3, 3, 2),
+    # B far smaller than A lies outside A + B's bases by more than a tenth
+    # of its own cutoff, so B is factored in full
+    "fill_fishkind_pinv_lopsided": (lambda: fill_fishkind_pinv(LA, B), 3, 3, 2, 2),
+    # the sum SA of A and SA - A has the rank of A alone, and both summands
+    # lie outside its bases, so each is factored in full
+    "fill_fishkind_pinv_outside": (lambda: _unordered_pinv(A, SA - A), 3, 3, 3, 2),
     # least squares builds the split's P alone, whose screen its rank-sized
     # core certifies, and the memberships of solve_system are read off its
     # triple's factors of A and B
@@ -474,9 +485,10 @@ LOPSIDED = {"moore_penrose": (SA, SB, pinv), "group": (HA, HB, group_inverse),
 @pytest.mark.parametrize("kind", sorted(LOPSIDED))
 def test_lopsided_summand_is_factored_in_full(kind, monkeypatch):
     # A + B's bases know B only to about eps ||A + B|| / sigma_min(B), so B's
-    # part outside them exceeds B's own cutoff and B takes the fallback, a
-    # factor of its own, while A is read off the core: two n-sized SVDs, of
-    # A + B and of B, and the sum keeps the accuracy of the public route
+    # part outside them exceeds a tenth of B's own cutoff and B takes the
+    # fallback, a factor of its own, while A is read off the core: two
+    # n-sized SVDs, of A + B and of B, and the sum keeps the accuracy of the
+    # public route
     a, b, inverse = LOPSIDED[kind]
     a = a * (1e4 * np.linalg.norm(b) / np.linalg.norm(a))
     factored, real = [], subspaces.Factored._of

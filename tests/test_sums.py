@@ -4,7 +4,7 @@ import pytest
 from minusord.exceptions import (ComplementError, GroupInvertibilityError, OrderConditionError,
                                  VerificationError)
 from minusord.generate import core_pair, minus_pair, sharp_pair, star_pair
-from minusord.orders import _triple, core_order, sharp_order, star_order
+from minusord.orders import _triple, core_order, left_minus_order, sharp_order, star_order
 from minusord.geninv import core_inverse, group_inverse, pinv, reflexive_inverse
 from minusord import subspaces, sums
 from minusord.linalg import DEFAULT_TOLERANCE, adjoint, fro
@@ -406,6 +406,22 @@ def _same_report(report, public):
     assert report.characterization_verdicts == public.characterization_verdicts
     assert report.rank_data == public.rank_data
     assert report.boundary_flags == public.boundary_flags
+
+
+def test_failing_construction_keeps_a_summands_boundary_flag():
+    # A's third singular value sits at half A's cutoff, in N((A + B)*), and
+    # B folds into R(A), so the ranks do not add: A's part outside the
+    # sum's bases is that value, which A's factor keeps, so the report
+    # flags it as the public route does
+    rng = np.random.default_rng(7)
+    u, v = (np.linalg.qr(cgauss(rng, 6, 6))[0] for _ in range(2))
+    small = 0.5 * DEFAULT_TOLERANCE.effective_rank_rtol((6, 6))
+    a = u @ np.diag([1.0, 1.0, small, 0.0, 0.0, 0.0]) @ adjoint(v)
+    b = u @ np.diag([-0.5, 0.0, 0.0, 1.0, 0.0, 0.0]) @ adjoint(v)
+    err = _raised(lambda: fill_fishkind_pinv(a, b))
+    assert type(err) is OrderConditionError
+    assert "rank(A) within 10x of cutoff" in err.report.boundary_flags
+    _same_report(err.report, left_minus_order(a, a + b))
 
 
 def test_additivity_failures_keep_type_message_and_report(rng):
